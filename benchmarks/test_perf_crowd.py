@@ -9,7 +9,7 @@ servers through aggregated batch envelopes, which is what this benchmark
 measures: a 100k/500k/1M-client crowd submitting through a sharded
 4-coordinator / 8-server core, every client completing end to end.
 
-Running this file writes ``BENCH_crowd.json`` at the repository root with
+Running this file writes ``BENCH_crowd.json`` under ``--bench-out`` with
 crowd-client-ticks/sec (population rows advanced per wall second) and
 kernel events/sec at each scale; CI diffs it against the committed baseline
 and fails on a >20% events/sec regression (see
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import time
-from pathlib import Path
 
 import pytest
 
@@ -28,7 +27,7 @@ np = pytest.importorskip("numpy")
 
 from repro.scenarios.engine import FaultPlan, GridTopology, WorkloadSpec, execute_benchmark
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_crowd.json"
+BENCH_NAME = "BENCH_crowd.json"
 
 #: crowd sizes measured (the ISSUE's 100k / 500k / 1M ladder).
 SCALES = (100_000, 500_000, 1_000_000)
@@ -113,7 +112,7 @@ def _run_scale(n_clients: int) -> dict:
     }
 
 
-def test_crowd_benchmark_writes_bench_json():
+def test_crowd_benchmark_writes_bench_json(bench_out):
     # Reps are interleaved across scales (100k, 500k, 1M, 100k, ...) so a
     # slow host phase cannot sink one scale's whole block.
     runs_by_scale: dict[int, list[dict]] = {n: [] for n in SCALES}
@@ -144,5 +143,5 @@ def test_crowd_benchmark_writes_bench_json():
         ),
         "scales": scales,
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    (bench_out / BENCH_NAME).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nBENCH_crowd.json: {json.dumps(scales, indent=2)}")

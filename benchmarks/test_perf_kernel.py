@@ -34,13 +34,12 @@ from __future__ import annotations
 import gc
 import json
 import time
-from pathlib import Path
 
 from repro.net.message import MessagePool, MessageType
 from repro.sim.core import AnyOf, Environment, Event, Timeout
 from repro.types import Address
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
+BENCH_NAME = "BENCH_kernel.json"
 
 # --------------------------------------------------------------------------
 # Periodic-heavy workload (headline): heart-beats + detector re-arms.
@@ -264,7 +263,7 @@ def _useful_ladder_events(nodes: int, rounds: int) -> int:
     return nodes * (2 * rounds + 2)
 
 
-def test_kernel_benchmark_writes_bench_json_and_beats_legacy():
+def test_kernel_benchmark_writes_bench_json_and_beats_legacy(bench_out):
     # ---- periodic-heavy scales (flatness-gated) --------------------------
     # Reps are interleaved across scales (1k, 5k, 10k, 1k, ...) rather than
     # run in per-scale blocks: host-scheduling slow phases last seconds, so
@@ -347,7 +346,7 @@ def test_kernel_benchmark_writes_bench_json_and_beats_legacy():
             "speedup": round(speedup, 2),
         },
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    (bench_out / BENCH_NAME).write_text(json.dumps(payload, indent=2) + "\n")
     summary = {
         scale: row["events_per_sec"] for scale, row in periodic.items()
     }

@@ -23,7 +23,7 @@ throughput at each depth:
   10% of the table; reschedule latency through the per-server ongoing
   bucket vs the legacy full scan.
 
-Running this file writes ``BENCH_protocol.json`` at the repository root;
+Running this file writes ``BENCH_protocol.json`` under ``--bench-out``;
 CI diffs it against the committed baseline and fails on a >20% events/sec
 regression in any group (see ``benchmarks/check_bench_regression.py``).
 """
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import time
-from pathlib import Path
 
 from dataclasses import dataclass
 
@@ -46,7 +45,7 @@ from repro.nodes.database import DatabaseModel
 from repro.policies.scheduling import FifoReschedulePolicy
 from repro.types import Address, CallIdentity, RPCId, SessionId, TaskState, UserId
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_protocol.json"
+BENCH_NAME = "BENCH_protocol.json"
 
 #: preloaded backlog depths (pending tasks across the whole grid).
 SCALES = (1_000, 10_000, 100_000)
@@ -284,7 +283,7 @@ def _pick_best(runs_by_scale: dict[int, list[dict]]) -> dict[str, dict]:
     return results
 
 
-def test_protocol_benchmark_writes_bench_json():
+def test_protocol_benchmark_writes_bench_json(bench_out):
     # Reps are interleaved across scales and workloads (1k, 10k, 100k ladder,
     # the two comparison runs, the microbenches, then the next rep of each)
     # so one slow host phase cannot sink a whole scale's block.
@@ -350,6 +349,6 @@ def test_protocol_benchmark_writes_bench_json():
         "storm_scales": _pick_best(storm_runs),
         "comparison_100k": comparison,
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    (bench_out / BENCH_NAME).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nBENCH_protocol.json: {json.dumps(payload['scales'], indent=2)}")
     print(f"comparison_100k: speedup {comparison['speedup']}x")

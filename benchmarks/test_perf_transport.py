@@ -15,7 +15,7 @@ cross-site LAN link (deliveries become future heap callbacks).  Every node
 runs a receive loop, so each delivery also wakes a blocked mailbox getter —
 the full send → route → deliver → resume path.
 
-Running this file writes ``BENCH_transport.json`` at the repository root with
+Running this file writes ``BENCH_transport.json`` under ``--bench-out`` with
 transport events/sec (sends + deliveries per wall second) at 1k, 5k and 10k
 nodes; CI diffs it against the committed baseline and fails on a >20%
 events/sec regression (see ``benchmarks/check_bench_regression.py``).
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import time
-from pathlib import Path
 
 from repro.net.latency import CompositeLinkModel, LanLinkModel, PerfectLinkModel
 from repro.net.message import Message, MessageType
@@ -34,7 +33,7 @@ from repro.sim.core import Environment
 from repro.sim.rng import RandomStreams
 from repro.types import Address
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_transport.json"
+BENCH_NAME = "BENCH_transport.json"
 
 #: nodes -> messages per node (messages shrink at scale to bound runtime).
 SCALES = {1000: 40, 5000: 16, 10000: 10}
@@ -257,7 +256,7 @@ def _pick_best(runs_by_scale: dict[int, list[dict]]) -> dict[str, dict]:
     return results
 
 
-def test_transport_benchmark_writes_bench_json():
+def test_transport_benchmark_writes_bench_json(bench_out):
     # Reps are interleaved across every scale of BOTH workloads (1k, 5k, 10k
     # point-to-point, then 1k, 5k, 10k fan-in, then the next rep of each)
     # rather than run in per-scale or per-workload blocks: host slow phases
@@ -288,6 +287,6 @@ def test_transport_benchmark_writes_bench_json():
         "scales": scales,
         "fanin_scales": fanin,
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    (bench_out / BENCH_NAME).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nBENCH_transport.json: {json.dumps(scales, indent=2)}")
     print(f"fan-in: {json.dumps(fanin, indent=2)}")

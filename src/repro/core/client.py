@@ -104,6 +104,9 @@ class ClientComponent:
         self.gc: GarbageCollector
         self.detector: FailureDetector
         self.handles: dict[int, RPCHandle] = {}
+        #: the handles not yet completed, in submission order — maintained by
+        #: _submit / _complete so a poll never walks the completed ones.
+        self._pending: dict[int, RPCHandle] = {}
         self._ack_waiters: dict[int, Event] = {}
         self._sync_waiters: list[Event] = []
         self.completed_count = 0
@@ -126,6 +129,7 @@ class ClientComponent:
         self.gc = GarbageCollector(self.log, self.config.logging)
         self.detector = FailureDetector(self.config.detection)
         self.handles = {}
+        self._pending = {}
         self._ack_waiters = {}
         self._sync_waiters = []
         # Never reuse a timestamp: continue strictly after the durable log.
@@ -265,7 +269,17 @@ class ClientComponent:
 
     def pending_handles(self) -> list[RPCHandle]:
         """Handles submitted in this incarnation and not yet completed."""
-        return [h for h in self.handles.values() if not h.done]
+        return list(self._pending.values())
+
+    def forget_handles(self) -> None:
+        """Drop every handle of this incarnation, pending ones included.
+
+        What a crash does to the volatile call table; experiments use it
+        (with :meth:`MessageLog.wipe`) to simulate a client that lost its
+        view without restarting its host.
+        """
+        self.handles.clear()
+        self._pending.clear()
 
     # ----------------------------------------------------------- submission path
     def _submit(self, description: CallDescription):
@@ -277,6 +291,7 @@ class ClientComponent:
             submitted_at=self.env.now,
         )
         self.handles[timestamp] = handle
+        self._pending[timestamp] = handle
 
         payload = description.to_payload()
         token = yield from self.logging.before_send(
@@ -474,6 +489,7 @@ class ClientComponent:
         handle.result = result
         handle.status = RPCStatus.COMPLETED
         handle.completed_at = self.env.now
+        del self._pending[timestamp]
         self.completed_count += 1
         self.monitor.incr("client.results_received")
         self.monitor.sample("client.completed", self.env.now, self.completed_count)
@@ -487,7 +503,7 @@ class ClientComponent:
                 coordinator = self.preferred_coordinator()
                 if coordinator is None:
                     continue
-                pending = [h.timestamp for h in self.pending_handles()]
+                pending = list(self._pending)
                 self.host.send(
                     Message(
                         mtype=MessageType.RESULT_PULL,
@@ -526,7 +542,7 @@ class ClientComponent:
         return {
             "submitted": self.session.issued_count(),
             "completed": self.completed_count,
-            "pending": len(self.pending_handles()),
+            "pending": len(self._pending),
             "log_records": len(self.log),
             "log_bytes": self.log.total_bytes(),
             "logging_overhead": self.logging.blocking_overhead,

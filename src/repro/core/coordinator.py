@@ -103,10 +103,13 @@ class CoordinatorComponent:
         #: sequence, and a deterministic iteration order keeps parallel and
         #: sequential sweeps byte-identical under hash randomization.
         self._dirty: dict[tuple, None] = {}
-        #: incrementally maintained views of the task table (None = legacy
-        #: scan-everything data plane, see CoordinatorConfig.use_task_index).
+        #: incrementally maintained views of the task and result tables
+        #: (None = legacy scan-everything data plane, see
+        #: CoordinatorConfig.use_task_index).
         self.index: TaskIndex | None = (
-            TaskIndex(self.tasks) if self.config.use_task_index else None
+            TaskIndex(self.tasks, self.results)
+            if self.config.use_task_index
+            else None
         )
         self._replica_ack_waiters: dict[int, Event] = {}
         #: round id -> {"event", "acks", "needed"} for in-flight quorum rounds.
@@ -253,6 +256,21 @@ class CoordinatorComponent:
                 self.index.note(record, key)
         self._dirty[key] = None
         self.replication_policy.on_dirty(self, key)
+
+    def _store_result(self, key: tuple, result: ResultRecord) -> bool:
+        """File a result archive under ``key`` — the only way into ``coord:results``.
+
+        The result table's choke point, as :meth:`_mark_dirty` is the task
+        table's: the per-session result view and the "archive not held here"
+        bucket stay exact because no other code inserts.  Archives are
+        immutable, so a key already held is left alone (returns ``False``).
+        """
+        if key in self.results:
+            return False
+        self.results[key] = result
+        if self.index is not None:
+            self.index.note_result(key, result)
+        return True
 
     def preload_tasks(
         self,
@@ -546,28 +564,22 @@ class CoordinatorComponent:
         wanted = {int(ts) for ts in pending} if pending is not None else None
         ready: list[dict[str, Any]] = []
         total_bytes = 0
-        # A pull with an empty pending set can match nothing — skip the table
-        # walks entirely (idle clients poll every second, and each walk is
-        # O(table) on a deep coordinator).
+        # A pull with an empty pending set can match nothing — skip the
+        # lookup entirely (idle clients poll every second).
         if wanted is None or wanted:
-            for key, result in self.results.items():
-                if key[0] != user or key[1] != session:
-                    continue
-                if wanted is not None and key[2] not in wanted:
-                    continue
+            if self.index is not None:
+                held, missing = self.index.pull_view((user, session), wanted)
+            else:
+                held, missing = self._scan_for_pull(user, session, wanted)
+            for result in held:
                 ready.append(result.to_payload())
                 total_bytes += result.size_bytes
             # Completions we only know through replication: fetch their
             # archives from the coordinator that produced/holds them, so a
             # later pull can deliver them (archives are never replicated
             # proactively).
-            for key, task in self.tasks.items():
-                if key[0] != user or key[1] != session:
-                    continue
-                if wanted is not None and key[2] not in wanted:
-                    continue
-                if task.state is TaskState.FINISHED and key not in self.results:
-                    self._request_archive(key, task)
+            for key in missing:
+                self._request_archive(key, self.tasks[key])
         yield from self._charge(self.database.charge_scan())
         if total_bytes:
             # Result archives live on the coordinator's file system: shipping
@@ -584,15 +596,15 @@ class CoordinatorComponent:
     def _on_client_sync(self, message: Message):
         user, session = message.payload.get("session", ("", ""))
         durable_keys = [int(k) for k in message.payload.get("durable_keys", [])]
-        known = [
-            key[2]
-            for key in self.tasks
-            if key[0] == user and key[1] == session
-        ]
+        if self.index is not None:
+            session_keys = self.index.session_keys((user, session))
+        else:
+            session_keys = self._scan_session_keys(user, session)
+        known = [key[2] for key in session_keys]
         finished = [
             key[2]
-            for key, task in self.tasks.items()
-            if key[0] == user and key[1] == session and task.state is TaskState.FINISHED
+            for key in session_keys
+            if self.tasks[key].state is TaskState.FINISHED
         ]
         yield from self._charge(self.database.charge_scan())
         plan = plan_client_sync(durable_keys, known, finished)
@@ -683,8 +695,7 @@ class CoordinatorComponent:
         task.has_archive = True
         task.archive_holder = self.name
         task.assigned_server = server
-        if key not in self.results:
-            self.results[key] = result
+        self._store_result(key, result)
         self._mark_dirty(key)
         cost = self.database.charge_write(key, {"state": "finished"}, TASK_DESCRIPTION_BYTES)
         yield from self._charge(cost)
@@ -708,12 +719,18 @@ class CoordinatorComponent:
         server = message.source
         self._hear_server(server)
         server_keys = [tuple(k) for k in message.payload.get("result_keys", [])]
-        finished = [k for k, t in self.tasks.items() if t.state is TaskState.FINISHED]
-        assigned = [
-            k
-            for k, t in self.tasks.items()
-            if t.state is TaskState.ONGOING and t.assigned_server == server
-        ]
+        if self.index is not None:
+            # plan_server_sync is set algebra over server_keys, so only the
+            # finished tasks among the keys the server sent can matter.
+            finished = [
+                k
+                for k in server_keys
+                if (task := self.tasks.get(k)) is not None
+                and task.state is TaskState.FINISHED
+            ]
+            assigned = [k for k, _task in self.index.ongoing_on_server(server)]
+        else:
+            finished, assigned = self._scan_for_server_sync(server)
         yield from self._charge(self.database.charge_scan())
         plan = plan_server_sync(server_keys, finished, assigned)
         for key in plan.coordinator_must_requeue:
@@ -734,6 +751,45 @@ class CoordinatorComponent:
             )
         )
         self.monitor.incr("coordinator.server_syncs")
+
+    # ------------------------------------------------- legacy scan plane (reference)
+    # What the three request handlers above read when use_task_index=False:
+    # the full-table walks the index views replaced, kept as the reference arm.
+    def _scan_for_pull(
+        self, user: str, session: str, wanted: set[int] | None
+    ) -> tuple[list[ResultRecord], list[tuple]]:
+        """What a pull matches: archives held here, and keys still to fetch."""
+        held = [
+            result
+            for key, result in self.results.items()
+            if key[0] == user
+            and key[1] == session
+            and (wanted is None or key[2] in wanted)
+        ]
+        missing = [
+            key
+            for key, task in self.tasks.items()
+            if key[0] == user
+            and key[1] == session
+            and (wanted is None or key[2] in wanted)
+            and task.state is TaskState.FINISHED
+            and key not in self.results
+        ]
+        return held, missing
+
+    def _scan_session_keys(self, user: str, session: str) -> list[tuple]:
+        """Task keys of one session, in table order."""
+        return [key for key in self.tasks if key[0] == user and key[1] == session]
+
+    def _scan_for_server_sync(self, server: Address) -> tuple[list[tuple], list[tuple]]:
+        """Every finished key, and the keys ongoing on ``server``."""
+        finished = [k for k, t in self.tasks.items() if t.state is TaskState.FINISHED]
+        assigned = [
+            k
+            for k, t in self.tasks.items()
+            if t.state is TaskState.ONGOING and t.assigned_server == server
+        ]
+        return finished, assigned
 
     # ----------------------------------------------------------- archives on demand
     def _request_archive(self, key: tuple, task: TaskRecord) -> None:
@@ -793,8 +849,7 @@ class CoordinatorComponent:
         if message.payload.get("missing"):
             return
         result = ResultRecord.from_payload(message.payload["result"])
-        if key not in self.results:
-            self.results[key] = result
+        if self._store_result(key, result):
             yield from self.host.disk_write(result.size_bytes)
             task = self.tasks.get(key)
             if task is not None:
@@ -967,12 +1022,7 @@ class CoordinatorComponent:
                 self._replica_freshness.get(state.origin, float("-inf")),
                 state.sent_at,
             )
-        outcome = merge_state(
-            self.tasks,
-            self.client_timestamps,
-            state,
-            key_of=lambda record: identity_to_key(record.identity),
-        )
+        outcome = merge_state(self.tasks, self.client_timestamps, state)
         if self.index is not None:
             # Route the merged transitions through the index before the
             # database charges below yield control — sibling processes (the

@@ -10,7 +10,8 @@ live objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from copy import deepcopy
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.types import Address, CallIdentity, RPCId, SessionId, TaskState, UserId
@@ -148,13 +149,21 @@ class ResultRecord:
     meta: dict[str, Any] = field(default_factory=dict)
 
     def to_payload(self) -> dict[str, Any]:
-        """Dictionary form carried in RESULT_REPLY / TASK_RESULT messages."""
-        data = asdict(self)
-        data["identity"] = identity_to_key(self.identity)
-        data["produced_by"] = (
-            (self.produced_by.kind, self.produced_by.name) if self.produced_by else None
-        )
-        return data
+        """Dictionary form carried in RESULT_REPLY / TASK_RESULT messages.
+
+        Built field by field (``dataclasses.asdict`` deep-copies recursively,
+        identity and address included); ``value`` and ``meta`` are still
+        copied, so a payload never aliases the record.
+        """
+        producer = self.produced_by
+        return {
+            "identity": identity_to_key(self.identity),
+            "size_bytes": self.size_bytes,
+            "produced_by": (producer.kind, producer.name) if producer else None,
+            "produced_at": self.produced_at,
+            "value": deepcopy(self.value) if self.value is not None else None,
+            "meta": deepcopy(self.meta) if self.meta else {},
+        }
 
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "ResultRecord":

@@ -1,4 +1,4 @@
-"""Incrementally maintained indexes over a coordinator's task table.
+"""Incrementally maintained indexes over a coordinator's task and result tables.
 
 The coordinator keeps every task it has ever heard of in one persistent
 ``dict`` — the paper's database of job descriptions.  Until PR 10, every
@@ -26,7 +26,18 @@ record against what it last saw and updates:
   answered per distinct owner instead of per task;
 * a **replica-entry cache** so an unchanged record is serialized into a
   state abstract once, not once per replication round, with its wire-byte
-  contribution precomputed.
+  contribution precomputed;
+* **per-(user, session) task buckets** so a client synchronisation reads
+  its own session, not the table;
+* a per-session **"finished, archive not held here" bucket** so a result
+  pull finds the archives it still has to fetch without a table walk.
+
+The result-archive table has a choke point of its own,
+:meth:`TaskIndex.note_result`: the coordinator stores every archive through
+one method, which files it in a **per-session result view** stamped with an
+insertion sequence.  A pull naming k timestamps then costs O(k): it
+intersects them with the session view and restores ``coord:results``
+insertion order from the stamps.
 
 The eligible order produced through the index is bit-identical to the
 legacy sorted scan: FCFS keys are unique per task (submission time plus
@@ -43,6 +54,7 @@ persistent table in ``start()``.
 from __future__ import annotations
 
 import heapq
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.core.protocol import TASK_DESCRIPTION_BYTES, TaskRecord, identity_to_key
@@ -60,14 +72,18 @@ _FINISHED_VALUE = TaskState.FINISHED.value
 class TaskIndex:
     """Derived views of one coordinator's task table, updated per transition."""
 
-    def __init__(self, tasks: dict[tuple, TaskRecord]) -> None:
-        #: the coordinator's persistent table (shared reference, never copied).
+    def __init__(
+        self, tasks: dict[tuple, TaskRecord], results: dict[tuple, Any] | None = None
+    ) -> None:
+        #: the coordinator's persistent tables (shared references, never
+        #: copied): task descriptions and the result archives held locally.
         self.tasks = tasks
+        self.results: dict[tuple, Any] = {} if results is None else results
         self.rebuild()
 
     # ------------------------------------------------------------- lifecycle
     def rebuild(self) -> None:
-        """Re-derive everything from the table (restart / first start)."""
+        """Re-derive everything from the tables (restart / first start)."""
         #: key -> (state, owner, assigned_server) as of the last note().
         self._meta: dict[tuple, tuple] = {}
         #: key -> table-insertion sequence number; replication rounds order
@@ -86,6 +102,17 @@ class TaskIndex:
         self._ongoing_by_server: dict[Any, dict[tuple, TaskRecord]] = {}
         #: key -> (replica entry dict, wire bytes); dropped on every note.
         self._entry_cache: dict[tuple, tuple[dict, int]] = {}
+        #: (user, session) -> {timestamp: task key}, in table order.
+        self._by_session: dict[tuple, dict[Any, tuple]] = {}
+        #: (user, session) -> {timestamp: task key} of the finished tasks
+        #: whose archive is not in ``results`` (it lives on another
+        #: coordinator and is fetched when the client pulls).
+        self._unarchived: dict[tuple, dict[Any, tuple]] = {}
+        #: (user, session) -> {timestamp: (insertion sequence, result)}.
+        self._results_by_session: dict[tuple, dict[Any, tuple[int, Any]]] = {}
+        self._next_result_seq = 0
+        for key, result in self.results.items():
+            self.note_result(key, result)
         for key, record in self.tasks.items():
             self.note(record, key)
 
@@ -110,6 +137,7 @@ class TaskIndex:
         if prev is None:
             self._seq[key] = self._next_seq
             self._next_seq += 1
+            self._by_session.setdefault(key[:2], {})[key[2]] = key
         else:
             self._counts[prev[0]] -= 1
             self._detach(key, prev)
@@ -136,6 +164,13 @@ class TaskIndex:
                     bucket.pop(key, None)
                     if not bucket:
                         del self._ongoing_by_server[server]
+            return
+        self._drop_unarchived(key)
+
+    def _drop_unarchived(self, key: tuple) -> None:
+        bucket = self._unarchived.get(key[:2])
+        if bucket is not None and bucket.pop(key[2], None) is not None and not bucket:
+            del self._unarchived[key[:2]]
 
     def _attach(self, key: tuple, record: TaskRecord, meta: tuple) -> None:
         state, owner, server = meta
@@ -149,6 +184,24 @@ class TaskIndex:
             self._ongoing_by_owner.setdefault(owner, {})[key] = record
             if server is not None:
                 self._ongoing_by_server.setdefault(server, {})[key] = record
+            return
+        if key not in self.results:
+            self._unarchived.setdefault(key[:2], {})[key[2]] = key
+
+    def note_result(self, key: tuple, result: Any) -> None:
+        """Record that ``result`` was just stored under ``key`` in ``results``.
+
+        The result table's choke point: archives enter ``coord:results``
+        through one coordinator method, which calls this right after the
+        insert.  Keys are never overwritten or deleted, so the sequence
+        stamp is the key's position in the table's iteration order.
+        """
+        self._results_by_session.setdefault(key[:2], {})[key[2]] = (
+            self._next_result_seq,
+            result,
+        )
+        self._next_result_seq += 1
+        self._drop_unarchived(key)
 
     # -------------------------------------------------------------- counters
     @property
@@ -234,6 +287,28 @@ class TaskIndex:
         bucket = self._ongoing_by_owner.get(owner)
         return list(bucket.items()) if bucket else []
 
+    # ------------------------------------------------------- client requests
+    def session_keys(self, session: tuple) -> Iterable[tuple]:
+        """Task keys of one ``(user, session)``, in table order (a live view)."""
+        return self._by_session.get(session, {}).values()
+
+    def pull_view(
+        self, session: tuple, wanted: set | None
+    ) -> tuple[list[Any], list[tuple]]:
+        """What a result pull for ``wanted`` timestamps (None = all) matches.
+
+        Returns the result archives held here, in ``coord:results``
+        insertion order, and the keys of the finished tasks whose archive is
+        held elsewhere, in table order — exactly the two sequences the
+        full-table walks produced.  Cost is O(min(k, session)) lookups plus
+        a sort of the hits, independent of the table size.
+        """
+        held = _select(self._results_by_session.get(session), wanted)
+        held.sort(key=itemgetter(0))
+        missing = _select(self._unarchived.get(session), wanted)
+        missing.sort(key=self._seq.__getitem__)
+        return [result for _seq, result in held], missing
+
     # ----------------------------------------------------------- replication
     def table_ordered(self, keys: Iterable[tuple]) -> list[tuple]:
         """``keys`` sorted by table insertion order.
@@ -263,3 +338,14 @@ class TaskIndex:
                 nbytes += int(entry["call"]["params_bytes"])
             cached = self._entry_cache[key] = (entry, nbytes)
         return cached
+
+
+def _select(view: dict | None, wanted: set | None) -> list:
+    """Values of ``view`` filed under a ``wanted`` key, smaller side driving."""
+    if not view:
+        return []
+    if wanted is None:
+        return list(view.values())
+    if len(wanted) < len(view):
+        return [view[ts] for ts in wanted if ts in view]
+    return [value for ts, value in view.items() if ts in wanted]

@@ -126,9 +126,8 @@ def measure_sync_time(
         warmup = grid.run_process(workload.run(client), name="fig6-warmup")
         grid.run_until(warmup, timeout=100_000.0)
         # Simulate losing the client-side logs and handles.
-        client.log._durable.clear()  # noqa: SLF001 - deliberate crash simulation
-        client.log._buffered.clear()  # noqa: SLF001
-        client.handles.clear()
+        client.log.wipe()
+        client.forget_handles()
 
         def driver():
             timings["start"] = grid.env.now

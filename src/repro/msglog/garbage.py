@@ -53,9 +53,9 @@ class GarbageCollector:
 
     def maybe_collect(self) -> GCReport:
         """Run a collection pass if (and only if) the log is over capacity."""
-        if not self.over_capacity():
-            return GCReport(triggered=False, bytes_before=self.log.total_bytes(),
-                            bytes_after=self.log.total_bytes())
+        size = self.log.total_bytes()
+        if size <= self.config.capacity_bytes:
+            return GCReport(triggered=False, bytes_before=size, bytes_after=size)
         return self.collect()
 
     def collect(self) -> GCReport:

@@ -52,6 +52,12 @@ class MessageLog:
         self._durable: dict[Any, LogRecord] = host.persistent.setdefault(storage_key, {})
         #: buffered records — volatile; simply not re-created after a crash.
         self._buffered: dict[Any, LogRecord] = {}
+        #: running byte totals, kept by every method that moves a record, so
+        #: the capacity check on each submission is O(1).  The durable total
+        #: is recounted once here: a rebuilt log (host restart) inherits the
+        #: persistent records of its previous incarnation.
+        self._durable_total = sum(r.size_bytes for r in self._durable.values())
+        self._buffered_total = 0
 
     # -- writing -----------------------------------------------------------------
     def append(self, key: Any, payload: dict[str, Any], size_bytes: int) -> LogRecord:
@@ -65,6 +71,7 @@ class MessageLog:
             created_at=self.host.env.now,
         )
         self._buffered[key] = record
+        self._buffered_total += record.size_bytes
         return record
 
     def mark_durable(self, key: Any) -> None:
@@ -77,6 +84,8 @@ class MessageLog:
         record.durable = True
         record.durable_at = self.host.env.now
         self._durable[key] = record
+        self._buffered_total -= record.size_bytes
+        self._durable_total += record.size_bytes
 
     def mark_acked(self, key: Any) -> None:
         """Record that the peer acknowledged holding this information."""
@@ -89,8 +98,18 @@ class MessageLog:
 
     def forget(self, key: Any) -> None:
         """Drop a record entirely (garbage collection only)."""
-        self._durable.pop(key, None)
-        self._buffered.pop(key, None)
+        record = self._durable.pop(key, None)
+        if record is not None:
+            self._durable_total -= record.size_bytes
+        record = self._buffered.pop(key, None)
+        if record is not None:
+            self._buffered_total -= record.size_bytes
+
+    def wipe(self) -> None:
+        """Lose every record, durable ones included (simulated log loss)."""
+        self._durable.clear()
+        self._buffered.clear()
+        self._durable_total = self._buffered_total = 0
 
     # -- reading -----------------------------------------------------------------
     def get(self, key: Any) -> LogRecord | None:
@@ -127,12 +146,12 @@ class MessageLog:
 
     # -- sizes --------------------------------------------------------------------
     def durable_bytes(self) -> int:
-        """Bytes of payload held durably."""
-        return sum(r.size_bytes for r in self._durable.values())
+        """Bytes of payload held durably (O(1): a running total)."""
+        return self._durable_total
 
     def total_bytes(self) -> int:
-        """Bytes of payload held in any state."""
-        return self.durable_bytes() + sum(r.size_bytes for r in self._buffered.values())
+        """Bytes of payload held in any state (O(1): running totals)."""
+        return self._durable_total + self._buffered_total
 
     def __len__(self) -> int:
         return len(self._durable) + len(self._buffered)

@@ -267,7 +267,7 @@ class TestReplication:
             "k0", {identity_to_key(source_task.identity): source_task}, {}, []
         )
         local: dict = {}
-        outcome = merge_state(local, {}, state, key_of=lambda r: identity_to_key(r.identity))
+        outcome = merge_state(local, {}, state)
         assert outcome.new_tasks == 1
         assert len(local) == 1
 
@@ -275,7 +275,7 @@ class TestReplication:
         key = identity_to_key(make_task(1).identity)
         local = {key: make_task(1, state=TaskState.FINISHED)}
         incoming = build_state("k1", {key: make_task(1, state=TaskState.PENDING)}, {}, [])
-        outcome = merge_state(local, {}, incoming, key_of=lambda r: identity_to_key(r.identity))
+        outcome = merge_state(local, {}, incoming)
         assert outcome.updated_tasks == 0
         assert local[key].state is TaskState.FINISHED
 
@@ -283,7 +283,7 @@ class TestReplication:
         key = identity_to_key(make_task(1).identity)
         local = {key: make_task(1, state=TaskState.ONGOING)}
         incoming = build_state("k1", {key: make_task(1, state=TaskState.FINISHED)}, {}, [])
-        outcome = merge_state(local, {}, incoming, key_of=lambda r: identity_to_key(r.identity))
+        outcome = merge_state(local, {}, incoming)
         assert len(outcome.newly_finished) == 1
         assert local[key].state is TaskState.FINISHED
 
@@ -291,8 +291,8 @@ class TestReplication:
         key = identity_to_key(make_task(1).identity)
         incoming = build_state("k1", {key: make_task(1, state=TaskState.FINISHED)}, {}, [])
         local: dict = {}
-        merge_state(local, {}, incoming, key_of=lambda r: identity_to_key(r.identity))
-        outcome = merge_state(local, {}, incoming, key_of=lambda r: identity_to_key(r.identity))
+        merge_state(local, {}, incoming)
+        outcome = merge_state(local, {}, incoming)
         assert outcome.new_tasks == 0
         assert outcome.updated_tasks == 0
         assert outcome.newly_finished == []
@@ -300,7 +300,7 @@ class TestReplication:
     def test_merge_advances_timestamps_monotonically(self):
         timestamps = {("u", "s"): 5}
         state = ReplicaState(origin="k1", client_timestamps={("u", "s"): 3})
-        outcome = merge_state({}, timestamps, state, key_of=lambda r: None)
+        outcome = merge_state({}, timestamps, state)
         assert outcome.timestamps_advanced == 0
         assert timestamps[("u", "s")] == 5
 

@@ -104,7 +104,7 @@ class TestReplicationProperties:
             incoming_tasks[identity_to_key(task.identity)] = task
         state_abstract = build_state("k1", incoming_tasks, {}, [])
 
-        merge_state(local, {}, state_abstract, key_of=lambda r: identity_to_key(r.identity))
+        merge_state(local, {}, state_abstract)
         for key, old_state in before.items():
             assert state_precedence(local[key].state) >= state_precedence(old_state)
 
@@ -117,9 +117,9 @@ class TestReplicationProperties:
             incoming_tasks[identity_to_key(task.identity)] = task
         abstract = build_state("k1", incoming_tasks, {}, [])
         local: dict = {}
-        merge_state(local, {}, abstract, key_of=lambda r: identity_to_key(r.identity))
+        merge_state(local, {}, abstract)
         snapshot = {key: task.state for key, task in local.items()}
-        outcome = merge_state(local, {}, abstract, key_of=lambda r: identity_to_key(r.identity))
+        outcome = merge_state(local, {}, abstract)
         assert outcome.new_tasks == 0 and outcome.updated_tasks == 0
         assert {key: task.state for key, task in local.items()} == snapshot
 

@@ -198,10 +198,7 @@ class TestIndexEquivalence:
                     upgrade.owner = peer
                     incoming[identity_to_key(upgrade.identity)] = upgrade
                 state = build_state(peer, incoming, {}, [], now=now)
-                outcome = merge_state(
-                    tasks, {}, state,
-                    key_of=lambda record: identity_to_key(record.identity),
-                )
+                outcome = merge_state(tasks, {}, state)
                 for identity in outcome.changed:
                     key = identity_to_key(identity)
                     index.note(tasks[key], key)
