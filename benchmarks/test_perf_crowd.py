@@ -3,17 +3,21 @@
 The full-protocol client tier tops out around 10k nodes (one Python object
 plus generator processes per client — see ``BENCH_transport.json``).  The
 crowd tier (:mod:`repro.crowd`) holds the whole population as numpy
-struct-of-arrays columns advanced in one vectorized ``tick()`` per scheduler
-period and talks to **live, unmodified** full-protocol coordinators and
-servers through aggregated batch envelopes, which is what this benchmark
+struct-of-arrays columns indexed by due time, advanced in one ``tick()`` per
+scheduler period that touches only the clients due, and talks to **live,
+unmodified** full-protocol coordinators and servers through aggregated
+batch envelopes, which is what this benchmark
 measures: a 100k/500k/1M-client crowd submitting through a sharded
 4-coordinator / 8-server core, every client completing end to end.
 
 Running this file writes ``BENCH_crowd.json`` under ``--bench-out`` with
-crowd-client-ticks/sec (population rows advanced per wall second) and
-kernel events/sec at each scale; CI diffs it against the committed baseline
-and fails on a >20% events/sec regression (see
-``benchmarks/check_bench_regression.py``).
+clients/sec (clients completed end to end per wall second — the number a
+user of the tier waits on) and events/sec at each scale; CI diffs it against
+the committed baseline and fails on a >20% events/sec regression (see
+``benchmarks/check_bench_regression.py``).  ``client_ticks`` counts the rows
+a tick *represents* (clients x ticks), not rows touched: a tick touches only
+the clients due, so ``crowd_ticks_per_sec`` grows with the population by
+construction and is reported for continuity, never gated.
 """
 
 from __future__ import annotations
@@ -42,8 +46,11 @@ TICK_PERIOD = 1.0
 #: never saturated, so completion bounds the virtual — not wall — clock).
 EXEC_TIME_PER_CALL = 1e-5
 
-#: acceptance floor: population rows advanced per wall second at 100k.
-MIN_CROWD_TICKS_PER_SEC = 1_000_000
+#: acceptance floor: clients completed end to end per wall second, at every
+#: scale.  Half of what the slowest scale measured on the 2-core baseline
+#: host (614k/s at 100k clients, where the fixed cost of the grid weighs
+#: most; 1.9M/s at 500k, 2.6M/s at 1M), so only a real regression trips it.
+MIN_CLIENTS_PER_SEC = 300_000
 
 #: best-of runs per scale (same rationale as the kernel benchmark: host
 #: scheduling and memory pressure only ever slow a run down, so the best of
@@ -107,6 +114,7 @@ def _run_scale(n_clients: int) -> dict:
         "completed": int(crowd.get("completed", 0)),
         "max_queue_depth": int(crowd.get("max_queue_depth", 0)),
         "events_processed": events,
+        "clients_per_sec": round(int(crowd.get("completed", 0)) / wall, 1),
         "crowd_ticks_per_sec": round(client_ticks / wall, 1),
         "events_per_sec": round((client_ticks + events) / wall, 1),
     }
@@ -125,10 +133,10 @@ def test_crowd_benchmark_writes_bench_json(bench_out):
         result["events_per_sec_runs"] = [r["events_per_sec"] for r in runs]
         scales[str(n_clients)] = result
 
-    # The tentpole acceptance floor: >=100k clients advancing against live
-    # full-protocol coordinators/servers at >=1M crowd-client-ticks/sec.
-    floor = scales[str(SCALES[0])]["crowd_ticks_per_sec"]
-    assert floor >= MIN_CROWD_TICKS_PER_SEC, scales[str(SCALES[0])]
+    # The acceptance floor: 100k-1M clients completing against live
+    # full-protocol coordinators/servers at >= MIN_CLIENTS_PER_SEC.
+    for result in scales.values():
+        assert result["clients_per_sec"] >= MIN_CLIENTS_PER_SEC, result
 
     payload = {
         "benchmark": "crowd-tier",
@@ -136,10 +144,13 @@ def test_crowd_benchmark_writes_bench_json(bench_out):
         "tick_period": TICK_PERIOD,
         "exec_time_per_call": EXEC_TIME_PER_CALL,
         "metric": (
-            "crowd_ticks_per_sec = population rows advanced (clients x "
-            "ticks) / wall seconds; events_per_sec adds the kernel events "
-            "of the live coordinator/server core serving the aggregated "
-            "batch envelopes; every client completes end to end"
+            "clients_per_sec = clients completed end to end / wall seconds "
+            "(floored in-bench); client_ticks = clients x ticks counts "
+            "population rows *represented*, not rows touched (a tick "
+            "touches only the clients due), so crowd_ticks_per_sec and "
+            "events_per_sec = (client_ticks + kernel events of the live "
+            "coordinator/server core) / wall seconds grow with the "
+            "population and compare only against the same scale"
         ),
         "scales": scales,
     }

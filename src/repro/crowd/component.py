@@ -107,6 +107,12 @@ class CrowdComponent(BaseComponent):
         self.table = None
         self.shards: ShardMap | None = None
         self.registry: CoordinatorRegistry | None = None
+        # Resolved once by setup(): per-send / per-tick paths pay no
+        # import, counter-name or series-name lookup.
+        self._id_ranges = None
+        self._ctr_batches_sent = None
+        self._ctr_calls_batched = None
+        self._queue_depth_series = None
 
         #: batch id -> {"ids", "shard", "dest", "acked", "retry_at", "resends"}
         self._batches: dict[int, dict[str, Any]] = {}
@@ -163,6 +169,12 @@ class CrowdComponent(BaseComponent):
             think_window=self.think_window,
             now=builder.env.now,
         )
+        self._id_ranges = table.id_ranges
+        self._ctr_batches_sent = self.monitor.counter("crowd.batches_sent")
+        self._ctr_calls_batched = self.monitor.counter("crowd.calls_batched")
+        self._queue_depth_series = self.monitor.timeseries(
+            f"crowd.queue_depth.{self.label}"
+        )
 
     # -------------------------------------------------------------- lifecycle
     def start(self) -> None:
@@ -206,10 +218,10 @@ class CrowdComponent(BaseComponent):
             lo, hi = self.shards.shard_bounds(shard)
             if hi <= lo:
                 continue
-            batch_id = self._batch_seq
-            ids = table.claim(lo, hi, batch_id, now, now + self.retry_timeout)
+            ids = table.claim(lo, hi)
             if ids.size == 0:
                 continue
+            batch_id = self._batch_seq
             self._batch_seq += 1
             dest = self.shards.owner(shard, suspected)
             if dest is None:
@@ -243,14 +255,12 @@ class CrowdComponent(BaseComponent):
         depth = table.queue_depth()
         if depth > self.max_queue_depth:
             self.max_queue_depth = depth
-        self.monitor.sample(f"crowd.queue_depth.{self.label}", now, depth)
+        self._queue_depth_series.record(now, depth)
 
     # ------------------------------------------------------------- messaging
     def _send_batch(self, batch_id: int, record: dict[str, Any]) -> None:
-        from repro.crowd.table import id_ranges
-
         ids = record["ids"]
-        ranges = id_ranges(ids)
+        ranges = self._id_ranges(ids)
         count = int(ids.size)
         payload = {
             "crowd": self.label,
@@ -274,8 +284,8 @@ class CrowdComponent(BaseComponent):
             )
         )
         self.batches_sent += 1
-        self.monitor.incr("crowd.batches_sent")
-        self.monitor.incr("crowd.calls_batched", count)
+        self._ctr_batches_sent.value += 1
+        self._ctr_calls_batched.value += count
 
     def _resend(self, batch_id: int, record: dict[str, Any], now: float) -> None:
         record["resends"] += 1
@@ -295,7 +305,6 @@ class CrowdComponent(BaseComponent):
             self._handoff_pending.setdefault(record["shard"], now)
         deadline = self.result_patience if record["acked"] else self.retry_timeout
         record["retry_at"] = now + deadline * (1 + record["resends"])
-        self.table.mark_retry(record["ids"], record["retry_at"])
         self._send_batch(batch_id, record)
 
     def _strike(self, dest: Address) -> None:

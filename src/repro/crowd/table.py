@@ -3,26 +3,49 @@
 One :class:`CrowdTable` holds the session state of the whole crowd as
 parallel columns (the vivarium population-table pattern): instead of one
 Python object and one generator process per client, every per-tick decision
-— who is due to submit, who joins the next batch, who completes — is a
-vectorized operation over the columns.  That is what moves the per-client
-ceiling from ~10k full-protocol nodes to 100k-1M statistical clients.
+— who is due to submit, who joins the next batch, who completes — is an
+array operation.  That is what moves the per-client ceiling from ~10k
+full-protocol nodes to 100k-1M statistical clients.
 
 Columns
 =======
 
 ``state``      int8   lifecycle: IDLE -> PENDING -> INFLIGHT -> DONE
 ``submit_at``  f64    virtual time the client's (single) call becomes due
-``retry_at``   f64    deadline of the batch currently carrying the client
-``backoff``    int16  how many times the client's batch has been re-sent
-``batch``      int64  id of the batch carrying the client (-1 = none)
 ``lane``       uint64 per-client RNG lane, drawn once from the ``crn.crowd``
                       stream; every per-client random quantity is a pure
                       function of (lane, salt), so think times are identical
                       across paired-CRN sweep arms
 
+There is no per-client batch id, deadline or resend count: the
+:class:`~repro.crowd.component.CrowdComponent` keeps those once per batch,
+and per-client copies would be written every tick and read by nothing.
+
+The schedule
+============
+
+``submit_at`` is an *event time*, so clients are indexed by when they become
+due instead of being rediscovered by a scan of the population at every clock
+step.  Built once: ``_order`` (int32; client ids argsorted by ``submit_at``,
+stable, so ties break by id), ``_times`` (f64; the due times in that order)
+and ``_cursor`` (every slot before it has been promoted).  Two invariants
+carry every method: each IDLE client sits at or after the cursor, and for an
+IDLE client ``_times`` and ``submit_at`` agree.  The costs that follow
+(n clients, k newly due, p pending):
+
+===============  ====================  ======================================
+``due``          O(log n + k)          one ``searchsorted`` past the cursor
+``claim``        O(log p + claimed)    two ``searchsorted`` into ``_pending``
+``queue_depth``  O(1)                  a counter moved by ``due``/``mark_done``
+``mark_done``    O(ids)                gather and scatter on ``state``
+``surge``        O(tail), once         rewrite the unpromoted tail in place
+``counts``       O(n), per report      ``bincount`` over ``state``
+build            O(n log n), once      the argsort
+===============  ====================  ======================================
+
 The table is deliberately free of any messaging or scheduling logic: the
-:class:`~repro.crowd.component.CrowdComponent` decides *when* to call these
-methods and *where* the resulting batches go.
+component decides *when* to call these methods and *where* the resulting
+batches go.
 """
 
 from __future__ import annotations
@@ -64,21 +87,27 @@ class CrowdTable:
         n = int(n_clients)
         if n <= 0:
             raise ValueError("a crowd needs at least one client")
+        if n > np.iinfo(np.int32).max:
+            raise ValueError("a crowd table indexes clients with int32")
         if think_window <= 0:
             raise ValueError("think_window must be positive")
         self.n_clients = n
         self.think_window = float(think_window)
         self.state = np.zeros(n, dtype=np.int8)
         self.submit_at = np.empty(n, dtype=np.float64)
-        self.retry_at = np.full(n, np.inf, dtype=np.float64)
-        self.backoff = np.zeros(n, dtype=np.int16)
-        self.batch = np.full(n, -1, dtype=np.int64)
         #: one uint64 lane per client — the only draw the table ever takes
         #: from its source stream, so paired-CRN arms stay in lockstep.
         self.lane = lane_source.integers(
             0, np.iinfo(np.uint64).max, size=n, dtype=np.uint64, endpoint=False
         )
         self.submit_at[:] = now + self.think_window * self._lane_uniform(1)
+        self._order = np.argsort(self.submit_at, kind="stable").astype(np.int32)
+        self._times = self.submit_at[self._order]
+        self._cursor = 0
+        #: ids in PENDING, ascending: promoted by ``due``, not yet claimed.
+        self._pending = np.empty(0, dtype=np.intp)
+        #: clients in PENDING or INFLIGHT.
+        self._queued = 0
         #: clients completed exactly once (transitions into DONE).
         self.completed = 0
         #: completion notifications for already-DONE clients.
@@ -95,43 +124,62 @@ class CrowdTable:
         return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     # ------------------------------------------------------------ lifecycle
+    def _first_slot_after(self, now: float) -> int:
+        """First unpromoted schedule slot whose due time is later than ``now``.
+
+        Only the tail is searched: a surge at a time before the last
+        promotion leaves the tail sorted but no longer above the prefix.
+        """
+        cursor = self._cursor
+        return cursor + int(np.searchsorted(self._times[cursor:], now, side="right"))
+
     def due(self, now: float) -> int:
         """Promote every IDLE client whose submit time has passed to PENDING."""
-        mask = (self.state == IDLE) & (self.submit_at <= now)
-        count = int(np.count_nonzero(mask))
+        start = self._cursor
+        end = self._first_slot_after(now)
+        if end == start:
+            return 0
+        self._cursor = end
+        ids = self._order[start:end]
+        # A slot can hold a client completed before it was ever due.
+        ids = ids[self.state[ids] == IDLE]
+        count = int(ids.size)
         if count:
-            self.state[mask] = PENDING
+            self.state[ids] = PENDING
+            self._queued += count
+            merged = np.concatenate((self._pending, ids))
+            merged.sort()
+            self._pending = merged
         return count
 
-    def claim(
-        self, lo: int, hi: int, batch_id: int, now: float, deadline: float
-    ) -> np.ndarray:
-        """Move every PENDING client in ``[lo, hi)`` into one in-flight batch.
+    def claim(self, lo: int, hi: int) -> np.ndarray:
+        """Move every PENDING client in ``[lo, hi)`` in flight, as one batch.
 
         Returns the claimed client ids (sorted ascending; possibly empty).
         """
-        ids = np.flatnonzero(self.state[lo:hi] == PENDING)
+        pending = self._pending
+        first, last = np.searchsorted(pending, (lo, hi))
+        ids = pending[first:last]
         if ids.size:
-            ids = ids + lo
+            self._pending = np.concatenate((pending[:first], pending[last:]))
+            # A pending client can have been completed before its claim.
+            ids = ids[self.state[ids] == PENDING]
             self.state[ids] = INFLIGHT
-            self.batch[ids] = batch_id
-            self.retry_at[ids] = deadline
         return ids
 
-    def mark_retry(self, ids: np.ndarray, deadline: float) -> None:
-        """Record one re-send of the batch carrying ``ids``."""
-        if ids.size:
-            self.backoff[ids] += 1
-            self.retry_at[ids] = deadline
-
     def mark_done(self, ids: np.ndarray) -> int:
-        """Complete ``ids``; returns how many were *newly* completed."""
+        """Complete ``ids``; returns how many were *newly* completed.
+
+        ``ids`` holds no repeats (one batch's members).
+        """
         if not ids.size:
             return 0
-        new = int(np.count_nonzero(self.state[ids] != DONE))
+        before = self.state[ids]
+        new = int(np.count_nonzero(before != DONE))
+        self._queued -= int(
+            np.count_nonzero((before == PENDING) | (before == INFLIGHT))
+        )
         self.state[ids] = DONE
-        self.retry_at[ids] = np.inf
-        self.batch[ids] = -1
         self.completed += new
         self.duplicate_completions += int(ids.size) - new
         return new
@@ -147,11 +195,18 @@ class CrowdTable:
         """
         if factor <= 1.0:
             return 0
-        mask = (self.state == IDLE) & (self.submit_at > now)
-        count = int(np.count_nonzero(mask))
-        if count:
-            self.submit_at[mask] = now + (self.submit_at[mask] - now) / factor
-        return count
+        start = self._first_slot_after(now)
+        # now + (t - now) / factor, in place.  It is monotone under IEEE
+        # rounding and never lands below ``now``, so the tail stays sorted
+        # and the schedule order needs no rebuild.
+        times = self._times[start:]
+        times -= now
+        times /= factor
+        times += now
+        tail = self._order[start:]
+        idle = self.state[tail] == IDLE
+        self.submit_at[tail[idle]] = times[idle]
+        return int(np.count_nonzero(idle))
 
     # ----------------------------------------------------------- reporting
     def counts(self) -> dict[str, int]:
@@ -166,9 +221,7 @@ class CrowdTable:
 
     def queue_depth(self) -> int:
         """Clients submitted (or due) but not yet completed."""
-        return int(np.count_nonzero(
-            (self.state == PENDING) | (self.state == INFLIGHT)
-        ))
+        return self._queued
 
     @property
     def all_done(self) -> bool:

@@ -13,6 +13,7 @@ components record into it through small, allocation-light helpers.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Mapping
@@ -115,6 +116,8 @@ class Monitor:
         self.traces: list[TraceRecord] = []
         self.trace_enabled = True
         self.trace_limit = 200_000
+        #: trace records discarded because ``trace_limit`` was reached.
+        self.traces_dropped = 0
 
     # -- counters / gauges ----------------------------------------------------
     def counter(self, name: str) -> Counter:
@@ -164,8 +167,22 @@ class Monitor:
 
     # -- traces ---------------------------------------------------------------
     def trace(self, time: float, category: str, **payload: Any) -> None:
-        """Record a structured trace event (bounded by ``trace_limit``)."""
-        if not self.trace_enabled or len(self.traces) >= self.trace_limit:
+        """Record a structured trace event (bounded by ``trace_limit``).
+
+        Records past the limit are counted in ``traces_dropped``; the first
+        one of a run warns.
+        """
+        if not self.trace_enabled:
+            return
+        if len(self.traces) >= self.trace_limit:
+            if not self.traces_dropped:
+                warnings.warn(
+                    f"Monitor.trace: trace_limit ({self.trace_limit}) reached, "
+                    "later records are dropped (counted in traces_dropped)",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+            self.traces_dropped += 1
             return
         self.traces.append(TraceRecord(time=time, category=category, payload=payload))
 
@@ -181,4 +198,5 @@ class Monitor:
             "gauges": dict(self.gauges),
             "series": {name: len(ts) for name, ts in self.series.items()},
             "traces": len(self.traces),
+            "traces_dropped": self.traces_dropped,
         }

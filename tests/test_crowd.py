@@ -1,5 +1,11 @@
 """Crowd-tier tests: sharding, the population table, and shard handoff.
 
+The table answers its per-tick questions from an event-time schedule; the
+full-column mask implementation it replaced is kept here as the reference
+(``_MaskTable``) and the two are compared after every step of seeded random
+and Hypothesis-generated op sequences, in the ``tests/test_dataplane.py``
+style.
+
 The integration tests drive a real grid — live coordinators and servers —
 with the statistical crowd riding the aggregated batch envelopes, including
 the ISSUE's headline fault: kill one of k sharded coordinators mid-surge
@@ -9,9 +15,16 @@ twice.
 
 from __future__ import annotations
 
+import random
+import tracemalloc
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.crowd.sharding import ShardMap
+from repro.crowd.table import DONE, IDLE, INFLIGHT, PENDING, CrowdTable
 from repro.errors import ConfigurationError
 from repro.scenarios.engine import GridTopology
 from repro.scenarios.runner import run_scenario
@@ -80,7 +93,7 @@ class TestCrowdTable:
         tab = self._table()
         assert (tab.submit_at >= 0).all() and (tab.submit_at < 50.0).all()
         assert tab.due(25.0) == int(np.count_nonzero(tab.submit_at <= 25.0))
-        ids = tab.claim(0, 100, batch_id=0, now=25.0, deadline=33.0)
+        ids = tab.claim(0, 100)
         assert (tab.state[ids] == t.INFLIGHT).all()
         assert tab.queue_depth() == ids.size
         new = tab.mark_done(ids)
@@ -115,6 +128,257 @@ class TestCrowdTable:
         assert id_ranges(np.array([], dtype=np.int64)) == 0
         assert id_ranges(np.array([4])) == 1
         assert id_ranges(np.array([1, 2, 3, 7, 8, 11])) == 3
+
+
+class _MaskTable:
+    """The scan implementation the schedule replaced: the reference model.
+
+    Every question is answered by a mask over the full ``state`` /
+    ``submit_at`` columns, which is obviously right and O(population).
+    """
+
+    def __init__(self, submit_at):
+        self.submit_at = submit_at.copy()
+        self.state = np.zeros(submit_at.size, dtype=np.int8)
+        self.completed = 0
+        self.duplicate_completions = 0
+
+    def due(self, now):
+        mask = (self.state == IDLE) & (self.submit_at <= now)
+        self.state[mask] = PENDING
+        return int(np.count_nonzero(mask))
+
+    def claim(self, lo, hi):
+        ids = np.flatnonzero(self.state[lo:hi] == PENDING) + lo
+        self.state[ids] = INFLIGHT
+        return ids
+
+    def mark_done(self, ids):
+        new = int(np.count_nonzero(self.state[ids] != DONE))
+        self.state[ids] = DONE
+        self.completed += new
+        self.duplicate_completions += int(ids.size) - new
+        return new
+
+    def surge(self, now, factor):
+        if factor <= 1.0:
+            return 0
+        mask = (self.state == IDLE) & (self.submit_at > now)
+        self.submit_at[mask] = now + (self.submit_at[mask] - now) / factor
+        return int(np.count_nonzero(mask))
+
+    def counts(self):
+        histogram = np.bincount(self.state, minlength=4)
+        return dict(zip(("idle", "pending", "inflight", "done"), map(int, histogram)))
+
+    def queue_depth(self):
+        return int(np.count_nonzero((self.state == PENDING) | (self.state == INFLIGHT)))
+
+
+#: ``base`` 2**53 with an 8 s window leaves five representable due times, so
+#: nearly every client ties with others; base 0 gives distinct times.
+_TIE_BASE = 2.0**53
+_WINDOW = 8.0
+#: surge factors: the no-op ones (<= 1) included.
+_FACTORS = (0.5, 1.0, 1.5, 7.0, 100.0)
+
+
+class _Pair:
+    """A :class:`CrowdTable` and its reference, driven in lockstep."""
+
+    def __init__(self, n, seed, base):
+        self.n = n
+        self.base = base
+        self.fast = CrowdTable(
+            n, np.random.default_rng(seed), think_window=_WINDOW, now=base
+        )
+        self.slow = _MaskTable(self.fast.submit_at)
+        #: every batch ever claimed (in flight or since completed).
+        self.batches = []
+
+    def apply(self, op):
+        """Run one op on both tables and compare everything observable.
+
+        Times are fractions of the think window (so they can fall before,
+        inside and after it), id bounds fractions of the population.
+        """
+        fast, slow = self.fast, self.slow
+        kind = op[0]
+        if kind == "due":
+            now = self.base + op[1] * _WINDOW
+            assert fast.due(now) == slow.due(now), op
+        elif kind == "claim":
+            lo, hi = sorted(int(f * self.n) for f in op[1:])
+            ids = fast.claim(lo, hi)
+            assert np.array_equal(ids, slow.claim(lo, hi)), op
+            if ids.size:
+                self.batches.append(ids)
+        elif kind == "done_batch":
+            # An in-flight batch the first time, a duplicate afterwards.
+            if self.batches:
+                ids = self.batches[op[1] % len(self.batches)]
+                assert fast.mark_done(ids) == slow.mark_done(ids), op
+        elif kind == "done_range":
+            # Any ids at all: idle, pending (never claimed), in flight, done.
+            lo, hi = sorted(int(f * self.n) for f in op[1:3])
+            ids = np.arange(lo, hi, op[3])
+            assert fast.mark_done(ids) == slow.mark_done(ids), op
+        elif kind == "surge":
+            now = self.base + op[1] * _WINDOW
+            assert fast.surge(now, op[2]) == slow.surge(now, op[2]), op
+        else:  # pragma: no cover - generator bug
+            raise AssertionError(op)
+        assert np.array_equal(fast.state, slow.state), op
+        assert np.array_equal(fast.submit_at, slow.submit_at), op
+        assert fast.queue_depth() == slow.queue_depth(), op
+        assert fast.counts() == slow.counts(), op
+        assert fast.completed == slow.completed, op
+        assert fast.duplicate_completions == slow.duplicate_completions, op
+
+
+def _random_op(rng):
+    kind = rng.choice(
+        ["due"] * 4 + ["claim"] * 4 + ["done_batch"] * 2 + ["done_range", "surge"]
+    )
+    if kind == "due":
+        # Unordered on purpose: repeated and decreasing ``now`` included.
+        return ("due", rng.choice([rng.uniform(-0.1, 1.2), 0.25, 0.5]))
+    if kind == "claim":
+        return ("claim", rng.random(), rng.random())
+    if kind == "done_batch":
+        return ("done_batch", rng.randrange(1 << 16))
+    if kind == "done_range":
+        return ("done_range", rng.random(), rng.random(), rng.randint(1, 5))
+    return ("surge", rng.uniform(-0.1, 1.1), rng.choice(_FACTORS))
+
+
+_FRACTION = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+_TIME = st.floats(min_value=-0.1, max_value=1.2, allow_nan=False)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("due"), _TIME),
+        st.tuples(st.just("claim"), _FRACTION, _FRACTION),
+        st.tuples(st.just("done_batch"), st.integers(0, 1 << 16)),
+        st.tuples(st.just("done_range"), _FRACTION, _FRACTION, st.integers(1, 5)),
+        st.tuples(st.just("surge"), _TIME, st.sampled_from(_FACTORS)),
+    ),
+    max_size=30,
+)
+
+
+class TestScheduleMatchesMaskScan:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_seeded_random_op_sequences(self, seed):
+        rng = random.Random(seed)
+        n = rng.choice([1, 7, 64, 257])
+        pair = _Pair(n, seed, _TIE_BASE if seed % 3 == 0 else 0.0)
+        # Per-shard claims over uneven bounds, the way the component ticks.
+        shards = ShardMap.over(_coordinators(rng.choice([1, 3, 5])), n)
+        for _ in range(120):
+            op = _random_op(rng)
+            pair.apply(op)
+            if op[0] == "due" and rng.random() < 0.5:
+                for shard in range(shards.shard_count):
+                    lo, hi = shards.shard_bounds(shard)
+                    pair.apply(("claim", lo / n, hi / n))
+        # Drain: every client ends DONE exactly once through either table.
+        pair.apply(("due", 2.0))
+        pair.apply(("claim", 0.0, 1.0))
+        # Claimed ids leave the pending set (else claim cost grows with
+        # everyone ever due, not with the batch).
+        assert pair.fast._pending.size == 0
+        for index in range(len(pair.batches)):
+            pair.apply(("done_batch", index))
+        assert pair.fast.all_done and pair.fast.queue_depth() == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        seed=st.integers(0, 1 << 16),
+        base=st.sampled_from([0.0, _TIE_BASE]),
+        ops=_OPS,
+    )
+    # Tied due times straddling a promotion, a surge and a second promotion
+    # at an *earlier* clock reading.
+    @example(
+        n=16,
+        seed=1,
+        base=_TIE_BASE,
+        ops=[
+            ("due", 0.5),
+            ("claim", 0.0, 0.5),
+            ("surge", 0.25, 100.0),
+            ("due", 0.3),
+            ("claim", 0.0, 1.0),
+            ("done_batch", 0),
+            ("done_batch", 0),
+            ("due", 1.0),
+        ],
+    )
+    # Completed before ever due or claimed, then surged and promoted.
+    @example(
+        n=16,
+        seed=2,
+        base=_TIE_BASE,
+        ops=[
+            ("done_range", 0.0, 1.0, 3),
+            ("due", 0.25),
+            ("done_range", 0.0, 1.0, 2),
+            ("surge", 0.25, 7.0),
+            ("claim", 0.25, 1.0),
+            ("due", 0.5),
+            ("claim", 0.0, 1.0),
+        ],
+    )
+    def test_property_any_op_sequence(self, n, seed, base, ops):
+        pair = _Pair(n, seed, base)
+        if base:
+            assert np.unique(pair.fast.submit_at).size <= 5
+        for op in ops:
+            pair.apply(op)
+
+    def test_tick_allocates_for_the_due_not_the_population(self):
+        """``due`` + per-shard ``claim`` + ``queue_depth`` are O(clients due).
+
+        numpy reports its buffers to ``tracemalloc``, so the peak traced
+        during one tick bounds every temporary the tick created: a full-
+        column mask over 1M rows alone is 1 MB.
+        """
+        n, k = 1_000_000, 500
+        fast = CrowdTable(n, np.random.default_rng(5), think_window=600.0)
+        slow = _MaskTable(fast.submit_at)
+        now = float(np.partition(fast.submit_at, k - 1)[k - 1])
+        bounds = [(i * n // 4, (i + 1) * n // 4) for i in range(4)]
+
+        def tick(table):
+            tracemalloc.reset_peak()
+            floor = tracemalloc.get_traced_memory()[0]
+            promoted = table.due(now)
+            claimed = sum(table.claim(lo, hi).size for lo, hi in bounds)
+            depth = table.queue_depth()
+            return promoted, claimed, depth, tracemalloc.get_traced_memory()[1] - floor
+
+        tracemalloc.start()
+        try:
+            *fast_result, fast_peak = tick(fast)
+            *slow_result, slow_peak = tick(slow)
+        finally:
+            tracemalloc.stop()
+        assert fast_result == slow_result == [k, k, k]
+        assert fast_peak < 64 * 1024, fast_peak
+        assert slow_peak >= 2_000_000, slow_peak
+
+    def test_table_bytes_per_client(self):
+        """state 1 + submit_at 8 + lane 8 + order 4 + sorted times 8 = 29 B."""
+        n = 1000
+        table = CrowdTable(n, np.random.default_rng(0), think_window=10.0)
+        columns = {
+            name: value
+            for name, value in vars(table).items()
+            if isinstance(value, np.ndarray) and value.size == n
+        }
+        assert sum(column.nbytes for column in columns.values()) == 29 * n, columns
+        assert not {"retry_at", "batch", "backoff"} & set(vars(table))
 
 
 class TestNumpyGate:

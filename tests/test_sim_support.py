@@ -120,9 +120,17 @@ class TestMonitor:
     def test_trace_limit_bounds_memory(self):
         monitor = Monitor()
         monitor.trace_limit = 5
-        for i in range(10):
-            monitor.trace(float(i), "event")
+        with pytest.warns(RuntimeWarning, match="trace_limit") as caught:
+            for i in range(10):
+                monitor.trace(float(i), "event")
         assert len(monitor.traces) == 5
+        # The overflow is counted, reported, and announced exactly once —
+        # and stays out of the counter map (scenario rows hash that).
+        assert monitor.traces_dropped == 5
+        assert len(caught) == 1
+        assert monitor.summary()["traces"] == 5
+        assert monitor.summary()["traces_dropped"] == 5
+        assert "traces_dropped" not in monitor.counters
 
     def test_summary_reports_everything(self):
         monitor = Monitor()
