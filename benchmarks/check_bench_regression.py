@@ -17,9 +17,9 @@ in the baseline is gated: ``scales`` plus any auxiliary ``*_scales`` table
 silently.  Speed-ups and small noise are reported but never fail the gate.  When the benchmark records a
 machine-independent head-to-head ratio (the kernel benchmark's 1k
 ``speedup`` and its ``min_speedup`` floor), that floor is checked too;
-benchmarks without one (the transport file) are gated on the per-scale
-events/sec alone.  Any ``comparison*`` group is gated the same way (the
-protocol benchmark's ``comparison_100k`` indexed-vs-scan head-to-head).
+benchmarks without one (the transport, crowd and protocol files) are gated
+on the per-scale events/sec alone.  Any ``comparison*`` group is gated the
+same way (today only the kernel benchmark records one).
 
 ``--flatness LOW:HIGH:RATIO`` adds a scale-flatness gate on the *fresh*
 results alone: events/sec at the HIGH scale must be at least RATIO times

@@ -1,27 +1,22 @@
-"""Protocol data-plane benchmark: indexed coordinator at deep backlogs.
+"""Protocol data-plane benchmark: the coordinator at deep backlogs.
 
-Before the :class:`~repro.core.taskindex.TaskIndex`, every work request
-rescanned and re-sorted the whole task table (O(n log n) per scheduling
-decision), every replication round walked the table to order the dirty
-keys, and every completed-count sample recounted every record.  This
-benchmark drives the **live protocol** — 4 unmodified coordinators and 16
-servers exchanging WORK_REQUEST / TASK_ASSIGN / TASK_RESULT and ring
-replication over the simulated network — against preloaded backlogs of
-1k / 10k / 100k pending tasks and measures wall-clock scheduling
-throughput at each depth:
+The coordinator answers every request from the views its
+:class:`~repro.core.taskindex.TaskIndex` maintains, so no request's cost may
+grow with the task table.  This benchmark drives the **live protocol** — 4
+unmodified coordinators and 16 servers exchanging WORK_REQUEST /
+TASK_ASSIGN / TASK_RESULT and ring replication over the simulated network —
+against preloaded backlogs of 1k / 10k / 100k pending tasks and measures
+wall-clock scheduling throughput at each depth:
 
 * ``scales``            — decisions/sec over a fixed measurement window of
   assignment decisions at steady state; a flat ladder is the O(log n)
   claim (CI gates 100k >= 50% of 1k via ``--flatness``);
-* ``comparison_100k``   — the same 100k run head-to-head against the
-  legacy scan plane (``use_task_index=False``); CI gates the
-  tasks-committed/sec ``speedup`` against ``min_speedup``;
 * ``replication_scales``— delta ``build_state`` rounds with a fixed dirty
-  set against growing tables: O(dirty) serialization vs the legacy
-  filtered table walk;
-* ``storm_scales``      — the suspicion storm: a server dies while running
-  10% of the table; reschedule latency through the per-server ongoing
-  bucket vs the legacy full scan.
+  set against growing tables: O(dirty) serialization;
+* ``storm_scales``      — the suspicion storm as it occurs: 1,000 servers
+  each holding one ongoing task are suspected one after another; servers
+  rescheduled/sec through the per-server ongoing bucket, gated flat
+  (100k >= 50% of 1k) inside the benchmark — see :func:`_run_storm`.
 
 Running this file writes ``BENCH_protocol.json`` under ``--bench-out``;
 CI diffs it against the committed baseline and fails on a >20% events/sec
@@ -58,13 +53,7 @@ EXEC_TIME = 0.01
 WARMUP_DECISIONS = 16
 #: assignment decisions per measured window.
 DECISIONS = 200
-#: the head-to-head uses a short window: the legacy plane pays a full
-#: 100k-record sort per decision, so every decision costs real wall time.
-COMPARISON_WARMUP = 4
-COMPARISON_DECISIONS = 16
-#: acceptance floor: indexed tasks-committed/sec at 100k vs the legacy scan.
-MIN_SPEEDUP = 5.0
-#: acceptance floor: decisions/sec at 100k as a fraction of 1k (flat ladder).
+#: acceptance floor: events/sec at 100k as a fraction of 1k (flat ladders).
 MIN_FLATNESS = 0.5
 #: best-of runs per scale, interleaved (host noise only slows runs down).
 REPS = 3
@@ -72,10 +61,11 @@ REPS = 3
 #: replication microbench: dirty records per round, rounds per measurement.
 DELTA_DIRTY = 64
 DELTA_ROUNDS = 300
-DELTA_LEGACY_ROUNDS = {1_000: 300, 10_000: 100, 100_000: 10}
 
-#: storm microbench: fraction of the table ongoing on the dying server.
-STORM_FRACTION = 0.10
+#: storm microbench: servers suspected per table, each running one task
+#: (a server runs one task at a time), and the least wall one sample times.
+STORM_SERVERS = tuple(Address("server", f"s{i:04d}") for i in range(1_000))
+STORM_MIN_WALL = 0.2
 
 
 def _calls(owner_index: int, count: int) -> list[CallDescription]:
@@ -107,9 +97,8 @@ class _FlatScanModel(DatabaseModel):
         return self.scan_latency
 
 
-def _build_grid(backlog: int, use_index: bool):
+def _build_grid(backlog: int):
     protocol = ProtocolConfig()
-    protocol.coordinator.use_task_index = use_index
     #: long enough that rounds don't dominate the window, short enough that
     #: every run exercises live delta rounds.
     protocol.coordinator.replication.period = 10.0
@@ -143,8 +132,8 @@ def _advance_until_assignments(grid, target: int, step: float = 0.5) -> None:
     assert assignments.value >= target, (assignments.value, target, grid.env.now)
 
 
-def _run_protocol(backlog: int, use_index: bool, warmup: int, decisions: int) -> dict:
-    grid = _build_grid(backlog, use_index)
+def _run_protocol(backlog: int, warmup: int, decisions: int) -> dict:
+    grid = _build_grid(backlog)
     assignments = grid.monitor.counter("coordinator.assignments")
     committed = grid.monitor.counter("coordinator.results")
     replications = grid.monitor.counter("coordinator.replications")
@@ -161,12 +150,11 @@ def _run_protocol(backlog: int, use_index: bool, warmup: int, decisions: int) ->
     window_decisions = int(assignments.value - start_assignments)
     window_committed = int(committed.value - start_committed)
     assert window_decisions >= decisions
-    assert window_committed > 0, (window_committed, backlog, use_index)
+    assert window_committed > 0, (window_committed, backlog)
     return {
         "backlog": backlog,
         "coordinators": N_COORDINATORS,
         "servers": N_SERVERS,
-        "use_task_index": use_index,
         "wall_seconds": round(wall, 4),
         "sim_seconds": round(grid.env.now - start_sim, 2),
         "decisions": window_decisions,
@@ -179,24 +167,18 @@ def _run_protocol(backlog: int, use_index: bool, warmup: int, decisions: int) ->
 
 
 # ---------------------------------------------------------------- microbenches
-def _build_table(n: int, ongoing_fraction: float = 0.0, server: Address | None = None):
-    """A bare task table (plus index) for the machinery-level microbenches."""
-    tasks = {}
-    cutoff = int(n * ongoing_fraction)
-    for counter, call in enumerate(_calls(0, n)):
-        record_state = TaskState.ONGOING if counter < cutoff else TaskState.PENDING
-        key = identity_to_key(call.identity)
-        record = TaskRecord(
-            call=call, state=record_state, owner="k0", submitted_at=float(counter)
+def _build_table(n: int):
+    """A bare table of pending tasks for the machinery-level microbenches."""
+    return {
+        identity_to_key(call.identity): TaskRecord(
+            call=call, state=TaskState.PENDING, owner="k0", submitted_at=float(counter)
         )
-        if record_state is TaskState.ONGOING:
-            record.assigned_server = server
-        tasks[key] = record
-    return tasks
+        for counter, call in enumerate(_calls(0, n))
+    }
 
 
 def _run_delta(n: int) -> dict:
-    """Fixed-size delta rounds against a growing table: O(dirty) vs O(n)."""
+    """Fixed-size delta rounds against a growing table: O(dirty), not O(n)."""
     tasks = _build_table(n)
     index = TaskIndex(tasks)
     stride = max(n // DELTA_DIRTY, 1)
@@ -214,63 +196,65 @@ def _run_delta(n: int) -> dict:
             only_keys=index.table_ordered(dirty_set),
             entry_for=index.replica_entry,
         )
-    indexed_wall = time.perf_counter() - start
-    assert len(state.entries) == len(dirty)
-
-    legacy_rounds = DELTA_LEGACY_ROUNDS[n]
-    start = time.perf_counter()
-    for _ in range(legacy_rounds):
-        keys = [key for key in tasks if key in dirty_set]  # the old table walk
-        legacy_state = build_state("k0", tasks, {}, [], only_keys=keys)
-    legacy_wall = time.perf_counter() - start
-    assert [e["call"]["identity"] for e in legacy_state.entries] == [
-        e["call"]["identity"] for e in state.entries
+    wall = time.perf_counter() - start
+    # Same entries, in the order a filtered walk of the table lists them.
+    assert [tuple(e["call"]["identity"]) for e in state.entries] == [
+        key for key in tasks if key in dirty_set
     ]
 
-    rounds_per_sec = DELTA_ROUNDS / indexed_wall
-    legacy_rounds_per_sec = legacy_rounds / legacy_wall
+    rounds_per_sec = DELTA_ROUNDS / wall
     return {
         "table_records": n,
         "dirty_per_round": len(dirty),
         "rounds": DELTA_ROUNDS,
-        "wall_seconds": round(indexed_wall, 4),
+        "wall_seconds": round(wall, 4),
         "rounds_per_sec": round(rounds_per_sec, 1),
-        "legacy_rounds_per_sec": round(legacy_rounds_per_sec, 1),
-        "round_speedup": round(rounds_per_sec / legacy_rounds_per_sec, 2),
         "events_per_sec": round(rounds_per_sec, 1),
     }
 
 
 def _run_storm(n: int) -> dict:
-    """Kill the server running 10% of the table; measure reschedule latency."""
-    dead = Address("server", "s00")
-    expected = int(n * STORM_FRACTION)
+    """Suspect 1,000 one-task servers in turn; measure servers rescheduled/sec.
 
-    def measure(use_index: bool) -> tuple[float, int]:
-        tasks = _build_table(n, ongoing_fraction=STORM_FRACTION, server=dead)
-        index = TaskIndex(tasks) if use_index else None
-        policy = FifoReschedulePolicy()
+    The shape is the traffic the repo benchmark generates, counted by
+    wrapping ``reschedule_for_suspected_server`` from outside on
+    ``bench/workloads.py`` (``--seed 1``, full scale): ``churn-storm`` makes
+    5,035 calls, of which 4,965 reset 0 tasks and 70 reset exactly 1, never
+    more, against tables of 265-1,400 rows; ``fig7-sweep`` and
+    ``steady-backlog`` make none.  A server runs one task at a time, so a
+    suspected server's bucket holds one record however deep the table is.
+    One call takes microseconds, so the sweep over 1,000 servers repeats
+    until ``STORM_MIN_WALL`` seconds are timed.  Before each sweep, untimed,
+    the servers take the 1,000 FCFS heads through ``pick`` as they would
+    live — the tasks the last sweep re-queued, so every sweep starts from
+    the same table; each timed step is what the coordinator's watch loop
+    does: the reschedule, then the ``note`` of every task it reset.
+    """
+    policy = FifoReschedulePolicy()
+    index = TaskIndex(_build_table(n))
+    nobody = lambda _owner: False  # noqa: E731 - no coordinator is suspected
+    wall = 0.0
+    sweeps = 0
+    while wall < STORM_MIN_WALL:
+        for server in STORM_SERVERS:
+            index.note(policy.pick(index, server, "k0", nobody, now=0.0).task)
+        assert index.ongoing == len(STORM_SERVERS)
         start = time.perf_counter()
-        reset = policy.reschedule_for_suspected_server(tasks, dead, "k0", index=index)
-        if index is not None:
-            for record in reset:  # the coordinator re-notes every reset task
+        for server in STORM_SERVERS:
+            for record in policy.reschedule_for_suspected_server(index, server, "k0"):
                 index.note(record)
-        wall = time.perf_counter() - start
-        return wall, len(reset)
+        wall += time.perf_counter() - start
+        sweeps += 1
+        assert index.pending == n and index.ongoing == 0
 
-    indexed_wall, indexed_reset = measure(use_index=True)
-    legacy_wall, legacy_reset = measure(use_index=False)
-    assert indexed_reset == legacy_reset == expected
-
-    rescheduled_per_sec = indexed_reset / indexed_wall
+    rescheduled = sweeps * len(STORM_SERVERS)
     return {
         "table_records": n,
-        "ongoing_on_dead_server": indexed_reset,
-        "wall_seconds": round(indexed_wall, 6),
-        "reschedule_latency_ms": round(indexed_wall * 1000, 3),
-        "legacy_latency_ms": round(legacy_wall * 1000, 3),
-        "latency_speedup": round(legacy_wall / indexed_wall, 2),
-        "events_per_sec": round(rescheduled_per_sec, 1),
+        "ongoing_per_server": 1,
+        "servers_rescheduled": rescheduled,
+        "wall_seconds": round(wall, 4),
+        "reschedule_latency_us": round(wall / rescheduled * 1e6, 2),
+        "events_per_sec": round(rescheduled / wall, 1),
     }
 
 
@@ -285,50 +269,29 @@ def _pick_best(runs_by_scale: dict[int, list[dict]]) -> dict[str, dict]:
 
 def test_protocol_benchmark_writes_bench_json(bench_out):
     # Reps are interleaved across scales and workloads (1k, 10k, 100k ladder,
-    # the two comparison runs, the microbenches, then the next rep of each)
-    # so one slow host phase cannot sink a whole scale's block.
+    # the microbenches, then the next rep of each) so one slow host phase
+    # cannot sink a whole scale's block.
     ladder_runs: dict[int, list[dict]] = {n: [] for n in SCALES}
-    indexed_cmp_runs: list[dict] = []
-    legacy_cmp_runs: list[dict] = []
     delta_runs: dict[int, list[dict]] = {n: [] for n in SCALES}
     storm_runs: dict[int, list[dict]] = {n: [] for n in SCALES}
     for _ in range(REPS):
         for backlog in SCALES:
             ladder_runs[backlog].append(
-                _run_protocol(backlog, True, WARMUP_DECISIONS, DECISIONS)
+                _run_protocol(backlog, WARMUP_DECISIONS, DECISIONS)
             )
-        indexed_cmp_runs.append(
-            _run_protocol(SCALES[-1], True, COMPARISON_WARMUP, COMPARISON_DECISIONS)
-        )
-        legacy_cmp_runs.append(
-            _run_protocol(SCALES[-1], False, COMPARISON_WARMUP, COMPARISON_DECISIONS)
-        )
         for n in SCALES:
             delta_runs[n].append(_run_delta(n))
             storm_runs[n].append(_run_storm(n))
 
     scales = _pick_best(ladder_runs)
-    indexed_cmp = max(indexed_cmp_runs, key=lambda r: r["committed_per_sec"])
-    legacy_cmp = max(legacy_cmp_runs, key=lambda r: r["committed_per_sec"])
+    storm_scales = _pick_best(storm_runs)
 
-    # The tentpole floors, asserted here as well as gated in CI:
-    # a flat decisions/sec ladder (O(log n) scheduling at 100x the backlog) …
-    low = scales[str(SCALES[0])]["decisions_per_sec"]
-    high = scales[str(SCALES[-1])]["decisions_per_sec"]
-    assert high >= MIN_FLATNESS * low, (low, high)
-    # … and the head-to-head: the indexed plane commits tasks >= MIN_SPEEDUP
-    # times faster than the legacy scan plane at the 100k backlog.
-    speedup = indexed_cmp["committed_per_sec"] / legacy_cmp["committed_per_sec"]
-    comparison = {
-        "backlog": SCALES[-1],
-        "indexed": indexed_cmp,
-        "legacy": legacy_cmp,
-        "decisions_speedup": round(
-            indexed_cmp["decisions_per_sec"] / legacy_cmp["decisions_per_sec"], 2
-        ),
-        "speedup": round(speedup, 2),
-    }
-    assert speedup >= MIN_SPEEDUP, comparison
+    # The floors, asserted here as well as gated in CI: flat ladders — O(log n)
+    # scheduling and O(bucket) rescheduling at 100x the table.
+    for group in (scales, storm_scales):
+        low = group[str(SCALES[0])]["events_per_sec"]
+        high = group[str(SCALES[-1])]["events_per_sec"]
+        assert high >= MIN_FLATNESS * low, (low, high)
 
     payload = {
         "benchmark": "protocol-indexed-data-plane",
@@ -339,16 +302,12 @@ def test_protocol_benchmark_writes_bench_json(bench_out):
             "of live WORK_REQUEST->TASK_ASSIGN decisions at steady state "
             "(4 coordinators / 16 servers, preloaded backlog); "
             "replication_scales = fixed-dirty delta build rounds/sec; "
-            "storm_scales = tasks rescheduled/sec when a server running "
-            "10% of the table dies; comparison_100k gates committed/sec "
-            "vs the legacy use_task_index=False plane"
+            "storm_scales = suspected servers rescheduled/sec, 1,000 "
+            "servers holding one ongoing task each"
         ),
-        "min_speedup": MIN_SPEEDUP,
         "scales": scales,
         "replication_scales": _pick_best(delta_runs),
-        "storm_scales": _pick_best(storm_runs),
-        "comparison_100k": comparison,
+        "storm_scales": storm_scales,
     }
     (bench_out / BENCH_NAME).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nBENCH_protocol.json: {json.dumps(payload['scales'], indent=2)}")
-    print(f"comparison_100k: speedup {comparison['speedup']}x")

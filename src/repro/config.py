@@ -83,10 +83,6 @@ class ReplicationConfig:
     period: float = 60.0
     #: whether replication is enabled at all (ablation switch).
     enabled: bool = True
-    #: replicate task descriptions one by one (paper's implementation) or as
-    #: a single batch message (the optimization the paper argues is useless
-    #: because database time dominates).
-    batch: bool = False
 
     def validate(self) -> None:
         if self.period <= 0:
@@ -101,19 +97,10 @@ class SchedulerConfig:
     policy: str = "fcfs"
     #: re-schedule all tasks of a suspected server ("on suspicion" replication).
     reschedule_on_suspicion: bool = True
-    #: proactively replicate each RPC on this many servers (paper: 1, i.e. no
-    #: anticipation; the flag it says "could be added easily").
-    proactive_replicas: int = 1
-    #: maximum concurrent tasks per server.
-    server_slots: int = 1
 
     def validate(self) -> None:
         if self.policy not in {"fcfs"}:
             raise ConfigurationError(f"unknown scheduling policy {self.policy!r}")
-        if self.proactive_replicas < 1:
-            raise ConfigurationError("proactive_replicas must be >= 1")
-        if self.server_slots < 1:
-            raise ConfigurationError("server_slots must be >= 1")
 
 
 @dataclass
@@ -156,12 +143,6 @@ class CoordinatorConfig:
     #: database costs.  This is what produces the paper's ~17 % infrastructure
     #: overhead on the 96x10 s benchmark.
     request_processing_overhead: float = 0.08
-    #: maintain the incremental :class:`~repro.core.taskindex.TaskIndex` over
-    #: the task table (O(log n) scheduling, O(dirty) replication builds, O(1)
-    #: state counts).  Off restores the legacy scan-everything data plane —
-    #: behaviorally identical, kept for equivalence tests and as the
-    #: benchmark's head-to-head baseline.
-    use_task_index: bool = True
 
     def validate(self) -> None:
         self.replication.validate()

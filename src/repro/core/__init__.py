@@ -19,7 +19,6 @@ from repro.core.protocol import (
 )
 from repro.core.registry import CoordinatorRegistry
 from repro.core.replication import ReplicaState, build_state, merge_state
-from repro.core.scheduler import FcfsScheduler, SchedulingDecision
 from repro.core.taskindex import TaskIndex
 from repro.core.server import ServerComponent
 from repro.core.services import ServiceRegistry, ServiceSpec, default_registry
@@ -31,6 +30,7 @@ from repro.core.synchronization import (
     plan_client_sync,
     plan_server_sync,
 )
+from repro.policies.scheduling import SchedulingDecision
 
 __all__ = [
     "CallDescription",
@@ -38,7 +38,6 @@ __all__ = [
     "ClientSyncPlan",
     "CoordinatorComponent",
     "CoordinatorRegistry",
-    "FcfsScheduler",
     "GridRpc",
     "ReplicaState",
     "ResultRecord",

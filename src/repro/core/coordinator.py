@@ -103,14 +103,8 @@ class CoordinatorComponent:
         #: sequence, and a deterministic iteration order keeps parallel and
         #: sequential sweeps byte-identical under hash randomization.
         self._dirty: dict[tuple, None] = {}
-        #: incrementally maintained views of the task and result tables
-        #: (None = legacy scan-everything data plane, see
-        #: CoordinatorConfig.use_task_index).
-        self.index: TaskIndex | None = (
-            TaskIndex(self.tasks, self.results)
-            if self.config.use_task_index
-            else None
-        )
+        #: incrementally maintained views of the task and result tables.
+        self.index = TaskIndex(self.tasks, self.results)
         self._replica_ack_waiters: dict[int, Event] = {}
         #: round id -> {"event", "acks", "needed"} for in-flight quorum rounds.
         self._quorum_waiters: dict[int, dict[str, Any]] = {}
@@ -205,8 +199,7 @@ class CoordinatorComponent:
         self.coordinator_detector = self._make_detector()
         self.known_servers = set()
         self._dirty = dict.fromkeys(self.tasks)  # resync everything after a restart
-        if self.index is not None:
-            self.index.rebuild()
+        self.index.rebuild()
         self._replica_ack_waiters = {}
         self._quorum_waiters = {}
         self._archive_fetches_in_flight = {}
@@ -250,10 +243,9 @@ class CoordinatorComponent:
         mutation path already marks the record dirty, so routing the
         ``note`` through here keeps the index exact by construction.
         """
-        if self.index is not None:
-            record = self.tasks.get(key)
-            if record is not None:
-                self.index.note(record, key)
+        record = self.tasks.get(key)
+        if record is not None:
+            self.index.note(record, key)
         self._dirty[key] = None
         self.replication_policy.on_dirty(self, key)
 
@@ -268,8 +260,7 @@ class CoordinatorComponent:
         if key in self.results:
             return False
         self.results[key] = result
-        if self.index is not None:
-            self.index.note_result(key, result)
+        self.index.note_result(key, result)
         return True
 
     def preload_tasks(
@@ -301,7 +292,7 @@ class CoordinatorComponent:
             self.tasks[key] = record
             if mark_dirty:
                 self._mark_dirty(key)
-            elif self.index is not None:
+            else:
                 self.index.note(record, key)
             self.database.charge_write(key, {"state": state.value}, call.params_bytes)
             keys.append(key)
@@ -309,9 +300,7 @@ class CoordinatorComponent:
 
     def finished_count(self) -> int:
         """Number of tasks this coordinator currently knows as finished."""
-        if self.index is not None:
-            return self.index.finished
-        return sum(1 for t in self.tasks.values() if t.state is TaskState.FINISHED)
+        return self.index.finished
 
     def _sample_completed(self) -> None:
         self.monitor.sample(
@@ -417,7 +406,12 @@ class CoordinatorComponent:
         )
         working_on = message.payload.get("working_on")
         if working_on is not None:
-            self._task_activity[tuple(working_on)] = self.env.now
+            key = tuple(working_on)
+            task = self.tasks.get(key)
+            # Only a task still ongoing here: a heart-beat overtaken by its
+            # own result must not put back the entry the commit dropped.
+            if task is not None and task.state is TaskState.ONGOING:
+                self._task_activity[key] = self.env.now
 
     # ------------------------------------------------------------ client requests
     def _on_submit(self, message: Message):
@@ -518,10 +512,9 @@ class CoordinatorComponent:
                     "count": count,
                     "reply_to": [source.kind, source.name],
                 }
-                if self.index is not None:
-                    # Content change without a state transition: refresh the
-                    # cached replica entry, without re-dirtying the record.
-                    self.index.note(task, key)
+                # Content change without a state transition: refresh the
+                # cached replica entry, without re-dirtying the record.
+                self.index.note(task, key)
             if task.state is TaskState.FINISHED:
                 # The crowd is retrying a batch we already finished: the
                 # result push was lost (or raced the retry) — push it again.
@@ -567,10 +560,7 @@ class CoordinatorComponent:
         # A pull with an empty pending set can match nothing — skip the
         # lookup entirely (idle clients poll every second).
         if wanted is None or wanted:
-            if self.index is not None:
-                held, missing = self.index.pull_view((user, session), wanted)
-            else:
-                held, missing = self._scan_for_pull(user, session, wanted)
+            held, missing = self.index.pull_view((user, session), wanted)
             for result in held:
                 ready.append(result.to_payload())
                 total_bytes += result.size_bytes
@@ -596,10 +586,7 @@ class CoordinatorComponent:
     def _on_client_sync(self, message: Message):
         user, session = message.payload.get("session", ("", ""))
         durable_keys = [int(k) for k in message.payload.get("durable_keys", [])]
-        if self.index is not None:
-            session_keys = self.index.session_keys((user, session))
-        else:
-            session_keys = self._scan_session_keys(user, session)
+        session_keys = self.index.session_keys((user, session))
         known = [key[2] for key in session_keys]
         finished = [
             key[2]
@@ -637,12 +624,11 @@ class CoordinatorComponent:
         self._hear_server(server)
         yield from self._charge(self.database.charge_scan())
         decision = self.scheduler.pick(
-            self.tasks,
+            self.index,
             server=server,
             my_name=self.name,
             owner_suspected=self._owner_suspected,
             now=self.env.now,
-            index=self.index,
         )
         if decision.task is None:
             self.host.send(message.reply(MessageType.NO_WORK, payload={}, size_bytes=16))
@@ -695,6 +681,7 @@ class CoordinatorComponent:
         task.has_archive = True
         task.archive_holder = self.name
         task.assigned_server = server
+        self._task_activity.pop(key, None)
         self._store_result(key, result)
         self._mark_dirty(key)
         cost = self.database.charge_write(key, {"state": "finished"}, TASK_DESCRIPTION_BYTES)
@@ -719,18 +706,15 @@ class CoordinatorComponent:
         server = message.source
         self._hear_server(server)
         server_keys = [tuple(k) for k in message.payload.get("result_keys", [])]
-        if self.index is not None:
-            # plan_server_sync is set algebra over server_keys, so only the
-            # finished tasks among the keys the server sent can matter.
-            finished = [
-                k
-                for k in server_keys
-                if (task := self.tasks.get(k)) is not None
-                and task.state is TaskState.FINISHED
-            ]
-            assigned = [k for k, _task in self.index.ongoing_on_server(server)]
-        else:
-            finished, assigned = self._scan_for_server_sync(server)
+        # plan_server_sync is set algebra over server_keys, so only the
+        # finished tasks among the keys the server sent can matter.
+        finished = [
+            k
+            for k in server_keys
+            if (task := self.tasks.get(k)) is not None
+            and task.state is TaskState.FINISHED
+        ]
+        assigned = [k for k, _task in self.index.ongoing_on_server(server)]
         yield from self._charge(self.database.charge_scan())
         plan = plan_server_sync(server_keys, finished, assigned)
         for key in plan.coordinator_must_requeue:
@@ -751,45 +735,6 @@ class CoordinatorComponent:
             )
         )
         self.monitor.incr("coordinator.server_syncs")
-
-    # ------------------------------------------------- legacy scan plane (reference)
-    # What the three request handlers above read when use_task_index=False:
-    # the full-table walks the index views replaced, kept as the reference arm.
-    def _scan_for_pull(
-        self, user: str, session: str, wanted: set[int] | None
-    ) -> tuple[list[ResultRecord], list[tuple]]:
-        """What a pull matches: archives held here, and keys still to fetch."""
-        held = [
-            result
-            for key, result in self.results.items()
-            if key[0] == user
-            and key[1] == session
-            and (wanted is None or key[2] in wanted)
-        ]
-        missing = [
-            key
-            for key, task in self.tasks.items()
-            if key[0] == user
-            and key[1] == session
-            and (wanted is None or key[2] in wanted)
-            and task.state is TaskState.FINISHED
-            and key not in self.results
-        ]
-        return held, missing
-
-    def _scan_session_keys(self, user: str, session: str) -> list[tuple]:
-        """Task keys of one session, in table order."""
-        return [key for key in self.tasks if key[0] == user and key[1] == session]
-
-    def _scan_for_server_sync(self, server: Address) -> tuple[list[tuple], list[tuple]]:
-        """Every finished key, and the keys ongoing on ``server``."""
-        finished = [k for k, t in self.tasks.items() if t.state is TaskState.FINISHED]
-        assigned = [
-            k
-            for k, t in self.tasks.items()
-            if t.state is TaskState.ONGOING and t.assigned_server == server
-        ]
-        return finished, assigned
 
     # ----------------------------------------------------------- archives on demand
     def _request_archive(self, key: tuple, task: TaskRecord) -> None:
@@ -863,15 +808,10 @@ class CoordinatorComponent:
         """The dirty keys, ordered as a full table scan would list them.
 
         Delta abstracts must serialize entries in the same order as full
-        ones (the legacy builder filtered a table walk), so downstream
-        merge/table insertion order is independent of *when* records got
-        dirty.  With the index this is O(d log d) in the dirty-set size;
-        without it, the legacy filtered walk.
+        ones, so downstream merge/table insertion order is independent of
+        *when* records got dirty.  O(d log d) in the dirty-set size.
         """
-        if self.index is not None:
-            return self.index.table_ordered(self._dirty)
-        dirty = self._dirty
-        return [key for key in self.tasks if key in dirty]
+        return self.index.table_ordered(self._dirty)
 
     def _build_state(self, keys: list[tuple] | None) -> ReplicaState:
         """Build the (delta) state abstract for ``keys`` (None = full)."""
@@ -882,7 +822,7 @@ class CoordinatorComponent:
             known_coordinators=[(c.kind, c.name) for c in self.registry.known()],
             only_keys=keys,
             now=self.env.now,
-            entry_for=self.index.replica_entry if self.index is not None else None,
+            entry_for=self.index.replica_entry,
         )
 
     def replicate_once(self, force_full: bool = False):
@@ -1023,13 +963,12 @@ class CoordinatorComponent:
                 state.sent_at,
             )
         outcome = merge_state(self.tasks, self.client_timestamps, state)
-        if self.index is not None:
-            # Route the merged transitions through the index before the
-            # database charges below yield control — sibling processes (the
-            # watch loop, a replication round) must never see a stale view.
-            for identity in outcome.changed:
-                key = identity_to_key(identity)
-                self.index.note(self.tasks[key], key)
+        # Route the merged transitions through the index before the
+        # database charges below yield control — sibling processes (the
+        # watch loop, a replication round) must never see a stale view.
+        for identity in outcome.changed:
+            key = identity_to_key(identity)
+            self.index.note(self.tasks[key], key)
         # The backup pays one database write per new or updated description —
         # this is what dominates Figure 5 for small records.
         for _ in range(outcome.new_tasks + outcome.updated_tasks):
@@ -1083,7 +1022,7 @@ class CoordinatorComponent:
                 for server in list(self.known_servers):
                     if self.server_detector.is_suspected(server, now):
                         reset = self.scheduler.reschedule_for_suspected_server(
-                            self.tasks, server, self.name, index=self.index
+                            self.index, server, self.name
                         )
                         if reset:
                             for record in reset:
@@ -1095,16 +1034,8 @@ class CoordinatorComponent:
                 # back keeps the heart-beat alive but stops reporting the lost
                 # task, so suspicion alone would never recover it.
                 timeout = self.config.detection.suspicion_timeout
-                if self.index is not None:
-                    # Only this coordinator's ongoing bucket, not the table.
-                    candidates = self.index.ongoing_owned_by(self.name)
-                else:
-                    candidates = [
-                        (key, task)
-                        for key, task in self.tasks.items()
-                        if task.state is TaskState.ONGOING and task.owner == self.name
-                    ]
-                for key, task in candidates:
+                # Only this coordinator's ongoing bucket, not the table.
+                for key, task in self.index.ongoing_owned_by(self.name):
                     last_activity = self._task_activity.get(
                         key, task.started_at if task.started_at is not None else now
                     )
@@ -1119,12 +1050,7 @@ class CoordinatorComponent:
     # ------------------------------------------------------------------ reporting
     def stats(self) -> dict[str, Any]:
         """Snapshot of coordinator counters (experiments / tests)."""
-        if self.index is not None:
-            states = self.index.state_counts()
-        else:
-            states = {state: 0 for state in TaskState}
-            for task in self.tasks.values():
-                states[task.state] += 1
+        states = self.index.state_counts()
         return {
             "tasks": len(self.tasks),
             "pending": states[TaskState.PENDING],

@@ -1,12 +1,12 @@
 """Incrementally maintained indexes over a coordinator's task and result tables.
 
 The coordinator keeps every task it has ever heard of in one persistent
-``dict`` — the paper's database of job descriptions.  Until PR 10, every
-consumer of that table rescanned it: each server work request sorted the
-whole table to find the FCFS head, each monitor sample counted finished
-tasks one by one, and suspecting a single server walked every record to
-find its handful of ongoing tasks.  At paper-scale backlogs that turns the
-busiest part of the protocol into quadratic aggregate work.
+``dict`` — the paper's database of job descriptions.  Answering requests
+by rescanning that table (sort it for the FCFS head of every work request,
+recount it for every monitor sample, walk it for a suspected server's
+handful of ongoing tasks) turns the busiest part of the protocol into
+quadratic aggregate work at paper-scale backlogs, so the coordinator reads
+maintained views instead.
 
 :class:`TaskIndex` is the **single choke point for task state
 transitions**.  Every coordinator path that mutates a record (submission,
@@ -39,13 +39,14 @@ insertion sequence.  A pull naming k timestamps then costs O(k): it
 intersects them with the session view and restores ``coord:results``
 insertion order from the stamps.
 
-The eligible order produced through the index is bit-identical to the
-legacy sorted scan: FCFS keys are unique per task (submission time plus
-call identity), so any stable source of the same candidate set sorts to
-the same sequence.  The random and round-robin policies still materialize
-the full eligible list (they index into it by position), which keeps their
-per-pick cost at O(p log p) over the pending set — the win there is only
-that finished and held-ongoing records stay out of the scan entirely.
+The eligible order produced through the index is bit-identical to a
+sorted scan of the table (the reference in ``tests/test_taskindex.py``):
+FCFS keys are unique per task (submission time plus call identity), so any
+stable source of the same candidate set sorts to the same sequence.  The
+random and round-robin policies still materialize the full eligible list
+(they index into it by position), which keeps their per-pick cost at
+O(p log p) over the pending set — finished and held-ongoing records stay
+out of it entirely.
 
 The index is volatile: a restarted coordinator rebuilds it from the
 persistent table in ``start()``.
@@ -206,7 +207,7 @@ class TaskIndex:
     # -------------------------------------------------------------- counters
     @property
     def finished(self) -> int:
-        """Tasks known finished — O(1), replaces the full-table count."""
+        """Tasks known finished — O(1)."""
         return self._counts[TaskState.FINISHED]
 
     @property
@@ -227,13 +228,12 @@ class TaskIndex:
     ) -> tuple[list[TaskRecord], int]:
         """Ongoing tasks of suspected other owners, plus the held count.
 
-        The de-duplication rule withholds every other ongoing task; the
-        legacy scan counted one hold per withheld record, so the held count
-        here is total-ongoing minus the released extras.  ``owner_suspected``
-        is consulted once per distinct owner with live ongoing tasks —
-        exactly the owners the legacy scan would have asked about (the
-        detector latches suspicion state, so asking once is equivalent to
-        asking once per task).
+        The de-duplication rule withholds every other ongoing task, one
+        hold per withheld record, so the held count is total-ongoing minus
+        the released extras.  ``owner_suspected`` is consulted once per
+        distinct owner with live ongoing tasks (the detector latches
+        suspicion state, so asking once is equivalent to asking once per
+        task).
         """
         extras: list[TaskRecord] = []
         for owner, bucket in self._ongoing_by_owner.items():
@@ -267,8 +267,8 @@ class TaskIndex:
     def eligible_list(self, extras: list[TaskRecord]) -> list[TaskRecord]:
         """The full FCFS-sorted eligible list (pending plus ``extras``).
 
-        FCFS keys are unique, so this equals the legacy sorted table scan
-        bit for bit.  Positional policies (random, round-robin) need the
+        FCFS keys are unique, so this equals a sorted table scan bit for
+        bit.  Positional policies (random, round-robin) need the
         materialized list; FIFO and fastest-first use the heap heads.
         """
         eligible = list(self._pending.values())
@@ -315,7 +315,7 @@ class TaskIndex:
 
         A delta replication round ships only the dirty keys, but lists them
         in the order a full table scan would have produced, so incremental
-        and full abstracts stay byte-compatible with the legacy builder.
+        and full abstracts list entries in one order.
         O(d log d) in the dirty-set size, independent of the table.
         """
         seq = self._seq

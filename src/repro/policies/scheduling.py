@@ -66,8 +66,8 @@ def fcfs_key(record: TaskRecord) -> tuple:
     """The paper's FCFS order: submission time, then call identity.
 
     Unique per task (the identity is unique), so every FCFS sort is total:
-    any source of the same candidate set — the legacy table scan or the
-    task index's pending heap — produces the same order bit for bit.
+    any source of the same candidate set — a table scan or the task
+    index's pending heap — produces the same order bit for bit.
     """
     return (
         record.submitted_at,
@@ -75,10 +75,6 @@ def fcfs_key(record: TaskRecord) -> tuple:
         record.call.identity.session.value,
         record.call.identity.rpc.value,
     )
-
-
-#: backwards-compatible alias (the key predates its public export).
-_fcfs_key = fcfs_key
 
 
 class SchedulerPolicy(PolicyBase):
@@ -100,63 +96,30 @@ class SchedulerPolicy(PolicyBase):
         #: how many times the de-duplication policy withheld an ongoing task.
         self.dedup_holds = 0
 
-    # ------------------------------------------------------------- eligibility
-    def eligible_tasks(
-        self,
-        tasks: dict[object, TaskRecord],
-        my_name: str,
-        owner_suspected: Callable[[str], bool],
-    ) -> list[TaskRecord]:
-        """Tasks this coordinator may hand out right now, FCFS-ordered."""
-        eligible: list[TaskRecord] = []
-        for record in tasks.values():
-            if record.state is TaskState.FINISHED:
-                continue
-            if record.state is TaskState.PENDING:
-                eligible.append(record)
-                continue
-            # ONGOING: only reschedulable when the coordinator that assigned
-            # it (a different one) is suspected, or when it was assigned by us
-            # to a server we have since declared suspect (that transition is
-            # done by the coordinator's monitor loop, which resets the task to
-            # PENDING, so it is not handled here).
-            if record.owner != my_name and owner_suspected(record.owner):
-                eligible.append(record)
-            else:
-                self.dedup_holds += 1
-        eligible.sort(key=_fcfs_key)
-        return eligible
-
     # -------------------------------------------------------------- assignment
     def pick(
         self,
-        tasks: dict[object, TaskRecord],
+        index: "TaskIndex",
         server: Address,
         my_name: str,
         owner_suspected: Callable[[str], bool],
         now: float,
-        index: "TaskIndex | None" = None,
     ) -> SchedulingDecision:
         """Answer one work request from ``server``.
 
-        With ``index`` (the coordinator's :class:`TaskIndex`) the eligible
-        candidates come from the maintained pending structures instead of a
-        full table scan; without it, the legacy scan-and-sort runs.  The
-        chosen task is identical either way.  The caller is responsible for
-        routing the mutation back through the index (the coordinator does so
-        via ``_mark_dirty``).
+        The eligible candidates come from the structures ``index`` (the
+        coordinator's :class:`TaskIndex`) maintains: every pending task,
+        plus the ongoing tasks of other coordinators this one suspects —
+        every other ongoing task is withheld and counted in
+        :attr:`dedup_holds`.  The caller is responsible for routing the
+        mutation back through the index (the coordinator does so via
+        ``_mark_dirty``).
         """
-        if index is None:
-            eligible = self.eligible_tasks(tasks, my_name, owner_suspected)
-            if not eligible:
-                return SchedulingDecision(task=None, reason="no eligible task")
-            task = self.choose(eligible, server=server, now=now)
-        else:
-            extras, held = index.eligible_extras(my_name, owner_suspected)
-            self.dedup_holds += held
-            task = self.choose_indexed(index, extras, server=server, now=now)
-            if task is None:
-                return SchedulingDecision(task=None, reason="no eligible task")
+        extras, held = index.eligible_extras(my_name, owner_suspected)
+        self.dedup_holds += held
+        task = self.choose_indexed(index, extras, server=server, now=now)
+        if task is None:
+            return SchedulingDecision(task=None, reason="no eligible task")
         task.state = TaskState.ONGOING
         task.owner = my_name
         task.assigned_server = server
@@ -182,9 +145,9 @@ class SchedulerPolicy(PolicyBase):
         """Pick one task through the index (``None`` when nothing is eligible).
 
         The default materializes the FCFS-sorted eligible list — positional
-        policies (random, round-robin) need it — which is bit-identical to
-        the legacy scan's list.  FIFO and fastest-first override this with
-        their heap heads.
+        policies (random, round-robin) need it — and hands it to
+        :meth:`choose`.  FIFO and fastest-first override this with their
+        heap heads.
         """
         eligible = index.eligible_list(extras)
         if not eligible:
@@ -193,33 +156,19 @@ class SchedulerPolicy(PolicyBase):
 
     # ------------------------------------------------------------ rescheduling
     def reschedule_for_suspected_server(
-        self,
-        tasks: dict[object, TaskRecord],
-        server: Address,
-        my_name: str,
-        index: "TaskIndex | None" = None,
+        self, index: "TaskIndex", server: Address, my_name: str
     ) -> list[TaskRecord]:
         """"On suspicion" replication: re-queue every ongoing task of ``server``.
 
         Returns the tasks that were reset to PENDING (empty when the policy
-        has rescheduling disabled).  With ``index``, only the suspected
-        server's ongoing bucket is touched instead of the whole table; the
-        caller routes the resets back through the index when marking them
-        dirty.
+        has rescheduling disabled).  Only the suspected server's ongoing
+        bucket is touched, not the table; the caller routes the resets back
+        through the index when marking them dirty.
         """
         if not self.reschedule:
             return []
         reset: list[TaskRecord] = []
-        if index is None:
-            candidates = (
-                record
-                for record in tasks.values()
-                if record.state is TaskState.ONGOING
-                and record.assigned_server == server
-            )
-        else:
-            candidates = (record for _key, record in index.ongoing_on_server(server))
-        for record in candidates:
+        for _key, record in index.ongoing_on_server(server):
             if record.owner == my_name:
                 record.state = TaskState.PENDING
                 record.assigned_server = None
@@ -311,7 +260,7 @@ class FastestFirstSchedulerPolicy(SchedulerPolicy):
     ) -> TaskRecord | None:
         # O(log n): the (exec_time, fcfs) heap head, against the extras.
         # The SJF key embeds the unique FCFS key, so there are no ties and
-        # the heap head equals the legacy min() over the full list.
+        # the heap head equals choose()'s min() over the full list.
         head = index.fastest_head()
         if extras:
             best_extra = min(extras, key=_sjf_key)

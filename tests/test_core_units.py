@@ -15,7 +15,6 @@ from repro.core.protocol import (
 )
 from repro.core.registry import CoordinatorRegistry
 from repro.core.replication import ReplicaState, build_state, merge_state
-from repro.core.scheduler import FcfsScheduler
 from repro.core.services import ServiceRegistry, ServiceSpec, default_registry
 from repro.core.session import Session
 from repro.core.synchronization import (
@@ -23,7 +22,10 @@ from repro.core.synchronization import (
     plan_client_sync,
     plan_server_sync,
 )
+from repro.core.taskindex import TaskIndex
 from repro.errors import ConfigurationError, ServiceNotRegistered, SessionError
+from repro.policies.resolve import scheduler_policy_from
+from repro.policies.scheduling import FifoReschedulePolicy
 from repro.types import Address, CallIdentity, RPCId, SessionId, TaskState, UserId
 
 
@@ -175,63 +177,67 @@ class TestCoordinatorRegistry:
         assert len(registry) == 1
 
 
+def indexed(*records: TaskRecord) -> TaskIndex:
+    return TaskIndex({identity_to_key(r.identity): r for r in records})
+
+
 class TestScheduler:
+    SERVER = Address("server", "s0")
+
     def test_fcfs_picks_oldest_pending(self):
-        scheduler = FcfsScheduler()
-        tasks = {i: make_task(i) for i in (3, 1, 2)}
-        decision = scheduler.pick(tasks, Address("server", "s0"), "k0", lambda _o: False, now=10.0)
+        scheduler = FifoReschedulePolicy()
+        index = indexed(*(make_task(i) for i in (3, 1, 2)))
+        decision = scheduler.pick(index, self.SERVER, "k0", lambda _o: False, now=10.0)
         assert decision.task is not None
         assert decision.task.identity.rpc.value == 1
         assert decision.task.state is TaskState.ONGOING
-        assert decision.task.assigned_server == Address("server", "s0")
+        assert decision.task.assigned_server == self.SERVER
 
     def test_finished_tasks_never_scheduled(self):
-        scheduler = FcfsScheduler()
-        tasks = {1: make_task(1, state=TaskState.FINISHED)}
-        decision = scheduler.pick(tasks, Address("server", "s0"), "k0", lambda _o: False, now=0.0)
+        scheduler = FifoReschedulePolicy()
+        index = indexed(make_task(1, state=TaskState.FINISHED))
+        decision = scheduler.pick(index, self.SERVER, "k0", lambda _o: False, now=0.0)
         assert decision.task is None
 
     def test_ongoing_foreign_task_held_until_owner_suspected(self):
-        scheduler = FcfsScheduler()
-        tasks = {1: make_task(1, state=TaskState.ONGOING, owner="coordinator:other")}
-        held = scheduler.pick(tasks, Address("server", "s0"), "k0", lambda _o: False, now=0.0)
+        scheduler = FifoReschedulePolicy()
+        index = indexed(make_task(1, state=TaskState.ONGOING, owner="coordinator:other"))
+        held = scheduler.pick(index, self.SERVER, "k0", lambda _o: False, now=0.0)
         assert held.task is None
-        released = scheduler.pick(tasks, Address("server", "s0"), "k0", lambda _o: True, now=0.0)
+        assert scheduler.dedup_holds == 1
+        released = scheduler.pick(index, self.SERVER, "k0", lambda _o: True, now=0.0)
         assert released.task is not None
+        assert scheduler.dedup_holds == 1
 
     def test_own_ongoing_task_not_rescheduled_by_pick(self):
-        scheduler = FcfsScheduler()
-        tasks = {1: make_task(1, state=TaskState.ONGOING, owner="k0")}
-        decision = scheduler.pick(tasks, Address("server", "s0"), "k0", lambda _o: True, now=0.0)
+        scheduler = FifoReschedulePolicy()
+        index = indexed(make_task(1, state=TaskState.ONGOING, owner="k0"))
+        decision = scheduler.pick(index, self.SERVER, "k0", lambda _o: True, now=0.0)
         assert decision.task is None
 
     def test_reschedule_for_suspected_server(self):
-        scheduler = FcfsScheduler()
-        server = Address("server", "s0")
+        scheduler = FifoReschedulePolicy()
         task = make_task(1, state=TaskState.ONGOING, owner="k0")
-        task.assigned_server = server
-        tasks = {1: task}
-        reset = scheduler.reschedule_for_suspected_server(tasks, server, "k0")
+        task.assigned_server = self.SERVER
+        reset = scheduler.reschedule_for_suspected_server(indexed(task), self.SERVER, "k0")
         assert len(reset) == 1
         assert task.state is TaskState.PENDING
         assert task.assigned_server is None
 
     def test_reschedule_respects_config_switch(self):
-        scheduler = FcfsScheduler(SchedulerConfig(reschedule_on_suspicion=False))
-        server = Address("server", "s0")
+        config = SchedulerConfig(reschedule_on_suspicion=False)
+        scheduler = scheduler_policy_from(config)
+        assert isinstance(scheduler, FifoReschedulePolicy)
         task = make_task(1, state=TaskState.ONGOING, owner="k0")
-        task.assigned_server = server
-        assert scheduler.reschedule_for_suspected_server({1: task}, server, "k0") == []
+        task.assigned_server = self.SERVER
+        assert scheduler.reschedule_for_suspected_server(indexed(task), self.SERVER, "k0") == []
+        assert task.state is TaskState.ONGOING
 
     def test_attempts_incremented_on_assignment(self):
-        scheduler = FcfsScheduler()
-        tasks = {1: make_task(1)}
-        scheduler.pick(tasks, Address("server", "s0"), "k0", lambda _o: False, now=0.0)
-        assert tasks[1].attempts == 1
-
-    def test_invalid_policy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FcfsScheduler(SchedulerConfig(policy="random"))
+        scheduler = FifoReschedulePolicy()
+        task = make_task(1)
+        scheduler.pick(indexed(task), self.SERVER, "k0", lambda _o: False, now=0.0)
+        assert task.attempts == 1
 
 
 class TestReplication:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.config import CoordinatorConfig, LoggingConfig
+from repro.config import LoggingConfig
 from repro.core.client import ClientComponent
 from repro.core.coordinator import CoordinatorComponent
 from repro.core.protocol import (
@@ -111,7 +111,7 @@ class _CountingTable(dict):
 
 
 class Harness:
-    """One indexed coordinator whose handlers are driven synchronously.
+    """One coordinator whose handlers are driven synchronously.
 
     Handlers are generators that only ever yield simulated delays, so
     exhausting one runs it to completion at the current instant: the naive
@@ -119,18 +119,14 @@ class Harness:
     read.  Outgoing messages are captured instead of sent.
     """
 
-    def __init__(self, counting: bool = False, use_task_index: bool = True) -> None:
+    def __init__(self, counting: bool = False) -> None:
         self.env = Environment()
         network = Network(self.env)
         self.host = Host(self.env, network, K0, rng=RandomStreams(0))
         if counting:
             self.host.persistent["coord:tasks"] = _CountingTable()
             self.host.persistent["coord:results"] = _CountingTable()
-        self.coord = CoordinatorComponent(
-            self.host,
-            CoordinatorRegistry([K0, *PEERS]),
-            CoordinatorConfig(use_task_index=use_task_index),
-        )
+        self.coord = CoordinatorComponent(self.host, CoordinatorRegistry([K0, *PEERS]))
         self.sent: list[Message] = []
         self.host.send = self.sent.append
 
@@ -147,7 +143,7 @@ class Harness:
             pass
         return self.sent[before:]
 
-    # -- naive references: walk the tables exactly as the scan plane did ------
+    # -- naive references: walk the tables -----------------------------------
     def reference_pull(self, user, session, wanted):
         coord = self.coord
         reply = [
@@ -366,28 +362,6 @@ class TestCoordinatorRequestEquivalence:
         # The sequence must have exercised what it claims to cover.
         assert coord.results and unarchived(coord)
         assert coord.monitor.counter("coordinator.archive_fetches").value > 0
-
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_scan_plane_reference_arm_sends_the_same_messages(self, seed):
-        """``use_task_index=False`` must stay a faithful reference arm."""
-        indexed, scanned = Harness(), Harness(use_task_index=False)
-        assert scanned.coord.index is None
-        for op, *args in random_ops(random.Random(seed), indexed.coord, steps=400):
-            for harness in (indexed, scanned):
-                if op == "restart":
-                    harness.restart()
-                elif op == "tick":
-                    harness.env.run(until=harness.env.now + args[0])
-                else:
-                    harness.deliver(*args)
-            assert [
-                (m.mtype, m.dest, m.payload, m.size_bytes) for m in scanned.sent
-            ] == [(m.mtype, m.dest, m.payload, m.size_bytes) for m in indexed.sent]
-            del indexed.sent[:], scanned.sent[:]
-        assert list(scanned.coord.results) == list(indexed.coord.results)
-        assert {k: t.state for k, t in scanned.coord.tasks.items()} == {
-            k: t.state for k, t in indexed.coord.tasks.items()
-        }
 
     def test_results_enter_through_the_choke_point_only_once(self):
         harness = Harness()

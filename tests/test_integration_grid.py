@@ -92,6 +92,18 @@ class TestBasicExecution:
         assert primary.stats()["finished"] == 6
         assert len(primary.results) == 6
 
+    def test_task_activity_map_drains_with_the_tasks(self):
+        grid = small_grid(spread_servers=True)
+        # Long enough that servers report ``working_on`` between assignment
+        # and result, so both writers of the map have run.
+        period = grid.spec.protocol.server.detection.heartbeat_period
+        workload = SyntheticWorkload(n_calls=12, exec_time=3 * period)
+        process = grid.run_process(workload.run(grid.client))
+        assert grid.run_until(process, timeout=2000.0)
+        grid.run(until=grid.env.now + 3 * period)  # let trailing heart-beats land
+        assert sum(c.stats()["finished"] for c in grid.coordinators) >= 12
+        assert [c._task_activity for c in grid.coordinators] == [{}, {}]
+
     def test_replication_propagates_to_replica(self):
         grid = small_grid()
         workload = SyntheticWorkload(n_calls=6, exec_time=0.5)

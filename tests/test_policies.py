@@ -19,6 +19,7 @@ from repro.config import (
     ReplicationConfig,
     SchedulerConfig,
 )
+from repro.core.taskindex import TaskIndex
 from repro.errors import ConfigurationError
 from repro.grid.builder import build_confined_cluster
 from repro.platform.registry import component_names, create_component
@@ -43,7 +44,7 @@ from repro.scenarios.library import SCHEDULER_POLICIES
 from repro.scenarios.runner import SweepRunner
 from repro.sim.rng import RandomStreams
 from repro.types import Address, LoggingStrategy, TaskState
-from tests.test_core_units import make_task
+from tests.test_core_units import indexed, make_task
 
 SERVER = Address("server", "s0")
 
@@ -119,13 +120,13 @@ class TestDefaultDerivation:
 
 
 class TestSchedulerVariants:
-    def _tasks(self, n=5):
-        tasks = {}
+    def _tasks(self, n=5) -> TaskIndex:
+        tasks = []
         for i in range(1, n + 1):
             task = make_task(i)
             task.call.exec_time = float(n + 1 - i)  # later submissions shorter
-            tasks[i] = task
-        return tasks
+            tasks.append(task)
+        return indexed(*tasks)
 
     def test_fifo_picks_oldest(self):
         decision = FifoReschedulePolicy().pick(
@@ -145,6 +146,7 @@ class TestSchedulerVariants:
         first = policy.pick(tasks, SERVER, "k0", lambda _o: False, now=0.0)
         # Reset so the same eligible set is offered again.
         first.task.state = TaskState.PENDING
+        tasks.note(first.task)
         second = policy.pick(tasks, SERVER, "k0", lambda _o: False, now=0.0)
         assert first.task.identity.rpc.value == 1
         assert second.task.identity.rpc.value == 2
@@ -171,9 +173,9 @@ class TestSchedulerVariants:
         task = make_task(1, state=TaskState.ONGOING, owner="k0")
         task.assigned_server = SERVER
         held = FifoReschedulePolicy(reschedule=False)
-        assert held.reschedule_for_suspected_server({1: task}, SERVER, "k0") == []
+        assert held.reschedule_for_suspected_server(indexed(task), SERVER, "k0") == []
         released = FifoReschedulePolicy()
-        assert len(released.reschedule_for_suspected_server({1: task}, SERVER, "k0")) == 1
+        assert len(released.reschedule_for_suspected_server(indexed(task), SERVER, "k0")) == 1
 
 
 class TestPresetBundleEquivalence:

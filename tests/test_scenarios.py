@@ -129,6 +129,17 @@ class TestProtocolResolution:
         with pytest.raises(ConfigurationError, match="unknown protocol preset"):
             resolve_protocol("xtremweb")
 
+    def test_a_field_no_code_reads_is_not_a_settable_path(self):
+        # server_slots used to validate and then change nothing.
+        with pytest.raises(
+            ConfigurationError,
+            match=r"unknown protocol path.*'server_slots' is not a key of "
+            r"coordinator\.scheduler \(valid keys: policy, reschedule_on_suspicion\)",
+        ):
+            apply_protocol_overrides(
+                resolve_protocol(), {"coordinator.scheduler.server_slots": 4}
+            )
+
 
 class TestSweepRunner:
     def test_parallel_rows_equal_sequential_rows(self):

@@ -1,18 +1,24 @@
-"""TaskIndex equivalence and delta-replication regression tests (PR 10).
+"""TaskIndex equivalence and delta-replication regression tests.
 
-The coordinator's indexed data plane must be *behaviorally invisible*: every
-view the :class:`~repro.core.taskindex.TaskIndex` maintains has to match what
-the legacy full-table scan would compute, at every step of any mutation
-sequence.  The property-style test here drives a seeded random sequence of
-submit / assign / finish / merge / suspect / reschedule / requeue operations
-through one table and asserts the index against a naive recomputation after
-each op.  The delta-replication tests pin the other tentpole claim: an
-incremental ``build_state`` touches only the dirty keys, never the table.
+The coordinator's data plane must be *behaviorally invisible*: every view the
+:class:`~repro.core.taskindex.TaskIndex` maintains has to match what a scan of
+the table computes, at every step of any mutation sequence.  The scan lives
+here, as the reference (:func:`naive_eligible` and the recounts in
+:func:`assert_views_match`); ``src/`` has the index alone.  The
+property-style test drives a seeded random sequence of submit / assign /
+finish / merge / suspect / reschedule / requeue operations through one table
+and asserts the index against the recomputation after each op; the live-run
+audit does the same for every coordinator of a running, faulty grid, where a
+mutation path that forgot its ``note`` would otherwise lose a task silently.
+The delta-replication tests pin the other claim: an incremental
+``build_state`` touches only the dirty keys, never the table.
 """
 
 from __future__ import annotations
 
+import inspect
 import random
+import textwrap
 
 import pytest
 
@@ -24,14 +30,12 @@ from repro.core.protocol import (
 )
 from repro.core.replication import ReplicaState, build_state, merge_state
 from repro.core.taskindex import TaskIndex
+from repro.platform.component import BaseComponent
 from repro.policies.scheduling import (
     FastestFirstSchedulerPolicy,
     FifoReschedulePolicy,
     RandomSchedulerPolicy,
     RoundRobinSchedulerPolicy,
-    SchedulerPolicy,
-    _sjf_key,
-    fcfs_key,
 )
 from repro.sim.rng import RandomStreams
 from repro.types import Address, CallIdentity, RPCId, SessionId, TaskState, UserId
@@ -66,69 +70,111 @@ def make_task(
     )
 
 
+def _fcfs(record: TaskRecord) -> tuple:
+    return (record.submitted_at, *identity_to_key(record.identity))
+
+
+def _sjf(record: TaskRecord) -> tuple:
+    exec_time = record.call.exec_time
+    return (float("inf") if exec_time is None else exec_time, _fcfs(record))
+
+
 def naive_eligible(tasks, my_name, owner_suspected):
-    """The legacy scan, recomputed from scratch (the reference truth)."""
-    policy = FifoReschedulePolicy()
-    return policy.eligible_tasks(tasks, my_name, owner_suspected)
+    """The reference truth: scan the whole table, then sort it FCFS.
+
+    What a work request may be answered with — every PENDING task, plus the
+    ONGOING tasks of *other* coordinators this one suspects; FINISHED tasks
+    never.  Also returns how many ONGOING tasks the rule withheld.
+    """
+    eligible, held = [], 0
+    for record in tasks.values():
+        if record.state is TaskState.PENDING:
+            eligible.append(record)
+        elif record.state is TaskState.ONGOING:
+            if record.owner != my_name and owner_suspected(record.owner):
+                eligible.append(record)
+            else:
+                held += 1
+    eligible.sort(key=_fcfs)
+    return eligible, held
+
+
+def _ongoing_buckets(tasks, attribute):
+    buckets: dict = {}
+    for key, record in tasks.items():
+        bucket = getattr(record, attribute)
+        if record.state is TaskState.ONGOING and bucket is not None:
+            buckets.setdefault(bucket, set()).add(key)
+    return buckets
+
+
+def assert_views_match(tasks, index, owner_suspected, my_name=MY_NAME, results=None):
+    """Every view ``index`` serves equals a recount from the tables."""
+    reference, reference_held = naive_eligible(tasks, my_name, owner_suspected)
+
+    extras, held = index.eligible_extras(my_name, owner_suspected)
+    assert [id(r) for r in index.eligible_list(extras)] == [id(r) for r in reference]
+    assert held == reference_held
+
+    # Heads: FIFO and fastest-first must agree with the sorted scan.
+    fifo_head = FifoReschedulePolicy().choose_indexed(
+        index, extras, server=SERVERS[0], now=0.0
+    )
+    sjf_head = FastestFirstSchedulerPolicy().choose_indexed(
+        index, extras, server=SERVERS[0], now=0.0
+    )
+    if reference:
+        assert fifo_head is reference[0]
+        assert sjf_head is min(reference, key=_sjf)
+    else:
+        assert fifo_head is None and sjf_head is None
+
+    # Per-state counters vs a full count.
+    counts = {state: 0 for state in TaskState}
+    for record in tasks.values():
+        counts[record.state] += 1
+    assert index.state_counts() == counts
+    assert index.finished == counts[TaskState.FINISHED]
+
+    # Per-server and per-owner ongoing buckets vs a table walk (the bucket
+    # maps themselves, so a bucket left behind for a vanished server shows).
+    by_server = _ongoing_buckets(tasks, "assigned_server")
+    assert {s: set(b) for s, b in index._ongoing_by_server.items()} == by_server
+    for server, expected in by_server.items():
+        assert {key for key, _ in index.ongoing_on_server(server)} == expected
+    by_owner = _ongoing_buckets(tasks, "owner")
+    assert {o: set(b) for o, b in index._ongoing_by_owner.items()} == by_owner
+    for owner, expected in by_owner.items():
+        assert {key for key, _ in index.ongoing_owned_by(owner)} == expected
+
+    # Per-session views, in table order: task keys, archives held here (in
+    # result-table order) and finished tasks whose archive is elsewhere.
+    results = {} if results is None else results
+    sessions = dict.fromkeys(key[:2] for key in tasks)
+    assert list(index._by_session) == list(sessions)
+    for session in sessions:
+        mine = [key for key in tasks if key[:2] == session]
+        assert list(index.session_keys(session)) == mine
+        held_here, elsewhere = index.pull_view(session, None)
+        assert [id(r) for r in held_here] == [
+            id(r) for key, r in results.items() if key[:2] == session
+        ]
+        assert elsewhere == [
+            key
+            for key in mine
+            if tasks[key].state is TaskState.FINISHED and key not in results
+        ]
+    assert set(index._results_by_session) == {key[:2] for key in results}
+
+    # Table order of any key set is the table's own iteration order, and
+    # every cached replica entry is what serializing the record gives now.
+    assert index.table_ordered(reversed(tasks)) == list(tasks)
+    for key, (entry, _nbytes) in index._entry_cache.items():
+        assert entry == tasks[key].to_replica_entry()
 
 
 class TestIndexEquivalence:
     """Drive random op sequences; assert every index view against the scan."""
-
-    def _assert_views_match(self, tasks, index, suspected):
-        owner_suspected = lambda owner: owner in suspected  # noqa: E731
-        reference = naive_eligible(tasks, MY_NAME, owner_suspected)
-        reference_keys = [identity_to_key(r.identity) for r in reference]
-
-        extras, held = index.eligible_extras(MY_NAME, owner_suspected)
-        indexed = index.eligible_list(extras)
-        indexed_keys = [identity_to_key(r.identity) for r in indexed]
-        assert indexed_keys == reference_keys
-
-        # Heads: FIFO and fastest-first must agree with the sorted scan.
-        fifo_head = FifoReschedulePolicy().choose_indexed(
-            index, extras, server=SERVERS[0], now=0.0
-        )
-        assert (fifo_head is None) == (not reference)
-        if reference:
-            assert fifo_head is reference[0]
-            sjf_head = FastestFirstSchedulerPolicy().choose_indexed(
-                index, extras, server=SERVERS[0], now=0.0
-            )
-            assert sjf_head is min(reference, key=_sjf_key)
-
-        # Per-state counters vs a full count.
-        counts = {state: 0 for state in TaskState}
-        for record in tasks.values():
-            counts[record.state] += 1
-        assert index.state_counts() == counts
-        assert index.finished == counts[TaskState.FINISHED]
-
-        # The held count equals the legacy per-record dedup bookkeeping.
-        released = {identity_to_key(r.identity) for r in extras}
-        expected_held = sum(
-            1
-            for key, record in tasks.items()
-            if record.state is TaskState.ONGOING and key not in released
-        )
-        assert held == expected_held
-
-        # Per-server and per-owner ongoing buckets vs a table walk.
-        for server in SERVERS:
-            expected = {
-                key
-                for key, record in tasks.items()
-                if record.state is TaskState.ONGOING
-                and record.assigned_server == server
-            }
-            assert {key for key, _ in index.ongoing_on_server(server)} == expected
-        for owner in (MY_NAME,) + OTHER_OWNERS:
-            expected = {
-                key
-                for key, record in tasks.items()
-                if record.state is TaskState.ONGOING and record.owner == owner
-            }
-            assert {key for key, _ in index.ongoing_owned_by(owner)} == expected
 
     @pytest.mark.parametrize("seed", [0, 7, 1234])
     def test_random_op_sequence_matches_naive_scan(self, seed):
@@ -155,12 +201,11 @@ class TestIndexEquivalence:
                 next_id += 1
             elif op == "assign":
                 decision = policy.pick(
-                    tasks,
+                    index,
                     server=rng.choice(SERVERS),
                     my_name=MY_NAME,
                     owner_suspected=owner_suspected,
                     now=now,
-                    index=index,
                 )
                 if decision.task is not None:
                     index.note(decision.task)
@@ -210,7 +255,7 @@ class TestIndexEquivalence:
                     suspected.add(owner)
             elif op == "reschedule":
                 reset = policy.reschedule_for_suspected_server(
-                    tasks, rng.choice(SERVERS), MY_NAME, index=index
+                    index, rng.choice(SERVERS), MY_NAME
                 )
                 for record in reset:
                     index.note(record)
@@ -226,7 +271,7 @@ class TestIndexEquivalence:
                     record.assigned_server = None
                     index.note(record)
 
-            self._assert_views_match(tasks, index, suspected)
+            assert_views_match(tasks, index, owner_suspected)
 
     @pytest.mark.parametrize(
         "policy_cls",
@@ -238,7 +283,8 @@ class TestIndexEquivalence:
         ],
     )
     def test_indexed_picks_bit_identical_to_scan(self, policy_cls):
-        """Two identical universes, one indexed: every pick chooses the same task."""
+        """Two identical universes: ``pick`` over the index chooses what
+        ``choose()`` over the scanned list does, step for step."""
 
         def build_universe():
             tasks: dict[tuple, TaskRecord] = {}
@@ -257,26 +303,166 @@ class TestIndexEquivalence:
         scan_tasks = build_universe()
         indexed_tasks = build_universe()
         index = TaskIndex(indexed_tasks)
+        # Same RNG stream (random) and same cursor (round-robin) on both sides.
         scan_policy = policy_cls().bind(MY_NAME, rng=RandomStreams(5))
         indexed_policy = policy_cls().bind(MY_NAME, rng=RandomStreams(5))
         suspected = lambda owner: owner == "k1"  # noqa: E731
+        scan_assignments = scan_holds = 0
 
         for step in range(61):
-            a = scan_policy.pick(
-                scan_tasks, SERVERS[step % 4], MY_NAME, suspected, now=float(step)
-            )
-            b = indexed_policy.pick(
-                indexed_tasks, SERVERS[step % 4], MY_NAME, suspected,
-                now=float(step), index=index,
-            )
-            if a.task is None:
+            server, now = SERVERS[step % 4], float(step)
+            eligible, held = naive_eligible(scan_tasks, MY_NAME, suspected)
+            scan_holds += held
+            b = indexed_policy.pick(index, server, MY_NAME, suspected, now=now)
+            if not eligible:
                 assert b.task is None
                 continue
+            a = scan_policy.choose(eligible, server=server, now=now)
+            a.state, a.owner, a.assigned_server = TaskState.ONGOING, MY_NAME, server
+            scan_assignments += 1
             assert b.task is not None
-            assert identity_to_key(a.task.identity) == identity_to_key(b.task.identity)
+            assert identity_to_key(a.identity) == identity_to_key(b.task.identity)
             index.note(b.task)
-        assert scan_policy.assignments == indexed_policy.assignments
-        assert scan_policy.dedup_holds == indexed_policy.dedup_holds
+        assert scan_assignments == indexed_policy.assignments == 61
+        assert scan_holds == indexed_policy.dedup_holds
+
+
+class IndexAudit(BaseComponent):
+    """Recounts a coordinator's views every time it is about to yield.
+
+    Joins a live run as a platform component and wraps each coordinator's
+    database charges — the points where a handler that has just mutated the
+    table parks itself and sibling processes (the watch loop, a replication
+    round) get to read the views.  ``preload`` seeds every coordinator with
+    that many already-propagated tasks (``mark_dirty=False``), the one
+    insertion path that does not go through ``_mark_dirty``.
+    """
+
+    def __init__(self, preload: int = 0) -> None:
+        super().__init__("test.index-audit")
+        self.preload = preload
+        self.grids: list = []
+        self.checks = 0
+
+    def setup(self, builder) -> None:
+        self.grids.append(builder.grid)
+
+    def start(self) -> None:
+        for n, coordinator in enumerate(self.grids[-1].coordinators):
+            for name in ("charge_write", "charge_scan"):
+                self._audit(coordinator, name)
+            coordinator.preload_tasks(
+                [make_call(c, user=f"preload{n}") for c in range(self.preload)],
+                mark_dirty=False,
+            )
+
+    def _audit(self, coordinator, name: str) -> None:
+        charge = getattr(coordinator.database, name)
+
+        def audited(*args, **kwargs):
+            self.check(coordinator)
+            return charge(*args, **kwargs)
+
+        setattr(coordinator.database, name, audited)
+
+    def check(self, coordinator) -> None:
+        assert_views_match(
+            coordinator.tasks,
+            coordinator.index,
+            coordinator._owner_suspected,
+            my_name=coordinator.name,
+            results=coordinator.results,
+        )
+        self.checks += 1
+
+
+def _without(method, line: str):
+    """``method`` recompiled with ``line`` deleted (a one-line mutant)."""
+    source = textwrap.dedent(inspect.getsource(method))
+    assert source.count(line) == 1, (method, line)
+    namespace: dict = {}
+    exec(source.replace(line, "pass"), method.__globals__, namespace)
+    return namespace[method.__name__]
+
+
+class TestLiveRunAudit:
+    """With one plane there is no reference arm to diverge from: a mutation
+    path that misses its ``note`` loses the task.  So recount, live."""
+
+    def _churn_run(self) -> IndexAudit:
+        from repro.scenarios import FaultPlan, GridTopology, WorkloadSpec, execute_benchmark
+
+        audit = IndexAudit(preload=3)
+        report = execute_benchmark(
+            GridTopology(n_servers=8, n_coordinators=4, spread_servers=True),
+            WorkloadSpec(n_calls=40, exec_time=20.0),
+            FaultPlan(kind="churn", mtbf=100.0, mttr=60.0),
+            protocol_overrides={
+                "policy.replication": {
+                    "name": "policy.repl.quorum",
+                    "params": {"successors": 2},
+                }
+            },
+            seed=5,
+            horizon=20_000.0,
+            components=[
+                {
+                    "name": "inject.rate",
+                    "params": {"target": "coordinators", "faults_per_minute": 1.0},
+                },
+                audit,
+            ],
+        )
+        (grid,) = audit.grids
+        for coordinator in grid.coordinators:
+            audit.check(coordinator)
+        counters = grid.monitor.counters
+        # The run must have been what it claims: churn, kills, merges, resets.
+        assert report.outputs()["completed"] == 40
+        assert counters["coordinator.rescheduled_on_suspicion"] > 0
+        assert counters["coordinator.replicated_completions"] > 0
+        assert counters["coordinator.quorum_commits"] > 0
+        assert counters["faults.coordinator"] > 0 and counters["faults.server"] > 0
+        return audit
+
+    def test_views_equal_a_recount_through_churn_kills_and_quorum_rounds(self):
+        assert self._churn_run().checks > 1000
+
+    def test_views_equal_a_recount_in_a_crowd_cell(self):
+        from repro.scenarios import SweepRunner, get_scenario, load_all
+
+        load_all()
+        spec = get_scenario("flash-crowd")
+        audit = IndexAudit()
+        SweepRunner(
+            spec,
+            scale="tiny",
+            jobs=1,
+            axes={"surge_factor": (100.0,)},
+            params={"components": [*spec.components, audit]},
+        ).run()
+        for grid in audit.grids:
+            for coordinator in grid.coordinators:
+                audit.check(coordinator)
+            assert grid.monitor.counter("coordinator.crowd_batches").value > 0
+        assert audit.checks > 1000
+
+    @pytest.mark.parametrize(
+        "method, note",
+        [
+            ("_on_replica_state", "self.index.note(self.tasks[key], key)"),
+            ("preload_tasks", "self.index.note(record, key)"),
+        ],
+        ids=["replica-merge", "preload"],
+    )
+    def test_the_audit_catches_a_dropped_note(self, method, note, monkeypatch):
+        """Mutation check: lose one ``note`` and the recount must disagree."""
+        from repro.core.coordinator import CoordinatorComponent
+
+        mutant = _without(getattr(CoordinatorComponent, method), note)
+        monkeypatch.setattr(CoordinatorComponent, method, mutant)
+        with pytest.raises(AssertionError):
+            self._churn_run()
 
 
 class _CountingTable(dict):
