@@ -309,19 +309,14 @@ class CoordinatorComponent:
             self.finished_count(),
         )
 
-    def _charge(self, seconds: float):
-        """Process fragment: pay a local processing cost."""
-        if seconds > 0:
-            yield self.host.sleep(seconds)
-
     def _owner_suspected(self, owner: str) -> bool:
         if not owner or owner == self.name:
             return False
-        for coordinator in self.registry.known():
-            if str(coordinator) == owner:
-                return self.coordinator_detector.is_suspected(coordinator, self.env.now)
-        # An owner we do not even know is treated as unreachable, hence suspect.
-        return True
+        coordinator = self.registry.by_name(owner)
+        if coordinator is None:
+            # An owner we do not even know is treated as unreachable, hence suspect.
+            return True
+        return self.coordinator_detector.is_suspected(coordinator, self.env.now)
 
     def other_coordinators(self) -> list[Address]:
         """Every known coordinator except this one."""
@@ -335,50 +330,41 @@ class CoordinatorComponent:
             while True:
                 batch: list[Message] = yield self.host.recv_many()
                 for message in batch:
-                    yield from self._handle(message)
+                    handling = self._handle(message)
+                    if handling is not None:
+                        yield from handling
         except ProcessKilled:  # pragma: no cover - host crash
             return
 
     def _handle(self, message: Message):
-        overhead = self.config.request_processing_overhead
+        """Dispatch one message; returns the handler generator left to drive.
+
+        Heart-beats, acks and pings never yield: they are handled right here
+        (``None`` is returned), so they cost no generator per message.
+        """
         mtype = message.mtype
-        if mtype is MessageType.RPC_SUBMIT:
-            yield from self._charge(overhead)
-            yield from self._on_submit(message)
-        elif mtype is MessageType.WORK_REQUEST:
-            yield from self._charge(overhead)
-            yield from self._on_work_request(message)
+        if mtype is MessageType.WORK_REQUEST:
+            return self._after_overhead(self._on_work_request(message))
+        elif mtype is MessageType.SERVER_HEARTBEAT:
+            self._on_server_heartbeat(message)
+        elif mtype is MessageType.RPC_SUBMIT:
+            return self._after_overhead(self._on_submit(message))
         elif mtype is MessageType.TASK_RESULT:
-            yield from self._charge(overhead)
-            yield from self._on_task_result(message)
+            return self._after_overhead(self._on_task_result(message))
         elif mtype is MessageType.RESULT_PULL:
-            yield from self._charge(overhead)
-            yield from self._on_result_pull(message)
+            return self._after_overhead(self._on_result_pull(message))
         elif mtype is MessageType.CLIENT_SYNC:
-            yield from self._charge(overhead)
-            yield from self._on_client_sync(message)
+            return self._after_overhead(self._on_client_sync(message))
         elif mtype is MessageType.SERVER_SYNC:
-            yield from self._charge(overhead)
-            yield from self._on_server_sync(message)
+            return self._after_overhead(self._on_server_sync(message))
+        elif mtype is MessageType.CROWD_SUBMIT_BATCH:
+            return self._after_overhead(self._on_crowd_submit(message))
         elif mtype is MessageType.REPLICA_STATE:
-            yield from self._on_replica_state(message)
+            return self._on_replica_state(message)
         elif mtype is MessageType.REPLICA_ACK:
             self._on_replica_ack(message)
         elif mtype is MessageType.REPLICA_PULL:
-            yield from self._on_replica_pull(message)
-        elif mtype is MessageType.SERVER_HEARTBEAT:
-            self._on_server_heartbeat(message)
-            # Heart-beats are handled entirely in place (values copied out
-            # above), so their pooled envelopes go back to the free list.
-            message.release()
-        elif mtype is MessageType.CROWD_SUBMIT_BATCH:
-            yield from self._charge(overhead)
-            yield from self._on_crowd_submit(message)
-        elif mtype is MessageType.CROWD_HEARTBEAT:
-            # Aggregate liveness summaries need no per-client bookkeeping.
-            message.release()
-        elif mtype is MessageType.CLIENT_HEARTBEAT:
-            message.release()  # nothing to do beyond receiving it
+            return self._on_replica_pull(message)
         elif mtype is MessageType.COORD_HEARTBEAT:
             self.coordinator_detector.heard_from(
                 message.source,
@@ -387,13 +373,25 @@ class CoordinatorComponent:
             )
             self.registry.rehabilitate(message.source)
             message.release()
+        elif mtype is MessageType.CLIENT_HEARTBEAT or mtype is MessageType.CROWD_HEARTBEAT:
+            # Client and aggregate crowd liveness summaries need nothing
+            # beyond being received.
+            message.release()
         elif mtype is MessageType.ARCHIVE_FETCH:
-            yield from self._on_archive_fetch(message)
+            return self._on_archive_fetch(message)
         elif mtype is MessageType.ARCHIVE_REPLY:
-            yield from self._on_archive_reply(message)
+            return self._on_archive_reply(message)
         elif mtype is MessageType.PING:
             self.host.send(message.reply(MessageType.PONG))
         # Unknown types are ignored (forward compatibility).
+        return None
+
+    def _after_overhead(self, handling):
+        """Pay the middleware processing overhead, then run ``handling``."""
+        overhead = self.config.request_processing_overhead
+        if overhead > 0:
+            yield self.host.sleep(overhead)
+        yield from handling
 
     def _hear_server(self, server: Address, incarnation: int | None = None) -> None:
         self.known_servers.add(server)
@@ -412,6 +410,9 @@ class CoordinatorComponent:
             # own result must not put back the entry the commit dropped.
             if task is not None and task.state is TaskState.ONGOING:
                 self._task_activity[key] = self.env.now
+        # Handled entirely in place (values copied out above), so the pooled
+        # envelope goes back to the free list.
+        message.release()
 
     # ------------------------------------------------------------ client requests
     def _on_submit(self, message: Message):
@@ -434,7 +435,8 @@ class CoordinatorComponent:
             cost = self.database.charge_write(
                 key, {"state": record.state.value}, TASK_DESCRIPTION_BYTES + call.params_bytes
             )
-            yield from self._charge(cost)
+            if cost > 0:
+                yield self.host.sleep(cost)
             self._ctr_submissions.value += 1
         else:
             self._ctr_duplicate_submissions.value += 1
@@ -494,7 +496,8 @@ class CoordinatorComponent:
             cost = self.database.charge_write(
                 key, {"state": record.state.value}, TASK_DESCRIPTION_BYTES + call.params_bytes
             )
-            yield from self._charge(cost)
+            if cost > 0:
+                yield self.host.sleep(cost)
             self._ctr_crowd_batches.value += 1
             self._ctr_crowd_calls.value += count
         else:
@@ -570,7 +573,9 @@ class CoordinatorComponent:
             # proactively).
             for key in missing:
                 self._request_archive(key, self.tasks[key])
-        yield from self._charge(self.database.charge_scan())
+        cost = self.database.charge_scan()
+        if cost > 0:
+            yield self.host.sleep(cost)
         if total_bytes:
             # Result archives live on the coordinator's file system: shipping
             # them back costs a read proportional to their size.
@@ -593,7 +598,9 @@ class CoordinatorComponent:
             for key in session_keys
             if self.tasks[key].state is TaskState.FINISHED
         ]
-        yield from self._charge(self.database.charge_scan())
+        cost = self.database.charge_scan()
+        if cost > 0:
+            yield self.host.sleep(cost)
         plan = plan_client_sync(durable_keys, known, finished)
         session_key = (user, session)
         max_ts = int(message.payload.get("max_timestamp", 0))
@@ -622,7 +629,9 @@ class CoordinatorComponent:
     def _on_work_request(self, message: Message):
         server = message.source
         self._hear_server(server)
-        yield from self._charge(self.database.charge_scan())
+        cost = self.database.charge_scan()
+        if cost > 0:
+            yield self.host.sleep(cost)
         decision = self.scheduler.pick(
             self.index,
             server=server,
@@ -640,7 +649,8 @@ class CoordinatorComponent:
         cost = self.database.charge_write(
             key, {"state": task.state.value}, TASK_DESCRIPTION_BYTES
         )
-        yield from self._charge(cost)
+        if cost > 0:
+            yield self.host.sleep(cost)
         self._ctr_assignments.value += 1
         self.host.send(
             message.reply(
@@ -685,7 +695,8 @@ class CoordinatorComponent:
         self._store_result(key, result)
         self._mark_dirty(key)
         cost = self.database.charge_write(key, {"state": "finished"}, TASK_DESCRIPTION_BYTES)
-        yield from self._charge(cost)
+        if cost > 0:
+            yield self.host.sleep(cost)
         # Storing the archive costs a disk write proportional to its size.
         yield from self.host.disk_write(result.size_bytes)
         if newly_finished:
@@ -715,7 +726,9 @@ class CoordinatorComponent:
             and task.state is TaskState.FINISHED
         ]
         assigned = [k for k, _task in self.index.ongoing_on_server(server)]
-        yield from self._charge(self.database.charge_scan())
+        cost = self.database.charge_scan()
+        if cost > 0:
+            yield self.host.sleep(cost)
         plan = plan_server_sync(server_keys, finished, assigned)
         for key in plan.coordinator_must_requeue:
             task = self.tasks.get(tuple(key))
@@ -945,7 +958,9 @@ class CoordinatorComponent:
     def _on_replica_pull(self, message: Message):
         """Serve a recovering peer the full current state abstract."""
         state = self._build_state(None)
-        yield from self._charge(self.database.charge_scan())
+        cost = self.database.charge_scan()
+        if cost > 0:
+            yield self.host.sleep(cost)
         self.host.send(
             message.reply(
                 MessageType.REPLICA_STATE,
@@ -975,7 +990,8 @@ class CoordinatorComponent:
             cost = self.database.charge_write(
                 ("replica", self._replication_rounds, _), {}, TASK_DESCRIPTION_BYTES
             )
-            yield from self._charge(cost)
+            if cost > 0:
+                yield self.host.sleep(cost)
         self.registry.merge([Address(kind, name) for kind, name in state.known_coordinators])
         self.coordinator_detector.heard_from(message.source, self.env.now)
         self.registry.rehabilitate(message.source)

@@ -10,10 +10,10 @@ live objects.
 
 from __future__ import annotations
 
-from copy import deepcopy
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.net.message import snapshot_payload
 from repro.types import Address, CallIdentity, RPCId, SessionId, TaskState, UserId
 
 __all__ = [
@@ -99,10 +99,6 @@ class TaskRecord:
         """Identity of the underlying call."""
         return self.call.identity
 
-    def description_bytes(self) -> int:
-        """Bytes of the task description replicated / stored in the database."""
-        return TASK_DESCRIPTION_BYTES
-
     def to_replica_entry(self) -> dict[str, Any]:
         """Dictionary form shipped inside REPLICA_STATE messages."""
         return {
@@ -161,8 +157,8 @@ class ResultRecord:
             "size_bytes": self.size_bytes,
             "produced_by": (producer.kind, producer.name) if producer else None,
             "produced_at": self.produced_at,
-            "value": deepcopy(self.value) if self.value is not None else None,
-            "meta": deepcopy(self.meta) if self.meta else {},
+            "value": snapshot_payload(self.value),
+            "meta": snapshot_payload(self.meta),
         }
 
     @classmethod

@@ -28,6 +28,8 @@ class CoordinatorRegistry:
     suspected: set[Address] = field(default_factory=set)
     #: index of the preferred coordinator within ``coordinators``.
     _preferred_index: int = 0
+    #: ``str(address)`` -> address, filled by :meth:`by_name` on first use.
+    _by_name: dict[str, Address] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         seen = set()
@@ -67,6 +69,19 @@ class CoordinatorRegistry:
     def __contains__(self, address: Address) -> bool:
         return address in self.coordinators
 
+    def by_name(self, name: str) -> Address | None:
+        """The known coordinator whose ``str()`` is ``name`` (None if unknown).
+
+        Task records name their owner by string; the map saves formatting
+        every known address per lookup.  A hit is re-checked against the
+        list, so no mutation of ``coordinators`` can leave it stale.
+        """
+        address = self._by_name.get(name)
+        if address is None or address not in self.coordinators:
+            address = next((c for c in self.coordinators if str(c) == name), None)
+            self._by_name[name] = address
+        return address
+
     # -- suspicion ---------------------------------------------------------------
     def suspect(self, address: Address) -> None:
         """Locally mark a coordinator as suspect."""
@@ -86,13 +101,10 @@ class CoordinatorRegistry:
         """The current preferred coordinator (None when every one is suspected)."""
         if not self.coordinators:
             return None
-        candidates = self.unsuspected()
-        if not candidates:
-            return None
         current = self.coordinators[self._preferred_index % len(self.coordinators)]
-        if current in candidates:
+        if current not in self.suspected:
             return current
-        return candidates[0]
+        return next((a for a in self.coordinators if a not in self.suspected), None)
 
     def switch_preferred(self, away_from: Address | None = None) -> Address | None:
         """Select another, unsuspected coordinator as the preferred one.
@@ -141,18 +153,8 @@ class CoordinatorRegistry:
         entry after itself; the ring is therefore virtual and recomputed at
         every heart-beat.
         """
-        ordered = sorted(set(self.coordinators) | {me}, key=str)
-        if len(ordered) <= 1:
-            return None
-        start = ordered.index(me)
-        n = len(ordered)
-        for step in range(1, n):
-            candidate = ordered[(start + step) % n]
-            if candidate == me:
-                continue
-            if candidate not in self.suspected:
-                return candidate
-        return None
+        successors = self.ring_successors(me, 1)
+        return successors[0] if successors else None
 
     def ring_successors(self, me: Address, k: int) -> list[Address]:
         """Up to ``k`` unsuspected successors of ``me``, in ring order.

@@ -57,7 +57,6 @@ class FailureDetector:
     _suspected: set[Address] = field(default_factory=set)
     history: list[SuspicionEvent] = field(default_factory=list)
     wrong_suspicions: int = 0
-    missed_failures_checks: int = 0
 
     # -- observations -------------------------------------------------------------
     def watch(self, subject: Address, now: float) -> None:

@@ -29,36 +29,16 @@ Three scale-minded properties of the emitter:
 
 from __future__ import annotations
 
-import copy
-from types import MappingProxyType
 from typing import Any, Callable, Iterable
 
 from repro.config import FaultDetectionConfig
 from repro.errors import ConfigurationError
-from repro.net.message import Message, MessagePool, MessageType, default_pool
+from repro.net.message import MessagePool, MessageType, default_pool, snapshot_payload
 from repro.nodes.node import Host
 from repro.sim.core import PeriodicHandle
+from repro.sim.rng import jitter_factor
 
 __all__ = ["HeartbeatEmitter"]
-
-#: payload types that are immutable all the way down: safe to share across
-#: targets and beats without a defensive deep copy.
-_IMMUTABLE_SCALARS = (type(None), bool, int, float, complex, str, bytes, frozenset)
-
-
-def _snapshot_payload(value: Any) -> Any:
-    """Freeze one beat's payload: deep-copy only when mutation is possible.
-
-    None and scalar types are immutable, and a :class:`types.MappingProxyType`
-    is treated as frozen by contract (whoever wraps a mapping in a proxy for
-    the wire is promising not to mutate the underlying values).  An empty dict
-    (the default payload) is replaced by a fresh one instead of deep-copied.
-    """
-    if isinstance(value, _IMMUTABLE_SCALARS) or isinstance(value, MappingProxyType):
-        return value
-    if type(value) is dict and not value:
-        return {}
-    return copy.deepcopy(value)
 
 
 class HeartbeatEmitter:
@@ -106,7 +86,8 @@ class HeartbeatEmitter:
         self.stopped = False
         # Desynchronise emitters so every component does not beat in lockstep;
         # each subsequent beat draws its jittered period from _next_interval.
-        initial = float(self._rng.uniform(0.0, self.config.heartbeat_period))
+        # (uniform(0, period), drawn as the one double it is made of)
+        initial = self.config.heartbeat_period * self._rng.random()
         self._handle = self.host.env.call_periodic(
             None, self._tick, first_delay=initial, interval_fn=self._next_interval
         )
@@ -142,10 +123,9 @@ class HeartbeatEmitter:
         Evaluated by the kernel after each beat runs — the same position in
         the RNG stream a hand-rolled re-arming callback would draw at.
         """
-        jitter = float(
-            self._rng.uniform(1.0 - self.jitter_fraction, 1.0 + self.jitter_fraction)
+        return self.config.heartbeat_period * jitter_factor(
+            self._rng, self.jitter_fraction
         )
-        return self.config.heartbeat_period * jitter
 
     def _tick(self, _arg: Any = None) -> None:
         if self.stopped or not self.host.up:
@@ -165,7 +145,7 @@ class HeartbeatEmitter:
         live nested state (immutable payloads skip the copy).
         """
         count = 0
-        payload = _snapshot_payload(self.payload())
+        payload = snapshot_payload(self.payload())
         if type(payload) is dict:
             # Stamp the sender's incarnation so receivers can tell a fresh
             # restart from a continuation of the silent incarnation (the

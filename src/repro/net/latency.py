@@ -20,6 +20,7 @@ from typing import Protocol
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.sim.rng import jitter_factor
 from repro.types import Address
 
 __all__ = [
@@ -98,7 +99,7 @@ class LanLinkModel:
     ) -> float:
         base = self.latency + size_bytes / self.bandwidth_bps
         if self.jitter:
-            base *= float(rng.uniform(1.0 - self.jitter, 1.0 + self.jitter))
+            base *= jitter_factor(rng, self.jitter)
         return max(base, 0.0)
 
     def loss_probability(self, source: Address, dest: Address) -> float:
@@ -142,9 +143,7 @@ class InternetLinkModel:
         self, source: Address, dest: Address, size_bytes: int, rng: np.random.Generator
     ) -> float:
         latency = self.latency * float(rng.lognormal(0.0, self.latency_sigma))
-        bandwidth = self.bandwidth_bps * float(
-            rng.uniform(1.0 - self.bandwidth_fluctuation, 1.0 + self.bandwidth_fluctuation)
-        )
+        bandwidth = self.bandwidth_bps * jitter_factor(rng, self.bandwidth_fluctuation)
         duration = latency + size_bytes / max(bandwidth, 1.0)
         if self.stall_probability and float(rng.random()) < self.stall_probability:
             duration += float(rng.exponential(self.stall_mean))

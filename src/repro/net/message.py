@@ -1,10 +1,10 @@
 """Protocol message envelope (and the envelope free-list).
 
 Every exchange between components is a :class:`Message`: a typed, sized
-envelope whose payload is a plain dictionary of identifiers and
-:class:`~repro.types.SizedPayload` values.  The *size* is what the network,
-disk and database cost models act upon; the content is what the protocol state
-machines act upon.
+envelope whose payload is a plain dictionary of identifiers and values, with
+the application bytes it stands for declared in ``size_bytes``.  The *size* is
+what the network, disk and database cost models act upon; the content is what
+the protocol state machines act upon.
 
 High-rate protocol-internal traffic (heartbeats, pings) can recycle its
 envelopes through a :class:`MessagePool` instead of allocating a fresh slotted
@@ -18,14 +18,23 @@ the pool.
 
 from __future__ import annotations
 
+import copy
 import enum
 import itertools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any
 
 from repro.types import Address
 
-__all__ = ["MessageType", "Message", "MessagePool", "default_pool", "reset_message_seq"]
+__all__ = [
+    "MessageType",
+    "Message",
+    "MessagePool",
+    "default_pool",
+    "reset_message_seq",
+    "snapshot_payload",
+]
 
 _MESSAGE_SEQ = itertools.count(1)
 
@@ -39,6 +48,35 @@ def reset_message_seq() -> None:
     """
     global _MESSAGE_SEQ
     _MESSAGE_SEQ = itertools.count(1)
+
+#: payload leaves that are immutable all the way down.
+_IMMUTABLE_SCALARS = (type(None), bool, int, float, complex, str, bytes, frozenset)
+
+
+def snapshot_payload(value: Any) -> Any:
+    """A frozen-in-time copy of ``value``: no mutable state shared with it.
+
+    Scalars are immutable, and a :class:`types.MappingProxyType` is treated
+    as frozen by contract (whoever wraps a mapping in a proxy for the wire is
+    promising not to mutate the underlying values).  A flat dict of scalars
+    and lists / tuples of scalars — every payload the protocol itself builds
+    — is copied directly; anything nested deeper is deep-copied.
+    """
+    if isinstance(value, _IMMUTABLE_SCALARS) or isinstance(value, MappingProxyType):
+        return value
+    if type(value) is not dict:
+        return copy.deepcopy(value)
+    flat = {}
+    for key, item in value.items():
+        if type(item) in (list, tuple) and all(
+            isinstance(leaf, _IMMUTABLE_SCALARS) for leaf in item
+        ):
+            item = type(item)(item)
+        elif not isinstance(item, _IMMUTABLE_SCALARS):
+            return copy.deepcopy(value)
+        flat[key] = item
+    return flat
+
 
 #: Fixed per-message envelope overhead in bytes (headers, identifiers, the
 #: ~300-byte task descriptions of Fig. 5 are dominated by this kind of data).

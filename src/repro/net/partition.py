@@ -28,15 +28,20 @@ class PartitionManager:
         self._blocked: set[tuple[Address, Address]] = set()
         #: named symmetric partitions: name -> (group_a, group_b)
         self._partitions: dict[str, tuple[frozenset[Address], frozenset[Address]]] = {}
+        #: whether any rule exists; the transport reads it per message and skips
+        #: :meth:`allows` while False, so every mutator below keeps it current.
+        self.active = False
 
     # -- one-way visibility rules -------------------------------------------
     def hide(self, dest: Address, from_source: Address) -> None:
         """Block messages ``from_source`` -> ``dest`` (one-way)."""
         self._blocked.add((from_source, dest))
+        self.active = True
 
     def unhide(self, dest: Address, from_source: Address) -> None:
         """Remove a one-way block if present."""
         self._blocked.discard((from_source, dest))
+        self.active = bool(self._blocked or self._partitions)
 
     def hide_bidirectional(self, a: Address, b: Address) -> None:
         """Block messages in both directions between ``a`` and ``b``."""
@@ -54,19 +59,24 @@ class PartitionManager:
     ) -> None:
         """Install a named symmetric partition between two groups."""
         self._partitions[name] = (frozenset(group_a), frozenset(group_b))
+        self.active = True
 
     def heal(self, name: str) -> None:
         """Remove a named partition (no-op if absent)."""
         self._partitions.pop(name, None)
+        self.active = bool(self._blocked or self._partitions)
 
     def heal_all(self) -> None:
         """Remove every partition and every one-way rule."""
         self._partitions.clear()
         self._blocked.clear()
+        self.active = False
 
     # -- queries ------------------------------------------------------------
     def allows(self, source: Address, dest: Address) -> bool:
         """True if a message from ``source`` to ``dest`` may be delivered."""
+        if not self.active:
+            return True
         if (source, dest) in self._blocked:
             return False
         for group_a, group_b in self._partitions.values():
@@ -75,10 +85,6 @@ class PartitionManager:
             ):
                 return False
         return True
-
-    def blocked_pairs(self) -> set[tuple[Address, Address]]:
-        """All currently blocked one-way pairs (excluding group partitions)."""
-        return set(self._blocked)
 
     def reachability_graph(self, addresses: Iterable[Address]) -> "nx.DiGraph":
         """Directed graph of who can currently send to whom.

@@ -195,10 +195,6 @@ class Network:
         """All registered addresses."""
         return list(self._endpoints)
 
-    def is_registered(self, address: Address) -> bool:
-        """Whether ``address`` has an endpoint."""
-        return address in self._endpoints
-
     def set_endpoint_up(self, address: Address, up: bool) -> None:
         """Mark an endpoint up/down (called by the node substrate)."""
         endpoint = self.endpoint(address)
@@ -237,7 +233,9 @@ class Network:
             self.monitor.incr("net.dropped.unknown_dest")
             message.release()
             return
-        if not self.partitions.allows(message.source, message.dest):
+        # Read live: a rule installed mid-run must block the very next send.
+        partitions = self.partitions
+        if partitions.active and not partitions.allows(message.source, message.dest):
             self.monitor.incr("net.dropped.partition")
             message.release()
             return
@@ -293,7 +291,8 @@ class Network:
             self.monitor.incr("net.dropped.unknown_dest")
             message.release()
             return
-        if not self.partitions.allows(message.source, message.dest):
+        partitions = self.partitions
+        if partitions.active and not partitions.allows(message.source, message.dest):
             self.monitor.incr("net.dropped.partition")
             message.release()
             return

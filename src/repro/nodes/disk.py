@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.sim.rng import jitter_factor
 
 __all__ = ["DiskModel"]
 
@@ -72,7 +73,7 @@ class DiskModel:
         """
         base = self.sync_write_time(size_bytes) * self.cache_sync_fraction
         if rng is not None and self.cache_jitter:
-            base *= float(rng.uniform(1.0 - self.cache_jitter, 1.0 + self.cache_jitter))
+            base *= jitter_factor(rng, self.cache_jitter)
             base = max(base, 0.0)
         return base
 

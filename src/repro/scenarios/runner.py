@@ -19,6 +19,7 @@ import multiprocessing
 import os
 import pickle
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Any, Callable, Mapping, Sequence
 
@@ -151,6 +152,9 @@ class SweepRunner:
         self.resume = resume and store is not None
         #: cells reused from checkpoints by the last :meth:`run` call.
         self.resumed_cells = 0
+        #: why the last :meth:`run` fell back from the pool to sequential
+        #: execution ("<ExceptionType>: <message>"); ``None`` when it did not.
+        self.parallel_fallback: str | None = None
 
     # ------------------------------------------------------------------- run
     def run(self, save: bool = False) -> RunResult:
@@ -177,6 +181,7 @@ class SweepRunner:
         started = time.perf_counter()
         todo = [cell for cell in cells if (cell.index, cell.seed) not in done]
         parallel = self.jobs > 1 and len(todo) > 1
+        self.parallel_fallback = None
         if parallel:
             fresh = self._run_parallel(todo, spec_hash if checkpointing else None)
             parallel = fresh is not None
@@ -236,6 +241,8 @@ class SweepRunner:
         )
         if self.resumed_cells:
             result.manifest["resumed_cells"] = self.resumed_cells
+        if self.parallel_fallback:
+            result.manifest["parallel_fallback"] = self.parallel_fallback
         if save:
             store = self.store or ResultsStore()
             result.manifest["artifact"] = str(store.save(result))
@@ -311,48 +318,59 @@ class SweepRunner:
 
         Results come back in cell order regardless of completion order (each
         is checkpointed as its future completes when a checkpoint hash is
-        given).  A pool that cannot start (restricted sandboxes) or a cell
-        that cannot cross the process boundary (a non-module-level kernel)
-        degrades to the sequential path instead of failing the sweep;
-        genuine cell errors still propagate.
+        given).  A pool that cannot start (restricted sandboxes) or a kernel
+        that cannot cross the process boundary (not module-level) degrades
+        to the sequential path: one ``RuntimeWarning``, and the reason kept
+        in :attr:`parallel_fallback` for the manifest.  Both are found out
+        before any cell runs, so an exception raised later is a cell's own
+        and propagates — once, with no sequential re-run.
         """
         context = None
         if "fork" in multiprocessing.get_all_start_methods():
             # Fork keeps worker start-up cheap (no re-import per worker).
             context = multiprocessing.get_context("fork")
+        pool = None
         try:
-            with ProcessPoolExecutor(
+            pickle.dumps((self.spec.cell, [cell.call_params for cell in cells]))
+            pool = ProcessPoolExecutor(
                 max_workers=min(self.jobs, len(cells)), mp_context=context
-            ) as pool:
-                futures = {
-                    pool.submit(
-                        _execute_cell,
-                        self.spec.cell,
-                        cell.call_params,
-                        self.spec.cell_timeout,
-                    ): cell
-                    for cell in cells
-                }
-                if checkpoint_hash is not None:
-                    # Checkpoint every success even when some cell fails —
-                    # a resume after the failure must not recompute cells
-                    # that had already finished by the time it struck.
-                    first_error: BaseException | None = None
-                    for future in as_completed(futures):
-                        try:
-                            outcome = future.result()
-                        except (OSError, PermissionError, pickle.PicklingError,
-                                AttributeError):
-                            raise
-                        except BaseException as error:  # noqa: BLE001
-                            first_error = first_error or error
-                            continue
-                        self._checkpoint(checkpoint_hash, futures[future], outcome)
-                    if first_error is not None:
-                        raise first_error
-                return [future.result() for future in futures]
-        except (OSError, PermissionError, pickle.PicklingError, AttributeError):
+            )
+            futures = {
+                pool.submit(
+                    _execute_cell,
+                    self.spec.cell,
+                    cell.call_params,
+                    self.spec.cell_timeout,
+                ): cell
+                for cell in cells
+            }
+        except (OSError, pickle.PicklingError, AttributeError, TypeError) as error:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
+            self.parallel_fallback = f"{type(error).__name__}: {error}"
+            warnings.warn(
+                f"sweep {self.spec.name!r}: no process pool "
+                f"({self.parallel_fallback}); running sequentially",
+                RuntimeWarning,
+                stacklevel=3,
+            )
             return None
+        with pool:
+            if checkpoint_hash is not None:
+                # Checkpoint every success even when some cell fails —
+                # a resume after the failure must not recompute cells
+                # that had already finished by the time it struck.
+                first_error: BaseException | None = None
+                for future in as_completed(futures):
+                    try:
+                        outcome = future.result()
+                    except BaseException as error:  # noqa: BLE001
+                        first_error = first_error or error
+                        continue
+                    self._checkpoint(checkpoint_hash, futures[future], outcome)
+                if first_error is not None:
+                    raise first_error
+            return [future.result() for future in futures]
 
 
 def run_scenario(

@@ -25,10 +25,21 @@ import json
 
 import numpy as np
 
-__all__ = ["CRN_PREFIX", "RandomStreams"]
+__all__ = ["CRN_PREFIX", "RandomStreams", "jitter_factor"]
 
 #: stream-name prefix whose streams re-key off ``crn_seed`` when it is set.
 CRN_PREFIX = "crn."
+
+
+def jitter_factor(rng: np.random.Generator, fraction: float) -> float:
+    """One multiplicative jitter draw in ``[1 - fraction, 1 + fraction)``.
+
+    Bit-identical to ``float(rng.uniform(1 - fraction, 1 + fraction))`` —
+    numpy computes ``low + (high - low) * next_double`` — and consumes the
+    same single double, without ``uniform``'s per-call argument handling.
+    """
+    low = 1.0 - fraction
+    return low + ((1.0 + fraction) - low) * rng.random()
 
 
 class RandomStreams:
@@ -93,14 +104,6 @@ class RandomStreams:
         if mean <= 0:
             raise ValueError("mean must be positive")
         return float(self.stream(name).exponential(mean))
-
-    def uniform(self, name: str, low: float, high: float) -> float:
-        """One uniform draw in ``[low, high)`` from stream ``name``."""
-        return float(self.stream(name).uniform(low, high))
-
-    def lognormal(self, name: str, mean: float, sigma: float) -> float:
-        """One log-normal draw (of the underlying normal) from ``name``."""
-        return float(self.stream(name).lognormal(mean, sigma))
 
     def choice(self, name: str, options: list) -> object:
         """Pick one element of ``options`` uniformly from stream ``name``."""

@@ -10,9 +10,8 @@ own module shared by every tier.
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "ComponentKind",
@@ -24,7 +23,6 @@ __all__ = [
     "SessionId",
     "RPCId",
     "CallIdentity",
-    "new_address_factory",
 ]
 
 
@@ -67,20 +65,19 @@ class LoggingStrategy(enum.Enum):
     PESSIMISTIC_NON_BLOCKING = "pessimistic-non-blocking"
 
 
-@dataclass(frozen=True, order=True)
-class Address:
-    """Logical address of a component endpoint on the simulated network."""
+class Address(NamedTuple):
+    """Logical address of a component endpoint on the simulated network.
+
+    A plain ``(kind, name)`` tuple with field names: every endpoint, route,
+    detector, registry and task-bucket lookup keys on addresses, so hashing
+    and equality run in C.  It therefore compares equal to the bare tuple.
+    """
 
     kind: str
     name: str
 
     def __str__(self) -> str:
         return f"{self.kind}:{self.name}"
-
-
-def new_address_factory(kind: ComponentKind) -> "itertools.count[int]":
-    """A fresh per-kind counter for generating addresses in builders."""
-    return itertools.count()
 
 
 # Identifier newtypes.  Plain ints/strs wrapped in frozen dataclasses so that
@@ -132,22 +129,3 @@ class CallIdentity:
 
     def __str__(self) -> str:
         return f"{self.user}/{self.session}/{self.rpc}"
-
-
-@dataclass
-class SizedPayload:
-    """A payload whose only simulated property is its size in bytes.
-
-    Real argument marshalling is irrelevant to the protocol; what matters to
-    every experiment is *how many bytes* cross the network, the disk and the
-    database.  An optional ``data`` field carries real Python values for the
-    live threaded runtime and the examples.
-    """
-
-    size_bytes: int
-    data: Any = None
-    meta: dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.size_bytes < 0:
-            raise ValueError("payload size must be non-negative")

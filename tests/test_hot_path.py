@@ -1,0 +1,256 @@
+"""Contracts the per-message fast paths lean on.
+
+Each path replaced a slower one in place; the slower definition lives on here
+as the reference model the fast one must agree with.
+"""
+
+from __future__ import annotations
+
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.net.message as message_module
+from repro.config import FaultDetectionConfig
+from repro.core.registry import CoordinatorRegistry
+from repro.detect.heartbeat import HeartbeatEmitter
+from repro.net.message import Message, MessagePool, MessageType
+from repro.net.partition import PartitionManager
+from repro.net.transport import Network
+from repro.nodes.node import Host
+from repro.scenarios import GridTopology, WorkloadSpec, execute_benchmark
+from repro.sim.core import Environment
+from repro.sim.rng import RandomStreams, jitter_factor
+from repro.types import Address
+
+A = Address("client", "a")
+B = Address("server", "b")
+C = Address("server", "c")
+
+
+class TestAddress:
+    def test_hashes_and_compares_as_its_tuple(self):
+        # The dataclass it replaced hashed (kind, name) by hand: same values,
+        # so set / dict iteration order did not move.
+        assert hash(B) == hash(("server", "b"))
+        assert B == Address("server", "b") and B != C
+        assert len({B, Address("server", "b"), C}) == 2
+
+    def test_equals_the_plain_tuple(self):
+        """Tuple semantics are the price of C-level hashing: documented here."""
+        assert B == ("server", "b")
+        assert {B: 1}[("server", "b")] == 1
+
+    def test_orders_lexicographically_by_kind_then_name(self):
+        shuffled = [C, A, Address("coordinator", "z"), B]
+        assert sorted(shuffled) == [A, Address("coordinator", "z"), B, C]
+        assert A < B < C
+
+    def test_str_and_repr_are_unchanged(self):
+        assert str(B) == f"{B}" == "server:b"
+        assert repr(B) == "Address(kind='server', name='b')"
+
+    def test_survives_pickling_and_payload_reconstruction(self):
+        clone = pickle.loads(pickle.dumps(B))
+        assert clone == B and type(clone) is Address
+        # Payloads carry addresses as a (kind, name) pair; the receiver
+        # rebuilds the address and uses it as a key.
+        table = {B: "endpoint"}
+        assert table[Address(*["server", "b"])] == "endpoint"
+        assert table[Address(*(B.kind, B.name))] == "endpoint"
+
+
+class TestJitterFactor:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**63 - 1),
+        fraction=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    )
+    def test_draws_exactly_what_uniform_draws(self, seed, fraction):
+        ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(1000):
+            drawn = jitter_factor(ours, fraction)
+            assert type(drawn) is float
+            assert drawn == float(reference.uniform(1.0 - fraction, 1.0 + fraction))
+        # One double each per draw: the streams stay in lockstep.
+        assert ours.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.fixture
+def wired():
+    """A zero-latency network with A and B attached; returns (env, network, b)."""
+    env = Environment()
+    network = Network(env, rng=RandomStreams(1))
+    network.register(A)
+    return env, network, network.register(B)
+
+
+def _ping() -> Message:
+    return Message(MessageType.PING, A, B)
+
+
+class TestPartitionGate:
+    def test_allows_is_never_entered_without_a_rule(self, wired, monkeypatch):
+        env, network, b = wired
+        entered = []
+        real = PartitionManager.allows
+
+        def counting(self, source, dest):
+            entered.append((source, dest))
+            return real(self, source, dest)
+
+        monkeypatch.setattr(PartitionManager, "allows", counting)
+        for _ in range(5):
+            network.send(_ping())
+        env.run()
+        assert b.delivered == 5 and entered == []
+        # ...and is consulted again as soon as one exists, at both ends.
+        network.partitions.hide(C, from_source=A)
+        network.send(_ping())
+        env.run()
+        assert b.delivered == 6 and entered == [(A, B), (A, B)]
+
+    @pytest.mark.parametrize(
+        "install",
+        [
+            lambda partitions: partitions.hide(B, from_source=A),
+            lambda partitions: partitions.partition("split", [A], [B]),
+        ],
+        ids=["hide", "named-partition"],
+    )
+    def test_a_rule_installed_mid_flight_blocks_delivery_and_next_send(
+        self, wired, install
+    ):
+        env, network, b = wired
+        network.send(_ping())  # in flight: no rule existed at send time
+        install(network.partitions)
+        network.send(_ping())  # dropped at send
+        env.run()
+        assert b.delivered == 0
+        assert network.stats()["net.dropped.partition"] == 2
+        network.partitions.heal_all()
+        assert not network.partitions.active
+        network.send(_ping())
+        env.run()
+        assert b.delivered == 1
+        assert network.stats()["net.dropped.partition"] == 2
+
+    def test_active_tracks_every_mutator(self):
+        partitions = PartitionManager()
+        assert not partitions.active and partitions.allows(A, B)
+        partitions.hide_bidirectional(A, B)
+        partitions.partition("split", [A], [C])
+        partitions.unhide_bidirectional(A, B)
+        assert partitions.active and partitions.allows(A, B)
+        assert not partitions.allows(C, A)
+        partitions.heal("split")
+        assert not partitions.active and partitions.allows(C, A)
+
+
+def _reference_preferred(registry: CoordinatorRegistry) -> Address | None:
+    """The list-based definition ``preferred()`` used to execute."""
+    if not registry.coordinators:
+        return None
+    candidates = registry.unsuspected()
+    if not candidates:
+        return None
+    current = registry.coordinators[
+        registry._preferred_index % len(registry.coordinators)
+    ]
+    return current if current in candidates else candidates[0]
+
+
+class TestRegistryFastPaths:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        size=st.integers(min_value=0, max_value=5),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(["suspect", "rehabilitate", "switch", "remove", "merge"]),
+                st.integers(min_value=0, max_value=6),
+            ),
+            max_size=30,
+        ),
+    )
+    def test_preferred_and_by_name_agree_with_the_list_walk(self, size, steps):
+        pool = [Address("coordinator", f"k{i}") for i in range(7)]
+        registry = CoordinatorRegistry(pool[:size])
+        for action, index in steps:
+            target = pool[index]
+            if action == "switch":
+                registry.switch_preferred(target if index % 2 else None)
+            elif action == "merge":
+                registry.merge([target])
+            else:
+                getattr(registry, action)(target)
+            assert registry.preferred() == _reference_preferred(registry)
+            for address in pool:
+                known = address if address in registry.coordinators else None
+                assert registry.by_name(str(address)) == known
+
+    def test_by_name_survives_the_list_being_replaced(self):
+        k0, k1 = Address("coordinator", "k0"), Address("coordinator", "k1")
+        registry = CoordinatorRegistry([k0, k1])
+        assert registry.by_name("coordinator:k0") == k0
+        registry.coordinators = [k1]  # what the partitioned-views component does
+        assert registry.by_name("coordinator:k0") is None
+        assert registry.by_name("coordinator:k1") == k1
+
+
+class TestHeartbeatSnapshot:
+    @pytest.mark.parametrize(
+        "payload, mutate",
+        [
+            (
+                {"working_on": ["u", "s", 3], "session": ("u", "s"), "load": 0.5},
+                lambda p: p["working_on"].append(4),
+            ),
+            (
+                {"abstract": {"known": [["coordinator", "k0"]]}},
+                lambda p: p["abstract"]["known"][0].append("k1"),
+            ),
+        ],
+        ids=["flat", "nested"],
+    )
+    def test_mutation_after_the_beat_reaches_no_sent_message(self, payload, mutate):
+        env = Environment()
+        network = Network(env, rng=RandomStreams(1))
+        host = Host(env, network, B, rng=RandomStreams(2))
+        target = Host(env, network, A, rng=RandomStreams(3))
+        expected = pickle.loads(pickle.dumps(payload))
+        expected["incarnation"] = 0
+        emitter = HeartbeatEmitter(
+            host=host,
+            config=FaultDetectionConfig(),
+            mtype=MessageType.SERVER_HEARTBEAT,
+            targets=lambda: [A],
+            payload=lambda: payload,
+        )
+        assert emitter.beat_now() == 1
+        mutate(payload)
+        env.run()
+        assert target.endpoint.try_recv().payload == expected
+        assert "incarnation" not in payload  # the stamp went on the copy
+
+
+class TestInPlaceHandlers:
+    def test_pooled_envelopes_are_released_exactly_as_before(self, monkeypatch):
+        """Heart-beats skip the handler generator, not the release.
+
+        207 is the parent commit's count for this run (12 calls of 30 s on 4
+        servers / 3 coordinators, seed 3, a fresh pool), measured before the
+        in-place dispatch existed.
+        """
+        pool = MessagePool()
+        monkeypatch.setattr(message_module, "_DEFAULT_POOL", pool)
+        report = execute_benchmark(
+            GridTopology(n_servers=4, n_coordinators=3),
+            WorkloadSpec(n_calls=12, exec_time=30.0),
+            seed=3,
+            horizon=5000.0,
+        )
+        assert report.outputs()["completed"] == 12
+        assert pool.releases == 207 and pool.dropped == 0

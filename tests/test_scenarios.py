@@ -323,6 +323,51 @@ class TestSweepResume:
         assert len(runner.run().cells) == 6
 
 
+def _attribute_error_cell(seed: int = 0, state_dir: str = "", **_: object) -> dict:
+    """Module-level kernel whose own bug is an ``AttributeError``."""
+    from pathlib import Path
+
+    with (Path(state_dir) / f"ran-s{seed}").open("a") as marker:
+        marker.write("x")
+    return {"y": None.missing}
+
+
+class TestPoolFallback:
+    def test_a_cells_own_attribute_error_propagates_once(self, tmp_path):
+        """An error raised inside a cell is not a pool that failed to start:
+        it must surface from the parallel run, not trigger a sequential
+        re-run of the whole sweep first."""
+        spec = ScenarioSpec(
+            name="buggy-sweep",
+            title="cell raising AttributeError",
+            cell=_attribute_error_cell,
+            base=dict(state_dir=str(tmp_path)),
+            seeds=(0, 1, 2),
+        )
+        runner = SweepRunner(spec, jobs=2)
+        with pytest.raises(AttributeError, match="missing"):
+            runner.run()
+        runs = {path.name: len(path.read_text()) for path in tmp_path.glob("ran-*")}
+        assert runs == {"ran-s0": 1, "ran-s1": 1, "ran-s2": 1}
+        assert runner.parallel_fallback is None
+
+    def test_an_unpicklable_kernel_falls_back_loudly(self):
+        spec = ScenarioSpec(
+            name="local-kernel-sweep",
+            title="kernel that cannot cross a process boundary",
+            cell=lambda seed=0, **_: {"y": seed},
+            seeds=(0, 1),
+        )
+        with pytest.warns(RuntimeWarning, match="running sequentially") as caught:
+            result = SweepRunner(spec, jobs=2).run()
+        assert len(caught) == 1
+        assert [row["y"] for row in result.rows] == [0, 1]
+        assert not result.parallel and result.jobs == 1
+        reason = result.manifest["parallel_fallback"]
+        assert reason.split(":")[0] in {"PicklingError", "AttributeError"}
+        assert "parallel_fallback" not in SweepRunner(spec, jobs=1).run().manifest
+
+
 class TestCliProtocolSelection:
     def test_protocol_and_set_reach_the_kernel(self, tmp_path, capsys):
         base = ["run", "churn-survival", "--scale", "tiny", "--jobs", "1",
