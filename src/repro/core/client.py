@@ -153,7 +153,7 @@ class ClientComponent:
             self._heartbeat.stop()
         for coordinator in self.registry.known():
             self.detector.watch(coordinator, self.env.now)
-        self.host.spawn(self._recv_loop(), name=f"{self.address}:recv")
+        self.host.on_message(self._dispatch)
         self.host.spawn(self._poll_loop(), name=f"{self.address}:poll")
         self.host.spawn(self._coordinator_watch_loop(), name=f"{self.address}:watch")
         self._heartbeat = HeartbeatEmitter(
@@ -446,18 +446,6 @@ class ClientComponent:
         return plan
 
     # ----------------------------------------------------------------- loops
-    def _recv_loop(self):
-        # Batched drain (recv_many): fan-in replies — submit acks, pulled
-        # results — landing in the same tick resume the session once, not
-        # once per message.
-        try:
-            while True:
-                batch: list[Message] = yield self.host.recv_many()
-                for message in batch:
-                    self._dispatch(message)
-        except ProcessKilled:  # pragma: no cover - host crash
-            return
-
     def _dispatch(self, message: Message) -> None:
         self.detector.heard_from(message.source, self.env.now)
         self.registry.rehabilitate(message.source)

@@ -87,7 +87,7 @@ class ServerComponent:
             self._heartbeat.stop()
         for coordinator in self.registry.known():
             self.detector.watch(coordinator, self.env.now)
-        self.host.spawn(self._recv_loop(), name=f"{self.name}:recv")
+        self.host.on_message(self._dispatch)
         self.host.spawn(self._work_loop(), name=f"{self.name}:work")
         self._heartbeat = HeartbeatEmitter(
             host=self.host,
@@ -123,17 +123,6 @@ class ServerComponent:
         return self.registry.preferred()
 
     # ------------------------------------------------------------------ messaging
-    def _recv_loop(self):
-        # Batched drain: one resume per tick however many messages landed
-        # (recv_many), instead of one resume per message.
-        try:
-            while True:
-                batch: list[Message] = yield self.host.recv_many()
-                for message in batch:
-                    self._dispatch(message)
-        except ProcessKilled:  # pragma: no cover - host crash
-            return
-
     def _dispatch(self, message: Message) -> None:
         self.detector.heard_from(message.source, self.env.now)
         self.registry.rehabilitate(message.source)

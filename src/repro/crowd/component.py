@@ -33,7 +33,6 @@ from repro.net.message import Message, MessageType, default_pool
 from repro.nodes.node import Host
 from repro.platform.component import BaseComponent
 from repro.platform.registry import component
-from repro.sim.core import ProcessKilled
 from repro.types import Address
 
 __all__ = ["CrowdComponent"]
@@ -181,7 +180,7 @@ class CrowdComponent(BaseComponent):
         if self.host is None:
             raise ConfigurationError(f"{self.name} started before setup")
         self.started = True
-        self.host.spawn(self._recv_loop(), name=f"{self.name}:recv")
+        self.host.on_message(self._dispatch)
         self._tick_handle = self.env.call_periodic(
             self.tick_period, self._tick, first_delay=self.tick_period
         )
@@ -336,16 +335,6 @@ class CrowdComponent(BaseComponent):
             self.monitor.incr("crowd.heartbeats")
 
     # ---------------------------------------------------------------- receive
-    def _recv_loop(self):
-        # Batched drain: one resume per tick however many acks/results land.
-        try:
-            while True:
-                batch: list[Message] = yield self.host.recv_many()
-                for message in batch:
-                    self._dispatch(message)
-        except ProcessKilled:  # pragma: no cover - host crash
-            return
-
     def _dispatch(self, message: Message) -> None:
         source = message.source
         self.registry.rehabilitate(source)

@@ -35,6 +35,11 @@ class Endpoint:
         self.env = env
         self.address = address
         self.mailbox: Store = Store(env)
+        #: when set, ``handler(message)`` runs on delivery (after the delivery
+        #: hooks) and nothing is queued: for components whose receive loop
+        #: would only dispatch.  It must not block, and it dies with the
+        #: incarnation (mark_down), exactly as a receive process would.
+        self.handler: Callable[[Message], None] | None = None
         self.up = True
         #: bumped on every mark_up(): a message stamped with an older
         #: incarnation at send time is dropped at delivery time, so traffic
@@ -54,11 +59,11 @@ class Endpoint:
     def recv_many(self):
         """Event triggering with the same-tick *batch* of delivered messages.
 
-        The value is a non-empty list in delivery (FIFO) order.  Same-tick
-        deliveries are coalesced: however many messages land at one tick,
-        the receiver is resumed once, with all of them — the batched-wakeup
-        path for server/coordinator drain loops.  Messages already queued
-        trigger immediately (with the whole backlog).
+        The value is a list in delivery (FIFO) order.  Same-tick deliveries
+        are coalesced: the first one wakes the receiver and those landing
+        before the kernel resumes it join the same list — the drain path of
+        a receiver that blocks while it handles (the coordinator).  Messages
+        already queued trigger immediately (with the whole backlog).
         """
         return self.mailbox.get_all()
 
@@ -69,16 +74,19 @@ class Endpoint:
     def mark_down(self) -> int:
         """Crash semantics: drop queued messages and refuse new deliveries.
 
-        Pooled protocol-internal envelopes among the dropped messages go
-        back to their free list — a crashed mailbox is a guaranteed
+        Pooled protocol-internal envelopes among the dropped messages — a
+        batch already woken but not yet handed to its receiver included — go
+        back to their free list: a crashed mailbox is a guaranteed
         nobody-retains-it drop point.
         """
         self.up = False
-        for message in self.mailbox.items:
+        self.handler = None
+        dropped = self.mailbox.drain()
+        for message in dropped:
             release = getattr(message, "release", None)
             if release is not None:
                 release()
-        return self.mailbox.clear()
+        return len(dropped)
 
     def mark_up(self) -> None:
         """Restart semantics: accept deliveries again (mailbox starts empty).
@@ -312,11 +320,15 @@ class Network:
         endpoint.delivered += 1
         self._c_delivered.value += 1.0
         self._c_bytes_delivered.value += message.wire_bytes
-        # put_nowait: the transport never observes the put outcome, so the
-        # per-delivery Event allocation of Store.put would be pure waste.
-        endpoint.mailbox.put_nowait(message)
+        handler = endpoint.handler
+        if handler is None:
+            # put_nowait: the transport never observes the put outcome, so
+            # the per-delivery Event allocation of Store.put would be waste.
+            endpoint.mailbox.put_nowait(message)
         for hook in self._delivery_hooks:
             hook(message)
+        if handler is not None:
+            handler(message)
 
     # -- convenience -------------------------------------------------------------
     def stats(self) -> dict[str, float]:

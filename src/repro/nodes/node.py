@@ -213,6 +213,16 @@ class Host:
         """
         return self.endpoint.recv_many()
 
+    def on_message(self, handler: Callable[[Any], None]) -> None:
+        """Handle deliveries in place instead of receiving them in a process.
+
+        ``handler(message)`` runs from the delivery callback; like a spawned
+        receive loop it is gone after a crash, so ``start()`` installs it.
+        """
+        if not self.up:
+            raise ConfigurationError(f"cannot receive on crashed host {self.address}")
+        self.endpoint.handler = handler
+
     # -- reporting ---------------------------------------------------------------
     def availability(self) -> float:
         """Fraction of elapsed time this host has been up so far."""

@@ -18,7 +18,10 @@ The kernel follows the process-interaction world view:
 
 Cancellation matters because the RPC-V protocol is timeout-driven end to end:
 every request races a reply against a retry timer, and the losing side of the
-race must not linger.  Abandoned waits cascade: when the last waiter of an
+race must not linger.  That race — one event, one time-out — is also the
+cheapest wait there is: the process blocks on the event itself and the
+time-out is one cancellable callback entry, no :class:`Timeout`, no
+:class:`AnyOf`.  Abandoned waits cascade: when the last waiter of an
 event is detached the event's *abandon hook* runs, which cancels orphaned
 timeouts, withdraws conditions from their constituent events, and purges
 store getter queues — so a killed process reclaims everything it was blocked
@@ -990,6 +993,18 @@ class WaitOutcome:
         return f"<WaitOutcome fired={len(self.events)} expired={self.expired}>"
 
 
+def _expire_wait(process: Process) -> None:
+    """Expiry of a direct :func:`wait_any`: detach the process and resume it.
+
+    Runs only while the process still waits on its event — any other way out
+    of the wait cancels this entry first — and the same-tick lanes are empty
+    whenever a heap entry fires, so the event cannot be half-way to resuming
+    the process.
+    """
+    process._target.cancel_wait(process)
+    process._resume(None)
+
+
 def wait_any(env: "Environment", events: Iterable[Event], timeout: float | None = None):
     """Race ``events`` (optionally against a ``timeout``), with guaranteed cleanup.
 
@@ -997,27 +1012,49 @@ def wait_any(env: "Environment", events: Iterable[Event], timeout: float | None 
     (or the :meth:`Environment.wait_any` / :meth:`Process.wait_any` shorthands).
     Returns a :class:`WaitOutcome`.  Whatever way the wait ends — a payload
     event fires, the timeout expires, the process is interrupted or killed —
-    every losing event is detached from and a losing (or pending) expiry timer
-    is cancelled, so racing waits leave neither stale callbacks on long-lived
+    every losing event is detached from and a losing (or pending) expiry is
+    cancelled, so racing waits leave neither stale callbacks on long-lived
     events nor dead timers in the heap.
+
+    One pending event against a positive timeout — every reply-vs-retry race
+    of the protocol — costs no intermediate event: the process waits on the
+    event itself, and the expiry is one cancellable callback-lane entry that
+    detaches and resumes it.  The expiry draws its sequence number here, so
+    a reply due at the very instant of the deadline loses to it exactly when
+    it was sent after the wait began (see README "Thinking about time").
     """
     events = list(events)
-    expiry = Timeout(env, timeout) if timeout is not None else None
-    race: list[Event] = list(events)
-    if expiry is not None:
-        race.append(expiry)
-    condition = AnyOf(env, race)
+    if (
+        timeout is not None
+        and timeout > 0.0
+        and len(events) == 1
+        and events[0].callbacks is not None
+        and not events[0]._cancelled
+    ):
+        event = events[0]
+        expiry = env.call_at_cancellable(
+            env._now + timeout, _expire_wait, env._active_process
+        )
+        try:
+            yield event
+        finally:
+            expiry.cancel()
+        if expiry._fired:
+            return WaitOutcome({}, expired=True)
+        return WaitOutcome({event: event._value}, expired=False)
+    timer = Timeout(env, timeout) if timeout is not None else None
+    condition = AnyOf(env, events if timer is None else [*events, timer])
     try:
         yield condition
     finally:
         condition.cancel()
-        if expiry is not None and not expiry._processed:
-            expiry.cancel()
+        if timer is not None and not timer._processed:
+            timer.cancel()
     # "Fired" means processed by the time the race resolved: a Timeout holds
     # its value from construction (triggered at birth), so the triggered flag
     # would wrongly report raced-and-cancelled timers as winners.
     fired = {event: event._value for event in events if event._processed}
-    return WaitOutcome(fired, expired=expiry is not None and expiry._processed)
+    return WaitOutcome(fired, expired=timer is not None and timer._processed)
 
 
 # ---------------------------------------------------------------------------

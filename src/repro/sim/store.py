@@ -27,16 +27,12 @@ class StoreClosed(RuntimeError):
 class _BatchGet(Event):
     """Marker event for :meth:`Store.get_all` (batched, coalescing gets).
 
-    ``_wake_armed`` is True while a same-tick finalize callback is queued:
-    every further put in that tick just appends its item — the waiting
-    receiver is resumed once, with the whole batch.
+    Its value is a *live* list: between the wake-up (``succeed``) and the
+    moment the kernel processes it, further puts append to that same list —
+    the waiting receiver is resumed once, with the whole batch.
     """
 
-    __slots__ = ("_wake_armed",)
-
-    def __init__(self, env: Environment) -> None:
-        super().__init__(env)
-        self._wake_armed = False
+    __slots__ = ()
 
 
 class Store:
@@ -49,6 +45,9 @@ class Store:
         self.capacity = capacity
         self.items: deque[Any] = deque()
         self._getters: deque[Event] = deque()
+        #: the batch getter woken in this tick and not processed yet: puts
+        #: join its (live) value instead of the store.
+        self._waking: _BatchGet | None = None
         self._closed = False
 
     # -- introspection -----------------------------------------------------
@@ -77,9 +76,8 @@ class Store:
             event.fail(SimulationError("store full"))
             event.defuse()
             return event
-        self.items.append(item)
+        self._deposit(item)
         event.succeed(item)
-        self._dispatch()
         return event
 
     def put_nowait(self, item: Any) -> bool:
@@ -87,15 +85,25 @@ class Store:
 
         The cheap path for producers that never look at the put outcome
         (e.g. transport delivery): returns False instead of failing an event
-        when the store is closed or full.  Getter dispatch is identical to
-        :meth:`put`.
+        when the store is closed or full.  Getter dispatch is shared with
+        :meth:`put` (:meth:`_deposit`).
         """
         if self._closed or len(self.items) >= self.capacity:
             return False
+        self._deposit(item)
+        return True
+
+    def _deposit(self, item: Any) -> None:
+        """Hand an accepted item to a waking batch, else queue and dispatch."""
+        waking = self._waking
+        if waking is not None:
+            if waking.callbacks is not None:
+                waking._value.append(item)
+                return
+            self._waking = None
         self.items.append(item)
         if self._getters:
             self._dispatch()
-        return True
 
     def get(self) -> Event:
         """Return an event that triggers with the next available item."""
@@ -108,13 +116,13 @@ class Store:
     def get_all(self) -> Event:
         """Return an event that triggers with *all* available items (a list).
 
-        Batched, coalescing semantics: if items are already queued the event
-        triggers in the current tick with the whole backlog; otherwise the
-        first put arms a same-tick finalize callback and every further
-        same-tick put joins the batch — the waiter is resumed exactly once
-        per tick however many items arrive.  FIFO order is preserved both
-        within the batch and across getters (a batch getter waits its turn
-        behind earlier plain getters).
+        Batched, coalescing semantics: the getter is woken in one hop — by
+        the first put, or at once when items are already queued — with a live
+        list that every further put joins until the kernel processes the
+        event, so the waiter is resumed exactly once per tick however many
+        items arrive.  FIFO order is preserved both within the batch and
+        across getters (a batch getter waits its turn behind earlier plain
+        getters).
         """
         event = _BatchGet(self.env)
         event._abandon_hook = self._abandon_getter
@@ -123,33 +131,21 @@ class Store:
             self._dispatch()
         return event
 
-    def _finalize_batch(self, getter: _BatchGet) -> None:
-        """Same-tick callback draining the batch into a parked batch getter."""
-        getter._wake_armed = False
-        if getter.triggered or not self.items or getter not in self._getters:
-            # Raced with close()/abandon, or the items were taken by an
-            # earlier getter: leave the getter parked for the next put.
-            return
-        if self._getters[0] is not getter:
-            # Earlier getters still queued (plain gets registered after the
-            # items arrived would have consumed them in _dispatch already;
-            # this is purely defensive FIFO protection).
-            self._dispatch()
-            if getter.triggered or not self.items or getter not in self._getters:
-                return
-        self._getters.remove(getter)
-        items = list(self.items)
-        self.items.clear()
-        getter.succeed(items)
-
     def _abandon_getter(self, event: Event) -> None:
         """Purge a getter whose last waiter detached (killed / lost a race).
 
         Without this, a process killed while blocked on ``get`` (or a getter
         losing an :class:`~repro.sim.core.AnyOf` race) would leave a zombie
-        waiter that silently swallows the next item put into the store.
+        waiter that silently swallows the next item put into the store.  A
+        batch getter abandoned between wake-up and resume hands its items
+        back to the front of the store.
         """
         if event.triggered:
+            if event is self._waking:
+                self._waking = None
+                self.items.extendleft(reversed(event._value))
+                event._value.clear()
+                self._dispatch()
             return
         try:
             self._getters.remove(event)
@@ -162,11 +158,25 @@ class Store:
             return self.items.popleft()
         return None
 
+    def drain(self) -> list[Any]:
+        """Remove and return every item no consumer has been handed yet.
+
+        Queued items, preceded by those of a batch woken in this tick whose
+        getter the kernel has not processed (its receiver, if it survives,
+        resumes with an empty list).
+        """
+        dropped: list[Any] = []
+        waking = self._waking
+        if waking is not None and waking.callbacks is not None:
+            dropped.extend(waking._value)
+            waking._value.clear()
+        dropped.extend(self.items)
+        self.items.clear()
+        return dropped
+
     def clear(self) -> int:
         """Drop all stored items (crash semantics); returns how many."""
-        n = len(self.items)
-        self.items.clear()
-        return n
+        return len(self.drain())
 
     def close(self, exc: BaseException | None = None) -> None:
         """Close the store: fail all pending getters and refuse new puts."""
@@ -185,33 +195,19 @@ class Store:
     def _dispatch(self) -> None:
         getters = self._getters
         while getters and self.items:
-            getter = getters[0]
+            getter = getters.popleft()
             if getter.triggered:  # cancelled getter
-                getters.popleft()
                 continue
             if type(getter) is _BatchGet:
-                # Park the batch getter until the end of the current tick:
-                # one finalize callback drains everything that arrived by
-                # then in a single receiver resume.  Later getters stay
-                # queued behind it (FIFO).
-                if not getter._wake_armed:
-                    getter._wake_armed = True
-                    self.env.call_at(self.env.now, self._finalize_batch, getter)
+                # One hop: wake the batch getter with everything queued; the
+                # list stays live (see _deposit) until the kernel processes
+                # the event.  Later getters stay queued behind it (FIFO).
+                batch = list(self.items)
+                self.items.clear()
+                getter.succeed(batch)
+                self._waking = getter
                 return
-            getters.popleft()
-            item = self._select_item(getter)
-            if item is _NO_ITEM:
-                # No item matches this getter: park it back and stop; a later
-                # put may satisfy it.
-                getters.appendleft(getter)
-                return
-            getter.succeed(item)
-
-    def _select_item(self, _getter: Event) -> Any:
-        return self.items.popleft()
-
-
-_NO_ITEM = object()
+            getter.succeed(self.items.popleft())
 
 
 class FilterStore(Store):
@@ -255,9 +251,6 @@ class FilterStore(Store):
                         getter.succeed(item)
                         progressed = True
                         break
-
-    def _select_item(self, getter: Event) -> Any:  # pragma: no cover - unused
-        return super()._select_item(getter)
 
 
 class PriorityStore(Store):

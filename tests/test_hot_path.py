@@ -17,13 +17,15 @@ import repro.net.message as message_module
 from repro.config import FaultDetectionConfig
 from repro.core.registry import CoordinatorRegistry
 from repro.detect.heartbeat import HeartbeatEmitter
+from repro.grid.builder import build_confined_cluster
 from repro.net.message import Message, MessagePool, MessageType
 from repro.net.partition import PartitionManager
 from repro.net.transport import Network
 from repro.nodes.node import Host
 from repro.scenarios import GridTopology, WorkloadSpec, execute_benchmark
-from repro.sim.core import Environment
+from repro.sim.core import Condition, Environment, Interrupt
 from repro.sim.rng import RandomStreams, jitter_factor
+from repro.sim.store import Store
 from repro.types import Address
 
 A = Address("client", "a")
@@ -254,3 +256,99 @@ class TestInPlaceHandlers:
         )
         assert report.outputs()["completed"] == 12
         assert pool.releases == 207 and pool.dropped == 0
+
+
+class TestDirectWaitLeavesNothingBehind:
+    """A wait that ends any other way than its expiry cancels the expiry."""
+
+    @pytest.mark.parametrize("action", ["kill", "interrupt"])
+    @pytest.mark.parametrize("timeout", [30.0, 3000.0], ids=["wheel-staged", "heap-resident"])
+    def test_kill_or_interrupt_mid_wait_reclaims_the_expiry(self, action, timeout):
+        env = Environment()
+        reply = env.event()
+        seen = []
+
+        def requester():
+            try:
+                yield from env.wait_any([reply], timeout=timeout)
+            except Interrupt as interrupt:
+                seen.append(interrupt.cause)
+
+        before = env.queue_stats()["live_entries"]
+        process = env.process(requester())
+        env.run(until=1.0)
+        assert env.queue_stats()["live_entries"] == before + 1 and reply.callbacks
+        getattr(process, action)("crash")
+        env.run(until=2.0)
+        after = env.queue_stats()
+        # The wheel entry is swap-removed, the heap one tombstoned (and
+        # skimmed): either way nothing live is left in wheel or heap, and the
+        # long-lived event lost its waiter.
+        assert after["live_entries"] == before and not process.is_alive
+        assert after["wheel_entries"] == 0 and after["heap_size"] == after["dead_entries"]
+        assert reply.callbacks == []
+        assert seen == (["crash"] if action == "interrupt" else [])
+        env.run()
+        assert env.now == 2.0  # no stray expiry dragged the clock to the deadline
+
+
+class TestEventBudget:
+    def test_steady_backlog_shape_stays_within_its_events_per_message(self, monkeypatch):
+        """A count, not a timing: the smoke-scale ``steady-backlog`` cell.
+
+        4.9 kernel events per delivered message before waits and mailboxes
+        stopped paying for intermediate events, about 3.3 since.  The
+        fault-free path builds no ``AnyOf`` (every race is one event against
+        a time-out) and a batch wake has no finalize callback left to queue.
+        """
+        conditions = []
+        real_init = Condition.__init__
+
+        def counting_init(self, env, events):
+            conditions.append(type(self))
+            real_init(self, env, events)
+
+        monkeypatch.setattr(Condition, "__init__", counting_init)
+        report = execute_benchmark(
+            GridTopology(n_servers=64, spread_servers=True),
+            WorkloadSpec(n_calls=200, exec_time=1.0),
+            seed=7,
+            horizon=50_000.0,
+            record_kernel=True,
+        )
+        assert report.completed == report.submitted == 200
+        delivered = report.counters["net.delivered"]
+        assert report.kernel["events_processed"] / delivered <= 3.5
+        assert conditions == []
+        assert not hasattr(Store, "_finalize_batch")
+
+
+class TestHandlerEndpoints:
+    def test_pure_dispatchers_hold_no_receive_process_and_rearm_on_restart(self):
+        """Server and client dispatch on delivery; the coordinator keeps its
+        process because its handlers sleep (it is the service queue)."""
+        grid = build_confined_cluster(
+            n_servers=2, n_coordinators=1, seed=1, spread_servers=False
+        )
+        grid.start()
+        grid.run(until=5.0)
+
+        def receivers(host):
+            return [p.name for p in host.alive_processes() if p.name.endswith(":recv")]
+
+        server, client = grid.server_hosts()[0], grid.client_hosts()[0]
+        (coordinator,) = grid.coordinator_hosts()
+        assert receivers(server) == receivers(client) == []
+        assert server.endpoint.handler and client.endpoint.handler
+        assert len(receivers(coordinator)) == 1 and coordinator.endpoint.handler is None
+        heard = server.endpoint.delivered
+        assert heard > 0 and len(server.endpoint.mailbox) == 0
+
+        server.crash()
+        assert server.endpoint.handler is None
+        grid.run(until=20.0)
+        assert server.endpoint.delivered == heard  # down: dropped, never dispatched
+        server.restart()
+        assert server.endpoint.handler is not None
+        grid.run(until=60.0)
+        assert server.endpoint.delivered > heard and len(server.endpoint.mailbox) == 0

@@ -20,6 +20,7 @@ from repro.net.message import (
 from repro.net.partition import PartitionManager
 from repro.net.topology import Site, SiteMap
 from repro.net.transport import Network
+from repro.nodes.node import Host
 from repro.sim.rng import RandomStreams
 from repro.types import Address
 
@@ -392,6 +393,92 @@ class TestBatchedDelivery:
             network.send(Message(MessageType.PING, A, B, payload={"n": n}))
         env.run()
         assert process.value == [0, 1, 2]
+
+
+class TestCrashedMailboxAndHandlers:
+    """Crash / restart against the one-hop batch wake and handler endpoints."""
+
+    def test_mark_down_releases_a_batch_woken_but_not_yet_handed_over(self, env):
+        pool = MessagePool()
+        network = Network(env, link_model=PerfectLinkModel(latency=0.0))
+        network.register(A)
+        endpoint = network.register(B)
+        batches = []
+
+        def receiver():
+            while True:
+                batches.append(list((yield endpoint.recv_many())))
+
+        process = env.process(receiver())
+        env.run()  # parked on recv_many
+
+        def burst_then_crash(_):
+            for n in range(3):
+                network._deliver((pool.acquire(MessageType.PING, A, B, {"n": n}), 0))
+            # The getter is woken (its batch holds all three envelopes) but
+            # the kernel has not processed it when the host goes down.
+            assert not endpoint.mailbox.items and pool.releases == 0
+            process.kill("crash")
+            assert endpoint.mark_down() == 3
+
+        env.call_at(1.0, burst_then_crash)
+        env.run()
+        assert batches == [] and pool.releases == 3 and len(endpoint.mailbox) == 0
+        # The restarted incarnation starts from an empty mailbox.
+        endpoint.mark_up()
+        env.process(receiver())
+        network.send(Message(MessageType.PING, A, B, payload={"n": 9}))
+        env.run()
+        assert [[m.payload["n"] for m in batch] for batch in batches] == [[9]]
+
+    def _handled_host(self, env):
+        network = Network(env, link_model=LanLinkModel(jitter=0.0))
+        network.register(A)
+        host = Host(env, network, B)
+        handled = []
+
+        def start(_host=None):
+            host.on_message(lambda message: handled.append((env.now, message.payload["n"])))
+
+        host.on_restart(start)
+        start()
+        return network, host, handled
+
+    def test_handler_endpoint_never_dispatches_while_down(self, env):
+        network, host, handled = self._handled_host(env)
+        network.send(Message(MessageType.PING, A, B, payload={"n": 0}))
+        env.run()
+        assert [n for _, n in handled] == [0] and len(host.endpoint.mailbox) == 0
+        network.send(Message(MessageType.PING, A, B, payload={"n": 1}))  # in flight
+        host.crash()
+        assert host.endpoint.handler is None  # volatile, like a receive process
+        network.send(Message(MessageType.PING, A, B, payload={"n": 2}))
+        env.run()
+        assert [n for _, n in handled] == [0]
+        assert host.endpoint.dropped_down == 2 and len(host.endpoint.mailbox) == 0
+        with pytest.raises(ConfigurationError):
+            host.on_message(print)
+
+    def test_handler_endpoint_drops_stale_incarnation_traffic_across_a_restart(self, env):
+        network, host, handled = self._handled_host(env)
+        network.send(Message(MessageType.PING, A, B, payload={"n": 0}))  # to incarnation 0
+        host.crash()
+        network.send(Message(MessageType.PING, A, B, payload={"n": 1}))  # sent while down
+        host.restart()  # on_restart installs the handler again
+        network.send(Message(MessageType.PING, A, B, payload={"n": 2}))
+        env.run()
+        assert [n for _, n in handled] == [2]
+        assert host.endpoint.dropped_stale == 2 and host.endpoint.dropped_down == 0
+        assert network.stats()["net.dropped.stale_incarnation"] == 2
+
+    def test_handler_runs_after_the_delivery_hooks(self, env):
+        network, host, handled = self._handled_host(env)
+        order = []
+        network.add_delivery_hook(lambda message: order.append("hook"))
+        host.on_message(lambda message: order.append("handler"))
+        network.send(Message(MessageType.PING, A, B))
+        env.run()
+        assert order == ["hook", "handler"]
 
 
 class TestMessagePool:

@@ -208,3 +208,129 @@ class TestGarbageCollectionProperties:
         # Every unacknowledged record must still be there.
         assert unacked <= log.keys()
         log.check_integrity()
+
+
+# ---------------------------------------------------------------------------
+# The kernel's time model (README "Thinking about time")
+# ---------------------------------------------------------------------------
+
+#: how a node of a generated schedule asks to run: lane it lands on, by rule.
+_URGENT, _TICK, _HEAP = 0, 1, 2
+
+schedule_nodes = st.lists(
+    st.tuples(
+        st.integers(min_value=-1, max_value=30),  # parent (-1: scheduled up front)
+        st.sampled_from(["spawn", "succeed", "call_at", "timeout", "cancellable"]),
+        st.sampled_from([0.0, 0.0, 0.25, 1.0, 1.0, 2.5, 7.0, 300.0]),  # delay
+        st.one_of(st.none(), st.integers(min_value=0, max_value=30)),  # cancels
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def _lane(kind: str, delay: float) -> int:
+    if kind == "spawn":
+        return _URGENT
+    if kind == "succeed" or (delay == 0.0 and kind != "cancellable"):
+        return _TICK
+    return _HEAP
+
+
+def _reference_order(nodes, children):
+    """Sorted-list scheduler: the whole contract in one sort key.
+
+    Entries are ``(time, lane, seq)``: urgent before same-tick before heap
+    at one timestamp, FIFO inside a lane, one clock.  There is no wheel.
+    """
+    pending: list[tuple] = []
+    seq = 0
+    fired = []
+
+    def schedule(index, now):
+        nonlocal seq
+        _parent, kind, delay, _cancels = nodes[index]
+        lane = _lane(kind, delay)
+        pending.append((now if lane != _HEAP else now + delay, lane, seq, index))
+        pending.sort()
+        seq += 1
+
+    for index in children[-1]:
+        schedule(index, 0.0)
+    while pending:
+        now, _lane_rank, _seq, index = pending.pop(0)
+        fired.append((now, index))
+        target = nodes[index][3]
+        if target is not None and nodes[target][1] in ("timeout", "cancellable"):
+            pending[:] = [entry for entry in pending if entry[3] != target]
+        for child in children[index]:
+            schedule(child, now)
+    return fired
+
+
+def _kernel_order(nodes, children, **wheel):
+    env = Environment(**wheel)
+    fired = []
+    handles: dict[int, object] = {}
+
+    def fire(index):
+        fired.append((env.now, index))
+        target = nodes[index][3]
+        if target in handles:
+            handles.pop(target).cancel()
+        for child in children[index]:
+            schedule(child)
+
+    def body(index):
+        fire(index)
+        return
+        yield  # pragma: no cover - makes this a generator
+
+    def schedule(index):
+        _parent, kind, delay, _cancels = nodes[index]
+        if kind == "spawn":
+            env.process(body(index))
+        elif kind == "succeed":
+            event = env.event()
+            event.callbacks.append(lambda _event: fire(index))
+            event.succeed()
+        elif kind == "call_at":
+            env.call_at(env.now + delay, fire, index)
+        elif kind == "timeout":
+            handles[index] = timer = env.timeout(delay)
+            timer.callbacks.append(lambda _event: (handles.pop(index, None), fire(index)))
+        else:
+            handles[index] = env.call_at_cancellable(
+                env.now + delay, lambda arg: (handles.pop(arg, None), fire(arg)), index
+            )
+
+    for index in children[-1]:
+        schedule(index)
+    env.run()
+    assert env.queue_stats()["live_entries"] == 0
+    return fired
+
+
+class TestTimeModel:
+    @given(raw=schedule_nodes)
+    @settings(max_examples=300, deadline=None)
+    def test_lanes_fire_in_the_order_of_the_sorted_list_reference(self, raw):
+        # Parents precede children, so every node is scheduled at most once.
+        nodes = [
+            (
+                parent if parent < index else -1,
+                kind,
+                delay,
+                cancels if cancels is not None and cancels < len(raw) else None,
+            )
+            for index, (parent, kind, delay, cancels) in enumerate(raw)
+        ]
+        children: dict[int, list[int]] = {index: [] for index in range(-1, len(nodes))}
+        for index, (parent, *_rest) in enumerate(nodes):
+            children[parent].append(index)
+        expected = _reference_order(nodes, children)
+        assert _kernel_order(nodes, children) == expected
+        # The wheel is staging: off, tiny or coarse, it never reorders.
+        assert _kernel_order(nodes, children, wheel_slots=0) == expected
+        assert _kernel_order(nodes, children, wheel_slots=4, wheel_granularity=0.3) == expected
+        assert _kernel_order(nodes, children, wheel_slots=64, wheel_granularity=7.0) == expected
