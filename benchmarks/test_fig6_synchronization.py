@@ -1,12 +1,17 @@
 """Benchmark for Figure 6 — client/coordinator synchronization time."""
 
-from repro.experiments import run_fig6_vs_calls, run_fig6_vs_size
 from repro.experiments.common import print_rows
+from repro.scenarios import run_scenario
 
 
 def test_fig6_sync_vs_size(benchmark):
     rows = benchmark.pedantic(
-        lambda: run_fig6_vs_size(sizes=[1_000, 1_000_000], n_calls=8),
+        lambda: run_scenario(
+            "fig6-size",
+            axes={"params_bytes": [1_000, 1_000_000]},
+            params={"n_calls": 8},
+            jobs=1,
+        ).rows,
         rounds=1, iterations=1,
     )
     print_rows(rows, title="Figure 6 (left): synchronization time vs data size")
@@ -16,7 +21,8 @@ def test_fig6_sync_vs_size(benchmark):
 
 def test_fig6_sync_vs_calls(benchmark):
     rows = benchmark.pedantic(
-        lambda: run_fig6_vs_calls(counts=[8, 64]), rounds=1, iterations=1
+        lambda: run_scenario("fig6-calls", axes={"n_calls": [8, 64]}, jobs=1).rows,
+        rounds=1, iterations=1,
     )
     print_rows(rows, title="Figure 6 (right): synchronization time vs number of calls")
     for row in rows:

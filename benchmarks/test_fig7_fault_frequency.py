@@ -1,20 +1,18 @@
 """Benchmark for Figure 7 — execution time vs fault frequency."""
 
-from repro.experiments import run_fig7
 from repro.experiments.common import print_rows
+from repro.scenarios import run_scenario
 
 
 def test_fig7_fault_frequency(benchmark):
     rows = benchmark.pedantic(
-        lambda: run_fig7(
-            frequencies=[0.0, 4.0, 10.0],
+        lambda: run_scenario(
+            "fig7",
+            axes={"faults_per_minute": [0.0, 4.0, 10.0]},
+            params=dict(n_calls=32, exec_time=5.0, n_servers=8, horizon=4000.0),
             seeds=(7,),
-            n_calls=32,
-            exec_time=5.0,
-            n_servers=8,
-            n_coordinators=4,
-            horizon=4000.0,
-        ),
+            jobs=1,
+        ).rows,
         rounds=1, iterations=1,
     )
     print_rows(rows, title="Figure 7: benchmark execution time vs fault frequency")

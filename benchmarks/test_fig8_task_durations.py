@@ -1,11 +1,12 @@
 """Benchmark for Figure 8 — distribution of Alcatel task durations."""
 
-from repro.experiments import run_fig8
 from repro.experiments.common import print_rows
+from repro.scenarios import run_scenario
 
 
 def test_fig8_task_duration_distribution(benchmark):
-    result = benchmark.pedantic(lambda: run_fig8(n_tasks=1000, bins=20), rounds=1, iterations=1)
+    run = benchmark.pedantic(lambda: run_scenario("fig8", jobs=1), rounds=1, iterations=1)
+    result = run.cells[0]["outputs"]
     print_rows(result["histogram"], title="Figure 8: distribution of task durations")
     stats = result["stats"]
     print("stats:", stats)

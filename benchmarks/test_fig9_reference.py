@@ -1,16 +1,22 @@
 """Benchmark for Figure 9 — reference Alcatel execution without fault."""
 
 from repro.analysis import plateaux_count
-from repro.experiments import run_fig9
+from repro.scenarios import run_scenario
 
 
 def test_fig9_reference_execution(benchmark):
-    result = benchmark.pedantic(
-        lambda: run_fig9(
-            n_tasks=120, servers_per_site={"lille": 8, "wisconsin": 8, "orsay": 8}, seed=3
+    run = benchmark.pedantic(
+        lambda: run_scenario(
+            "fig9",
+            params=dict(
+                n_tasks=120, servers_per_site={"lille": 8, "wisconsin": 8, "orsay": 8}
+            ),
+            seeds=(3,),
+            jobs=1,
         ),
         rounds=1, iterations=1,
     )
+    result = run.cells[0]["outputs"]
     print("makespan:", result["makespan"], "completed:", result["completed"])
     print("lille:", [int(v) for v in result["lille_completed"]])
     print("orsay:", [int(v) for v in result["orsay_completed"]])

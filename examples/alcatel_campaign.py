@@ -7,15 +7,19 @@ task curves seen by the primary and by its passive replica — the data behind
 Figure 9, including the replica's 60-second plateaux.
 """
 
-from repro.experiments import run_fig9
+from repro.scenarios import run_scenario
 
 
 def main() -> None:
-    result = run_fig9(
-        n_tasks=200,
-        servers_per_site={"lille": 15, "wisconsin": 15, "orsay": 15},
-        seed=3,
+    run = run_scenario(
+        "fig9",
+        params=dict(
+            n_tasks=200, servers_per_site={"lille": 15, "wisconsin": 15, "orsay": 15}
+        ),
+        seeds=(3,),
+        jobs=1,
     )
+    result = run.cells[0]["outputs"]
     print(f"campaign makespan : {result['makespan']:.0f} s "
           f"({result['completed']}/{result['submitted']} tasks)")
     print(f"replica lag       : mean {result['replica_mean_lag_tasks']:.1f} tasks, "

@@ -7,13 +7,15 @@ Work and results flow through the coordinator overlay and the campaign still
 completes — the paper's progress condition in action.
 """
 
-from repro.experiments import run_fig11, run_fig9
+from repro.scenarios import run_scenario
 
 
 def main() -> None:
-    scale = dict(n_tasks=120, servers_per_site={"lille": 8, "wisconsin": 8, "orsay": 8}, seed=3)
-    reference = run_fig9(**scale)
-    partitioned = run_fig11(**scale)
+    scale = dict(n_tasks=120, servers_per_site={"lille": 8, "wisconsin": 8, "orsay": 8})
+    reference, partitioned = (
+        run_scenario(name, params=scale, seeds=(3,), jobs=1).cells[0]["outputs"]
+        for name in ("fig9", "fig11")
+    )
     print(f"reference   : {reference['makespan']:.0f} s "
           f"({reference['completed']}/{reference['submitted']} tasks)")
     print(f"partitioned : {partitioned['makespan']:.0f} s "

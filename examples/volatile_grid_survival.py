@@ -7,36 +7,42 @@ then the same workload runs while coordinators are killed and restarted, and
 finally a scripted double coordinator failure is survived.
 """
 
-from repro.experiments import run_fig10
-from repro.grid import run_synthetic_benchmark
+from repro.scenarios import run_scenario
+from repro.scenarios.engine import FaultPlan, GridTopology, WorkloadSpec, execute_benchmark
 
 
 def main() -> None:
+    topology = GridTopology(n_servers=8, n_coordinators=4)
+    workload = WorkloadSpec(n_calls=48, exec_time=5.0)
+
     print("=== 1. no fault (baseline) ===")
-    baseline = run_synthetic_benchmark(n_calls=48, exec_time=5.0, n_servers=8, n_coordinators=4)
+    baseline = execute_benchmark(topology, workload)
     print(f"makespan {baseline.makespan:.1f} s "
           f"({100 * baseline.overhead_vs_ideal:.0f}% over the {baseline.ideal_time:.0f} s ideal)")
 
     print("\n=== 2. servers killed at 6 faults/min ===")
-    servers = run_synthetic_benchmark(
-        n_calls=48, exec_time=5.0, n_servers=8, n_coordinators=4,
-        faults_per_minute=6.0, fault_target="servers", fault_restart_delay=5.0, seed=7,
+    servers = execute_benchmark(
+        topology, workload,
+        FaultPlan(kind="rate", target="servers", faults_per_minute=6.0), seed=7,
     )
     print(f"makespan {servers.makespan:.1f} s, faults injected {servers.faults_injected}, "
           f"completed {servers.completed}/{servers.submitted}")
 
     print("\n=== 3. coordinators killed at 6 faults/min ===")
-    coordinators = run_synthetic_benchmark(
-        n_calls=48, exec_time=5.0, n_servers=8, n_coordinators=4,
-        faults_per_minute=6.0, fault_target="coordinators", fault_restart_delay=5.0, seed=7,
+    coordinators = execute_benchmark(
+        topology, workload,
+        FaultPlan(kind="rate", target="coordinators", faults_per_minute=6.0), seed=7,
     )
     print(f"makespan {coordinators.makespan:.1f} s, faults injected {coordinators.faults_injected}, "
           f"completed {coordinators.completed}/{coordinators.submitted}")
 
     print("\n=== 4. two consecutive coordinator faults (Figure 10 scenario) ===")
-    result = run_fig10(
-        n_tasks=120, servers_per_site={"lille": 8, "wisconsin": 8, "orsay": 8}, seed=3
-    )
+    result = run_scenario(
+        "fig10",
+        params=dict(n_tasks=120, servers_per_site={"lille": 8, "wisconsin": 8, "orsay": 8}),
+        seeds=(3,),
+        jobs=1,
+    ).cells[0]["outputs"]
     for event in result["events"]:
         print(f"  t={event['time']:7.0f}s  label {event['label']}: {event['event']}")
     print(f"campaign completed: {result['tolerated_two_coordinator_faults']} "

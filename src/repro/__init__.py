@@ -28,7 +28,6 @@ from repro.config import (
     LoggingConfig,
     ProtocolConfig,
     ReplicationConfig,
-    SchedulerConfig,
     ServerConfig,
 )
 from repro.errors import (
@@ -75,7 +74,6 @@ __all__ = [
     "RPCId",
     "RPCStatus",
     "RPCTimeout",
-    "SchedulerConfig",
     "SchedulingError",
     "ServerConfig",
     "ServiceNotRegistered",

@@ -3,11 +3,9 @@
 Each baseline of the paper's comparison is a *bundle*: one ``policy.*``
 registry entry per decision axis (scheduling, replication, client logging).
 :func:`protocol_from_bundle` turns a bundle into a ready
-:class:`~repro.config.ProtocolConfig` — it records the entries on
-``protocol.policy`` (the authoritative selection the components resolve
-through :mod:`repro.policies`) *and* mirrors them onto the legacy tier-config
-flags (``replication.enabled``, ``reschedule_on_suspicion``,
-``logging.strategy``) so ``describe()`` and flag-reading code stay truthful.
+:class:`~repro.config.ProtocolConfig` by recording the entries on
+``protocol.policy``, the one selection the components resolve through
+:mod:`repro.policies`; axes a bundle leaves out keep their defaults.
 
 Bundles are plain data: copy one, swap an entry (or add ``params``), and a
 new protocol ablation needs no code — ``--set policy.scheduler=...`` on the
@@ -16,11 +14,11 @@ CLI edits the same entries per run.
 
 from __future__ import annotations
 
+from copy import deepcopy
 from typing import Any, Mapping
 
-from repro.config import ProtocolConfig
+from repro.config import POLICY_AXES, ProtocolConfig
 from repro.errors import ConfigurationError
-from repro.policies.resolve import sync_policy_flags
 
 __all__ = [
     "POLICY_BUNDLES",
@@ -28,7 +26,6 @@ __all__ = [
     "rpcv_protocol",
     "no_fault_tolerance_protocol",
     "netsolve_style_protocol",
-    "sync_policy_flags",
 ]
 
 #: the three baseline systems of the paper's comparison, one bundle each.
@@ -90,25 +87,19 @@ def protocol_from_bundle(
             raise ConfigurationError(
                 f"unknown policy bundle {bundle!r} (known: {known})"
             ) from None
-    unknown = set(bundle) - {"scheduler", "replication", "logging", "detection"}
+    unknown = set(bundle) - set(POLICY_AXES)
     if unknown:
         # Checked before anything is applied, so a typoed axis never leaves
         # a passed-in protocol half-mutated.
         raise ConfigurationError(
             f"unknown policy bundle axes: {sorted(unknown)} "
-            "(expected scheduler/replication/logging/detection)"
+            f"(expected {'/'.join(POLICY_AXES)})"
         )
     protocol = protocol or ProtocolConfig()
-    for axis in ("scheduler", "replication", "logging", "detection"):
-        entry = bundle.get(axis)
-        if entry is None:
-            continue
-        if isinstance(entry, str):
-            entry = {"name": entry}
-        name = entry["name"]
-        params = dict(entry.get("params") or {})
-        setattr(protocol.policy, axis, {"name": name, "params": params})
-    return sync_policy_flags(protocol).validate()
+    for axis, entry in bundle.items():
+        # Copied: the bundles are module-level data every caller shares.
+        setattr(protocol.policy, axis, deepcopy(entry))
+    return protocol.validate()
 
 
 def rpcv_protocol() -> ProtocolConfig:

@@ -6,24 +6,27 @@ paper states its experimental settings:
 
 * heart-beat period 5 s, suspicion after 30 s of silence (confined cluster);
 * coordinator replication period 60 s (Internet testbed);
-* 16 servers, 4 coordinators, 1 client on the confined cluster;
-* logging strategy selectable among the three of Fig. 4.
+* 16 servers, 4 coordinators, 1 client on the confined cluster.
+
+Which *behaviour* runs on each decision axis (scheduling, replication, client
+logging, failure detection) is selected in exactly one place,
+:class:`PolicyConfig`; the tier configs carry only the numeric tunables every
+policy of an axis reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Mapping
+from dataclasses import dataclass, field
+from typing import Any
 
 from repro.errors import ConfigurationError
-from repro.types import LoggingStrategy
 
 __all__ = [
     "FaultDetectionConfig",
     "LoggingConfig",
+    "POLICY_AXES",
     "PolicyConfig",
     "ReplicationConfig",
-    "SchedulerConfig",
     "ClientConfig",
     "CoordinatorConfig",
     "ServerConfig",
@@ -58,7 +61,6 @@ class FaultDetectionConfig:
 class LoggingConfig:
     """Client-side sender-based message logging parameters."""
 
-    strategy: LoggingStrategy = LoggingStrategy.PESSIMISTIC_NON_BLOCKING
     #: capacity of the local log in bytes before garbage collection triggers.
     capacity_bytes: int = 4 * 1024 * 1024 * 1024
     #: fraction of the capacity to free when garbage collection runs.
@@ -81,26 +83,10 @@ class ReplicationConfig:
     #: period between two state propagations to the ring successor (seconds);
     #: 60 s for the Internet testbed, one heart-beat period on the cluster.
     period: float = 60.0
-    #: whether replication is enabled at all (ablation switch).
-    enabled: bool = True
 
     def validate(self) -> None:
         if self.period <= 0:
             raise ConfigurationError("replication period must be positive")
-
-
-@dataclass
-class SchedulerConfig:
-    """Coordinator-side scheduling policy parameters."""
-
-    #: scheduling policy; only "fcfs" is provided, as in the paper.
-    policy: str = "fcfs"
-    #: re-schedule all tasks of a suspected server ("on suspicion" replication).
-    reschedule_on_suspicion: bool = True
-
-    def validate(self) -> None:
-        if self.policy not in {"fcfs"}:
-            raise ConfigurationError(f"unknown scheduling policy {self.policy!r}")
 
 
 @dataclass
@@ -136,7 +122,6 @@ class CoordinatorConfig:
     """Coordinator component parameters."""
 
     replication: ReplicationConfig = field(default_factory=ReplicationConfig)
-    scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
     detection: FaultDetectionConfig = field(default_factory=FaultDetectionConfig)
     #: fixed middleware processing time charged per handled request (job
     #: translation, HTTP/serialisation layers of XtremWeb), on top of the
@@ -146,7 +131,6 @@ class CoordinatorConfig:
 
     def validate(self) -> None:
         self.replication.validate()
-        self.scheduler.validate()
         self.detection.validate()
         if self.request_processing_overhead < 0:
             raise ConfigurationError(
@@ -162,8 +146,6 @@ class ServerConfig:
     #: whether the server keeps computing while disconnected from every
     #: coordinator (off-line computing, a feature of the paper's design).
     offline_computing: bool = True
-    #: number of concurrent task slots.
-    slots: int = 1
     #: how long the server waits after a NO_WORK answer before asking again.
     work_poll_period: float = 2.0
     #: how long the server waits for a coordinator reply before re-sending.
@@ -171,77 +153,54 @@ class ServerConfig:
 
     def validate(self) -> None:
         self.detection.validate()
-        if self.slots < 1:
-            raise ConfigurationError("slots must be >= 1")
         if self.work_poll_period <= 0:
             raise ConfigurationError("work_poll_period must be positive")
         if self.request_retry <= 0:
             raise ConfigurationError("request_retry must be positive")
 
 
+#: the decision axes a policy is selected on, i.e. the fields of PolicyConfig.
+POLICY_AXES = ("scheduler", "replication", "logging", "detection")
+
+
 @dataclass
 class PolicyConfig:
-    """Registry-resolved strategy selection (the ``policy.*`` component keys).
+    """Which strategy runs on each decision axis (the ``policy.*`` keys).
 
-    Each entry is ``None`` (derive the equivalent built-in from the legacy
-    tier-config flags), a registry key / dotted-path string such as
-    ``"policy.sched.random"``, or a ``{"name": ..., "params": {...}}``
-    mapping.  Resolution lives in :mod:`repro.policies.resolve`; this class
-    only carries the selection, so it stays importable without the policy
-    implementations.
+    This is the only place a behaviour is selected.  Each entry is a
+    registry key / dotted-path string such as ``"policy.sched.random"``, or
+    a ``{"name": ..., "params": {...}}`` mapping; the defaults are the
+    paper's protocol.  :func:`repro.policies.resolve.make_policy` turns an
+    entry into an instance; this class only carries the selection, so it
+    stays importable without the policy implementations (which themselves
+    import this module — hence the import inside :meth:`validate`).
     """
 
     #: coordinator scheduling policy (``policy.sched.*``).
-    scheduler: Any = None
+    scheduler: Any = "policy.sched.fifo-reschedule"
     #: coordinator replication policy (``policy.repl.*``).
-    replication: Any = None
+    replication: Any = "policy.repl.passive-periodic"
     #: client logging policy (``policy.log.*``).
-    logging: Any = None
+    logging: Any = "policy.log.pessimistic-nonblocking"
     #: failure-detection policy (``policy.detect.*``), shared by the
     #: coordinator's server/ring detectors and the server's coordinator
     #: detector.
-    detection: Any = None
+    detection: Any = "policy.detect.fixed-timeout"
 
     def entries(self) -> dict[str, Any]:
-        """The explicitly-set entries, by field name."""
-        return {
-            name: value
-            for name, value in (
-                ("scheduler", self.scheduler),
-                ("replication", self.replication),
-                ("logging", self.logging),
-                ("detection", self.detection),
-            )
-            if value is not None
-        }
-
-    @staticmethod
-    def _check(label: str, entry: Any) -> None:
-        if entry is None:
-            return
-        if isinstance(entry, str):
-            if not entry:
-                raise ConfigurationError(f"policy.{label} must be a non-empty name")
-            return
-        if isinstance(entry, Mapping):
-            if not entry.get("name"):
-                raise ConfigurationError(
-                    f"policy.{label} mapping needs a 'name' key"
-                )
-            return
-        raise ConfigurationError(
-            f"policy.{label} must be a name or a {{'name', 'params'}} mapping, "
-            f"got {entry!r}"
-        )
+        """The four entries, by axis."""
+        return {axis: getattr(self, axis) for axis in POLICY_AXES}
 
     def validate(self) -> None:
-        for label, entry in (
-            ("scheduler", self.scheduler),
-            ("replication", self.replication),
-            ("logging", self.logging),
-            ("detection", self.detection),
-        ):
-            self._check(label, entry)
+        """Every entry is well-formed and names a resolvable component.
+
+        Nothing is instantiated: parameters are checked at construction
+        time, by the component that owns the policy.
+        """
+        from repro.policies.resolve import resolve_policy
+
+        for axis in POLICY_AXES:
+            resolve_policy(axis, getattr(self, axis))
 
 
 @dataclass
@@ -251,8 +210,7 @@ class ProtocolConfig:
     client: ClientConfig = field(default_factory=ClientConfig)
     coordinator: CoordinatorConfig = field(default_factory=CoordinatorConfig)
     server: ServerConfig = field(default_factory=ServerConfig)
-    #: explicit ``policy.*`` selections; ``None`` entries fall back to the
-    #: equivalent built-ins derived from the flags above.
+    #: the ``policy.*`` selection, one entry per decision axis.
     policy: PolicyConfig = field(default_factory=PolicyConfig)
 
     def validate(self) -> "ProtocolConfig":
@@ -262,33 +220,16 @@ class ProtocolConfig:
         self.policy.validate()
         return self
 
-    def with_logging_strategy(self, strategy: LoggingStrategy) -> "ProtocolConfig":
-        """A copy of this configuration with a different logging strategy."""
-        client = replace(
-            self.client, logging=replace(self.client.logging, strategy=strategy)
-        )
-        return replace(self, client=client)
-
     def describe(self) -> dict[str, Any]:
         """A flat, printable description used by experiment reports."""
-        scheduler_entry = self.policy.scheduler
-        if isinstance(scheduler_entry, dict):
-            scheduler_policy = scheduler_entry.get("name")
-        else:
-            # A set entry names the effective ordering; the legacy flag only
-            # ever holds "fcfs".
-            scheduler_policy = scheduler_entry or self.coordinator.scheduler.policy
         description = {
-            "logging_strategy": self.client.logging.strategy.value,
             "heartbeat_period": self.coordinator.detection.heartbeat_period,
             "suspicion_timeout": self.coordinator.detection.suspicion_timeout,
             "replication_period": self.coordinator.replication.period,
-            "replication_enabled": self.coordinator.replication.enabled,
-            "scheduler_policy": scheduler_policy,
             "result_poll_period": self.client.result_poll_period,
         }
-        for label, entry in self.policy.entries().items():
-            description[f"policy.{label}"] = (
+        for axis, entry in self.policy.entries().items():
+            description[f"policy.{axis}"] = (
                 entry if isinstance(entry, str) else dict(entry)
             )
         return description

@@ -38,7 +38,7 @@ from repro.errors import RPCTimeout, SessionError
 from repro.msglog import GarbageCollector, LoggingEngine, MessageLog
 from repro.net.message import Message, MessageType
 from repro.nodes.node import Host
-from repro.policies.resolve import logging_policy_from
+from repro.policies.resolve import make_policy
 from repro.sim.core import Event, ProcessKilled
 from repro.sim.monitor import Monitor
 from repro.types import Address, CallIdentity, RPCStatus
@@ -94,8 +94,7 @@ class ClientComponent:
         self.config = config or ClientConfig()
         self.config.validate()
         self.monitor = monitor or host.monitor
-        #: explicit ``policy.*`` selections; ``None`` entries derive the
-        #: built-in equivalent from the logging strategy flag.
+        #: the ``policy.*`` selection this client's logging policy comes from.
         self.policies = policies or PolicyConfig()
 
         # Volatile protocol state (rebuilt by start()).
@@ -119,13 +118,11 @@ class ClientComponent:
     # ------------------------------------------------------------------ setup
     def _init_volatile(self) -> None:
         self.log = MessageLog(self.host, f"client:{self.session.session_id}")
-        policy = logging_policy_from(self.config.logging, self.policies.logging)
+        policy = make_policy("logging", self.policies.logging)
         policy.bind(
             owner=str(self.host.address), rng=self.host.rng, monitor=self.monitor
         )
-        self.logging = LoggingEngine(
-            self.host, self.log, self.config.logging, policy=policy
-        )
+        self.logging = LoggingEngine(self.host, self.log, self.config.logging, policy)
         self.gc = GarbageCollector(self.log, self.config.logging)
         self.detector = FailureDetector(self.config.detection)
         self.handles = {}

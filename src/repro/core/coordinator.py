@@ -39,11 +39,7 @@ from repro.core.registry import CoordinatorRegistry
 from repro.core.replication import ReplicaState, build_state, merge_state
 from repro.core.synchronization import plan_client_sync, plan_server_sync
 from repro.core.taskindex import TaskIndex
-from repro.policies.resolve import (
-    detection_policy_from,
-    replication_policy_from,
-    scheduler_policy_from,
-)
+from repro.policies.resolve import make_policy
 from repro.detect import FailureDetector, HeartbeatEmitter
 from repro.net.message import Message, MessageType
 from repro.nodes.database import Database, DatabaseModel
@@ -74,8 +70,7 @@ class CoordinatorComponent:
         self.config.validate()
         self.monitor = monitor or host.monitor
         self.name = str(host.address)
-        #: explicit ``policy.*`` selections; ``None`` entries derive the
-        #: built-in equivalent from the legacy config flags.
+        #: the ``policy.*`` selection this coordinator's strategies come from.
         self.policies = policies or PolicyConfig()
 
         # Persistent state (survives crashes).
@@ -170,7 +165,7 @@ class CoordinatorComponent:
         lands in the grid monitor's ``detect.*`` counters, which survive
         restarts.
         """
-        policy = detection_policy_from(self.config.detection, self.policies.detection)
+        policy = make_policy("detection", self.policies.detection)
         policy.bind(owner=self.name, rng=self.host.rng, monitor=self.monitor)
         return FailureDetector(
             self.config.detection,
@@ -181,14 +176,12 @@ class CoordinatorComponent:
 
     def _make_scheduler(self):
         """Fresh scheduling policy for one incarnation (bound to this host)."""
-        policy = scheduler_policy_from(self.config.scheduler, self.policies.scheduler)
+        policy = make_policy("scheduler", self.policies.scheduler)
         return policy.bind(owner=self.name, rng=self.host.rng, monitor=self.monitor)
 
     def _make_replication_policy(self):
         """Fresh replication policy for one incarnation (bound to this host)."""
-        policy = replication_policy_from(
-            self.config.replication, self.policies.replication
-        )
+        policy = make_policy("replication", self.policies.replication)
         return policy.bind(owner=self.name, rng=self.host.rng, monitor=self.monitor)
 
     def start(self) -> None:

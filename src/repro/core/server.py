@@ -19,7 +19,7 @@ from repro.core.protocol import CallDescription, ResultRecord, identity_to_key
 from repro.core.registry import CoordinatorRegistry
 from repro.core.services import ServiceRegistry, default_registry
 from repro.detect import FailureDetector, HeartbeatEmitter
-from repro.policies.resolve import detection_policy_from
+from repro.policies.resolve import make_policy
 from repro.msglog import MessageLog
 from repro.net.message import Message, MessageType
 from repro.nodes.node import Host
@@ -50,7 +50,7 @@ class ServerComponent:
         self.services = services or default_registry()
         self.monitor = monitor or host.monitor
         self.name = str(host.address)
-        #: explicit ``policy.*`` selections; only the detection entry matters
+        #: the ``policy.*`` selection; only the detection entry matters
         #: for a server (scheduling and replication are coordinator-side).
         self.policies = policies or PolicyConfig()
 
@@ -72,7 +72,7 @@ class ServerComponent:
 
     def _make_detector(self) -> FailureDetector:
         """Fresh coordinator detector for one incarnation (policy bound)."""
-        policy = detection_policy_from(self.config.detection, self.policies.detection)
+        policy = make_policy("detection", self.policies.detection)
         policy.bind(owner=self.name, rng=self.host.rng, monitor=self.monitor)
         return FailureDetector(self.config.detection, policy=policy)
 
@@ -190,7 +190,6 @@ class ServerComponent:
                         mtype=MessageType.WORK_REQUEST,
                         source=self.address,
                         dest=coordinator,
-                        payload={"slots": self.config.slots},
                         size_bytes=64,
                     ),
                     expected={MessageType.TASK_ASSIGN, MessageType.NO_WORK},

@@ -1,15 +1,11 @@
 """Ablation experiments (not in the paper, motivated by DESIGN.md).
 
-* :func:`run_baseline_ablation` — what the RPC-V combination buys: the Fig. 7
+* ``ablation-baselines`` — what the RPC-V combination buys: the Fig. 7
   workload under coordinator faults, comparing full RPC-V against the
   baselines of :mod:`repro.baselines` (no coordinator replication, and a
   NetSolve-style configuration with server-side fault tolerance only).
-* :func:`run_detector_ablation` — the heart-beat period / suspicion timeout
+* ``ablation-detector`` — the heart-beat period / suspicion timeout
   trade-off: detection latency versus wrong suspicions on a WAN-like link.
-
-Both are registered as scenarios (``ablation-baselines``,
-``ablation-detector``); the ``run_*`` functions are thin wrappers kept for the
-benchmarks and EXPERIMENTS.md flows.
 """
 
 from __future__ import annotations
@@ -18,16 +14,15 @@ from typing import Any
 
 from repro.config import FaultDetectionConfig
 from repro.detect import FailureDetector
-from repro.policies.resolve import detection_policy_from
+from repro.policies.resolve import make_policy
 from repro.scenarios.engine import benchmark_cell
 from repro.scenarios.reducers import grouped, mean
 from repro.scenarios.registry import scenario
-from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import Axis, CellResult, ScenarioSpec
 from repro.sim.rng import RandomStreams
 from repro.types import Address
 
-__all__ = ["run_baseline_ablation", "run_detector_ablation"]
+__all__ = ["detector_cell"]
 
 _SYSTEMS = ("rpc-v", "no-replication", "netsolve-style")
 
@@ -81,29 +76,6 @@ def _ablation_baselines() -> ScenarioSpec:
     )
 
 
-def run_baseline_ablation(
-    faults_per_minute: float = 4.0,
-    fault_target: str = "coordinators",
-    seeds: tuple[int, ...] = (7, 11),
-    n_calls: int = 96,
-    exec_time: float = 10.0,
-    horizon: float = 4000.0,
-) -> list[dict[str, Any]]:
-    """Fig. 7 workload under faults, RPC-V vs the degraded baselines."""
-    return run_scenario(
-        _ablation_baselines,
-        params=dict(
-            faults_per_minute=faults_per_minute,
-            fault_target=fault_target,
-            n_calls=n_calls,
-            exec_time=exec_time,
-            horizon=horizon,
-        ),
-        seeds=seeds,
-        jobs=1,
-    ).rows
-
-
 def detector_cell(
     heartbeat_period: float,
     timeout_multiplier: float,
@@ -112,7 +84,7 @@ def detector_cell(
     observation_seconds: float = 3600.0,
     crash_at: float = 1800.0,
     seed: int = 0,
-    detection_policy: Any = None,
+    detection_policy: Any = "policy.detect.fixed-timeout",
 ) -> dict[str, Any]:
     """One (heart-beat period, suspicion timeout) detector replay.
 
@@ -122,8 +94,8 @@ def detector_cell(
     real crash took to be suspected and how many wrong suspicions happened
     before it.  The trace is drawn from streams keyed by the period, so every
     multiplier for one period sees the identical trace.  ``detection_policy``
-    optionally swaps the suspicion rule for a ``policy.detect.*`` entry, so
-    the same replay scores adaptive or accrual detectors.
+    is the ``policy.detect.*`` entry whose suspicion rule is scored, so the
+    same replay compares adaptive or accrual detectors.
     """
     rng = RandomStreams(seed)
     subject = Address("server", "watched")
@@ -140,7 +112,7 @@ def detector_cell(
 
     timeout = period * timeout_multiplier
     config = FaultDetectionConfig(heartbeat_period=period, suspicion_timeout=timeout)
-    policy = detection_policy_from(config, detection_policy)
+    policy = make_policy("detection", detection_policy)
     policy.bind(owner="detector-cell", rng=rng, monitor=None)
     detector = FailureDetector(config, policy=policy)
     detector.watch(subject, 0.0)
@@ -215,30 +187,3 @@ def _ablation_detector() -> ScenarioSpec:
         },
         reduce=_detector_rows,
     )
-
-
-def run_detector_ablation(
-    heartbeat_periods: tuple[float, ...] = (1.0, 5.0, 15.0),
-    timeout_multipliers: tuple[float, ...] = (2.0, 6.0, 12.0),
-    message_loss: float = 0.02,
-    latency_sigma: float = 0.8,
-    observation_seconds: float = 3600.0,
-    crash_at: float = 1800.0,
-    seed: int = 0,
-) -> list[dict[str, Any]]:
-    """Heart-beat tuning: detection latency vs wrong suspicions."""
-    return run_scenario(
-        _ablation_detector,
-        axes={
-            "heartbeat_period": heartbeat_periods,
-            "timeout_multiplier": timeout_multipliers,
-        },
-        params=dict(
-            message_loss=message_loss,
-            latency_sigma=latency_sigma,
-            observation_seconds=observation_seconds,
-            crash_at=crash_at,
-        ),
-        seeds=(seed,),
-        jobs=1,
-    ).rows

@@ -23,10 +23,9 @@ from typing import Any
 from repro.experiments.fig9_reference import completion_curve_rows, run_alcatel_campaign
 from repro.platform.registry import create_component
 from repro.scenarios.registry import scenario
-from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import ScenarioSpec
 
-__all__ = ["coordinator_fault_steps", "run_fig10"]
+__all__ = ["coordinator_fault_steps", "coordinator_faults_cell"]
 
 
 def coordinator_fault_steps(
@@ -164,29 +163,3 @@ def _fig10() -> ScenarioSpec:
         },
         reduce=completion_curve_rows,
     )
-
-
-def run_fig10(
-    n_tasks: int = 300,
-    servers_per_site: dict[str, int] | None = None,
-    kill_lille_fraction: float = 0.4,
-    kill_orsay_fraction: float = 0.75,
-    lille_restart_delay: float = 180.0,
-    seed: int = 0,
-    **kwargs: Any,
-) -> dict[str, Any]:
-    """Run the two-consecutive-coordinator-faults scenario."""
-    result = run_scenario(
-        _fig10,
-        params=dict(
-            n_tasks=n_tasks,
-            servers_per_site=servers_per_site,
-            kill_lille_fraction=kill_lille_fraction,
-            kill_orsay_fraction=kill_orsay_fraction,
-            lille_restart_delay=lille_restart_delay,
-            **kwargs,
-        ),
-        seeds=(seed,),
-        jobs=1,
-    )
-    return dict(result.cells[0]["outputs"])

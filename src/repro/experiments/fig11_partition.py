@@ -22,11 +22,10 @@ from repro.experiments.fig9_reference import completion_curve_rows, run_alcatel_
 from repro.platform.component import BaseComponent
 from repro.platform.registry import create_component
 from repro.scenarios.registry import scenario
-from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import ScenarioSpec
 from repro.types import Address, ComponentKind
 
-__all__ = ["PartitionedViews", "run_fig11"]
+__all__ = ["PartitionedViews", "partition_cell"]
 
 
 class PartitionedViews(BaseComponent):
@@ -145,19 +144,3 @@ def _fig11() -> ScenarioSpec:
         },
         reduce=completion_curve_rows,
     )
-
-
-def run_fig11(
-    n_tasks: int = 300,
-    servers_per_site: dict[str, int] | None = None,
-    seed: int = 0,
-    **kwargs: Any,
-) -> dict[str, Any]:
-    """Run the partitioned-views scenario and compare against the reference."""
-    result = run_scenario(
-        _fig11,
-        params=dict(n_tasks=n_tasks, servers_per_site=servers_per_site, **kwargs),
-        seeds=(seed,),
-        jobs=1,
-    )
-    return dict(result.cells[0]["outputs"])

@@ -12,9 +12,7 @@ parameters (disk bandwidth vs network bandwidth), up to ~2× for many small
 calls (disk latency ≈ communication time); non-blocking pessimistic close to
 optimistic with a small, variable overhead.
 
-Both panels are registered as scenarios (``fig4-size``, ``fig4-calls``); the
-``run_*`` functions are thin wrappers kept for the benchmarks and
-EXPERIMENTS.md flows.
+Both panels are registered as scenarios (``fig4-size``, ``fig4-calls``).
 """
 
 from __future__ import annotations
@@ -23,33 +21,43 @@ from typing import Any
 
 from repro.config import ProtocolConfig
 from repro.grid.builder import build_confined_cluster
+from repro.policies.logging import (
+    OptimisticLogging,
+    PessimisticBlockingLogging,
+    PessimisticNonBlockingLogging,
+)
 from repro.scenarios.reducers import grouped
 from repro.scenarios.registry import scenario
-from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import Axis, CellResult, ScenarioSpec
 from repro.types import LoggingStrategy
 from repro.workloads.sweep import geometric_counts, geometric_sizes
 from repro.workloads.synthetic import SyntheticWorkload
 
-__all__ = ["run_fig4_vs_size", "run_fig4_vs_calls", "STRATEGIES"]
+__all__ = ["logging_cell"]
 
-STRATEGIES: tuple[LoggingStrategy, ...] = (
-    LoggingStrategy.OPTIMISTIC,
-    LoggingStrategy.PESSIMISTIC_NON_BLOCKING,
-    LoggingStrategy.PESSIMISTIC_BLOCKING,
-)
+#: the swept strategies: the :class:`LoggingStrategy` value the figure's rows
+#: are keyed by -> the ``policy.log.*`` entry implementing it.
+_LOGGING_POLICIES = {
+    policy.strategy.value: policy.key
+    for policy in (
+        OptimisticLogging,
+        PessimisticNonBlockingLogging,
+        PessimisticBlockingLogging,
+    )
+}
 
-_STRATEGY_VALUES = tuple(strategy.value for strategy in STRATEGIES)
+_STRATEGY_VALUES = tuple(_LOGGING_POLICIES)
 
 
 def _measure_submission(
-    strategy: LoggingStrategy,
+    strategy: str,
     n_calls: int,
     params_bytes: int,
     seed: int = 0,
 ) -> float:
     """Total submission time of ``n_calls`` calls under one strategy."""
-    protocol = ProtocolConfig().with_logging_strategy(strategy)
+    protocol = ProtocolConfig()
+    protocol.policy.logging = _LOGGING_POLICIES[strategy]
     protocol.coordinator.replication.period = 5.0
     # This experiment isolates the *client-side logging* cost: keep the
     # coordinator lightweight (no heavy middleware charge per request) and the
@@ -79,8 +87,7 @@ def logging_cell(
 ) -> dict[str, Any]:
     """Scenario cell: one (strategy, size/count) submission measurement."""
     seconds = _measure_submission(
-        LoggingStrategy(strategy), n_calls=n_calls, params_bytes=params_bytes,
-        seed=seed,
+        strategy, n_calls=n_calls, params_bytes=params_bytes, seed=seed
     )
     return {"submission_seconds": seconds}
 
@@ -145,29 +152,3 @@ def _fig4_calls() -> ScenarioSpec:
         scales={"tiny": {"n_calls": (1, 16)}},
         reduce=_pivot_strategies("n_calls", "params_bytes"),
     )
-
-
-def run_fig4_vs_size(
-    sizes: list[int] | None = None, n_calls: int = 16, seed: int = 0
-) -> list[dict[str, Any]]:
-    """Left panel of Figure 4: submission time vs parameter size."""
-    return run_scenario(
-        _fig4_size,
-        axes={"params_bytes": sizes} if sizes is not None else None,
-        params={"n_calls": n_calls},
-        seeds=(seed,),
-        jobs=1,
-    ).rows
-
-
-def run_fig4_vs_calls(
-    counts: list[int] | None = None, params_bytes: int = 300, seed: int = 0
-) -> list[dict[str, Any]]:
-    """Right panel of Figure 4: submission time vs number of calls."""
-    return run_scenario(
-        _fig4_calls,
-        axes={"n_calls": counts} if counts is not None else None,
-        params={"params_bytes": params_bytes},
-        seeds=(seed,),
-        jobs=1,
-    ).rows

@@ -13,9 +13,7 @@ pays one row write per description), linear growth once the data size exceeds
 bandwidth separates the curves at large sizes while its faster database
 machines make the many-small-records case cheaper than the cluster's.
 
-Both panels are registered as scenarios (``fig5-size``, ``fig5-count``); the
-``run_*`` functions are thin wrappers kept for the benchmarks and
-EXPERIMENTS.md flows.
+Both panels are registered as scenarios (``fig5-size``, ``fig5-count``).
 """
 
 from __future__ import annotations
@@ -27,19 +25,18 @@ from repro.core.protocol import CallDescription
 from repro.grid.builder import Grid, build_confined_cluster, build_internet_testbed
 from repro.scenarios.reducers import grouped
 from repro.scenarios.registry import scenario
-from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import Axis, CellResult, ScenarioSpec
 from repro.types import CallIdentity, RPCId, SessionId, UserId
 from repro.workloads.sweep import geometric_counts, geometric_sizes
 
-__all__ = ["run_fig5_vs_size", "run_fig5_vs_count", "measure_replication_time"]
+__all__ = ["measure_replication_time", "replication_cell"]
 
 _ENVIRONMENTS = ("confined", "internet")
 
 
 def _build(environment: str, seed: int = 0) -> Grid:
     protocol = ProtocolConfig()
-    protocol.coordinator.replication.enabled = False  # measured manually
+    protocol.policy.replication = "policy.repl.none"  # measured manually
     # Keep unrelated traffic (work requests) out of the measurement, and do
     # not let the ack wait be cut short by the suspicion timeout: bulk
     # replications over the Internet legitimately take minutes (Fig. 5).
@@ -174,34 +171,3 @@ def _fig5_count() -> ScenarioSpec:
         scales={"tiny": {"n_tasks": (1, 32)}},
         reduce=_pivot_environments("n_tasks", "params_bytes"),
     )
-
-
-def run_fig5_vs_size(
-    sizes: list[int] | None = None,
-    n_tasks: int = 16,
-    environments: tuple[str, ...] = _ENVIRONMENTS,
-    seed: int = 0,
-) -> list[dict[str, Any]]:
-    """Left panel of Figure 5: replication time vs RPC data size."""
-    axes: dict[str, Any] = {"environment": environments}
-    if sizes is not None:
-        axes["params_bytes"] = sizes
-    return run_scenario(
-        _fig5_size, axes=axes, params={"n_tasks": n_tasks}, seeds=(seed,), jobs=1
-    ).rows
-
-
-def run_fig5_vs_count(
-    counts: list[int] | None = None,
-    params_bytes: int = 300,
-    environments: tuple[str, ...] = _ENVIRONMENTS,
-    seed: int = 0,
-) -> list[dict[str, Any]]:
-    """Right panel of Figure 5: replication time vs number of task descriptions."""
-    axes: dict[str, Any] = {"environment": environments}
-    if counts is not None:
-        axes["n_tasks"] = counts
-    return run_scenario(
-        _fig5_count, axes=axes, params={"params_bytes": params_bytes}, seeds=(seed,),
-        jobs=1,
-    ).rows

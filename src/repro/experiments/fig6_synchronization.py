@@ -15,9 +15,7 @@ small sizes/counts (one local disk access versus an extra request/reply on
 the loaded coordinator); the gap narrows as the data volume grows and the
 transfer time dominates both directions.
 
-Both panels are registered as scenarios (``fig6-size``, ``fig6-calls``); the
-``run_*`` functions are thin wrappers kept for the benchmarks and
-EXPERIMENTS.md flows.
+Both panels are registered as scenarios (``fig6-size``, ``fig6-calls``).
 """
 
 from __future__ import annotations
@@ -30,19 +28,18 @@ from repro.grid.builder import Grid, build_confined_cluster
 from repro.net.message import Message, MessageType
 from repro.scenarios.reducers import grouped
 from repro.scenarios.registry import scenario
-from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import Axis, CellResult, ScenarioSpec
 from repro.workloads.sweep import geometric_counts, geometric_sizes
 from repro.workloads.synthetic import SyntheticWorkload
 
-__all__ = ["run_fig6_vs_size", "run_fig6_vs_calls", "measure_sync_time"]
+__all__ = ["measure_sync_time", "sync_cell"]
 
 _DIRECTIONS = ("client-logs", "coordinator-logs")
 
 
 def _build(seed: int = 0, quiet: bool = True) -> Grid:
     protocol = ProtocolConfig()
-    protocol.coordinator.replication.enabled = False
+    protocol.policy.replication = "policy.repl.none"
     if quiet:
         # The client-logs direction is measured in isolation: silence the
         # periodic result polls (issued explicitly by the driver instead) and
@@ -254,29 +251,3 @@ def _fig6_calls() -> ScenarioSpec:
         scales={"tiny": {"n_calls": (8, 64)}},
         reduce=_pivot_directions("n_calls", "params_bytes"),
     )
-
-
-def run_fig6_vs_size(
-    sizes: list[int] | None = None, n_calls: int = 16, seed: int = 0
-) -> list[dict[str, Any]]:
-    """Left panel of Figure 6: synchronization time vs data size."""
-    return run_scenario(
-        _fig6_size,
-        axes={"params_bytes": sizes} if sizes is not None else None,
-        params={"n_calls": n_calls},
-        seeds=(seed,),
-        jobs=1,
-    ).rows
-
-
-def run_fig6_vs_calls(
-    counts: list[int] | None = None, params_bytes: int = 300, seed: int = 0
-) -> list[dict[str, Any]]:
-    """Right panel of Figure 6: synchronization time vs number of calls."""
-    return run_scenario(
-        _fig6_calls,
-        axes={"n_calls": counts} if counts is not None else None,
-        params={"params_bytes": params_bytes},
-        seeds=(seed,),
-        jobs=1,
-    ).rows

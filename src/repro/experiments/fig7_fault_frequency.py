@@ -15,7 +15,7 @@ nodes than infrastructure nodes).
 The sweep is registered as the ``fig7`` scenario — (frequency × target × seed)
 cells over the shared :func:`~repro.scenarios.engine.benchmark_cell` kernel —
 so ``python -m repro run fig7 --jobs N`` fans the whole figure out over a
-process pool.  :func:`run_fig7` stays as a thin sequential wrapper.
+process pool.
 """
 
 from __future__ import annotations
@@ -25,11 +25,8 @@ from typing import Any
 from repro.scenarios.engine import benchmark_cell
 from repro.scenarios.reducers import grouped, mean
 from repro.scenarios.registry import scenario
-from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import Axis, CellResult, ScenarioSpec
 from repro.workloads.sweep import fault_frequencies
-
-__all__ = ["run_fig7"]
 
 _TARGETS = ("servers", "coordinators")
 
@@ -103,31 +100,3 @@ def _fig7() -> ScenarioSpec:
         },
         reduce=_fig7_rows,
     )
-
-
-def run_fig7(
-    frequencies: list[float] | None = None,
-    seeds: tuple[int, ...] = (7, 11, 23),
-    n_calls: int = 96,
-    exec_time: float = 10.0,
-    n_servers: int = 16,
-    n_coordinators: int = 4,
-    restart_delay: float = 5.0,
-    horizon: float = 6000.0,
-    jobs: int = 1,
-) -> list[dict[str, Any]]:
-    """Benchmark execution time vs fault frequency, for both fault targets."""
-    return run_scenario(
-        _fig7,
-        axes={"faults_per_minute": frequencies} if frequencies is not None else None,
-        params=dict(
-            n_calls=n_calls,
-            exec_time=exec_time,
-            n_servers=n_servers,
-            n_coordinators=n_coordinators,
-            restart_delay=restart_delay,
-            horizon=horizon,
-        ),
-        seeds=seeds,
-        jobs=jobs,
-    ).rows

@@ -7,8 +7,8 @@ body with a small heavy tail (see :class:`repro.workloads.alcatel.AlcatelWorkloa
 and the substitution note in DESIGN.md); this experiment reports the histogram
 and the summary statistics of that distribution.
 
-Registered as the single-cell ``fig8`` scenario (rows = histogram bins);
-:func:`run_fig8` keeps the historical dict shape.
+Registered as the single-cell ``fig8`` scenario (rows = histogram bins; the
+cell's outputs also carry the summary statistics).
 """
 
 from __future__ import annotations
@@ -16,11 +16,10 @@ from __future__ import annotations
 from typing import Any
 
 from repro.scenarios.registry import scenario
-from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import CellResult, ScenarioSpec
 from repro.workloads.alcatel import AlcatelWorkload
 
-__all__ = ["run_fig8"]
+__all__ = ["durations_cell"]
 
 
 def durations_cell(n_tasks: int, bins: int, seed: int = 42) -> dict[str, Any]:
@@ -56,14 +55,3 @@ def _fig8() -> ScenarioSpec:
         scales={"tiny": dict(n_tasks=200, bins=10)},
         reduce=_histogram_rows,
     )
-
-
-def run_fig8(
-    n_tasks: int = 1000, bins: int = 20, seed: int = 42
-) -> dict[str, Any]:
-    """Histogram + summary statistics of the task-duration distribution."""
-    result = run_scenario(
-        _fig8, params=dict(n_tasks=n_tasks, bins=bins), seeds=(seed,), jobs=1
-    )
-    outputs = result.cells[0]["outputs"]
-    return {"histogram": outputs["histogram"], "stats": outputs["stats"]}

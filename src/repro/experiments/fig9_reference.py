@@ -21,11 +21,10 @@ import numpy as np
 from repro.config import ProtocolConfig
 from repro.grid.builder import build_internet_testbed
 from repro.scenarios.registry import scenario
-from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import CellResult, ScenarioSpec
 from repro.workloads.alcatel import AlcatelWorkload
 
-__all__ = ["run_alcatel_campaign", "run_fig9"]
+__all__ = ["run_alcatel_campaign", "reference_cell", "completion_curve_rows"]
 
 
 def run_alcatel_campaign(
@@ -175,19 +174,3 @@ def _fig9() -> ScenarioSpec:
         },
         reduce=completion_curve_rows,
     )
-
-
-def run_fig9(
-    n_tasks: int = 300,
-    servers_per_site: dict[str, int] | None = None,
-    seed: int = 0,
-    **kwargs: Any,
-) -> dict[str, Any]:
-    """The reference (fault-free) execution of Figure 9."""
-    result = run_scenario(
-        _fig9,
-        params=dict(n_tasks=n_tasks, servers_per_site=servers_per_site, **kwargs),
-        seeds=(seed,),
-        jobs=1,
-    )
-    return dict(result.cells[0]["outputs"])

@@ -12,15 +12,12 @@ from repro.grid.deployment import (
     confined_cluster_spec,
     internet_testbed_spec,
 )
-from repro.grid.runner import RunReport, run_synthetic_benchmark
 
 __all__ = [
     "DeploymentSpec",
     "Grid",
-    "RunReport",
     "build_confined_cluster",
     "build_internet_testbed",
     "confined_cluster_spec",
     "internet_testbed_spec",
-    "run_synthetic_benchmark",
 ]

@@ -15,9 +15,7 @@ LoggingPolicy` from the ``policy.log.*`` family:
 The engine exposes two process fragments, :meth:`LoggingEngine.before_send`
 and :meth:`LoggingEngine.after_send`, that the client wraps around its
 communication; the returned :class:`LogToken` carries the durability event
-between the two.  Constructing the engine without an explicit policy derives
-one from the config's legacy ``strategy`` flag, so direct users of this
-module behave exactly as before the policy layer existed.
+between the two.
 """
 
 from __future__ import annotations
@@ -58,17 +56,11 @@ class LoggingEngine:
         host: Host,
         log: MessageLog,
         config: LoggingConfig,
-        policy: "LoggingPolicy | None" = None,
+        policy: "LoggingPolicy",
     ) -> None:
         self.host = host
         self.log = log
         self.config = config
-        if policy is None:
-            # Deferred import: repro.policies.logging imports this module's
-            # LogToken, so the default resolution cannot be a top-level import.
-            from repro.policies.resolve import logging_policy_from
-
-            policy = logging_policy_from(config)
         self.policy = policy
         #: cumulative simulated time the strategy added in front of / behind
         #: communications (reported by the Fig. 4 experiment).

@@ -21,6 +21,7 @@ component instance.  Two resolution paths:
 
 from __future__ import annotations
 
+import functools
 import importlib
 from typing import Any, Callable, Mapping
 
@@ -67,6 +68,7 @@ def register_component(
     if not replace and name in _REGISTRY and _REGISTRY[name] is not factory:
         raise ConfigurationError(f"component {name!r} is already registered")
     _REGISTRY[name] = factory
+    resolve_component.cache_clear()
     return factory
 
 
@@ -81,8 +83,14 @@ def component(
     return decorator
 
 
+@functools.cache
 def resolve_component(name: str) -> Callable[..., Component]:
-    """Name -> factory: the registry first, then the dotted-path fallback."""
+    """Name -> factory: the registry first, then the dotted-path fallback.
+
+    Remembered per name (protocol components resolve their policies on every
+    restart); any registration forgets every answer, and a failed lookup is
+    never remembered.
+    """
     _load_builtins()
     factory = _REGISTRY.get(name)
     if factory is not None:

@@ -17,8 +17,10 @@ Every policy is registered in the platform registry under its ``policy.*``
 key, so scenarios select them exactly like injectors: by name with plain
 parameters — ``--set policy.scheduler=policy.sched.random`` on the CLI, a
 ``protocol_overrides`` entry on a spec, or a custom class by dotted path
-(see ``examples/custom_policy.py``).  :mod:`repro.policies.resolve` maps the
-legacy tier-config flags onto the equivalent built-ins when no entry is set.
+(see ``examples/custom_policy.py``).  The selection lives in
+:class:`~repro.config.PolicyConfig` and nowhere else;
+:func:`~repro.policies.resolve.make_policy` turns one of its entries into the
+instance a protocol component owns.
 """
 
 from repro.policies.base import PolicyBase
@@ -41,14 +43,7 @@ from repro.policies.replication import (
     QuorumReplication,
     ReplicationPolicy,
 )
-from repro.policies.resolve import (
-    detection_policy_from,
-    logging_policy_from,
-    normalize_policy_entry,
-    replication_policy_from,
-    scheduler_policy_from,
-    validate_policy_entries,
-)
+from repro.policies.resolve import make_policy
 from repro.policies.scheduling import (
     FastestFirstSchedulerPolicy,
     FifoReschedulePolicy,
@@ -79,10 +74,5 @@ __all__ = [
     "RoundRobinSchedulerPolicy",
     "SchedulerPolicy",
     "SchedulingDecision",
-    "detection_policy_from",
-    "logging_policy_from",
-    "normalize_policy_entry",
-    "replication_policy_from",
-    "scheduler_policy_from",
-    "validate_policy_entries",
+    "make_policy",
 ]

@@ -26,13 +26,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
+from repro.msglog.strategies import LogToken
 from repro.platform.registry import component
 from repro.policies.base import PolicyBase
 from repro.sim.core import ProcessKilled
 from repro.types import LoggingStrategy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.msglog.strategies import LoggingEngine, LogToken
+    from repro.msglog.strategies import LoggingEngine
 
 __all__ = [
     "LoggingPolicy",
@@ -42,20 +43,12 @@ __all__ = [
 ]
 
 
-def _token(*args: Any, **kwargs: Any) -> "LogToken":
-    # Imported lazily: msglog.strategies imports this module for its default
-    # policy resolution, so a top-level import would be circular.
-    from repro.msglog.strategies import LogToken
-
-    return LogToken(*args, **kwargs)
-
-
 class LoggingPolicy(PolicyBase):
     """When the durability of a log record may delay the communication."""
 
     key = "policy.log.base"
-    #: the legacy enum value this policy implements (kept in sync with the
-    #: :class:`~repro.config.LoggingConfig` mirror flag).
+    #: which of Fig. 4's three strategies this policy implements (reported
+    #: by :attr:`LoggingEngine.strategy`; Fig. 4's rows are keyed by it).
     strategy: LoggingStrategy
 
     def before_send(
@@ -97,7 +90,7 @@ class PessimisticBlockingLogging(LoggingPolicy):
         engine.blocking_overhead += cost
         yield engine.host.sleep(cost)
         engine.log.mark_durable(key)
-        return _token(key=key, size_bytes=size_bytes)
+        return LogToken(key=key, size_bytes=size_bytes)
 
 
 @component("policy.log.pessimistic-nonblocking")
@@ -120,7 +113,7 @@ class PessimisticNonBlockingLogging(LoggingPolicy):
         durability_event.callbacks.append(
             lambda _e, k=key, i=incarnation: engine._make_durable(k, i)
         )
-        return _token(
+        return LogToken(
             key=key,
             size_bytes=size_bytes,
             durability_event=durability_event,
@@ -152,4 +145,4 @@ class OptimisticLogging(LoggingPolicy):
         durability_event.callbacks.append(
             lambda _e, k=key, i=incarnation: engine._make_durable(k, i)
         )
-        return _token(key=key, size_bytes=size_bytes, durability_event=durability_event)
+        return LogToken(key=key, size_bytes=size_bytes, durability_event=durability_event)

@@ -46,9 +46,6 @@ class ReplicationPolicy(PolicyBase):
 
     key = "policy.repl.base"
 
-    #: whether this policy replicates at all (reporting / describe()).
-    enabled = True
-
     def install(self, coordinator: "CoordinatorComponent") -> None:
         """Arm the cadence on ``coordinator`` (called from its ``start()``)."""
 
@@ -93,7 +90,6 @@ class NoReplication(ReplicationPolicy):
     """Never replicate: the coordinator is a single point of failure."""
 
     key = "policy.repl.none"
-    enabled = False
 
 
 @component("policy.repl.on-commit")

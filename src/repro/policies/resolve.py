@@ -1,281 +1,79 @@
-"""Turning configuration into policy instances.
+"""Turning a ``policy.*`` entry into a policy instance.
 
-Two inputs meet here:
+:class:`~repro.config.PolicyConfig` says *which* strategy runs on each
+decision axis — a registry key string (``"policy.sched.random"``) or a
+``{"name": ..., "params": {...}}`` mapping, resolved through
+:mod:`repro.platform.registry` so custom policies plug in by dotted path
+exactly like custom injectors.  :func:`resolve_policy` reads one entry (it is
+what ``PolicyConfig.validate()`` runs on each axis) and :func:`make_policy`
+is the one function the protocol components call to get their own instance.
 
-* the **legacy flags** on the tier configs (``SchedulerConfig.
-  reschedule_on_suspicion``, ``ReplicationConfig.enabled``/``period``,
-  ``LoggingConfig.strategy``) — the way scenarios tuned behaviour before the
-  policy layer existed, still honoured as the defaults;
-* the **policy entries** of :class:`~repro.config.PolicyConfig`
-  (``protocol.policy.scheduler`` and friends) — a registry key string
-  (``"policy.sched.random"``) or a ``{"name": ..., "params": {...}}``
-  mapping, resolved through :mod:`repro.platform.registry` so custom
-  policies plug in by dotted path exactly like custom injectors.
-
-When an entry is set it wins; when it is ``None`` the flags pick the
-equivalent built-in, so a configuration written before the refactor resolves
-to byte-identical behaviour.
+Numeric tunables shared by every policy of an axis (``coordinator.
+replication.period``, ``*.detection.suspicion_timeout``) stay on the tier
+configs: a policy whose own ``period=`` / ``timeout=`` parameter is unset
+reads them from its owner at run time, so nothing is copied here.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import Any, Callable, Mapping
 
-from repro.config import (
-    FaultDetectionConfig,
-    LoggingConfig,
-    ReplicationConfig,
-    SchedulerConfig,
-)
 from repro.errors import ConfigurationError
-from repro.platform.registry import create_component, resolve_component
+from repro.platform.registry import resolve_component
+from repro.policies.base import PolicyBase
+from repro.policies.detection import DetectionPolicy
+from repro.policies.logging import LoggingPolicy
+from repro.policies.replication import ReplicationPolicy
+from repro.policies.scheduling import SchedulerPolicy
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.config import ProtocolConfig
-from repro.policies.detection import DetectionPolicy, FixedTimeoutDetection
-from repro.policies.logging import (
-    LoggingPolicy,
-    OptimisticLogging,
-    PessimisticBlockingLogging,
-    PessimisticNonBlockingLogging,
-)
-from repro.policies.replication import (
-    NoReplication,
-    PassivePeriodicReplication,
-    ReplicationPolicy,
-)
-from repro.policies.scheduling import FifoReschedulePolicy, SchedulerPolicy
-from repro.types import LoggingStrategy
+__all__ = ["make_policy", "resolve_policy"]
 
-__all__ = [
-    "SHADOWED_FLAG_PATHS",
-    "detection_policy_from",
-    "logging_policy_from",
-    "normalize_policy_entry",
-    "reassert_flag_override",
-    "replication_policy_from",
-    "scheduler_policy_from",
-    "sync_policy_flags",
-    "validate_policy_entries",
-]
-
-#: legacy flag paths that a set policy entry would otherwise shadow, by the
-#: axis whose entry they re-assert when explicitly overridden.  This is the
-#: single table the override machinery consults; the mirror direction lives
-#: in :func:`sync_policy_flags` below, and the flag->policy derivation in the
-#: ``*_policy_from`` functions — extend all three when adding an axis.
-#: The scheduler axis is deliberately absent: its only shadowed flag
-#: (``reschedule_on_suspicion``) feeds *into* any selected entry via
-#: :func:`scheduler_policy_from`'s default, so overriding it must not
-#: discard an explicitly requested scheduling order.  The detection axis is
-#: absent for the same reason: ``suspicion_timeout`` feeds into every
-#: detection policy as its fixed-rule fallback/ceiling, so overriding the
-#: flag tunes the selected detector rather than discarding it.
-SHADOWED_FLAG_PATHS = {
-    "coordinator.replication": "replication",
-    "coordinator.replication.enabled": "replication",
-    "coordinator.replication.period": "replication",
-    "client.logging": "logging",
-    "client.logging.strategy": "logging",
-}
-
-#: legacy strategy enum -> the logging policy class implementing it.
-_STRATEGY_POLICIES = {
-    LoggingStrategy.PESSIMISTIC_BLOCKING: PessimisticBlockingLogging,
-    LoggingStrategy.PESSIMISTIC_NON_BLOCKING: PessimisticNonBlockingLogging,
-    LoggingStrategy.OPTIMISTIC: OptimisticLogging,
+#: axis (a :class:`~repro.config.PolicyConfig` field) -> the contract an
+#: entry on that axis must resolve to.
+_AXIS_CONTRACTS: dict[str, type[PolicyBase]] = {
+    "scheduler": SchedulerPolicy,
+    "replication": ReplicationPolicy,
+    "logging": LoggingPolicy,
+    "detection": DetectionPolicy,
 }
 
 
-def normalize_policy_entry(entry: Any) -> tuple[str, dict[str, Any]] | None:
-    """``entry`` -> ``(name, params)``, or ``None`` when unset.
+def resolve_policy(axis: str, entry: Any) -> tuple[Callable[..., Any], dict[str, Any]]:
+    """``entry`` -> ``(factory, params)``; nothing is instantiated.
 
-    Accepted shapes: ``None``, a registry key / dotted-path string, or a
-    mapping with a ``"name"`` key and optional ``"params"``.
+    Accepted shapes: a registry key / dotted-path string, or a mapping with
+    a ``"name"`` key and optional ``"params"``.  An unknown name fails here,
+    with the registry's "unknown component" error.
     """
-    if entry is None:
-        return None
-    if isinstance(entry, str):
-        if not entry:
-            raise ConfigurationError("policy entry must be a non-empty name")
-        return entry, {}
-    if isinstance(entry, Mapping):
-        name = entry.get("name")
-        if not name:
-            raise ConfigurationError(
-                f"policy entry {dict(entry)!r} has no 'name' key"
-            )
-        return str(name), dict(entry.get("params") or {})
-    raise ConfigurationError(
-        f"policy entry must be a name or a {{'name', 'params'}} mapping, "
-        f"got {entry!r}"
-    )
+    if isinstance(entry, str) and entry:
+        name, params = entry, {}
+    elif isinstance(entry, Mapping) and entry.get("name"):
+        name, params = str(entry["name"]), dict(entry.get("params") or {})
+    else:
+        raise ConfigurationError(
+            f"policy.{axis} must be a non-empty name or a {{'name', 'params'}} "
+            f"mapping with a 'name' key, got {entry!r}"
+        )
+    return resolve_component(name), params
 
 
-def _create(entry: Any, expected: type, what: str):
-    name, params = normalize_policy_entry(entry)  # entry is known non-None here
-    instance = create_component(name, params)
+def make_policy(axis: str, entry: Any) -> PolicyBase:
+    """A fresh, unbound policy instance for ``entry`` on ``axis``.
+
+    An entry is taken whole: parameters it does not spell out get the policy
+    class's own defaults, whatever entry the axis held before.
+    """
+    factory, params = resolve_policy(axis, entry)
+    try:
+        instance = factory(**params)
+    except TypeError as error:
+        raise ConfigurationError(
+            f"policy.{axis} entry {entry!r} rejected its parameters: {error}"
+        ) from None
+    expected = _AXIS_CONTRACTS[axis]
     if not isinstance(instance, expected):
         raise ConfigurationError(
-            f"{what} policy {name!r} resolved to {type(instance).__name__}, "
+            f"{axis} policy {entry!r} resolved to {type(instance).__name__}, "
             f"which is not a {expected.__name__}"
         )
     return instance
-
-
-def scheduler_policy_from(
-    config: SchedulerConfig, entry: Any = None
-) -> SchedulerPolicy:
-    """The scheduling policy for one coordinator (entry wins over flags).
-
-    An entry that does not spell out ``reschedule`` inherits the configured
-    ``reschedule_on_suspicion`` flag — swapping the scheduling order must
-    not silently re-enable the fault tolerance a baseline turned off.
-    """
-    if entry is not None:
-        name, params = normalize_policy_entry(entry)
-        factory = resolve_component(name)
-        # Only inject the default into genuine SchedulerPolicy classes (a
-        # wrong-kind entry still fails the type check with its own error,
-        # and exotic factories keep their exact signature).
-        if isinstance(factory, type) and issubclass(factory, SchedulerPolicy):
-            params.setdefault("reschedule", config.reschedule_on_suspicion)
-        return _create({"name": name, "params": params}, SchedulerPolicy, "scheduler")
-    return FifoReschedulePolicy(reschedule=config.reschedule_on_suspicion)
-
-
-def replication_policy_from(
-    config: ReplicationConfig, entry: Any = None
-) -> ReplicationPolicy:
-    """The replication policy for one coordinator (entry wins over flags)."""
-    if entry is not None:
-        return _create(entry, ReplicationPolicy, "replication")
-    if not config.enabled:
-        return NoReplication()
-    return PassivePeriodicReplication(period=config.period)
-
-
-def detection_policy_from(
-    config: FaultDetectionConfig, entry: Any = None
-) -> DetectionPolicy:
-    """The failure-detection policy for one detector (entry wins over flags).
-
-    ``None`` derives the paper's fixed-timeout rule from the config's
-    ``suspicion_timeout`` (the policy defers to the config at query time, so
-    the derivation is byte-identical to the historical flag-driven check).
-    """
-    if entry is not None:
-        return _create(entry, DetectionPolicy, "detection")
-    return FixedTimeoutDetection()
-
-
-def logging_policy_from(config: LoggingConfig, entry: Any = None) -> LoggingPolicy:
-    """The logging policy for one client (entry wins over the strategy flag)."""
-    if entry is not None:
-        return _create(entry, LoggingPolicy, "logging")
-    return _STRATEGY_POLICIES[config.strategy]()
-
-
-def reassert_flag_override(protocol: "ProtocolConfig", path: str, value: Any) -> None:
-    """Make an explicit legacy-flag override effective despite policy entries.
-
-    For the replication/logging axes the flag fully determines the policy,
-    so the shadowing entry is cleared and derivation falls back to the flags
-    (``--set coordinator.replication.enabled=false`` keeps disabling
-    replication even on a preset that bundles an entry).  The scheduler flag
-    only expresses the reschedule switch — the selected ordering is kept and
-    the entry's ``reschedule`` param is rewritten instead.
-    """
-    axis = SHADOWED_FLAG_PATHS.get(path)
-    if axis is not None:
-        setattr(protocol.policy, axis, None)
-        return
-    if path == "coordinator.scheduler.reschedule_on_suspicion":
-        normalized = normalize_policy_entry(protocol.policy.scheduler)
-        if normalized is not None:
-            name, params = normalized
-            params["reschedule"] = bool(value)
-            protocol.policy.scheduler = {"name": name, "params": params}
-
-
-def validate_policy_entries(policy_config: Any) -> None:
-    """Fail fast on unresolvable policy entries (CLI pre-sweep validation).
-
-    Checks that every set entry's name resolves through the registry without
-    instantiating anything (parameters are validated at construction time,
-    inside the cells).
-    """
-    for field_name in ("scheduler", "replication", "logging", "detection"):
-        entry = getattr(policy_config, field_name, None)
-        normalized = normalize_policy_entry(entry)
-        if normalized is None:
-            continue
-        name, _params = normalized
-        resolve_component(name)
-
-
-# ---------------------------------------------------------------------------
-# Mirroring policy entries back onto the legacy flags
-# ---------------------------------------------------------------------------
-
-
-def _mirror_entry_flags(
-    protocol: "ProtocolConfig", axis: str, name: str, params: Mapping[str, Any]
-) -> None:
-    """Keep the legacy tier-config flags in sync with one built-in entry.
-
-    Custom (non-built-in) policy names have no flag equivalent; the flags
-    then keep their values and the policy entry alone is authoritative.
-    """
-    if axis == "replication":
-        # The policy class carries whether it replicates at all (its
-        # `enabled` attribute), so on-commit and custom variants mirror
-        # truthfully without being named here.
-        try:
-            factory = resolve_component(name)
-        except ConfigurationError:
-            return
-        enabled = getattr(factory, "enabled", None)
-        if isinstance(enabled, bool):
-            protocol.coordinator.replication.enabled = enabled
-        if name == "policy.repl.passive-periodic" and params.get("period") is not None:
-            protocol.coordinator.replication.period = float(params["period"])
-    elif axis == "scheduler":
-        if name.startswith("policy.sched.") and "reschedule" in params:
-            protocol.coordinator.scheduler.reschedule_on_suspicion = bool(
-                params["reschedule"]
-            )
-    elif axis == "detection":
-        # Only an explicit fixed timeout has a flag equivalent; adaptive and
-        # accrual detectors read the flag as their ceiling/fallback instead.
-        if name == "policy.detect.fixed-timeout" and params.get("timeout") is not None:
-            timeout = float(params["timeout"])
-            protocol.coordinator.detection.suspicion_timeout = timeout
-            protocol.server.detection.suspicion_timeout = timeout
-    elif axis == "logging":
-        # The policy class itself carries the strategy it implements (its
-        # `strategy` attribute) — resolve through the registry rather than
-        # duplicating the key->enum mapping here.
-        try:
-            factory = resolve_component(name)
-        except ConfigurationError:
-            return
-        strategy = getattr(factory, "strategy", None)
-        if isinstance(strategy, LoggingStrategy):
-            protocol.client.logging.strategy = strategy
-
-
-def sync_policy_flags(protocol: "ProtocolConfig") -> "ProtocolConfig":
-    """Mirror the set policy entries onto the legacy tier-config flags.
-
-    Called by the bundle builder and by override resolution
-    (``--set policy.replication=...``), so ``describe()`` and flag-reading
-    code never contradict the policies actually in force.  Entries without a
-    built-in flag equivalent leave the flags untouched.
-    """
-    for axis, entry in protocol.policy.entries().items():
-        normalized = normalize_policy_entry(entry)
-        if normalized is not None:
-            name, params = normalized
-            _mirror_entry_flags(protocol, axis, name, params)
-    return protocol

@@ -6,8 +6,11 @@ platforms, a :class:`WorkloadSpec` names the client workload, a
 :class:`FaultPlan` arms the fault injection, and protocol settings come from a
 named baseline preset plus dotted-path overrides.  :func:`execute_benchmark`
 runs the §5.1 synthetic benchmark over those pieces — it is the engine behind
-``repro.grid.runner.run_synthetic_benchmark`` (kept as a thin compatibility
-wrapper), the Figure 7 sweep, the baseline ablation and the churn scenarios.
+the Figure 7 sweep, the baseline ablation and the churn scenarios.
+
+Protocol resolution has one path: start from the topology's own defaults or
+a named preset, apply the overrides, validate.  Which behaviour runs is
+whatever ``protocol.policy`` says afterwards; nothing else is consulted.
 """
 
 from __future__ import annotations
@@ -28,11 +31,6 @@ from repro.grid.builder import Grid, build_confined_cluster, build_internet_test
 from repro.grid.deployment import confined_cluster_spec, internet_testbed_spec
 from repro.nodes.faultgen import ChurnInjector, FaultGenerator
 from repro.platform.library import ChurnInjectorComponent, RateFaultInjector
-from repro.policies.resolve import (
-    reassert_flag_override,
-    sync_policy_flags,
-    validate_policy_entries,
-)
 from repro.scenarios.report import RunReport
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -54,6 +52,8 @@ __all__ = [
 FAULT_STREAM_PREFIXES = ("churn.", "faultgen", "correlated", "crn.")
 
 #: named protocol presets a spec can reference instead of a ProtocolConfig.
+#: ``"default"`` is a bare ProtocolConfig here; :func:`execute_benchmark`,
+#: which knows the platform, reads it as the topology's own defaults.
 PROTOCOL_PRESETS = {
     "default": ProtocolConfig,
     "rpc-v": rpcv_protocol,
@@ -212,43 +212,72 @@ class FaultPlan:
 # ---------------------------------------------------------------------------
 
 
-def _known_keys(target: Any) -> str:
-    """The valid attribute names at one segment of an override path."""
-    if is_dataclass(target):
-        keys = [f.name for f in dataclass_fields(target)]
+#: declared scalar type of a config field -> the Python types an override
+#: may carry (an int may stand for a float; a bool never stands for a number).
+_SCALAR_FIELD_TYPES = {"float": (int, float), "int": (int,), "bool": (bool,)}
+
+
+def _config_fields(target: Any) -> dict[str, Any]:
+    """The settable keys at one segment of an override path, by name."""
+    if not is_dataclass(target):
+        return {}
+    return {f.name: f for f in dataclass_fields(target)}
+
+
+def _check_override_value(path: str, target: Any, field: Any, value: Any) -> None:
+    """Reject a value that cannot stand where the field's current one stands."""
+    current = getattr(target, field.name)
+    if is_dataclass(current):
+        if isinstance(value, type(current)):
+            return
+        expected = (
+            f"a {type(current).__name__}; set one of its keys instead "
+            f"({', '.join(sorted(_config_fields(current)))})"
+        )
     else:
-        keys = [k for k in vars(target) if not k.startswith("_")]
-    return ", ".join(sorted(keys)) or "<none>"
+        # Annotations are strings under ``from __future__ import annotations``
+        # and types without it; either way the name decides.
+        declared = getattr(field.type, "__name__", field.type)
+        allowed = _SCALAR_FIELD_TYPES.get(declared)
+        if allowed is None:
+            # ``Any``: a policy entry, shape-checked by PolicyConfig.validate().
+            return
+        if isinstance(value, allowed) and (
+            declared == "bool" or not isinstance(value, bool)
+        ):
+            return
+        expected = f"type {declared}"
+    raise ConfigurationError(
+        f"protocol path {path!r} expects {expected}, got {value!r}"
+    )
 
 
 def apply_protocol_overrides(
     protocol: ProtocolConfig, overrides: Mapping[str, Any]
 ) -> ProtocolConfig:
-    """Apply dotted-path overrides (``"coordinator.replication.enabled"``).
+    """Apply dotted-path overrides (``"coordinator.replication.period"``).
 
-    Every path must name an existing attribute — typos are configuration
-    errors, not silent no-ops, and the error names the valid keys at the
-    failing segment.  The mutated config is re-validated.  Overriding a
-    legacy flag a policy entry shadows clears that entry (later ``--set``
-    flags win over earlier ones, in either direction).
+    Every path must name an existing config key and every value must fit
+    the key's declared type — typos are configuration errors, not silent
+    no-ops, and the error names the valid keys at the failing segment.  A
+    ``policy.*`` override replaces that axis' entry whole.  The mutated
+    config is re-validated, which also resolves every policy name.
     """
     for path, value in overrides.items():
         target: Any = protocol
         parts = path.split(".")
         for index, part in enumerate(parts):
-            if not hasattr(target, part):
+            fields = _config_fields(target)
+            if part not in fields:
                 at = ".".join(parts[:index]) or "the protocol root"
                 raise ConfigurationError(
                     f"unknown protocol path {path!r}: {part!r} is not a key "
-                    f"of {at} (valid keys: {_known_keys(target)})"
+                    f"of {at} (valid keys: {', '.join(sorted(fields)) or '<none>'})"
                 )
             if index < len(parts) - 1:
                 target = getattr(target, part)
+        _check_override_value(path, target, fields[parts[-1]], value)
         setattr(target, parts[-1], value)
-        # An explicit legacy-flag override must stay effective despite any
-        # shadowing policy entry (cleared, or rewritten for the scheduler's
-        # reschedule switch) — later --set flags win, in either direction.
-        reassert_flag_override(protocol, path, value)
     return protocol.validate()
 
 
@@ -270,11 +299,6 @@ def resolve_protocol(
         protocol = factory()
     if overrides:
         protocol = apply_protocol_overrides(protocol, overrides)
-        # Policy entries set via overrides fail fast on an unknown registry
-        # key (the CLI calls this once before a sweep burns any time), and
-        # the legacy flags are re-mirrored so describe() stays truthful.
-        validate_policy_entries(protocol.policy)
-        sync_policy_flags(protocol)
     return protocol
 
 
@@ -345,9 +369,10 @@ def execute_benchmark(
     from fault-plan keywords to a ``components:`` entry replays the exact
     same event sequence.
 
-    ``protocol=None`` keeps the platform's own defaults (the confined cluster
-    replicates every 5 s, the Internet testbed every 60 s); overrides are then
-    applied on top of those defaults, not on a blank configuration.
+    ``protocol=None`` (or ``"default"``) keeps the platform's own defaults
+    (the confined cluster replicates every 5 s, the Internet testbed every
+    60 s); overrides are then applied on top of those defaults, not on a
+    blank configuration.
 
     The four trailing flags serve paired-CRN comparisons: ``crn_seed`` pins
     the ``crn.``-prefixed fault streams independently of ``seed``,
@@ -358,7 +383,9 @@ def execute_benchmark(
     the report, and ``record_detection`` stamps the grid-wide suspicion
     accounting (``detect.*`` counters) into the report.
     """
-    if protocol is None:
+    if protocol is None or protocol == "default":
+        # The builders apply the platform's defaults themselves when handed
+        # no protocol; only overrides need the defaults made explicit first.
         config = (
             apply_protocol_overrides(topology.default_protocol(), protocol_overrides)
             if protocol_overrides

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import SchedulerConfig
 from repro.core.protocol import (
     CallDescription,
     ResultRecord,
@@ -24,7 +23,7 @@ from repro.core.synchronization import (
 )
 from repro.core.taskindex import TaskIndex
 from repro.errors import ConfigurationError, ServiceNotRegistered, SessionError
-from repro.policies.resolve import scheduler_policy_from
+from repro.policies.resolve import make_policy
 from repro.policies.scheduling import FifoReschedulePolicy
 from repro.types import Address, CallIdentity, RPCId, SessionId, TaskState, UserId
 
@@ -225,8 +224,10 @@ class TestScheduler:
         assert task.assigned_server is None
 
     def test_reschedule_respects_config_switch(self):
-        config = SchedulerConfig(reschedule_on_suspicion=False)
-        scheduler = scheduler_policy_from(config)
+        scheduler = make_policy(
+            "scheduler",
+            {"name": "policy.sched.fifo-reschedule", "params": {"reschedule": False}},
+        )
         assert isinstance(scheduler, FifoReschedulePolicy)
         task = make_task(1, state=TaskState.ONGOING, owner="k0")
         task.assigned_server = self.SERVER

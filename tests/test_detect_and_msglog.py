@@ -14,6 +14,11 @@ from repro.msglog.strategies import LoggingEngine
 from repro.net.message import MessageType
 from repro.net.transport import Network
 from repro.nodes.node import Host
+from repro.policies.logging import (
+    OptimisticLogging,
+    PessimisticBlockingLogging,
+    PessimisticNonBlockingLogging,
+)
 from repro.sim.rng import RandomStreams
 from repro.types import Address, LoggingStrategy
 
@@ -250,7 +255,12 @@ class TestLoggingStrategies:
     def _engine(self, env, strategy):
         host = make_host(env)
         log = MessageLog(host, "out")
-        return host, log, LoggingEngine(host, log, LoggingConfig(strategy=strategy))
+        policy = {
+            LoggingStrategy.PESSIMISTIC_BLOCKING: PessimisticBlockingLogging,
+            LoggingStrategy.PESSIMISTIC_NON_BLOCKING: PessimisticNonBlockingLogging,
+            LoggingStrategy.OPTIMISTIC: OptimisticLogging,
+        }[strategy]()
+        return host, log, LoggingEngine(host, log, LoggingConfig(), policy)
 
     def _run(self, env, engine, size=1_000_000):
         def proc():

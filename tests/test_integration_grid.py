@@ -10,7 +10,17 @@ from repro.core.api import GridRpc
 from repro.errors import ConfigurationError
 from repro.grid.builder import build_confined_cluster, build_internet_testbed
 from repro.grid.deployment import confined_cluster_spec, internet_testbed_spec
-from repro.grid.runner import run_synthetic_benchmark
+from repro.policies import (
+    OptimisticLogging,
+    PessimisticBlockingLogging,
+    PessimisticNonBlockingLogging,
+)
+from repro.scenarios.engine import (
+    FaultPlan,
+    GridTopology,
+    WorkloadSpec,
+    execute_benchmark,
+)
 from repro.types import LoggingStrategy, RPCStatus, TaskState
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -264,14 +274,10 @@ class TestFaultTolerance:
         assert grid.monitor.count("server.coordinator_switches") >= 1
 
     def test_fig7_style_run_with_server_faults_completes(self):
-        report = run_synthetic_benchmark(
-            n_calls=16,
-            exec_time=2.0,
-            n_servers=4,
-            n_coordinators=2,
-            faults_per_minute=6.0,
-            fault_target="servers",
-            fault_restart_delay=5.0,
+        report = execute_benchmark(
+            GridTopology(n_servers=4, n_coordinators=2),
+            WorkloadSpec(n_calls=16, exec_time=2.0),
+            FaultPlan(kind="rate", target="servers", faults_per_minute=6.0),
             seed=3,
             horizon=3000.0,
         )
@@ -279,24 +285,40 @@ class TestFaultTolerance:
         assert report.makespan >= report.ideal_time
 
     def test_faults_increase_makespan_on_average(self):
-        quiet = run_synthetic_benchmark(
-            n_calls=32, exec_time=5.0, n_servers=8, n_coordinators=2, seed=5,
-        )
-        noisy = run_synthetic_benchmark(
-            n_calls=32, exec_time=5.0, n_servers=8, n_coordinators=2, seed=5,
-            faults_per_minute=10.0, fault_target="servers", fault_restart_delay=20.0,
+        topology = GridTopology(n_servers=8, n_coordinators=2)
+        workload = WorkloadSpec(n_calls=32, exec_time=5.0)
+        quiet = execute_benchmark(topology, workload, seed=5)
+        noisy = execute_benchmark(
+            topology,
+            workload,
+            FaultPlan(
+                kind="rate", target="servers", faults_per_minute=10.0,
+                restart_delay=20.0,
+            ),
+            seed=5,
             horizon=6000.0,
         )
         assert noisy.makespan > quiet.makespan
         assert noisy.faults_injected > 0
 
 
+#: Fig. 4's strategies -> the ``policy.log.*`` entry implementing each.
+LOGGING_POLICIES = {
+    policy.strategy: policy.key
+    for policy in (
+        OptimisticLogging, PessimisticNonBlockingLogging, PessimisticBlockingLogging,
+    )
+}
+
+
 class TestLoggingStrategiesEndToEnd:
     @pytest.mark.parametrize("strategy", list(LoggingStrategy))
     def test_every_strategy_completes_the_workload(self, strategy):
-        protocol = ProtocolConfig().with_logging_strategy(strategy)
+        protocol = ProtocolConfig()
+        protocol.policy.logging = LOGGING_POLICIES[strategy]
         protocol.coordinator.replication.period = 5.0
         grid = small_grid(protocol=protocol)
+        assert grid.client.logging.strategy is strategy
         workload = SyntheticWorkload(n_calls=4, exec_time=1.0, params_bytes=2048)
         process = grid.run_process(workload.run(grid.client))
         assert grid.run_until(process, timeout=500.0)
@@ -305,7 +327,8 @@ class TestLoggingStrategiesEndToEnd:
     def test_blocking_strategy_is_slowest_to_submit(self):
         times = {}
         for strategy in LoggingStrategy:
-            protocol = ProtocolConfig().with_logging_strategy(strategy)
+            protocol = ProtocolConfig()
+            protocol.policy.logging = LOGGING_POLICIES[strategy]
             protocol.coordinator.replication.period = 5.0
             protocol.server.work_poll_period = 10_000.0
             grid = small_grid(protocol=protocol, n_servers=1, n_coordinators=1)
@@ -320,12 +343,16 @@ class TestLoggingStrategiesEndToEnd:
 
 class TestBaselines:
     def test_presets_validate(self):
-        assert netsolve_style_protocol().coordinator.replication.enabled is False
-        assert no_fault_tolerance_protocol().coordinator.scheduler.reschedule_on_suspicion is False
+        assert netsolve_style_protocol().policy.replication["name"] == "policy.repl.none"
+        assert no_fault_tolerance_protocol().policy.scheduler["params"] == {
+            "reschedule": False
+        }
 
     def test_baseline_still_completes_without_faults(self):
-        report = run_synthetic_benchmark(
-            n_calls=8, exec_time=1.0, n_servers=4, n_coordinators=2,
-            protocol=netsolve_style_protocol(), seed=2,
+        report = execute_benchmark(
+            GridTopology(n_servers=4, n_coordinators=2),
+            WorkloadSpec(n_calls=8, exec_time=1.0),
+            protocol=netsolve_style_protocol(),
+            seed=2,
         )
         assert report.all_completed

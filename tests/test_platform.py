@@ -154,6 +154,16 @@ class TestComponentRegistry:
         with pytest.raises(ConfigurationError, match="already registered"):
             component("test.dup-probe")(Recorder)
 
+    def test_a_registration_forgets_remembered_lookups(self):
+        # resolve_component remembers its answers; neither a replacement nor
+        # a name registered after a failed lookup may be shadowed by one.
+        with pytest.raises(ConfigurationError, match="unknown component"):
+            resolve_component("test.late-probe")
+        component("test.late-probe")(Recorder)
+        assert resolve_component("test.late-probe") is Recorder
+        component("test.late-probe", replace=True)(BaseComponent)
+        assert resolve_component("test.late-probe") is BaseComponent
+
 
 class TestBuilderFacade:
     def test_exposes_the_cross_cutting_capabilities(self):

@@ -12,13 +12,7 @@ from repro.baselines import (
     protocol_from_bundle,
     rpcv_protocol,
 )
-from repro.config import (
-    LoggingConfig,
-    PolicyConfig,
-    ProtocolConfig,
-    ReplicationConfig,
-    SchedulerConfig,
-)
+from repro.config import PolicyConfig, ProtocolConfig
 from repro.core.taskindex import TaskIndex
 from repro.errors import ConfigurationError
 from repro.grid.builder import build_confined_cluster
@@ -26,6 +20,7 @@ from repro.platform.registry import component_names, create_component
 from repro.policies import (
     FastestFirstSchedulerPolicy,
     FifoReschedulePolicy,
+    FixedTimeoutDetection,
     NoReplication,
     OnCommitReplication,
     OptimisticLogging,
@@ -34,12 +29,16 @@ from repro.policies import (
     RandomSchedulerPolicy,
     RoundRobinSchedulerPolicy,
     SchedulerPolicy,
-    logging_policy_from,
-    replication_policy_from,
-    scheduler_policy_from,
+    make_policy,
 )
 from repro.scenarios import Axis, ScenarioSpec, run_scenario
-from repro.scenarios.engine import benchmark_cell, resolve_protocol
+from repro.scenarios.engine import (
+    GridTopology,
+    WorkloadSpec,
+    benchmark_cell,
+    execute_benchmark,
+    resolve_protocol,
+)
 from repro.scenarios.library import SCHEDULER_POLICIES
 from repro.scenarios.runner import SweepRunner
 from repro.sim.rng import RandomStreams
@@ -77,46 +76,67 @@ class TestRegistryRoundTrip:
 
     def test_entry_shapes(self):
         assert isinstance(
-            scheduler_policy_from(SchedulerConfig(), "policy.sched.random"),
-            RandomSchedulerPolicy,
+            make_policy("scheduler", "policy.sched.random"), RandomSchedulerPolicy
         )
         assert isinstance(
-            scheduler_policy_from(
-                SchedulerConfig(),
+            make_policy(
+                "scheduler",
                 {"name": "policy.sched.fastest-first", "params": {"reschedule": False}},
             ),
             FastestFirstSchedulerPolicy,
         )
-        with pytest.raises(ConfigurationError, match="name"):
-            scheduler_policy_from(SchedulerConfig(), {"params": {}})
+        for malformed in ({"params": {}}, "", None, 5):
+            with pytest.raises(ConfigurationError, match="name"):
+                make_policy("scheduler", malformed)
+            with pytest.raises(ConfigurationError, match=r"policy\.scheduler"):
+                PolicyConfig(scheduler=malformed).validate()
         with pytest.raises(ConfigurationError, match="not a SchedulerPolicy"):
-            scheduler_policy_from(SchedulerConfig(), "policy.repl.none")
+            make_policy("scheduler", "policy.repl.none")
 
 
 class TestDefaultDerivation:
+    """What ``PolicyConfig()`` selects, and which tier tunables it reads."""
+
     def test_scheduler_defaults_track_the_flags(self):
-        policy = scheduler_policy_from(SchedulerConfig())
+        # No flag is left to track: the default entry *is* the paper's rule,
+        # and the reschedule switch is that entry's own parameter.
+        policy = make_policy("scheduler", PolicyConfig().scheduler)
         assert isinstance(policy, FifoReschedulePolicy)
         assert policy.reschedule is True
-        off = scheduler_policy_from(SchedulerConfig(reschedule_on_suspicion=False))
+        off = make_policy(
+            "scheduler",
+            {"name": PolicyConfig().scheduler, "params": {"reschedule": False}},
+        )
         assert off.reschedule is False
 
     def test_replication_defaults_track_the_flags(self):
-        periodic = replication_policy_from(ReplicationConfig(period=7.0))
-        assert isinstance(periodic, PassivePeriodicReplication)
-        assert periodic.period == 7.0
-        assert isinstance(
-            replication_policy_from(ReplicationConfig(enabled=False)), NoReplication
+        # The default entry sets no period of its own, so the coordinator's
+        # ``replication.period`` tunable is what the rounds follow.
+        protocol = ProtocolConfig()
+        protocol.coordinator.replication.period = 7.0
+        grid = build_confined_cluster(
+            n_servers=1, n_coordinators=2, protocol=protocol, seed=1
         )
+        grid.start()
+        policy = grid.coordinators[0].replication_policy
+        assert isinstance(policy, PassivePeriodicReplication)
+        assert policy.period is None
+        grid.run(until=6.9)
+        assert grid.monitor.count("policy.repl.passive-periodic.rounds") == 0
+        grid.run(until=8.0)
+        assert grid.monitor.count("policy.repl.passive-periodic.rounds") >= 1
 
     def test_logging_defaults_track_the_strategy(self):
-        assert isinstance(
-            logging_policy_from(LoggingConfig()), PessimisticNonBlockingLogging
-        )
-        assert isinstance(
-            logging_policy_from(LoggingConfig(strategy=LoggingStrategy.OPTIMISTIC)),
-            OptimisticLogging,
-        )
+        default = make_policy("logging", PolicyConfig().logging)
+        assert isinstance(default, PessimisticNonBlockingLogging)
+        assert default.strategy is LoggingStrategy.PESSIMISTIC_NON_BLOCKING
+        optimistic = make_policy("logging", "policy.log.optimistic")
+        assert isinstance(optimistic, OptimisticLogging)
+        assert optimistic.strategy is LoggingStrategy.OPTIMISTIC
+
+    def test_no_entry_is_unset(self):
+        assert None not in PolicyConfig().entries().values()
+        assert ProtocolConfig().validate().policy == PolicyConfig()
 
 
 class TestSchedulerVariants:
@@ -178,16 +198,144 @@ class TestSchedulerVariants:
         assert len(released.reschedule_for_suspected_server(indexed(task), SERVER, "k0")) == 1
 
 
+#: what runs on a built grid, per (preset, platform) — written out, not
+#: derived: (scheduler class, reschedule, replication class, effective
+#: period, logging class, strategy, detection class, effective timeout).
+#: ``None`` is "no preset": the platform's own defaults.
+RESOLVED_POLICIES = {
+    (None, "confined"): (
+        FifoReschedulePolicy, True, PassivePeriodicReplication, 5.0,
+        PessimisticNonBlockingLogging, LoggingStrategy.PESSIMISTIC_NON_BLOCKING,
+        FixedTimeoutDetection, 30.0,
+    ),
+    (None, "internet"): (
+        FifoReschedulePolicy, True, PassivePeriodicReplication, 60.0,
+        PessimisticNonBlockingLogging, LoggingStrategy.PESSIMISTIC_NON_BLOCKING,
+        FixedTimeoutDetection, 30.0,
+    ),
+    # The rpc-v bundle spells its period out, so it wins on both platforms.
+    ("rpc-v", "confined"): (
+        FifoReschedulePolicy, True, PassivePeriodicReplication, 5.0,
+        PessimisticNonBlockingLogging, LoggingStrategy.PESSIMISTIC_NON_BLOCKING,
+        FixedTimeoutDetection, 30.0,
+    ),
+    ("rpc-v", "internet"): (
+        FifoReschedulePolicy, True, PassivePeriodicReplication, 5.0,
+        PessimisticNonBlockingLogging, LoggingStrategy.PESSIMISTIC_NON_BLOCKING,
+        FixedTimeoutDetection, 30.0,
+    ),
+    ("no-replication", "confined"): (
+        FifoReschedulePolicy, False, NoReplication, None,
+        OptimisticLogging, LoggingStrategy.OPTIMISTIC,
+        FixedTimeoutDetection, 30.0,
+    ),
+    ("no-replication", "internet"): (
+        FifoReschedulePolicy, False, NoReplication, None,
+        OptimisticLogging, LoggingStrategy.OPTIMISTIC,
+        FixedTimeoutDetection, 30.0,
+    ),
+    ("netsolve-style", "confined"): (
+        FifoReschedulePolicy, True, NoReplication, None,
+        OptimisticLogging, LoggingStrategy.OPTIMISTIC,
+        FixedTimeoutDetection, 30.0,
+    ),
+    ("netsolve-style", "internet"): (
+        FifoReschedulePolicy, True, NoReplication, None,
+        OptimisticLogging, LoggingStrategy.OPTIMISTIC,
+        FixedTimeoutDetection, 30.0,
+    ),
+}
+
+SMALL_TOPOLOGIES = {
+    "confined": GridTopology(kind="confined", n_servers=1, n_coordinators=2),
+    "internet": GridTopology(kind="internet", servers_per_site={"lille": 1}),
+}
+
+
+@pytest.fixture
+def built_grids(monkeypatch):
+    """Every grid ``execute_benchmark`` builds while the test runs."""
+    grids = []
+    build = GridTopology.build
+
+    def recording_build(self, protocol, seed):
+        grids.append(build(self, protocol, seed))
+        return grids[-1]
+
+    monkeypatch.setattr(GridTopology, "build", recording_build)
+    return grids
+
+
+class TestResolvedPolicies:
+    @pytest.mark.parametrize(("preset", "kind"), list(RESOLVED_POLICIES))
+    def test_every_preset_resolves_to_the_written_out_policies(
+        self, built_grids, preset, kind
+    ):
+        report = execute_benchmark(
+            SMALL_TOPOLOGIES[kind],
+            WorkloadSpec(n_calls=1, exec_time=0.5),
+            protocol=preset,
+            horizon=600.0,
+        )
+        assert report.completed == 1
+        (grid,) = built_grids
+        coordinator = grid.coordinators[0]
+        scheduler = coordinator.scheduler
+        replication = coordinator.replication_policy
+        period = getattr(replication, "period", None)
+        if isinstance(replication, PassivePeriodicReplication) and period is None:
+            period = coordinator.config.replication.period
+        logging = grid.client.logging
+        detectors = [
+            coordinator.server_detector,
+            coordinator.coordinator_detector,
+            grid.servers[0].detector,
+        ]
+        assert len({type(d.policy) for d in detectors}) == 1
+        detection = detectors[0].policy
+        timeout = detection.timeout
+        if timeout is None:
+            timeout = coordinator.config.detection.suspicion_timeout
+        assert (
+            type(scheduler), scheduler.reschedule, type(replication), period,
+            type(logging.policy), logging.strategy, type(detection), timeout,
+        ) == RESOLVED_POLICIES[preset, kind]
+
+    @pytest.mark.parametrize("kind", ["confined", "internet"])
+    def test_the_default_preset_means_the_platforms_own_defaults(
+        self, built_grids, kind
+    ):
+        for preset in (None, "default"):
+            execute_benchmark(
+                SMALL_TOPOLOGIES[kind],
+                WorkloadSpec(n_calls=1, exec_time=0.5),
+                protocol=preset,
+                horizon=600.0,
+            )
+        unnamed, named = built_grids
+        assert named.spec.protocol == unnamed.spec.protocol
+        assert named.spec.protocol.coordinator.replication.period == (
+            5.0 if kind == "confined" else 60.0
+        )
+
+
 class TestPresetBundleEquivalence:
     def test_presets_carry_their_bundles(self):
         protocol = rpcv_protocol()
-        assert protocol.policy.replication["name"] == "policy.repl.passive-periodic"
-        assert protocol.coordinator.replication.period == 5.0
+        assert protocol.policy.replication == {
+            "name": "policy.repl.passive-periodic", "params": {"period": 5.0},
+        }
         no_ft = no_fault_tolerance_protocol()
         assert no_ft.policy.replication["name"] == "policy.repl.none"
-        assert no_ft.coordinator.replication.enabled is False
-        assert no_ft.coordinator.scheduler.reschedule_on_suspicion is False
-        assert no_ft.client.logging.strategy is LoggingStrategy.OPTIMISTIC
+        assert no_ft.policy.scheduler["params"] == {"reschedule": False}
+        assert no_ft.policy.logging["name"] == "policy.log.optimistic"
+        # An axis a bundle leaves out keeps its default.
+        assert no_ft.policy.detection == PolicyConfig().detection
+        # The bundles are shared module data: a protocol owns a copy.
+        no_ft.policy.scheduler["params"]["reschedule"] = True
+        assert no_fault_tolerance_protocol().policy.scheduler["params"] == {
+            "reschedule": False
+        }
 
     def test_unknown_bundle_and_axis_raise(self):
         with pytest.raises(ConfigurationError, match="unknown policy bundle"):
@@ -222,72 +370,65 @@ class TestPresetBundleEquivalence:
         with pytest.raises(ConfigurationError, match="unknown component"):
             resolve_protocol(None, {"policy.scheduler": "policy.sched.nope"})
 
-    def test_policy_override_mirrors_the_legacy_flags(self):
-        protocol = resolve_protocol(
-            None,
-            {"policy.replication": "policy.repl.none",
-             "policy.logging": "policy.log.optimistic"},
-        )
-        assert protocol.coordinator.replication.enabled is False
-        assert protocol.client.logging.strategy is LoggingStrategy.OPTIMISTIC
-        assert protocol.describe()["replication_enabled"] is False
+    def test_bad_policy_override_fails_before_any_grid_is_built(self, built_grids):
+        # Without a preset too: the path every benchmark_cell sweep takes.
+        with pytest.raises(ConfigurationError, match="unknown component"):
+            execute_benchmark(
+                GridTopology(),
+                WorkloadSpec(n_calls=1),
+                protocol_overrides={"policy.scheduler": "policy.sched.nope"},
+            )
+        assert built_grids == []
 
-    def test_scheduler_entry_inherits_the_reschedule_flag(self):
-        # Swapping the scheduling order on a degraded baseline must not
-        # silently re-enable the rescheduling the baseline turned off.
-        protocol = resolve_protocol(
+    def test_an_override_replaces_the_entry_whole(self):
+        # The degraded preset's reschedule=False belonged to the entry that
+        # was replaced; an ablation wanting both spells the parameter out.
+        swapped = resolve_protocol(
             "no-replication", {"policy.scheduler": "policy.sched.random"}
         )
-        policy = scheduler_policy_from(
-            protocol.coordinator.scheduler, protocol.policy.scheduler
-        )
+        policy = make_policy("scheduler", swapped.policy.scheduler)
         assert isinstance(policy, RandomSchedulerPolicy)
-        assert policy.reschedule is False
-        # An explicit param still wins over the flag.
-        explicit = scheduler_policy_from(
-            protocol.coordinator.scheduler,
-            {"name": "policy.sched.random", "params": {"reschedule": True}},
+        assert policy.reschedule is True
+        both = resolve_protocol(
+            "no-replication",
+            {"policy.scheduler": {
+                "name": "policy.sched.random", "params": {"reschedule": False},
+            }},
         )
-        assert explicit.reschedule is True
+        assert make_policy("scheduler", both.policy.scheduler).reschedule is False
+        # The untouched axes keep their bundle entries.
+        assert swapped.policy.replication["name"] == "policy.repl.none"
 
-    def test_reschedule_flag_override_keeps_the_selected_ordering(self):
-        # The scheduler flag only expresses the reschedule switch; overriding
-        # it must rewrite the entry's param, not discard the chosen ordering
-        # (even when a preset bundle spelled the param out explicitly).
-        protocol = resolve_protocol(
-            "rpc-v",
-            {"policy.scheduler": "policy.sched.random",
-             "coordinator.scheduler.reschedule_on_suspicion": False},
-        )
-        assert protocol.policy.scheduler["name"] == "policy.sched.random"
-        policy = scheduler_policy_from(
-            protocol.coordinator.scheduler, protocol.policy.scheduler
-        )
-        assert isinstance(policy, RandomSchedulerPolicy)
-        assert policy.reschedule is False
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "coordinator.scheduler.policy",
+            "coordinator.replication.enabled",
+            "client.logging.strategy",
+            "server.slots",
+        ],
+    )
+    def test_the_removed_flag_paths_are_unknown(self, path):
+        with pytest.raises(ConfigurationError, match="unknown protocol path"):
+            resolve_protocol("rpc-v", {path: False})
 
     def test_describe_reports_the_effective_scheduler(self):
-        assert ProtocolConfig().describe()["scheduler_policy"] == "fcfs"
+        assert (
+            ProtocolConfig().describe()["policy.scheduler"]
+            == "policy.sched.fifo-reschedule"
+        )
         protocol = resolve_protocol(
-            None, {"policy.scheduler": "policy.sched.round-robin"}
+            None,
+            {"policy.scheduler": "policy.sched.round-robin",
+             "policy.replication": "policy.repl.none"},
         )
-        assert protocol.describe()["scheduler_policy"] == "policy.sched.round-robin"
-
-    def test_legacy_flag_override_clears_the_shadowing_entry(self):
-        # A preset bundles policy entries; explicitly overriding the legacy
-        # flag re-asserts the flags as that axis' source of truth.
-        protocol = resolve_protocol(
-            "rpc-v", {"coordinator.replication.enabled": False}
-        )
-        assert protocol.policy.replication is None
-        assert isinstance(
-            replication_policy_from(
-                protocol.coordinator.replication, protocol.policy.replication
-            ),
-            NoReplication,
-        )
-        # The untouched axes keep their bundle entries.
-        assert protocol.policy.scheduler["name"] == "policy.sched.fifo-reschedule"
+        description = protocol.describe()
+        assert description["policy.scheduler"] == "policy.sched.round-robin"
+        assert description["policy.replication"] == "policy.repl.none"
+        # Each fact once: no derived key can disagree with the entries.
+        assert not {
+            "scheduler_policy", "replication_enabled", "logging_strategy",
+        } & set(description)
 
 
 class TestOnCommitReplication:

@@ -118,10 +118,12 @@ class TestSpecResolution:
 class TestProtocolResolution:
     def test_presets_and_dotted_overrides(self):
         protocol = resolve_protocol(
-            "rpc-v", {"coordinator.replication.enabled": False}
+            "rpc-v",
+            {"coordinator.replication.period": 30, "policy.logging": "policy.log.optimistic"},
         )
-        assert protocol.coordinator.replication.period == 5.0
-        assert not protocol.coordinator.replication.enabled
+        assert protocol.coordinator.replication.period == 30
+        assert protocol.policy.logging == "policy.log.optimistic"
+        assert protocol.policy.replication["params"] == {"period": 5.0}
 
     def test_bad_paths_and_presets_raise(self):
         with pytest.raises(ConfigurationError, match="unknown protocol path"):
@@ -134,11 +136,41 @@ class TestProtocolResolution:
         with pytest.raises(
             ConfigurationError,
             match=r"unknown protocol path.*'server_slots' is not a key of "
-            r"coordinator\.scheduler \(valid keys: policy, reschedule_on_suspicion\)",
+            r"coordinator\.replication \(valid keys: period\)",
         ):
             apply_protocol_overrides(
-                resolve_protocol(), {"coordinator.scheduler.server_slots": 4}
+                resolve_protocol(), {"coordinator.replication.server_slots": 4}
             )
+        # A method is not a key either, and a path cannot walk into an entry.
+        for path in ("coordinator.validate", "policy.scheduler.upper"):
+            with pytest.raises(ConfigurationError, match="unknown protocol path"):
+                apply_protocol_overrides(resolve_protocol(), {path: 1})
+
+    @pytest.mark.parametrize(
+        ("path", "value", "expected"),
+        [
+            ("coordinator.replication", 5, "a ReplicationConfig; set one of its keys"),
+            ("policy", "x", "a PolicyConfig; set one of its keys"),
+            ("coordinator.replication.period", "abc", "type float"),
+            ("coordinator.replication.period", True, "type float"),
+            ("client.logging.capacity_bytes", 1.5, "type int"),
+            ("server.offline_computing", 1, "type bool"),
+        ],
+    )
+    def test_a_wrongly_typed_override_is_rejected_at_the_assignment(
+        self, path, value, expected
+    ):
+        protocol = resolve_protocol()
+        with pytest.raises(ConfigurationError) as caught:
+            apply_protocol_overrides(protocol, {path: value})
+        assert repr(path) in str(caught.value) and expected in str(caught.value)
+        assert protocol == resolve_protocol()  # nothing was assigned
+
+    def test_an_int_may_stand_for_a_float_override(self):
+        protocol = apply_protocol_overrides(
+            resolve_protocol(), {"coordinator.replication.period": 30}
+        )
+        assert protocol.coordinator.replication.period == 30
 
 
 class TestSweepRunner:

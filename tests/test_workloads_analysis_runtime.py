@@ -17,23 +17,14 @@ from repro.config import (
     CoordinatorConfig,
     FaultDetectionConfig,
     LoggingConfig,
+    PolicyConfig,
     ProtocolConfig,
     ReplicationConfig,
-    SchedulerConfig,
-    ServerConfig,
 )
 from repro.errors import ConfigurationError
-from repro.experiments import (
-    run_baseline_ablation,
-    run_detector_ablation,
-    run_fig4_vs_size,
-    run_fig5_vs_count,
-    run_fig6_vs_calls,
-    run_fig7,
-    run_fig8,
-)
 from repro.experiments.common import format_rows, mean
 from repro.runtime import RealTimeDriver
+from repro.scenarios import run_scenario
 from repro.sim.core import Environment
 from repro.sim.monitor import TimeSeries
 from repro.types import LoggingStrategy
@@ -58,16 +49,14 @@ class TestConfigValidation:
             ReplicationConfig(period=0.0).validate()
 
     def test_scheduler_policy_known(self):
-        with pytest.raises(ConfigurationError):
-            SchedulerConfig(policy="lifo").validate()
+        with pytest.raises(ConfigurationError, match="unknown component"):
+            PolicyConfig(scheduler="policy.sched.lifo").validate()
+        with pytest.raises(ConfigurationError, match="unknown component"):
+            ProtocolConfig(policy=PolicyConfig(scheduler="lifo")).validate()
 
     def test_client_poll_period_positive(self):
         with pytest.raises(ConfigurationError):
             ClientConfig(result_poll_period=0.0).validate()
-
-    def test_server_slots_positive(self):
-        with pytest.raises(ConfigurationError):
-            ServerConfig(slots=0).validate()
 
     def test_coordinator_overhead_non_negative(self):
         config = CoordinatorConfig()
@@ -75,15 +64,9 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             config.validate()
 
-    def test_with_logging_strategy_copies(self):
-        base = ProtocolConfig()
-        copy = base.with_logging_strategy(LoggingStrategy.OPTIMISTIC)
-        assert copy.client.logging.strategy is LoggingStrategy.OPTIMISTIC
-        assert base.client.logging.strategy is not LoggingStrategy.OPTIMISTIC
-
     def test_describe_reports_key_settings(self):
         description = ProtocolConfig().describe()
-        assert "logging_strategy" in description
+        assert description["policy.logging"] == "policy.log.pessimistic-nonblocking"
         assert "replication_period" in description
 
 
@@ -202,52 +185,67 @@ class TestRealTimeDriver:
 
 class TestExperimentSmoke:
     def test_fig4_rows_have_three_strategies(self):
-        rows = run_fig4_vs_size(sizes=[1000], n_calls=2)
+        rows = run_scenario(
+            "fig4-size", axes={"params_bytes": [1000]}, params={"n_calls": 2}, jobs=1
+        ).rows
         assert len(rows) == 1
         row = rows[0]
         for strategy in LoggingStrategy:
             assert row[strategy.value] > 0
 
     def test_fig5_replication_time_grows_with_count(self):
-        rows = run_fig5_vs_count(counts=[2, 64], environments=("confined",))
+        rows = run_scenario(
+            "fig5-count",
+            axes={"n_tasks": [2, 64], "environment": ("confined",)},
+            jobs=1,
+        ).rows
         assert rows[1]["confined"] > rows[0]["confined"]
 
     def test_fig6_reports_both_directions(self):
-        rows = run_fig6_vs_calls(counts=[2])
+        rows = run_scenario("fig6-calls", axes={"n_calls": [2]}, jobs=1).rows
         assert rows[0]["client_logs"] > 0
         assert rows[0]["coordinator_logs"] > 0
 
     def test_fig7_small_scale_monotonic_in_presence_of_faults(self):
-        rows = run_fig7(
-            frequencies=[0.0, 10.0],
+        rows = run_scenario(
+            "fig7",
+            axes={"faults_per_minute": [0.0, 10.0]},
+            params=dict(
+                n_calls=8, exec_time=2.0, n_servers=4, n_coordinators=2,
+                horizon=2000.0,
+            ),
             seeds=(3,),
-            n_calls=8,
-            exec_time=2.0,
-            n_servers=4,
-            n_coordinators=2,
-            horizon=2000.0,
-        )
+            jobs=1,
+        ).rows
         assert rows[0]["faulty_servers_seconds"] <= rows[1]["faulty_servers_seconds"]
         assert rows[1]["faulty_servers_completed"]
 
     def test_fig8_histogram_covers_all_tasks(self):
-        result = run_fig8(n_tasks=200, bins=10)
+        run = run_scenario("fig8", params=dict(n_tasks=200, bins=10), jobs=1)
+        result = run.cells[0]["outputs"]
         assert sum(r["tasks"] for r in result["histogram"]) == 200
         assert result["stats"]["count"] == 200
 
     def test_detector_ablation_tradeoff(self):
-        rows = run_detector_ablation(
-            heartbeat_periods=(5.0,), timeout_multipliers=(2.0, 12.0)
-        )
+        rows = run_scenario(
+            "ablation-detector",
+            axes={"heartbeat_period": (5.0,), "timeout_multiplier": (2.0, 12.0)},
+            jobs=1,
+        ).rows
         tight, loose = rows[0], rows[1]
         # A tighter timeout detects faster but is (weakly) more suspicious.
         assert tight["detection_latency_seconds"] <= loose["detection_latency_seconds"]
         assert tight["wrong_suspicion_checks"] >= loose["wrong_suspicion_checks"]
 
     def test_baseline_ablation_reports_all_systems(self):
-        rows = run_baseline_ablation(
-            faults_per_minute=0.0, seeds=(3,), n_calls=8, exec_time=1.0, horizon=1000.0
-        )
+        rows = run_scenario(
+            "ablation-baselines",
+            params=dict(
+                faults_per_minute=0.0, n_calls=8, exec_time=1.0, horizon=1000.0
+            ),
+            seeds=(3,),
+            jobs=1,
+        ).rows
         assert {row["system"] for row in rows} == {
             "rpc-v",
             "no-replication",
