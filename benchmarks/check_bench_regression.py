@@ -14,18 +14,13 @@ than ``--max-regression`` (a fraction; default 20%).  Every per-scale group
 in the baseline is gated: ``scales`` plus any auxiliary ``*_scales`` table
 (the transport benchmark's ``fanin_scales``, the kernel benchmark's
 ``ladder_scales``), so regressions in secondary tables cannot land
-silently.  Speed-ups and small noise are reported but never fail the gate.  When the benchmark records a
-machine-independent head-to-head ratio (the kernel benchmark's 1k
-``speedup`` and its ``min_speedup`` floor), that floor is checked too;
-benchmarks without one (the transport, crowd and protocol files) are gated
-on the per-scale events/sec alone.  Any ``comparison*`` group is gated the
-same way (today only the kernel benchmark records one).
+silently.  Speed-ups and small noise are reported but never fail the gate.
 
 ``--flatness LOW:HIGH:RATIO`` adds a scale-flatness gate on the *fresh*
 results alone: events/sec at the HIGH scale must be at least RATIO times
 events/sec at the LOW scale (e.g. ``--flatness 1000:10000:0.9`` demands the
-10k-node throughput stays within 10% of the 1k-node throughput).  Like the
-speedup floor, this is a within-run ratio, so it is machine-independent.
+10k-node throughput stays within 10% of the 1k-node throughput).  This is a
+within-run ratio, so it is machine-independent.
 """
 
 from __future__ import annotations
@@ -111,17 +106,6 @@ def main() -> int:
                 failures.append(
                     f"flatness: {high}-scale throughput is {ratio:.3f}x the "
                     f"{low}-scale throughput (floor {floor})"
-                )
-
-    comparisons = sorted(key for key in fresh if key.startswith("comparison"))
-    if comparisons or "min_speedup" in fresh:
-        floor = float(fresh.get("min_speedup", baseline.get("min_speedup", 2.0)))
-        for key in comparisons or ["comparison_1k"]:
-            speedup = float(fresh.get(key, {}).get("speedup", 0.0))
-            print(f"{key} speedup vs legacy baseline: {speedup:.2f}x (floor {floor}x)")
-            if speedup < floor:
-                failures.append(
-                    f"{key}: speedup {speedup:.2f}x below the {floor}x floor"
                 )
 
     if failures:

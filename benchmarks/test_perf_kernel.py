@@ -14,19 +14,17 @@ per-event cost is scale-independent, and CI enforces it: 10k-node events/sec
 must stay ≥ 90% of the 1k-node number (``check_bench_regression.py
 --flatness``).
 
-**Cancel-heavy ladder** (the ``ladder_scales`` and ``comparison_1k``
-sections): the pre-existing reply-vs-timer-ladder race workload, kept for
-continuity with earlier baselines.  ``comparison_1k`` still runs the
-faithful pre-cancellation kernel emulation — now with ``wheel_slots=0``,
-because the legacy kernel predates the wheel lane and its signature heap
-bloat only reproduces on a heap-only schedule.
+**Cancel-heavy ladder** (the ``ladder_scales`` section): the reply-vs-
+timer-ladder race workload, kept for continuity with earlier baselines; its
+leak-freedom asserts (peak heap, dead-to-live ratio) hold the abandon
+cascade to its promise.
 
 Throughput is measured with the cycle collector off (the kernel's abandon
 cascade keeps the event graph acyclic, so gen-0 rescans of live timers are
 pure measurement noise); the committed numbers say so here so regenerated
 baselines compare like with like.  CI diffs the json against the committed
-baseline and fails on a >20% events/sec drop at any scale, a legacy speedup
-below ``min_speedup``, or a periodic flatness ratio below 0.9.
+baseline and fails on a >20% events/sec drop at any scale or a periodic
+flatness ratio below 0.9.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ import json
 import time
 
 from repro.net.message import MessagePool, MessageType
-from repro.sim.core import AnyOf, Environment, Event, Timeout
+from repro.sim.core import AnyOf, Environment, Timeout
 from repro.types import Address
 
 BENCH_NAME = "BENCH_kernel.json"
@@ -75,10 +73,6 @@ REPLY_DELAY = 0.05
 TIMER_LADDER = (5.0, 5.0, 5.0, 10.0, 30.0, 60.0)
 #: nodes -> rounds per node (rounds shrink at the top scales to bound runtime).
 LADDER_SCALES = {100: 100, 1000: 100, 5000: 40, 10000: 20}
-COMPARISON_NODES = 1000
-#: acceptance floor: the cancellable kernel must at least double useful
-#: throughput at the 1k-node scenario.
-MIN_SPEEDUP = 2.0
 #: sampling period (virtual seconds) for schedule-occupancy snapshots.
 SAMPLE_PERIOD = 1.0
 
@@ -171,24 +165,7 @@ def _run_periodic(nodes: int, beats_target: int) -> dict:
 # -- cancel-heavy ladder ----------------------------------------------------
 
 
-def _legacy_any_of(env: Environment, events: list[Event]) -> Event:
-    """The pre-PR kernel's AnyOf semantics: subscribe everywhere, never detach.
-
-    Losing events keep the stale ``check`` callback forever; losing timers
-    stay in the heap until expiry and are processed as garbage.
-    """
-    condition = Event(env)
-
-    def check(event: Event) -> None:
-        if not condition.triggered:
-            condition.succeed(event.value)
-
-    for event in events:
-        event.callbacks.append(check)  # type: ignore[union-attr]
-    return condition
-
-
-def _node_cancellable(env: Environment, rounds: int):
+def _ladder_node(env: Environment, rounds: int):
     for _ in range(rounds):
         race = [Timeout(env, REPLY_DELAY)]
         race += [Timeout(env, delay) for delay in TIMER_LADDER]
@@ -197,33 +174,22 @@ def _node_cancellable(env: Environment, rounds: int):
         yield AnyOf(env, race)
 
 
-def _node_legacy(env: Environment, rounds: int):
-    for _ in range(rounds):
-        race = [Timeout(env, REPLY_DELAY)]
-        race += [Timeout(env, delay) for delay in TIMER_LADDER]
-        yield _legacy_any_of(env, race)
-
-
 def _heap_sampler(env: Environment, samples: list[dict]):
     while True:
         yield Timeout(env, SAMPLE_PERIOD)
         samples.append(env.queue_stats())
 
 
-def _run_ladder(nodes: int, rounds: int, legacy: bool) -> dict:
-    # The legacy emulation reproduces the pre-wheel kernel, whose only lane
-    # for future timers was the heap: run it with the wheel disabled so its
-    # signature pathology (the abandoned-timer heap bloat) is preserved.
-    env = Environment(wheel_slots=0) if legacy else Environment()
-    node = _node_legacy if legacy else _node_cancellable
-    workers = [env.process(node(env, rounds)) for _ in range(nodes)]
+def _run_ladder(nodes: int, rounds: int) -> dict:
+    env = Environment()
+    workers = [env.process(_ladder_node(env, rounds)) for _ in range(nodes)]
     samples: list[dict] = []
     sampler = env.process(_heap_sampler(env, samples))
 
     with _no_gc():
         start = time.perf_counter()
         # Run until every worker finished, then let the sampler's pending tick
-        # (and, in legacy mode, the garbage backlog) drain on the same clock.
+        # drain on the same clock.
         env.run(until=env.all_of(workers))
         sampler.kill()
         env.run()
@@ -247,7 +213,7 @@ def _run_ladder(nodes: int, rounds: int, legacy: bool) -> dict:
         "sampled_max_dead_entries": max_dead,
         "sampled_max_heap_size": max_heap,
         # dead entries relative to live ones while the workload was running:
-        # ~0 for the cancellable kernel, >>1 for the leaky one.
+        # ~0 while the abandon cascade works, >>1 for a leaky kernel.
         "dead_to_live_ratio": round(max_dead / max_live, 4) if max_live else 0.0,
     }
 
@@ -257,13 +223,13 @@ def _useful_ladder_events(nodes: int, rounds: int) -> int:
 
     Per round: the reply timeout plus the condition it triggers.  Per node:
     the initialisation event and the process-termination event.  (The heap
-    sampler's ticks are excluded — they are measurement overhead, identical
-    in both modes and negligible at these scales.)
+    sampler's ticks are excluded — they are measurement overhead, negligible
+    at these scales.)
     """
     return nodes * (2 * rounds + 2)
 
 
-def test_kernel_benchmark_writes_bench_json_and_beats_legacy(bench_out):
+def test_kernel_benchmark_writes_bench_json(bench_out):
     # ---- periodic-heavy scales (flatness-gated) --------------------------
     # Reps are interleaved across scales (1k, 5k, 10k, 1k, ...) rather than
     # run in per-scale blocks: host-scheduling slow phases last seconds, so
@@ -286,7 +252,7 @@ def test_kernel_benchmark_writes_bench_json_and_beats_legacy(bench_out):
     # ---- cancel-heavy ladder scales --------------------------------------
     ladder = {}
     for nodes, rounds in LADDER_SCALES.items():
-        result = _run_ladder(nodes, rounds, legacy=False)
+        result = _run_ladder(nodes, rounds)
         useful = _useful_ladder_events(nodes, rounds)
         result["useful_events"] = useful
         result["events_per_sec"] = round(useful / result["wall_seconds"], 1)
@@ -298,25 +264,6 @@ def test_kernel_benchmark_writes_bench_json_and_beats_legacy(bench_out):
         # Compaction triggers once tombstones reach the live population, so
         # sampled dead can brush against live but never dominate it.
         assert result["dead_to_live_ratio"] < 1.5, result
-
-    # ---- head-to-head against the pre-PR kernel at the 1k scenario -------
-    # Best-of interleaved pairs, like the periodic scales: the speedup is a
-    # ratio of two absolute walls, so one slow host phase on either side
-    # would otherwise swing the (machine-independent) floor check.
-    rounds = LADDER_SCALES[COMPARISON_NODES]
-    useful = _useful_ladder_events(COMPARISON_NODES, rounds)
-    cancellable = ladder[str(COMPARISON_NODES)]
-    best_cancellable_wall = cancellable["wall_seconds"]
-    legacy = None
-    for _ in range(PERIODIC_REPS):
-        run = _run_ladder(COMPARISON_NODES, rounds, legacy=True)
-        if legacy is None or run["wall_seconds"] < legacy["wall_seconds"]:
-            legacy = run
-        rerun = _run_ladder(COMPARISON_NODES, rounds, legacy=False)
-        best_cancellable_wall = min(best_cancellable_wall, rerun["wall_seconds"])
-    legacy["useful_events"] = useful
-    legacy["events_per_sec"] = round(useful / legacy["wall_seconds"], 1)
-    speedup = legacy["wall_seconds"] / best_cancellable_wall
 
     payload = {
         "benchmark": "kernel-four-lane-scheduler",
@@ -332,31 +279,11 @@ def test_kernel_benchmark_writes_bench_json_and_beats_legacy(bench_out):
         "flatness_floor": FLATNESS_FLOOR,
         "reply_delay": REPLY_DELAY,
         "timer_ladder": list(TIMER_LADDER),
-        # single source of truth for the gate's speedup floor
-        "min_speedup": MIN_SPEEDUP,
         "scales": periodic,
         "ladder_scales": ladder,
-        "comparison_1k": {
-            "nodes": COMPARISON_NODES,
-            "rounds_per_node": rounds,
-            "legacy_events_per_sec": legacy["events_per_sec"],
-            "cancellable_events_per_sec": cancellable["events_per_sec"],
-            "legacy_peak_heap_size": legacy["peak_heap_size"],
-            "cancellable_peak_heap_size": cancellable["peak_heap_size"],
-            "speedup": round(speedup, 2),
-        },
     }
     (bench_out / BENCH_NAME).write_text(json.dumps(payload, indent=2) + "\n")
     summary = {
         scale: row["events_per_sec"] for scale, row in periodic.items()
     }
     print(f"\nBENCH_kernel.json periodic ev/s: {summary}")
-    print(f"comparison_1k: {json.dumps(payload['comparison_1k'], indent=2)}")
-
-    # The legacy heap bloats with the full abandoned-timer backlog; the
-    # cancellable schedule stays at roughly the live population.
-    assert legacy["peak_heap_size"] > 20 * cancellable["peak_heap_size"]
-    assert speedup >= MIN_SPEEDUP, (
-        f"cancellable kernel only {speedup:.2f}x faster than the legacy "
-        f"kernel at {COMPARISON_NODES} nodes (need >= {MIN_SPEEDUP}x)"
-    )

@@ -11,7 +11,7 @@ Three scale-minded properties of the emitter:
 
 * **one periodic handle per emitter** — the beat loop rides the kernel's
   :meth:`~repro.sim.core.Environment.call_periodic` lane: a single
-  :class:`~repro.sim.core.PeriodicHandle` re-arms itself in place after
+  :class:`~repro.sim.core.TimerHandle` re-arms itself in place after
   every beat, staging each next tick on the O(1) timer wheel instead of a
   process + Timeout event (or even a fresh cancel token) per beat.  Every
   target of a beat shares that single handle; the per-target work is just
@@ -35,7 +35,7 @@ from repro.config import FaultDetectionConfig
 from repro.errors import ConfigurationError
 from repro.net.message import MessagePool, MessageType, default_pool, snapshot_payload
 from repro.nodes.node import Host
-from repro.sim.core import PeriodicHandle
+from repro.sim.core import TimerHandle
 from repro.sim.rng import jitter_factor
 
 __all__ = ["HeartbeatEmitter"]
@@ -65,7 +65,7 @@ class HeartbeatEmitter:
         self.pool = default_pool() if pool is None else pool
         self.sent = 0
         self.stopped = False
-        self._handle: PeriodicHandle | None = None
+        self._handle: TimerHandle | None = None
         self._rng = host.rng.stream(f"heartbeat.{host.address}")
 
     # -- component protocol -------------------------------------------------
@@ -113,7 +113,7 @@ class HeartbeatEmitter:
         self.stop()
 
     @property
-    def pending_timer(self) -> PeriodicHandle | None:
+    def pending_timer(self) -> TimerHandle | None:
         """The periodic beat handle currently armed, if any (tests)."""
         return self._handle
 

@@ -16,15 +16,14 @@ confined cluster for the same reason).
 from repro.sim.core import (
     AllOf,
     AnyOf,
-    CallHandle,
     Environment,
     Event,
     Interrupt,
-    PeriodicHandle,
     Process,
     ProcessKilled,
     SimulationError,
     Timeout,
+    TimerHandle,
     WaitOutcome,
     wait_any,
 )
@@ -35,14 +34,12 @@ from repro.sim.store import FilterStore, PriorityStore, Store
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CallHandle",
     "Counter",
     "Environment",
     "Event",
     "FilterStore",
     "Interrupt",
     "Monitor",
-    "PeriodicHandle",
     "PriorityStore",
     "Process",
     "ProcessKilled",
@@ -51,6 +48,7 @@ __all__ = [
     "Store",
     "TimeSeries",
     "Timeout",
+    "TimerHandle",
     "WaitOutcome",
     "wait_any",
 ]

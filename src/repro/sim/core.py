@@ -30,11 +30,14 @@ on, and the heap does not fill with dead timers at scale.
 Scheduling is split over **four lanes** (see :class:`Environment`): an
 urgent same-tick deque, a normal same-tick deque, a hashed timer wheel for
 future timers within its horizon, and the time-ordered heap; the heap
-carries both full events and bare ``call_at`` callback entries.  Wheel
-entries are staged as ready-made heap tuples (their sequence number is drawn
-at schedule time) and are flushed into the heap before the clock can reach
-their window, so same-timestamp ordering is bit-for-bit identical whether a
-timer rode the wheel or went straight to the heap.
+carries full events, :class:`TimerHandle` entries and bare ``call_at``
+callback entries.  Each timer mechanism is written once: every future entry
+is put on its lane by :meth:`Environment._place` and a cancelled one taken
+back by :meth:`Environment._unschedule`.  Wheel entries are staged as
+ready-made heap tuples (their sequence number is drawn at schedule time) and
+are flushed into the heap before the clock can reach their window, so
+same-timestamp ordering is bit-for-bit identical whether a timer rode the
+wheel or went straight to the heap.
 
 The implementation is intentionally dependency-free and deterministic: events
 scheduled at the same virtual time fire in lane order (urgent before normal)
@@ -61,8 +64,7 @@ __all__ = [
     "Process",
     "AnyOf",
     "AllOf",
-    "CallHandle",
-    "PeriodicHandle",
+    "TimerHandle",
     "Environment",
     "WaitOutcome",
     "wait_any",
@@ -258,20 +260,15 @@ class Event:
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
 
 
-def _cancel_on_abandon(timeout: "Timeout") -> None:
-    """Abandon hook shared by every timeout: nobody waits for it anymore."""
-    timeout.cancel()
-
-
 class Timeout(Event):
     """An event that fires ``delay`` units of virtual time in the future.
 
     A zero-delay timeout joins the same-tick FIFO lane (no heap traffic); a
-    positive delay is staged on the timer wheel (or pushed on the heap past
-    the wheel horizon).  A pending timeout can be :meth:`cancel`-led: a
-    wheel entry is swap-removed immediately, a heap entry is tombstoned
-    (skipped on pop, removed in bulk by compaction) — either way its
-    callbacks never run.  Timeouts also cancel
+    positive delay is put on the wheel or the heap by
+    :meth:`Environment._place`.  A pending timeout can be :meth:`cancel`-led:
+    :meth:`Environment._unschedule` swap-removes a wheel entry immediately
+    and tombstones a heap entry (skipped on pop, removed in bulk by
+    compaction) — either way its callbacks never run.  Timeouts also cancel
     *themselves* when their last waiter detaches — the abandon cascade — so
     the losing timer of a reply-vs-timeout race does not linger in the heap.
     """
@@ -280,8 +277,7 @@ class Timeout(Event):
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         # Timeouts dominate event allocation on the protocol hot paths, so
-        # Event.__init__ is inlined here (one call fewer per timer), and the
-        # heap push is inlined too (no Environment._schedule indirection).
+        # Event.__init__ is inlined here (one call fewer per timer).
         self.env = env
         self.callbacks = []
         self._value = value
@@ -289,42 +285,20 @@ class Timeout(Event):
         self._processed = False
         self._defused = False
         self._cancelled = False
-        self._abandon_hook = _cancel_on_abandon
+        # Abandon hook shared by every timeout: nobody waits for it anymore.
+        self._abandon_hook = Timeout.cancel
         self.delay = delay
         self._in_wheel = False
         if delay > 0.0:
             when = env._now + delay
             entry = (when, next(env._counter), self)
-            # Inlined Environment._wheel_schedule: timeouts dominate the
-            # schedule rate, so the wheel placement is done without the
-            # method-call round trip (same logic, same counters).
-            size = env._wheel_size
-            if size:
-                granularity = env._wheel_granularity
-                if not env._wheel_count:
-                    base = int(env._now / granularity)
-                    if base > env._wheel_next_slot:
-                        env._wheel_next_slot = base
-                        env._wheel_next_boundary = base * granularity
-                index = int(when / granularity)
-                if index * granularity > when:
-                    index -= 1
-                offset = index - env._wheel_next_slot
-                if 0 <= offset < size:
-                    slot_index = index % size
-                    slot = env._wheel_slots[slot_index]
-                    # Truthy slot token (index + 1) plus the in-slot position:
-                    # cancel swap-removes the entry at exactly this spot.
-                    self._wheel_pos = len(slot)
-                    slot.append(entry)
-                    env._wheel_count += 1
-                    self._in_wheel = slot_index + 1
-                else:
-                    if offset >= size:
-                        env.wheel_overflows += 1
-                    _heappush(env._queue, entry)
-            else:
+            # The first test of Environment._place, kept at the call site:
+            # most timers are ms-scale service charges and latencies whose
+            # window already flushed, and they skip the call altogether.
+            if when < env._wheel_next_boundary:
                 _heappush(env._queue, entry)
+            else:
+                env._place(when, entry, self)
         elif delay == 0.0:
             env._tick.append(self)
         else:
@@ -345,34 +319,12 @@ class Timeout(Event):
         # _processed).
         if self._processed or self._cancelled or self.callbacks is None:
             return False
+        # Set before _unschedule: a compaction it triggers filters on the flag.
         self._cancelled = True
-        if self.delay == 0.0:
-            # Same-tick lane: the drain loop skips cancelled events; the lane
-            # empties every tick, so no tombstone accounting is needed.
-            return True
-        # Inlined Environment._note_cancellation (cancellation is hot).
-        env = self.env
-        if self._in_wheel:
-            # Wheel-resident timer: swap-remove the entry from its slot (a
-            # window is an unordered bag, so order need not be preserved —
-            # only the displaced entry's recorded position moves with it).
-            slot = env._wheel_slots[self._in_wheel - 1]
-            pos = self._wheel_pos
-            last = slot.pop()
-            if pos < len(slot):
-                slot[pos] = last
-                marker = last[2]
-                if marker is not None:
-                    marker._wheel_pos = pos
-            env._wheel_count -= 1
-            self._in_wheel = False
-            return True
-        env._dead_entries += 1
-        if (
-            env._dead_entries >= env._COMPACTION_MIN_DEAD
-            and 2 * env._dead_entries >= len(env._queue)
-        ):
-            env._compact()
+        # Same-tick lane: the drain loop skips cancelled events; the lane
+        # empties every tick, so no tombstone accounting is needed.
+        if self.delay != 0.0:
+            self.env._unschedule(self)
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -393,78 +345,21 @@ class Initialize(Event):
         env._urgent.append(self)
 
 
-class CallHandle:
-    """Cancellation token for a :meth:`Environment.call_at_cancellable` entry.
+class TimerHandle:
+    """A scheduled callback: one-shot or self-re-arming (the only handle type).
 
-    The heap entry itself is a bare tuple; this handle is the only per-call
-    allocation, and only cancellable calls pay it.  A wheel-staged entry is
-    swap-removed on cancel (no residue); a heap-resident one becomes a
-    tombstone exactly like a cancelled :class:`Timeout` — counted in
-    :meth:`Environment.queue_stats`, skipped when it surfaces at the top,
-    and dropped in bulk by :meth:`Environment._compact`.
-    """
-
-    __slots__ = ("env", "_cancelled", "_fired", "_in_wheel", "_wheel_pos")
-
-    def __init__(self, env: "Environment") -> None:
-        self.env = env
-        self._cancelled = False
-        self._fired = False
-        self._in_wheel = False
-
-    @property
-    def cancelled(self) -> bool:
-        """True once the scheduled call has been cancelled."""
-        return self._cancelled
-
-    @property
-    def pending(self) -> bool:
-        """True while the scheduled call has neither fired nor been cancelled."""
-        return not (self._fired or self._cancelled)
-
-    def cancel(self) -> bool:
-        """Cancel the scheduled call; True when it was still pending."""
-        if self._fired or self._cancelled:
-            return False
-        self._cancelled = True
-        env = self.env
-        if self._in_wheel:
-            slot = env._wheel_slots[self._in_wheel - 1]
-            pos = self._wheel_pos
-            last = slot.pop()
-            if pos < len(slot):
-                slot[pos] = last
-                marker = last[2]
-                if marker is not None:
-                    marker._wheel_pos = pos
-            env._wheel_count -= 1
-            self._in_wheel = False
-            return True
-        env._dead_entries += 1
-        if (
-            env._dead_entries >= env._COMPACTION_MIN_DEAD
-            and 2 * env._dead_entries >= len(env._queue)
-        ):
-            env._compact()
-        return True
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self._cancelled else ("fired" if self._fired else "pending")
-        return f"<CallHandle {state}>"
-
-
-class PeriodicHandle:
-    """A self-re-arming periodic callback (see :meth:`Environment.call_periodic`).
-
-    One handle serves the whole lifetime of a periodic activity: each firing
-    runs ``fn(arg)`` and then re-arms the *same* handle at the next beat —
-    per beat the only kernel traffic is one schedule (wheel append or heap
-    push), no per-beat :class:`Event`, :class:`Timeout` or handle allocation.
-    The next-beat delay comes from ``interval`` or, when given, from
+    Returned by :meth:`Environment.call_at_cancellable` (one-shot: no next
+    delay) and :meth:`Environment.call_periodic`.  The schedule entry is the
+    bare tuple ``(when, seq, handle)``; the handle is the only allocation and
+    serves the whole lifetime of a periodic activity: each firing runs
+    ``fn(arg)`` and then re-arms the *same* handle — per beat the only kernel
+    traffic is one :meth:`Environment._place`, no allocation.  The
+    next-beat delay comes from ``interval`` or, when given, from
     ``interval_fn()`` (evaluated after ``fn`` runs, so jittered cadences draw
     their randomness at exactly the position a hand-rolled re-arming callback
-    would).  Cancellation is O(1) and may happen at any time, including from
-    inside ``fn`` itself (the handle then simply never re-arms).
+    would).  Cancellation is O(1) in either lane, exactly like a cancelled
+    :class:`Timeout`, and may happen at any time, including from inside
+    ``fn`` itself (a periodic handle then simply never re-arms).
     """
 
     __slots__ = (
@@ -484,9 +379,10 @@ class PeriodicHandle:
     def __init__(
         self,
         env: "Environment",
-        interval: float | None,
+        when: float,
         fn: Callable[[Any], None],
         arg: Any = None,
+        interval: float | None = None,
         interval_fn: Callable[[], float] | None = None,
     ) -> None:
         self.env = env
@@ -494,102 +390,67 @@ class PeriodicHandle:
         self.arg = arg
         self.interval = interval
         self.interval_fn = interval_fn
-        #: virtual time of the next scheduled beat (observability / tests).
-        self.when = env._now
-        #: number of beats fired so far.
+        #: virtual time of the next scheduled firing (observability / tests).
+        self.when = when
+        #: number of firings so far.
         self.fired = 0
         self._cancelled = False
         self._in_wheel = False
-        self._armed = False
+        #: True while a schedule entry for this handle is queued.
+        self._armed = True
+        env._place(when, (when, next(env._counter), self), self)
 
     @property
     def cancelled(self) -> bool:
-        """True once the periodic activity has been cancelled."""
+        """True once the handle has been cancelled."""
         return self._cancelled
 
     @property
     def pending(self) -> bool:
-        """True while a next beat is scheduled."""
+        """True while a next firing is scheduled."""
         return self._armed and not self._cancelled
 
     def cancel(self) -> bool:
-        """Stop the periodic activity; True unless already cancelled."""
+        """Cancel the next firing (and, for a periodic, every later one).
+
+        True when there was something to cancel: False for an already
+        cancelled handle and for a one-shot that has fired; True for a
+        periodic cancelled from inside its own ``fn`` (nothing is queued
+        mid-fire, so there is no entry to take back — it just never re-arms).
+        """
         if self._cancelled:
             return False
+        if not self._armed and self.interval is None and self.interval_fn is None:
+            return False
+        # Set before _unschedule: a compaction it triggers filters on the flag.
         self._cancelled = True
-        env = self.env
-        if self._in_wheel:
-            slot = env._wheel_slots[self._in_wheel - 1]
-            pos = self._wheel_pos
-            last = slot.pop()
-            if pos < len(slot):
-                slot[pos] = last
-                marker = last[2]
-                if marker is not None:
-                    marker._wheel_pos = pos
-            env._wheel_count -= 1
-            self._in_wheel = False
-        elif self._armed:
-            env._dead_entries += 1
-            if (
-                env._dead_entries >= env._COMPACTION_MIN_DEAD
-                and 2 * env._dead_entries >= len(env._queue)
-            ):
-                env._compact()
-        # Not armed (cancelled from inside fn, mid-fire): nothing is queued,
-        # so there is no tombstone to account for.
+        if self._armed:
+            self.env._unschedule(self)
         return True
 
-    def _arm(self, delay: float) -> None:
-        if delay <= 0.0:
-            raise SimulationError(f"periodic interval must be positive, got {delay!r}")
-        env = self.env
-        when = env._now + delay
-        self.when = when
-        entry = (when, next(env._counter), self)
-        self._armed = True
-        # Inlined Environment._wheel_schedule (one call fewer per beat; the
-        # re-arm is the whole per-beat cost of a periodic).
-        size = env._wheel_size
-        if size:
-            granularity = env._wheel_granularity
-            if not env._wheel_count:
-                base = int(env._now / granularity)
-                if base > env._wheel_next_slot:
-                    env._wheel_next_slot = base
-                    env._wheel_next_boundary = base * granularity
-            index = int(when / granularity)
-            if index * granularity > when:
-                index -= 1
-            offset = index - env._wheel_next_slot
-            if 0 <= offset < size:
-                slot_index = index % size
-                slot = env._wheel_slots[slot_index]
-                self._wheel_pos = len(slot)
-                slot.append(entry)
-                env._wheel_count += 1
-                self._in_wheel = slot_index + 1
-                return
-            if offset >= size:
-                env.wheel_overflows += 1
-        _heappush(env._queue, entry)
-
     def _fire(self) -> None:
-        """Kernel callback: run one beat, then re-arm in place."""
-        self._in_wheel = False
+        """Kernel callback: run ``fn``; a periodic then re-arms in place."""
         self._armed = False
         self.fired += 1
         self.fn(self.arg)
         if self._cancelled:
             return
         interval_fn = self.interval_fn
-        self._arm(self.interval if interval_fn is None else interval_fn())
+        delay = self.interval if interval_fn is None else interval_fn()
+        if delay is None:
+            return
+        if delay <= 0.0:
+            raise SimulationError(f"periodic interval must be positive, got {delay!r}")
+        env = self.env
+        self.when = when = env._now + delay
+        self._armed = True
+        env._place(when, (when, next(env._counter), self), self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self._cancelled else (
             "armed" if self._armed else "idle"
         )
-        return f"<PeriodicHandle {state} fired={self.fired} next={self.when!r}>"
+        return f"<TimerHandle {state} fired={self.fired} next={self.when!r}>"
 
 
 class Process(Event):
@@ -786,11 +647,6 @@ class _InterruptEvent(Event):
 # ---------------------------------------------------------------------------
 
 
-def _cancel_condition_on_abandon(condition: "Condition") -> None:
-    """Abandon hook for conditions: withdraw from the constituent events."""
-    condition.cancel()
-
-
 class Condition(Event):
     """Base class for :class:`AnyOf` / :class:`AllOf`.
 
@@ -814,7 +670,7 @@ class Condition(Event):
         self._processed = False
         self._defused = False
         self._cancelled = False
-        self._abandon_hook = _cancel_condition_on_abandon
+        self._abandon_hook = Condition.cancel
         self.events = tuple(events)
         self._count = 0
         if not self.events:
@@ -844,8 +700,6 @@ class Condition(Event):
         untriggered when still pending — nobody is waiting for it anymore.
         """
         check = self._check
-        env = self.env
-        dead = 0
         for event in self.events:
             callbacks = event.callbacks
             if callbacks is not None:
@@ -855,48 +709,12 @@ class Condition(Event):
                     continue
                 if callbacks:
                     continue
-                # Inlined Event._maybe_abandon (this is the race-loser path),
-                # with the ubiquitous timeout hook dispatched without the
-                # double indirection of hook -> Timeout.cancel.
+                # Inlined Event._maybe_abandon (this is the race-loser path):
+                # a losing timeout is cancelled, a losing getter purged.
                 hook = event._abandon_hook
-                if hook is None:
-                    continue
-                event._abandon_hook = None
-                if hook is _cancel_on_abandon:
-                    # Inlined Timeout.cancel: the event still held callbacks
-                    # a moment ago, so it is a pending (never-fired) timer —
-                    # only the already-cancelled guard applies.
-                    if event._cancelled:
-                        continue
-                    event._cancelled = True
-                    if event.delay != 0.0:
-                        if event._in_wheel:
-                            # Wheel-staged loser: swap-removed on the spot
-                            # (inlined Timeout.cancel wheel branch).
-                            slot = env._wheel_slots[event._in_wheel - 1]
-                            pos = event._wheel_pos
-                            last = slot.pop()
-                            if pos < len(slot):
-                                slot[pos] = last
-                                marker = last[2]
-                                if marker is not None:
-                                    marker._wheel_pos = pos
-                            env._wheel_count -= 1
-                            event._in_wheel = False
-                        else:
-                            # Heap-resident loser: tombstoned (the same-tick
-                            # ones just drain).
-                            dead += 1
-                else:
+                if hook is not None:
+                    event._abandon_hook = None
                     hook(event)
-        if dead:
-            # One batched tombstone-accounting pass for the whole loser set.
-            env._dead_entries += dead
-            if (
-                env._dead_entries >= env._COMPACTION_MIN_DEAD
-                and 2 * env._dead_entries >= len(env._queue)
-            ):
-                env._compact()
 
     def _collect(self) -> dict[Event, Any]:
         return {e: e._value for e in self.events if e._value is not _PENDING and e._ok}
@@ -1030,6 +848,8 @@ def wait_any(env: "Environment", events: Iterable[Event], timeout: float | None 
         and len(events) == 1
         and events[0].callbacks is not None
         and not events[0]._cancelled
+        # Driven outside a process there is nobody for the expiry to resume.
+        and env._active_process is not None
     ):
         event = events[0]
         expiry = env.call_at_cancellable(
@@ -1039,7 +859,7 @@ def wait_any(env: "Environment", events: Iterable[Event], timeout: float | None 
             yield event
         finally:
             expiry.cancel()
-        if expiry._fired:
+        if expiry.fired:
             return WaitOutcome({}, expired=True)
         return WaitOutcome({event: event._value}, expired=False)
     timer = Timeout(env, timeout) if timeout is not None else None
@@ -1088,25 +908,27 @@ class Environment:
       churn, and the cancelled majority of raced timers leaves no residue
       at all — no tombstone, no compaction debt, no cache footprint.
       Timers beyond the horizon (and timers whose window already flushed)
-      cascade to the heap; ``wheel_slots=0`` disables the lane entirely.
+      cascade to the heap.
     * **event heap** — the time-ordered heap for near-term and overflow
-      work.  It holds both full events (``(time, seq, event)``) and bare
-      callback entries scheduled with :meth:`call_at` (``(time, seq, None,
-      fn, arg)``, with a :class:`CallHandle` in place of ``None`` for
-      cancellable calls) — the callback lane costs one tuple per call
-      instead of an :class:`Event` allocation, which is what keeps
-      per-message transport delivery allocation-free.
+      work.  It holds full events (``(time, seq, event)``), one-shot and
+      periodic :class:`TimerHandle` entries (``(time, seq, handle)``) and
+      bare callback entries scheduled with :meth:`call_at` (``(time, seq,
+      None, fn, arg)``) — the callback lane costs one tuple per call instead
+      of an :class:`Event` allocation, which is what keeps per-message
+      transport delivery allocation-free.
+
+    :meth:`_place` alone decides wheel or heap and :meth:`_unschedule` alone
+    takes a cancelled entry back; the wheel's geometry selects no code path.
 
     Within a lane, ordering is FIFO; across lanes at one tick it is urgent →
     same-tick → heap entries due now (wheel entries re-join the heap before
-    they can be due).  Cancelled heap entries (timers and call handles) stay
+    they can be due).  Cancelled heap entries (timers and handles) stay
     behind as *tombstones*: they are skipped when they surface at the top,
     and when they outnumber half of the heap (past a small floor) the whole
     schedule is compacted in one O(n) pass; cancelled wheel entries are
     swap-removed on the spot and need no compaction.  This keeps both
     cancellation and scheduling O(log live) amortised, no matter how many
-    raced-and-lost
-    timers the protocol layers churn through.
+    raced-and-lost timers the protocol layers churn through.
     """
 
     #: never compact below this many tombstones (avoids thrashing tiny heaps).
@@ -1122,7 +944,7 @@ class Environment:
         wheel_slots: int = 256,
     ) -> None:
         self._now = float(initial_time)
-        #: time-ordered heap of (time, seq, event) / (time, seq, fn, arg[, handle]).
+        #: time-ordered heap of (time, seq, event | handle) / (time, seq, None, fn, arg).
         self._queue: list[tuple] = []
         #: same-tick FIFO lane: events and (fn, arg) callback pairs.
         self._tick: deque = deque()
@@ -1142,8 +964,8 @@ class Environment:
         # Timer-wheel lane state (see the class docstring).
         if wheel_granularity <= 0.0:
             raise SimulationError("wheel_granularity must be positive")
-        if wheel_slots < 0:
-            raise SimulationError("wheel_slots must be non-negative")
+        if wheel_slots < 1:
+            raise SimulationError("wheel_slots must be at least 1")
         self._wheel_granularity = float(wheel_granularity)
         self._wheel_size = int(wheel_slots)
         self._wheel_slots: list[list[tuple]] = [[] for _ in range(self._wheel_size)]
@@ -1212,31 +1034,21 @@ class Environment:
         if when <= self._now:
             self._tick.append((fn, arg))
             return
-        entry = (when, next(self._counter), None, fn, arg)
-        if not self._wheel_schedule(when, entry):
-            _heappush(self._queue, entry)
+        self._place(when, (when, next(self._counter), None, fn, arg), None)
 
     def call_at_cancellable(
         self, when: float, fn: Callable[[Any], None], arg: Any = None
-    ) -> CallHandle:
-        """Schedule ``fn(arg)`` at ``when``; returns a :class:`CallHandle`.
+    ) -> TimerHandle:
+        """Schedule ``fn(arg)`` at ``when``; returns a :class:`TimerHandle`.
 
-        Like :meth:`call_at` plus one :class:`CallHandle` allocation; the
-        handle's :meth:`~CallHandle.cancel` is O(1) in either lane — a
-        wheel-staged entry is swap-removed, a heap-resident one tombstoned
-        exactly like a cancelled timer.  Entries due in the past fire at the
-        current tick.
+        Like :meth:`call_at` plus one handle allocation; the handle's
+        :meth:`~TimerHandle.cancel` is O(1) in either lane — a wheel-staged
+        entry is swap-removed, a heap-resident one tombstoned exactly like a
+        cancelled timer.  Entries due in the past fire at the current tick.
         """
-        handle = CallHandle(self)
         if when < self._now:
             when = self._now
-        entry = (when, next(self._counter), handle, fn, arg)
-        slot_token = self._wheel_schedule(when, entry)
-        if slot_token:
-            handle._in_wheel = slot_token
-        else:
-            _heappush(self._queue, entry)
-        return handle
+        return TimerHandle(self, when, fn, arg)
 
     def call_periodic(
         self,
@@ -1246,8 +1058,8 @@ class Environment:
         *,
         first_delay: float | None = None,
         interval_fn: Callable[[], float] | None = None,
-    ) -> PeriodicHandle:
-        """Schedule ``fn(arg)`` every ``interval``; returns a :class:`PeriodicHandle`.
+    ) -> TimerHandle:
+        """Schedule ``fn(arg)`` every ``interval``; returns a :class:`TimerHandle`.
 
         The returned handle re-arms itself *in place* after each beat: the
         whole periodic activity costs one handle allocation up front and one
@@ -1256,27 +1068,28 @@ class Environment:
         beat; ``interval_fn``, when given, supplies each next-beat delay
         (evaluated *after* ``fn`` runs) for jittered cadences — ``interval``
         may then be ``None``.  Cancel with
-        :meth:`PeriodicHandle.cancel` (O(1), allowed from inside ``fn``).
+        :meth:`TimerHandle.cancel` (O(1), allowed from inside ``fn``).
         """
         if interval is None and interval_fn is None:
             raise SimulationError("call_periodic needs interval or interval_fn")
         if interval is not None and interval <= 0.0:
             raise SimulationError(f"periodic interval must be positive, got {interval!r}")
-        handle = PeriodicHandle(self, interval, fn, arg, interval_fn)
         delay = first_delay
         if delay is None:
             delay = interval if interval_fn is None else interval_fn()
-        handle._arm(delay)
-        return handle
+        if delay <= 0.0:
+            raise SimulationError(f"periodic interval must be positive, got {delay!r}")
+        return TimerHandle(self, self._now + delay, fn, arg, interval, interval_fn)
 
-    # -- timer wheel ---------------------------------------------------------
-    def _wheel_schedule(self, when: float, entry: tuple) -> int:
-        """Stage ``entry`` on the wheel; 0 (falsy) → the caller must heap-push.
+    # -- placement and cancellation (each written once) ------------------------
+    def _place(self, when: float, entry: tuple, marker: Any) -> None:
+        """Put the future ``entry`` on its lane: a wheel window or the heap.
 
-        On success the return value is the slot token (slot index + 1, always
-        truthy) the caller stores in its ``_in_wheel``; the in-slot position
-        is recorded on the entry's marker (``entry[2]``, when present) so a
-        later cancel can swap-remove exactly that entry.
+        The one placement routine behind :class:`Timeout`, :meth:`call_at`
+        and :class:`TimerHandle`.  ``marker`` is ``entry[2]`` — the event,
+        the handle, or ``None`` for an uncancellable :meth:`call_at` entry;
+        a staged marker records its slot token (slot index + 1, truthy) and
+        in-slot position so :meth:`_unschedule` can remove exactly that entry.
 
         Entries land in the window containing ``when``; a window is flushed
         into the heap (in one batch, before the clock can reach it) by
@@ -1286,9 +1099,11 @@ class Environment:
         flushing preserves exactly the (time, seq) order a direct push would
         have produced.
         """
-        size = self._wheel_size
-        if not size:
-            return 0
+        if when < self._wheel_next_boundary:
+            # Window already flushed (the offset below would be negative; the
+            # empty-wheel cursor only ever moves up): no index arithmetic.
+            _heappush(self._queue, entry)
+            return
         granularity = self._wheel_granularity
         if not self._wheel_count:
             # Empty wheel: drag the flush cursor up to the present so a long
@@ -1297,25 +1112,59 @@ class Environment:
             if base > self._wheel_next_slot:
                 self._wheel_next_slot = base
                 self._wheel_next_boundary = base * granularity
-        index = int(when / granularity)
+        try:
+            index = int(when / granularity)
+        except (OverflowError, ValueError):
+            raise SimulationError(
+                f"cannot schedule at non-finite time {when!r}"
+            ) from None
         if index * granularity > when:
             # Float-division rounding put `when` past its true window; a
             # window must never start after an entry it holds fires.
             index -= 1
         offset = index - self._wheel_next_slot
-        if offset < 0:
-            return 0
+        size = self._wheel_size
+        if 0 <= offset < size:
+            slot_index = index % size
+            slot = self._wheel_slots[slot_index]
+            if marker is not None:
+                marker._in_wheel = slot_index + 1
+                marker._wheel_pos = len(slot)
+            slot.append(entry)
+            self._wheel_count += 1
+            return
         if offset >= size:
             self.wheel_overflows += 1
-            return 0
-        slot_index = index % size
-        slot = self._wheel_slots[slot_index]
-        marker = entry[2]
-        if marker is not None:
-            marker._wheel_pos = len(slot)
-        slot.append(entry)
-        self._wheel_count += 1
-        return slot_index + 1
+        _heappush(self._queue, entry)
+
+    def _unschedule(self, marker: Any) -> None:
+        """Take back the entry of a just-cancelled event or handle.
+
+        The one cancel routine (the caller has set ``marker._cancelled``).  A
+        wheel-staged entry is swap-removed — a window is an unordered bag, so
+        only the displaced entry's recorded position moves with it.  A
+        heap-resident entry becomes a tombstone: counted here, skipped by
+        :meth:`_skim`, dropped in bulk by :meth:`_compact`.
+        """
+        token = marker._in_wheel
+        if token:
+            slot = self._wheel_slots[token - 1]
+            pos = marker._wheel_pos
+            last = slot.pop()
+            if pos < len(slot):
+                slot[pos] = last
+                moved = last[2]
+                if moved is not None:
+                    moved._wheel_pos = pos
+            self._wheel_count -= 1
+            marker._in_wheel = False
+            return
+        self._dead_entries += 1
+        if (
+            self._dead_entries >= self._COMPACTION_MIN_DEAD
+            and 2 * self._dead_entries >= len(self._queue)
+        ):
+            self._compact()
 
     def _flush_wheel(self) -> None:
         """Flush matured windows into the heap (every entry is live).
@@ -1350,19 +1199,14 @@ class Environment:
         self._wheel_next_slot = next_slot
         self._wheel_next_boundary = next_slot * granularity
 
-    # -- tombstone bookkeeping -----------------------------------------------
-    # Cancellation accounting lives inline in Timeout.cancel / CallHandle.cancel
-    # (dead-entry count + compaction trigger); dead heap tops are skimmed by
-    # _skim(), shared by peek(), step() and the run() drain loop.
-
     def _compact(self) -> None:
         """Drop every heap tombstone in one pass (filter + re-heapify).
 
         Both tombstone kinds are handled — cancelled events and cancelled
-        :meth:`call_at_cancellable` / :meth:`call_periodic` handles
-        (entry[2] is the event, the handle, or None for an uncancellable
-        :meth:`call_at` entry).  The wheel needs no pass: a wheel cancel
-        swap-removes its entry immediately, so only heap entries tombstone.
+        :class:`TimerHandle` entries (entry[2] is the event, the handle, or
+        None for an uncancellable :meth:`call_at` entry).  Triggered by
+        :meth:`_unschedule`, the only place a tombstone is made; the wheel
+        needs no pass, a staged entry is swap-removed there instead.
         """
         heap_size = len(self._queue)
         if heap_size > self.peak_heap_size:
@@ -1492,13 +1336,11 @@ class Environment:
             entry = _heappop(queue)
             self._now = entry[0]
             marker = entry[2]
-            if marker is None or marker.__class__ is CallHandle:
+            if marker is None:
                 self.events_processed += 1
-                if marker is not None:
-                    marker._fired = True
                 entry[3](entry[4])
                 return
-            if marker.__class__ is PeriodicHandle:
+            if marker.__class__ is TimerHandle:
                 self.events_processed += 1
                 marker._fire()
                 return
@@ -1596,13 +1438,11 @@ class Environment:
                 heappop(queue)
                 self._now = when
                 marker = entry[2]
-                if marker is None or marker.__class__ is CallHandle:
+                if marker is None:
                     self.events_processed += 1
-                    if marker is not None:
-                        marker._fired = True
                     entry[3](entry[4])
                     continue
-                if marker.__class__ is PeriodicHandle:
+                if marker.__class__ is TimerHandle:
                     self.events_processed += 1
                     marker._fire()
                     continue

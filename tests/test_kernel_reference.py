@@ -274,6 +274,18 @@ class TestDirectWaitAgainstTimeoutAnyOf:
         assert built == []
         assert env.queue_stats()["live_entries"] == 0
 
+    def test_a_wait_driven_outside_a_process_takes_the_general_path(self):
+        # No active process, nobody for a direct expiry to resume: the wait
+        # must fall back to Timeout + AnyOf and still report the time-out.
+        env = Environment()
+        fragment = wait_any(env, [env.event()], timeout=1.0)
+        assert isinstance(next(fragment), AnyOf)
+        env.run(until=2.0)
+        with pytest.raises(StopIteration) as finished:
+            fragment.send(None)
+        assert finished.value.value.timed_out
+        assert env.queue_stats()["live_entries"] == 0
+
 
 # ---------------------------------------------------------------------------
 # Store.get_all: two-hop (finalize callback) reference

@@ -330,7 +330,76 @@ class TestTimeModel:
             children[parent].append(index)
         expected = _reference_order(nodes, children)
         assert _kernel_order(nodes, children) == expected
-        # The wheel is staging: off, tiny or coarse, it never reorders.
-        assert _kernel_order(nodes, children, wheel_slots=0) == expected
+        # The wheel is staging: one slot, tiny or coarse, it never reorders.
+        assert _kernel_order(nodes, children, wheel_slots=1) == expected
         assert _kernel_order(nodes, children, wheel_slots=4, wheel_granularity=0.3) == expected
         assert _kernel_order(nodes, children, wheel_slots=64, wheel_granularity=7.0) == expected
+
+
+# ---------------------------------------------------------------------------
+# The one placement and the one cancel routine: lane bookkeeping
+# ---------------------------------------------------------------------------
+
+_timer_delays = st.one_of(
+    st.floats(min_value=0.001, max_value=12.0),
+    st.sampled_from([0.0005, 1.0, 4.0, 300.0]),  # flushed window, edges, overflow
+)
+
+timer_steps = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["timeout", "one-shot", "periodic", "call_at"]), _timer_delays),
+        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=60)),
+        st.tuples(st.just("run"), st.floats(min_value=0.0, max_value=9.0)),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+def _check_lane_bookkeeping(env, markers):
+    staged = set()
+    for slot_index, slot in enumerate(env._wheel_slots):
+        for position, entry in enumerate(slot):
+            marker = entry[2]
+            if marker is not None:
+                assert marker._wheel_pos == position
+                assert marker._in_wheel == slot_index + 1
+                assert not marker._cancelled
+                staged.add(marker)
+    for marker in markers:
+        assert bool(marker._in_wheel) == (marker in staged)
+    stats = env.queue_stats()
+    assert stats["wheel_entries"] == sum(len(slot) for slot in env._wheel_slots)
+    assert stats["dead_entries"] == sum(
+        1 for entry in env._queue if entry[2] is not None and entry[2]._cancelled
+    )
+
+
+class TestLaneBookkeeping:
+    @given(steps=timer_steps)
+    @settings(max_examples=200, deadline=None)
+    def test_place_and_unschedule_keep_slots_positions_and_counts_exact(self, steps):
+        # wrap-around and overflow need the 4-slot wheel; src/ runs the default.
+        for wheel in ({"wheel_slots": 4}, {}):
+            env = Environment(**wheel)
+            markers = []
+            for kind, value in steps:
+                if kind == "timeout":
+                    markers.append(env.timeout(value))
+                elif kind == "one-shot":
+                    markers.append(env.call_at_cancellable(env.now + value, lambda _a: None))
+                elif kind == "periodic":
+                    markers.append(env.call_periodic(value, lambda _a: None))
+                elif kind == "call_at":
+                    env.call_at(env.now + value, lambda _a: None)
+                elif kind == "cancel":
+                    if markers:
+                        markers[value % len(markers)].cancel()
+                else:
+                    env.run(until=env.now + value)
+                _check_lane_bookkeeping(env, markers)
+            for marker in markers:
+                marker.cancel()
+            _check_lane_bookkeeping(env, markers)
+            env.run()
+            assert env.queue_stats()["live_entries"] == 0

@@ -791,7 +791,7 @@ class TestTimerWheel:
         # Same-timestamp collisions across every producer kind: Timeout
         # events, bare call_at callbacks and cancellable handles all landing
         # at t=2.0, plus entries past the default 256 s horizon (heap from
-        # the start in a wheel environment, ordinary pushes without one).
+        # the start; on a one-slot wheel every entry here overflows to it).
         def waiter(label, delay):
             yield env.timeout(delay)
             fired.append((env.now, label))
@@ -810,8 +810,8 @@ class TestTimerWheel:
 
     def test_wheel_and_heap_fire_in_identical_order(self):
         with_wheel = self._fire_order(Environment())
-        heap_only = self._fire_order(Environment(wheel_slots=0))
-        assert with_wheel == heap_only
+        heap_bound = self._fire_order(Environment(wheel_slots=1))
+        assert with_wheel == heap_bound
         assert [when for when, _ in with_wheel] == [2.0] * 5 + [500.0] * 2
 
     def test_future_timers_stage_on_the_wheel_not_the_heap(self, env):
@@ -1005,18 +1005,26 @@ class TestTimerWheel:
         env.run()
         assert fired == ["first", "second"]
 
-    def test_wheel_disabled_environment_is_pure_heap(self):
-        env = Environment(wheel_slots=0)
-        env.call_at(5.0, lambda _a: None, None)
-        stats = env.queue_stats()
-        assert stats["wheel_slots"] == 0
-        assert stats["wheel_entries"] == 0
-        assert stats["heap_size"] == 1
-        env.run()
-        assert env.queue_stats()["events_processed"] == 1
-
     def test_wheel_configuration_validation(self):
         with pytest.raises(SimulationError):
             Environment(wheel_granularity=0.0)
         with pytest.raises(SimulationError):
             Environment(wheel_slots=-1)
+        with pytest.raises(SimulationError):
+            Environment(wheel_slots=0)
+
+    @pytest.mark.parametrize("when", [float("inf"), float("nan")])
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            lambda env, when: env.timeout(when),
+            lambda env, when: env.call_at(when, lambda _a: None),
+            lambda env, when: env.call_at_cancellable(when, lambda _a: None),
+            lambda env, when: env.call_periodic(1.0, lambda _a: None, first_delay=when),
+        ],
+        ids=["timeout", "call_at", "call_at_cancellable", "call_periodic"],
+    )
+    def test_a_non_finite_time_is_rejected_as_misuse(self, env, schedule, when):
+        with pytest.raises(SimulationError):
+            schedule(env, when)
+        assert env.queue_stats()["live_entries"] == 0
