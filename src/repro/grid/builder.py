@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Mapping, Sequence
 
-import networkx as nx
-
 from repro.config import ProtocolConfig
 from repro.core.client import ClientComponent
 from repro.core.coordinator import CoordinatorComponent
@@ -179,6 +177,8 @@ class Grid:
         that a *live* server can also reach, taking the partition rules into
         account (coordinator-to-coordinator forwarding counts as a path).
         """
+        import networkx as nx
+
         live = [a for a, h in self.hosts.items() if h.up]
         graph = self.partitions.reachability_graph(live)
         live_set = set(live)

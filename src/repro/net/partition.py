@@ -11,11 +11,12 @@ asymmetric visibility restriction — so the partition manager supports both:
 
 from __future__ import annotations
 
-from typing import Iterable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable
 
 from repro.types import Address
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["PartitionManager"]
 
@@ -92,8 +93,11 @@ class PartitionManager:
         Used by tests and by the progress-condition checker: the paper's
         guarantee is that the application progresses as long as there is a
         path client -> coordinator -> ... -> server in this graph (restricted
-        to live nodes).
+        to live nodes).  networkx is imported here, on first use, so runs
+        that never ask for reachability do not load it.
         """
+        import networkx as nx
+
         graph = nx.DiGraph()
         nodes = list(addresses)
         graph.add_nodes_from(nodes)

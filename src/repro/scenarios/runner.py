@@ -14,6 +14,7 @@ methods.
 
 from __future__ import annotations
 
+import gc
 import json
 import multiprocessing
 import os
@@ -35,19 +36,30 @@ def _execute_cell(
     cell: Callable[..., dict[str, Any]],
     call_params: dict[str, Any],
     timeout: float | None = None,
-) -> tuple[dict[str, Any], float]:
+) -> tuple[dict[str, Any], float, str | None]:
     """Worker entry point: run one cell kernel, timing it.
 
     Runs in the parent for sequential sweeps and in pool workers for parallel
     ones.  With a ``timeout`` the kernel runs in a disposable child process
     that is killed at the deadline (see :func:`_execute_cell_with_timeout`).
+    Returns the outputs, the cell's wall seconds and why the budget could not
+    be enforced (``None`` when it was, or when there was none).
+
+    A finished grid is cyclic garbage (host ↔ component ↔ process ↔
+    environment) and the drain leaves its collection to whoever owns the run
+    (see :meth:`~repro.sim.core.Environment.run`).  The young-generation
+    collection here frees each cell before the next one is built, so a
+    sweep holds one cell's memory, not every finished cell's; it is inside
+    the timed window because the cell owes it.
     """
     started = time.perf_counter()
+    fallback = None
     if timeout is not None:
-        outputs = _execute_cell_with_timeout(cell, call_params, timeout)
+        outputs, fallback = _execute_cell_with_timeout(cell, call_params, timeout)
     else:
         outputs = cell(**call_params)
-    return outputs, time.perf_counter() - started
+    gc.collect(1)
+    return outputs, time.perf_counter() - started, fallback
 
 
 def _timeout_cell_worker(
@@ -67,31 +79,39 @@ def _timeout_cell_worker(
 
 def _execute_cell_with_timeout(
     cell: Callable[..., dict[str, Any]], call_params: dict[str, Any], timeout: float
-) -> dict[str, Any]:
+) -> tuple[dict[str, Any], str | None]:
     """Run one kernel under a wall-clock budget; kill and record on overrun.
 
     A cell that exceeds the budget is terminated and reported as
     ``{"timed_out": True, "cell_timeout": <budget>}`` instead of hanging the
     sweep.  Environments where a child process cannot start (restricted
-    sandboxes) degrade to inline execution — no enforcement, but no failure.
+    sandboxes) degrade to inline execution with no time limit: one
+    ``RuntimeWarning`` naming the exception, and the reason
+    (``"<ExceptionType>: <message>"``) returned beside the outputs.
     Kernel errors re-raise in the caller, exactly like the un-budgeted path.
     """
     context = multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods() else None
     )
+    receiver = sender = None
     try:
         receiver, sender = context.Pipe(duplex=False)
-    except (OSError, PermissionError):
-        return cell(**call_params)
-    try:
         child = context.Process(
             target=_timeout_cell_worker, args=(cell, call_params, sender)
         )
         child.start()
-    except (OSError, PermissionError, pickle.PicklingError, AttributeError):
-        receiver.close()
-        sender.close()
-        return cell(**call_params)
+    except (OSError, pickle.PicklingError, AttributeError) as error:
+        if receiver is not None:
+            receiver.close()
+            sender.close()
+        fallback = f"{type(error).__name__}: {error}"
+        warnings.warn(
+            f"cell timeout of {timeout:g} s not enforced ({fallback}); "
+            "running the cell inline with no time limit",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return cell(**call_params), fallback
     sender.close()
     try:
         if receiver.poll(timeout):
@@ -106,10 +126,10 @@ def _execute_cell_with_timeout(
             child.join()
             if status == "error":
                 raise payload
-            return payload
+            return payload, None
         child.terminate()
         child.join()
-        return {"timed_out": True, "cell_timeout": timeout}
+        return {"timed_out": True, "cell_timeout": timeout}, None
     finally:
         receiver.close()
 
@@ -155,6 +175,9 @@ class SweepRunner:
         #: why the last :meth:`run` fell back from the pool to sequential
         #: execution ("<ExceptionType>: <message>"); ``None`` when it did not.
         self.parallel_fallback: str | None = None
+        #: why the last :meth:`run` ran a budgeted cell inline with no time
+        #: limit ("<ExceptionType>: <message>"); ``None`` when it did not.
+        self.cell_timeout_fallback: str | None = None
 
     # ------------------------------------------------------------------- run
     def run(self, save: bool = False) -> RunResult:
@@ -182,6 +205,7 @@ class SweepRunner:
         todo = [cell for cell in cells if (cell.index, cell.seed) not in done]
         parallel = self.jobs > 1 and len(todo) > 1
         self.parallel_fallback = None
+        self.cell_timeout_fallback = None
         if parallel:
             fresh = self._run_parallel(todo, spec_hash if checkpointing else None)
             parallel = fresh is not None
@@ -194,8 +218,9 @@ class SweepRunner:
                 if checkpointing:
                     self._checkpoint(spec_hash, cell, outcome)
                 fresh.append(outcome)
-        for cell, outcome in zip(todo, fresh):
-            done[(cell.index, cell.seed)] = outcome
+        for cell, (outputs, cell_wall, fallback) in zip(todo, fresh):
+            done[(cell.index, cell.seed)] = (outputs, cell_wall)
+            self.cell_timeout_fallback = self.cell_timeout_fallback or fallback
         raw = [done[(cell.index, cell.seed)] for cell in cells]
         wall = time.perf_counter() - started
 
@@ -243,6 +268,8 @@ class SweepRunner:
             result.manifest["resumed_cells"] = self.resumed_cells
         if self.parallel_fallback:
             result.manifest["parallel_fallback"] = self.parallel_fallback
+        if self.cell_timeout_fallback:
+            result.manifest["cell_timeout_fallback"] = self.cell_timeout_fallback
         if save:
             store = self.store or ResultsStore()
             result.manifest["artifact"] = str(store.save(result))
@@ -299,9 +326,12 @@ class SweepRunner:
                     )
 
     def _checkpoint(
-        self, spec_hash: str, cell: SweepCell, outcome: tuple[dict[str, Any], float]
+        self,
+        spec_hash: str,
+        cell: SweepCell,
+        outcome: tuple[dict[str, Any], float, str | None],
     ) -> None:
-        outputs, cell_wall = outcome
+        outputs, cell_wall, _fallback = outcome
         # A timed-out placeholder is not a finished measurement: leaving it
         # un-checkpointed lets a later --resume retry the cell (e.g. after
         # transient machine load) instead of keeping the poisoned row forever.
@@ -313,7 +343,7 @@ class SweepRunner:
 
     def _run_parallel(
         self, cells: list[SweepCell], checkpoint_hash: str | None = None
-    ) -> list[tuple[dict[str, Any], float]] | None:
+    ) -> list[tuple[dict[str, Any], float, str | None]] | None:
         """Fan the cells out over a process pool; ``None`` → fall back.
 
         Results come back in cell order regardless of completion order (each

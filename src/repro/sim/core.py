@@ -1370,9 +1370,14 @@ class Environment:
         restored on exit): event churn allocates tens of tracked objects per
         protocol round, and default thresholds make the collector rescan the
         same surviving timers thousands of times per simulated second.  The
-        kernel's abandon cascade keeps the event graph acyclic once a race
-        resolves, so practically all garbage is reclaimed by reference
-        counting and delaying cycle detection is safe.
+        kernel's abandon cascade keeps the *event graph* acyclic once a race
+        resolves, so the garbage a drain makes is reclaimed by reference
+        counting and deferring cycle detection is safe while it runs.  The
+        grid the drain ran is another matter: hosts, components, processes
+        and this environment reference one another, so a finished run is
+        cyclic garbage that only a collection frees.  The drain defers that
+        collection; whoever owns the run pays for it once the run is over
+        (the sweep runner's ``_execute_cell`` does, at every cell boundary).
         """
         stop_event: Event | None = None
         stop_time: float | None = None

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 
 import pytest
@@ -518,6 +519,26 @@ class TestCellTimeout:
     def test_fast_cells_are_untouched(self):
         result = SweepRunner(_timeout_spec((0.0, 0.0), cell_timeout=5.0), jobs=1).run()
         assert all("timed_out" not in row for row in result.rows)
+        assert "cell_timeout_fallback" not in result.manifest
+
+    @pytest.mark.parametrize("refused", ["Pipe", "Process"])
+    def test_a_budget_that_cannot_be_enforced_warns_and_is_recorded(
+        self, monkeypatch, refused
+    ):
+        context = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+        )
+
+        def refuse(*args, **kwargs):
+            raise OSError("no child processes here")
+
+        monkeypatch.setattr(context, refused, refuse)
+        runner = SweepRunner(_timeout_spec((0.0, 0.0), cell_timeout=0.4), jobs=1)
+        with pytest.warns(RuntimeWarning, match="OSError: no child processes here"):
+            result = runner.run()
+        assert [row["napped"] for row in result.rows] == [0.0, 0.0]
+        assert runner.cell_timeout_fallback == "OSError: no child processes here"
+        assert result.manifest["cell_timeout_fallback"] == runner.cell_timeout_fallback
 
     def test_cell_errors_still_propagate(self):
         spec = ScenarioSpec(

@@ -3,13 +3,21 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.core.protocol import CallDescription
 from repro.errors import ConfigurationError
 from repro.grid.builder import build_confined_cluster
+from repro.platform import BaseComponent
 from repro.scenarios import (
     Axis,
     ResultsStore,
@@ -19,7 +27,13 @@ from repro.scenarios import (
     get_scenario,
     run_scenario,
 )
-from repro.scenarios.engine import apply_protocol_overrides, resolve_protocol
+from repro.scenarios.engine import (
+    GridTopology,
+    WorkloadSpec,
+    apply_protocol_overrides,
+    execute_benchmark,
+    resolve_protocol,
+)
 from repro.scenarios.runner import SweepRunner
 from repro.types import CallIdentity, RPCId, SessionId, TaskState, UserId
 
@@ -398,6 +412,74 @@ class TestPoolFallback:
         reason = result.manifest["parallel_fallback"]
         assert reason.split(":")[0] in {"PicklingError", "AttributeError"}
         assert "parallel_fallback" not in SweepRunner(spec, jobs=1).run().manifest
+
+
+class _EnvironmentRef(BaseComponent):
+    """Inert component keeping a weak reference to its grid's environment."""
+
+    def __init__(self) -> None:
+        super().__init__("test.environment-ref")
+        self.ref: weakref.ref | None = None
+
+    def setup(self, builder) -> None:
+        self.ref = weakref.ref(builder.env)
+
+
+def _environment_ref_cell(seed: int = 0, **_: object) -> dict:
+    """Module-level kernel: a tiny benchmark run that returns a weak
+    reference to the environment it ran in."""
+    probe = _EnvironmentRef()
+    report = execute_benchmark(
+        GridTopology(n_servers=2, n_coordinators=2),
+        WorkloadSpec(n_calls=4, exec_time=1.0),
+        seed=seed,
+        components=[probe],
+    )
+    return {"completed": report.completed, "environment": probe.ref}
+
+
+class TestCellBoundary:
+    def test_a_finished_cell_is_reclaimed_at_the_cell_boundary(self):
+        """A finished grid is cyclic garbage; the runner frees it before the
+        next cell, whatever the collector's thresholds would have done."""
+        spec = ScenarioSpec(
+            name="reclaim-sweep",
+            title="finished cells are freed",
+            cell=_environment_ref_cell,
+            seeds=(1, 2),
+        )
+        gc.disable()
+        try:
+            result = SweepRunner(spec, jobs=1).run()
+            refs = [cell["outputs"]["environment"] for cell in result.cells]
+            alive = [ref() is not None for ref in refs]
+        finally:
+            gc.enable()
+        assert [row["completed"] for row in result.rows] == [4, 4]
+        assert alive == [False, False]
+
+    def test_start_up_and_a_sweep_do_not_load_networkx(self):
+        """networkx serves partition reachability only and loads on use."""
+        script = "\n".join([
+            "import sys",
+            "import repro",
+            "from repro.cli import _build_parser",
+            "from repro.scenarios import load_all, run_scenario",
+            "load_all()",
+            "_build_parser()",
+            "run_scenario('fig7', scale='tiny', jobs=1)",
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'))",
+        ])
+        src = str(Path(repro.__file__).resolve().parents[1])
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "[]"
 
 
 class TestCliProtocolSelection:
