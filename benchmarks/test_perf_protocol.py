@@ -31,14 +31,14 @@ import time
 from dataclasses import dataclass
 
 from repro.config import ProtocolConfig
-from repro.core.protocol import CallDescription, TaskRecord, identity_to_key
+from repro.core.protocol import CallDescription, TaskRecord
 from repro.core.replication import build_state
 from repro.core.taskindex import TaskIndex
 from repro.grid.builder import build_grid
 from repro.grid.deployment import confined_cluster_spec
 from repro.nodes.database import DatabaseModel
 from repro.policies.scheduling import FifoReschedulePolicy
-from repro.types import Address, CallIdentity, RPCId, SessionId, TaskState, UserId
+from repro.types import Address, CallIdentity, TaskState
 
 BENCH_NAME = "BENCH_protocol.json"
 
@@ -69,10 +69,10 @@ STORM_MIN_WALL = 0.2
 
 
 def _calls(owner_index: int, count: int) -> list[CallDescription]:
-    user = UserId(f"bench{owner_index}")
+    user = f"bench{owner_index}"
     return [
         CallDescription(
-            identity=CallIdentity(user=user, session=SessionId("s"), rpc=RPCId(rpc)),
+            identity=CallIdentity(user, "s", rpc),
             service="sleep",
             params_bytes=64,
             exec_time=EXEC_TIME,
@@ -170,7 +170,7 @@ def _run_protocol(backlog: int, warmup: int, decisions: int) -> dict:
 def _build_table(n: int):
     """A bare table of pending tasks for the machinery-level microbenches."""
     return {
-        identity_to_key(call.identity): TaskRecord(
+        call.identity: TaskRecord(
             call=call, state=TaskState.PENDING, owner="k0", submitted_at=float(counter)
         )
         for counter, call in enumerate(_calls(0, n))
@@ -198,7 +198,7 @@ def _run_delta(n: int) -> dict:
         )
     wall = time.perf_counter() - start
     # Same entries, in the order a filtered walk of the table lists them.
-    assert [tuple(e["call"]["identity"]) for e in state.entries] == [
+    assert [e["call"]["identity"] for e in state.entries] == [
         key for key in tasks if key in dirty_set
     ]
 

@@ -8,6 +8,7 @@ prints what happened.
 
 from repro.core.api import GridRpc
 from repro.grid import build_confined_cluster
+from repro.sim import SimulationError
 
 
 def main() -> None:
@@ -28,8 +29,10 @@ def main() -> None:
             handle_ids.append(handle_id)
         outcome["batch"] = yield from api.wait_all(handle_ids)
 
+    horizon = 600.0
     process = grid.run_process(application(), name="quickstart")
-    grid.run_until(process, timeout=600.0)
+    if not grid.run_until(process, timeout=horizon):
+        raise SimulationError(f"quickstart: unfinished at {horizon:g} s")
 
     print(f"virtual time elapsed : {grid.env.now:.1f} s")
     print(f"blocking call result : {outcome['blocking'].identity} "

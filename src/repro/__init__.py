@@ -11,13 +11,16 @@ the paper's evaluation, and one experiment driver per figure.
 Quickstart::
 
     from repro.grid import build_confined_cluster
+    from repro.sim import SimulationError
     from repro.workloads import SyntheticWorkload
 
     grid = build_confined_cluster()
     grid.start()
     workload = SyntheticWorkload(n_calls=16, exec_time=2.0)
     process = grid.run_process(workload.run(grid.client))
-    grid.run_until(process, timeout=600.0)
+    horizon = 600.0
+    if not grid.run_until(process, timeout=horizon):
+        raise SimulationError(f"quickstart: unfinished at {horizon:g} s")
     print(workload.makespan, workload.completed_count())
 """
 

@@ -14,8 +14,6 @@ from repro.core.protocol import (
     ResultRecord,
     TASK_DESCRIPTION_BYTES,
     TaskRecord,
-    identity_to_key,
-    key_to_identity,
 )
 from repro.core.registry import CoordinatorRegistry
 from repro.core.replication import ReplicaState, build_state, merge_state
@@ -53,8 +51,6 @@ __all__ = [
     "TaskRecord",
     "build_state",
     "default_registry",
-    "identity_to_key",
-    "key_to_identity",
     "merge_max_timestamps",
     "merge_state",
     "plan_client_sync",

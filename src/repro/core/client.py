@@ -24,12 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.config import ClientConfig, PolicyConfig
-from repro.core.protocol import (
-    CallDescription,
-    ResultRecord,
-    TASK_DESCRIPTION_BYTES,
-    identity_to_key,
-)
+from repro.core.protocol import CallDescription, ResultRecord
 from repro.core.registry import CoordinatorRegistry
 from repro.core.session import Session
 from repro.core.synchronization import ClientSyncPlan
@@ -46,7 +41,7 @@ from repro.types import Address, CallIdentity, RPCStatus
 __all__ = ["RPCHandle", "ClientComponent"]
 
 
-@dataclass
+@dataclass(slots=True)
 class RPCHandle:
     """Client-side handle on one submitted RPC."""
 
@@ -67,7 +62,7 @@ class RPCHandle:
     @property
     def timestamp(self) -> int:
         """The client timestamp (RPC counter) of this call."""
-        return self.description.identity.rpc.value
+        return self.description.identity.rpc
 
     @property
     def done(self) -> bool:
@@ -90,6 +85,9 @@ class ClientComponent:
         self.host = host
         self.env = host.env
         self.session = session
+        #: ``(user, session)``: how coordinators file this session's calls,
+        #: and the prefix of every identity it allocates.
+        self._session_key = (session.user, session.session_id)
         self.registry = registry
         self.config = config or ClientConfig()
         self.config.validate()
@@ -102,9 +100,10 @@ class ClientComponent:
         self.logging: LoggingEngine
         self.gc: GarbageCollector
         self.detector: FailureDetector
-        self.handles: dict[int, RPCHandle] = {}
-        #: the handles not yet completed, in submission order — maintained by
-        #: _submit / _complete so a poll never walks the completed ones.
+        self.handles: dict[CallIdentity, RPCHandle] = {}
+        #: the handles not yet completed, in submission order, by timestamp
+        #: (what a result pull names) — maintained by _submit / _complete so
+        #: a poll never walks the completed ones.
         self._pending: dict[int, RPCHandle] = {}
         self._ack_waiters: dict[int, Event] = {}
         self._sync_waiters: list[Event] = []
@@ -130,8 +129,8 @@ class ClientComponent:
         self._ack_waiters = {}
         self._sync_waiters = []
         # Never reuse a timestamp: continue strictly after the durable log.
-        max_durable = self.log.max_durable_key(default=0) or 0
-        self.session.restore_counter(int(max_durable))
+        last = self.log.max_durable_key()
+        self.session.restore_counter(last.rpc if last is not None else 0)
 
     def setup(self, builder) -> None:
         """Component lifecycle hook: the grid tier wiring already bound
@@ -158,9 +157,7 @@ class ClientComponent:
             config=self.config.detection,
             mtype=MessageType.CLIENT_HEARTBEAT,
             targets=lambda: [self.preferred_coordinator()],
-            payload=lambda: {
-                "session": (self.session.user.value, self.session.session_id.value)
-            },
+            payload=lambda: {"session": self._session_key},
         )
         self._heartbeat.start()
 
@@ -280,19 +277,20 @@ class ClientComponent:
 
     # ----------------------------------------------------------- submission path
     def _submit(self, description: CallDescription):
-        timestamp = description.identity.rpc.value
+        identity = description.identity
+        timestamp = identity.rpc
         handle = RPCHandle(
             description=description,
             submitted_event=self.env.event(),
             completed_event=self.env.event(),
             submitted_at=self.env.now,
         )
-        self.handles[timestamp] = handle
+        self.handles[identity] = handle
         self._pending[timestamp] = handle
 
         payload = description.to_payload()
         token = yield from self.logging.before_send(
-            timestamp, payload, description.wire_bytes
+            identity, payload, description.wire_bytes
         )
 
         # Retry until some coordinator acknowledges the submission.
@@ -327,7 +325,7 @@ class ClientComponent:
 
         self._ack_waiters.pop(timestamp, None)
         yield from self.logging.after_send(token)
-        self.logging.ack(timestamp)
+        self.logging.ack(identity)
         self.gc.maybe_collect()
         if not handle.submitted_event.triggered:
             handle.submitted_event.succeed(handle)
@@ -375,7 +373,7 @@ class ClientComponent:
         coordinator = coordinator or self.preferred_coordinator()
         if coordinator is None:
             return None
-        durable_keys = sorted(int(k) for k in self.log.durable_keys())
+        durable_keys = sorted(key.rpc for key in self.log.durable_keys())
         # Reading the local log list costs a disk read before anything is sent.
         yield from self.host.disk_read(
             max(64 * len(durable_keys), 64) if durable_keys else 64
@@ -388,7 +386,7 @@ class ClientComponent:
                 source=self.address,
                 dest=coordinator,
                 payload={
-                    "session": (self.session.user.value, self.session.session_id.value),
+                    "session": self._session_key,
                     "durable_keys": durable_keys,
                     "max_timestamp": max(durable_keys, default=0),
                 },
@@ -410,13 +408,17 @@ class ClientComponent:
         )
         self.session.restore_counter(plan.coordinator_max_timestamp)
         # Re-send what the coordinator is missing, straight from the log: one
-        # bulk read of the needed records, then the pushes.
-        resend_records = [self.log.get(key) for key in plan.client_must_resend]
+        # bulk read of the needed records, then the pushes.  The plan names
+        # timestamps; the log files calls under this session's identities.
+        resend_records = [
+            self.log.get(CallIdentity(*self._session_key, timestamp))
+            for timestamp in plan.client_must_resend
+        ]
         resend_bytes = sum(r.size_bytes for r in resend_records if r is not None)
         if resend_bytes:
             yield from self.host.disk_read(resend_bytes)
-        for key in plan.client_must_resend:
-            record = self.log.get(key)
+        for timestamp in plan.client_must_resend:
+            record = self.log.get(CallIdentity(*self._session_key, timestamp))
             if record is None:
                 continue
             self.host.send(
@@ -424,7 +426,7 @@ class ClientComponent:
                     mtype=MessageType.RPC_SUBMIT,
                     source=self.address,
                     dest=coordinator,
-                    payload={"call": dict(record.payload), "timestamp": key},
+                    payload={"call": dict(record.payload), "timestamp": timestamp},
                     size_bytes=record.size_bytes,
                 )
             )
@@ -449,11 +451,12 @@ class ClientComponent:
         mtype = message.mtype
         if mtype is MessageType.SUBMIT_ACK:
             timestamp = int(message.payload.get("timestamp", 0))
-            self.logging.ack(timestamp)
+            identity = CallIdentity(*self._session_key, timestamp)
+            self.logging.ack(identity)
             waiter = self._ack_waiters.pop(timestamp, None)
             if waiter is not None and not waiter.triggered:
                 waiter.succeed(message.payload)
-            handle = self.handles.get(timestamp)
+            handle = self.handles.get(identity)
             if handle and not handle.submitted_event.triggered:
                 handle.submitted_event.succeed(handle)
         elif mtype is MessageType.RESULT_REPLY:
@@ -467,14 +470,13 @@ class ClientComponent:
         # Heart-beat style messages carry no action for the client.
 
     def _complete(self, result: ResultRecord) -> None:
-        timestamp = result.identity.rpc.value
-        handle = self.handles.get(timestamp)
+        handle = self.handles.get(result.identity)
         if handle is None or handle.done:
             return
         handle.result = result
         handle.status = RPCStatus.COMPLETED
         handle.completed_at = self.env.now
-        del self._pending[timestamp]
+        del self._pending[result.identity.rpc]
         self.completed_count += 1
         self.monitor.incr("client.results_received")
         self.monitor.sample("client.completed", self.env.now, self.completed_count)
@@ -495,10 +497,7 @@ class ClientComponent:
                         source=self.address,
                         dest=coordinator,
                         payload={
-                            "session": (
-                                self.session.user.value,
-                                self.session.session_id.value,
-                            ),
+                            "session": self._session_key,
                             "pending": pending,
                         },
                         size_bytes=64 + 8 * len(pending),

@@ -32,8 +32,6 @@ from repro.core.protocol import (
     ResultRecord,
     TASK_DESCRIPTION_BYTES,
     TaskRecord,
-    identity_to_key,
-    key_to_identity,
 )
 from repro.core.registry import CoordinatorRegistry
 from repro.core.replication import ReplicaState, build_state, merge_state
@@ -46,7 +44,7 @@ from repro.nodes.database import Database, DatabaseModel
 from repro.nodes.node import Host
 from repro.sim.core import Event, ProcessKilled
 from repro.sim.monitor import Monitor
-from repro.types import Address, TaskState
+from repro.types import Address, CallIdentity, TaskState
 
 __all__ = ["CoordinatorComponent"]
 
@@ -75,8 +73,12 @@ class CoordinatorComponent:
 
         # Persistent state (survives crashes).
         persistent = host.persistent
-        self.tasks: dict[tuple, TaskRecord] = persistent.setdefault("coord:tasks", {})
-        self.results: dict[tuple, ResultRecord] = persistent.setdefault("coord:results", {})
+        self.tasks: dict[CallIdentity, TaskRecord] = persistent.setdefault(
+            "coord:tasks", {}
+        )
+        self.results: dict[CallIdentity, ResultRecord] = persistent.setdefault(
+            "coord:results", {}
+        )
         self.client_timestamps: dict[tuple[str, str], int] = persistent.setdefault(
             "coord:timestamps", {}
         )
@@ -97,7 +99,7 @@ class CoordinatorComponent:
         #: (dict, not set): replication rounds re-order them by table
         #: sequence, and a deterministic iteration order keeps parallel and
         #: sequential sweeps byte-identical under hash randomization.
-        self._dirty: dict[tuple, None] = {}
+        self._dirty: dict[CallIdentity, None] = {}
         #: incrementally maintained views of the task and result tables.
         self.index = TaskIndex(self.tasks, self.results)
         self._replica_ack_waiters: dict[int, Event] = {}
@@ -107,10 +109,10 @@ class CoordinatorComponent:
         #: quorum recovery to elect the freshest surviving replica).
         self._replica_freshness: dict[str, float] = {}
         #: key -> time of the last archive fetch attempt (retried if too old).
-        self._archive_fetches_in_flight: dict[tuple, float] = {}
-        self._archive_fetch_attempts: dict[tuple, int] = {}
+        self._archive_fetches_in_flight: dict[CallIdentity, float] = {}
+        self._archive_fetch_attempts: dict[CallIdentity, int] = {}
         #: key -> last time the assigned server reported working on the task.
-        self._task_activity: dict[tuple, float] = {}
+        self._task_activity: dict[CallIdentity, float] = {}
         self._replication_rounds = 0
         self._coord_heartbeat: HeartbeatEmitter | None = None
         self.started = False
@@ -229,7 +231,7 @@ class CoordinatorComponent:
         return self.host.address
 
     # ------------------------------------------------------------------ helpers
-    def _mark_dirty(self, key: tuple) -> None:
+    def _mark_dirty(self, key: CallIdentity) -> None:
         """Queue ``key`` for the next state propagation (policy notified).
 
         This doubles as the task index's transition choke point: every
@@ -242,7 +244,7 @@ class CoordinatorComponent:
         self._dirty[key] = None
         self.replication_policy.on_dirty(self, key)
 
-    def _store_result(self, key: tuple, result: ResultRecord) -> bool:
+    def _store_result(self, key: CallIdentity, result: ResultRecord) -> bool:
         """File a result archive under ``key`` — the only way into ``coord:results``.
 
         The result table's choke point, as :meth:`_mark_dirty` is the task
@@ -261,7 +263,7 @@ class CoordinatorComponent:
         calls: "list[CallDescription]",
         state: TaskState = TaskState.PENDING,
         mark_dirty: bool = True,
-    ) -> list[tuple]:
+    ) -> list[CallIdentity]:
         """Register task records directly, bypassing the submission protocol.
 
         Benchmarks and scenario drivers use this to seed a coordinator with
@@ -273,9 +275,9 @@ class CoordinatorComponent:
         as already-propagated steady state (the protocol benchmark's ladder),
         skipping the initial full-table replication storm.
         """
-        keys: list[tuple] = []
+        keys: list[CallIdentity] = []
         for call in calls:
-            key = identity_to_key(call.identity)
+            key = call.identity
             record = TaskRecord(
                 call=call,
                 state=state,
@@ -397,12 +399,11 @@ class CoordinatorComponent:
         )
         working_on = message.payload.get("working_on")
         if working_on is not None:
-            key = tuple(working_on)
-            task = self.tasks.get(key)
+            task = self.tasks.get(working_on)
             # Only a task still ongoing here: a heart-beat overtaken by its
             # own result must not put back the entry the commit dropped.
             if task is not None and task.state is TaskState.ONGOING:
-                self._task_activity[key] = self.env.now
+                self._task_activity[task.identity] = self.env.now
         # Handled entirely in place (values copied out above), so the pooled
         # envelope goes back to the free list.
         message.release()
@@ -410,9 +411,9 @@ class CoordinatorComponent:
     # ------------------------------------------------------------ client requests
     def _on_submit(self, message: Message):
         call = CallDescription.from_payload(message.payload["call"])
-        key = identity_to_key(call.identity)
-        timestamp = int(message.payload.get("timestamp", call.identity.rpc.value))
-        session_key = (call.identity.user.value, call.identity.session.value)
+        key = call.identity
+        timestamp = int(message.payload.get("timestamp", key.rpc))
+        session_key = key[:2]
         if timestamp > self.client_timestamps.get(session_key, 0):
             self.client_timestamps[session_key] = timestamp
 
@@ -458,12 +459,12 @@ class CoordinatorComponent:
         shard = int(payload.get("shard", 0))
         batch = int(payload.get("batch", 0))
         count = int(payload.get("count", 0))
-        key = (f"crowd:{crowd}", f"shard{shard}", batch)
+        key = CallIdentity(f"crowd:{crowd}", f"shard{shard}", batch)
         task = self.tasks.get(key)
         if task is None:
             source = message.source
             call = CallDescription(
-                identity=key_to_identity(key),
+                identity=key,
                 service=str(payload.get("service", "crowd")),
                 params_bytes=message.size_bytes,
                 result_bytes=int(payload.get("result_bytes", 64)),
@@ -494,6 +495,8 @@ class CoordinatorComponent:
             self._ctr_crowd_batches.value += 1
             self._ctr_crowd_calls.value += count
         else:
+            # File under the table's own key object, not this envelope's copy.
+            key = task.identity
             self._ctr_duplicate_crowd_batches.value += 1
             if not (isinstance(task.call.args, dict) and "crowd" in task.call.args):
                 # The record pre-exists without crowd args (a TASK_RESULT for
@@ -523,7 +526,7 @@ class CoordinatorComponent:
             )
         )
 
-    def _notify_crowd(self, key: tuple, task: TaskRecord) -> None:
+    def _notify_crowd(self, key: CallIdentity, task: TaskRecord) -> None:
         """Push a finished crowd batch back to the crowd component."""
         args = task.call.args
         if not (isinstance(args, dict) and "crowd" in args):
@@ -636,7 +639,7 @@ class CoordinatorComponent:
             self.host.send(message.reply(MessageType.NO_WORK, payload={}, size_bytes=16))
             return
         task = decision.task
-        key = identity_to_key(task.identity)
+        key = task.identity
         self._mark_dirty(key)
         self._task_activity[key] = self.env.now
         cost = self.database.charge_write(
@@ -657,7 +660,7 @@ class CoordinatorComponent:
         server = message.source
         self._hear_server(server)
         result = ResultRecord.from_payload(message.payload["result"])
-        key = identity_to_key(result.identity)
+        key = result.identity
         task = self.tasks.get(key)
         newly_finished = False
         if task is None:
@@ -701,7 +704,7 @@ class CoordinatorComponent:
         self.host.send(
             message.reply(
                 MessageType.TASK_RESULT_ACK,
-                payload={"identity": identity_to_key(result.identity)},
+                payload={"identity": key},
                 size_bytes=32,
             )
         )
@@ -709,7 +712,7 @@ class CoordinatorComponent:
     def _on_server_sync(self, message: Message):
         server = message.source
         self._hear_server(server)
-        server_keys = [tuple(k) for k in message.payload.get("result_keys", [])]
+        server_keys = message.payload.get("result_keys", [])
         # plan_server_sync is set algebra over server_keys, so only the
         # finished tasks among the keys the server sent can matter.
         finished = [
@@ -724,18 +727,18 @@ class CoordinatorComponent:
             yield self.host.sleep(cost)
         plan = plan_server_sync(server_keys, finished, assigned)
         for key in plan.coordinator_must_requeue:
-            task = self.tasks.get(tuple(key))
+            task = self.tasks.get(key)
             if task is not None and task.state is TaskState.ONGOING:
                 task.state = TaskState.PENDING
                 task.assigned_server = None
-                self._mark_dirty(tuple(key))
+                self._mark_dirty(key)
         self.host.send(
             message.reply(
                 MessageType.COORD_SYNC_REPLY,
                 payload={
                     "kind": "server",
-                    "server_must_resend": [list(k) for k in plan.server_must_resend],
-                    "already_finished": [list(k) for k in plan.already_finished],
+                    "server_must_resend": plan.server_must_resend,
+                    "already_finished": plan.already_finished,
                 },
                 size_bytes=64 + 16 * len(server_keys),
             )
@@ -743,7 +746,7 @@ class CoordinatorComponent:
         self.monitor.incr("coordinator.server_syncs")
 
     # ----------------------------------------------------------- archives on demand
-    def _request_archive(self, key: tuple, task: TaskRecord) -> None:
+    def _request_archive(self, key: CallIdentity, task: TaskRecord) -> None:
         last_attempt = self._archive_fetches_in_flight.get(key)
         retry_after = 2 * self.config.detection.heartbeat_period
         if last_attempt is not None and self.env.now - last_attempt < retry_after:
@@ -767,20 +770,20 @@ class CoordinatorComponent:
                 mtype=MessageType.ARCHIVE_FETCH,
                 source=self.address,
                 dest=target,
-                payload={"identity": list(key)},
+                payload={"identity": key},
                 size_bytes=32,
             )
         )
         self.monitor.incr("coordinator.archive_fetches")
 
     def _on_archive_fetch(self, message: Message):
-        key = tuple(message.payload.get("identity", ()))
+        key = message.payload["identity"]
         result = self.results.get(key)
         if result is None:
             self.host.send(
                 message.reply(
                     MessageType.ARCHIVE_REPLY,
-                    payload={"identity": list(key), "missing": True},
+                    payload={"identity": key, "missing": True},
                     size_bytes=16,
                 )
             )
@@ -789,13 +792,13 @@ class CoordinatorComponent:
         self.host.send(
             message.reply(
                 MessageType.ARCHIVE_REPLY,
-                payload={"identity": list(key), "result": result.to_payload()},
+                payload={"identity": key, "result": result.to_payload()},
                 size_bytes=result.size_bytes,
             )
         )
 
     def _on_archive_reply(self, message: Message):
-        key = tuple(message.payload.get("identity", ()))
+        key = message.payload["identity"]
         self._archive_fetches_in_flight.pop(key, None)
         if message.payload.get("missing"):
             return
@@ -810,7 +813,7 @@ class CoordinatorComponent:
     # The cadence (when rounds happen) lives in the replication policy
     # (policy.repl.*, installed by start()); this is the mechanism one round
     # runs through.
-    def _dirty_keys_in_table_order(self) -> list[tuple]:
+    def _dirty_keys_in_table_order(self) -> list[CallIdentity]:
         """The dirty keys, ordered as a full table scan would list them.
 
         Delta abstracts must serialize entries in the same order as full
@@ -819,7 +822,7 @@ class CoordinatorComponent:
         """
         return self.index.table_ordered(self._dirty)
 
-    def _build_state(self, keys: list[tuple] | None) -> ReplicaState:
+    def _build_state(self, keys: list[CallIdentity] | None) -> ReplicaState:
         """Build the (delta) state abstract for ``keys`` (None = full)."""
         return build_state(
             origin=self.name,
@@ -974,8 +977,7 @@ class CoordinatorComponent:
         # Route the merged transitions through the index before the
         # database charges below yield control — sibling processes (the
         # watch loop, a replication round) must never see a stale view.
-        for identity in outcome.changed:
-            key = identity_to_key(identity)
+        for key in outcome.changed:
             self.index.note(self.tasks[key], key)
         # The backup pays one database write per new or updated description —
         # this is what dominates Figure 5 for small records.
@@ -990,7 +992,7 @@ class CoordinatorComponent:
         self.registry.rehabilitate(message.source)
         # Everything we learned must keep flowing around the ring, otherwise
         # coordinators two hops away from the origin would never hear of it.
-        for key in [identity_to_key(i) for i in outcome.changed]:
+        for key in outcome.changed:
             self._mark_dirty(key)
         if outcome.newly_finished:
             self.monitor.incr(
@@ -1035,7 +1037,7 @@ class CoordinatorComponent:
                         )
                         if reset:
                             for record in reset:
-                                self._mark_dirty(identity_to_key(record.identity))
+                                self._mark_dirty(record.identity)
                             self.monitor.incr(
                                 "coordinator.rescheduled_on_suspicion", len(reset)
                             )

@@ -6,6 +6,11 @@ databases, client logs and server logs.  They are deliberately plain and
 dictionary-convertible: components exchange *descriptions* (a job is "very
 close to a remote execution call": command line plus an optional archive), not
 live objects.
+
+The one exception is the call's :class:`~repro.types.CallIdentity`: an
+immutable tuple, carried in payloads as is and read back as is.  Every table
+keys on it, so a call has exactly one identity object, from the session
+that allocated it to every coordinator replica and server log that files it.
 """
 
 from __future__ import annotations
@@ -14,15 +19,13 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.net.message import snapshot_payload
-from repro.types import Address, CallIdentity, RPCId, SessionId, TaskState, UserId
+from repro.types import Address, CallIdentity, TaskState
 
 __all__ = [
     "TASK_DESCRIPTION_BYTES",
     "CallDescription",
     "TaskRecord",
     "ResultRecord",
-    "identity_to_key",
-    "key_to_identity",
 ]
 
 #: Size of one job/task *description* (identifiers, command line, states) on
@@ -30,7 +33,7 @@ __all__ = [
 TASK_DESCRIPTION_BYTES = 300
 
 
-@dataclass
+@dataclass(slots=True)
 class CallDescription:
     """What the client submits: one RPC call."""
 
@@ -49,7 +52,7 @@ class CallDescription:
     def to_payload(self) -> dict[str, Any]:
         """Dictionary form carried inside protocol messages."""
         return {
-            "identity": identity_to_key(self.identity),
+            "identity": self.identity,
             "service": self.service,
             "params_bytes": self.params_bytes,
             "result_bytes": self.result_bytes,
@@ -61,7 +64,7 @@ class CallDescription:
     def from_payload(cls, payload: dict[str, Any]) -> "CallDescription":
         """Rebuild a description from its dictionary form."""
         return cls(
-            identity=key_to_identity(payload["identity"]),
+            identity=payload["identity"],
             service=payload["service"],
             params_bytes=int(payload["params_bytes"]),
             result_bytes=int(payload.get("result_bytes", 128)),
@@ -75,7 +78,7 @@ class CallDescription:
         return TASK_DESCRIPTION_BYTES + self.params_bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskRecord:
     """Coordinator-side record of one task (one instance of a call)."""
 
@@ -132,7 +135,7 @@ class TaskRecord:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class ResultRecord:
     """The result archive of one finished task."""
 
@@ -153,7 +156,7 @@ class ResultRecord:
         """
         producer = self.produced_by
         return {
-            "identity": identity_to_key(self.identity),
+            "identity": self.identity,
             "size_bytes": self.size_bytes,
             "produced_by": (producer.kind, producer.name) if producer else None,
             "produced_at": self.produced_at,
@@ -166,7 +169,7 @@ class ResultRecord:
         """Rebuild a result record from its dictionary form."""
         produced_by = payload.get("produced_by")
         return cls(
-            identity=key_to_identity(payload["identity"]),
+            identity=payload["identity"],
             size_bytes=int(payload["size_bytes"]),
             produced_by=Address(*produced_by) if produced_by else None,
             produced_at=float(payload.get("produced_at", 0.0)),
@@ -174,16 +177,3 @@ class ResultRecord:
             meta=dict(payload.get("meta", {})),
         )
 
-
-# -- identity (de)serialisation -------------------------------------------------
-
-
-def identity_to_key(identity: CallIdentity) -> tuple[str, str, int]:
-    """Hashable, JSON-friendly form of a call identity."""
-    return (identity.user.value, identity.session.value, identity.rpc.value)
-
-
-def key_to_identity(key: tuple[str, str, int]) -> CallIdentity:
-    """Inverse of :func:`identity_to_key`."""
-    user, session, rpc = key
-    return CallIdentity(user=UserId(user), session=SessionId(session), rpc=RPCId(int(rpc)))

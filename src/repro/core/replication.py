@@ -39,7 +39,8 @@ class ReplicaState:
 
     origin: str
     entries: list[dict[str, Any]] = field(default_factory=list)
-    #: max known client timestamp per (user, session).
+    #: max known client timestamp per (user, session) — ``identity[:2]``
+    #: of the session's calls; the tuple keys travel as they are.
     client_timestamps: dict[tuple[str, str], int] = field(default_factory=dict)
     #: coordinator list piggy-backed for registry merging.
     known_coordinators: list[tuple[str, str]] = field(default_factory=list)
@@ -83,9 +84,7 @@ class ReplicaState:
                 if self.fresh
                 else [dict(e) for e in self.entries]
             ),
-            "client_timestamps": {
-                f"{u}//{s}": ts for (u, s), ts in self.client_timestamps.items()
-            },
+            "client_timestamps": dict(self.client_timestamps),
             "known_coordinators": list(self.known_coordinators),
             "sent_at": self.sent_at,
         }
@@ -93,14 +92,10 @@ class ReplicaState:
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "ReplicaState":
         """Rebuild a state abstract from its dictionary form."""
-        timestamps: dict[tuple[str, str], int] = {}
-        for key, value in payload.get("client_timestamps", {}).items():
-            user, session = key.split("//", 1)
-            timestamps[(user, session)] = int(value)
         return cls(
             origin=payload["origin"],
             entries=[dict(e) for e in payload.get("entries", [])],
-            client_timestamps=timestamps,
+            client_timestamps=dict(payload.get("client_timestamps", {})),
             known_coordinators=[tuple(c) for c in payload.get("known_coordinators", [])],
             sent_at=float(payload.get("sent_at", 0.0)),
         )
@@ -194,8 +189,7 @@ def merge_state(
     """
     outcome = MergeOutcome()
     for entry in state.entries:
-        user, session, rpc = entry["call"]["identity"]
-        key = (user, session, int(rpc))
+        key = entry["call"]["identity"]
         existing = tasks.get(key)
         if existing is None:
             incoming = TaskRecord.from_replica_entry(entry)

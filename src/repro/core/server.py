@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.config import PolicyConfig, ServerConfig
-from repro.core.protocol import CallDescription, ResultRecord, identity_to_key
+from repro.core.protocol import CallDescription, ResultRecord
 from repro.core.registry import CoordinatorRegistry
 from repro.core.services import ServiceRegistry, default_registry
 from repro.detect import FailureDetector, HeartbeatEmitter
@@ -99,9 +99,7 @@ class ServerComponent:
             # lost in a crash/restart it never got to observe directly.
             payload=lambda: {
                 "working_on": (
-                    list(identity_to_key(self.current_task.identity))
-                    if self.current_task is not None
-                    else None
+                    self.current_task.identity if self.current_task is not None else None
                 )
             },
         )
@@ -127,8 +125,7 @@ class ServerComponent:
         self.detector.heard_from(message.source, self.env.now)
         self.registry.rehabilitate(message.source)
         if message.mtype is MessageType.TASK_RESULT_ACK:
-            key = tuple(message.payload.get("identity", ()))
-            self.result_log.mark_acked(key)
+            self.result_log.mark_acked(message.payload["identity"])
         # Wake up whichever request is waiting for this kind of reply.
         for index, (expected, waiter) in enumerate(list(self._reply_waiters)):
             if message.mtype in expected and not waiter.triggered:
@@ -231,7 +228,7 @@ class ServerComponent:
             value=value,
             meta={"exec_time": self.env.now - started},
         )
-        key = identity_to_key(call.identity)
+        key = call.identity
         # The archive of new/modified files is the server's log: write it to
         # disk synchronously (pessimistic by construction) before uploading.
         if key not in self.result_log:
@@ -247,7 +244,7 @@ class ServerComponent:
 
     def _upload_result(self, result: ResultRecord):
         """Send a result until some coordinator acknowledges it."""
-        key = identity_to_key(result.identity)
+        key = result.identity
         while True:
             record = self.result_log.get(key)
             if record is not None and record.acked:
@@ -286,7 +283,7 @@ class ServerComponent:
                 mtype=MessageType.SERVER_SYNC,
                 source=self.address,
                 dest=coordinator,
-                payload={"result_keys": [list(r.key) for r in unacked]},
+                payload={"result_keys": [r.key for r in unacked]},
                 size_bytes=64 + 16 * len(unacked),
             ),
             expected={MessageType.COORD_SYNC_REPLY},
@@ -297,9 +294,9 @@ class ServerComponent:
             return None
         self.monitor.incr("server.syncs")
         for key in reply.payload.get("already_finished", []):
-            self.result_log.mark_acked(tuple(key))
+            self.result_log.mark_acked(key)
         for key in reply.payload.get("server_must_resend", []):
-            record = self.result_log.get(tuple(key))
+            record = self.result_log.get(key)
             if record is None:
                 continue
             result = ResultRecord.from_payload(record.payload)

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from repro.errors import SessionError
-from repro.types import CallIdentity, RPCId, SessionId, UserId
+from repro.types import CallIdentity, SessionId, UserId
 
 __all__ = ["Session"]
 
@@ -32,11 +32,10 @@ class Session:
     _issued: list[int] = field(default_factory=list, repr=False)
 
     @classmethod
-    def open(cls, user: str | UserId, label: str | None = None) -> "Session":
+    def open(cls, user: str, label: str | None = None) -> "Session":
         """Open a fresh session for ``user``."""
-        user_id = user if isinstance(user, UserId) else UserId(str(user))
         suffix = label or f"s{next(_SESSION_SEQ)}"
-        return cls(user=user_id, session_id=SessionId(f"{user_id.value}-{suffix}"))
+        return cls(user=str(user), session_id=f"{user}-{suffix}")
 
     def close(self) -> None:
         """End the session (logout); further allocations are errors."""
@@ -50,7 +49,7 @@ class Session:
         counter = self.next_counter
         self.next_counter += 1
         self._issued.append(counter)
-        return CallIdentity(user=self.user, session=self.session_id, rpc=RPCId(counter))
+        return CallIdentity(self.user, self.session_id, counter)
 
     def last_timestamp(self) -> int:
         """Highest timestamp issued so far (0 when none)."""

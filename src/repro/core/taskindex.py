@@ -58,12 +58,12 @@ import heapq
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from repro.core.protocol import TASK_DESCRIPTION_BYTES, TaskRecord, identity_to_key
+from repro.core.protocol import TASK_DESCRIPTION_BYTES, TaskRecord
 from repro.policies.scheduling import _sjf_key, fcfs_key
 from repro.types import TaskState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.types import Address
+    from repro.types import Address, CallIdentity
 
 __all__ = ["TaskIndex"]
 
@@ -74,41 +74,43 @@ class TaskIndex:
     """Derived views of one coordinator's task table, updated per transition."""
 
     def __init__(
-        self, tasks: dict[tuple, TaskRecord], results: dict[tuple, Any] | None = None
+        self,
+        tasks: dict[CallIdentity, TaskRecord],
+        results: dict[CallIdentity, Any] | None = None,
     ) -> None:
         #: the coordinator's persistent tables (shared references, never
         #: copied): task descriptions and the result archives held locally.
         self.tasks = tasks
-        self.results: dict[tuple, Any] = {} if results is None else results
+        self.results: dict[CallIdentity, Any] = {} if results is None else results
         self.rebuild()
 
     # ------------------------------------------------------------- lifecycle
     def rebuild(self) -> None:
         """Re-derive everything from the tables (restart / first start)."""
         #: key -> (state, owner, assigned_server) as of the last note().
-        self._meta: dict[tuple, tuple] = {}
+        self._meta: dict[CallIdentity, tuple] = {}
         #: key -> table-insertion sequence number; replication rounds order
         #: their dirty keys by it so delta abstracts list entries exactly as
         #: a full table scan would (table keys are never deleted).
-        self._seq: dict[tuple, int] = {}
+        self._seq: dict[CallIdentity, int] = {}
         self._next_seq = 0
         self._counts: dict[TaskState, int] = {state: 0 for state in TaskState}
         #: live pending records (insertion-ordered; the heaps may hold stale
         #: duplicates, membership here is what makes a heap entry valid).
-        self._pending: dict[tuple, TaskRecord] = {}
-        self._pending_heap: list[tuple[tuple, tuple]] = []
+        self._pending: dict[CallIdentity, TaskRecord] = {}
+        self._pending_heap: list[tuple[tuple, CallIdentity]] = []
         #: (exec_time, fcfs) heap for fastest-first; None until first used.
-        self._fast_heap: list[tuple[tuple, tuple]] | None = None
-        self._ongoing_by_owner: dict[str, dict[tuple, TaskRecord]] = {}
-        self._ongoing_by_server: dict[Any, dict[tuple, TaskRecord]] = {}
+        self._fast_heap: list[tuple[tuple, CallIdentity]] | None = None
+        self._ongoing_by_owner: dict[str, dict[CallIdentity, TaskRecord]] = {}
+        self._ongoing_by_server: dict[Any, dict[CallIdentity, TaskRecord]] = {}
         #: key -> (replica entry dict, wire bytes); dropped on every note.
-        self._entry_cache: dict[tuple, tuple[dict, int]] = {}
+        self._entry_cache: dict[CallIdentity, tuple[dict, int]] = {}
         #: (user, session) -> {timestamp: task key}, in table order.
-        self._by_session: dict[tuple, dict[Any, tuple]] = {}
+        self._by_session: dict[tuple, dict[Any, CallIdentity]] = {}
         #: (user, session) -> {timestamp: task key} of the finished tasks
         #: whose archive is not in ``results`` (it lives on another
         #: coordinator and is fetched when the client pulls).
-        self._unarchived: dict[tuple, dict[Any, tuple]] = {}
+        self._unarchived: dict[tuple, dict[Any, CallIdentity]] = {}
         #: (user, session) -> {timestamp: (insertion sequence, result)}.
         self._results_by_session: dict[tuple, dict[Any, tuple[int, Any]]] = {}
         self._next_result_seq = 0
@@ -118,7 +120,9 @@ class TaskIndex:
             self.note(record, key)
 
     # ------------------------------------------------------------ choke point
-    def note(self, record: TaskRecord, key: tuple | None = None) -> tuple:
+    def note(
+        self, record: TaskRecord, key: CallIdentity | None = None
+    ) -> CallIdentity:
         """Record that ``record`` was added or mutated; update every view.
 
         This is the state-transition choke point: any code that changes a
@@ -127,7 +131,7 @@ class TaskIndex:
         table key.
         """
         if key is None:
-            key = identity_to_key(record.identity)
+            key = record.identity
         # Any mutation can change the serialized form (finished_at, attempts,
         # adopted crowd args), so the cached replica entry always drops.
         self._entry_cache.pop(key, None)
@@ -147,7 +151,7 @@ class TaskIndex:
         self._attach(key, record, new_meta)
         return key
 
-    def _detach(self, key: tuple, meta: tuple) -> None:
+    def _detach(self, key: CallIdentity, meta: tuple) -> None:
         state, owner, server = meta
         if state is TaskState.PENDING:
             self._pending.pop(key, None)
@@ -168,12 +172,12 @@ class TaskIndex:
             return
         self._drop_unarchived(key)
 
-    def _drop_unarchived(self, key: tuple) -> None:
+    def _drop_unarchived(self, key: CallIdentity) -> None:
         bucket = self._unarchived.get(key[:2])
         if bucket is not None and bucket.pop(key[2], None) is not None and not bucket:
             del self._unarchived[key[:2]]
 
-    def _attach(self, key: tuple, record: TaskRecord, meta: tuple) -> None:
+    def _attach(self, key: CallIdentity, record: TaskRecord, meta: tuple) -> None:
         state, owner, server = meta
         if state is TaskState.PENDING:
             self._pending[key] = record
@@ -189,7 +193,7 @@ class TaskIndex:
         if key not in self.results:
             self._unarchived.setdefault(key[:2], {})[key[2]] = key
 
-    def note_result(self, key: tuple, result: Any) -> None:
+    def note_result(self, key: CallIdentity, result: Any) -> None:
         """Record that ``result`` was just stored under ``key`` in ``results``.
 
         The result table's choke point: archives enter ``coord:results``
@@ -277,24 +281,28 @@ class TaskIndex:
         eligible.sort(key=fcfs_key)
         return eligible
 
-    def ongoing_on_server(self, server: "Address") -> list[tuple[tuple, TaskRecord]]:
+    def ongoing_on_server(
+        self, server: "Address"
+    ) -> list[tuple[CallIdentity, TaskRecord]]:
         """Snapshot of (key, record) ongoing on ``server`` (any owner)."""
         bucket = self._ongoing_by_server.get(server)
         return list(bucket.items()) if bucket else []
 
-    def ongoing_owned_by(self, owner: str) -> list[tuple[tuple, TaskRecord]]:
+    def ongoing_owned_by(
+        self, owner: str
+    ) -> list[tuple[CallIdentity, TaskRecord]]:
         """Snapshot of (key, record) ongoing and owned by ``owner``."""
         bucket = self._ongoing_by_owner.get(owner)
         return list(bucket.items()) if bucket else []
 
     # ------------------------------------------------------- client requests
-    def session_keys(self, session: tuple) -> Iterable[tuple]:
+    def session_keys(self, session: tuple) -> Iterable[CallIdentity]:
         """Task keys of one ``(user, session)``, in table order (a live view)."""
         return self._by_session.get(session, {}).values()
 
     def pull_view(
         self, session: tuple, wanted: set | None
-    ) -> tuple[list[Any], list[tuple]]:
+    ) -> tuple[list[Any], list[CallIdentity]]:
         """What a result pull for ``wanted`` timestamps (None = all) matches.
 
         Returns the result archives held here, in ``coord:results``
@@ -310,7 +318,7 @@ class TaskIndex:
         return [result for _seq, result in held], missing
 
     # ----------------------------------------------------------- replication
-    def table_ordered(self, keys: Iterable[tuple]) -> list[tuple]:
+    def table_ordered(self, keys: Iterable[CallIdentity]) -> list[CallIdentity]:
         """``keys`` sorted by table insertion order.
 
         A delta replication round ships only the dirty keys, but lists them
@@ -321,7 +329,7 @@ class TaskIndex:
         seq = self._seq
         return sorted(keys, key=seq.__getitem__)
 
-    def replica_entry(self, key: tuple, record: TaskRecord) -> tuple[dict, int]:
+    def replica_entry(self, key: CallIdentity, record: TaskRecord) -> tuple[dict, int]:
         """The serialized replica entry for ``record`` and its wire bytes.
 
         Cached until the next :meth:`note` for the key, so steady-state

@@ -29,6 +29,7 @@ from repro.policies.logging import (
 from repro.scenarios.reducers import grouped
 from repro.scenarios.registry import scenario
 from repro.scenarios.spec import Axis, CellResult, ScenarioSpec
+from repro.sim.core import SimulationError
 from repro.types import LoggingStrategy
 from repro.workloads.sweep import geometric_counts, geometric_sizes
 from repro.workloads.synthetic import SyntheticWorkload
@@ -77,8 +78,13 @@ def _measure_submission(
         params_bytes=params_bytes,
         result_bytes=32,
     )
+    horizon = 50_000.0
     process = grid.run_process(workload.submit_only(grid.client), name="fig4")
-    grid.run_until(process, timeout=50_000.0)
+    if not grid.run_until(process, timeout=horizon):
+        raise SimulationError(
+            f"fig4: the {strategy} submission driver did not finish "
+            f"within its {horizon:g} s horizon"
+        )
     return workload.submission_time
 
 

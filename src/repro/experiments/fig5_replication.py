@@ -26,7 +26,8 @@ from repro.grid.builder import Grid, build_confined_cluster, build_internet_test
 from repro.scenarios.reducers import grouped
 from repro.scenarios.registry import scenario
 from repro.scenarios.spec import Axis, CellResult, ScenarioSpec
-from repro.types import CallIdentity, RPCId, SessionId, UserId
+from repro.sim.core import SimulationError
+from repro.types import CallIdentity
 from repro.workloads.sweep import geometric_counts, geometric_sizes
 
 __all__ = ["measure_replication_time", "replication_cell"]
@@ -69,11 +70,7 @@ def _inject_tasks(grid: Grid, n_tasks: int, params_bytes: int) -> None:
     """
     calls = [
         CallDescription(
-            identity=CallIdentity(
-                user=UserId("bench"),
-                session=SessionId("fig5"),
-                rpc=RPCId(index + 1),
-            ),
+            identity=CallIdentity("bench", "fig5", index + 1),
             service="sleep",
             params_bytes=params_bytes,
             result_bytes=64,
@@ -87,7 +84,11 @@ def _inject_tasks(grid: Grid, n_tasks: int, params_bytes: int) -> None:
 def measure_replication_time(
     environment: str, n_tasks: int, params_bytes: int, seed: int = 0
 ) -> float:
-    """Time for one full replication round (state push + backup ack)."""
+    """Time for one full replication round (state push + backup ack).
+
+    ``nan`` when the backup did not acknowledge the round; a driver that did
+    not finish within its horizon is an error.
+    """
     grid = _build(environment, seed=seed)
     _inject_tasks(grid, n_tasks, params_bytes)
     coordinator = grid.coordinators[0]
@@ -100,8 +101,13 @@ def measure_replication_time(
         timings["ok"] = float(bool(ok))
         timings["end"] = grid.env.now
 
+    horizon = 10_000.0
     process = host.spawn(driver(), name="fig5-driver")
-    grid.run_until(process, timeout=10_000.0)
+    if not grid.run_until(process, timeout=horizon):
+        raise SimulationError(
+            f"fig5: the {environment} replication driver did not finish "
+            f"within its {horizon:g} s horizon"
+        )
     if not timings.get("ok"):
         return float("nan")
     return timings["end"] - timings["start"]

@@ -71,9 +71,8 @@ def _populate_client_logs(grid: Grid, n_calls: int, params_bytes: int) -> None:
             result_bytes=32,
             exec_time=0.0,
         )
-        key = identity.rpc.value
-        client.log.append(key, description.to_payload(), description.wire_bytes)
-        client.log.mark_durable(key)
+        client.log.append(identity, description.to_payload(), description.wire_bytes)
+        client.log.mark_durable(identity)
 
 
 def measure_sync_time(
@@ -155,10 +154,7 @@ def measure_sync_time(
                         source=client.address,
                         dest=coordinator.address,
                         payload={
-                            "session": (
-                                client.session.user.value,
-                                client.session.session_id.value,
-                            ),
+                            "session": (client.session.user, client.session.session_id),
                             "pending": lost,
                         },
                         size_bytes=64 + 8 * len(lost),

@@ -10,9 +10,11 @@ durability states:
   the coordinator acknowledged an RPC submission), so the record is now only
   needed for fast resynchronisation and may be garbage collected.
 
-Keys are the client timestamps (RPC counters) for client logs, task
-identifiers for server logs; the synchronisation protocol only ever compares
-keys and replays payloads, so the log is deliberately schema-free.
+Client and server logs both key their records on the call's
+:class:`~repro.types.CallIdentity`; a client log holds one session, so its
+key order is the RPC counter (timestamp) order.  The synchronisation protocol
+only ever compares keys and replays payloads, so the log is otherwise
+schema-free.
 """
 
 from __future__ import annotations
@@ -22,11 +24,12 @@ from typing import Any, Iterable
 
 from repro.errors import LogCorruption
 from repro.nodes.node import Host
+from repro.types import CallIdentity
 
 __all__ = ["LogRecord", "MessageLog"]
 
 
-@dataclass
+@dataclass(slots=True)
 class LogRecord:
     """One logged message."""
 
@@ -182,10 +185,9 @@ class MessageLog:
 
 
 def _sort_key(key: Any):
-    """Total order on heterogeneous log keys (ints, id newtypes, tuples)."""
+    """Total order on heterogeneous log keys (numbers, call identities, other)."""
     if isinstance(key, (int, float)):
-        return (0, key, "")
-    value = getattr(key, "value", None)
-    if isinstance(value, (int, float)):
-        return (0, value, type(key).__name__)
-    return (1, 0, repr(key))
+        return (0, key)
+    if isinstance(key, CallIdentity):
+        return (1, key)
+    return (2, repr(key))

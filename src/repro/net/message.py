@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any
 
-from repro.types import Address
+from repro.types import Address, CallIdentity
 
 __all__ = [
     "MessageType",
@@ -49,8 +49,11 @@ def reset_message_seq() -> None:
     global _MESSAGE_SEQ
     _MESSAGE_SEQ = itertools.count(1)
 
-#: payload leaves that are immutable all the way down.
-_IMMUTABLE_SCALARS = (type(None), bool, int, float, complex, str, bytes, frozenset)
+#: payload leaves that are immutable all the way down (a call identity is a
+#: tuple of two strings and an int, and travels by reference).
+_IMMUTABLE_SCALARS = (
+    type(None), bool, int, float, complex, str, bytes, frozenset, CallIdentity
+)
 
 
 def snapshot_payload(value: Any) -> Any:

@@ -67,14 +67,11 @@ def fcfs_key(record: TaskRecord) -> tuple:
 
     Unique per task (the identity is unique), so every FCFS sort is total:
     any source of the same candidate set — a table scan or the task
-    index's pending heap — produces the same order bit for bit.
+    index's pending heap — produces the same order bit for bit.  The
+    identity is a tuple, so the tie-break on equal submission times is
+    user, then session, then RPC id.
     """
-    return (
-        record.submitted_at,
-        record.call.identity.user.value,
-        record.call.identity.session.value,
-        record.call.identity.rpc.value,
-    )
+    return (record.submitted_at, record.call.identity)
 
 
 class SchedulerPolicy(PolicyBase):

@@ -4,14 +4,15 @@ The paper identifies every RPC execution by the triple *(user ID, session ID,
 RPC ID)*; a session corresponds to one login of the user into the system and
 ends on logout.  Those identifiers — not network addresses — are what clients
 use to retrieve results after a disconnection, which is why they live in their
-own module shared by every tier.
+own module shared by every tier.  :class:`CallIdentity` holds the triple, and
+it is also the key every tier files the call under: there is no second
+representation to convert to.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, NewType
 
 __all__ = [
     "ComponentKind",
@@ -80,48 +81,26 @@ class Address(NamedTuple):
         return f"{self.kind}:{self.name}"
 
 
-# Identifier newtypes.  Plain ints/strs wrapped in frozen dataclasses so that
-# mixing them up is a type error in tests, while staying hashable and cheap.
+# Identifier aliases, for annotations only: at run time a user id is a plain
+# ``str``, a session id a ``str`` and an RPC id an ``int``.
+UserId = NewType("UserId", str)
+SessionId = NewType("SessionId", str)
+#: the RPC id doubles as the client's submission *timestamp* (the paper tags
+#: every client message with a unique counter value used by the
+#: synchronization protocol).
+RPCId = NewType("RPCId", int)
 
 
-@dataclass(frozen=True, order=True)
-class UserId:
-    """Unique identifier of a user of the system."""
+class CallIdentity(NamedTuple):
+    """The full (user, session, rpc) triple identifying one call system-wide.
 
-    value: str
-
-    def __str__(self) -> str:
-        return self.value
-
-
-@dataclass(frozen=True, order=True)
-class SessionId:
-    """Unique identifier of one login session of a user."""
-
-    value: str
-
-    def __str__(self) -> str:
-        return self.value
-
-
-@dataclass(frozen=True, order=True)
-class RPCId:
-    """Unique identifier of one RPC submission within a session.
-
-    The integer part doubles as the client's submission *timestamp* (the
-    paper tags every client message with a unique counter value used by the
-    synchronization protocol).
+    One object per call: the client's session allocates it, and every table
+    that holds the call — coordinator tasks, results and dirty marks, the
+    task index, client handles and logs, server logs — keys on that same
+    object, which travels by reference inside message payloads.  A plain
+    tuple, so hashing and equality run in C, and ordering is field by field
+    (the FCFS tie-break relies on it).
     """
-
-    value: int
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
-@dataclass(frozen=True, order=True)
-class CallIdentity:
-    """The full (user, session, rpc) triple identifying one call system-wide."""
 
     user: UserId
     session: SessionId

@@ -9,8 +9,6 @@ from repro.core.protocol import (
     ResultRecord,
     TASK_DESCRIPTION_BYTES,
     TaskRecord,
-    identity_to_key,
-    key_to_identity,
 )
 from repro.core.registry import CoordinatorRegistry
 from repro.core.replication import ReplicaState, build_state, merge_state
@@ -25,11 +23,11 @@ from repro.core.taskindex import TaskIndex
 from repro.errors import ConfigurationError, ServiceNotRegistered, SessionError
 from repro.policies.resolve import make_policy
 from repro.policies.scheduling import FifoReschedulePolicy
-from repro.types import Address, CallIdentity, RPCId, SessionId, TaskState, UserId
+from repro.types import Address, CallIdentity, TaskState
 
 
 def make_identity(counter: int, user: str = "u", session: str = "s") -> CallIdentity:
-    return CallIdentity(UserId(user), SessionId(session), RPCId(counter))
+    return CallIdentity(user, session, counter)
 
 
 def make_task(counter: int, state: TaskState = TaskState.PENDING, owner: str = "k0") -> TaskRecord:
@@ -71,15 +69,22 @@ class TestProtocolRecords:
         assert restored.size_bytes == 123
         assert restored.produced_by == Address("server", "s1")
 
-    def test_identity_key_roundtrip(self):
+    def test_identity_travels_by_reference(self):
+        # One object per call: the payload carries the identity itself, so
+        # every record rebuilt from it files the call under the same object.
         identity = make_identity(7, user="alice", session="alice-s1")
-        assert key_to_identity(identity_to_key(identity)) == identity
+        call = CallDescription(identity=identity, service="sleep", params_bytes=1)
+        assert CallDescription.from_payload(call.to_payload()).identity is identity
+        result = ResultRecord(identity=identity, size_bytes=1)
+        assert ResultRecord.from_payload(result.to_payload()).identity is identity
+        task = TaskRecord(call=call)
+        assert TaskRecord.from_replica_entry(task.to_replica_entry()).identity is identity
 
 
 class TestSession:
     def test_allocation_is_monotonic(self):
         session = Session.open("alice")
-        timestamps = [session.allocate().rpc.value for _ in range(5)]
+        timestamps = [session.allocate().rpc for _ in range(5)]
         assert timestamps == sorted(timestamps)
         assert len(set(timestamps)) == 5
 
@@ -93,14 +98,14 @@ class TestSession:
         session = Session.open("alice")
         session.allocate()
         session.restore_counter(10)
-        assert session.allocate().rpc.value == 11
+        assert session.allocate().rpc == 11
 
     def test_restore_counter_never_goes_backwards(self):
         session = Session.open("alice")
         for _ in range(5):
             session.allocate()
         session.restore_counter(2)
-        assert session.allocate().rpc.value == 6
+        assert session.allocate().rpc == 6
 
     def test_sessions_have_unique_ids(self):
         assert Session.open("a").session_id != Session.open("a").session_id
@@ -177,7 +182,7 @@ class TestCoordinatorRegistry:
 
 
 def indexed(*records: TaskRecord) -> TaskIndex:
-    return TaskIndex({identity_to_key(r.identity): r for r in records})
+    return TaskIndex({r.identity: r for r in records})
 
 
 class TestScheduler:
@@ -188,7 +193,7 @@ class TestScheduler:
         index = indexed(*(make_task(i) for i in (3, 1, 2)))
         decision = scheduler.pick(index, self.SERVER, "k0", lambda _o: False, now=10.0)
         assert decision.task is not None
-        assert decision.task.identity.rpc.value == 1
+        assert decision.task.identity.rpc == 1
         assert decision.task.state is TaskState.ONGOING
         assert decision.task.assigned_server == self.SERVER
 
@@ -243,7 +248,7 @@ class TestScheduler:
 
 class TestReplication:
     def test_build_state_full_and_incremental(self):
-        tasks = {identity_to_key(make_task(i).identity): make_task(i) for i in range(4)}
+        tasks = {make_task(i).identity: make_task(i) for i in range(4)}
         full = build_state("k0", tasks, {}, [], only_keys=None)
         assert len(full) == 4
         some_key = next(iter(tasks))
@@ -251,19 +256,32 @@ class TestReplication:
         assert len(partial) == 1
 
     def test_state_payload_roundtrip(self):
-        tasks = {identity_to_key(make_task(1).identity): make_task(1)}
+        tasks = {make_task(1).identity: make_task(1)}
         state = build_state("k0", tasks, {("u", "s"): 3}, [("coordinator", "k1")])
         restored = ReplicaState.from_payload(state.to_payload())
         assert len(restored) == 1
         assert restored.client_timestamps == {("u", "s"): 3}
         assert restored.known_coordinators == [("coordinator", "k1")]
 
+    def test_state_payload_keeps_session_keys_whole(self):
+        # A user id may contain any separator: the (user, session) keys
+        # travel as the tuples they are, so a backup that takes over answers
+        # the session's true maximum timestamp.
+        timestamps = {("a//b", "a//b-s1"): 7, ("u", "s"): 3}
+        state = build_state("k0", {}, timestamps, [])
+        restored = ReplicaState.from_payload(state.to_payload())
+        assert restored.client_timestamps == timestamps
+        assert restored.size_bytes == state.size_bytes == 64 * len(timestamps)
+        backup: dict = {}
+        merge_state({}, backup, restored)
+        assert backup[("a//b", "a//b-s1")] == 7
+
     def test_size_excludes_params_of_finished_tasks(self):
         pending = make_task(1)
         finished = make_task(2, state=TaskState.FINISHED)
         tasks = {
-            identity_to_key(pending.identity): pending,
-            identity_to_key(finished.identity): finished,
+            pending.identity: pending,
+            finished.identity: finished,
         }
         state = build_state("k0", tasks, {}, [])
         assert state.size_bytes == 2 * TASK_DESCRIPTION_BYTES + pending.call.params_bytes
@@ -271,7 +289,7 @@ class TestReplication:
     def test_merge_adds_new_tasks(self):
         source_task = make_task(1)
         state = build_state(
-            "k0", {identity_to_key(source_task.identity): source_task}, {}, []
+            "k0", {source_task.identity: source_task}, {}, []
         )
         local: dict = {}
         outcome = merge_state(local, {}, state)
@@ -279,7 +297,7 @@ class TestReplication:
         assert len(local) == 1
 
     def test_merge_respects_state_precedence(self):
-        key = identity_to_key(make_task(1).identity)
+        key = make_task(1).identity
         local = {key: make_task(1, state=TaskState.FINISHED)}
         incoming = build_state("k1", {key: make_task(1, state=TaskState.PENDING)}, {}, [])
         outcome = merge_state(local, {}, incoming)
@@ -287,7 +305,7 @@ class TestReplication:
         assert local[key].state is TaskState.FINISHED
 
     def test_merge_reports_newly_finished(self):
-        key = identity_to_key(make_task(1).identity)
+        key = make_task(1).identity
         local = {key: make_task(1, state=TaskState.ONGOING)}
         incoming = build_state("k1", {key: make_task(1, state=TaskState.FINISHED)}, {}, [])
         outcome = merge_state(local, {}, incoming)
@@ -295,7 +313,7 @@ class TestReplication:
         assert local[key].state is TaskState.FINISHED
 
     def test_merge_is_idempotent(self):
-        key = identity_to_key(make_task(1).identity)
+        key = make_task(1).identity
         incoming = build_state("k1", {key: make_task(1, state=TaskState.FINISHED)}, {}, [])
         local: dict = {}
         merge_state(local, {}, incoming)

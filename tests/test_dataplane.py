@@ -21,12 +21,7 @@ from hypothesis import strategies as st
 from repro.config import LoggingConfig
 from repro.core.client import ClientComponent
 from repro.core.coordinator import CoordinatorComponent
-from repro.core.protocol import (
-    CallDescription,
-    ResultRecord,
-    TaskRecord,
-    identity_to_key,
-)
+from repro.core.protocol import CallDescription, ResultRecord, TaskRecord
 from repro.core.registry import CoordinatorRegistry
 from repro.core.replication import (
     MergeOutcome,
@@ -44,7 +39,7 @@ from repro.net.transport import Network
 from repro.nodes.node import Host
 from repro.sim.core import Environment
 from repro.sim.rng import RandomStreams
-from repro.types import Address, CallIdentity, RPCId, SessionId, TaskState, UserId
+from repro.types import Address, CallIdentity, TaskState
 from repro.workloads.synthetic import SyntheticWorkload
 
 K0 = Address("coordinator", "k0")
@@ -56,7 +51,7 @@ SESSIONS = (("u0", "s"), ("u1", "s"))
 
 def make_call(user: str, session: str, ts: int) -> CallDescription:
     return CallDescription(
-        identity=CallIdentity(UserId(user), SessionId(session), RPCId(ts)),
+        identity=CallIdentity(user, session, ts),
         service="sleep",
         params_bytes=100,
         result_bytes=40,
@@ -206,11 +201,11 @@ def random_ops(rng: random.Random, coord: CoordinatorComponent, steps: int):
     """
     next_ts = dict.fromkeys(SESSIONS, 0)
 
-    def fresh_key() -> tuple:
+    def fresh_key() -> CallIdentity:
         user, session = rng.choice(SESSIONS)
         ts = next_ts[user, session]
         next_ts[user, session] += 1
-        return (user, session, ts)
+        return CallIdentity(user, session, ts)
 
     def some_timestamps(session_key) -> list[int]:
         horizon = next_ts[session_key] + 3  # a few timestamps nobody issued
@@ -264,7 +259,7 @@ def random_ops(rng: random.Random, coord: CoordinatorComponent, steps: int):
             waiting = unarchived(coord)
             if waiting:
                 key = rng.choice(waiting)
-                payload = {"identity": list(key)}
+                payload = {"identity": key}
                 if rng.random() < 0.2:
                     payload["missing"] = True
                 else:
@@ -288,8 +283,8 @@ def random_ops(rng: random.Random, coord: CoordinatorComponent, steps: int):
         elif op == "server-sync":
             table = list(coord.tasks)
             keys = rng.sample(table, rng.randint(0, min(len(table), 6)))
-            keys.append(("ghost", "s", 999))  # a key the coordinator never saw
-            payload = {"result_keys": [list(k) for k in keys]}
+            keys.append(CallIdentity("ghost", "s", 999))  # never seen here
+            payload = {"result_keys": keys}
             yield "deliver", MessageType.SERVER_SYNC, rng.choice(SERVERS), payload
 
 
@@ -315,8 +310,8 @@ class TestCoordinatorRequestEquivalence:
         sent = harness.deliver(MessageType.RESULT_PULL, CLIENT, payload)
         fetches = [m for m in sent if m.mtype is MessageType.ARCHIVE_FETCH]
         (reply,) = [m for m in sent if m.mtype is MessageType.RESULT_REPLY]
-        assert [tuple(r["identity"]) for r in reply.payload["results"]] == reply_keys
-        assert [tuple(m.payload["identity"]) for m in fetches] == fetch_keys
+        assert [r["identity"] for r in reply.payload["results"]] == reply_keys
+        assert [m.payload["identity"] for m in fetches] == fetch_keys
         assert reply.size_bytes == sum(
             harness.coord.results[key].size_bytes for key in reply_keys
         )
@@ -330,15 +325,10 @@ class TestCoordinatorRequestEquivalence:
         assert reply.payload["coordinator_max_timestamp"] >= plan.coordinator_max_timestamp
 
     def _check_server_sync(self, harness: Harness, server: Address, payload: dict) -> None:
-        server_keys = [tuple(k) for k in payload["result_keys"]]
-        plan = harness.reference_server_sync(server, server_keys)
+        plan = harness.reference_server_sync(server, payload["result_keys"])
         (reply,) = harness.deliver(MessageType.SERVER_SYNC, server, payload)
-        assert reply.payload["server_must_resend"] == [
-            list(k) for k in plan.server_must_resend
-        ]
-        assert reply.payload["already_finished"] == [
-            list(k) for k in plan.already_finished
-        ]
+        assert reply.payload["server_must_resend"] == plan.server_must_resend
+        assert reply.payload["already_finished"] == plan.already_finished
         for key in plan.coordinator_must_requeue:
             assert harness.coord.tasks[key].state is TaskState.PENDING
 
@@ -366,7 +356,7 @@ class TestCoordinatorRequestEquivalence:
     def test_results_enter_through_the_choke_point_only_once(self):
         harness = Harness()
         coord = harness.coord
-        key = ("u0", "s", 0)
+        key = CallIdentity("u0", "s", 0)
         first, second = make_result(key, SERVERS[0]), make_result(key, SERVERS[1])
         coord._store_result(key, first)
         coord._store_result(key, second)  # archives are immutable: ignored
@@ -379,7 +369,7 @@ class TestCoordinatorRequestEquivalence:
         coord = harness.coord
         n, k = 2000, 5
         for ts in range(n):
-            key = ("u0", "s", ts)
+            key = CallIdentity("u0", "s", ts)
             record = TaskRecord(
                 call=make_call(*key), state=TaskState.FINISHED, owner=coord.name
             )
@@ -405,14 +395,18 @@ class TestCoordinatorRequestEquivalence:
         harness = Harness(counting=True)
         coord = harness.coord
         for ts in range(1000):
-            key = ("u0", "s", ts)
+            key = CallIdentity("u0", "s", ts)
             record = TaskRecord(
                 call=make_call(*key), state=TaskState.FINISHED, owner=coord.name
             )
             coord.tasks[key] = record
             coord.index.note(record, key)
         coord.tasks.reset()
-        server_keys = [["u0", "s", 3], ["u0", "s", 4], ["nobody", "s", 1]]
+        server_keys = [
+            CallIdentity("u0", "s", 3),
+            CallIdentity("u0", "s", 4),
+            CallIdentity("nobody", "s", 1),
+        ]
         (reply,) = harness.deliver(
             MessageType.SERVER_SYNC, SERVERS[0], {"result_keys": server_keys}
         )
@@ -428,7 +422,7 @@ def eager_merge_state(tasks, client_timestamps, state) -> MergeOutcome:
     outcome = MergeOutcome()
     for entry in state.entries:
         incoming = TaskRecord.from_replica_entry(entry)
-        key = identity_to_key(incoming.identity)
+        key = incoming.identity
         existing = tasks.get(key)
         if existing is None:
             tasks[key] = incoming
@@ -485,7 +479,7 @@ def _local_table(states: dict[int, TaskState]) -> dict[tuple, TaskRecord]:
         )
         if state is TaskState.ONGOING:
             record.assigned_server = SERVERS[0]
-        table[identity_to_key(record.identity)] = record
+        table[record.identity] = record
     return table
 
 
@@ -540,7 +534,7 @@ class TestSkippingMerge:
         assert timestamps == eager_ts
 
     def test_losing_entries_are_never_deserialised(self, monkeypatch):
-        key = identity_to_key(make_call("u", "s", 1).identity)
+        key = make_call("u", "s", 1).identity
         local = {key: TaskRecord(call=make_call("u", "s", 1), state=TaskState.FINISHED)}
         incoming = build_state(
             "k1", {key: TaskRecord(call=make_call("u", "s", 1), state=TaskState.ONGOING)}, {}, []

@@ -153,13 +153,13 @@ class TestSchedulerVariants:
         decision = FifoReschedulePolicy().pick(
             self._tasks(), SERVER, "k0", lambda _o: False, now=0.0
         )
-        assert decision.task.identity.rpc.value == 1
+        assert decision.task.identity.rpc == 1
 
     def test_fastest_first_picks_shortest(self):
         decision = FastestFirstSchedulerPolicy().pick(
             self._tasks(), SERVER, "k0", lambda _o: False, now=0.0
         )
-        assert decision.task.identity.rpc.value == 5  # shortest exec_time
+        assert decision.task.identity.rpc == 5  # shortest exec_time
 
     def test_round_robin_rotates(self):
         policy = RoundRobinSchedulerPolicy()
@@ -169,8 +169,8 @@ class TestSchedulerVariants:
         first.task.state = TaskState.PENDING
         tasks.note(first.task)
         second = policy.pick(tasks, SERVER, "k0", lambda _o: False, now=0.0)
-        assert first.task.identity.rpc.value == 1
-        assert second.task.identity.rpc.value == 2
+        assert first.task.identity.rpc == 1
+        assert second.task.identity.rpc == 2
 
     def test_random_is_deterministic_per_bound_stream(self):
         def picks():
@@ -179,7 +179,7 @@ class TestSchedulerVariants:
             for _ in range(6):
                 tasks = self._tasks()
                 decision = policy.pick(tasks, SERVER, "k0", lambda _o: False, now=0.0)
-                sequence.append(decision.task.identity.rpc.value)
+                sequence.append(decision.task.identity.rpc)
             return sequence
 
         assert picks() == picks()
@@ -445,14 +445,12 @@ class TestOnCommitReplication:
         grid.start()
         assert isinstance(grid.coordinators[0].replication_policy, OnCommitReplication)
         from repro.core.protocol import CallDescription
-        from repro.types import CallIdentity, RPCId, SessionId, UserId
+        from repro.types import CallIdentity
 
         grid.coordinators[0].preload_tasks(
             [
                 CallDescription(
-                    identity=CallIdentity(
-                        user=UserId("u"), session=SessionId("s"), rpc=RPCId(1)
-                    ),
+                    identity=CallIdentity("u", "s", 1),
                     service="sleep",
                     params_bytes=64,
                     exec_time=1.0,

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import LoggingConfig
-from repro.core.protocol import CallDescription, TaskRecord, identity_to_key
+from repro.core.protocol import CallDescription, TaskRecord
 from repro.core.registry import CoordinatorRegistry
 from repro.core.replication import build_state, merge_state, state_precedence
 from repro.core.session import Session
@@ -17,7 +17,7 @@ from repro.net.transport import Network
 from repro.nodes.node import Host
 from repro.sim.core import Environment
 from repro.sim.rng import RandomStreams
-from repro.types import Address, CallIdentity, RPCId, SessionId, TaskState, UserId
+from repro.types import Address, CallIdentity, TaskState
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -29,7 +29,7 @@ task_states = st.sampled_from(list(TaskState))
 
 
 def make_task(counter: int, state: TaskState, owner: str = "k0") -> TaskRecord:
-    identity = CallIdentity(UserId("u"), SessionId("s"), RPCId(counter))
+    identity = CallIdentity("u", "s", counter)
     call = CallDescription(identity=identity, service="sleep", params_bytes=10, exec_time=1.0)
     return TaskRecord(call=call, state=state, owner=owner, submitted_at=float(counter))
 
@@ -95,13 +95,13 @@ class TestReplicationProperties:
         local = {}
         for index, state in enumerate(local_states):
             task = make_task(index, state)
-            local[identity_to_key(task.identity)] = task
+            local[task.identity] = task
         before = {key: task.state for key, task in local.items()}
 
         incoming_tasks = {}
         for index, state in enumerate(incoming_states):
             task = make_task(index, state, owner="k1")
-            incoming_tasks[identity_to_key(task.identity)] = task
+            incoming_tasks[task.identity] = task
         state_abstract = build_state("k1", incoming_tasks, {}, [])
 
         merge_state(local, {}, state_abstract)
@@ -114,7 +114,7 @@ class TestReplicationProperties:
         incoming_tasks = {}
         for index, state in enumerate(incoming_states):
             task = make_task(index, state, owner="k1")
-            incoming_tasks[identity_to_key(task.identity)] = task
+            incoming_tasks[task.identity] = task
         abstract = build_state("k1", incoming_tasks, {}, [])
         local: dict = {}
         merge_state(local, {}, abstract)
@@ -136,9 +136,9 @@ class TestSessionProperties:
         session = Session.open("alice")
         issued = []
         for restore in restores:
-            issued.append(session.allocate().rpc.value)
+            issued.append(session.allocate().rpc)
             session.restore_counter(restore)
-        issued.append(session.allocate().rpc.value)
+        issued.append(session.allocate().rpc)
         assert issued == sorted(issued)
         assert len(set(issued)) == len(issued)
 

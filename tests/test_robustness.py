@@ -21,12 +21,12 @@ from repro.scenarios.engine import benchmark_cell
 from repro.scenarios.runner import SweepRunner
 from repro.scenarios.spec import Axis, CellResult, ScenarioSpec
 from repro.sim.rng import RandomStreams
-from repro.types import Address, CallIdentity, RPCId, SessionId, UserId
+from repro.types import Address, CallIdentity
 
 
 def _call(rpc: int = 1, exec_time: float = 1.0) -> CallDescription:
     return CallDescription(
-        identity=CallIdentity(user=UserId("u"), session=SessionId("s"), rpc=RPCId(rpc)),
+        identity=CallIdentity("u", "s", rpc),
         service="sleep",
         params_bytes=64,
         exec_time=exec_time,

@@ -35,7 +35,7 @@ from repro.scenarios.engine import (
     resolve_protocol,
 )
 from repro.scenarios.runner import SweepRunner
-from repro.types import CallIdentity, RPCId, SessionId, TaskState, UserId
+from repro.types import CallIdentity, TaskState
 
 EXPECTED_SCENARIOS = {
     "fig4-size", "fig4-calls", "fig5-size", "fig5-count", "fig6-size",
@@ -526,11 +526,7 @@ class TestCoordinatorPreload:
     def _calls(self, n, params_bytes=256):
         return [
             CallDescription(
-                identity=CallIdentity(
-                    user=UserId("bench"),
-                    session=SessionId("preload"),
-                    rpc=RPCId(index + 1),
-                ),
+                identity=CallIdentity("bench", "preload", index + 1),
                 service="sleep",
                 params_bytes=params_bytes,
                 result_bytes=16,

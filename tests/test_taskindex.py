@@ -22,12 +22,7 @@ import textwrap
 
 import pytest
 
-from repro.core.protocol import (
-    CallDescription,
-    TASK_DESCRIPTION_BYTES,
-    TaskRecord,
-    identity_to_key,
-)
+from repro.core.protocol import TASK_DESCRIPTION_BYTES, CallDescription, TaskRecord
 from repro.core.replication import ReplicaState, build_state, merge_state
 from repro.core.taskindex import TaskIndex
 from repro.platform.component import BaseComponent
@@ -38,7 +33,7 @@ from repro.policies.scheduling import (
     RoundRobinSchedulerPolicy,
 )
 from repro.sim.rng import RandomStreams
-from repro.types import Address, CallIdentity, RPCId, SessionId, TaskState, UserId
+from repro.types import Address, CallIdentity, TaskState
 
 MY_NAME = "k0"
 OTHER_OWNERS = ("k1", "k2")
@@ -47,7 +42,7 @@ SERVERS = tuple(Address("server", f"s{i}") for i in range(4))
 
 def make_call(counter: int, user: str = "u", exec_time: float | None = 1.0) -> CallDescription:
     return CallDescription(
-        identity=CallIdentity(UserId(user), SessionId("s"), RPCId(counter)),
+        identity=CallIdentity(user, "s", counter),
         service="sleep",
         params_bytes=100,
         exec_time=exec_time,
@@ -71,7 +66,7 @@ def make_task(
 
 
 def _fcfs(record: TaskRecord) -> tuple:
-    return (record.submitted_at, *identity_to_key(record.identity))
+    return (record.submitted_at, *record.identity)
 
 
 def _sjf(record: TaskRecord) -> tuple:
@@ -195,7 +190,7 @@ class TestIndexEquivalence:
             )
             if op == "submit":
                 record = make_task(next_id, submitted_at=now)
-                key = identity_to_key(record.identity)
+                key = record.identity
                 tasks[key] = record
                 index.note(record, key)
                 next_id += 1
@@ -231,7 +226,7 @@ class TestIndexEquivalence:
                     )
                     if record.state is TaskState.ONGOING:
                         record.assigned_server = rng.choice(SERVERS)
-                    incoming[identity_to_key(record.identity)] = record
+                    incoming[record.identity] = record
                     next_id += 1
                 upgradable = [
                     r for r in tasks.values() if r.state is not TaskState.FINISHED
@@ -241,11 +236,11 @@ class TestIndexEquivalence:
                     upgrade = TaskRecord.from_replica_entry(donor.to_replica_entry())
                     upgrade.state = TaskState.FINISHED
                     upgrade.owner = peer
-                    incoming[identity_to_key(upgrade.identity)] = upgrade
+                    incoming[upgrade.identity] = upgrade
                 state = build_state(peer, incoming, {}, [], now=now)
                 outcome = merge_state(tasks, {}, state)
                 for identity in outcome.changed:
-                    key = identity_to_key(identity)
+                    key = identity
                     index.note(tasks[key], key)
             elif op == "suspect":
                 owner = rng.choice(OTHER_OWNERS)
@@ -295,9 +290,9 @@ class TestIndexEquivalence:
                     submitted_at=float(counter // 3),  # ties broken by identity
                     exec_time=rng.choice([0.5, 1.0, 2.0, None]),
                 )
-                tasks[identity_to_key(record.identity)] = record
+                tasks[record.identity] = record
             ongoing = make_task(900, state=TaskState.ONGOING, owner="k1")
-            tasks[identity_to_key(ongoing.identity)] = ongoing
+            tasks[ongoing.identity] = ongoing
             return tasks
 
         scan_tasks = build_universe()
@@ -321,7 +316,7 @@ class TestIndexEquivalence:
             a.state, a.owner, a.assigned_server = TaskState.ONGOING, MY_NAME, server
             scan_assignments += 1
             assert b.task is not None
-            assert identity_to_key(a.identity) == identity_to_key(b.task.identity)
+            assert a.identity == b.task.identity
             index.note(b.task)
         assert scan_assignments == indexed_policy.assignments == 61
         assert scan_holds == indexed_policy.dedup_holds
@@ -487,12 +482,12 @@ class TestDeltaBuild:
         table = _CountingTable()
         for counter in range(n):
             record = make_task(counter)
-            table[identity_to_key(record.identity)] = record
+            table[record.identity] = record
         return table
 
     def test_incremental_build_touches_only_dirty_keys(self):
         table = self._table(500)
-        dirty = [identity_to_key(make_task(c).identity) for c in (3, 42, 419)]
+        dirty = [make_task(c).identity for c in (3, 42, 419)]
         table.items_calls = table.getitem_calls = 0
         state = build_state("k0", table, {}, [], only_keys=dirty)
         # Build cost is proportional to the dirty set: three key lookups,
@@ -513,13 +508,13 @@ class TestDeltaBuild:
         ghost = ("ghost", "s", 999)
         state = build_state(
             "k0", table, {}, [],
-            only_keys=[ghost, identity_to_key(make_task(2).identity)],
+            only_keys=[ghost, make_task(2).identity],
         )
         assert len(state.entries) == 1
 
     def test_accumulated_size_matches_entry_walk(self):
         table = self._table(30)
-        finished = table[identity_to_key(make_task(4).identity)]
+        finished = table[make_task(4).identity]
         finished.state = TaskState.FINISHED
         state = build_state("k0", table, {("u", "s"): 7}, [("coordinator", "k1")])
         walked = ReplicaState(
@@ -536,7 +531,7 @@ class TestDeltaBuild:
     def test_entry_cache_reused_until_transition(self):
         tasks: dict[tuple, TaskRecord] = {}
         record = make_task(1)
-        key = identity_to_key(record.identity)
+        key = record.identity
         tasks[key] = record
         index = TaskIndex(tasks)
         entry_a, bytes_a = index.replica_entry(key, record)
@@ -554,7 +549,7 @@ class TestDeltaBuild:
         tasks: dict[tuple, TaskRecord] = {}
         for counter in range(4):
             record = make_task(counter)
-            tasks[identity_to_key(record.identity)] = record
+            tasks[record.identity] = record
         index = TaskIndex(tasks)
         keys = list(tasks)
         first = build_state("k0", tasks, {}, [], only_keys=keys,
@@ -567,7 +562,7 @@ class TestDeltaBuild:
     def test_fresh_payload_skips_entry_copies_and_receiver_copies_back(self):
         tasks: dict[tuple, TaskRecord] = {}
         record = make_task(1)
-        tasks[identity_to_key(record.identity)] = record
+        tasks[record.identity] = record
         state = build_state("k0", tasks, {}, [])
         assert state.fresh
         payload = state.to_payload()
