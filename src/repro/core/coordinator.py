@@ -42,7 +42,7 @@ from repro.detect import FailureDetector, HeartbeatEmitter
 from repro.net.message import Message, MessageType
 from repro.nodes.database import Database, DatabaseModel
 from repro.nodes.node import Host
-from repro.sim.core import Event, ProcessKilled
+from repro.sim.core import ProcessKilled
 from repro.sim.monitor import Monitor
 from repro.types import Address, CallIdentity, TaskState
 
@@ -95,16 +95,17 @@ class CoordinatorComponent:
         self.server_detector = self._make_detector()
         self.coordinator_detector = self._make_detector()
         self.known_servers: set[Address] = set()
-        #: keys queued for the next state propagation.  Insertion-ordered
-        #: (dict, not set): replication rounds re-order them by table
-        #: sequence, and a deterministic iteration order keeps parallel and
-        #: sequential sweeps byte-identical under hash randomization.
-        self._dirty: dict[CallIdentity, None] = {}
+        #: the change log: key -> stamp of its latest change not yet retired
+        #: by an acknowledged round.  Stamps come from ``_change_seq``, which
+        #: only grows, so a change made while a round is in flight outranks
+        #: that round.  Insertion-ordered (dict, not set) so iteration is
+        #: deterministic under hash randomization.
+        self._changes: dict[CallIdentity, int] = {}
+        self._change_seq = 0
         #: incrementally maintained views of the task and result tables.
         self.index = TaskIndex(self.tasks, self.results)
-        self._replica_ack_waiters: dict[int, Event] = {}
-        #: round id -> {"event", "acks", "needed"} for in-flight quorum rounds.
-        self._quorum_waiters: dict[int, dict[str, Any]] = {}
+        #: round id -> {"event", "acks", "needed"} for in-flight rounds.
+        self._rounds: dict[int, dict[str, Any]] = {}
         #: replica origin name -> freshest ``sent_at`` seen from it (used by
         #: quorum recovery to elect the freshest surviving replica).
         self._replica_freshness: dict[str, float] = {}
@@ -193,10 +194,10 @@ class CoordinatorComponent:
         self.server_detector = self._make_detector()
         self.coordinator_detector = self._make_detector()
         self.known_servers = set()
-        self._dirty = dict.fromkeys(self.tasks)  # resync everything after a restart
+        self._change_seq += 1  # resync everything after a restart
+        self._changes = dict.fromkeys(self.tasks, self._change_seq)
         self.index.rebuild()
-        self._replica_ack_waiters = {}
-        self._quorum_waiters = {}
+        self._rounds = {}
         self._archive_fetches_in_flight = {}
         self._archive_fetch_attempts = {}
         self._task_activity = {}
@@ -232,7 +233,7 @@ class CoordinatorComponent:
 
     # ------------------------------------------------------------------ helpers
     def _mark_dirty(self, key: CallIdentity) -> None:
-        """Queue ``key`` for the next state propagation (policy notified).
+        """Stamp the change to ``key`` for replication (policy notified).
 
         This doubles as the task index's transition choke point: every
         mutation path already marks the record dirty, so routing the
@@ -241,7 +242,8 @@ class CoordinatorComponent:
         record = self.tasks.get(key)
         if record is not None:
             self.index.note(record, key)
-        self._dirty[key] = None
+        self._change_seq += 1
+        self._changes[key] = self._change_seq
         self.replication_policy.on_dirty(self, key)
 
     def _store_result(self, key: CallIdentity, result: ResultRecord) -> bool:
@@ -813,15 +815,6 @@ class CoordinatorComponent:
     # The cadence (when rounds happen) lives in the replication policy
     # (policy.repl.*, installed by start()); this is the mechanism one round
     # runs through.
-    def _dirty_keys_in_table_order(self) -> list[CallIdentity]:
-        """The dirty keys, ordered as a full table scan would list them.
-
-        Delta abstracts must serialize entries in the same order as full
-        ones, so downstream merge/table insertion order is independent of
-        *when* records got dirty.  O(d log d) in the dirty-set size.
-        """
-        return self.index.table_ordered(self._dirty)
-
     def _build_state(self, keys: list[CallIdentity] | None) -> ReplicaState:
         """Build the (delta) state abstract for ``keys`` (None = full)."""
         return build_state(
@@ -834,68 +827,18 @@ class CoordinatorComponent:
             entry_for=self.index.replica_entry,
         )
 
-    def replicate_once(self, force_full: bool = False):
-        """One replication round: push (dirty) state to the ring successor.
+    def replicate(self, targets: list[Address], quorum: int = 1):
+        """One replication round: push the change log to ``targets``.
 
-        Generator returning ``True`` when the successor acknowledged.  Also
-        doubles as the coordinator-to-coordinator heart-beat.
+        Generator returning the set of targets that acknowledged within the
+        suspicion timeout.  The abstract lists every logged change in table
+        order.  Once ``quorum`` targets acknowledged, the round retires the
+        changes it carried, but only those whose stamp is still at most the
+        log's sequence when the abstract was built: a change made while the
+        round was in flight goes out with the next round.
         """
-        successor = self.registry.ring_successor(self.address)
-        if successor is None:
-            return False
-        keys = None if force_full else self._dirty_keys_in_table_order()
-        state = self._build_state(keys)
-        round_id = self._replication_rounds
-        self._replication_rounds += 1
-        ack_event = self.env.event()
-        self._replica_ack_waiters[round_id] = ack_event
-        self.host.send(
-            Message(
-                mtype=MessageType.REPLICA_STATE,
-                source=self.address,
-                dest=successor,
-                payload={"state": state.to_payload(), "round": round_id},
-                size_bytes=state.size_bytes,
-            )
-        )
-        self._ctr_replications.value += 1
-        yield from self.env.wait_any(
-            [ack_event], timeout=self.config.detection.suspicion_timeout
-        )
-        self._replica_ack_waiters.pop(round_id, None)
-        if ack_event.triggered:
-            self.coordinator_detector.heard_from(successor, self.env.now)
-            if keys is not None:
-                for key in keys:
-                    self._dirty.pop(key, None)
-            else:
-                self._dirty.clear()
-            return True
-        # No acknowledgement: suspect the successor and recompute the ring.
-        self.suspect_coordinator(successor)
-        return False
-
-    def suspect_coordinator(self, coordinator: Address) -> None:
-        """Suspect a silent peer coordinator and recompute the virtual ring."""
-        self.registry.suspect(coordinator)
-        self.coordinator_detector.watch(
-            coordinator, self.env.now - 2 * self.config.detection.suspicion_timeout
-        )
-        self.monitor.incr("coordinator.replication_timeouts")
-
-    def replicate_quorum_once(self, targets: list[Address], quorum: int):
-        """One quorum round: push (dirty) state to ``targets`` in parallel.
-
-        Generator returning ``(acks, committed)``: the set of successors that
-        acknowledged within the suspicion timeout, and whether at least
-        ``quorum`` of them did.  The dirty set is only cleared on commit —
-        an under-acknowledged epoch is retried wholesale next round, so a
-        majority of replicas always carries every committed update.
-        """
-        if not targets:
-            return set(), False
-        quorum = max(1, min(int(quorum), len(targets)))
-        keys = self._dirty_keys_in_table_order()
+        high = self._change_seq
+        keys = self.index.table_ordered(self._changes)
         state = self._build_state(keys)
         round_id = self._replication_rounds
         self._replication_rounds += 1
@@ -904,7 +847,7 @@ class CoordinatorComponent:
             "acks": set(),
             "needed": quorum,
         }
-        self._quorum_waiters[round_id] = waiter
+        self._rounds[round_id] = waiter
         payload = {"state": state.to_payload(), "round": round_id}
         for target in targets:
             self.host.send(
@@ -920,16 +863,38 @@ class CoordinatorComponent:
         yield from self.env.wait_any(
             [waiter["event"]], timeout=self.config.detection.suspicion_timeout
         )
-        self._quorum_waiters.pop(round_id, None)
-        acks = set(waiter["acks"])
-        committed = len(acks) >= quorum
-        if committed:
+        del self._rounds[round_id]
+        acks = waiter["acks"]
+        if len(acks) >= quorum:
+            changes = self._changes
             for key in keys:
-                self._dirty.pop(key, None)
-            self.monitor.incr("coordinator.quorum_commits")
-        else:
-            self.monitor.incr("coordinator.quorum_aborts")
-        return acks, committed
+                if changes.get(key, high + 1) <= high:
+                    del changes[key]
+        return acks
+
+    def replicate_once(self):
+        """One passive round: push the change log to the ring successor.
+
+        Generator returning ``True`` when the successor acknowledged; a
+        silent successor is suspected and the ring recomputed.  Also doubles
+        as the coordinator-to-coordinator heart-beat.
+        """
+        successor = self.registry.ring_successor(self.address)
+        if successor is None:
+            return False
+        if (yield from self.replicate([successor])):
+            self.coordinator_detector.heard_from(successor, self.env.now)
+            return True
+        self.suspect_coordinator(successor)
+        return False
+
+    def suspect_coordinator(self, coordinator: Address) -> None:
+        """Suspect a silent peer coordinator and recompute the virtual ring."""
+        self.registry.suspect(coordinator)
+        self.coordinator_detector.watch(
+            coordinator, self.env.now - 2 * self.config.detection.suspicion_timeout
+        )
+        self.monitor.incr("coordinator.replication_timeouts")
 
     def pull_replicas(self, targets: list[Address]) -> None:
         """Ask ``targets`` for their full state abstract (crash recovery)."""
@@ -1008,18 +973,12 @@ class CoordinatorComponent:
         )
 
     def _on_replica_ack(self, message: Message) -> None:
-        round_id = int(message.payload.get("round", -1))
-        waiter = self._replica_ack_waiters.pop(round_id, None)
-        if waiter is not None and not waiter.triggered:
-            waiter.succeed(True)
-        quorum = self._quorum_waiters.get(round_id)
-        if quorum is not None:
-            quorum["acks"].add(message.source)
-            if (
-                len(quorum["acks"]) >= quorum["needed"]
-                and not quorum["event"].triggered
-            ):
-                quorum["event"].succeed(True)
+        waiter = self._rounds.get(int(message.payload.get("round", -1)))
+        if waiter is not None:
+            acks, event = waiter["acks"], waiter["event"]
+            acks.add(message.source)
+            if len(acks) >= waiter["needed"] and not event.triggered:
+                event.succeed(True)
         self.coordinator_detector.heard_from(message.source, self.env.now)
 
     # ----------------------------------------------------------- server suspicion
@@ -1071,7 +1030,7 @@ class CoordinatorComponent:
             "known_servers": len(self.known_servers),
             "db_writes": self.database.writes,
             "db_time": self.database.time_charged,
-            "dirty": len(self._dirty),
+            "dirty": len(self._changes),
             "scheduler_policy": self.scheduler.key,
             "scheduler_assignments": self.scheduler.assignments,
             "scheduler_dedup_holds": self.scheduler.dedup_holds,

@@ -1,10 +1,12 @@
 """Coordinator replication policies (``policy.repl.*``).
 
-The mechanism — building a state abstract, pushing it to the ring successor,
-suspecting a silent successor — lives on the coordinator
-(:meth:`~repro.core.coordinator.CoordinatorComponent.replicate_once` and
-:mod:`repro.core.replication`).  What a policy owns is the *cadence*: when
-rounds happen and what triggers them.
+The mechanism lives on the coordinator and in :mod:`repro.core.replication`:
+:meth:`~repro.core.coordinator.CoordinatorComponent.replicate` is the one
+round routine — build the abstract of the change log, push it to the given
+peers, retire what the round carried once enough of them acknowledged — and
+:meth:`~repro.core.coordinator.CoordinatorComponent.replicate_once` runs it
+against the ring successor, suspecting a silent one.  What a policy owns is
+the *cadence*: when rounds happen, to whom, and what triggers them.
 
 * ``policy.repl.passive-periodic`` — the paper's protocol: one round every
   ``period`` seconds (60 s on the Internet testbed, one heart-beat period on
@@ -50,7 +52,7 @@ class ReplicationPolicy(PolicyBase):
         """Arm the cadence on ``coordinator`` (called from its ``start()``)."""
 
     def on_dirty(self, coordinator: "CoordinatorComponent", key: object) -> None:
-        """Notification: ``key`` joined the coordinator's dirty set."""
+        """Notification: a change to ``key`` entered the coordinator's change log."""
 
 
 @component("policy.repl.passive-periodic")
@@ -96,10 +98,10 @@ class NoReplication(ReplicationPolicy):
 class OnCommitReplication(ReplicationPolicy):
     """Replicate eagerly: a round fires as soon as state becomes dirty.
 
-    The driver sleeps on an event while the dirty set is empty;
-    :meth:`on_dirty` wakes it.  ``min_interval`` (seconds) spaces successive
-    rounds so a submission burst coalesces into one abstract per interval
-    instead of one per task.
+    The driver sleeps on an event while every logged change has been
+    acknowledged; :meth:`on_dirty` wakes it.  ``min_interval`` (seconds)
+    spaces successive rounds so a submission burst coalesces into one
+    abstract per interval instead of one per task.
     """
 
     key = "policy.repl.on-commit"
@@ -125,14 +127,19 @@ class OnCommitReplication(ReplicationPolicy):
         #: replication period.
         self.backoff = backoff
         self._wake = None
+        #: whether the coordinator holds changes no round has retired yet.
+        self._owed = False
 
     def install(self, coordinator: "CoordinatorComponent") -> None:
         self._wake = None
+        # start() has just logged every task for the post-restart resync.
+        self._owed = bool(coordinator.tasks)
         coordinator.host.spawn(
             self._loop(coordinator), name=f"{coordinator.name}:replication"
         )
 
     def on_dirty(self, coordinator: "CoordinatorComponent", key: object) -> None:
+        self._owed = True
         wake = self._wake
         if wake is not None and not wake.triggered:
             wake.succeed(None)
@@ -141,12 +148,16 @@ class OnCommitReplication(ReplicationPolicy):
         env = coordinator.env
         try:
             while True:
-                if not coordinator._dirty:
+                if not self._owed:
                     self._wake = env.event()
                     yield self._wake
                     self._wake = None
+                # An acknowledged round retires everything it carried; a
+                # change made meanwhile sets the flag again via on_dirty.
+                self._owed = False
                 before = env.now
-                yield from coordinator.replicate_once()
+                if not (yield from coordinator.replicate_once()):
+                    self._owed = True
                 self.incr("rounds")
                 if self.min_interval > 0:
                     yield coordinator.host.sleep(self.min_interval)
@@ -170,8 +181,8 @@ class QuorumReplication(ReplicationPolicy):
     """Replicate to ``successors`` ring successors; commit on majority acks.
 
     Each round pushes the state abstract to up to ``successors`` ring
-    successors in parallel and counts the epoch *committed* — the dirty set
-    is only cleared — once ⌈(successors+1)/2⌉ acks arrive (``quorum``
+    successors in parallel and counts the epoch *committed* — only then are
+    its changes retired — once ⌈(successors+1)/2⌉ acks arrive (``quorum``
     overrides the majority count explicitly).  A successor with an
     outstanding un-acked push is backed off exponentially (per successor, in
     units of the round period) and suspected after two consecutive misses,
@@ -243,8 +254,13 @@ class QuorumReplication(ReplicationPolicy):
                 if not targets:
                     self.incr("skipped_rounds")
                     continue
-                acks, committed = yield from coordinator.replicate_quorum_once(
-                    targets, self.quorum_for(len(targets))
+                quorum = self.quorum_for(len(targets))
+                acks = yield from coordinator.replicate(targets, quorum)
+                committed = len(acks) >= quorum
+                coordinator.monitor.incr(
+                    "coordinator.quorum_commits"
+                    if committed
+                    else "coordinator.quorum_aborts"
                 )
                 self.incr("rounds")
                 self.incr("commits" if committed else "aborts")

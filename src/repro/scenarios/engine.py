@@ -32,6 +32,7 @@ from repro.grid.deployment import confined_cluster_spec, internet_testbed_spec
 from repro.nodes.faultgen import ChurnInjector, FaultGenerator
 from repro.platform.library import ChurnInjectorComponent, RateFaultInjector
 from repro.scenarios.report import RunReport
+from repro.sim.core import SimulationError
 from repro.workloads.synthetic import SyntheticWorkload
 
 __all__ = [
@@ -382,6 +383,11 @@ def execute_benchmark(
     ``record_fault_streams`` fingerprints the fault/churn RNG streams into
     the report, and ``record_detection`` stamps the grid-wide suspicion
     accounting (``detect.*`` counters) into the report.
+
+    A run with no fault injected must deliver every call before the
+    horizon: if it did not, :class:`~repro.sim.core.SimulationError` is
+    raised instead of a report, unless ``run_full_horizon`` says the run
+    is meant to measure up to the horizon.
     """
     if protocol is None or protocol == "default":
         # The builders apply the platform's defaults themselves when handed
@@ -458,6 +464,15 @@ def execute_benchmark(
         report.crowd = crowd_stats
         report.finished_in_time = report.finished_in_time and (
             crowd_stats.get("completed", 0) >= crowd_stats.get("clients", 0)
+        )
+    if not run_full_horizon and injected == 0 and (
+        not report.finished_in_time or report.completed < report.submitted
+    ):
+        # With nothing injected, nothing excuses a lost call or a stall.
+        raise SimulationError(
+            f"fault-free run lost calls: {report.completed}/{report.submitted} "
+            f"completed, finished_in_time={report.finished_in_time} at "
+            f"{grid.env.now:g} s (horizon {horizon:g} s)"
         )
     return report
 

@@ -74,7 +74,7 @@ class TestOneObjectPerCall:
         grid = _spread_run()
         keys = []
         for coordinator in grid.coordinators:
-            keys += [*coordinator.tasks, *coordinator.results, *coordinator._dirty]
+            keys += [*coordinator.tasks, *coordinator.results, *coordinator._changes]
         for client in grid.clients:
             keys += [*client.handles, *client.log.keys()]
         for server in grid.servers:

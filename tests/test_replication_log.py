@@ -1,0 +1,177 @@
+"""The coordinator's replication change log: no update is lost in flight.
+
+A replication round ships every logged change and, once acknowledged,
+retires only the changes whose stamp is not newer than the abstract it
+built.  A record changed again while the round is in flight (an assignment
+sent as ``ONGOING`` whose result lands before the ack) must go out with the
+next round, or a coordinator keeps the stale state for ever and a client
+pulling from it never gets its result.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.config import PolicyConfig, ProtocolConfig
+from repro.core.protocol import CallDescription
+from repro.grid.builder import build_confined_cluster
+from repro.scenarios import GridTopology, WorkloadSpec, execute_benchmark
+from repro.scenarios.engine import apply_protocol_overrides
+from repro.sim.core import SimulationError
+from repro.types import CallIdentity
+
+REPLICATION_POLICIES = (
+    "policy.repl.passive-periodic",
+    "policy.repl.on-commit",
+    "policy.repl.quorum",
+)
+
+
+def _calls(n: int) -> list[CallDescription]:
+    return [
+        CallDescription(
+            identity=CallIdentity("log", "s", index + 1),
+            service="sleep",
+            params_bytes=64,
+            exec_time=1.0,
+        )
+        for index in range(n)
+    ]
+
+
+class TestRetireOnAck:
+    def test_a_change_made_while_the_round_is_in_flight_survives_the_ack(self):
+        protocol = ProtocolConfig()
+        protocol.policy = PolicyConfig(replication="policy.repl.none")
+        grid = build_confined_cluster(
+            n_servers=1, n_coordinators=2, protocol=protocol, seed=1
+        )
+        grid.start()
+        coordinator = grid.coordinators[0]
+        keys = coordinator.preload_tasks(_calls(3))
+        host = grid.host_of(coordinator)
+        outcome = {}
+
+        def round_():
+            outcome["acked"] = yield from coordinator.replicate_once()
+
+        def remark():
+            # After the abstract is built, long before the ack is back.
+            yield host.sleep(1e-6)
+            coordinator._mark_dirty(keys[1])
+
+        process = host.spawn(round_())
+        host.spawn(remark())
+        assert grid.run_until(process, timeout=60.0)
+        assert outcome["acked"]
+        assert list(coordinator._changes) == [keys[1]]
+
+    def test_an_unacknowledged_round_retires_nothing(self):
+        protocol = ProtocolConfig()
+        protocol.policy = PolicyConfig(replication="policy.repl.none")
+        grid = build_confined_cluster(
+            n_servers=1, n_coordinators=2, protocol=protocol, seed=1
+        )
+        grid.start()
+        coordinator = grid.coordinators[0]
+        keys = coordinator.preload_tasks(_calls(3))
+        backup = grid.host_of(grid.coordinators[1])
+        backup.crash()
+        host = grid.host_of(coordinator)
+        outcome = {}
+
+        def round_():
+            outcome["acked"] = yield from coordinator.replicate_once()
+
+        assert grid.run_until(host.spawn(round_()), timeout=600.0)
+        assert not outcome["acked"]
+        assert list(coordinator._changes) == keys
+
+
+class TestNoCallLostFaultFree:
+    """16 spread servers, 1 s calls, seed 3: the grids that used to stall."""
+
+    @pytest.mark.parametrize("n_calls", [200, 300])
+    def test_every_call_completes(self, n_calls):
+        report = execute_benchmark(
+            GridTopology(n_servers=16, spread_servers=True),
+            WorkloadSpec(n_calls=n_calls, exec_time=1.0),
+            seed=3,
+        )
+        assert report.faults_injected == 0
+        assert report.completed == report.submitted == n_calls
+        assert report.finished_in_time
+        assert report.makespan < 200.0
+
+
+class TestReplicaConvergence:
+    """After a quiet period, every coordinator holds the same state per key."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_coordinators=st.sampled_from((2, 4)),
+        n_servers=st.integers(min_value=1, max_value=16),
+        spread_servers=st.booleans(),
+        n_calls=st.integers(min_value=1, max_value=200),
+        seed=st.integers(min_value=0, max_value=2**16),
+        policy=st.sampled_from(REPLICATION_POLICIES),
+    )
+    @example(
+        n_coordinators=4,
+        n_servers=16,
+        spread_servers=True,
+        n_calls=200,
+        seed=3,
+        policy="policy.repl.passive-periodic",
+    )
+    def test_fault_free_grids_converge(
+        self, n_coordinators, n_servers, spread_servers, n_calls, seed, policy
+    ):
+        topology = GridTopology(
+            n_servers=n_servers,
+            n_coordinators=n_coordinators,
+            spread_servers=spread_servers,
+        )
+        protocol = apply_protocol_overrides(
+            topology.default_protocol(), {"policy.replication": policy}
+        )
+        grid = topology.build(protocol, seed)
+        grid.start()
+        bench = WorkloadSpec(n_calls=n_calls, exec_time=1.0).build()
+        process = grid.run_process(bench.run(grid.client))
+        assert grid.run_until(process, timeout=4000.0)
+        # A change travels one ring hop per round: up to n - 1 hops, one
+        # period each, after waiting up to one period for the first round.
+        period = protocol.coordinator.replication.period
+        grid.run(until=grid.env.now + (n_coordinators + 1) * period)
+        views = [
+            {key: task.state for key, task in coordinator.tasks.items()}
+            for coordinator in grid.coordinators
+        ]
+        assert len(views[0]) == n_calls
+        for view in views[1:]:
+            assert view == views[0]
+
+
+class TestFaultFreeRunMustFinish:
+    def test_a_fault_free_run_cut_short_by_its_horizon_is_an_error(self):
+        with pytest.raises(SimulationError, match="0/10 completed"):
+            execute_benchmark(
+                GridTopology(n_servers=2, n_coordinators=2),
+                WorkloadSpec(n_calls=10, exec_time=10.0),
+                seed=1,
+                horizon=5.0,
+            )
+
+    def test_run_full_horizon_reports_the_stall_instead(self):
+        report = execute_benchmark(
+            GridTopology(n_servers=2, n_coordinators=2),
+            WorkloadSpec(n_calls=10, exec_time=10.0),
+            seed=1,
+            horizon=5.0,
+            run_full_horizon=True,
+        )
+        assert not report.finished_in_time
+        assert report.completed < report.submitted

@@ -544,7 +544,7 @@ class TestCoordinatorPreload:
         for key in keys:
             assert coordinator.tasks[key].state is TaskState.PENDING
             assert coordinator.tasks[key].owner == coordinator.name
-            assert key in coordinator._dirty
+            assert key in coordinator._changes
 
     def test_preloaded_tasks_are_deterministic_across_runs(self):
         def keys():
