@@ -198,7 +198,7 @@ def _run_delta(n: int) -> dict:
         )
     wall = time.perf_counter() - start
     # Same entries, in the order a filtered walk of the table lists them.
-    assert [e["call"]["identity"] for e in state.entries] == [
+    assert [e.call.identity for e in state.entries] == [
         key for key in tasks if key in dirty_set
     ]
 

@@ -288,9 +288,8 @@ class ClientComponent:
         self.handles[identity] = handle
         self._pending[timestamp] = handle
 
-        payload = description.to_payload()
         token = yield from self.logging.before_send(
-            identity, payload, description.wire_bytes
+            identity, {"call": description}, description.wire_bytes
         )
 
         # Retry until some coordinator acknowledges the submission.
@@ -306,7 +305,7 @@ class ClientComponent:
                     mtype=MessageType.RPC_SUBMIT,
                     source=self.address,
                     dest=coordinator,
-                    payload={"call": payload, "timestamp": timestamp},
+                    payload={"call": description, "timestamp": timestamp},
                     size_bytes=description.wire_bytes,
                 )
             )
@@ -426,7 +425,7 @@ class ClientComponent:
                     mtype=MessageType.RPC_SUBMIT,
                     source=self.address,
                     dest=coordinator,
-                    payload={"call": dict(record.payload), "timestamp": timestamp},
+                    payload={"call": record.payload["call"], "timestamp": timestamp},
                     size_bytes=record.size_bytes,
                 )
             )

@@ -24,6 +24,7 @@ database-dominated replication times come from.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any
 
 from repro.config import CoordinatorConfig, PolicyConfig
@@ -412,7 +413,7 @@ class CoordinatorComponent:
 
     # ------------------------------------------------------------ client requests
     def _on_submit(self, message: Message):
-        call = CallDescription.from_payload(message.payload["call"])
+        call = message.payload["call"]
         key = call.identity
         timestamp = int(message.payload.get("timestamp", key.rpc))
         session_key = key[:2]
@@ -505,14 +506,19 @@ class CoordinatorComponent:
                 # a batch assigned by a now-dead coordinator arrived before
                 # this envelope; result payloads carry no call description).
                 # Adopt the envelope's routing so the batch can complete.
+                # A new description: the old one may be shared with other
+                # coordinators' tables and with abstracts still in flight.
                 source = message.source
-                task.call.args = {
-                    "crowd": crowd,
-                    "shard": shard,
-                    "batch": batch,
-                    "count": count,
-                    "reply_to": [source.kind, source.name],
-                }
+                task.call = replace(
+                    task.call,
+                    args={
+                        "crowd": crowd,
+                        "shard": shard,
+                        "batch": batch,
+                        "count": count,
+                        "reply_to": [source.kind, source.name],
+                    },
+                )
                 # Content change without a state transition: refresh the
                 # cached replica entry, without re-dirtying the record.
                 self.index.note(task, key)
@@ -653,7 +659,7 @@ class CoordinatorComponent:
         self.host.send(
             message.reply(
                 MessageType.TASK_ASSIGN,
-                payload={"call": task.call.to_payload()},
+                payload={"call": task.call},
                 size_bytes=task.call.wire_bytes,
             )
         )
@@ -669,7 +675,7 @@ class CoordinatorComponent:
             # A result for a call we never saw (e.g. assigned by another
             # coordinator before a partition): register it anyway.
             task = TaskRecord(
-                call=CallDescription.from_payload(message.payload["call"])
+                call=message.payload["call"]
                 if "call" in message.payload
                 else CallDescription(
                     identity=result.identity,

@@ -1,22 +1,32 @@
 """Wire-level records of the RPC-V protocol.
 
-These dataclasses are the payloads carried inside
+These records are the payloads carried inside
 :class:`~repro.net.message.Message` envelopes and stored in coordinator
-databases, client logs and server logs.  They are deliberately plain and
-dictionary-convertible: components exchange *descriptions* (a job is "very
-close to a remote execution call": command line plus an optional archive), not
-live objects.
+databases, client logs and server logs.  Components exchange *descriptions*
+(a job is "very close to a remote execution call": command line plus an
+optional archive), not live objects.
 
-The one exception is the call's :class:`~repro.types.CallIdentity`: an
-immutable tuple, carried in payloads as is and read back as is.  Every table
-keys on it, so a call has exactly one identity object, from the session
-that allocated it to every coordinator replica and server log that files it.
+A call travels as immutable objects, carried in payloads by reference and
+never re-serialised:
+
+* its :class:`~repro.types.CallIdentity`, the tuple every table keys on;
+* its :class:`CallDescription`, a frozen dataclass: the client builds one per
+  call, and submissions, assignments, client logs and every coordinator's
+  task table share that object;
+* a :class:`ReplicaEntry` per task in a state abstract: a tuple snapshot of
+  one :class:`TaskRecord` that holds the description, the state and the
+  server address themselves.
+
+So a grid holds one identity and one description object per call, however
+many replicas and logs file it.  Only :class:`ResultRecord` still converts
+to and from a dictionary: its ``value`` and ``meta`` are mutable, and a
+payload must not alias them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.net.message import snapshot_payload
 from repro.types import Address, CallIdentity, TaskState
@@ -24,6 +34,7 @@ from repro.types import Address, CallIdentity, TaskState
 __all__ = [
     "TASK_DESCRIPTION_BYTES",
     "CallDescription",
+    "ReplicaEntry",
     "TaskRecord",
     "ResultRecord",
 ]
@@ -33,9 +44,9 @@ __all__ = [
 TASK_DESCRIPTION_BYTES = 300
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class CallDescription:
-    """What the client submits: one RPC call."""
+    """What the client submits: one RPC call, shared by reference."""
 
     identity: CallIdentity
     service: str
@@ -48,29 +59,6 @@ class CallDescription:
     exec_time: float | None = None
     #: opaque application arguments (used by the live runtime and examples).
     args: Any = None
-
-    def to_payload(self) -> dict[str, Any]:
-        """Dictionary form carried inside protocol messages."""
-        return {
-            "identity": self.identity,
-            "service": self.service,
-            "params_bytes": self.params_bytes,
-            "result_bytes": self.result_bytes,
-            "exec_time": self.exec_time,
-            "args": self.args,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "CallDescription":
-        """Rebuild a description from its dictionary form."""
-        return cls(
-            identity=payload["identity"],
-            service=payload["service"],
-            params_bytes=int(payload["params_bytes"]),
-            result_bytes=int(payload.get("result_bytes", 128)),
-            exec_time=payload.get("exec_time"),
-            args=payload.get("args"),
-        )
 
     @property
     def wire_bytes(self) -> int:
@@ -102,37 +90,53 @@ class TaskRecord:
         """Identity of the underlying call."""
         return self.call.identity
 
-    def to_replica_entry(self) -> dict[str, Any]:
-        """Dictionary form shipped inside REPLICA_STATE messages."""
-        return {
-            "call": self.call.to_payload(),
-            "state": self.state.value,
-            "owner": self.owner,
-            "assigned_server": (
-                (self.assigned_server.kind, self.assigned_server.name)
-                if self.assigned_server
-                else None
-            ),
-            "attempts": self.attempts,
-            "submitted_at": self.submitted_at,
-            "finished_at": self.finished_at,
-            "archive_holder": self.archive_holder,
-        }
+    def to_replica_entry(self) -> ReplicaEntry:
+        """The snapshot of this record shipped inside REPLICA_STATE messages."""
+        return ReplicaEntry(
+            self.call,
+            self.state,
+            self.owner,
+            self.assigned_server,
+            self.attempts,
+            self.submitted_at,
+            self.finished_at,
+            self.archive_holder,
+        )
 
     @classmethod
-    def from_replica_entry(cls, entry: dict[str, Any]) -> "TaskRecord":
-        """Rebuild a task record from a replica-state entry."""
-        server = entry.get("assigned_server")
+    def from_replica_entry(cls, entry: ReplicaEntry) -> "TaskRecord":
+        """A new task record with the fields of a replica entry."""
         return cls(
-            call=CallDescription.from_payload(entry["call"]),
-            state=TaskState(entry["state"]),
-            owner=entry.get("owner", ""),
-            assigned_server=Address(*server) if server else None,
-            attempts=int(entry.get("attempts", 0)),
-            submitted_at=float(entry.get("submitted_at", 0.0)),
-            finished_at=entry.get("finished_at"),
-            archive_holder=entry.get("archive_holder", ""),
+            call=entry.call,
+            state=entry.state,
+            owner=entry.owner,
+            assigned_server=entry.assigned_server,
+            attempts=entry.attempts,
+            submitted_at=entry.submitted_at,
+            finished_at=entry.finished_at,
+            archive_holder=entry.archive_holder,
         )
+
+
+class ReplicaEntry(NamedTuple):
+    """One task as a state abstract lists it: an immutable record snapshot."""
+
+    call: CallDescription
+    state: TaskState
+    owner: str
+    assigned_server: Address | None
+    attempts: int
+    submitted_at: float
+    finished_at: float | None
+    archive_holder: str
+
+    @property
+    def wire_bytes(self) -> int:
+        """The description, plus the parameters a backup needs to run the
+        task again (a finished task carries none)."""
+        if self.state is TaskState.FINISHED:
+            return TASK_DESCRIPTION_BYTES
+        return TASK_DESCRIPTION_BYTES + self.call.params_bytes
 
 
 @dataclass(slots=True)

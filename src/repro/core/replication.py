@@ -7,6 +7,12 @@ abstract contains job/task descriptions (including the call parameters needed
 to re-execute them) and the maximum known client timestamps — but **not** the
 result file archives, which are never replicated.
 
+An abstract lists one immutable :class:`~repro.core.protocol.ReplicaEntry`
+per task, and an entry holds the call's description by reference.  Building,
+sending and merging an abstract copy no task data: the receiver reads the
+sender's entry objects, and a task new to the receiver shares the sender's
+:class:`~repro.core.protocol.CallDescription`.
+
 This module is pure data manipulation (building and merging state abstracts);
 the sending/acknowledging machinery lives in the coordinator component so the
 timing behaviour is visible to the simulator.
@@ -17,15 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from repro.core.protocol import TASK_DESCRIPTION_BYTES, TaskRecord
+from repro.core.protocol import ReplicaEntry, TaskRecord
 from repro.types import TaskState
 
 __all__ = ["ReplicaState", "MergeOutcome", "build_state", "merge_state", "state_precedence"]
 
 #: ordering used when merging conflicting task states.
 _PRECEDENCE = {TaskState.PENDING: 0, TaskState.ONGOING: 1, TaskState.FINISHED: 2}
-#: the same ordering keyed by the serialized state of a raw replica entry.
-_PRECEDENCE_BY_VALUE = {state.value: rank for state, rank in _PRECEDENCE.items()}
 
 
 def state_precedence(state: TaskState) -> int:
@@ -38,7 +42,7 @@ class ReplicaState:
     """One state abstract, as propagated to the ring successor."""
 
     origin: str
-    entries: list[dict[str, Any]] = field(default_factory=list)
+    entries: list[ReplicaEntry] = field(default_factory=list)
     #: max known client timestamp per (user, session) — ``identity[:2]``
     #: of the session's calls; the tuple keys travel as they are.
     client_timestamps: dict[tuple[str, str], int] = field(default_factory=dict)
@@ -49,11 +53,6 @@ class ReplicaState:
     #: unknown — e.g. a hand-assembled or payload-reconstructed state — and
     #: :attr:`size_bytes` falls back to walking the entries).
     entries_bytes: int | None = None
-    #: True for states assembled by :func:`build_state` whose entry dicts are
-    #: never aliased by the builder afterwards; lets :meth:`to_payload` skip
-    #: the defensive per-entry copy (every payload consumer —
-    #: :meth:`from_payload` — copies before mutating anything).
-    fresh: bool = False
 
     @property
     def size_bytes(self) -> int:
@@ -66,24 +65,20 @@ class ReplicaState:
         if self.entries_bytes is not None:
             total = self.entries_bytes
         else:
-            total = 0
-            for entry in self.entries:
-                total += TASK_DESCRIPTION_BYTES
-                if entry["state"] != TaskState.FINISHED.value:
-                    total += int(entry["call"]["params_bytes"])
+            total = sum(entry.wire_bytes for entry in self.entries)
         total += 64 * len(self.client_timestamps)
         total += 32 * len(self.known_coordinators)
         return total
 
     def to_payload(self) -> dict[str, Any]:
-        """Dictionary form carried in REPLICA_STATE messages."""
+        """Dictionary form carried in REPLICA_STATE messages.
+
+        The entries are immutable, so the payload lists the builder's own
+        entry objects.
+        """
         return {
             "origin": self.origin,
-            "entries": (
-                list(self.entries)
-                if self.fresh
-                else [dict(e) for e in self.entries]
-            ),
+            "entries": list(self.entries),
             "client_timestamps": dict(self.client_timestamps),
             "known_coordinators": list(self.known_coordinators),
             "sent_at": self.sent_at,
@@ -94,7 +89,7 @@ class ReplicaState:
         """Rebuild a state abstract from its dictionary form."""
         return cls(
             origin=payload["origin"],
-            entries=[dict(e) for e in payload.get("entries", [])],
+            entries=list(payload.get("entries", [])),
             client_timestamps=dict(payload.get("client_timestamps", {})),
             known_coordinators=[tuple(c) for c in payload.get("known_coordinators", [])],
             sent_at=float(payload.get("sent_at", 0.0)),
@@ -117,6 +112,11 @@ class MergeOutcome:
     timestamps_advanced: int = 0
 
 
+def _fresh_entry(_key: Any, record: TaskRecord) -> tuple[ReplicaEntry, int]:
+    entry = record.to_replica_entry()
+    return entry, entry.wire_bytes
+
+
 def build_state(
     origin: str,
     tasks: dict[Any, TaskRecord],
@@ -124,23 +124,23 @@ def build_state(
     known_coordinators: list[tuple[str, str]],
     only_keys: Iterable[Any] | None = None,
     now: float = 0.0,
-    entry_for: Callable[[Any, TaskRecord], tuple[dict[str, Any], int]] | None = None,
+    entry_for: Callable[[Any, TaskRecord], tuple[ReplicaEntry, int]] = _fresh_entry,
 ) -> ReplicaState:
     """Build the state abstract for the given tasks.
 
     ``only_keys`` restricts the abstract to an incremental set (the dirty
     tasks since the last acknowledged propagation); ``None`` means full
     state.  The dirty keys are iterated **directly** — an incremental round
-    with 3 dirty tasks in a 100k-task table serializes 3 records, not a
+    with 3 dirty tasks in a 100k-task table lists 3 records, not a
     filtered table walk — in the caller-given order (the coordinator passes
     them in table order, so delta and full abstracts list entries
     identically).  Keys no longer in the table are skipped.
 
-    ``entry_for`` maps ``(key, record)`` to a ``(entry dict, wire bytes)``
-    pair — the coordinator passes its :class:`~repro.core.taskindex.TaskIndex`
-    entry cache so unchanged records are serialized once per transition, not
-    once per round.  Wire size is accumulated during the build either way,
-    so :attr:`ReplicaState.size_bytes` never re-walks the entries.
+    ``entry_for`` maps ``(key, record)`` to a ``(entry, wire bytes)`` pair —
+    the coordinator passes its :class:`~repro.core.taskindex.TaskIndex`
+    entry cache so an unchanged record's entry is built once per
+    transition, not once per round.  Wire size is accumulated during the
+    build, so :attr:`ReplicaState.size_bytes` never re-walks the entries.
     """
     if only_keys is None:
         records: Iterable[tuple[Any, TaskRecord]] = tasks.items()
@@ -148,18 +148,10 @@ def build_state(
         records = ((key, tasks[key]) for key in only_keys if key in tasks)
     entries = []
     entries_bytes = 0
-    if entry_for is None:
-        for _key, record in records:
-            entry = record.to_replica_entry()
-            entries.append(entry)
-            entries_bytes += TASK_DESCRIPTION_BYTES
-            if entry["state"] != TaskState.FINISHED.value:
-                entries_bytes += int(entry["call"]["params_bytes"])
-    else:
-        for key, record in records:
-            entry, nbytes = entry_for(key, record)
-            entries.append(entry)
-            entries_bytes += nbytes
+    for key, record in records:
+        entry, nbytes = entry_for(key, record)
+        entries.append(entry)
+        entries_bytes += nbytes
     return ReplicaState(
         origin=origin,
         entries=entries,
@@ -167,7 +159,6 @@ def build_state(
         known_coordinators=list(known_coordinators),
         sent_at=now,
         entries_bytes=entries_bytes,
-        fresh=True,
     )
 
 
@@ -180,44 +171,40 @@ def merge_state(
 
     Conflicts are resolved by state precedence: a finished task never goes
     back to ongoing/pending, an ongoing task never goes back to pending.
-    The table key and the state are read off the raw entry, and an entry
-    that cannot win (known key, precedence not higher) is skipped before
-    anything is constructed — on a quorum ring most of an abstract is
-    already known, so only the winners pay for a :class:`TaskRecord`.
+    An entry that cannot win (known key, precedence not higher) is skipped
+    before anything is built — on a quorum ring most of an abstract is
+    already known — and only a key new here pays for a :class:`TaskRecord`.
     Returns what changed, including the identities that became finished
     (used by the completed-task curves of Figures 9-11).
     """
     outcome = MergeOutcome()
     for entry in state.entries:
-        key = entry["call"]["identity"]
+        key = entry.call.identity
         existing = tasks.get(key)
         if existing is None:
-            incoming = TaskRecord.from_replica_entry(entry)
-            tasks[key] = incoming
+            tasks[key] = TaskRecord.from_replica_entry(entry)
             outcome.new_tasks += 1
-            outcome.changed.append(incoming.identity)
-            if incoming.state is TaskState.FINISHED:
-                outcome.newly_finished.append(incoming.identity)
+            outcome.changed.append(key)
+            if entry.state is TaskState.FINISHED:
+                outcome.newly_finished.append(key)
             continue
         # The identity test spares the common case, a task already finished
         # here, the enum hash of the table lookup.
         if (
             existing.state is TaskState.FINISHED
-            or _PRECEDENCE_BY_VALUE[entry["state"]] <= _PRECEDENCE[existing.state]
+            or _PRECEDENCE[entry.state] <= _PRECEDENCE[existing.state]
         ):
             continue
-        incoming = TaskRecord.from_replica_entry(entry)
-        became_finished = incoming.state is TaskState.FINISHED
-        existing.state = incoming.state
-        existing.owner = incoming.owner
-        existing.assigned_server = incoming.assigned_server
-        existing.attempts = max(existing.attempts, incoming.attempts)
-        existing.finished_at = incoming.finished_at
-        if incoming.archive_holder:
-            existing.archive_holder = incoming.archive_holder
+        existing.state = entry.state
+        existing.owner = entry.owner
+        existing.assigned_server = entry.assigned_server
+        existing.attempts = max(existing.attempts, entry.attempts)
+        existing.finished_at = entry.finished_at
+        if entry.archive_holder:
+            existing.archive_holder = entry.archive_holder
         outcome.updated_tasks += 1
         outcome.changed.append(existing.identity)
-        if became_finished:
+        if entry.state is TaskState.FINISHED:
             outcome.newly_finished.append(existing.identity)
     for key, timestamp in state.client_timestamps.items():
         if timestamp > client_timestamps.get(key, 0):

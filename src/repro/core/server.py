@@ -199,8 +199,7 @@ class ServerComponent:
                 if reply.mtype is MessageType.NO_WORK:
                     yield self.host.sleep(self.config.work_poll_period)
                     continue
-                call = CallDescription.from_payload(reply.payload["call"])
-                yield from self._execute(call)
+                yield from self._execute(reply.payload["call"])
         except ProcessKilled:  # pragma: no cover - host crash
             return
 

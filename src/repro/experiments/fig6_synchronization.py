@@ -29,12 +29,17 @@ from repro.net.message import Message, MessageType
 from repro.scenarios.reducers import grouped
 from repro.scenarios.registry import scenario
 from repro.scenarios.spec import Axis, CellResult, ScenarioSpec
+from repro.sim.core import SimulationError
 from repro.workloads.sweep import geometric_counts, geometric_sizes
 from repro.workloads.synthetic import SyntheticWorkload
 
 __all__ = ["measure_sync_time", "sync_cell"]
 
 _DIRECTIONS = ("client-logs", "coordinator-logs")
+
+#: Simulated seconds the warm-up and the timed driver each get to finish; a
+#: run that needs longer raises instead of yielding a figure point.
+SYNC_HORIZON = 100_000.0
 
 
 def _build(seed: int = 0, quiet: bool = True) -> Grid:
@@ -71,7 +76,7 @@ def _populate_client_logs(grid: Grid, n_calls: int, params_bytes: int) -> None:
             result_bytes=32,
             exec_time=0.0,
         )
-        client.log.append(identity, description.to_payload(), description.wire_bytes)
+        client.log.append(identity, {"call": description}, description.wire_bytes)
         client.log.mark_durable(identity)
 
 
@@ -120,7 +125,7 @@ def measure_sync_time(
             result_bytes=params_bytes,
         )
         warmup = grid.run_process(workload.run(client), name="fig6-warmup")
-        grid.run_until(warmup, timeout=100_000.0)
+        _finish(grid, warmup, f"{direction} warm-up ({n_calls} calls of {params_bytes} B)")
         # Simulate losing the client-side logs and handles.
         client.log.wipe()
         client.forget_handles()
@@ -171,8 +176,16 @@ def measure_sync_time(
         raise ValueError(f"unknown direction {direction!r}")
 
     process = grid.host_of(client).spawn(driver(), name="fig6-driver")
-    grid.run_until(process, timeout=100_000.0)
-    return timings.get("end", float("nan")) - timings.get("start", 0.0)
+    _finish(grid, process, f"{direction} driver ({n_calls} calls of {params_bytes} B)")
+    return timings["end"] - timings["start"]
+
+
+def _finish(grid: Grid, process, what: str) -> None:
+    """Run ``process`` to its end; reaching the horizon first is an error."""
+    if not grid.run_until(process, timeout=SYNC_HORIZON):
+        raise SimulationError(
+            f"fig6: the {what} did not finish within its {SYNC_HORIZON:g} s horizon"
+        )
 
 
 def sync_cell(
@@ -220,7 +233,9 @@ def _fig6_size() -> ScenarioSpec:
         cell=sync_cell,
         base=dict(n_calls=16),
         axes=(
-            Axis("params_bytes", tuple(geometric_sizes())),
+            # The paper's axis runs to 100 MB, but that warm-up does not
+            # finish within SYNC_HORIZON (README: Figure 6 at 100 MB).
+            Axis("params_bytes", tuple(geometric_sizes(maximum=10_000_000))),
             Axis("direction", _DIRECTIONS),
         ),
         seeds=(0,),

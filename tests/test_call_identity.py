@@ -5,6 +5,8 @@ The paper names every RPC execution by *(user ID, session ID, RPC ID)*.
 such object: the client's session allocates it and every table and payload
 that refers to the call — coordinator tasks and results, the task index,
 client handles and logs, server logs, replica abstracts — holds that object.
+The call's frozen :class:`~repro.core.protocol.CallDescription` travels the
+same way, so a grid also holds one description per call.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core.protocol import CallDescription, TaskRecord
+from repro.experiments import fig6_synchronization
 from repro.experiments.fig4_message_logging import logging_cell
 from repro.experiments.fig5_replication import replication_cell
 from repro.grid.builder import Grid, build_confined_cluster
@@ -44,15 +47,15 @@ def _spread_run(n_calls: int = 30) -> Grid:
     return grid
 
 
-def _identities_reachable_from(root: object) -> list[CallIdentity]:
-    """Every distinct :class:`CallIdentity` object reachable from ``root``.
+def _reachable_from(root: object, cls: type) -> list:
+    """Every distinct instance of ``cls`` reachable from ``root``.
 
     The walk follows ``gc.get_referents`` but stays inside the run: module
     namespaces, classes and the process-wide envelope free-list are shared
     by every grid in the process, so they are not entered.
     """
     shared = {id(module.__dict__) for module in list(sys.modules.values())}
-    found: dict[int, CallIdentity] = {}
+    found: dict[int, object] = {}
     seen: set[int] = set()
     stack = [root]
     while stack:
@@ -60,7 +63,7 @@ def _identities_reachable_from(root: object) -> list[CallIdentity]:
         if id(obj) in seen:
             continue
         seen.add(id(obj))
-        if type(obj) is CallIdentity:
+        if type(obj) is cls:
             found[id(obj)] = obj
             continue
         if id(obj) in shared or isinstance(obj, (type, types.ModuleType, MessagePool)):
@@ -87,9 +90,17 @@ class TestOneObjectPerCall:
         # Every coordinator holds the calls (replication), so the same call
         # appears in many tables: all of them must share one object.
         assert all(len(c.tasks) == 30 for c in grid.coordinators)
-        identities = _identities_reachable_from(grid)
+        identities = _reachable_from(grid, CallIdentity)
         assert len(identities) == grid.client.session.issued_count() == 30
         assert len(set(identities)) == len(identities)
+
+    def test_one_description_object_per_call_is_reachable_from_the_grid(self):
+        # Submissions, assignments, client and server state and every
+        # coordinator's replica share the description the client built.
+        grid = _spread_run()
+        assert all(len(c.tasks) == 30 for c in grid.coordinators)
+        descriptions = _reachable_from(grid, CallDescription)
+        assert len(descriptions) == grid.client.session.issued_count() == 30
 
 
 @dataclass(frozen=True, order=True)
@@ -160,6 +171,17 @@ class TestUnfinishedDriversAreErrors:
         self._tiny_horizon(monkeypatch)
         with pytest.raises(SimulationError, match=r"fig4: .*50000 s"):
             logging_cell("optimistic", n_calls=2, params_bytes=1_000)
+
+    def test_fig6_warm_up(self, monkeypatch):
+        # Too short for the coordinator-logs warm-up to get its calls done.
+        monkeypatch.setattr(fig6_synchronization, "SYNC_HORIZON", 1.0)
+        with pytest.raises(
+            SimulationError,
+            match=r"fig6: the coordinator-logs warm-up \(2 calls of 1000 B\) .* 1 s",
+        ):
+            fig6_synchronization.sync_cell(
+                "coordinator-logs", n_calls=2, params_bytes=1_000
+            )
 
     def test_fig5_replication_driver(self, monkeypatch):
         self._tiny_horizon(monkeypatch)

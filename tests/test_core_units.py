@@ -38,13 +38,6 @@ def make_task(counter: int, state: TaskState = TaskState.PENDING, owner: str = "
 
 
 class TestProtocolRecords:
-    def test_call_description_roundtrip(self):
-        call = CallDescription(
-            identity=make_identity(3), service="sleep", params_bytes=500,
-            result_bytes=10, exec_time=2.0, args={"n": 1},
-        )
-        assert CallDescription.from_payload(call.to_payload()) == call
-
     def test_wire_bytes_includes_description(self):
         call = CallDescription(identity=make_identity(1), service="s", params_bytes=100)
         assert call.wire_bytes == 100 + TASK_DESCRIPTION_BYTES
@@ -69,16 +62,16 @@ class TestProtocolRecords:
         assert restored.size_bytes == 123
         assert restored.produced_by == Address("server", "s1")
 
-    def test_identity_travels_by_reference(self):
-        # One object per call: the payload carries the identity itself, so
-        # every record rebuilt from it files the call under the same object.
+    def test_identity_and_description_travel_by_reference(self):
+        # One object per call: payloads and replica entries carry the
+        # identity and the description themselves, so every record rebuilt
+        # from them files the call under the same objects.
         identity = make_identity(7, user="alice", session="alice-s1")
         call = CallDescription(identity=identity, service="sleep", params_bytes=1)
-        assert CallDescription.from_payload(call.to_payload()).identity is identity
         result = ResultRecord(identity=identity, size_bytes=1)
         assert ResultRecord.from_payload(result.to_payload()).identity is identity
         task = TaskRecord(call=call)
-        assert TaskRecord.from_replica_entry(task.to_replica_entry()).identity is identity
+        assert TaskRecord.from_replica_entry(task.to_replica_entry()).call is call
 
 
 class TestSession:

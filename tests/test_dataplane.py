@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.config import LoggingConfig
 from repro.core.client import ClientComponent
 from repro.core.coordinator import CoordinatorComponent
-from repro.core.protocol import CallDescription, ResultRecord, TaskRecord
+from repro.core.protocol import CallDescription, ReplicaEntry, ResultRecord, TaskRecord
 from repro.core.registry import CoordinatorRegistry
 from repro.core.replication import (
     MergeOutcome,
@@ -181,7 +181,9 @@ class Harness:
         return plan_server_sync(server_keys, finished, assigned)
 
 
-def _replica_entry(key: tuple, state: TaskState, owner: str, holder: str = "") -> dict:
+def _replica_entry(
+    key: tuple, state: TaskState, owner: str, holder: str = ""
+) -> ReplicaEntry:
     record = TaskRecord(
         call=make_call(*key),
         state=state,
@@ -218,7 +220,7 @@ def random_ops(rng: random.Random, coord: CoordinatorComponent, steps: int):
         )
         if op == "submit":
             key = fresh_key()
-            payload = {"call": make_call(*key).to_payload(), "timestamp": key[2]}
+            payload = {"call": make_call(*key), "timestamp": key[2]}
             yield "deliver", MessageType.RPC_SUBMIT, CLIENT, payload
         elif op == "assign":
             yield "deliver", MessageType.WORK_REQUEST, rng.choice(SERVERS), {}
@@ -414,6 +416,33 @@ class TestCoordinatorRequestEquivalence:
         assert coord.tasks.touches <= 2 * len(server_keys)
         assert reply.payload["already_finished"] == server_keys[:2]
         assert reply.payload["server_must_resend"] == server_keys[2:]
+
+
+class TestSharedDescription:
+    def test_adopting_crowd_args_leaves_another_replicas_description_alone(self):
+        # The batch's result reached the first coordinator before its
+        # envelope: the task is registered without crowd args, then
+        # replicated, so both coordinators hold one description object.
+        key = CallIdentity("crowd:c", "shard0", 4)
+        first, second = Harness(), Harness()
+        first.deliver(
+            MessageType.TASK_RESULT, SERVERS[0], {"result": make_result(key).to_payload()}
+        )
+        state = first.coord._build_state(None)
+        second.deliver(
+            MessageType.REPLICA_STATE, PEERS[0], {"state": state.to_payload(), "round": 0}
+        )
+        shared = first.coord.tasks[key].call
+        assert second.coord.tasks[key].call is shared and shared.args is None
+
+        first.deliver(
+            MessageType.CROWD_SUBMIT_BATCH,
+            Address("crowd", "c"),
+            {"crowd": "c", "shard": 0, "batch": 4, "count": 10},
+        )
+        adopted = first.coord.tasks[key].call
+        assert adopted.args["reply_to"] == ["crowd", "c"]
+        assert second.coord.tasks[key].call is shared and shared.args is None
 
 
 # --------------------------------------------------------------- replica merge

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -145,7 +146,8 @@ class TestSchedulerVariants:
         tasks = []
         for i in range(1, n + 1):
             task = make_task(i)
-            task.call.exec_time = float(n + 1 - i)  # later submissions shorter
+            # later submissions shorter
+            task.call = replace(task.call, exec_time=float(n + 1 - i))
             tasks.append(task)
         return indexed(*tasks)
 

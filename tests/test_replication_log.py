@@ -20,7 +20,8 @@ from repro.grid.builder import build_confined_cluster
 from repro.scenarios import GridTopology, WorkloadSpec, execute_benchmark
 from repro.scenarios.engine import apply_protocol_overrides
 from repro.sim.core import SimulationError
-from repro.types import CallIdentity
+from repro.types import CallIdentity, TaskState
+from repro.workloads.synthetic import SyntheticWorkload
 
 REPLICATION_POLICIES = (
     "policy.repl.passive-periodic",
@@ -104,6 +105,31 @@ class TestNoCallLostFaultFree:
         assert report.completed == report.submitted == n_calls
         assert report.finished_in_time
         assert report.makespan < 200.0
+
+
+class TestMultiClientSpreadRun:
+    """8 clients on 64 spread servers, 60 calls each: a grid that used to stall."""
+
+    def test_every_call_completes_and_every_coordinator_converges(self):
+        grid = build_confined_cluster(n_servers=64, spread_servers=True, n_clients=8)
+        grid.start()
+        workloads = [SyntheticWorkload(n_calls=60, exec_time=1.0) for _ in grid.clients]
+        processes = [
+            grid.run_process(workload.run(client), on_client=i)
+            for i, (workload, client) in enumerate(zip(workloads, grid.clients))
+        ]
+        horizon = 2_000.0
+        for process in processes:
+            assert grid.run_until(process, timeout=horizon - grid.env.now)
+        assert sum(w.completed_count() for w in workloads) == 480
+        # A change travels one ring hop per round (see the property below).
+        period = grid.coordinators[0].config.replication.period
+        grid.run(until=grid.env.now + (len(grid.coordinators) + 1) * period)
+        for coordinator in grid.coordinators:
+            assert len(coordinator.tasks) == 480
+            assert {task.state for task in coordinator.tasks.values()} == {
+                TaskState.FINISHED
+            }
 
 
 class TestReplicaConvergence:

@@ -16,6 +16,7 @@ The delta-replication tests pin the other claim: an incremental
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import random
 import textwrap
@@ -494,7 +495,7 @@ class TestDeltaBuild:
         # zero table walks.
         assert table.items_calls == 0
         assert table.getitem_calls == len(dirty)
-        assert [e["call"]["identity"] for e in state.entries] == dirty
+        assert [e.call.identity for e in state.entries] == dirty
 
     def test_full_build_still_walks_the_table(self):
         table = self._table(20)
@@ -542,7 +543,7 @@ class TestDeltaBuild:
         index.note(record, key)
         entry_c, bytes_c = index.replica_entry(key, record)
         assert entry_c is not entry_a
-        assert entry_c["state"] == TaskState.FINISHED.value
+        assert entry_c.state is TaskState.FINISHED
         assert bytes_c == TASK_DESCRIPTION_BYTES  # finished: no parameters
 
     def test_cached_entries_flow_through_build_state(self):
@@ -559,25 +560,24 @@ class TestDeltaBuild:
         assert [id(e) for e in first.entries] == [id(e) for e in second.entries]
         assert first.size_bytes == second.size_bytes
 
-    def test_fresh_payload_skips_entry_copies_and_receiver_copies_back(self):
+    def test_payload_entries_are_the_builders_immutable_objects(self):
         tasks: dict[tuple, TaskRecord] = {}
         record = make_task(1)
         tasks[record.identity] = record
-        state = build_state("k0", tasks, {}, [])
-        assert state.fresh
+        index = TaskIndex(tasks)
+        state = build_state("k0", tasks, {}, [], entry_for=index.replica_entry)
+        (entry,) = state.entries
+        assert entry is index.replica_entry(record.identity, record)[0]
+        assert entry.call is record.call
         payload = state.to_payload()
-        assert payload["entries"][0] is state.entries[0]  # no re-copy
-        received = ReplicaState.from_payload(payload)
-        assert received.entries[0] is not state.entries[0]  # receiver copies
-        assert not received.fresh
-        assert received.entries[0] == state.entries[0]
-
-    def test_hand_assembled_state_still_copies_on_payload(self):
-        entry = make_task(1).to_replica_entry()
-        state = ReplicaState(origin="k0", entries=[entry])
-        payload = state.to_payload()
-        assert payload["entries"][0] is not entry
-        assert payload["entries"][0] == entry
+        assert payload["entries"][0] is entry  # sending side
+        assert ReplicaState.from_payload(payload).entries[0] is entry  # receiving side
+        for name in entry._fields:
+            with pytest.raises(AttributeError):
+                setattr(entry, name, None)
+        for spec in dataclasses.fields(entry.call):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(entry.call, spec.name, None)
 
 
 class TestScenarioParallelism:
