@@ -259,6 +259,8 @@ class CoordinatorComponent:
             return False
         self.results[key] = result
         self.index.note_result(key, result)
+        # A held archive is never fetched again.
+        self._archive_fetch_attempts.pop(key, None)
         return True
 
     def preload_tasks(
@@ -966,6 +968,9 @@ class CoordinatorComponent:
         for key in outcome.changed:
             self._mark_dirty(key)
         if outcome.newly_finished:
+            # A finished task is never ONGOING here again.
+            for key in outcome.newly_finished:
+                self._task_activity.pop(key, None)
             self.monitor.incr(
                 "coordinator.replicated_completions", len(outcome.newly_finished)
             )

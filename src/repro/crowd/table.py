@@ -10,37 +10,34 @@ full-protocol nodes to 100k-1M statistical clients.
 Columns
 =======
 
-``state``      int8   lifecycle: IDLE -> PENDING -> INFLIGHT -> DONE
-``submit_at``  f64    virtual time the client's (single) call becomes due
-``lane``       uint64 per-client RNG lane, drawn once from the ``crn.crowd``
-                      stream; every per-client random quantity is a pure
-                      function of (lane, salt), so think times are identical
-                      across paired-CRN sweep arms
+``state``   int8   lifecycle: IDLE -> PENDING -> INFLIGHT -> DONE
+``_order``  int32  client ids argsorted by due time (stable: ties break by id)
+``_times``  f64    the due times in that order
 
-There is no per-client batch id, deadline or resend count: the
-:class:`~repro.crowd.component.CrowdComponent` keeps those once per batch,
-and per-client copies would be written every tick and read by nothing.
+13 bytes per client, plus ``_cursor`` (every slot before it has been
+promoted) and ``_pending`` (int32 ids in PENDING, ascending).  A due time is
+``now + think_window * u``, ``u`` mixed by the splitmix64 finalizer out of one
+uint64 lane per client, drawn from the ``crn.crowd`` stream at build and then
+dropped, so think times are identical across paired-CRN sweep arms.  Batch
+ids, deadlines and resend counts live once per batch in the
+:class:`~repro.crowd.component.CrowdComponent`.
 
 The schedule
 ============
 
-``submit_at`` is an *event time*, so clients are indexed by when they become
-due instead of being rediscovered by a scan of the population at every clock
-step.  Built once: ``_order`` (int32; client ids argsorted by ``submit_at``,
-stable, so ties break by id), ``_times`` (f64; the due times in that order)
-and ``_cursor`` (every slot before it has been promoted).  Two invariants
-carry every method: each IDLE client sits at or after the cursor, and for an
-IDLE client ``_times`` and ``submit_at`` agree.  The costs that follow
-(n clients, k newly due, p pending):
+Clients are indexed by when they become due instead of being rediscovered by
+a scan of the population at every clock step.  One invariant carries every
+method: each IDLE client sits at or after the cursor, at its own due time.
+The costs that follow (n clients, k newly due, p pending, t unpromoted):
 
 ===============  ====================  ======================================
 ``due``          O(log n + k)          one ``searchsorted`` past the cursor
 ``claim``        O(log p + claimed)    two ``searchsorted`` into ``_pending``
 ``queue_depth``  O(1)                  a counter moved by ``due``/``mark_done``
 ``mark_done``    O(ids)                gather and scatter on ``state``
-``surge``        O(tail), once         rewrite the unpromoted tail in place
+``surge``        O(t), once            rewrite the tail in place, count IDLE
 ``counts``       O(n), per report      ``bincount`` over ``state``
-build            O(n log n), once      the argsort
+build            O(n log n), once      the argsort; peaks at ~21 B/client
 ===============  ====================  ======================================
 
 The table is deliberately free of any messaging or scheduling logic: the
@@ -89,39 +86,44 @@ class CrowdTable:
             raise ValueError("a crowd needs at least one client")
         if n > np.iinfo(np.int32).max:
             raise ValueError("a crowd table indexes clients with int32")
-        if think_window <= 0:
-            raise ValueError("think_window must be positive")
+        if not (np.isfinite(think_window) and think_window > 0):
+            raise ValueError("think_window must be positive and finite")
+        if not np.isfinite(now):
+            raise ValueError("now must be finite")
         self.n_clients = n
         self.think_window = float(think_window)
         self.state = np.zeros(n, dtype=np.int8)
-        self.submit_at = np.empty(n, dtype=np.float64)
-        #: one uint64 lane per client — the only draw the table ever takes
-        #: from its source stream, so paired-CRN arms stay in lockstep.
-        self.lane = lane_source.integers(
+        # The only draw the table takes from its stream (so paired-CRN arms
+        # stay in lockstep), mixed in place with one scratch buffer: the same
+        # IEEE steps as ``now + window * u(lane, 1)``, so bit-identical times.
+        z = lane_source.integers(
             0, np.iinfo(np.uint64).max, size=n, dtype=np.uint64, endpoint=False
         )
-        self.submit_at[:] = now + self.think_window * self._lane_uniform(1)
-        self._order = np.argsort(self.submit_at, kind="stable").astype(np.int32)
-        self._times = self.submit_at[self._order]
+        scratch = np.empty_like(z)
+        z += _SM_GAMMA
+        z ^= np.right_shift(z, np.uint64(30), out=scratch)
+        z *= _SM_MIX1
+        z ^= np.right_shift(z, np.uint64(27), out=scratch)
+        z *= _SM_MIX2
+        z ^= np.right_shift(z, np.uint64(31), out=scratch)
+        del scratch
+        z >>= np.uint64(11)
+        times = z.astype(np.float64)
+        del z
+        times *= 2.0**-53
+        times *= self.think_window
+        times += now
+        self._order = np.argsort(times, kind="stable").astype(np.int32)
+        self._times = times[self._order]
         self._cursor = 0
         #: ids in PENDING, ascending: promoted by ``due``, not yet claimed.
-        self._pending = np.empty(0, dtype=np.intp)
+        self._pending = np.empty(0, dtype=np.int32)
         #: clients in PENDING or INFLIGHT.
         self._queued = 0
         #: clients completed exactly once (transitions into DONE).
         self.completed = 0
         #: completion notifications for already-DONE clients.
         self.duplicate_completions = 0
-
-    # ------------------------------------------------------------------ RNG
-    def _lane_uniform(self, salt: int) -> np.ndarray:
-        """Uniform [0, 1) per client, a pure function of (lane, salt)."""
-        with np.errstate(over="ignore"):
-            z = self.lane + np.uint64(salt) * _SM_GAMMA
-            z = (z ^ (z >> np.uint64(30))) * _SM_MIX1
-            z = (z ^ (z >> np.uint64(27))) * _SM_MIX2
-            z = z ^ (z >> np.uint64(31))
-        return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     # ------------------------------------------------------------ lifecycle
     def _first_slot_after(self, now: float) -> int:
@@ -203,10 +205,7 @@ class CrowdTable:
         times -= now
         times /= factor
         times += now
-        tail = self._order[start:]
-        idle = self.state[tail] == IDLE
-        self.submit_at[tail[idle]] = times[idle]
-        return int(np.count_nonzero(idle))
+        return int(np.count_nonzero(self.state[self._order[start:]] == IDLE))
 
     # ----------------------------------------------------------- reporting
     def counts(self) -> dict[str, int]:

@@ -91,8 +91,9 @@ class TestCrowdTable:
         from repro.crowd import table as t
 
         tab = self._table()
-        assert (tab.submit_at >= 0).all() and (tab.submit_at < 50.0).all()
-        assert tab.due(25.0) == int(np.count_nonzero(tab.submit_at <= 25.0))
+        due_at = _due_times(tab)
+        assert (due_at >= 0).all() and (due_at < 50.0).all()
+        assert tab.due(25.0) == int(np.count_nonzero(due_at <= 25.0))
         ids = tab.claim(0, 100)
         assert (tab.state[ids] == t.INFLIGHT).all()
         assert tab.queue_depth() == ids.size
@@ -106,20 +107,38 @@ class TestCrowdTable:
     def test_surge_compresses_preserving_order(self):
         np = pytest.importorskip("numpy")
         tab = self._table()
-        before = tab.submit_at.copy()
+        before = _due_times(tab)
         future = (tab.state == 0) & (before > 10.0)
         accelerated = tab.surge(10.0, 100.0)
+        after = _due_times(tab)
         assert accelerated == int(np.count_nonzero(future))
-        assert (tab.submit_at[future] <= 10.0 + 40.0 / 100.0 + 1e-9).all()
+        assert (after[future] <= 10.0 + 40.0 / 100.0 + 1e-9).all()
         order_before = np.argsort(before[future], kind="stable")
-        order_after = np.argsort(tab.submit_at[future], kind="stable")
+        order_after = np.argsort(after[future], kind="stable")
         assert (order_before == order_after).all()
 
     def test_lanes_are_deterministic_per_seed(self):
         np = pytest.importorskip("numpy")
         a, b = self._table(seed=9), self._table(seed=9)
-        assert (a.submit_at == b.submit_at).all()
-        assert (a.lane == b.lane).all()
+        assert np.array_equal(a._order, b._order)
+        assert np.array_equal(a._times, b._times)
+
+    def test_claimed_and_pending_ids_are_int32(self):
+        tab = self._table()
+        tab.due(25.0)
+        assert tab._pending.dtype == np.int32
+        ids = tab.claim(0, 50)
+        assert ids.size and ids.dtype == np.int32
+        assert tab._pending.dtype == np.int32
+
+    @pytest.mark.parametrize(
+        "think_window, now",
+        [(float("nan"), 0.0), (float("inf"), 0.0), (0.0, 0.0), (-1.0, 0.0),
+         (10.0, float("nan")), (10.0, float("inf"))],
+    )
+    def test_non_finite_or_non_positive_window_or_start_raises(self, think_window, now):
+        with pytest.raises(ValueError):
+            CrowdTable(10, np.random.default_rng(0), think_window=think_window, now=now)
 
     def test_id_ranges_counts_contiguous_runs(self):
         np = pytest.importorskip("numpy")
@@ -128,6 +147,28 @@ class TestCrowdTable:
         assert id_ranges(np.array([], dtype=np.int64)) == 0
         assert id_ranges(np.array([4])) == 1
         assert id_ranges(np.array([1, 2, 3, 7, 8, 11])) == 3
+
+
+def _due_times(table):
+    """Every client's due time, scattered back from the table's schedule.
+
+    Exact for IDLE clients; a promoted or completed client's slot keeps
+    whatever a later surge wrote there, which nothing reads.
+    """
+    due_at = np.empty(table.n_clients)
+    due_at[table._order] = table._times
+    return due_at
+
+
+def _lane_uniform(lane, salt):
+    """Uniform [0, 1) per lane: the splitmix64 finalizer of ``lane + salt * gamma``,
+    written out of place, one expression per step."""
+    with np.errstate(over="ignore"):
+        z = lane + np.uint64(salt) * np.uint64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z = z ^ (z >> np.uint64(31))
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 class _MaskTable:
@@ -192,7 +233,7 @@ class _Pair:
         self.fast = CrowdTable(
             n, np.random.default_rng(seed), think_window=_WINDOW, now=base
         )
-        self.slow = _MaskTable(self.fast.submit_at)
+        self.slow = _MaskTable(_due_times(self.fast))
         #: every batch ever claimed (in flight or since completed).
         self.batches = []
 
@@ -229,7 +270,8 @@ class _Pair:
         else:  # pragma: no cover - generator bug
             raise AssertionError(op)
         assert np.array_equal(fast.state, slow.state), op
-        assert np.array_equal(fast.submit_at, slow.submit_at), op
+        idle = slow.state == IDLE
+        assert np.array_equal(_due_times(fast)[idle], slow.submit_at[idle]), op
         assert fast.queue_depth() == slow.queue_depth(), op
         assert fast.counts() == slow.counts(), op
         assert fast.completed == slow.completed, op
@@ -333,7 +375,7 @@ class TestScheduleMatchesMaskScan:
     def test_property_any_op_sequence(self, n, seed, base, ops):
         pair = _Pair(n, seed, base)
         if base:
-            assert np.unique(pair.fast.submit_at).size <= 5
+            assert np.unique(_due_times(pair.fast)).size <= 5
         for op in ops:
             pair.apply(op)
 
@@ -346,8 +388,9 @@ class TestScheduleMatchesMaskScan:
         """
         n, k = 1_000_000, 500
         fast = CrowdTable(n, np.random.default_rng(5), think_window=600.0)
-        slow = _MaskTable(fast.submit_at)
-        now = float(np.partition(fast.submit_at, k - 1)[k - 1])
+        due_at = _due_times(fast)
+        slow = _MaskTable(due_at)
+        now = float(np.partition(due_at, k - 1)[k - 1])
         bounds = [(i * n // 4, (i + 1) * n // 4) for i in range(4)]
 
         def tick(table):
@@ -369,7 +412,7 @@ class TestScheduleMatchesMaskScan:
         assert slow_peak >= 2_000_000, slow_peak
 
     def test_table_bytes_per_client(self):
-        """state 1 + submit_at 8 + lane 8 + order 4 + sorted times 8 = 29 B."""
+        """state 1 + order 4 + sorted times 8 = 13 B."""
         n = 1000
         table = CrowdTable(n, np.random.default_rng(0), think_window=10.0)
         columns = {
@@ -377,8 +420,52 @@ class TestScheduleMatchesMaskScan:
             for name, value in vars(table).items()
             if isinstance(value, np.ndarray) and value.size == n
         }
-        assert sum(column.nbytes for column in columns.values()) == 29 * n, columns
-        assert not {"retry_at", "batch", "backoff"} & set(vars(table))
+        assert sum(column.nbytes for column in columns.values()) == 13 * n, columns
+        assert not {"lane", "submit_at", "retry_at", "batch", "backoff"} & set(
+            vars(table)
+        )
+
+    @pytest.mark.parametrize("base", [0.0, _TIE_BASE])
+    def test_due_times_are_the_lane_formula_bit_for_bit(self, base):
+        """The in-place build keeps every due time of ``now + window *
+        u(lane, 1)``, recomputed here from a fresh draw of the same stream,
+        and the order breaks ties by id."""
+        n, seed = 5000, 11
+        table = CrowdTable(
+            n, np.random.default_rng(seed), think_window=_WINDOW, now=base
+        )
+        lane = np.random.default_rng(seed).integers(
+            0, np.iinfo(np.uint64).max, size=n, dtype=np.uint64, endpoint=False
+        )
+        expected = base + _WINDOW * _lane_uniform(lane, 1)
+        assert np.array_equal(_due_times(table), expected)
+        assert np.array_equal(table._order, np.argsort(expected, kind="stable"))
+
+    def test_build_peak_is_the_schedule_and_its_argsort(self):
+        """Building 1M clients holds ``state``, the due times, argsort's int64
+        result and its merge buffer at once: ~21 B/client at the peak."""
+        tracemalloc.start()
+        try:
+            CrowdTable(1_000_000, np.random.default_rng(5), think_window=600.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20, peak
+
+    def test_surge_allocates_only_the_idle_count(self):
+        """``surge`` rewrites the tail in place; its only temporaries are the
+        tail's ``state`` gather and mask, 2 B per unpromoted client."""
+        n = 1_000_000
+        table = CrowdTable(n, np.random.default_rng(5), think_window=600.0)
+        table.due(100.0)
+        tracemalloc.start()
+        try:
+            accelerated = table.surge(100.0, 100.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert accelerated > 0.8 * n
+        assert peak < 2.5 * 2**20, peak
 
 
 class TestNumpyGate:

@@ -424,6 +424,18 @@ class TestLiveRunAudit:
     def test_views_equal_a_recount_through_churn_kills_and_quorum_rounds(self):
         assert self._churn_run().checks > 1000
 
+    def test_per_task_maps_drain_as_tasks_finish(self):
+        """A finished task leaves the activity and archive-fetch maps, however
+        it finished: locally, through a replica merge, or by a fetched archive."""
+        (grid,) = self._churn_run().grids
+        for coordinator in grid.coordinators:
+            tasks = coordinator.tasks
+            assert all(
+                tasks[key].state is TaskState.ONGOING
+                for key in coordinator._task_activity
+            ), coordinator.name
+            assert not coordinator._archive_fetch_attempts.keys() & coordinator.results.keys()
+
     def test_views_equal_a_recount_in_a_crowd_cell(self):
         from repro.scenarios import SweepRunner, get_scenario, load_all
 
