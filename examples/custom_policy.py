@@ -46,7 +46,8 @@ if __name__ == "__main__":
         outputs = benchmark_cell(
             n_calls=24, exec_time=4.0, exec_time_spread=3.0,
             n_servers=4, n_coordinators=2,
-            fault_kind="rate", fault_target="servers", faults_per_minute=2.0,
+            components=[{"name": "inject.rate", "params": {
+                "target": "servers", "faults_per_minute": 2.0}}],
             scheduler_policy=policy, seed=7, horizon=3000.0,
         )
         print(

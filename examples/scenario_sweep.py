@@ -28,10 +28,17 @@ SPEC = ScenarioSpec(
     cell=benchmark_cell,
     base=dict(
         n_calls=24, exec_time=5.0, n_servers=8, n_coordinators=4,
-        fault_kind="churn", fault_target="coordinators",
         mttr=10.0, horizon=4000.0,
     ),
     axes=(Axis("mtbf", (600.0, 120.0, 30.0)),),
+    # The injector is a registered component; "$mtbf" / "$mttr" follow
+    # each cell's swept and fixed parameters.
+    components=(
+        {
+            "name": "inject.churn",
+            "params": {"target": "coordinators", "mtbf": "$mtbf", "mttr": "$mttr"},
+        },
+    ),
     seeds=(7, 11),
     outputs=("makespan", "completed", "faults_injected"),
     reduce=lambda results: [

@@ -31,6 +31,7 @@ from typing import Any, Sequence
 
 from repro.errors import ConfigurationError
 from repro.experiments.common import format_rows
+from repro.platform.registry import create_component
 from repro.scenarios.engine import PROTOCOL_PRESETS, resolve_protocol
 from repro.scenarios.registry import all_scenarios, get_scenario
 from repro.scenarios.runner import SweepRunner
@@ -79,10 +80,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="dotted-path protocol override, e.g. "
              "--set coordinator.replication.period=30 (repeatable; values "
              "are parsed as JSON, falling back to strings).  'faults.*' "
-             "paths route to the fault plan instead: faults.trace=FILE "
+             "paths add one fault injector (cli-faults-<target>) to every "
+             "cell instead: "
+             "faults.kind=churn|rate picks inject.churn (default) or "
+             "inject.rate, faults.target its tier, and faults.trace=FILE "
              "replays a node,up,down availability trace "
-             "(faults.trace_mode=wrap|clamp), faults.kind / faults.target "
-             "override the injector kind and tier",
+             "(faults.trace_mode=wrap|clamp)",
     )
     run.add_argument(
         "--resume", action="store_true",
@@ -144,36 +147,42 @@ def _parse_overrides(pairs: Sequence[str]) -> dict[str, Any]:
     return overrides
 
 
-#: ``--set faults.<key>=...`` routes to the cell kernel's fault plan instead
-#: of the protocol config; this maps each public key to its kernel keyword.
-_FAULT_OVERRIDE_KEYS = {
-    "trace": "fault_trace",
-    "trace_mode": "fault_trace_mode",
-    "kind": "fault_kind",
-    "target": "fault_target",
-}
+#: the ``--set faults.<key>=...`` keys; ``kind`` picks the ``inject.<kind>``
+#: component, the others become its parameters.
+_FAULT_OVERRIDE_KEYS = ("kind", "target", "trace", "trace_mode")
 
 
 def _split_fault_overrides(
     overrides: dict[str, Any]
-) -> tuple[dict[str, Any], dict[str, Any]]:
-    """Split ``faults.*`` entries (cell keywords) from protocol overrides."""
+) -> tuple[dict[str, Any], dict[str, Any] | None]:
+    """Split ``faults.*`` paths from protocol overrides.
+
+    The ``faults.*`` paths build one ``inject.*`` component entry (``None``
+    when there are none); ``kind`` defaults to ``churn``, the injector that
+    replays a trace.  The entry is named ``cli-faults-<target>``, so it
+    never clashes with an injector of the same kind the scenario arms.
+    """
     protocol: dict[str, Any] = {}
     faults: dict[str, Any] = {}
     for path, value in overrides.items():
         if path.startswith("faults."):
             key = path[len("faults."):]
             if key not in _FAULT_OVERRIDE_KEYS:
-                known = ", ".join(
-                    f"faults.{name}" for name in sorted(_FAULT_OVERRIDE_KEYS)
-                )
+                known = ", ".join(f"faults.{name}" for name in _FAULT_OVERRIDE_KEYS)
                 raise ConfigurationError(
                     f"unknown fault override {path!r} (known: {known})"
                 )
-            faults[_FAULT_OVERRIDE_KEYS[key]] = value
+            faults[key] = value
         else:
             protocol[path] = value
-    return protocol, faults
+    if not faults:
+        return protocol, None
+    kind = faults.pop("kind", "churn")
+    faults["name"] = f"cli-faults-{faults.get('target', 'servers')}"
+    entry = {"name": f"inject.{kind}", "params": faults}
+    # Fail fast on a bad kind or parameter, before any sweep burns time.
+    create_component(entry["name"], entry["params"])
+    return protocol, entry
 
 
 def _accepted_keywords(cell: Any) -> set[str]:
@@ -207,22 +216,10 @@ def _protocol_params(
     return params
 
 
-def _fault_params(
-    spec: Any, fault_overrides: dict[str, Any]
-) -> dict[str, Any] | None:
-    """The ``faults.*`` keywords for ``spec``'s cell kernel (gated like
-    :func:`_protocol_params`: ``None`` means the kernel can't take them)."""
-    if not fault_overrides:
-        return {}
-    if not set(fault_overrides) <= _accepted_keywords(spec.cell):
-        return None
-    return dict(fault_overrides)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     names = args.scenarios or list(all_scenarios())
     store = ResultsStore(args.out)
-    overrides, fault_overrides = _split_fault_overrides(
+    overrides, fault_entry = _split_fault_overrides(
         _parse_overrides(args.overrides)
     )
     # Fail fast on a bad preset name or a typo'd override path, before any
@@ -242,14 +239,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if protocol_params is None:
             print(f"-- {name}: cell kernel takes no protocol, skipping")
             continue
-        fault_params = _fault_params(spec, fault_overrides)
-        if fault_params is None:
-            print(f"-- {name}: cell kernel takes no fault plan, skipping")
-            continue
-        cell_params = {**protocol_params, **fault_params}
+        if fault_entry is not None:
+            if "components" not in _accepted_keywords(spec.cell):
+                print(f"-- {name}: cell kernel takes no components, skipping")
+                continue
+            # Prepended: the added injector is armed before the spec's own
+            # components, in the slot a fault plan is armed in.
+            spec = spec.with_overrides(components=(fault_entry, *spec.components))
         runner = SweepRunner(
             spec, scale=scale, jobs=args.jobs, seeds=args.seeds, store=store,
-            params=cell_params or None, resume=args.resume,
+            params=protocol_params or None, resume=args.resume,
         )
         plan = runner.plan
         print(

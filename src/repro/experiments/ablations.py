@@ -60,15 +60,24 @@ def _ablation_baselines() -> ScenarioSpec:
         base=dict(
             n_calls=96,
             exec_time=10.0,
-            fault_kind="rate",
+            # Both stay cell parameters: the reducer reports them per row.
             fault_target="coordinators",
             faults_per_minute=4.0,
-            restart_delay=5.0,
             horizon=4000.0,
         ),
         axes=(Axis("protocol_preset", _SYSTEMS),),
         seeds=(7, 11),
         outputs=("makespan", "submitted", "completed"),
+        components=(
+            {
+                "name": "inject.rate",
+                "params": {
+                    "target": "$fault_target",
+                    "faults_per_minute": "$faults_per_minute",
+                    "restart_delay": 5.0,
+                },
+            },
+        ),
         scales={
             "tiny": dict(n_calls=24, exec_time=5.0, seeds=(7,), horizon=3000.0),
         },

@@ -5,8 +5,9 @@ crash abruptly (losing all volatile state and every queued message), restart
 later — possibly much later, possibly never — and keep only what was written
 to their simulated disk.  The package also provides the disk and database
 cost models that dominate several of the paper's measurements, the churn
-models describing volatility, and the controllable fault generator used to
-stress the system far beyond what a real Internet deployment would allow.
+models describing volatility, and the controllable fault injectors (the
+``inject.*`` components) used to stress the system far beyond what a real
+Internet deployment would allow.
 """
 
 from repro.nodes.churn import (
@@ -18,7 +19,7 @@ from repro.nodes.churn import (
 )
 from repro.nodes.database import Database, DatabaseModel
 from repro.nodes.disk import DiskModel
-from repro.nodes.faultgen import FaultGenerator, FaultScript, ScriptedEvent
+from repro.nodes.faultgen import FaultGenerator, FaultScript
 from repro.nodes.node import Host
 
 __all__ = [
@@ -31,7 +32,6 @@ __all__ = [
     "FaultScript",
     "Host",
     "NoChurn",
-    "ScriptedEvent",
     "TraceChurn",
     "WeibullChurn",
 ]

@@ -3,40 +3,56 @@
 The paper built "a fault generator, running as a remotely controllable
 daemon [that], upon order, or from its own initiative with respect to its
 configuration, kills abruptly the RPC-V component of the hosting machine".
-This module reproduces both modes:
+This module reproduces its modes as four registered components, one class
+each:
 
-* :class:`FaultGenerator` — autonomous Poisson (or churn-model driven) kills
-  and restarts over a pool of hosts, parameterised by a global fault
-  frequency exactly as swept in Figure 7;
-* :class:`FaultScript` — an explicit timetable of kill/restart events, used
-  for the labelled scenarios of Figures 10 and 11.
+* ``inject.rate`` (:class:`FaultGenerator`) — autonomous Poisson kills and
+  restarts over one tier, parameterised by the aggregate fault frequency
+  exactly as swept in Figure 7;
+* ``inject.churn`` (:class:`ChurnInjector`) — per-host volatility driven by
+  a :class:`~repro.nodes.churn.ChurnModel` (desktop-grid churn);
+* ``inject.correlated`` (:class:`CorrelatedFaults`) — whole groups of hosts
+  failing and returning together;
+* ``inject.script`` (:class:`FaultScript`) — an explicit timetable of
+  kill/restart events and condition-triggered steps, used for the labelled
+  scenarios of Figures 10 and 11.
+
+Every class is a component in the structural sense of
+:class:`repro.platform.component.Component`: a plain ``name`` attribute, a
+constructor taking only plain (JSON-able) parameters and validating them, a
+``setup(builder)`` binding the environment, hosts, RNG streams and monitor
+off the :class:`~repro.platform.builder.Builder`, and ``start``/``stop``
+driving the injection loop.  The rate, churn and correlated injectors count
+their kills in a plain ``injected`` attribute (the ``faults_injected``
+output of a benchmark cell).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.errors import ConfigurationError
-from repro.nodes.churn import ChurnModel
+from repro.nodes.churn import ChurnModel, ExponentialChurn, TraceChurn
 from repro.nodes.node import Host
-from repro.sim.core import Environment, ProcessKilled
-from repro.sim.monitor import Monitor
-from repro.sim.rng import RandomStreams
+from repro.platform.registry import component
+from repro.sim.core import ProcessKilled
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.platform.builder import Builder
 
 __all__ = [
     "ChurnInjector",
     "CorrelatedFaults",
     "FaultGenerator",
-    "ScriptedEvent",
     "FaultScript",
 ]
 
 
+@component("inject.rate")
 class FaultGenerator:
-    """Injects independent, exponentially-distributed faults over a host pool.
+    """Injects independent, exponentially-distributed faults over one tier.
 
-    ``faults_per_minute`` is the aggregate rate over the whole pool (the
+    ``faults_per_minute`` is the aggregate rate over the tier's hosts (the
     x-axis of Figure 7); each fault picks a victim uniformly at random, kills
     it abruptly, then restarts it after ``restart_delay`` seconds (set to
     ``float('inf')`` for permanent failures).
@@ -44,41 +60,33 @@ class FaultGenerator:
 
     def __init__(
         self,
-        env: Environment,
-        hosts: Sequence[Host],
-        rng: RandomStreams,
+        target: str = "servers",
         faults_per_minute: float = 0.0,
         restart_delay: float = 5.0,
-        monitor: Monitor | None = None,
-        name: str = "faultgen",
+        name: str | None = None,
     ) -> None:
         if faults_per_minute < 0:
             raise ConfigurationError("faults_per_minute must be non-negative")
         if restart_delay < 0:
             raise ConfigurationError("restart_delay must be non-negative")
-        self.env = env
-        self.hosts = list(hosts)
-        self.rng = rng
+        self.name = name or f"faultgen-{target}"
+        self.target = target
         self.faults_per_minute = faults_per_minute
         self.restart_delay = restart_delay
-        self.monitor = monitor or Monitor()
-        self.name = name
+        #: faults injected so far (the ``faults_injected`` output).
         self.injected = 0
         self._running = False
 
-    def setup(self, builder) -> None:
-        """Component lifecycle hook: the generator binds at construction.
-
-        (The declarative, Builder-driven construction lives in
-        :class:`repro.platform.library.RateFaultInjector`.)
-        """
+    def setup(self, builder: "Builder") -> None:
+        self.env = builder.env
+        self.hosts = builder.hosts(self.target)
+        self.rng = builder.rng
+        self.monitor = builder.monitor
 
     # -- autonomous operation -----------------------------------------------------
     def start(self) -> None:
         """Start injecting faults (no-op at rate 0)."""
-        if self.faults_per_minute <= 0 or not self.hosts:
-            return
-        if self._running:
+        if self.faults_per_minute <= 0 or not self.hosts or self._running:
             return
         self._running = True
         self.env.process(self._run(), name=f"{self.name}:driver")
@@ -101,16 +109,18 @@ class FaultGenerator:
             self.kill(victim)
 
     # -- manual orders ("upon order") ------------------------------------------------
-    def kill(self, host: Host, restart_after: float | None = None) -> None:
+    def kill(self, host: Host) -> None:
         """Kill ``host`` now; schedule its restart unless permanently down."""
         if not host.up:
             return
         self.injected += 1
         self.monitor.incr("faultgen.kills")
-        host.crash(cause=f"{self.name}")
-        delay = self.restart_delay if restart_after is None else restart_after
-        if delay != float("inf"):
-            self.env.process(self._restart_later(host, delay), name=f"{self.name}:restart")
+        host.crash(cause=self.name)
+        if self.restart_delay != float("inf"):
+            self.env.process(
+                self._restart_later(host, self.restart_delay),
+                name=f"{self.name}:restart",
+            )
 
     def _restart_later(self, host: Host, delay: float):
         try:
@@ -122,42 +132,60 @@ class FaultGenerator:
             self.monitor.incr("faultgen.restarts")
 
 
+@component("inject.churn")
 class ChurnInjector:
-    """Per-host volatility driven by a :class:`~repro.nodes.churn.ChurnModel`.
+    """Per-host volatility: every host of a tier churns independently.
 
-    Unlike :class:`FaultGenerator` (one aggregate Poisson rate over the pool),
+    Unlike :class:`FaultGenerator` (one aggregate Poisson rate over the tier),
     every host lives through its own up-time / down-time cycle drawn from the
     model, as a volatile desktop-grid node would: it crashes when its up-time
     expires and returns after its down-time — or never, when the model draws a
     permanent departure.
+
+    The availability schedule comes from, in order of precedence: an explicit
+    ``model`` object, a ``trace`` CSV file of absolute ``node,up,down``
+    availability intervals (see :meth:`repro.nodes.churn.TraceChurn.from_csv`;
+    ``trace_mode`` decides whether an exhausted trace wraps or clamps the
+    node down permanently), inline deterministic ``trace_pairs``
+    (``[[up, down], ...]`` durations), or the exponential MTBF/MTTR model.
     """
 
     def __init__(
         self,
-        env: Environment,
-        hosts: Sequence[Host],
-        rng: RandomStreams,
-        model: ChurnModel,
-        monitor: Monitor | None = None,
-        name: str = "churn",
+        target: str = "servers",
+        mtbf: float = 600.0,
+        mttr: float = 30.0,
+        permanent_fraction: float = 0.0,
+        model: ChurnModel | None = None,
+        trace: str | None = None,
+        trace_mode: str = "wrap",
+        trace_pairs: Sequence[Sequence[float]] | None = None,
+        name: str | None = None,
     ) -> None:
-        self.env = env
-        self.hosts = list(hosts)
-        self.rng = rng
-        self.model = model
-        self.monitor = monitor or Monitor()
-        self.name = name
+        self.name = name or f"churn-{target}"
+        self.target = target
+        if model is not None:
+            self.model = model
+        elif trace is not None:
+            self.model = TraceChurn.from_csv(trace, mode=trace_mode)
+        elif trace_pairs is not None:
+            self.model = TraceChurn(
+                pairs=[(float(up), float(down)) for up, down in trace_pairs],
+                mode=trace_mode,
+            )
+        else:
+            self.model = ExponentialChurn(
+                mtbf=mtbf, mttr=mttr, permanent_fraction=permanent_fraction
+            )
+        #: departures injected so far (the ``faults_injected`` output).
         self.injected = 0
-        self.restarts = 0
-        self.permanent_departures = 0
         self._running = False
 
-    def setup(self, builder) -> None:
-        """Component lifecycle hook: the injector binds at construction.
-
-        (The declarative, Builder-driven construction lives in
-        :class:`repro.platform.library.ChurnInjectorComponent`.)
-        """
+    def setup(self, builder: "Builder") -> None:
+        self.env = builder.env
+        self.hosts = builder.hosts(self.target)
+        self.rng = builder.rng
+        self.monitor = builder.monitor
 
     def start(self) -> None:
         """Start one volatility loop per host (idempotent)."""
@@ -188,25 +216,29 @@ class ChurnInjector:
                 self.monitor.incr("churn.departures")
                 host.crash(cause=self.name)
             if downtime == float("inf"):
-                self.permanent_departures += 1
                 self.monitor.incr("churn.permanent")
                 return
             yield self.env.timeout(downtime)
             if not host.up:
                 host.restart()
-                self.restarts += 1
                 self.monitor.incr("churn.returns")
 
 
+@component("inject.correlated")
 class CorrelatedFaults:
     """Correlated (group) failures: whole groups crash and return together.
 
     Independent per-host churn underestimates the damage of power or network
     events that take out a whole site at once.  This generator draws group
-    failures from a single Poisson process: each event picks one group,
-    kills every up member simultaneously, optionally partitions the group
-    from the rest of the grid while it is down, and restarts the whole group
-    together after an exponentially-distributed downtime.
+    failures from a single Poisson process (aggregate ``rate_per_minute``):
+    each event picks one group, kills every up member simultaneously,
+    optionally ``partition``-s the group from the rest of the grid while it
+    is down, and restarts the whole group together after an
+    exponentially-distributed downtime (mean ``mttr``).
+
+    ``groups`` names the failure domains explicitly (a list of host-name
+    lists); without it the tier's hosts are chunked into consecutive groups
+    of ``group_size``.
 
     All three draws (inter-event gap, group choice, downtime) come from
     ``crn.``-prefixed streams and are made unconditionally per event, so two
@@ -216,52 +248,57 @@ class CorrelatedFaults:
 
     def __init__(
         self,
-        env: Environment,
-        groups: Sequence[Sequence[Host]],
-        rng: RandomStreams,
+        target: str = "servers",
+        groups: Sequence[Sequence[str]] | None = None,
+        group_size: int = 2,
         rate_per_minute: float = 0.0,
         mttr: float = 30.0,
-        all_hosts: Sequence[Host] | None = None,
-        partitions=None,
         partition: bool = False,
-        monitor: Monitor | None = None,
-        name: str = "correlated",
+        name: str | None = None,
     ) -> None:
         if rate_per_minute < 0:
             raise ConfigurationError("rate_per_minute must be non-negative")
         if mttr <= 0:
             raise ConfigurationError("mttr must be positive")
-        cleaned = [list(group) for group in groups if group]
-        if groups and not cleaned:
-            raise ConfigurationError("correlated fault groups must be non-empty")
-        self.env = env
-        self.groups = cleaned
-        self.rng = rng
+        if groups is None and group_size < 1:
+            raise ConfigurationError("group_size must be at least 1")
+        self.name = name or f"correlated-{target}"
+        if groups is not None:
+            cleaned = [list(group) for group in groups if group]
+            if groups and not cleaned:
+                raise ConfigurationError("correlated fault groups must be non-empty")
+            groups = cleaned
+        self.target = target
+        self.group_names = groups
+        self.group_size = group_size
         self.rate_per_minute = rate_per_minute
         self.mttr = mttr
-        self.all_hosts = list(all_hosts) if all_hosts is not None else [
-            host for group in self.groups for host in group
-        ]
-        self.partitions = partitions
         self.partition = partition
-        self.monitor = monitor or Monitor()
-        self.name = name
+        #: hosts killed so far (the ``faults_injected`` output).
         self.injected = 0
         self.events = 0
         self._running = False
 
-    def setup(self, builder) -> None:
-        """Component lifecycle hook: the generator binds at construction.
-
-        (The declarative, Builder-driven construction lives in
-        :class:`repro.platform.library.CorrelatedFaultInjector`.)
-        """
+    def setup(self, builder: "Builder") -> None:
+        if self.group_names is not None:
+            self.groups = [
+                [builder.host(entry) for entry in group] for group in self.group_names
+            ]
+        else:
+            tier = builder.hosts(self.target)
+            self.groups = [
+                tier[index : index + self.group_size]
+                for index in range(0, len(tier), self.group_size)
+            ]
+        self.env = builder.env
+        self.rng = builder.rng
+        self.all_hosts = builder.hosts("all")
+        self.partitions = builder.partitions
+        self.monitor = builder.monitor
 
     def start(self) -> None:
         """Start injecting group failures (no-op at rate 0)."""
-        if self.rate_per_minute <= 0 or not self.groups:
-            return
-        if self._running:
+        if self.rate_per_minute <= 0 or not self.groups or self._running:
             return
         self._running = True
         self.env.process(self._run(), name=f"{self.name}:driver")
@@ -293,8 +330,7 @@ class CorrelatedFaults:
                     self.injected += 1
                     self.monitor.incr("correlated.kills")
                     host.crash(cause=self.name)
-                if self.partition and self.partitions is not None:
-                    partition_name = f"{self.name}:{self.events}"
+                if self.partition:
                     inside = [host.address for host in group]
                     outside = [
                         host.address
@@ -302,10 +338,9 @@ class CorrelatedFaults:
                         if host not in group
                     ]
                     if outside:
+                        partition_name = f"{self.name}:{self.events}"
                         self.partitions.partition(partition_name, inside, outside)
                         self.monitor.incr("correlated.partitions")
-                    else:
-                        partition_name = None
             self.env.process(
                 self._recover(list(group), downtime, partition_name),
                 name=f"{self.name}:recover",
@@ -324,63 +359,224 @@ class CorrelatedFaults:
                 self.monitor.incr("correlated.restarts")
 
 
-@dataclass(frozen=True)
-class ScriptedEvent:
-    """One entry of a :class:`FaultScript` timetable."""
-
-    time: float
-    action: Literal["kill", "restart"]
-    target: str  # host address string, matched against str(host.address)
-
-    def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ConfigurationError("scripted event time must be non-negative")
-        if self.action not in ("kill", "restart"):
-            raise ConfigurationError(f"unknown scripted action {self.action!r}")
-
-
-@dataclass
+@component("inject.script")
 class FaultScript:
-    """A deterministic timetable of kills and restarts (Figs. 10-11 scenarios)."""
+    """Deterministic kill/restart scripts (the Figs. 10-11 style).
 
-    events: list[ScriptedEvent] = field(default_factory=list)
+    Two declarative forms, combinable:
 
-    def kill(self, time: float, target: str) -> "FaultScript":
-        """Append a kill of ``target`` at ``time``; returns self for chaining."""
-        self.events.append(ScriptedEvent(time=time, action="kill", target=target))
-        return self
+    ``events`` — an absolute timetable: ``{"time": ..., "action": "kill" |
+    "restart", "target": "<host>"}`` records, times relative to the
+    component's start.
 
-    def restart(self, time: float, target: str) -> "FaultScript":
-        """Append a restart of ``target`` at ``time``; returns self for chaining."""
-        self.events.append(ScriptedEvent(time=time, action="restart", target=target))
-        return self
+    ``steps`` — a *sequential conditional program*, for scripts that trigger
+    on system state rather than wall-clock time (Figure 10 kills the primary
+    once ~40 % of the campaign has completed).  Steps run in order; each may
+    carry:
 
-    def install(self, env: Environment, hosts: Sequence[Host], monitor: Monitor | None = None) -> None:
-        """Spawn a driver process executing the timetable on the given hosts."""
-        by_name = {str(h.address): h for h in hosts}
-        monitor = monitor or Monitor()
-        ordered = sorted(self.events, key=lambda e: e.time)
+    * ``"until"``: a condition polled every ``"poll"`` seconds (default 10)
+      before the step's action fires —
+      ``{"kind": "finished-count", "coordinator": "lille", "at_least": N}``
+      (that coordinator knows ≥ N finished tasks) or
+      ``{"kind": "caught-up", "coordinator": "lille", "reference": "orsay",
+      "margin": M}`` (lille's count is within M of orsay's);
+    * ``"after"``: a plain delay in seconds (instead of, or with, nothing);
+    * ``"do"``: ``"kill"`` / ``"restart"`` (needs ``"target"``) or ``"note"``
+      (record only);
+    * ``"label"`` / ``"note"``: recorded with the firing time in
+      :attr:`recorded` — the labelled event log the figures annotate.
 
-        def driver():
-            start = env.now
-            for event in ordered:
-                delay = max(0.0, start + event.time - env.now)
-                if delay:
-                    yield env.timeout(delay)
-                host = by_name.get(event.target)
-                if host is None:
-                    raise ConfigurationError(
-                        f"fault script targets unknown host {event.target!r}"
-                    )
-                if event.action == "kill":
-                    monitor.incr("faultscript.kills")
-                    host.crash(cause="fault-script")
+    Both forms name a host the way :meth:`Builder.host
+    <repro.platform.builder.Builder.host>` does: its full address
+    (``"server:s000"``) or its bare name (``"s000"``).  An unknown target
+    fails at setup, before anything runs.
+    """
+
+    _CONDITIONS = ("finished-count", "caught-up")
+
+    def __init__(
+        self,
+        events: Sequence[Mapping[str, Any]] = (),
+        steps: Sequence[Mapping[str, Any]] = (),
+        name: str | None = None,
+    ) -> None:
+        self.name = name or "fault-script"
+        timetable: list[tuple[float, str, str]] = []
+        for event in events:
+            action = event.get("action")
+            if action not in ("kill", "restart"):
+                raise ConfigurationError(
+                    f"unknown scripted action {action!r} (kill or restart)"
+                )
+            if not event.get("target"):
+                raise ConfigurationError(
+                    f"scripted event {dict(event)!r} needs a 'target'"
+                )
+            try:
+                time = float(event["time"])
+            except (KeyError, TypeError, ValueError):
+                raise ConfigurationError(
+                    f"scripted event {dict(event)!r} needs a numeric 'time'"
+                ) from None
+            if time < 0:
+                raise ConfigurationError("scripted event time must be non-negative")
+            timetable.append((time, action, str(event["target"])))
+        #: the timetable as ``(time, action, target)``, in firing order.
+        self.events = sorted(timetable, key=lambda event: event[0])
+        self.steps = [dict(step) for step in steps]
+        for step in self.steps:
+            do = step.get("do")
+            if do not in (None, "kill", "restart", "note"):
+                raise ConfigurationError(
+                    f"unknown step action {do!r} (kill, restart or note)"
+                )
+            if do in ("kill", "restart") and not step.get("target"):
+                raise ConfigurationError(f"step {step!r} needs a 'target'")
+            try:
+                step["poll"] = float(step.get("poll", 10.0))
+                if step.get("after") is not None:
+                    step["after"] = float(step["after"])
+            except (TypeError, ValueError) as error:
+                raise ConfigurationError(
+                    f"step {step!r} has a non-numeric timing value: {error}"
+                ) from None
+            until = step.get("until")
+            if until is None:
+                continue
+            if not isinstance(until, Mapping):
+                raise ConfigurationError(
+                    f"step condition must be a mapping, got {until!r}"
+                )
+            kind = until.get("kind")
+            if kind not in self._CONDITIONS:
+                raise ConfigurationError(
+                    f"unknown step condition {kind!r} "
+                    f"(one of: {', '.join(self._CONDITIONS)})"
+                )
+            required = (
+                ("coordinator", "at_least")
+                if kind == "finished-count"
+                else ("coordinator", "reference")
+            )
+            missing = [key for key in required if key not in until]
+            if missing:
+                raise ConfigurationError(
+                    f"step condition {dict(until)!r} is missing "
+                    f"{', '.join(missing)}"
+                )
+            # Coerce the numeric threshold now (steps often come from
+            # hand-written JSON/YAML specs): a malformed value must fail
+            # here, not as a TypeError at the first in-simulation poll.
+            until = step["until"] = dict(until)
+            try:
+                if kind == "finished-count":
+                    until["at_least"] = float(until["at_least"])
                 else:
-                    monitor.incr("faultscript.restarts")
-                    host.restart()
+                    until["margin"] = float(until.get("margin", 0))
+            except (TypeError, ValueError) as error:
+                raise ConfigurationError(
+                    f"step condition {dict(until)!r} has a non-numeric "
+                    f"threshold: {error}"
+                ) from None
+        #: labelled events the steps recorded, in firing order.
+        self.recorded: list[dict[str, Any]] = []
 
-        env.process(driver(), name="fault-script")
+    def setup(self, builder: "Builder") -> None:
+        self.env = builder.env
+        self.grid = builder.grid
+        self.monitor = builder.monitor
+        # Fail fast on a target no host of this grid matches: events and
+        # steps resolve alike, through builder.host.
+        targets = [target for _, _, target in self.events]
+        targets += [str(step["target"]) for step in self.steps if step.get("target")]
+        self._hosts: dict[str, Host] = {}
+        unknown = set()
+        for target in targets:
+            try:
+                self._hosts[target] = builder.host(target)
+            except ConfigurationError:
+                unknown.add(target)
+        if unknown:
+            raise ConfigurationError(
+                f"fault script targets unknown hosts: {sorted(unknown)}"
+            )
+        # The coordinator names inside step conditions get the same fail-fast
+        # treatment — a typo must not surface mid-simulation at the first poll.
+        coordinators = {c.address.name for c in self.grid.coordinators}
+        for step in self.steps:
+            until = step.get("until")
+            if until is None:
+                continue
+            named = {
+                str(until[key])
+                for key in ("coordinator", "reference")
+                if key in until
+            }
+            missing = named - coordinators
+            if missing:
+                raise ConfigurationError(
+                    f"step condition references unknown coordinators: "
+                    f"{sorted(missing)} (known: {sorted(coordinators)})"
+                )
 
-    def targets(self) -> set[str]:
-        """All host names referenced by the script."""
-        return {event.target for event in self.events}
+    def start(self) -> None:
+        if self.events:
+            self.env.process(self._run_events(), name=self.name)
+        if self.steps:
+            self.env.process(self._run_steps(), name=f"{self.name}:steps")
+
+    def stop(self) -> None:
+        """Nothing to reclaim: the drivers run their scripts to the end."""
+
+    def _run_events(self):
+        env = self.env
+        start = env.now
+        for time, action, target in self.events:
+            delay = max(0.0, start + time - env.now)
+            if delay:
+                yield env.timeout(delay)
+            host = self._hosts[target]
+            if action == "kill":
+                self.monitor.incr("faultscript.kills")
+                host.crash(cause=self.name)
+            else:
+                self.monitor.incr("faultscript.restarts")
+                host.restart()
+
+    # ------------------------------------------------------------ step driver
+    def _satisfied(self, condition: Mapping[str, Any]) -> bool:
+        kind = condition["kind"]
+        coordinator = self.grid.coordinator_by_name(str(condition["coordinator"]))
+        if kind == "finished-count":
+            return coordinator.finished_count() >= condition["at_least"]
+        # caught-up: coordinator's count within margin of the reference's.
+        reference = self.grid.coordinator_by_name(str(condition["reference"]))
+        margin = condition.get("margin", 0)
+        return coordinator.finished_count() >= reference.finished_count() - margin
+
+    def _run_steps(self):
+        env = self.env
+        for step in self.steps:
+            until = step.get("until")
+            if until is not None:
+                # __init__ coerced poll/after to floats (fail-fast contract).
+                while not self._satisfied(until):
+                    yield env.timeout(step["poll"])
+            after = step.get("after")
+            if after:
+                yield env.timeout(after)
+            do = step.get("do")
+            if do == "kill":
+                self._hosts[str(step["target"])].crash(cause=self.name)
+                self.monitor.incr("faultscript.kills")
+            elif do == "restart":
+                self._hosts[str(step["target"])].restart()
+                self.monitor.incr("faultscript.restarts")
+            if step.get("label") is not None or step.get("note") is not None:
+                record: dict[str, Any] = {}
+                if step.get("label") is not None:
+                    record["label"] = step["label"]
+                if step.get("note") is not None:
+                    record["event"] = step["note"]
+                record["time"] = env.now
+                self.recorded.append(record)

@@ -21,9 +21,9 @@ driven by the :class:`~repro.platform.manager.ComponentManager`:
 :class:`Component` is a structural (duck-typed) protocol: any object with
 those three methods and a ``name`` qualifies — the existing protocol
 components (:class:`~repro.core.client.ClientComponent` and friends) and the
-injectors of :mod:`repro.nodes.faultgen` implement it directly.
-:class:`BaseComponent` is an optional convenience base class with no-op
-defaults for authors who only care about one or two phases.
+``inject.*`` fault injectors of :mod:`repro.nodes.faultgen` implement it
+directly.  :class:`BaseComponent` is an optional convenience base class with
+no-op defaults for authors who only care about one or two phases.
 """
 
 from __future__ import annotations

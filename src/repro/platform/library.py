@@ -1,17 +1,18 @@
-"""Built-in registered components.
+"""Built-in registered components beyond fault injection.
 
-These are the declarative building blocks a :class:`~repro.scenarios.spec.
+These are declarative building blocks a :class:`~repro.scenarios.spec.
 ScenarioSpec` can name in its ``components:`` list (or code can pass to
 ``build_grid(components=...)`` / ``grid.add_component(...)``) without touching
 any wiring code:
 
-* ``inject.rate``            — the Poisson fault generator of Figure 7;
-* ``inject.churn``           — per-host volatility (desktop-grid churn);
-* ``inject.script``          — a deterministic kill/restart timetable;
 * ``net.partition-schedule`` — timed partitions/heals over the partition
   manager (split-brain and one-way visibility rules);
 * ``detect.heartbeat``       — an auxiliary heart-beat beacon from one tier
   of hosts to arbitrary targets.
+
+The fault injectors (``inject.rate``, ``inject.churn``,
+``inject.correlated``, ``inject.script``) live with the hosts they kill, in
+:mod:`repro.nodes.faultgen`.
 
 Every class here follows the same shape: a constructor taking only plain
 (JSON-able) parameters, a ``setup(builder)`` pulling the substrate off the
@@ -28,405 +29,13 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 from repro.detect.heartbeat import HeartbeatEmitter
 from repro.errors import ConfigurationError
 from repro.net.message import MessageType
-from repro.nodes.churn import ChurnModel, ExponentialChurn, TraceChurn
-from repro.nodes.faultgen import (
-    ChurnInjector,
-    CorrelatedFaults,
-    FaultGenerator,
-    FaultScript,
-)
 from repro.platform.component import BaseComponent
 from repro.platform.registry import component
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.platform.builder import Builder
 
-__all__ = [
-    "ChurnInjectorComponent",
-    "CorrelatedFaultInjector",
-    "HeartbeatBeacon",
-    "PartitionSchedule",
-    "RateFaultInjector",
-    "ScriptedFaults",
-]
-
-
-@component("inject.rate")
-class RateFaultInjector(BaseComponent):
-    """Aggregate-rate Poisson fault injection over one tier (Figure 7)."""
-
-    def __init__(
-        self,
-        target: str = "servers",
-        faults_per_minute: float = 0.0,
-        restart_delay: float = 5.0,
-        name: str | None = None,
-    ) -> None:
-        super().__init__(name or f"faultgen-{target}")
-        self.target = target
-        self.faults_per_minute = faults_per_minute
-        self.restart_delay = restart_delay
-        self.injector: FaultGenerator | None = None
-
-    def setup(self, builder: "Builder") -> None:
-        self.injector = FaultGenerator(
-            env=builder.env,
-            hosts=builder.hosts(self.target),
-            rng=builder.rng,
-            faults_per_minute=self.faults_per_minute,
-            restart_delay=self.restart_delay,
-            monitor=builder.monitor,
-            name=self.name,
-        )
-
-    def start(self) -> None:
-        assert self.injector is not None, "setup() must run before start()"
-        self.injector.start()
-
-    def stop(self) -> None:
-        if self.injector is not None:
-            self.injector.stop()
-
-    @property
-    def injected(self) -> int:
-        """Faults injected so far (the ``faults_injected`` output)."""
-        return self.injector.injected if self.injector is not None else 0
-
-
-@component("inject.churn")
-class ChurnInjectorComponent(BaseComponent):
-    """Per-host volatility: every host of a tier churns independently.
-
-    The availability schedule comes from, in order of precedence: an explicit
-    ``model`` object, a ``trace`` CSV file of absolute ``node,up,down``
-    availability intervals (see :meth:`repro.nodes.churn.TraceChurn.from_csv`;
-    ``trace_mode`` decides whether an exhausted trace wraps or clamps the
-    node down permanently), inline deterministic ``trace_pairs``
-    (``[[up, down], ...]`` durations), or the exponential MTBF/MTTR model.
-    """
-
-    def __init__(
-        self,
-        target: str = "servers",
-        mtbf: float = 600.0,
-        mttr: float = 30.0,
-        permanent_fraction: float = 0.0,
-        model: ChurnModel | None = None,
-        trace: str | None = None,
-        trace_mode: str = "wrap",
-        trace_pairs: Sequence[Sequence[float]] | None = None,
-        name: str | None = None,
-    ) -> None:
-        super().__init__(name or f"churn-{target}")
-        self.target = target
-        if model is not None:
-            self.model = model
-        elif trace is not None:
-            self.model = TraceChurn.from_csv(trace, mode=trace_mode)
-        elif trace_pairs is not None:
-            self.model = TraceChurn(
-                pairs=[(float(up), float(down)) for up, down in trace_pairs],
-                mode=trace_mode,
-            )
-        else:
-            self.model = ExponentialChurn(
-                mtbf=mtbf, mttr=mttr, permanent_fraction=permanent_fraction
-            )
-        self.injector: ChurnInjector | None = None
-
-    def setup(self, builder: "Builder") -> None:
-        self.injector = ChurnInjector(
-            env=builder.env,
-            hosts=builder.hosts(self.target),
-            rng=builder.rng,
-            model=self.model,
-            monitor=builder.monitor,
-            name=self.name,
-        )
-
-    def start(self) -> None:
-        assert self.injector is not None, "setup() must run before start()"
-        self.injector.start()
-
-    def stop(self) -> None:
-        if self.injector is not None:
-            self.injector.stop()
-
-    @property
-    def injected(self) -> int:
-        """Departures injected so far (the ``faults_injected`` output)."""
-        return self.injector.injected if self.injector is not None else 0
-
-
-@component("inject.correlated")
-class CorrelatedFaultInjector(BaseComponent):
-    """Correlated group failures: whole groups of a tier fail together.
-
-    ``groups`` names the failure domains explicitly (a list of host-name
-    lists); without it the tier's hosts are chunked into consecutive groups
-    of ``group_size``.  Each Poisson event (aggregate ``rate_per_minute``)
-    kills one whole group, optionally ``partition``-ing it from the rest of
-    the grid while it is down, and restarts the group together after an
-    exponential ``mttr``.  All draws come from shared ``crn.*`` streams, so
-    sweeps paired on a ``crn_seed`` replay identical group-failure schedules
-    across policy arms.
-    """
-
-    def __init__(
-        self,
-        target: str = "servers",
-        groups: Sequence[Sequence[str]] | None = None,
-        group_size: int = 2,
-        rate_per_minute: float = 0.0,
-        mttr: float = 30.0,
-        partition: bool = False,
-        name: str | None = None,
-    ) -> None:
-        super().__init__(name or f"correlated-{target}")
-        if groups is None and group_size < 1:
-            raise ConfigurationError("group_size must be at least 1")
-        self.target = target
-        self.groups = [list(group) for group in groups] if groups is not None else None
-        self.group_size = group_size
-        self.rate_per_minute = rate_per_minute
-        self.mttr = mttr
-        self.partition = partition
-        self.injector: CorrelatedFaults | None = None
-
-    def setup(self, builder: "Builder") -> None:
-        if self.groups is not None:
-            host_groups = [
-                [builder.host(entry) for entry in group] for group in self.groups
-            ]
-        else:
-            tier = builder.hosts(self.target)
-            host_groups = [
-                tier[index : index + self.group_size]
-                for index in range(0, len(tier), self.group_size)
-            ]
-        self.injector = CorrelatedFaults(
-            env=builder.env,
-            groups=host_groups,
-            rng=builder.rng,
-            rate_per_minute=self.rate_per_minute,
-            mttr=self.mttr,
-            all_hosts=builder.hosts("all"),
-            partitions=builder.partitions if self.partition else None,
-            partition=self.partition,
-            monitor=builder.monitor,
-            name=self.name,
-        )
-
-    def start(self) -> None:
-        assert self.injector is not None, "setup() must run before start()"
-        self.injector.start()
-
-    def stop(self) -> None:
-        if self.injector is not None:
-            self.injector.stop()
-
-    @property
-    def injected(self) -> int:
-        """Hosts killed so far (the ``faults_injected`` output)."""
-        return self.injector.injected if self.injector is not None else 0
-
-
-@component("inject.script")
-class ScriptedFaults(BaseComponent):
-    """Deterministic kill/restart scripts (the Figs. 10-11 style).
-
-    Two declarative forms, combinable:
-
-    ``events`` — an absolute timetable: ``{"time": ..., "action": "kill" |
-    "restart", "target": "<host name>"}`` records, matched against
-    ``str(host.address)`` over the whole grid.
-
-    ``steps`` — a *sequential conditional program*, for scripts that trigger
-    on system state rather than wall-clock time (Figure 10 kills the primary
-    once ~40 % of the campaign has completed).  Steps run in order; each may
-    carry:
-
-    * ``"until"``: a condition polled every ``"poll"`` seconds (default 10)
-      before the step's action fires —
-      ``{"kind": "finished-count", "coordinator": "lille", "at_least": N}``
-      (that coordinator knows ≥ N finished tasks) or
-      ``{"kind": "caught-up", "coordinator": "lille", "reference": "orsay",
-      "margin": M}`` (lille's count is within M of orsay's);
-    * ``"after"``: a plain delay in seconds (instead of, or with, nothing);
-    * ``"do"``: ``"kill"`` / ``"restart"`` (needs ``"target"``) or ``"note"``
-      (record only);
-    * ``"label"`` / ``"note"``: recorded with the firing time in
-      :attr:`recorded` — the labelled event log the figures annotate.
-    """
-
-    _CONDITIONS = ("finished-count", "caught-up")
-
-    def __init__(
-        self,
-        events: Sequence[Mapping[str, Any]] = (),
-        steps: Sequence[Mapping[str, Any]] = (),
-        name: str | None = None,
-    ) -> None:
-        super().__init__(name or "fault-script")
-        self.script = FaultScript()
-        for event in events:
-            action = event.get("action")
-            if action == "kill":
-                self.script.kill(float(event["time"]), str(event["target"]))
-            elif action == "restart":
-                self.script.restart(float(event["time"]), str(event["target"]))
-            else:
-                raise ConfigurationError(
-                    f"unknown scripted action {action!r} (kill or restart)"
-                )
-        self.steps = [dict(step) for step in steps]
-        for step in self.steps:
-            do = step.get("do")
-            if do not in (None, "kill", "restart", "note"):
-                raise ConfigurationError(
-                    f"unknown step action {do!r} (kill, restart or note)"
-                )
-            if do in ("kill", "restart") and not step.get("target"):
-                raise ConfigurationError(f"step {step!r} needs a 'target'")
-            try:
-                step["poll"] = float(step.get("poll", 10.0))
-                if step.get("after") is not None:
-                    step["after"] = float(step["after"])
-            except (TypeError, ValueError) as error:
-                raise ConfigurationError(
-                    f"step {step!r} has a non-numeric timing value: {error}"
-                ) from None
-            until = step.get("until")
-            if until is None:
-                continue
-            if not isinstance(until, Mapping):
-                raise ConfigurationError(
-                    f"step condition must be a mapping, got {until!r}"
-                )
-            kind = until.get("kind")
-            if kind not in self._CONDITIONS:
-                raise ConfigurationError(
-                    f"unknown step condition {kind!r} "
-                    f"(one of: {', '.join(self._CONDITIONS)})"
-                )
-            required = (
-                ("coordinator", "at_least")
-                if kind == "finished-count"
-                else ("coordinator", "reference")
-            )
-            missing = [key for key in required if key not in until]
-            if missing:
-                raise ConfigurationError(
-                    f"step condition {dict(until)!r} is missing "
-                    f"{', '.join(missing)}"
-                )
-            # Coerce the numeric threshold now (steps often come from
-            # hand-written JSON/YAML specs): a malformed value must fail
-            # here, not as a TypeError at the first in-simulation poll.
-            until = step["until"] = dict(until)
-            try:
-                if kind == "finished-count":
-                    until["at_least"] = float(until["at_least"])
-                else:
-                    until["margin"] = float(until.get("margin", 0))
-            except (TypeError, ValueError) as error:
-                raise ConfigurationError(
-                    f"step condition {dict(until)!r} has a non-numeric "
-                    f"threshold: {error}"
-                ) from None
-        #: labelled events the steps recorded, in firing order.
-        self.recorded: list[dict[str, Any]] = []
-        self._builder: "Builder | None" = None
-
-    def setup(self, builder: "Builder") -> None:
-        self._builder = builder
-        # Fail fast on a target no host of this grid matches.  The absolute
-        # timetable resolves by full address string only (FaultScript's
-        # contract); steps resolve through builder.host, which also accepts
-        # bare address names.
-        hosts = builder.hosts("all")
-        full_names = {str(host.address) for host in hosts}
-        unknown = self.script.targets() - full_names
-        step_names = full_names | {host.address.name for host in hosts}
-        unknown |= {
-            str(step["target"])
-            for step in self.steps
-            if step.get("target") and str(step["target"]) not in step_names
-        }
-        if unknown:
-            raise ConfigurationError(
-                f"fault script targets unknown hosts: {sorted(unknown)}"
-            )
-        # The coordinator names inside step conditions get the same fail-fast
-        # treatment — a typo must not surface mid-simulation at the first poll.
-        coordinators = {c.address.name for c in builder.grid.coordinators}
-        for step in self.steps:
-            until = step.get("until")
-            if until is None:
-                continue
-            named = {
-                str(until[key])
-                for key in ("coordinator", "reference")
-                if key in until
-            }
-            missing = named - coordinators
-            if missing:
-                raise ConfigurationError(
-                    f"step condition references unknown coordinators: "
-                    f"{sorted(missing)} (known: {sorted(coordinators)})"
-                )
-
-    def start(self) -> None:
-        builder = self._builder
-        assert builder is not None, "setup() must run before start()"
-        if self.script.events:
-            self.script.install(builder.env, builder.hosts("all"), builder.monitor)
-        if self.steps:
-            builder.env.process(self._run_steps(), name=f"{self.name}:steps")
-
-    # The driver processes run their scripts to the end; there is nothing to
-    # reclaim on stop (they die with the environment).
-
-    # ------------------------------------------------------------ step driver
-    def _satisfied(self, condition: Mapping[str, Any]) -> bool:
-        grid = self._builder.grid
-        kind = condition["kind"]
-        if kind == "finished-count":
-            coordinator = grid.coordinator_by_name(str(condition["coordinator"]))
-            return coordinator.finished_count() >= condition["at_least"]
-        # caught-up: coordinator's count within margin of the reference's.
-        coordinator = grid.coordinator_by_name(str(condition["coordinator"]))
-        reference = grid.coordinator_by_name(str(condition["reference"]))
-        margin = condition.get("margin", 0)
-        return coordinator.finished_count() >= reference.finished_count() - margin
-
-    def _run_steps(self):
-        builder = self._builder
-        env = builder.env
-        for step in self.steps:
-            until = step.get("until")
-            if until is not None:
-                # __init__ coerced poll/after to floats (fail-fast contract).
-                while not self._satisfied(until):
-                    yield env.timeout(step["poll"])
-            after = step.get("after")
-            if after:
-                yield env.timeout(after)
-            do = step.get("do")
-            if do == "kill":
-                builder.host(str(step["target"])).crash(cause=self.name)
-                builder.monitor.incr("faultscript.kills")
-            elif do == "restart":
-                builder.host(str(step["target"])).restart()
-                builder.monitor.incr("faultscript.restarts")
-            if step.get("label") is not None or step.get("note") is not None:
-                record: dict[str, Any] = {}
-                if step.get("label") is not None:
-                    record["label"] = step["label"]
-                if step.get("note") is not None:
-                    record["event"] = step["note"]
-                record["time"] = env.now
-                self.recorded.append(record)
+__all__ = ["HeartbeatBeacon", "PartitionSchedule"]
 
 
 @component("net.partition-schedule")

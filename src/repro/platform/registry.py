@@ -10,8 +10,10 @@ component instance.  Two resolution paths:
       @component("detect.heartbeat")
       class HeartbeatBeacon(BaseComponent): ...
 
-  Built-in names live in :mod:`repro.platform.library` and are imported
-  lazily by the lookup helpers, mirroring the scenario registry.
+  Built-in names live in :mod:`repro.platform.library`,
+  :mod:`repro.nodes.faultgen` (the ``inject.*`` fault injectors) and the
+  policy / crowd modules, and are imported lazily by the lookup helpers,
+  mirroring the scenario registry.
 
 * **dotted-path fallback** — any name containing a dot that is not
   registered is treated as an import path, ``pkg.module:Attr`` or
@@ -42,6 +44,7 @@ _REGISTRY: dict[str, Callable[..., Component]] = {}
 #: modules whose import registers the built-in components.
 _BUILTIN_MODULES: tuple[str, ...] = (
     "repro.platform.library",
+    "repro.nodes.faultgen",
     "repro.policies.scheduling",
     "repro.policies.replication",
     "repro.policies.logging",

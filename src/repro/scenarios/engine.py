@@ -3,10 +3,11 @@
 This is where the declarative pieces of a :class:`~repro.scenarios.spec.ScenarioSpec`
 meet the simulator: a :class:`GridTopology` names one of the paper's two
 platforms, a :class:`WorkloadSpec` names the client workload, a
-:class:`FaultPlan` arms the fault injection, and protocol settings come from a
-named baseline preset plus dotted-path overrides.  :func:`execute_benchmark`
-runs the §5.1 synthetic benchmark over those pieces — it is the engine behind
-the Figure 7 sweep, the baseline ablation and the churn scenarios.
+:class:`FaultPlan` or a ``components`` entry arms the fault injection, and
+protocol settings come from a named baseline preset plus dotted-path
+overrides.  :func:`execute_benchmark` runs the §5.1 synthetic benchmark over
+those pieces — it is the engine behind the Figure 7 sweep, the baseline
+ablation and the churn scenarios.
 
 Protocol resolution has one path: start from the topology's own defaults or
 a named preset, apply the overrides, validate.  Which behaviour runs is
@@ -30,7 +31,6 @@ from repro.errors import ConfigurationError
 from repro.grid.builder import Grid, build_confined_cluster, build_internet_testbed
 from repro.grid.deployment import confined_cluster_spec, internet_testbed_spec
 from repro.nodes.faultgen import ChurnInjector, FaultGenerator
-from repro.platform.library import ChurnInjectorComponent, RateFaultInjector
 from repro.scenarios.report import RunReport
 from repro.sim.core import SimulationError
 from repro.workloads.synthetic import SyntheticWorkload
@@ -149,28 +149,23 @@ class FaultPlan:
     ``faults_per_minute``) or ``"churn"`` (per-host volatility driven by an
     exponential churn model — desktop-grid style departures and returns).
 
-    A fault plan is the keyword-argument view of the registered injector
+    A fault plan is the typed way to build one of the registered injector
     components (``inject.rate`` / ``inject.churn``): :meth:`component`
-    produces the platform component, and :meth:`arm` registers it on a grid.
-    Scenario specs can bypass the plan entirely and name the components
-    directly in their ``components:`` list.
+    produces it, and :meth:`arm` registers it on a grid.  Scenario specs
+    name the same components directly in their ``components:`` list.
     """
 
     kind: str = "none"  # "none" | "rate" | "churn"
     target: str = "servers"  # "servers" | "coordinators"
     faults_per_minute: float = 0.0
     restart_delay: float = 5.0
-    #: churn-model parameters (kind == "churn").
+    #: exponential churn-model parameters (kind == "churn"); a trace replay
+    #: or a permanent-departure share is an ``inject.churn`` entry's job.
     mtbf: float = 600.0
     mttr: float = 30.0
-    permanent_fraction: float = 0.0
-    #: availability-trace file (kind == "churn"); when set, the exponential
-    #: churn model is replaced by the trace's up/down intervals.
-    trace: str | None = None
-    trace_mode: str = "wrap"  # "wrap" | "clamp"
 
-    def component(self) -> "RateFaultInjector | ChurnInjectorComponent | None":
-        """The platform component this plan describes (``None`` when inert)."""
+    def component(self) -> FaultGenerator | ChurnInjector | None:
+        """The injector component this plan describes (``None`` when inert)."""
         if self.kind == "none":
             return None
         if self.target not in ("servers", "coordinators"):
@@ -178,34 +173,19 @@ class FaultPlan:
         if self.kind == "rate":
             if self.faults_per_minute <= 0:
                 return None
-            return RateFaultInjector(
+            return FaultGenerator(
                 target=self.target,
                 faults_per_minute=self.faults_per_minute,
                 restart_delay=self.restart_delay,
             )
         if self.kind == "churn":
-            return ChurnInjectorComponent(
-                target=self.target,
-                mtbf=self.mtbf,
-                mttr=self.mttr,
-                permanent_fraction=self.permanent_fraction,
-                trace=self.trace,
-                trace_mode=self.trace_mode,
-            )
+            return ChurnInjector(target=self.target, mtbf=self.mtbf, mttr=self.mttr)
         raise ConfigurationError(f"unknown fault plan kind {self.kind!r}")
 
     def arm(self, grid: Grid) -> FaultGenerator | ChurnInjector | None:
-        """Register and start the configured injector on ``grid`` (or nothing).
-
-        Returns the underlying injector (the historical contract); the
-        wrapping component is registered with the grid's component manager
-        and set up through its :class:`~repro.platform.builder.Builder`.
-        """
+        """Register the configured injector on ``grid`` and return it (or None)."""
         component = self.component()
-        if component is None:
-            return None
-        grid.add_component(component)
-        return component.injector
+        return None if component is None else grid.add_component(component)
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +288,17 @@ def resolve_protocol(
 # ---------------------------------------------------------------------------
 
 
-def interpolate_params(value: Any, params: Mapping[str, Any]) -> Any:
+def interpolate_params(
+    value: Any, params: Mapping[str, Any], used: set[str] | None = None
+) -> Any:
     """Resolve ``"$name"`` placeholder strings against ``params``, recursively.
 
     Component entries on a scenario spec are static data, but their
     parameters often need to follow the sweep ("inject at the swept rate"):
     a string value ``"$faults_per_minute"`` is replaced by the cell's
     parameter of that name.  Unknown placeholders are configuration errors;
-    ``"$$x"`` escapes to the literal string ``"$x"``.
+    ``"$$x"`` escapes to the literal string ``"$x"``.  Each name resolved is
+    added to ``used`` when one is given.
     """
     if isinstance(value, str):
         if value.startswith("$$"):
@@ -328,12 +311,14 @@ def interpolate_params(value: Any, params: Mapping[str, Any]) -> Any:
                     f"component parameter references unknown cell parameter "
                     f"{value!r} (cell parameters: {known})"
                 )
+            if used is not None:
+                used.add(key)
             return params[key]
         return value
     if isinstance(value, Mapping):
-        return {k: interpolate_params(v, params) for k, v in value.items()}
+        return {k: interpolate_params(v, params, used) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [interpolate_params(v, params) for v in value]
+        return [interpolate_params(v, params, used) for v in value]
     return value
 
 
@@ -365,10 +350,10 @@ def execute_benchmark(
     list), run to completion (with the ``horizon`` safety deadline) and
     report the numbers the paper plots.
 
-    Extra components join *after* the workload process is spawned — the same
-    lifecycle slot the fault plan has always used — so a scenario migrated
-    from fault-plan keywords to a ``components:`` entry replays the exact
-    same event sequence.
+    Extra components join *after* the workload process is spawned and after
+    the fault plan's injector, so a plan and the equivalent first
+    ``components:`` entry replay the exact same event sequence.  The
+    report's ``faults_injected`` sums ``injected`` over both.
 
     ``protocol=None`` (or ``"default"``) keeps the platform's own defaults
     (the confined cluster replicates every 5 s, the Internet testbed every
@@ -409,7 +394,7 @@ def execute_benchmark(
 
     bench = workload.build()
     process = grid.run_process(bench.run(grid.client), name="synthetic-benchmark")
-    injector = faults.arm(grid)
+    planned = faults.arm(grid)
     extras = [grid.add_component(entry) for entry in components]
 
     finished = grid.run_until(process, timeout=horizon)
@@ -420,8 +405,7 @@ def execute_benchmark(
         grid.env.run(until=horizon)
     grid.stop()
 
-    injected = injector.injected if injector else 0
-    injected += sum(int(getattr(extra, "injected", 0)) for extra in extras)
+    injected = sum(int(getattr(c, "injected", 0)) for c in (planned, *extras))
     makespan = bench.makespan if finished else grid.env.now
     ideal = workload.ideal_time / max(len(grid.servers), 1)
     overhead = (makespan - ideal) / ideal if ideal > 0 else 0.0
@@ -487,15 +471,6 @@ def benchmark_cell(
     result_bytes: int = 64,
     exec_time_spread: float = 0.0,
     spread_servers: bool = False,
-    fault_kind: str = "none",
-    fault_target: str = "servers",
-    faults_per_minute: float = 0.0,
-    restart_delay: float = 5.0,
-    mtbf: float = 600.0,
-    mttr: float = 30.0,
-    permanent_fraction: float = 0.0,
-    fault_trace: str | None = None,
-    fault_trace_mode: str = "wrap",
     protocol_preset: str | None = None,
     protocol_overrides: Mapping[str, Any] | None = None,
     scheduler_policy: Any = None,
@@ -518,7 +493,8 @@ def benchmark_cell(
     is a plain JSON-able value so it can sit directly on a spec's ``base`` or
     ``axes``.
 
-    ``components`` entries (``{"name": ..., "params": {...}}``) are resolved
+    Faults are armed only through ``components``: entries (``{"name": ...,
+    "params": {...}}``, e.g. ``inject.rate`` or ``inject.churn``) are resolved
     through the platform registry; parameter values of the form ``"$key"``
     are interpolated against this cell's own parameters, so swept axes can
     drive component parameters (see Figure 7: the injection rate and target
@@ -530,7 +506,10 @@ def benchmark_cell(
     with ``Axis("scheduler_policy", (...))`` directly.  Keywords the kernel
     does not know (``component_params``) do not reach the benchmark at all —
     they exist so a spec can declare extra base parameters or axes whose only
-    purpose is to be ``$``-interpolated into a component entry.
+    purpose is to be ``$``-interpolated into a component entry or a protocol
+    override.  One that nothing references is a
+    :class:`~repro.errors.ConfigurationError`: a misspelt keyword must not
+    run a different experiment without a word.
     """
     cell_params = dict(
         component_params,
@@ -543,15 +522,6 @@ def benchmark_cell(
         result_bytes=result_bytes,
         exec_time_spread=exec_time_spread,
         spread_servers=spread_servers,
-        fault_kind=fault_kind,
-        fault_target=fault_target,
-        faults_per_minute=faults_per_minute,
-        restart_delay=restart_delay,
-        mtbf=mtbf,
-        mttr=mttr,
-        permanent_fraction=permanent_fraction,
-        fault_trace=fault_trace,
-        fault_trace_mode=fault_trace_mode,
         protocol_preset=protocol_preset,
         scheduler_policy=scheduler_policy,
         replication_policy=replication_policy,
@@ -575,7 +545,16 @@ def benchmark_cell(
                 f"protocol_overrides ({overrides[path]!r}); pick one"
             )
         overrides[path] = entry
-    overrides = interpolate_params(overrides, cell_params) if overrides else None
+    used: set[str] = set()
+    overrides = interpolate_params(overrides, cell_params, used) if overrides else None
+    components = interpolate_params(list(components), cell_params, used)
+    unread = set(component_params) - used
+    if unread:
+        raise ConfigurationError(
+            f"cell parameters {sorted(unread)} are read by nothing: each must "
+            "be a benchmark_cell keyword (check the spelling) or be referenced "
+            "as \"$name\" from a components entry or a protocol override"
+        )
     report = execute_benchmark(
         topology=GridTopology(
             n_servers=n_servers,
@@ -589,22 +568,11 @@ def benchmark_cell(
             result_bytes=result_bytes,
             exec_time_spread=exec_time_spread,
         ),
-        faults=FaultPlan(
-            kind=fault_kind,
-            target=fault_target,
-            faults_per_minute=faults_per_minute,
-            restart_delay=restart_delay,
-            mtbf=mtbf,
-            mttr=mttr,
-            permanent_fraction=permanent_fraction,
-            trace=fault_trace,
-            trace_mode=fault_trace_mode,
-        ),
         protocol=protocol_preset,
         protocol_overrides=overrides,
         seed=seed,
         horizon=horizon,
-        components=interpolate_params(list(components), cell_params),
+        components=components,
         crn_seed=crn_seed,
         run_full_horizon=run_full_horizon,
         record_fault_streams=record_fault_streams,

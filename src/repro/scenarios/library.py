@@ -146,10 +146,7 @@ def _sched_ablation() -> ScenarioSpec:
             exec_time_spread=3.0,
             n_servers=16,
             n_coordinators=4,
-            fault_kind="rate",
-            fault_target="servers",
             faults_per_minute=2.0,
-            restart_delay=5.0,
             horizon=6000.0,
         ),
         axes=(Axis("scheduler_policy", SCHEDULER_POLICIES),),
@@ -160,6 +157,16 @@ def _sched_ablation() -> ScenarioSpec:
             "completed",
             "faults_injected",
             "overhead_vs_ideal",
+        ),
+        components=(
+            {
+                "name": "inject.rate",
+                "params": {
+                    "target": "servers",
+                    "faults_per_minute": "$faults_per_minute",
+                    "restart_delay": 5.0,
+                },
+            },
         ),
         scales={
             "tiny": dict(

@@ -1,8 +1,7 @@
-"""The per-run report shared by the execution engine and its wrappers.
+"""The per-run report :func:`~repro.scenarios.engine.execute_benchmark` returns.
 
-Lives in its own dependency-free module so both :mod:`repro.scenarios.engine`
-and the :mod:`repro.grid.runner` compatibility wrapper can import it without
-creating a package cycle.
+A dependency-free module: the report is plain data, and
+:meth:`RunReport.outputs` is the JSON-able dict a sweep cell stores.
 """
 
 from __future__ import annotations

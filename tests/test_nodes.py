@@ -5,12 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.grid.builder import build_confined_cluster
 from repro.net.message import Message, MessageType
 from repro.net.transport import Network
 from repro.nodes.churn import ExponentialChurn, NoChurn, TraceChurn, WeibullChurn
 from repro.nodes.database import Database, DatabaseModel
 from repro.nodes.disk import DiskModel
-from repro.nodes.faultgen import FaultGenerator, FaultScript, ScriptedEvent
+from repro.nodes.faultgen import FaultGenerator, FaultScript
 from repro.nodes.node import Host
 from repro.sim.core import ProcessKilled
 from repro.sim.rng import RandomStreams
@@ -213,69 +214,98 @@ class TestHost:
         assert process.value == pytest.approx(host.disk.sync_write_time(10_000_000))
 
 
+def _small_grid():
+    """Two servers and one coordinator: the smallest grid an injector arms on."""
+    return build_confined_cluster(n_servers=2, n_coordinators=1, seed=3)
+
+
 class TestFaultGenerator:
-    def _hosts(self, env, count=4):
-        network = Network(env)
-        return [
-            Host(env, network, Address("server", f"s{i}"), rng=RandomStreams(i))
-            for i in range(count)
-        ]
-
-    def test_zero_rate_injects_nothing(self, env):
-        hosts = self._hosts(env)
-        generator = FaultGenerator(env, hosts, RandomStreams(0), faults_per_minute=0.0)
-        generator.start()
-        env.run(until=600.0)
+    def test_zero_rate_injects_nothing(self):
+        grid = _small_grid()
+        generator = grid.add_component(FaultGenerator(faults_per_minute=0.0))
+        grid.start()
+        grid.run(until=600.0)
         assert generator.injected == 0
+        assert grid.monitor.count("faultgen.kills") == 0
 
-    def test_positive_rate_injects_and_restarts(self, env):
-        hosts = self._hosts(env)
-        generator = FaultGenerator(
-            env, hosts, RandomStreams(3), faults_per_minute=30.0, restart_delay=1.0
+    def test_positive_rate_injects_and_restarts(self):
+        grid = _small_grid()
+        generator = grid.add_component(
+            FaultGenerator(faults_per_minute=30.0, restart_delay=1.0)
         )
-        generator.start()
-        env.run(until=300.0)
+        grid.start()
+        grid.run(until=300.0)
         generator.stop()
-        env.run(until=400.0)
+        grid.run(until=400.0)
         assert generator.injected > 0
-        assert all(host.up for host in hosts)
+        assert generator.injected == grid.monitor.count("faultgen.kills")
+        assert all(host.up for host in grid.server_hosts())
 
-    def test_manual_kill_and_permanent_failure(self, env):
-        hosts = self._hosts(env, count=1)
-        generator = FaultGenerator(env, hosts, RandomStreams(0))
-        generator.kill(hosts[0], restart_after=float("inf"))
-        env.run(until=100.0)
-        assert not hosts[0].up
+    def test_host_restarts_after_the_delay(self):
+        grid = _small_grid()
+        generator = grid.add_component(FaultGenerator(restart_delay=5.0))
+        grid.start()
+        host = grid.server_hosts()[0]
+        generator.kill(host)
+        grid.run(until=4.0)
+        assert not host.up
+        grid.run(until=6.0)
+        assert host.up
+        assert grid.monitor.count("faultgen.restarts") == 1
 
-    def test_negative_rate_rejected(self, env):
-        with pytest.raises(ConfigurationError):
-            FaultGenerator(env, [], RandomStreams(0), faults_per_minute=-1.0)
+    def test_manual_kill_and_permanent_failure(self):
+        grid = _small_grid()
+        generator = grid.add_component(FaultGenerator(restart_delay=float("inf")))
+        grid.start()
+        host = grid.server_hosts()[0]
+        generator.kill(host)
+        grid.run(until=100.0)
+        assert not host.up
+        assert generator.injected == 1
+
+    def test_negative_rate_rejected(self):
+        with pytest.raises(ConfigurationError, match="faults_per_minute"):
+            FaultGenerator(faults_per_minute=-1.0)
+        with pytest.raises(ConfigurationError, match="restart_delay"):
+            FaultGenerator(restart_delay=-1.0)
 
 
 class TestFaultScript:
-    def test_scripted_kill_and_restart(self, env):
-        network = Network(env)
-        host = Host(env, network, Address("coordinator", "k0"), rng=RandomStreams(0))
-        script = FaultScript()
-        script.kill(10.0, str(host.address)).restart(20.0, str(host.address))
-        script.install(env, [host])
-        env.run(until=15.0)
+    def test_scripted_kill_and_restart(self):
+        grid = _small_grid()
+        grid.add_component(FaultScript(events=[
+            {"time": 20.0, "action": "restart", "target": "coordinator:cluster"},
+            {"time": 10.0, "action": "kill", "target": "coordinator:cluster"},
+        ]))
+        grid.start()
+        host = grid.coordinator_hosts()[0]
+        grid.run(until=15.0)
         assert not host.up
-        env.run(until=25.0)
+        grid.run(until=25.0)
         assert host.up
+        assert grid.monitor.count("faultscript.kills") == 1
+        assert grid.monitor.count("faultscript.restarts") == 1
 
-    def test_unknown_target_raises(self, env):
-        script = FaultScript().kill(1.0, "coordinator:nowhere")
-        script.install(env, [])
-        with pytest.raises(ConfigurationError):
-            env.run(until=5.0)
+    def test_timetable_accepts_bare_names_like_steps(self):
+        grid = _small_grid()
+        grid.add_component("inject.script", {
+            "events": [{"time": 5.0, "action": "kill", "target": "s000"}],
+            "steps": [{"after": 5.0, "do": "kill", "target": "s001"}],
+        })
+        grid.start()
+        grid.run(until=6.0)
+        assert [host.up for host in grid.server_hosts()] == [False, False]
+
+    def test_unknown_target_raises(self):
+        grid = _small_grid()
+        with pytest.raises(ConfigurationError, match="unknown hosts.*nowhere"):
+            grid.add_component(FaultScript(
+                events=[{"time": 1.0, "action": "kill",
+                         "target": "coordinator:nowhere"}]
+            ))
 
     def test_event_validation(self):
-        with pytest.raises(ConfigurationError):
-            ScriptedEvent(time=-1.0, action="kill", target="x")
-        with pytest.raises(ConfigurationError):
-            ScriptedEvent(time=1.0, action="explode", target="x")  # type: ignore[arg-type]
-
-    def test_targets_listed(self):
-        script = FaultScript().kill(1.0, "a").restart(2.0, "b")
-        assert script.targets() == {"a", "b"}
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            FaultScript(events=[{"time": -1.0, "action": "kill", "target": "x"}])
+        with pytest.raises(ConfigurationError, match="unknown scripted action"):
+            FaultScript(events=[{"time": 1.0, "action": "explode", "target": "x"}])

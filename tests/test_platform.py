@@ -15,13 +15,8 @@ from repro.platform import (
     create_component,
     resolve_component,
 )
-from repro.platform.library import (
-    ChurnInjectorComponent,
-    HeartbeatBeacon,
-    PartitionSchedule,
-    RateFaultInjector,
-    ScriptedFaults,
-)
+from repro.nodes.faultgen import ChurnInjector, FaultGenerator, FaultScript
+from repro.platform.library import HeartbeatBeacon, PartitionSchedule
 from repro.scenarios.engine import interpolate_params
 from repro.scenarios.runner import SweepRunner
 from repro.scenarios.spec import Axis, ScenarioSpec
@@ -128,15 +123,15 @@ class TestComponentRegistry:
         built = create_component(
             "inject.rate", {"target": "coordinators", "faults_per_minute": 3.0}
         )
-        assert isinstance(built, RateFaultInjector)
+        assert isinstance(built, FaultGenerator)
         assert built.name == "faultgen-coordinators"
 
     def test_dotted_path_fallback(self):
         for path in (
-            "repro.platform.library.ChurnInjectorComponent",
-            "repro.platform.library:ChurnInjectorComponent",
+            "repro.nodes.faultgen.ChurnInjector",
+            "repro.nodes.faultgen:ChurnInjector",
         ):
-            assert resolve_component(path) is ChurnInjectorComponent
+            assert resolve_component(path) is ChurnInjector
 
     def test_unknown_name_lists_known(self):
         with pytest.raises(ConfigurationError, match="inject.rate"):
@@ -221,7 +216,7 @@ class TestGridOnThePlatform:
             ],
         )
         churn = grid.component("churn-servers")
-        assert churn.injector is not None  # setup ran
+        assert len(churn.hosts) == 2  # setup ran
         grid.start()
         grid.run(until=120.0)
         assert churn.injected > 0
@@ -230,13 +225,13 @@ class TestGridOnThePlatform:
     def test_instance_entries_with_params_raise(self):
         grid = build_confined_cluster(n_servers=1, n_coordinators=1)
         with pytest.raises(ConfigurationError, match="by name"):
-            grid.add_component(ChurnInjectorComponent(), params={"mtbf": 1.0})
+            grid.add_component(ChurnInjector(), params={"mtbf": 1.0})
 
 
 class TestLibraryComponents:
     def test_scripted_faults_follow_the_timetable(self):
         grid = build_confined_cluster(n_servers=2, n_coordinators=1)
-        grid.add_component(ScriptedFaults(events=[
+        grid.add_component(FaultScript(events=[
             {"time": 5.0, "action": "kill", "target": "server:s000"},
             {"time": 12.0, "action": "restart", "target": "server:s000"},
         ]))

@@ -107,6 +107,35 @@ class TestNoCallLostFaultFree:
         assert report.makespan < 200.0
 
 
+class TestExecutionsPerCall:
+    """Fault-free, each call should run about once (ROADMAP item 3).
+
+    ``server.tasks_executed`` counts every execution a server started; seed 3,
+    1 s calls, the platform's defaults otherwise.
+    """
+
+    @staticmethod
+    def _executions_per_call(n_calls: int, spread: bool) -> float:
+        report = execute_benchmark(
+            GridTopology(n_servers=16, spread_servers=spread),
+            WorkloadSpec(n_calls=n_calls, exec_time=1.0),
+            seed=3,
+        )
+        assert report.completed == report.submitted == n_calls
+        return report.counters["server.tasks_executed"] / n_calls
+
+    def test_an_unspread_grid_runs_each_call_once(self):
+        assert self._executions_per_call(200, spread=False) <= 1.05
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 3: a queue on a spread grid runs each call ~3 "
+        "times (448 executions for 150 calls)",
+    )
+    def test_a_spread_grid_runs_each_call_once(self):
+        assert self._executions_per_call(150, spread=True) <= 1.05
+
+
 class TestMultiClientSpreadRun:
     """8 clients on 64 spread servers, 60 calls each: a grid that used to stall."""
 

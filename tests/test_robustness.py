@@ -354,14 +354,20 @@ def _paired_spec() -> ScenarioSpec:
             exec_time=1.0,
             n_servers=2,
             n_coordinators=2,
-            fault_kind="rate",
-            fault_target="servers",
-            faults_per_minute=6.0,
-            restart_delay=2.0,
             horizon=120.0,
             run_full_horizon=True,
             record_fault_streams=True,
             crn_seed=11,
+        ),
+        components=(
+            {
+                "name": "inject.rate",
+                "params": {
+                    "target": "servers",
+                    "faults_per_minute": 6.0,
+                    "restart_delay": 2.0,
+                },
+            },
         ),
         axes=(
             Axis(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import inspect
 import os
 import subprocess
 import sys
@@ -27,11 +28,14 @@ from repro.scenarios import (
     get_scenario,
     run_scenario,
 )
+from repro.nodes.faultgen import ChurnInjector, FaultGenerator
 from repro.scenarios.engine import (
+    FaultPlan,
     GridTopology,
     WorkloadSpec,
     apply_protocol_overrides,
     execute_benchmark,
+    interpolate_params,
     resolve_protocol,
 )
 from repro.scenarios.runner import SweepRunner
@@ -51,6 +55,10 @@ FIG7_MICRO = dict(
     params=dict(n_calls=8, exec_time=2.0, n_servers=4, n_coordinators=2,
                 horizon=1500.0),
 )
+
+#: the three-server availability trace README's ``--set faults.*`` command
+#: replays (CI runs that command against it).
+AVAILABILITY_CSV = Path(__file__).parent / "data" / "availability.csv"
 
 
 class TestRegistry:
@@ -274,6 +282,120 @@ class TestCli:
         assert "fig8" in capsys.readouterr().out
         assert main(["report", "--out", str(tmp_path)]) == 0
         assert "Stored runs" in capsys.readouterr().out
+
+
+class TestFaultArming:
+    """A FaultPlan and the equivalent components entry arm the same class."""
+
+    def _outputs(self, topology, faults=FaultPlan(), components=()):
+        return execute_benchmark(
+            topology,
+            WorkloadSpec(n_calls=12, exec_time=4.0),
+            faults,
+            seed=5,
+            horizon=3000.0,
+            components=components,
+            record_fault_streams=True,
+        ).outputs()
+
+    def test_rate_plan_equals_its_components_entry(self):
+        topology = GridTopology(n_servers=4, n_coordinators=2)
+        planned = self._outputs(
+            topology,
+            FaultPlan(kind="rate", target="servers", faults_per_minute=6.0,
+                      restart_delay=2.0),
+        )
+        entry = self._outputs(topology, components=[{
+            "name": "inject.rate",
+            "params": {"target": "servers", "faults_per_minute": 6.0,
+                       "restart_delay": 2.0},
+        }])
+        assert planned == entry
+        assert planned["faults_injected"] > 0
+        streams = planned["fault_streams"]
+        assert any(name.startswith("faultgen-servers.") for name in streams)
+
+    def test_churn_plan_equals_its_components_entry(self):
+        topology = GridTopology(n_servers=4, n_coordinators=3)
+        planned = self._outputs(
+            topology,
+            FaultPlan(kind="churn", target="coordinators", mtbf=40.0, mttr=10.0),
+        )
+        entry = self._outputs(topology, components=[{
+            "name": "inject.churn",
+            "params": {"target": "coordinators", "mtbf": 40.0, "mttr": 10.0},
+        }])
+        assert planned == entry
+        assert planned["faults_injected"] > 0
+        assert any(name.startswith("churn.") for name in planned["fault_streams"])
+
+    def test_trace_file_entry_equals_a_trace_pairs_entry(self, tmp_path):
+        # Every server up 5 s, down 30 s, up 10 s, then gone for good: once
+        # as a per-node trace file, once as inline trace_pairs.
+        trace = tmp_path / "trace.csv"
+        trace.write_text("".join(f"s00{i},0,5\ns00{i},35,45\n" for i in range(4)))
+        topology = GridTopology(n_servers=4, n_coordinators=2)
+        replayed = self._outputs(topology, components=[{
+            "name": "inject.churn",
+            "params": {"trace": str(trace), "trace_mode": "clamp"},
+        }])
+        inline = self._outputs(topology, components=[{
+            "name": "inject.churn",
+            "params": {"trace_pairs": [[5.0, 30.0], [10.0, float("inf")]],
+                       "trace_mode": "clamp"},
+        }])
+        assert replayed == inline
+        assert replayed["faults_injected"] >= 4
+
+    def test_arm_returns_the_registered_component(self):
+        grid = build_confined_cluster(n_servers=2, n_coordinators=1)
+        rate = FaultPlan(kind="rate", faults_per_minute=1.0).arm(grid)
+        churn = FaultPlan(kind="churn", target="coordinators").arm(grid)
+        assert isinstance(rate, FaultGenerator) and isinstance(churn, ChurnInjector)
+        assert grid.component("faultgen-servers") is rate
+        assert grid.component("churn-coordinators") is churn
+        assert FaultPlan().arm(grid) is None
+        assert FaultPlan(kind="rate").arm(grid) is None
+
+
+class TestUnreadCellParameters:
+    MICRO = dict(n_calls=4, exec_time=1.0, n_servers=2, n_coordinators=1,
+                 horizon=500.0)
+
+    def test_a_misspelt_keyword_is_an_error(self):
+        with pytest.raises(ConfigurationError, match="'faults_per_minut'"):
+            benchmark_cell(faults_per_minut=4.0, **self.MICRO)
+
+    def test_a_removed_fault_keyword_is_an_error(self):
+        with pytest.raises(ConfigurationError, match="'fault_kind'.*components"):
+            benchmark_cell(fault_kind="rate", faults_per_minute=4.0, **self.MICRO)
+
+    def test_a_parameter_a_protocol_override_references_is_read(self):
+        outputs = benchmark_cell(
+            protocol_overrides={"coordinator.replication.period": "$period"},
+            period=30.0,
+            **self.MICRO,
+        )
+        assert outputs["completed"] == 4
+
+    @pytest.mark.parametrize("scale", ["paper", "tiny"])
+    def test_every_registered_cell_reads_all_its_parameters(self, scale):
+        signature = inspect.signature(benchmark_cell).parameters
+        keywords = set(signature)
+        defaults = {key: p.default for key, p in signature.items()
+                    if p.default is not p.empty}
+        for name, spec in all_scenarios().items():
+            if spec.cell is not benchmark_cell:
+                continue
+            for cell in spec.resolve(scale=scale).cells():
+                params = cell.params
+                used: set[str] = set()
+                interpolate_params(
+                    [params.get("components", ()), params.get("protocol_overrides")],
+                    {**defaults, **params},
+                    used,
+                )
+                assert set(params) - keywords <= used, name
 
 
 def _fragile_cell(
@@ -512,6 +634,59 @@ class TestCliProtocolSelection:
                      "--out", str(tmp_path), "--protocol", "no-replication"])
         assert code == 0
         assert "takes no protocol, skipping" in capsys.readouterr().out
+
+    def test_set_faults_adds_one_injector(self, tmp_path, capsys):
+        base = ["run", "sched-ablation", "--scale", "tiny", "--jobs", "1",
+                "--quiet"]
+        assert main(base + ["--out", str(tmp_path / "plain")]) == 0
+        assert main(base + [
+            "--out", str(tmp_path / "trace"),
+            "--set", "faults.kind=churn",
+            "--set", f"faults.trace={AVAILABILITY_CSV}",
+            "--set", "faults.trace_mode=clamp",
+        ]) == 0
+        plain = ResultsStore(tmp_path / "plain").latest("sched-ablation")
+        traced = ResultsStore(tmp_path / "trace").latest("sched-ablation")
+        # The spec's own inject.rate entry stays; the churn entry comes first.
+        names = [c["name"] for c in traced.cells[0]["params"]["components"]]
+        assert names == ["inject.churn", "inject.rate"]
+        for before, after in zip(plain.cells, traced.cells):
+            assert after["outputs"]["faults_injected"] > before["outputs"]["faults_injected"]
+
+    @pytest.mark.parametrize("scenario, sets", [
+        ("sched-ablation", ["faults.kind=rate"]),
+        ("churn-survival", ["faults.kind=churn"]),
+        ("ablation-baselines", ["faults.kind=rate", "faults.target=coordinators"]),
+    ])
+    def test_set_faults_beside_the_same_kind_of_injector(self, tmp_path, scenario, sets):
+        # Each scenario already arms this kind on this tier under the kind's
+        # default name; the added entry must not clash with it.
+        argv = ["run", scenario, "--scale", "tiny", "--jobs", "1",
+                "--out", str(tmp_path), "--quiet"]
+        for item in sets:
+            argv += ["--set", item]
+        assert main(argv) == 0
+        stored = ResultsStore(tmp_path).latest(scenario)
+        first = stored.cells[0]["params"]["components"][0]
+        target = "coordinators" if "faults.target=coordinators" in sets else "servers"
+        assert first["params"]["name"] == f"cli-faults-{target}"
+
+    def test_bad_fault_overrides_fail_fast(self, tmp_path):
+        base = ["run", "fig7", "--scale", "tiny", "--jobs", "1",
+                "--out", str(tmp_path)]
+        with pytest.raises(ConfigurationError, match="unknown fault override"):
+            main(base + ["--set", "faults.rate=3"])
+        with pytest.raises(ConfigurationError, match="unknown component"):
+            main(base + ["--set", "faults.kind=meteor"])
+        with pytest.raises(ConfigurationError, match="rejected its parameters"):
+            main(base + ["--set", "faults.kind=rate",
+                         "--set", f"faults.trace={AVAILABILITY_CSV}"])
+
+    def test_kernels_without_components_skip_fault_overrides(self, tmp_path, capsys):
+        code = main(["run", "fig8", "--scale", "tiny", "--jobs", "1",
+                     "--out", str(tmp_path), "--set", "faults.kind=churn"])
+        assert code == 0
+        assert "takes no components, skipping" in capsys.readouterr().out
 
     def test_cli_resume_skips_checkpointed_cells(self, tmp_path, capsys):
         base = ["run", "fig8", "--scale", "tiny", "--jobs", "1",
