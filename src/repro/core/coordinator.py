@@ -84,7 +84,7 @@ class CoordinatorComponent:
             "coord:timestamps", {}
         )
         self.database = persistent.setdefault(
-            "coord:database", Database(model=database_model or DatabaseModel())
+            "coord:database", Database(database_model)
         )
 
         # Volatile state (rebuilt by start()).
@@ -294,7 +294,7 @@ class CoordinatorComponent:
                 self._mark_dirty(key)
             else:
                 self.index.note(record, key)
-            self.database.charge_write(key, {"state": state.value}, call.params_bytes)
+            self.database.charge_write(key, call.params_bytes)
             keys.append(key)
         return keys
 
@@ -431,9 +431,7 @@ class CoordinatorComponent:
             )
             self.tasks[key] = record
             self._mark_dirty(key)
-            cost = self.database.charge_write(
-                key, {"state": record.state.value}, TASK_DESCRIPTION_BYTES + call.params_bytes
-            )
+            cost = self.database.charge_write(key, TASK_DESCRIPTION_BYTES + call.params_bytes)
             if cost > 0:
                 yield self.host.sleep(cost)
             self._ctr_submissions.value += 1
@@ -492,9 +490,7 @@ class CoordinatorComponent:
             )
             self.tasks[key] = record
             self._mark_dirty(key)
-            cost = self.database.charge_write(
-                key, {"state": record.state.value}, TASK_DESCRIPTION_BYTES + call.params_bytes
-            )
+            cost = self.database.charge_write(key, TASK_DESCRIPTION_BYTES + call.params_bytes)
             if cost > 0:
                 yield self.host.sleep(cost)
             self._ctr_crowd_batches.value += 1
@@ -652,9 +648,7 @@ class CoordinatorComponent:
         key = task.identity
         self._mark_dirty(key)
         self._task_activity[key] = self.env.now
-        cost = self.database.charge_write(
-            key, {"state": task.state.value}, TASK_DESCRIPTION_BYTES
-        )
+        cost = self.database.charge_write(key, TASK_DESCRIPTION_BYTES)
         if cost > 0:
             yield self.host.sleep(cost)
         self._ctr_assignments.value += 1
@@ -700,7 +694,7 @@ class CoordinatorComponent:
         self._task_activity.pop(key, None)
         self._store_result(key, result)
         self._mark_dirty(key)
-        cost = self.database.charge_write(key, {"state": "finished"}, TASK_DESCRIPTION_BYTES)
+        cost = self.database.charge_write(key, TASK_DESCRIPTION_BYTES)
         if cost > 0:
             yield self.host.sleep(cost)
         # Storing the archive costs a disk write proportional to its size.
@@ -956,7 +950,7 @@ class CoordinatorComponent:
         # this is what dominates Figure 5 for small records.
         for _ in range(outcome.new_tasks + outcome.updated_tasks):
             cost = self.database.charge_write(
-                ("replica", self._replication_rounds, _), {}, TASK_DESCRIPTION_BYTES
+                ("replica", self._replication_rounds, _), TASK_DESCRIPTION_BYTES
             )
             if cost > 0:
                 yield self.host.sleep(cost)

@@ -36,7 +36,7 @@ The costs that follow (n clients, k newly due, p pending, t unpromoted):
 ``queue_depth``  O(1)                  a counter moved by ``due``/``mark_done``
 ``mark_done``    O(ids)                gather and scatter on ``state``
 ``surge``        O(t), once            rewrite the tail in place, count IDLE
-``counts``       O(n), per report      ``bincount`` over ``state``
+``counts``       O(n), per report      ``count_nonzero`` of a 1 B/client mask
 build            O(n log n), once      the argsort; peaks at ~21 B/client
 ===============  ====================  ======================================
 
@@ -210,12 +210,14 @@ class CrowdTable:
     # ----------------------------------------------------------- reporting
     def counts(self) -> dict[str, int]:
         """Population per lifecycle state."""
-        histogram = np.bincount(self.state, minlength=4)
+        # One state at a time through a 1 B/client mask: ``bincount`` would
+        # cast the int8 column to an 8 B/client copy first.
+        state = self.state
         return {
-            "idle": int(histogram[IDLE]),
-            "pending": int(histogram[PENDING]),
-            "inflight": int(histogram[INFLIGHT]),
-            "done": int(histogram[DONE]),
+            "idle": int(np.count_nonzero(state == IDLE)),
+            "pending": int(np.count_nonzero(state == PENDING)),
+            "inflight": int(np.count_nonzero(state == INFLIGHT)),
+            "done": int(np.count_nonzero(state == DONE)),
         }
 
     def queue_depth(self) -> int:

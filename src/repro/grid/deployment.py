@@ -156,6 +156,6 @@ def internet_testbed_spec(
         # Dedicated Xeon coordinators: "better performance on database
         # operations" than the confined cluster's nodes.
         coordinator_disk=DiskModel(write_latency=0.005, write_bandwidth_bps=50e6),
-        coordinator_database=DatabaseModel(write_op_latency=0.0015, read_op_latency=0.0008),
+        coordinator_database=DatabaseModel(write_op_latency=0.0015),
         seed=seed,
     )

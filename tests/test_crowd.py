@@ -467,6 +467,32 @@ class TestScheduleMatchesMaskScan:
         assert accelerated > 0.8 * n
         assert peak < 2.5 * 2**20, peak
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_counts_match_a_bincount_of_state(self, seed):
+        rng = random.Random(seed)
+        n = rng.choice([1, 7, 64, 257])
+        pair = _Pair(n, seed, _TIE_BASE if seed % 2 else 0.0)
+        for _ in range(80):
+            pair.apply(_random_op(rng))
+            histogram = np.bincount(pair.fast.state, minlength=4)
+            expected = dict(zip(("idle", "pending", "inflight", "done"), map(int, histogram)))
+            assert pair.fast.counts() == expected
+
+    def test_counts_allocates_a_mask_not_a_cast_column(self):
+        """The report counts one state at a time through a 1 B/client bool
+        mask; a ``bincount`` of the int8 column would copy it to 8 B/client."""
+        table = CrowdTable(1_000_000, np.random.default_rng(5), think_window=600.0)
+        table.due(300.0)
+        table.mark_done(table.claim(0, 500_000))
+        tracemalloc.start()
+        try:
+            counts = table.counts()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(counts.values()) == 1_000_000 and counts["done"] > 0
+        assert peak < 2 * 2**20, peak
+
 
 class TestNumpyGate:
     def test_missing_numpy_is_a_configuration_error(self, monkeypatch):

@@ -16,6 +16,7 @@ from repro.nodes.node import Host
 from repro.sim.core import ProcessKilled
 from repro.sim.rng import RandomStreams
 from repro.types import Address
+from repro.workloads.synthetic import SyntheticWorkload
 
 
 class TestDiskModel:
@@ -43,39 +44,47 @@ class TestDiskModel:
 
 
 class TestDatabase:
-    def test_write_then_read_roundtrip(self):
-        database = Database()
-        cost = database.charge_write("k", {"state": "pending"}, 300)
-        assert cost > 0
-        record, read_cost = database.charge_read("k", 300)
-        assert record == {"state": "pending"}
-        assert read_cost > 0
-
-    def test_missing_key_reads_none(self):
-        database = Database()
-        record, _ = database.charge_read("missing")
-        assert record is None
-
-    def test_scan_cost_grows_with_records(self):
+    def test_scan_cost_grows_with_distinct_keys(self):
         database = Database()
         empty_scan = database.charge_scan()
         for index in range(1000):
-            database.charge_write(index, {}, 10)
+            database.charge_write(index, 10)
+        assert database.charge_scan() == pytest.approx(database.model.scan_time(1000))
         assert database.charge_scan() > empty_scan
 
-    def test_time_charged_accumulates(self):
+    def test_rewriting_a_key_does_not_grow_the_scan(self):
         database = Database()
-        database.charge_write("a", {}, 100)
-        database.charge_write("b", {}, 100)
-        assert database.time_charged == pytest.approx(2 * database.model.write_time(100))
+        for _ in range(100):
+            database.charge_write("k", 300)
+        assert database.keys == {"k"}
+        assert database.charge_scan() == pytest.approx(database.model.scan_time(1))
 
-    def test_uncharged_accessors(self):
+    def test_time_charged_and_writes_accumulate(self):
         database = Database()
-        database.charge_write("a", {"x": 1}, 10)
-        assert database.contains("a")
-        assert database.get("a") == {"x": 1}
-        assert database.keys() == ["a"]
-        assert len(database) == 1
+        database.charge_write("a", 100)
+        database.charge_write("a", 100)
+        database.charge_write("b", 100)
+        database.charge_scan()
+        assert (database.writes, database.scans) == (3, 1)
+        assert database.time_charged == pytest.approx(
+            3 * database.model.write_time(100) + database.model.scan_time(2)
+        )
+
+    def test_a_finished_grid_keeps_keys_not_rows(self):
+        """A coordinator's database holds its cost model, its keys and its
+        counters; no description or state value is stored per row."""
+        grid = build_confined_cluster(n_servers=2, n_coordinators=2, seed=3)
+        grid.start()
+        workload = SyntheticWorkload(n_calls=6, exec_time=2.0)
+        assert grid.run_until(grid.run_process(workload.run(grid.client)), timeout=600.0)
+        assert workload.completed_count() == 6
+        primary = grid.coordinators[0]
+        assert set(primary.tasks) <= primary.database.keys
+        for coordinator in grid.coordinators:
+            database = coordinator.database
+            assert set(vars(database)) == {"model", "keys", "time_charged", "writes", "scans"}
+            assert isinstance(database.keys, set) and database.keys
+            assert database.writes >= len(database.keys)
 
     def test_negative_latency_rejected(self):
         with pytest.raises(ConfigurationError):
