@@ -372,7 +372,8 @@ def execute_benchmark(
     A run with no fault injected must deliver every call before the
     horizon: if it did not, :class:`~repro.sim.core.SimulationError` is
     raised instead of a report, unless ``run_full_horizon`` says the run
-    is meant to measure up to the horizon.
+    is meant to measure up to the horizon.  A workload process that ended
+    without its results (its client host crashed) raises too, faults or not.
     """
     if protocol is None or protocol == "default":
         # The builders apply the platform's defaults themselves when handed
@@ -398,6 +399,14 @@ def execute_benchmark(
     extras = [grid.add_component(entry) for entry in components]
 
     finished = grid.run_until(process, timeout=horizon)
+    if not process.is_alive and bench.completed_at is None:
+        # The workload runs on the client host and dies with it; nothing
+        # relaunches it, so the calls it was waiting for have no owner.
+        grid.stop()
+        raise SimulationError(
+            f"the benchmark process died with its client host at {grid.env.now:g} s: "
+            f"{bench.completed_count()}/{workload.n_calls} calls completed"
+        )
     if run_full_horizon and grid.env.now < horizon:
         # Keep the fault/churn loops running out to the horizon so paired
         # arms consume identical fault-stream draws no matter when their

@@ -230,3 +230,29 @@ class TestFaultFreeRunMustFinish:
         )
         assert not report.finished_in_time
         assert report.completed < report.submitted
+
+
+def _fault_cell(entry: dict):
+    """The 8 x 4 s cell on 2 coordinators and 2 servers, with one injector."""
+    return execute_benchmark(
+        GridTopology(n_servers=2, n_coordinators=2),
+        WorkloadSpec(n_calls=8, exec_time=4.0),
+        seed=3,
+        components=[entry],
+    )
+
+
+class TestClientCrashIsAnError:
+    """The benchmark process dies with its client host: no row, an error."""
+
+    def test_a_rate_injector_on_the_clients(self):
+        with pytest.raises(SimulationError, match="died with its client host at .* 0/8"):
+            _fault_cell(
+                {"name": "inject.rate", "params": {"target": "clients", "faults_per_minute": 20.0}}
+            )
+
+    def test_a_scripted_client_kill(self):
+        kill = {"time": 5.0, "action": "kill", "target": "client:c0"}
+        with pytest.raises(SimulationError, match="died with its client host at 5 s"):
+            _fault_cell({"name": "inject.script", "params": {"events": [kill]}})
+
