@@ -22,9 +22,9 @@ Every class is a component in the structural sense of
 constructor taking only plain (JSON-able) parameters and validating them, a
 ``setup(builder)`` binding the environment, hosts, RNG streams and monitor
 off the :class:`~repro.platform.builder.Builder`, and ``start``/``stop``
-driving the injection loop.  The rate, churn and correlated injectors count
-their kills in a plain ``injected`` attribute (the ``faults_injected``
-output of a benchmark cell).
+driving the injection loop.  Every injector counts the live hosts it kills
+in a plain ``injected`` attribute (the ``faults_injected`` output of a
+benchmark cell).
 """
 
 from __future__ import annotations
@@ -480,6 +480,8 @@ class FaultScript:
                 ) from None
         #: labelled events the steps recorded, in firing order.
         self.recorded: list[dict[str, Any]] = []
+        #: live hosts killed so far, by either form (``faults_injected``).
+        self.injected = 0
 
     def setup(self, builder: "Builder") -> None:
         self.env = builder.env
@@ -535,13 +537,21 @@ class FaultScript:
             delay = max(0.0, start + time - env.now)
             if delay:
                 yield env.timeout(delay)
-            host = self._hosts[target]
             if action == "kill":
-                self.monitor.incr("faultscript.kills")
-                host.crash(cause=self.name)
+                self._kill(target)
             else:
-                self.monitor.incr("faultscript.restarts")
-                host.restart()
+                self._restart(target)
+
+    def _kill(self, target: str) -> None:
+        host = self._hosts[target]
+        self.monitor.incr("faultscript.kills")
+        if host.up:
+            self.injected += 1
+            host.crash(cause=self.name)
+
+    def _restart(self, target: str) -> None:
+        self.monitor.incr("faultscript.restarts")
+        self._hosts[target].restart()
 
     # ------------------------------------------------------------ step driver
     def _satisfied(self, condition: Mapping[str, Any]) -> bool:
@@ -567,11 +577,9 @@ class FaultScript:
                 yield env.timeout(after)
             do = step.get("do")
             if do == "kill":
-                self._hosts[str(step["target"])].crash(cause=self.name)
-                self.monitor.incr("faultscript.kills")
+                self._kill(str(step["target"]))
             elif do == "restart":
-                self._hosts[str(step["target"])].restart()
-                self.monitor.incr("faultscript.restarts")
+                self._restart(str(step["target"]))
             if step.get("label") is not None or step.get("note") is not None:
                 record: dict[str, Any] = {}
                 if step.get("label") is not None:

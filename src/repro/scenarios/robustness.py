@@ -304,6 +304,7 @@ def _worst_case_rows(results: list[CellResult]) -> list[dict[str, Any]]:
                 "makespan_seconds": worst.outputs["makespan"],
                 "completed": worst.outputs["completed"],
                 "submitted": worst.outputs["submitted"],
+                "faults_injected": worst.outputs["faults_injected"],
             }
         )
     return rows

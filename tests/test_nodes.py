@@ -305,6 +305,24 @@ class TestFaultScript:
         grid.run(until=6.0)
         assert [host.up for host in grid.server_hosts()] == [False, False]
 
+    def test_injected_counts_timetable_and_step_kills_of_live_hosts(self):
+        grid = _small_grid()
+        script = grid.add_component(FaultScript(
+            events=[
+                {"time": 5.0, "action": "kill", "target": "s000"},
+                # Already down: no fault is injected.
+                {"time": 6.0, "action": "kill", "target": "s000"},
+            ],
+            steps=[
+                {"after": 5.0, "do": "kill", "target": "s001"},
+                {"do": "restart", "target": "s001"},
+                {"after": 1.0, "do": "kill", "target": "s001"},
+            ],
+        ))
+        grid.start()
+        grid.run(until=10.0)
+        assert script.injected == 3
+
     def test_unknown_target_raises(self):
         grid = _small_grid()
         with pytest.raises(ConfigurationError, match="unknown hosts.*nowhere"):

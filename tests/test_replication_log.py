@@ -256,3 +256,11 @@ class TestClientCrashIsAnError:
         with pytest.raises(SimulationError, match="died with its client host at 5 s"):
             _fault_cell({"name": "inject.script", "params": {"events": [kill]}})
 
+
+def test_a_scripted_coordinator_kill_is_a_counted_fault():
+    events = [
+        {"time": 5.0, "action": "kill", "target": "coordinator:cluster-k0"},
+        {"time": 15.0, "action": "restart", "target": "coordinator:cluster-k0"},
+    ]
+    report = _fault_cell({"name": "inject.script", "params": {"events": events}})
+    assert (report.completed, report.faults_injected) == (8, 1)

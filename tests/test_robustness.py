@@ -18,7 +18,7 @@ from repro.policies import (
     QuorumReplication,
 )
 from repro.scenarios.engine import benchmark_cell
-from repro.scenarios.runner import SweepRunner
+from repro.scenarios.runner import SweepRunner, run_scenario
 from repro.scenarios.spec import Axis, CellResult, ScenarioSpec
 from repro.sim.rng import RandomStreams
 from repro.types import Address, CallIdentity
@@ -426,3 +426,8 @@ class TestPairedSweeps:
     def test_unknown_runner_paired_axis_is_rejected(self):
         with pytest.raises(ConfigurationError, match="not axes"):
             SweepRunner(_paired_spec(), jobs=1, paired_axes=("nope",))
+
+
+def test_fault_search_rows_count_the_scripted_kill():
+    rows = run_scenario("fault-search", scale="tiny", jobs=1).rows
+    assert rows and all(row["faults_injected"] == 1 for row in rows), rows
