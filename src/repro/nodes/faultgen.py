@@ -537,21 +537,17 @@ class FaultScript:
             delay = max(0.0, start + time - env.now)
             if delay:
                 yield env.timeout(delay)
-            if action == "kill":
-                self._kill(target)
-            else:
-                self._restart(target)
+            self._act(action, target)
 
-    def _kill(self, target: str) -> None:
+    def _act(self, action: str, target: str) -> None:
+        """Kill or restart ``target``; a kill of a down host injects nothing."""
         host = self._hosts[target]
-        self.monitor.incr("faultscript.kills")
-        if host.up:
+        self.monitor.incr(f"faultscript.{action}s")
+        if action == "restart":
+            host.restart()
+        elif host.up:
             self.injected += 1
             host.crash(cause=self.name)
-
-    def _restart(self, target: str) -> None:
-        self.monitor.incr("faultscript.restarts")
-        self._hosts[target].restart()
 
     # ------------------------------------------------------------ step driver
     def _satisfied(self, condition: Mapping[str, Any]) -> bool:
@@ -576,10 +572,8 @@ class FaultScript:
             if after:
                 yield env.timeout(after)
             do = step.get("do")
-            if do == "kill":
-                self._kill(str(step["target"]))
-            elif do == "restart":
-                self._restart(str(step["target"]))
+            if do in ("kill", "restart"):
+                self._act(do, str(step["target"]))
             if step.get("label") is not None or step.get("note") is not None:
                 record: dict[str, Any] = {}
                 if step.get("label") is not None:

@@ -467,17 +467,6 @@ class TestScheduleMatchesMaskScan:
         assert accelerated > 0.8 * n
         assert peak < 2.5 * 2**20, peak
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_counts_match_a_bincount_of_state(self, seed):
-        rng = random.Random(seed)
-        n = rng.choice([1, 7, 64, 257])
-        pair = _Pair(n, seed, _TIE_BASE if seed % 2 else 0.0)
-        for _ in range(80):
-            pair.apply(_random_op(rng))
-            histogram = np.bincount(pair.fast.state, minlength=4)
-            expected = dict(zip(("idle", "pending", "inflight", "done"), map(int, histogram)))
-            assert pair.fast.counts() == expected
-
     def test_counts_allocates_a_mask_not_a_cast_column(self):
         """The report counts one state at a time through a 1 B/client bool
         mask; a ``bincount`` of the int8 column would copy it to 8 B/client."""
