@@ -42,8 +42,6 @@ class FaultDetectionConfig:
     heartbeat_period: float = 5.0
     #: silence after which a component is suspected (seconds); 30 s in the paper.
     suspicion_timeout: float = 30.0
-    #: initial grace period before the first suspicion can be raised.
-    startup_grace: float = 0.0
 
     def validate(self) -> None:
         if self.heartbeat_period <= 0:
@@ -53,8 +51,6 @@ class FaultDetectionConfig:
                 "suspicion_timeout must exceed heartbeat_period "
                 f"({self.suspicion_timeout} <= {self.heartbeat_period})"
             )
-        if self.startup_grace < 0:
-            raise ConfigurationError("startup_grace must be non-negative")
 
 
 @dataclass
@@ -143,9 +139,6 @@ class ServerConfig:
     """Server (worker) component parameters."""
 
     detection: FaultDetectionConfig = field(default_factory=FaultDetectionConfig)
-    #: whether the server keeps computing while disconnected from every
-    #: coordinator (off-line computing, a feature of the paper's design).
-    offline_computing: bool = True
     #: how long the server waits after a NO_WORK answer before asking again.
     work_poll_period: float = 2.0
     #: how long the server waits for a coordinator reply before re-sending.

@@ -51,10 +51,6 @@ class Session:
         self._issued.append(counter)
         return CallIdentity(self.user, self.session_id, counter)
 
-    def last_timestamp(self) -> int:
-        """Highest timestamp issued so far (0 when none)."""
-        return self._issued[-1] if self._issued else 0
-
     def restore_counter(self, max_known_timestamp: int) -> None:
         """After a restart, continue numbering strictly after what is known.
 

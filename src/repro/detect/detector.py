@@ -112,8 +112,6 @@ class FailureDetector:
         """Evaluate (and latch) the suspicion status of ``subject``."""
         if subject not in self.last_heard:
             return False
-        if now < self.config.startup_grace:
-            return False
         silence = self.silence(subject, now)
         if self.policy is not None:
             suspected = bool(self.policy.suspects(subject, silence, self.config))

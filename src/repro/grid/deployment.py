@@ -16,7 +16,7 @@ into live components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.config import ProtocolConfig
 from repro.errors import ConfigurationError
@@ -77,10 +77,6 @@ class DeploymentSpec:
     def n_clients(self) -> int:
         """Total number of clients."""
         return len(self.client_sites)
-
-    def with_protocol(self, protocol: ProtocolConfig) -> "DeploymentSpec":
-        """Copy of this spec with a different protocol configuration."""
-        return replace(self, protocol=protocol)
 
 
 def confined_cluster_spec(

@@ -47,10 +47,6 @@ class GarbageCollector:
         self.collections = 0
         self.total_flushed_bytes = 0
 
-    def over_capacity(self) -> bool:
-        """Whether the log currently exceeds its configured capacity."""
-        return self.log.total_bytes() > self.config.capacity_bytes
-
     def maybe_collect(self) -> GCReport:
         """Run a collection pass if (and only if) the log is over capacity."""
         size = self.log.total_bytes()

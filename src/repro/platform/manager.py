@@ -21,7 +21,7 @@ Components may be added at any lifecycle phase:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, TypeVar
+from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import ConfigurationError
 from repro.platform.component import Component, missing_component_attrs
@@ -30,8 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.platform.builder import Builder
 
 __all__ = ["ComponentManager"]
-
-C = TypeVar("C")
 
 #: lifecycle phases, in order.
 _PHASES = ("registration", "setup", "running", "stopped")
@@ -68,10 +66,6 @@ class ComponentManager:
             raise ConfigurationError(
                 f"no component named {name!r} (registered: {known})"
             ) from None
-
-    def by_type(self, cls: type[C]) -> list[C]:
-        """Every registered component that is an instance of ``cls``."""
-        return [c for c in self._components if isinstance(c, cls)]
 
     # ------------------------------------------------------------ registration
     def add(self, component: Component) -> Component:

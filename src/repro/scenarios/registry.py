@@ -18,7 +18,7 @@ full registry without the defining modules importing each other.
 from __future__ import annotations
 
 import importlib
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.errors import ConfigurationError
 from repro.scenarios.spec import ScenarioSpec
@@ -90,8 +90,3 @@ def all_scenarios() -> dict[str, ScenarioSpec]:
     """Every registered scenario, sorted by name."""
     load_all()
     return dict(sorted(_REGISTRY.items()))
-
-
-def scenario_names() -> Iterable[str]:
-    """Registered scenario names, sorted."""
-    return tuple(all_scenarios())

@@ -163,8 +163,14 @@ class TestProtocolResolution:
             apply_protocol_overrides(
                 resolve_protocol(), {"coordinator.replication.server_slots": 4}
             )
-        # A method is not a key either, and a path cannot walk into an entry.
-        for path in ("coordinator.validate", "policy.scheduler.upper"):
+        # Neither were offline_computing nor startup_grace.  A method is not
+        # a key either, and a path cannot walk into an entry.
+        for path in (
+            "server.offline_computing",
+            "server.detection.startup_grace",
+            "coordinator.validate",
+            "policy.scheduler.upper",
+        ):
             with pytest.raises(ConfigurationError, match="unknown protocol path"):
                 apply_protocol_overrides(resolve_protocol(), {path: 1})
 
@@ -176,7 +182,7 @@ class TestProtocolResolution:
             ("coordinator.replication.period", "abc", "type float"),
             ("coordinator.replication.period", True, "type float"),
             ("client.logging.capacity_bytes", 1.5, "type int"),
-            ("server.offline_computing", 1, "type bool"),
+            ("client.logging.prefer_stall_over_flush", 1, "type bool"),
         ],
     )
     def test_a_wrongly_typed_override_is_rejected_at_the_assignment(
