@@ -8,7 +8,12 @@ finally a scripted double coordinator failure is survived.
 """
 
 from repro.scenarios import run_scenario
-from repro.scenarios.engine import FaultPlan, GridTopology, WorkloadSpec, execute_benchmark
+from repro.scenarios.engine import GridTopology, WorkloadSpec, execute_benchmark
+
+
+def _killing(target: str) -> list[dict]:
+    """One ``inject.rate`` entry killing ``target`` at 6 faults/min."""
+    return [{"name": "inject.rate", "params": {"target": target, "faults_per_minute": 6.0}}]
 
 
 def main() -> None:
@@ -22,16 +27,14 @@ def main() -> None:
 
     print("\n=== 2. servers killed at 6 faults/min ===")
     servers = execute_benchmark(
-        topology, workload,
-        FaultPlan(kind="rate", target="servers", faults_per_minute=6.0), seed=7,
+        topology, workload, seed=7, components=_killing("servers"),
     )
     print(f"makespan {servers.makespan:.1f} s, faults injected {servers.faults_injected}, "
           f"completed {servers.completed}/{servers.submitted}")
 
     print("\n=== 3. coordinators killed at 6 faults/min ===")
     coordinators = execute_benchmark(
-        topology, workload,
-        FaultPlan(kind="rate", target="coordinators", faults_per_minute=6.0), seed=7,
+        topology, workload, seed=7, components=_killing("coordinators"),
     )
     print(f"makespan {coordinators.makespan:.1f} s, faults injected {coordinators.faults_injected}, "
           f"completed {coordinators.completed}/{coordinators.submitted}")

@@ -16,7 +16,6 @@ from repro.policies import (
     PessimisticNonBlockingLogging,
 )
 from repro.scenarios.engine import (
-    FaultPlan,
     GridTopology,
     WorkloadSpec,
     execute_benchmark,
@@ -277,9 +276,12 @@ class TestFaultTolerance:
         report = execute_benchmark(
             GridTopology(n_servers=4, n_coordinators=2),
             WorkloadSpec(n_calls=16, exec_time=2.0),
-            FaultPlan(kind="rate", target="servers", faults_per_minute=6.0),
             seed=3,
             horizon=3000.0,
+            components=[{
+                "name": "inject.rate",
+                "params": {"target": "servers", "faults_per_minute": 6.0},
+            }],
         )
         assert report.all_completed
         assert report.makespan >= report.ideal_time
@@ -291,12 +293,15 @@ class TestFaultTolerance:
         noisy = execute_benchmark(
             topology,
             workload,
-            FaultPlan(
-                kind="rate", target="servers", faults_per_minute=10.0,
-                restart_delay=20.0,
-            ),
             seed=5,
             horizon=6000.0,
+            components=[{
+                "name": "inject.rate",
+                "params": {
+                    "target": "servers", "faults_per_minute": 10.0,
+                    "restart_delay": 20.0,
+                },
+            }],
         )
         assert noisy.makespan > quiet.makespan
         assert noisy.faults_injected > 0

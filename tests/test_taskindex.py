@@ -386,13 +386,12 @@ class TestLiveRunAudit:
     path that misses its ``note`` loses the task.  So recount, live."""
 
     def _churn_run(self) -> IndexAudit:
-        from repro.scenarios import FaultPlan, GridTopology, WorkloadSpec, execute_benchmark
+        from repro.scenarios import GridTopology, WorkloadSpec, execute_benchmark
 
         audit = IndexAudit(preload=3)
         report = execute_benchmark(
             GridTopology(n_servers=8, n_coordinators=4, spread_servers=True),
             WorkloadSpec(n_calls=40, exec_time=20.0),
-            FaultPlan(kind="churn", mtbf=100.0, mttr=60.0),
             protocol_overrides={
                 "policy.replication": {
                     "name": "policy.repl.quorum",
@@ -402,6 +401,10 @@ class TestLiveRunAudit:
             seed=5,
             horizon=20_000.0,
             components=[
+                {
+                    "name": "inject.churn",
+                    "params": {"target": "servers", "mtbf": 100.0, "mttr": 60.0},
+                },
                 {
                     "name": "inject.rate",
                     "params": {"target": "coordinators", "faults_per_minute": 1.0},
