@@ -12,10 +12,10 @@ Three scale-minded properties of the emitter:
 * **one periodic handle per emitter** — the beat loop rides the kernel's
   :meth:`~repro.sim.core.Environment.call_periodic` lane: a single
   :class:`~repro.sim.core.TimerHandle` re-arms itself in place after
-  every beat, staging each next tick on the O(1) timer wheel instead of a
-  process + Timeout event (or even a fresh cancel token) per beat.  Every
-  target of a beat shares that single handle; the per-target work is just
-  the message sends;
+  every beat, one heap push per next tick instead of a process + Timeout
+  event (or even a fresh cancel token) per beat.  Every target of a beat
+  shares that single handle; the per-target work is just the message
+  sends;
 * **nothing left behind** — :meth:`HeartbeatEmitter.stop` cancels the
   handle, and a host crash does the same through the host's crash hooks, so
   retired emitters leave no entry in the kernel schedule;
@@ -78,7 +78,7 @@ class HeartbeatEmitter:
         """Component lifecycle hook: the emitter binds at construction."""
 
     def start(self) -> None:
-        """Arm the periodic beat handle on the timer wheel (host must be up)."""
+        """Arm the periodic beat handle (host must be up)."""
         if not self.host.up:
             raise ConfigurationError(
                 f"cannot start heartbeat on crashed host {self.host.address}"

@@ -210,15 +210,17 @@ class Grid:
     def kernel_stats(self) -> dict:
         """Kernel load snapshot: event-queue occupancy plus envelope pooling.
 
-        Combines the environment's :meth:`queue_stats` (heap/wheel occupancy,
-        wheel flushes, events processed) with the process-global message-pool
-        hit rate, so benchmark rows can record kernel load alongside protocol
-        counters.  Pool numbers are cumulative per *process* — comparable
+        Combines the environment's :meth:`queue_stats` (heap occupancy,
+        tombstones, compactions, events processed) with the process-global
+        message-pool hit rate, so benchmark rows can record kernel load
+        alongside protocol counters.  Pool numbers are cumulative per *process* — comparable
         within a run, not across parallel workers.
         """
         from repro.net.message import default_pool
 
         stats = dict(self.env.queue_stats())
+        # Read by bench/rep.py; drop with ROADMAP item 10 (the kernel has no wheel).
+        stats["wheel_flushes"] = stats["wheel_overflows"] = 0
         pool = default_pool().stats()
         stats["pool_hit_rate"] = pool.get("hit_rate", 0.0)
         stats["pool_hits"] = pool.get("hits", 0)

@@ -32,22 +32,11 @@ __all__ = [
     "Message",
     "MessagePool",
     "default_pool",
-    "reset_message_seq",
     "snapshot_payload",
 ]
 
 _MESSAGE_SEQ = itertools.count(1)
 
-
-def reset_message_seq() -> None:
-    """Restart msg_id numbering from 1 (long-realtime-run hygiene).
-
-    Pairs with :meth:`repro.sim.core.Environment.reset_counters`: both
-    counters grow without bound across back-to-back runs in one process.
-    Only call between runs — ids are only guaranteed unique within a run.
-    """
-    global _MESSAGE_SEQ
-    _MESSAGE_SEQ = itertools.count(1)
 
 #: payload leaves that are immutable all the way down (a call identity is a
 #: tuple of two strings and an int, and travels by reference).

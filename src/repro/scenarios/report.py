@@ -29,7 +29,7 @@ class RunReport:
     wrong_suspicions: int | None = None
     suspicion_transitions: int | None = None
     fault_streams: dict[str, str] | None = None
-    #: kernel load snapshot (wheel occupancy, flushes, pool hit-rate);
+    #: kernel load snapshot (heap occupancy, compactions, pool hit-rate);
     #: stamped when the engine runs with ``record_kernel=True``.
     kernel: dict[str, Any] | None = None
     #: aggregated crowd-tier counters, flattened into the outputs as

@@ -10,11 +10,11 @@ The kernel follows the process-interaction world view:
 * :class:`AnyOf` / :class:`AllOf` compose events;
 * processes can be interrupted (:class:`Interrupt`) or killed
   (:class:`ProcessKilled`), which is how node crashes are modelled;
-* waits are *cancellable*: :meth:`Timeout.cancel` removes a wheel-staged
-  timer on the spot and tombstones a heap-resident one (lazily removed from
-  the heap, compacted in bulk when dead entries pile up),
-  :meth:`Event.cancel_wait` detaches a waiter, and :func:`wait_any` races a
-  set of events against an optional timeout with guaranteed cleanup.
+* waits are *cancellable*: :meth:`Timeout.cancel` tombstones a pending
+  timer (lazily removed from the heap, compacted in bulk when dead entries
+  pile up), :meth:`Event.cancel_wait` detaches a waiter, and
+  :func:`wait_any` races a set of events against an optional timeout with
+  guaranteed cleanup.
 
 Cancellation matters because the RPC-V protocol is timeout-driven end to end:
 every request races a reply against a retry timer, and the losing side of the
@@ -27,17 +27,12 @@ timeouts, withdraws conditions from their constituent events, and purges
 store getter queues — so a killed process reclaims everything it was blocked
 on, and the heap does not fill with dead timers at scale.
 
-Scheduling is split over **four lanes** (see :class:`Environment`): an
-urgent same-tick deque, a normal same-tick deque, a hashed timer wheel for
-future timers within its horizon, and the time-ordered heap; the heap
-carries full events, :class:`TimerHandle` entries and bare ``call_at``
-callback entries.  Each timer mechanism is written once: every future entry
-is put on its lane by :meth:`Environment._place` and a cancelled one taken
-back by :meth:`Environment._unschedule`.  Wheel entries are staged as
-ready-made heap tuples (their sequence number is drawn at schedule time) and
-are flushed into the heap before the clock can reach their window, so
-same-timestamp ordering is bit-for-bit identical whether a timer rode the
-wheel or went straight to the heap.
+Scheduling is split over **three lanes** (see :class:`Environment`): an
+urgent same-tick deque, a normal same-tick deque, and the time-ordered heap;
+the heap carries full events, :class:`TimerHandle` entries and bare
+``call_at`` callback entries.  Each timer mechanism is written once: every
+future entry is pushed by :meth:`Environment._place` and a cancelled one
+tombstoned by :meth:`Environment._unschedule`.
 
 The implementation is intentionally dependency-free and deterministic: events
 scheduled at the same virtual time fire in lane order (urgent before normal)
@@ -264,16 +259,15 @@ class Timeout(Event):
     """An event that fires ``delay`` units of virtual time in the future.
 
     A zero-delay timeout joins the same-tick FIFO lane (no heap traffic); a
-    positive delay is put on the wheel or the heap by
-    :meth:`Environment._place`.  A pending timeout can be :meth:`cancel`-led:
-    :meth:`Environment._unschedule` swap-removes a wheel entry immediately
-    and tombstones a heap entry (skipped on pop, removed in bulk by
-    compaction) — either way its callbacks never run.  Timeouts also cancel
-    *themselves* when their last waiter detaches — the abandon cascade — so
-    the losing timer of a reply-vs-timeout race does not linger in the heap.
+    positive delay is pushed onto the heap.  A pending timeout can be
+    :meth:`cancel`-led: its heap entry becomes a tombstone (skipped on pop,
+    removed in bulk by compaction) and its callbacks never run.  Timeouts
+    also cancel *themselves* when their last waiter detaches — the abandon
+    cascade — so the losing timer of a reply-vs-timeout race does not linger
+    in the heap.
     """
 
-    __slots__ = ("delay", "_in_wheel", "_wheel_pos")
+    __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         # Timeouts dominate event allocation on the protocol hot paths, so
@@ -288,17 +282,12 @@ class Timeout(Event):
         # Abandon hook shared by every timeout: nobody waits for it anymore.
         self._abandon_hook = Timeout.cancel
         self.delay = delay
-        self._in_wheel = False
         if delay > 0.0:
+            # Environment._place inlined: timeouts are the hottest producer.
             when = env._now + delay
-            entry = (when, next(env._counter), self)
-            # The first test of Environment._place, kept at the call site:
-            # most timers are ms-scale service charges and latencies whose
-            # window already flushed, and they skip the call altogether.
-            if when < env._wheel_next_boundary:
-                _heappush(env._queue, entry)
-            else:
-                env._place(when, entry, self)
+            if when == _INF:
+                raise SimulationError(f"cannot schedule at non-finite time {when!r}")
+            _heappush(env._queue, (when, next(env._counter), self))
         elif delay == 0.0:
             env._tick.append(self)
         else:
@@ -309,8 +298,7 @@ class Timeout(Event):
 
         Returns True when the timeout was still pending (its callbacks will
         never run), False when it had already fired or been cancelled.  A
-        wheel-staged timer is swap-removed from its slot; a heap-resident
-        one becomes a tombstone counted by the compactor; a same-tick
+        heap entry becomes a tombstone counted by the compactor; a same-tick
         (zero-delay) timer is simply skipped when its lane drains.
         """
         # callbacks is None from the moment the event is popped off the
@@ -324,7 +312,7 @@ class Timeout(Event):
         # Same-tick lane: the drain loop skips cancelled events; the lane
         # empties every tick, so no tombstone accounting is needed.
         if self.delay != 0.0:
-            self.env._unschedule(self)
+            self.env._unschedule()
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -353,11 +341,10 @@ class TimerHandle:
     bare tuple ``(when, seq, handle)``; the handle is the only allocation and
     serves the whole lifetime of a periodic activity: each firing runs
     ``fn(arg)`` and then re-arms the *same* handle — per beat the only kernel
-    traffic is one :meth:`Environment._place`, no allocation.  The
-    next-beat delay comes from ``interval`` or, when given, from
-    ``interval_fn()`` (evaluated after ``fn`` runs, so jittered cadences draw
-    their randomness at exactly the position a hand-rolled re-arming callback
-    would).  Cancellation is O(1) in either lane, exactly like a cancelled
+    traffic is one heap push, no allocation.  The next-beat delay comes from
+    ``interval`` or, when given, from ``interval_fn()`` (evaluated after
+    ``fn`` runs, so jittered cadences draw their randomness at exactly the
+    position a hand-rolled re-arming callback would).  Cancellation is an O(1) tombstone, exactly like a cancelled
     :class:`Timeout`, and may happen at any time, including from inside
     ``fn`` itself (a periodic handle then simply never re-arms).
     """
@@ -371,8 +358,6 @@ class TimerHandle:
         "when",
         "fired",
         "_cancelled",
-        "_in_wheel",
-        "_wheel_pos",
         "_armed",
     )
 
@@ -395,10 +380,9 @@ class TimerHandle:
         #: number of firings so far.
         self.fired = 0
         self._cancelled = False
-        self._in_wheel = False
         #: True while a schedule entry for this handle is queued.
         self._armed = True
-        env._place(when, (when, next(env._counter), self), self)
+        env._place(when, (when, next(env._counter), self))
 
     @property
     def cancelled(self) -> bool:
@@ -425,7 +409,7 @@ class TimerHandle:
         # Set before _unschedule: a compaction it triggers filters on the flag.
         self._cancelled = True
         if self._armed:
-            self.env._unschedule(self)
+            self.env._unschedule()
         return True
 
     def _fire(self) -> None:
@@ -444,7 +428,7 @@ class TimerHandle:
         env = self.env
         self.when = when = env._now + delay
         self._armed = True
-        env._place(when, (when, next(env._counter), self), self)
+        env._place(when, (when, next(env._counter), self))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self._cancelled else (
@@ -883,7 +867,7 @@ def wait_any(env: "Environment", events: Iterable[Event], timeout: float | None 
 
 
 class Environment:
-    """The simulation environment: virtual clock plus a four-lane schedule.
+    """The simulation environment: virtual clock plus a three-lane schedule.
 
     Work pending at the current tick is kept out of the heap entirely:
 
@@ -894,41 +878,23 @@ class Environment:
       current time: ``succeed``/``fail`` chains, condition triggers,
       zero-delay timeouts, and zero-delay :meth:`call_at` callbacks.  Drained
       after the urgent lane, before the clock may advance.
-    * **timer wheel** — a hashed wheel of ``wheel_slots`` fixed windows of
-      ``wheel_granularity`` virtual seconds each.  Future timers within the
-      wheel horizon are *staged* here as ready-made heap tuples — their
-      sequence number is drawn at schedule time — and the whole window is
-      flushed into the heap just before the clock can reach it, so ordering
-      is bit-for-bit what a direct heap push would have produced.  A window
-      is an *unordered* staging bag — each entry carries its own (time, seq)
-      key — so schedule and cancel are both true O(1): an append, and a
-      swap-remove of the entry at its recorded slot position.  The dense
-      periodic traffic of the protocol layers (heartbeats, retry ladders,
-      replication cadences, detector timeouts) never pays O(log n) heap
-      churn, and the cancelled majority of raced timers leaves no residue
-      at all — no tombstone, no compaction debt, no cache footprint.
-      Timers beyond the horizon (and timers whose window already flushed)
-      cascade to the heap.
-    * **event heap** — the time-ordered heap for near-term and overflow
-      work.  It holds full events (``(time, seq, event)``), one-shot and
-      periodic :class:`TimerHandle` entries (``(time, seq, handle)``) and
-      bare callback entries scheduled with :meth:`call_at` (``(time, seq,
-      None, fn, arg)``) — the callback lane costs one tuple per call instead
-      of an :class:`Event` allocation, which is what keeps per-message
-      transport delivery allocation-free.
+    * **event heap** — the time-ordered heap for all future work.  It holds
+      full events (``(time, seq, event)``), one-shot and periodic
+      :class:`TimerHandle` entries (``(time, seq, handle)``) and bare
+      callback entries scheduled with :meth:`call_at` (``(time, seq, None,
+      fn, arg)``) — the callback lane costs one tuple per call instead of an
+      :class:`Event` allocation, which is what keeps per-message transport
+      delivery allocation-free.
 
-    :meth:`_place` alone decides wheel or heap and :meth:`_unschedule` alone
-    takes a cancelled entry back; the wheel's geometry selects no code path.
-
-    Within a lane, ordering is FIFO; across lanes at one tick it is urgent →
-    same-tick → heap entries due now (wheel entries re-join the heap before
-    they can be due).  Cancelled heap entries (timers and handles) stay
-    behind as *tombstones*: they are skipped when they surface at the top,
-    and when they outnumber half of the heap (past a small floor) the whole
-    schedule is compacted in one O(n) pass; cancelled wheel entries are
-    swap-removed on the spot and need no compaction.  This keeps both
-    cancellation and scheduling O(log live) amortised, no matter how many
-    raced-and-lost timers the protocol layers churn through.
+    :meth:`_place` alone pushes a future entry and :meth:`_unschedule` alone
+    accounts for a cancelled one.  Within a lane, ordering is FIFO; across
+    lanes at one tick it is urgent → same-tick → heap entries due now.
+    Cancelled heap entries (timers and handles) stay behind as *tombstones*:
+    they are skipped when they surface at the top, and when they outnumber
+    half of the heap (past a small floor) the whole schedule is compacted in
+    one O(n) pass.  This keeps both cancellation and scheduling O(log live)
+    amortised, no matter how many raced-and-lost timers the protocol layers
+    churn through.
     """
 
     #: never compact below this many tombstones (avoids thrashing tiny heaps).
@@ -936,13 +902,7 @@ class Environment:
     #: gen-0 GC threshold applied while run() drains the schedule (see run()).
     _GC_BATCH_GEN0 = 100_000
 
-    def __init__(
-        self,
-        initial_time: float = 0.0,
-        *,
-        wheel_granularity: float = 1.0,
-        wheel_slots: int = 256,
-    ) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         #: time-ordered heap of (time, seq, event | handle) / (time, seq, None, fn, arg).
         self._queue: list[tuple] = []
@@ -961,27 +921,6 @@ class Environment:
         #: high-water mark of the heap size, tombstones included (observed
         #: at stats snapshots and compactions; see queue_stats()).
         self.peak_heap_size = 0
-        # Timer-wheel lane state (see the class docstring).
-        if wheel_granularity <= 0.0:
-            raise SimulationError("wheel_granularity must be positive")
-        if wheel_slots < 1:
-            raise SimulationError("wheel_slots must be at least 1")
-        self._wheel_granularity = float(wheel_granularity)
-        self._wheel_size = int(wheel_slots)
-        self._wheel_slots: list[list[tuple]] = [[] for _ in range(self._wheel_size)]
-        #: absolute index of the first window not yet flushed into the heap.
-        base = int(self._now / self._wheel_granularity)
-        self._wheel_next_slot = base
-        self._wheel_next_boundary = base * self._wheel_granularity
-        #: entries currently staged on the wheel (all live: a cancel removes
-        #: its entry from the slot in place, so the wheel holds no tombstones).
-        self._wheel_count = 0
-        #: number of non-empty windows flushed into the heap.
-        self.wheel_flushes = 0
-        #: entries that overflowed the horizon and cascaded to the heap.
-        self.wheel_overflows = 0
-        #: high-water mark of staged wheel entries (sampled like peak_heap_size).
-        self.peak_wheel_size = 0
 
     # -- clock --------------------------------------------------------------
     @property
@@ -1034,7 +973,7 @@ class Environment:
         if when <= self._now:
             self._tick.append((fn, arg))
             return
-        self._place(when, (when, next(self._counter), None, fn, arg), None)
+        self._place(when, (when, next(self._counter), None, fn, arg))
 
     def call_at_cancellable(
         self, when: float, fn: Callable[[Any], None], arg: Any = None
@@ -1042,9 +981,9 @@ class Environment:
         """Schedule ``fn(arg)`` at ``when``; returns a :class:`TimerHandle`.
 
         Like :meth:`call_at` plus one handle allocation; the handle's
-        :meth:`~TimerHandle.cancel` is O(1) in either lane — a wheel-staged
-        entry is swap-removed, a heap-resident one tombstoned exactly like a
-        cancelled timer.  Entries due in the past fire at the current tick.
+        :meth:`~TimerHandle.cancel` tombstones the entry in O(1), exactly
+        like a cancelled timer.  Entries due in the past fire at the current
+        tick.
         """
         if when < self._now:
             when = self._now
@@ -1063,7 +1002,7 @@ class Environment:
 
         The returned handle re-arms itself *in place* after each beat: the
         whole periodic activity costs one handle allocation up front and one
-        O(1) wheel append per beat — no per-beat Event/Timeout/handle churn.
+        heap push per beat — no per-beat Event/Timeout/handle churn.
         ``first_delay`` (default: one interval) desynchronises the first
         beat; ``interval_fn``, when given, supplies each next-beat delay
         (evaluated *after* ``fn`` runs) for jittered cadences — ``interval``
@@ -1082,83 +1021,26 @@ class Environment:
         return TimerHandle(self, self._now + delay, fn, arg, interval, interval_fn)
 
     # -- placement and cancellation (each written once) ------------------------
-    def _place(self, when: float, entry: tuple, marker: Any) -> None:
-        """Put the future ``entry`` on its lane: a wheel window or the heap.
+    def _place(self, when: float, entry: tuple) -> None:
+        """Push the future ``entry`` onto the heap.
 
-        The one placement routine behind :class:`Timeout`, :meth:`call_at`
-        and :class:`TimerHandle`.  ``marker`` is ``entry[2]`` — the event,
-        the handle, or ``None`` for an uncancellable :meth:`call_at` entry;
-        a staged marker records its slot token (slot index + 1, truthy) and
-        in-slot position so :meth:`_unschedule` can remove exactly that entry.
-
-        Entries land in the window containing ``when``; a window is flushed
-        into the heap (in one batch, before the clock can reach it) by
-        :meth:`_skim`.  Entries whose window already flushed, and entries
-        beyond the horizon (counted in ``wheel_overflows``), go straight to
-        the heap.  The entry's sequence number was drawn by the caller, so
-        flushing preserves exactly the (time, seq) order a direct push would
-        have produced.
+        The one placement routine behind :meth:`call_at` and
+        :class:`TimerHandle` (:class:`Timeout` inlines it).  The entry's
+        sequence number was drawn by the caller, which fixes its FIFO rank
+        among entries due at the same time.
         """
-        if when < self._wheel_next_boundary:
-            # Window already flushed (the offset below would be negative; the
-            # empty-wheel cursor only ever moves up): no index arithmetic.
-            _heappush(self._queue, entry)
-            return
-        granularity = self._wheel_granularity
-        if not self._wheel_count:
-            # Empty wheel: drag the flush cursor up to the present so a long
-            # quiet spell does not leave the horizon anchored in the past.
-            base = int(self._now / granularity)
-            if base > self._wheel_next_slot:
-                self._wheel_next_slot = base
-                self._wheel_next_boundary = base * granularity
-        try:
-            index = int(when / granularity)
-        except (OverflowError, ValueError):
-            raise SimulationError(
-                f"cannot schedule at non-finite time {when!r}"
-            ) from None
-        if index * granularity > when:
-            # Float-division rounding put `when` past its true window; a
-            # window must never start after an entry it holds fires.
-            index -= 1
-        offset = index - self._wheel_next_slot
-        size = self._wheel_size
-        if 0 <= offset < size:
-            slot_index = index % size
-            slot = self._wheel_slots[slot_index]
-            if marker is not None:
-                marker._in_wheel = slot_index + 1
-                marker._wheel_pos = len(slot)
-            slot.append(entry)
-            self._wheel_count += 1
-            return
-        if offset >= size:
-            self.wheel_overflows += 1
+        if not when < _INF:  # inf, and nan (which compares false)
+            raise SimulationError(f"cannot schedule at non-finite time {when!r}")
         _heappush(self._queue, entry)
 
-    def _unschedule(self, marker: Any) -> None:
-        """Take back the entry of a just-cancelled event or handle.
+    def _unschedule(self) -> None:
+        """Account for the heap entry of a just-cancelled event or handle.
 
-        The one cancel routine (the caller has set ``marker._cancelled``).  A
-        wheel-staged entry is swap-removed — a window is an unordered bag, so
-        only the displaced entry's recorded position moves with it.  A
-        heap-resident entry becomes a tombstone: counted here, skipped by
-        :meth:`_skim`, dropped in bulk by :meth:`_compact`.
+        The one cancel routine (the caller has set the ``_cancelled`` flag):
+        the entry stays in the heap as a tombstone — counted here, skipped by
+        :meth:`_skim`, dropped in bulk by :meth:`_compact` once tombstones
+        make up half of the heap.
         """
-        token = marker._in_wheel
-        if token:
-            slot = self._wheel_slots[token - 1]
-            pos = marker._wheel_pos
-            last = slot.pop()
-            if pos < len(slot):
-                slot[pos] = last
-                moved = last[2]
-                if moved is not None:
-                    moved._wheel_pos = pos
-            self._wheel_count -= 1
-            marker._in_wheel = False
-            return
         self._dead_entries += 1
         if (
             self._dead_entries >= self._COMPACTION_MIN_DEAD
@@ -1166,47 +1048,13 @@ class Environment:
         ):
             self._compact()
 
-    def _flush_wheel(self) -> None:
-        """Flush matured windows into the heap (every entry is live).
-
-        Called by :meth:`_skim` when the next unflushed window starts at or
-        before the heap top (or the heap is empty): windows are pushed in
-        batch while their boundary does not exceed the next live heap entry,
-        so every staged entry re-joins the heap strictly before the clock
-        can reach its window.  Empty windows just advance the cursor.
-        Cancels swap-removed their entries at cancel time, so a slot never
-        holds dead entries to skip.
-        """
-        queue = self._queue
-        slots = self._wheel_slots
-        size = self._wheel_size
-        granularity = self._wheel_granularity
-        next_slot = self._wheel_next_slot
-        while self._wheel_count:
-            if queue and next_slot * granularity > queue[0][0]:
-                break
-            slot = slots[next_slot % size]
-            next_slot += 1
-            if slot:
-                self.wheel_flushes += 1
-                self._wheel_count -= len(slot)
-                for entry in slot:
-                    marker = entry[2]
-                    if marker is not None:
-                        marker._in_wheel = False
-                    _heappush(queue, entry)
-                slot.clear()
-        self._wheel_next_slot = next_slot
-        self._wheel_next_boundary = next_slot * granularity
-
     def _compact(self) -> None:
         """Drop every heap tombstone in one pass (filter + re-heapify).
 
         Both tombstone kinds are handled — cancelled events and cancelled
         :class:`TimerHandle` entries (entry[2] is the event, the handle, or
         None for an uncancellable :meth:`call_at` entry).  Triggered by
-        :meth:`_unschedule`, the only place a tombstone is made; the wheel
-        needs no pass, a staged entry is swap-removed there instead.
+        :meth:`_unschedule`, the only place a tombstone is made.
         """
         heap_size = len(self._queue)
         if heap_size > self.peak_heap_size:
@@ -1224,11 +1072,7 @@ class Environment:
 
         The single tombstone-pop loop used by :meth:`peek`, :meth:`step` and
         the :meth:`run` drain loop, so the top-of-heap scan is written (and
-        paid) once.  Also the wheel's integration point: once the next
-        unflushed window starts at or before the (live) heap top — or the
-        heap is empty — the matured windows are flushed into the heap before
-        the caller may pop, which is exactly what keeps wheel residency
-        invisible to event ordering.
+        paid) once.
         """
         queue = self._queue
         while queue:
@@ -1237,59 +1081,32 @@ class Environment:
                 break
             _heappop(queue)
             self._dead_entries -= 1
-        if self._wheel_count:
-            if not queue or self._wheel_next_boundary <= queue[0][0]:
-                self._flush_wheel()
         return queue
 
     def queue_stats(self) -> dict[str, int]:
         """Schedule occupancy snapshot: live vs dead entries, peaks, compactions.
 
         ``dead_entries`` counts cancelled timers and cancelled handle entries
-        still sitting in the heap (the wheel never holds tombstones — a
-        wheel cancel swap-removes its entry immediately); ``live_entries``
-        spans both lanes (``wheel_entries`` + live heap entries).
-        ``peak_heap_size`` / ``peak_wheel_size`` are high-water marks
-        observed at the sampling points (stats snapshots and compactions —
-        the lanes are largest right before a compaction, so those points
-        bracket the true peak) rather than being re-checked on every push,
-        which keeps the per-event schedule path free of bookkeeping.
+        still sitting in the heap; ``live_entries`` is the rest of the heap.
+        ``peak_heap_size`` is a high-water mark observed at the sampling
+        points (stats snapshots and compactions — the heap is largest right
+        before a compaction, so those points bracket the true peak) rather
+        than being re-checked on every push, which keeps the per-event
+        schedule path free of bookkeeping.
         """
         heap_size = len(self._queue)
         if heap_size > self.peak_heap_size:
             self.peak_heap_size = heap_size
-        wheel_size = self._wheel_count
-        if wheel_size > self.peak_wheel_size:
-            self.peak_wheel_size = wheel_size
         return {
             "heap_size": heap_size,
             "dead_entries": self._dead_entries,
-            "live_entries": heap_size - self._dead_entries + self._wheel_count,
+            "live_entries": heap_size - self._dead_entries,
             "tick_queued": len(self._tick),
             "urgent_queued": len(self._urgent),
             "peak_heap_size": self.peak_heap_size,
             "compactions": self.compactions,
             "events_processed": self.events_processed,
-            "wheel_entries": self._wheel_count,
-            "wheel_slots": self._wheel_size,
-            "wheel_flushes": self.wheel_flushes,
-            "wheel_overflows": self.wheel_overflows,
-            "peak_wheel_size": self.peak_wheel_size,
         }
-
-    def reset_counters(self) -> None:
-        """Reset the event sequence counter (long-run hygiene).
-
-        The tie-breaking counter grows without bound — harmless for any one
-        scenario, but a very long realtime session (or a process embedding
-        many back-to-back runs in one Environment) can reset it between
-        runs.  Only legal while the schedule is completely empty: a pending
-        entry holds a drawn sequence number, and resetting under it would
-        break FIFO ordering.
-        """
-        if self._queue or self._tick or self._urgent or self._wheel_count:
-            raise SimulationError("reset_counters() requires an empty schedule")
-        self._counter = itertools.count()
 
     def peek(self) -> float:
         """Time of the next *live* scheduled work item, or ``inf`` if none.
@@ -1479,7 +1296,7 @@ class Environment:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         live = (
-            len(self._queue) - self._dead_entries + self._wheel_count
+            len(self._queue) - self._dead_entries
             + len(self._tick) + len(self._urgent)
         )
         return f"<Environment now={self._now!r} pending={live}>"

@@ -564,7 +564,7 @@ class TestCrowdIntegration:
         # Kernel observability rides along in grid.stats().
         kernel = grid.stats()["kernel"]
         assert kernel["events_processed"] > 0
-        assert "pool_hit_rate" in kernel and "wheel_flushes" in kernel
+        assert "pool_hit_rate" in kernel and "compactions" in kernel
 
     def test_shard_handoff_on_coordinator_kill_mid_surge(self):
         # A wide think window keeps most of the population idle until the

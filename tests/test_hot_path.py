@@ -262,15 +262,14 @@ class TestDirectWaitLeavesNothingBehind:
     """A wait that ends any other way than its expiry cancels the expiry."""
 
     @pytest.mark.parametrize("action", ["kill", "interrupt"])
-    @pytest.mark.parametrize("timeout", [30.0, 3000.0], ids=["wheel-staged", "heap-resident"])
-    def test_kill_or_interrupt_mid_wait_reclaims_the_expiry(self, action, timeout):
+    def test_kill_or_interrupt_mid_wait_reclaims_the_expiry(self, action):
         env = Environment()
         reply = env.event()
         seen = []
 
         def requester():
             try:
-                yield from env.wait_any([reply], timeout=timeout)
+                yield from env.wait_any([reply], timeout=30.0)
             except Interrupt as interrupt:
                 seen.append(interrupt.cause)
 
@@ -281,11 +280,10 @@ class TestDirectWaitLeavesNothingBehind:
         getattr(process, action)("crash")
         env.run(until=2.0)
         after = env.queue_stats()
-        # The wheel entry is swap-removed, the heap one tombstoned (and
-        # skimmed): either way nothing live is left in wheel or heap, and the
+        # The expiry is tombstoned: nothing live is left in the heap, and the
         # long-lived event lost its waiter.
         assert after["live_entries"] == before and not process.is_alive
-        assert after["wheel_entries"] == 0 and after["heap_size"] == after["dead_entries"]
+        assert after["heap_size"] == after["dead_entries"]
         assert reply.callbacks == []
         assert seen == (["crash"] if action == "interrupt" else [])
         env.run()

@@ -56,7 +56,7 @@ _QUARTERS = st.integers(min_value=0, max_value=16).map(lambda n: n / 4)
 wait_specs = st.fixed_dictionaries(
     {
         "start": st.sampled_from([0.0, 1.0, 2.5]),
-        # 0 and None take the general path in both; 300 is past the wheel horizon.
+        # 0 and None take the general path in both; 300 outlasts every firing.
         "timeout": st.sampled_from([0.5, 2.0, 2.0, 4.0, 300.0, 0.0, None]),
         "kind": st.sampled_from(["event", "event", "timeout", "process"]),
         # when (after the wait starts) the event fires; None = never.

@@ -319,8 +319,7 @@ class TestCancellation:
         assert stats["live_entries"] == 0
 
     def test_cancelled_timeouts_do_not_survive_compaction(self, env):
-        # Past the wheel horizon (256 s by default): the timers go straight
-        # to the heap, where cancels tombstone until the compactor sweeps.
+        # Cancels tombstone the heap until the compactor sweeps.
         timers = [env.timeout(300.0 + i) for i in range(200)]
         keep = env.timeout(1.0)
         for timer in timers:
@@ -633,11 +632,13 @@ class TestSchedulerLanes:
         calls = []
         handle = env.call_at_cancellable(1.0, calls.append, "x")
         handle.cancel()
-        # Wheel-staged entries are swap-removed at cancel time: no tombstone.
-        assert env.queue_stats()["dead_entries"] == 0
-        assert env.queue_stats()["live_entries"] == 0
+        # The entry stays behind as a tombstone and nothing live is left.
+        stats = env.queue_stats()
+        assert stats["heap_size"] == stats["dead_entries"] == 1
+        assert stats["live_entries"] == 0
         env.run()
         assert calls == []
+        assert env.queue_stats()["heap_size"] == 0
 
     def test_fired_call_handle_rejects_cancel(self, env):
         calls = []
@@ -649,7 +650,6 @@ class TestSchedulerLanes:
         assert env.queue_stats()["dead_entries"] == 0
 
     def test_cancelled_call_tokens_dropped_by_compaction(self, env):
-        # Past the wheel horizon, so the cancels tombstone the heap.
         handles = [
             env.call_at_cancellable(300.0 + i, lambda _arg: None) for i in range(200)
         ]
@@ -782,113 +782,67 @@ class TestStore:
         assert got == ["high", "low"]
 
 
-class TestTimerWheel:
-    """The hashed timer-wheel lane: ordering parity, cancels, periodics."""
+class TestTimers:
+    """Cancellable and periodic timers: tombstones, compaction, cadences."""
 
-    def _fire_order(self, env):
-        """Schedule an identical mixed batch and return its firing order."""
-        fired = []
-        # Same-timestamp collisions across every producer kind: Timeout
-        # events, bare call_at callbacks and cancellable handles all landing
-        # at t=2.0, plus entries past the default 256 s horizon (heap from
-        # the start; on a one-slot wheel every entry here overflows to it).
-        def waiter(label, delay):
-            yield env.timeout(delay)
-            fired.append((env.now, label))
-
-        env.process(waiter("timeout-a", 2.0))
-        env.call_at(2.0, lambda label: fired.append((env.now, label)), "call-b")
-        env.process(waiter("timeout-c", 2.0))
-        env.call_at_cancellable(
-            2.0, lambda label: fired.append((env.now, label)), "handle-d"
-        )
-        env.call_at(500.0, lambda label: fired.append((env.now, label)), "far-e")
-        env.process(waiter("far-f", 500.0))
-        env.call_at(2.0, lambda label: fired.append((env.now, label)), "call-g")
-        env.run()
-        return fired
-
-    def test_wheel_and_heap_fire_in_identical_order(self):
-        with_wheel = self._fire_order(Environment())
-        heap_bound = self._fire_order(Environment(wheel_slots=1))
-        assert with_wheel == heap_bound
-        assert [when for when, _ in with_wheel] == [2.0] * 5 + [500.0] * 2
-
-    def test_future_timers_stage_on_the_wheel_not_the_heap(self, env):
-        handles = [env.call_at_cancellable(10.0 + i, lambda _a: None) for i in range(5)]
-        stats = env.queue_stats()
-        assert stats["wheel_entries"] == 5
-        assert stats["heap_size"] == 0
-        for handle in handles:
-            handle.cancel()
-
-    def test_overflow_past_horizon_cascades_to_heap_and_fires_on_time(self):
-        env = Environment(wheel_granularity=1.0, wheel_slots=4)
-        fired = []
-        env.call_at(10.0, lambda _a: fired.append(env.now), None)
-        stats = env.queue_stats()
-        assert stats["wheel_overflows"] == 1
-        assert stats["heap_size"] == 1
-        assert stats["wheel_entries"] == 0
-        env.run()
-        assert fired == [10.0]
-
-    def test_cancel_before_flush_never_fires(self, env):
+    def test_cancel_before_firing_never_fires(self, env):
         fired = []
         handle = env.call_at_cancellable(5.0, fired.append, "x")
-        assert env.queue_stats()["wheel_entries"] == 1
         assert handle.cancel()
-        # A wheel cancel swap-removes the entry on the spot: no tombstone.
+        # The cancelled entry stays behind as a tombstone.
         stats = env.queue_stats()
-        assert stats["wheel_entries"] == 0
-        assert stats["dead_entries"] == 0
+        assert stats["dead_entries"] == 1
+        assert stats["live_entries"] == 0
         env.run()
         assert fired == []
+        assert env.queue_stats()["live_entries"] == 0
 
-    def test_cancel_after_flush_never_fires(self, env):
+    def test_cancel_mid_run_never_fires(self, env):
         fired = []
         handle = env.call_at_cancellable(5.5, fired.append, "late")
 
         def canceller():
             yield env.timeout(5.2)
-            # The 5.5 entry's window has matured into the heap by now.
-            assert env.queue_stats()["wheel_entries"] == 0
             assert handle.cancel()
 
         env.process(canceller())
         env.run()
         assert fired == []
         assert env.now == 5.2
+        assert env.queue_stats()["live_entries"] == 0
 
-    def test_cancelled_wheel_timeout_reclaimed_without_firing(self, env):
-        # A Timeout event staged on the wheel honours cancel the same way.
+    def test_cancelled_timeout_reclaimed_without_firing(self, env):
+        # A Timeout event honours cancel the same way.
         timeout = env.timeout(7.0)
-        assert env.queue_stats()["wheel_entries"] == 1
+        fired = []
+        timeout.callbacks.append(fired.append)
         assert timeout.cancel()
         env.run()
+        assert fired == []
         assert env.now == 0.0
+        assert env.queue_stats()["live_entries"] == 0
 
-    def test_kill_while_sleeping_reclaims_wheel_entry(self, env):
-        # Crash semantics: killing a process abandons its sleep timer, and
-        # the wheel tombstone must be accounted (and eventually reclaimed)
-        # exactly like a heap tombstone.
+    def test_kill_while_sleeping_reclaims_the_sleep_timer(self, env):
+        # Crash semantics: killing a process abandons its sleep timer, which
+        # is tombstoned and never fires nor drives the clock.
+        woke = []
+
         def sleeper():
             yield env.timeout(100.0)
+            woke.append(env.now)
 
         def killer(target):
             yield env.timeout(1.0)
-            # The nearer live timer kept the heap non-empty, so the 100 s
-            # sleep is still staged on the wheel when the crash lands.
-            assert env.queue_stats()["wheel_entries"] == 1
             target.kill("node-crash")
 
         process = env.process(sleeper())
         env.process(killer(process))
         env.run()
         assert not process.is_alive
+        assert woke == []
         assert env.now == 1.0  # the abandoned 100 s timer never drove the clock
         stats = env.queue_stats()
-        assert stats["wheel_entries"] == 0 and stats["dead_entries"] == 0
+        assert stats["live_entries"] == 0 and stats["dead_entries"] == 0
 
     def test_call_periodic_beats_on_cadence_and_cancels_inline(self, env):
         beats = []
@@ -946,10 +900,8 @@ class TestTimerWheel:
             env.call_periodic(None, lambda _a: None)  # no interval_fn either
 
     def test_periodic_survives_compaction_of_cancelled_neighbours(self, env):
-        # A heap compaction must leave the wheel-staged periodic entry in
-        # place and on cadence.  The neighbours sit past the wheel horizon
-        # (256 slots x 1 s by default), so their cancels tombstone the heap
-        # and trigger the compaction path.
+        # A heap compaction triggered by the neighbours' cancels must leave
+        # the periodic entry in place and on cadence.
         beats = []
         periodic = env.call_periodic(3.0, lambda _a: beats.append(env.now), None)
         handles = [env.call_at_cancellable(500.0, lambda _a: None) for _ in range(300)]
@@ -965,9 +917,9 @@ class TestTimerWheel:
         periodic.cancel()
         assert beats == [3.0, 6.0, 9.0]
 
-    def test_wheel_cancel_leaves_no_residue_among_neighbours(self, env):
-        # Swap-remove correctness: cancelling entries from a shared slot
-        # must not disturb the survivors, whatever the cancel order.
+    def test_cancel_leaves_no_residue_among_neighbours(self, env):
+        # Cancelling some of the entries due at one instant must not disturb
+        # the survivors, whatever the cancel order.
         fired = []
         handles = [
             env.call_at_cancellable(5.0, fired.append, n) for n in range(8)
@@ -975,43 +927,11 @@ class TestTimerWheel:
         for index in (0, 7, 3, 4):  # head, tail, middle pair
             assert handles[index].cancel()
         stats = env.queue_stats()
-        assert stats["wheel_entries"] == 4
-        assert stats["dead_entries"] == 0
+        assert stats["live_entries"] == 4
+        assert stats["dead_entries"] == 4
         env.run()
         assert fired == [1, 2, 5, 6]  # survivors, original schedule order
-
-    def test_queue_stats_report_wheel_occupancy_and_flushes(self, env):
-        for delay in (1.5, 2.5, 3.5):
-            env.call_at(delay, lambda _a: None, None)
-        stats = env.queue_stats()
-        assert stats["wheel_entries"] == 3
-        assert stats["peak_wheel_size"] >= 3
-        env.run()
-        stats = env.queue_stats()
-        assert stats["wheel_entries"] == 0
-        assert stats["wheel_flushes"] >= 1
-        assert stats["events_processed"] == 3
-
-    def test_reset_counters_requires_empty_schedule(self, env):
-        env.call_at(5.0, lambda _a: None, None)
-        with pytest.raises(SimulationError):
-            env.reset_counters()
-        env.run()
-        env.reset_counters()
-        # Ordering still FIFO after the reset.
-        fired = []
-        env.call_at(1.0, fired.append, "first")
-        env.call_at(1.0, fired.append, "second")
-        env.run()
-        assert fired == ["first", "second"]
-
-    def test_wheel_configuration_validation(self):
-        with pytest.raises(SimulationError):
-            Environment(wheel_granularity=0.0)
-        with pytest.raises(SimulationError):
-            Environment(wheel_slots=-1)
-        with pytest.raises(SimulationError):
-            Environment(wheel_slots=0)
+        assert env.queue_stats()["live_entries"] == 0
 
     @pytest.mark.parametrize("when", [float("inf"), float("nan")])
     @pytest.mark.parametrize(
