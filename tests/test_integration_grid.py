@@ -92,6 +92,19 @@ class TestBasicExecution:
         assert stats["completed"] == 4
         assert stats["pending"] == 0
 
+    def test_kernel_stats_extend_queue_stats_with_zeroed_wheel_keys(self):
+        grid = small_grid()
+        workload = SyntheticWorkload(n_calls=4, exec_time=0.5)
+        process = grid.run_process(workload.run(grid.client))
+        grid.run_until(process, timeout=300.0)
+        kernel = grid.kernel_stats()
+        queue = grid.env.queue_stats()
+        assert {key: kernel[key] for key in queue} == queue
+        # The kernel has no timer wheel: the two legacy keys are honest zeros.
+        assert kernel["wheel_flushes"] == kernel["wheel_overflows"] == 0
+        assert {"pool_hit_rate", "pool_hits", "pool_releases"} <= set(kernel)
+        assert kernel["events_processed"] > 0
+
     def test_coordinator_state_is_consistent_at_the_end(self):
         grid = small_grid()
         workload = SyntheticWorkload(n_calls=6, exec_time=0.5)

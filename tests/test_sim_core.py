@@ -933,6 +933,146 @@ class TestTimers:
         assert fired == [1, 2, 5, 6]  # survivors, original schedule order
         assert env.queue_stats()["live_entries"] == 0
 
+    def test_compaction_fires_when_tombstones_reach_half_the_heap(self, env):
+        floor = Environment._COMPACTION_MIN_DEAD
+        fired = []
+        for n in range(floor):
+            env.call_at_cancellable(10.0, fired.append, n)
+        doomed = [env.call_at_cancellable(20.0, fired.append, -1) for _ in range(floor)]
+        for handle in doomed[:-1]:
+            handle.cancel()
+        stats = env.queue_stats()
+        assert stats["compactions"] == 0
+        assert stats["dead_entries"] == floor - 1
+        doomed[-1].cancel()  # dead == floor == half of the heap
+        stats = env.queue_stats()
+        assert stats["compactions"] == 1
+        assert stats["dead_entries"] == 0
+        assert stats["heap_size"] == stats["live_entries"] == floor
+        assert stats["peak_heap_size"] == 2 * floor  # the heap just before the sweep
+        env.run()
+        assert fired == list(range(floor))
+
+    def test_a_heap_below_the_tombstone_floor_is_never_compacted(self, env):
+        floor = Environment._COMPACTION_MIN_DEAD
+        fired = []
+        handles = [env.call_at_cancellable(5.0, fired.append, n) for n in range(floor - 1)]
+        for handle in handles:
+            handle.cancel()
+        stats = env.queue_stats()
+        assert stats["compactions"] == 0
+        assert stats["heap_size"] == stats["dead_entries"] == floor - 1
+        env.run()
+        # The tombstones are skimmed off the top instead: nothing fires and
+        # the clock does not move.
+        assert fired == []
+        assert env.now == 0.0
+        assert env.events_processed == 0
+        stats = env.queue_stats()
+        assert stats["heap_size"] == stats["dead_entries"] == 0
+
+    def test_live_majority_holds_off_compaction_and_run_skims_the_rest(self, env):
+        floor = Environment._COMPACTION_MIN_DEAD
+        fired = []
+        doomed = [env.call_at_cancellable(1.0, fired.append, -1) for _ in range(2 * floor)]
+        for n in range(3 * floor):
+            env.call_at_cancellable(5.0, fired.append, n)
+        for handle in doomed:
+            handle.cancel()
+        stats = env.queue_stats()
+        assert stats["compactions"] == 0  # 2 * dead never reaches the heap size
+        assert stats["dead_entries"] == 2 * floor
+        assert stats["live_entries"] == 3 * floor
+        env.run()
+        assert fired == list(range(3 * floor))
+        assert env.now == 5.0
+        stats = env.queue_stats()
+        assert stats["compactions"] == 0
+        assert stats["heap_size"] == stats["dead_entries"] == 0
+
+    def test_compaction_keeps_same_instant_survivors_in_schedule_order(self, env):
+        floor = Environment._COMPACTION_MIN_DEAD
+        fired = []
+        handles = [env.call_at_cancellable(5.0, fired.append, n) for n in range(2 * floor)]
+        for handle in handles[::2]:
+            handle.cancel()
+        # The re-heapify after the sweep must still break ties by sequence.
+        assert env.queue_stats()["compactions"] == 1
+        env.run()
+        assert fired == list(range(1, 2 * floor, 2))
+
+    def test_a_cancel_after_compaction_starts_a_fresh_tombstone_count(self, env):
+        floor = Environment._COMPACTION_MIN_DEAD
+        fired = []
+        keep = [env.call_at_cancellable(3.0, fired.append, n) for n in range(floor)]
+        for handle in [env.call_at_cancellable(4.0, fired.append, -1) for _ in range(floor)]:
+            handle.cancel()
+        assert env.queue_stats()["compactions"] == 1
+        assert keep[0].cancel()
+        stats = env.queue_stats()
+        assert stats["dead_entries"] == 1
+        assert stats["live_entries"] == floor - 1
+        env.run()
+        assert fired == list(range(1, floor))
+        assert env.queue_stats()["heap_size"] == env.queue_stats()["dead_entries"] == 0
+
+    def test_a_cancelled_zero_delay_timeout_is_skipped_without_a_tombstone(self, env):
+        timeout = env.timeout(0.0)
+        fired = []
+        timeout.callbacks.append(fired.append)
+        assert timeout.cancel()
+        stats = env.queue_stats()
+        assert stats["tick_queued"] == 1
+        assert stats["heap_size"] == stats["dead_entries"] == 0
+        env.run()
+        assert fired == []
+        assert env.events_processed == 0
+        assert env.queue_stats()["tick_queued"] == 0
+
+    def test_peek_and_step_skim_tombstones_off_the_heap_top(self, env):
+        fired = []
+        env.call_at_cancellable(1.0, fired.append, "a").cancel()
+        env.call_at_cancellable(2.0, fired.append, "b").cancel()
+        env.call_at_cancellable(3.0, fired.append, "c")
+        assert env.queue_stats()["dead_entries"] == 2
+        assert env.peek() == 3.0
+        stats = env.queue_stats()
+        assert stats["heap_size"] == stats["live_entries"] == 1
+        assert stats["dead_entries"] == 0
+        env.step()
+        assert fired == ["c"]
+        assert env.now == 3.0
+        assert env.peek() == float("inf")
+
+    def test_cancelling_a_periodic_between_beats_tombstones_its_next_beat(self, env):
+        beats = []
+        handle = env.call_periodic(2.0, lambda _a: beats.append(env.now), None)
+        env.run(until=3.0)
+        assert beats == [2.0]
+        assert handle.pending and handle.when == 4.0
+        assert handle.cancel()
+        stats = env.queue_stats()
+        assert stats["dead_entries"] == 1
+        assert stats["live_entries"] == 0
+        env.run()
+        assert beats == [2.0]
+        assert env.now == 3.0  # the tombstoned beat never drove the clock
+        assert env.queue_stats()["heap_size"] == 0
+
+    def test_queue_stats_report_the_three_lanes_and_nothing_else(self, env):
+        env.timeout(1.0)
+        env.call_at(0.0, lambda _a: None)
+        assert set(env.queue_stats()) == {
+            "heap_size",
+            "dead_entries",
+            "live_entries",
+            "tick_queued",
+            "urgent_queued",
+            "peak_heap_size",
+            "compactions",
+            "events_processed",
+        }
+
     @pytest.mark.parametrize("when", [float("inf"), float("nan")])
     @pytest.mark.parametrize(
         "schedule",
