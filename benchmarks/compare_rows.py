@@ -12,8 +12,9 @@ and the exit status is non-zero.  A host-cost-only change (a faster kernel,
 table or index) must leave every row identical: this is that check.
 
 ``--allow`` names the scenarios a change means to move (CI takes them from a
-``[rows-change: fig9, flash-crowd]`` commit tag).  Their rows may differ;
-every other scenario is still checked.  A name that matches no scenario is an
+``[rows-change: fig9, flash-crowd]`` commit tag).  Their rows may differ,
+and a scenario the change adds or deletes may run on one side only; every
+other scenario is still checked.  A name that matches no scenario is an
 error, so a typo cannot switch the check off.
 """
 
@@ -54,7 +55,12 @@ def main(argv: list[str]) -> int:
     for name in names:
         a, b = (store.latest(name) for store in stores)
         if a is None or b is None:
-            differing.append(f"{name}: only in {args.results[1 if a is None else 0]}")
+            where = f"only in {args.results[1 if a is None else 0]}"
+            if name in allowed:
+                print(f"{name}: {where} (allowed)")
+                moved += 1
+            else:
+                differing.append(f"{name}: {where}")
         elif a.rows != b.rows:
             if name in allowed:
                 print(f"{name}: rows differ (allowed)")

@@ -21,7 +21,20 @@ def test_ablation_baselines_under_coordinator_faults(benchmark):
 
 def test_ablation_detector_tradeoff(benchmark):
     rows = benchmark.pedantic(
-        lambda: run_scenario("ablation-detector", jobs=1).rows, rounds=1, iterations=1
+        lambda: run_scenario(
+            "detector-ablation",
+            axes={
+                "detection_policy": ("policy.detect.fixed-timeout",),
+                "heartbeat_period": (5.0,),
+            },
+            jobs=1,
+        ).rows,
+        rounds=1, iterations=1,
     )
     print_rows(rows, title="Ablation: heart-beat period / suspicion timeout trade-off")
-    assert len(rows) == 9
+    by_multiplier = {row["timeout_multiplier"]: row for row in rows}
+    assert sorted(by_multiplier) == [2.0, 6.0, 12.0]
+    detection = [by_multiplier[m]["detection_s"] for m in (2.0, 6.0, 12.0)]
+    assert detection == sorted(set(detection)), detection
+    mistakes = {m: row["mistakes"] for m, row in by_multiplier.items()}
+    assert mistakes[2.0] > 0 and mistakes[2.0] >= mistakes[12.0], mistakes

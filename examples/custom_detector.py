@@ -2,20 +2,21 @@
 """A custom failure detector in ~30 lines, with zero edits to the detector.
 
 The suspicion *rule* is a pluggable ``policy.detect.*`` strategy; the
-mechanism (last-heard bookkeeping, suspicion latching, wrong-suspicion
-accounting) stays in ``FailureDetector``.  This example adds a **max-gap**
-accrual variant — suspect once the silence beats the worst inter-heartbeat
-gap seen so far, with a safety margin — and scores it against the built-ins
-on the same lossy heart-beat replay, selecting it by registry key and by
-dotted import path (both work anywhere a policy entry does, including
-``--set policy.detection=...`` on the CLI).
+mechanism (last-heard bookkeeping, suspicion latching, scoring each
+suspicion by what happened to its subject) stays in ``FailureDetector``.
+This example adds a **max-gap** accrual variant — suspect once the silence
+beats the worst inter-heartbeat gap seen so far, with a safety margin — and
+scores it against the built-ins through the ``detector-ablation`` cell (a
+small Internet testbed whose servers churn), selecting it by registry key
+and by dotted import path (both work anywhere a policy entry does,
+including ``--set policy.detection=...`` on the CLI).
 """
 
 from collections import deque
 
-from repro.experiments.ablations import detector_cell
 from repro.platform import component
 from repro.policies import DetectionPolicy
+from repro.scenarios.robustness import detector_ablation_cell
 
 
 # --------------------------------------------------------------- the detector
@@ -55,16 +56,16 @@ DETECTORS = (
 )
 
 if __name__ == "__main__":
-    print("replaying one lossy heart-beat trace (crash at t=600s) per detector:")
+    print("5 s heart-beats, 60 s timeout, 3 churning testbed servers for 20 minutes:")
     for entry in DETECTORS:
         label = entry["name"] if isinstance(entry, dict) else entry
-        outputs = detector_cell(
+        outputs = detector_ablation_cell(
+            seed=3, detection_policy=entry,
             heartbeat_period=5.0, timeout_multiplier=12.0,
-            observation_seconds=1200.0, crash_at=600.0,
-            detection_policy=entry, seed=0,
+            servers_per_site=1, horizon=1200.0,
         )
         print(
-            f"  {label:42s} detected after {outputs['detection_latency_seconds']:6.1f}s, "
-            f"{outputs['wrong_suspicion_checks']} wrong-suspicion checks"
+            f"  {label:42s} T_D {outputs['detection_s']:5.1f}s over "
+            f"{outputs['crashed']:g} crashes, {outputs['mistakes']:g} mistakes"
         )
     print("ok: a custom detector is a class + @component key, nothing else")

@@ -4,7 +4,6 @@ from repro.analysis.metrics import (
     completion_curve_lag,
     load_run,
     makespan_overhead,
-    paper_vs_measured,
     plateaux_count,
     rows_to_columns,
     summarize_series,
@@ -14,7 +13,6 @@ __all__ = [
     "completion_curve_lag",
     "load_run",
     "makespan_overhead",
-    "paper_vs_measured",
     "plateaux_count",
     "rows_to_columns",
     "summarize_series",

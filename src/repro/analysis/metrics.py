@@ -5,7 +5,7 @@ quantities the paper discusses: infrastructure overhead over the ideal time,
 the replica's lag behind the primary (the plateaux of Figure 9), and compact
 series summaries used by the tests and EXPERIMENTS.md.  They also load the
 JSON artifacts written by the scenario results store back into row/column
-form for paper-vs-measured comparison.
+form.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "summarize_series",
     "load_run",
     "rows_to_columns",
-    "paper_vs_measured",
 ]
 
 
@@ -129,36 +128,3 @@ def rows_to_columns(rows: Sequence[Mapping[str, Any]]) -> dict[str, np.ndarray]:
         except (TypeError, ValueError):
             columns[key] = np.asarray(values, dtype=object)
     return columns
-
-
-def paper_vs_measured(
-    rows: Sequence[Mapping[str, Any]],
-    paper_points: Mapping[Any, float],
-    x_key: str,
-    y_key: str,
-) -> list[dict[str, Any]]:
-    """Join measured rows against the paper's digitised points.
-
-    ``paper_points`` maps x values to the paper's y values; every x present
-    in both sides yields a row with the measured value, the paper value and
-    the relative error (measured/paper - 1).
-    """
-    measured = {
-        row[x_key]: row[y_key] for row in rows if x_key in row and y_key in row
-    }
-    comparison: list[dict[str, Any]] = []
-    for x, paper_value in paper_points.items():
-        if x not in measured:
-            continue
-        value = measured[x]
-        comparison.append(
-            {
-                x_key: x,
-                f"paper_{y_key}": paper_value,
-                f"measured_{y_key}": value,
-                "relative_error": (
-                    value / paper_value - 1.0 if paper_value else float("nan")
-                ),
-            }
-        )
-    return comparison

@@ -33,6 +33,7 @@ from repro.errors import RPCTimeout, SessionError
 from repro.msglog import GarbageCollector, LoggingEngine, MessageLog
 from repro.net.message import Message, MessageType
 from repro.nodes.node import Host
+from repro.policies.detection import FixedTimeoutDetection
 from repro.policies.resolve import make_policy
 from repro.sim.core import Event, ProcessKilled
 from repro.sim.monitor import Monitor
@@ -123,7 +124,9 @@ class ClientComponent:
         )
         self.logging = LoggingEngine(self.host, self.log, self.config.logging, policy)
         self.gc = GarbageCollector(self.log, self.config.logging)
-        self.detector = FailureDetector(self.config.detection)
+        # PolicyConfig.detection selects the coordinators' and servers'
+        # rule; a client keeps the paper's fixed timeout.
+        self.detector = FailureDetector(self.config.detection, FixedTimeoutDetection())
         self.handles = {}
         self._pending = {}
         self._ack_waiters = {}
@@ -334,8 +337,7 @@ class ClientComponent:
 
     def _after_request_timeout(self, coordinator: Address) -> None:
         """Decide whether a request timeout warrants switching coordinator."""
-        silence = self.detector.silence(coordinator, self.env.now)
-        if silence > self.config.detection.suspicion_timeout:
+        if self.detector.is_suspected(coordinator, self.env.now):
             self.switch_coordinator(away_from=coordinator)
 
     def switch_coordinator(self, away_from: Address | None = None) -> Address | None:

@@ -87,14 +87,15 @@ class CoordinatorComponent:
             "coord:database", Database(database_model)
         )
 
+        #: the grid's coordinators and servers by address, which the
+        #: detectors read to score their suspicions (set by setup()).
+        self._peers: dict[Address, Any] = {}
+
         # Volatile state (rebuilt by start()).
-        #: ground-truth oracle for suspicion accounting (installed by
-        #: setup() once the builder's network exists; metrics only).
-        self._ground_truth = None
         self.scheduler = self._make_scheduler()
         self.replication_policy = self._make_replication_policy()
-        self.server_detector = self._make_detector()
-        self.coordinator_detector = self._make_detector()
+        self.server_detector = self._make_detector("detect")
+        self.coordinator_detector = self._make_detector("detect.coordinators")
         self.known_servers: set[Address] = set()
         #: the change log: key -> stamp of its latest change not yet retired
         #: by an acknowledged round.  Stamps come from ``_change_seq``, which
@@ -141,41 +142,33 @@ class CoordinatorComponent:
 
     # ------------------------------------------------------------------ setup
     def setup(self, builder) -> None:
-        """Component lifecycle hook: install the ground-truth oracle.
+        """Component lifecycle hook: show the detectors the grid's peers.
 
-        The builder's network knows whether an endpoint is actually up, so
-        suspicion transitions can be scored right/wrong (metrics only — the
-        protocol itself never consults ground truth).
+        A detector scores each suspicion by what its subject's host records
+        (metrics only — the protocol itself never reads them).
         """
-        network = builder.network
+        grid = builder.grid
+        for peer in (*grid.coordinators, *grid.servers):
+            self._peers[peer.host.address] = peer
 
-        def actually_up(address, _network=network):
-            try:
-                return bool(_network.endpoint(address).up)
-            except Exception:
-                # Unknown endpoint (e.g. merged from a stale coordinator
-                # list): no verdict, err on the side of "up".
-                return True
-
-        self._ground_truth = actually_up
-        self.server_detector.ground_truth = actually_up
-        self.coordinator_detector.ground_truth = actually_up
-
-    def _make_detector(self) -> FailureDetector:
+    def _make_detector(self, scope: str) -> FailureDetector:
         """Fresh failure detector for one incarnation (policy bound here).
 
         The detector instance is volatile — a restarted coordinator starts
         from a clean slate of opinions — but its suspicion accounting also
-        lands in the grid monitor's ``detect.*`` counters, which survive
-        restarts.
+        lands in the grid monitor's ``<scope>.*`` counters, which survive
+        restarts: ``detect.*`` for servers, ``detect.coordinators.*`` for
+        peer coordinators.
         """
         policy = make_policy("detection", self.policies.detection)
         policy.bind(owner=self.name, rng=self.host.rng, monitor=self.monitor)
         return FailureDetector(
             self.config.detection,
-            ground_truth=self._ground_truth,
-            policy=policy,
+            policy,
             monitor=self.monitor,
+            scope=scope,
+            owner=self.host.address,
+            peers=self._peers,
         )
 
     def _make_scheduler(self):
@@ -192,8 +185,8 @@ class CoordinatorComponent:
         """(Re)start the coordinator's loops; persistent state is already here."""
         self.scheduler = self._make_scheduler()
         self.replication_policy = self._make_replication_policy()
-        self.server_detector = self._make_detector()
-        self.coordinator_detector = self._make_detector()
+        self.server_detector = self._make_detector("detect")
+        self.coordinator_detector = self._make_detector("detect.coordinators")
         self.known_servers = set()
         self._change_seq += 1  # resync everything after a restart
         self._changes = dict.fromkeys(self.tasks, self._change_seq)
@@ -1041,8 +1034,4 @@ class CoordinatorComponent:
             "scheduler_dedup_holds": self.scheduler.dedup_holds,
             "replication_policy": self.replication_policy.key,
             "detection_policy": getattr(self.server_detector.policy, "key", None),
-            "wrong_suspicions": (
-                self.server_detector.wrong_suspicions
-                + self.coordinator_detector.wrong_suspicions
-            ),
         }

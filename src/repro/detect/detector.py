@@ -1,23 +1,49 @@
 """Timeout-based unreliable failure detector.
 
 The detector keeps, per monitored address, the last time anything was heard
-from it; an address is *suspected* once that silence exceeds the suspicion
-timeout (30 s in the paper's confined experiments, against a 5 s heart-beat).
-Because the network is asynchronous the suspicion can be wrong in both
-directions; the detector therefore also supports accounting of wrong
-suspicions against ground truth when the caller provides it (used by the
-detector-ablation experiment).
+from it; an address is *suspected* once its ``policy.detect.*`` rule says the
+silence is too long (30 s in the paper's confined experiments, against a 5 s
+heart-beat).  Because the network is asynchronous the suspicion can be wrong.
+
+A detector that knows the grid's components (``peers``) scores each
+suspicion, for metrics only, by what the subject's :class:`~repro.nodes.node.Host`
+records at that instant — after Chen, Toueg & Aguilera's QoS metrics:
+
+* ``<scope>.suspected_crashed`` — the subject is down; ``now`` minus its
+  crash instant is added to ``<scope>.detection_s`` (the detection time T_D);
+* ``<scope>.suspected_restarted`` — it crashed and came back since it was
+  last heard, so the incarnation the detector watched is gone;
+* ``<scope>.suspected_left`` — an up server that now addresses another
+  coordinator: its silence towards this one is expected;
+* ``<scope>.wrong_suspicions`` — anything else is a mistake.  When hearing
+  from the subject ends it, ``<scope>.mistakes_ended`` counts it and its
+  length is added to ``<scope>.mistake_s`` (the mistake duration T_M).
+
+A mistake that no rehabilitation ends is never measured: one still open at
+the end of the run, one the watching component forgot by restarting, and
+one whose subject crashed meanwhile (it ended at a crash instant the host no
+longer records once it restarts).  ``wrong_suspicions - mistakes_ended``
+counts them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable, Mapping
 
 from repro.config import FaultDetectionConfig
 from repro.types import Address
 
 __all__ = ["SuspicionEvent", "FailureDetector"]
+
+
+def _exact(seconds: float) -> float:
+    """``seconds`` on a 2**-20 s grid, where sums are exact.
+
+    A coordinator scores the subjects of one watch tick in hash order, so a
+    duration counter's total must not depend on the order it was added in.
+    """
+    return round(seconds * 1048576.0) / 1048576.0
 
 
 @dataclass(frozen=True)
@@ -27,36 +53,35 @@ class SuspicionEvent:
     time: float
     subject: Address
     suspected: bool
-    #: whether the subject was actually down at that time (None if unknown).
-    correct: bool | None = None
 
 
 @dataclass
 class FailureDetector:
     """Per-component unreliable failure detector."""
 
-    config: FaultDetectionConfig = field(default_factory=FaultDetectionConfig)
-    #: optional ground-truth oracle, address -> is-up (metrics only; the
-    #: protocol itself never consults it).
-    ground_truth: Callable[[Address], bool] | None = None
-    #: optional ``policy.detect.*`` strategy (duck-typed to avoid importing
-    #: :mod:`repro.policies` here): ``observe(subject, gap)``,
-    #: ``forget(subject)`` and ``suspects(subject, silence, config)``.
-    #: ``None`` keeps the historical fixed-timeout rule byte-for-byte.
-    policy: Any = None
+    config: FaultDetectionConfig
+    #: the ``policy.detect.*`` strategy owning the suspicion rule (duck-typed
+    #: to avoid importing :mod:`repro.policies` here): ``observe(subject,
+    #: gap)``, ``forget(subject)`` and ``suspects(subject, silence, config)``.
+    policy: Any
     #: optional monitor whose ``<scope>.*`` counters mirror suspicion
     #: transitions (counters survive the owning component's restarts, while
     #: this detector instance does not).
     monitor: Any = None
     scope: str = "detect"
+    #: the watching component's address and the grid's components by
+    #: address, read only to score suspicions (the protocol never does).
+    owner: Address | None = None
+    peers: Mapping[Address, Any] = field(default_factory=dict)
 
     last_heard: dict[Address, float] = field(default_factory=dict)
     #: per-subject highest incarnation seen (only for subjects whose
     #: messages carry one).
     incarnations: dict[Address, int] = field(default_factory=dict)
     _suspected: set[Address] = field(default_factory=set)
+    #: subject -> instant a suspicion scored as a mistake was latched.
+    _mistaken: dict[Address, float] = field(default_factory=dict)
     history: list[SuspicionEvent] = field(default_factory=list)
-    wrong_suspicions: int = 0
 
     # -- observations -------------------------------------------------------------
     def watch(self, subject: Address, now: float) -> None:
@@ -68,8 +93,8 @@ class FailureDetector:
         self.last_heard.pop(subject, None)
         self.incarnations.pop(subject, None)
         self._suspected.discard(subject)
-        if self.policy is not None:
-            self.policy.forget(subject)
+        self._mistaken.pop(subject, None)
+        self.policy.forget(subject)
 
     def heard_from(
         self, subject: Address, now: float, incarnation: int | None = None
@@ -92,11 +117,10 @@ class FailureDetector:
             if known is None or incarnation > known:
                 self.incarnations[subject] = incarnation
                 restarted = known is not None
-        if self.policy is not None:
-            if restarted:
-                self.policy.forget(subject)
-            elif previous is not None and now > previous:
-                self.policy.observe(subject, now - previous)
+        if restarted:
+            self.policy.forget(subject)
+        elif previous is not None and now > previous:
+            self.policy.observe(subject, now - previous)
         self.last_heard[subject] = now
         if subject in self._suspected:
             self._suspected.discard(subject)
@@ -113,10 +137,7 @@ class FailureDetector:
         if subject not in self.last_heard:
             return False
         silence = self.silence(subject, now)
-        if self.policy is not None:
-            suspected = bool(self.policy.suspects(subject, silence, self.config))
-        else:
-            suspected = silence > self.config.suspicion_timeout
+        suspected = bool(self.policy.suspects(subject, silence, self.config))
         if suspected and subject not in self._suspected:
             self._suspected.add(subject)
             self._record(now, subject, suspected=True)
@@ -139,22 +160,35 @@ class FailureDetector:
 
     # -- accounting -------------------------------------------------------------------
     def _record(self, now: float, subject: Address, suspected: bool) -> None:
-        correct: bool | None = None
-        if self.ground_truth is not None:
-            actually_up = self.ground_truth(subject)
-            correct = (suspected and not actually_up) or (not suspected and actually_up)
-            if suspected and actually_up:
-                self.wrong_suspicions += 1
-        if self.monitor is not None:
-            self.monitor.incr(
-                f"{self.scope}.suspicions" if suspected
-                else f"{self.scope}.rehabilitations"
-            )
-            if suspected and correct is False:
-                self.monitor.incr(f"{self.scope}.wrong_suspicions")
-        self.history.append(
-            SuspicionEvent(time=now, subject=subject, suspected=suspected, correct=correct)
-        )
+        self.history.append(SuspicionEvent(now, subject, suspected))
+        monitor = self.monitor
+        if monitor is None:
+            return
+        scope = self.scope
+        if not suspected:
+            monitor.incr(f"{scope}.rehabilitations")
+            since = self._mistaken.pop(subject, None)
+            if since is not None and self.peers[subject].host.last_transition <= since:
+                monitor.incr(f"{scope}.mistakes_ended")
+                monitor.incr(f"{scope}.mistake_s", _exact(now - since))
+            return
+        monitor.incr(f"{scope}.suspicions")
+        peer = self.peers.get(subject)
+        if peer is None:
+            return  # not a component of this grid: nothing to score against
+        host = peer.host
+        # Servers (and clients) address one coordinator at a time.
+        addressing = getattr(peer, "preferred_coordinator", lambda: None)()
+        if not host.up:
+            monitor.incr(f"{scope}.suspected_crashed")
+            monitor.incr(f"{scope}.detection_s", _exact(now - host.last_transition))
+        elif host.incarnation and host.last_transition > self.last_heard[subject]:
+            monitor.incr(f"{scope}.suspected_restarted")
+        elif addressing is not None and addressing != self.owner:
+            monitor.incr(f"{scope}.suspected_left")
+        else:
+            monitor.incr(f"{scope}.wrong_suspicions")
+            self._mistaken[subject] = now
 
     def suspicion_transitions(self) -> int:
         """Number of opinion changes so far."""

@@ -63,16 +63,16 @@ class Host:
 
         self._processes: list[Process] = []
         self._restart_callback: Callable[["Host"], None] | None = None
-        self._crash_callback: Callable[["Host"], None] | None = None
-        #: extra crash hooks (e.g. heartbeat emitters reclaiming their
-        #: pending kernel-lane timers); removable, unlike on_crash's slot.
+        #: crash hooks (e.g. heartbeat emitters reclaiming their pending
+        #: kernel-lane timers); removable.
         self._crash_hooks: list[Callable[["Host"], None]] = []
         #: extra restart hooks (e.g. beacons re-arming their emitters);
         #: removable, unlike on_restart's component-owned slot.
         self._restart_hooks: list[Callable[["Host"], None]] = []
 
         # availability bookkeeping
-        self._last_transition = env.now
+        #: instant of the last crash or restart (creation before either).
+        self.last_transition = env.now
         self.total_uptime = 0.0
         self.total_downtime = 0.0
         self.crash_count = 0
@@ -81,10 +81,6 @@ class Host:
     def on_restart(self, callback: Callable[["Host"], None]) -> None:
         """Install the component's restart hook (called by ``restart()``)."""
         self._restart_callback = callback
-
-    def on_crash(self, callback: Callable[["Host"], None]) -> None:
-        """Install an optional crash hook (observability only)."""
-        self._crash_callback = callback
 
     def add_crash_hook(self, hook: Callable[["Host"], None]) -> None:
         """Register an additional crash hook (idempotent; see remove_crash_hook).
@@ -149,8 +145,8 @@ class Host:
         self.up = False
         self.crash_count += 1
         now = self.env.now
-        self.total_uptime += now - self._last_transition
-        self._last_transition = now
+        self.total_uptime += now - self.last_transition
+        self.last_transition = now
 
         for process in self.alive_processes():
             process.kill(cause)
@@ -161,16 +157,14 @@ class Host:
         self.monitor.trace(now, "crash", address=str(self.address), cause=str(cause))
         for hook in list(self._crash_hooks):  # hooks may deregister themselves
             hook(self)
-        if self._crash_callback is not None:
-            self._crash_callback(self)
 
     def restart(self) -> None:
         """Restart after a crash; the component rebuilds from persistent state."""
         if self.up:
             return
         now = self.env.now
-        self.total_downtime += now - self._last_transition
-        self._last_transition = now
+        self.total_downtime += now - self.last_transition
+        self.last_transition = now
         self.up = True
         self.incarnation += 1
         self.network.set_endpoint_up(self.address, True)
@@ -230,9 +224,9 @@ class Host:
         up = self.total_uptime
         down = self.total_downtime
         if self.up:
-            up += now - self._last_transition
+            up += now - self.last_transition
         else:
-            down += now - self._last_transition
+            down += now - self.last_transition
         total = up + down
         return 1.0 if total == 0 else up / total
 

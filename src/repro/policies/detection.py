@@ -2,7 +2,7 @@
 
 The mechanism — tracking last-heard timestamps, latching suspicion
 transitions, recording :class:`~repro.detect.detector.SuspicionEvent`
-history and wrong-suspicion accounting — stays in
+history and scoring each suspicion — stays in
 :class:`~repro.detect.detector.FailureDetector`.  What a policy owns is the
 *rule*: given the current silence for a subject (and whatever gap statistics
 the policy accumulated from past heartbeats), is the subject suspected?
@@ -21,7 +21,7 @@ the policy accumulated from past heartbeats), is the subject suspected?
 
 Every policy sees the same heartbeat stream (``observe``), the same
 new-incarnation resets (``forget``), and answers through the same
-``suspects`` seam, so the detector-ablation scenarios compare them on
+``suspects`` seam, so the ``detector-ablation`` scenario compares them on
 identical inputs.
 """
 

@@ -339,7 +339,6 @@ def execute_benchmark(
     crn_seed: int | None = None,
     run_full_horizon: bool = False,
     record_fault_streams: bool = False,
-    record_detection: bool = False,
     record_kernel: bool = False,
 ) -> RunReport:
     """Run the §5.1 synthetic benchmark once over the declared pieces.
@@ -360,14 +359,14 @@ def execute_benchmark(
     60 s); overrides are then applied on top of those defaults, not on a
     blank configuration.
 
-    The four trailing flags serve paired-CRN comparisons: ``crn_seed`` pins
+    Three trailing flags serve paired-CRN comparisons: ``crn_seed`` pins
     the ``crn.``-prefixed fault streams independently of ``seed``,
     ``run_full_horizon`` keeps the simulation running to ``horizon`` even
     after the workload completes (so every arm's churn loops consume the same
-    number of draws regardless of when its workload finished),
+    number of draws regardless of when its workload finished), and
     ``record_fault_streams`` fingerprints the fault/churn RNG streams into
-    the report, and ``record_detection`` stamps the grid-wide suspicion
-    accounting (``detect.*`` counters) into the report.
+    the report.  The grid-wide suspicion accounting is in the report's
+    ``counters`` (``detect.*``).
 
     A run with no fault injected must deliver every call before the
     horizon: if it did not, :class:`~repro.sim.core.SimulationError` is
@@ -428,14 +427,6 @@ def execute_benchmark(
         ideal_time=ideal,
         counters=dict(grid.monitor.counters),
     )
-    if record_detection:
-        report.wrong_suspicions = int(
-            report.counters.get("detect.wrong_suspicions", 0)
-        )
-        report.suspicion_transitions = int(
-            report.counters.get("detect.suspicions", 0)
-            + report.counters.get("detect.rehabilitations", 0)
-        )
     if record_fault_streams:
         report.fault_streams = grid.rng.fingerprint(FAULT_STREAM_PREFIXES)
     if record_kernel:
@@ -491,7 +482,6 @@ def benchmark_cell(
     crn_seed: int | None = None,
     run_full_horizon: bool = False,
     record_fault_streams: bool = False,
-    record_detection: bool = False,
     record_kernel: bool = False,
     **component_params: Any,
 ) -> dict[str, Any]:
@@ -585,7 +575,6 @@ def benchmark_cell(
         crn_seed=crn_seed,
         run_full_horizon=run_full_horizon,
         record_fault_streams=record_fault_streams,
-        record_detection=record_detection,
         record_kernel=record_kernel,
     )
     return report.outputs()

@@ -26,8 +26,6 @@ class RunReport:
     counters: dict[str, float] = field(default_factory=dict)
     #: optional extras (stamped only when the engine was asked to record
     #: them, so historical cells keep their exact output shape).
-    wrong_suspicions: int | None = None
-    suspicion_transitions: int | None = None
     fault_streams: dict[str, str] | None = None
     #: kernel load snapshot (heap occupancy, compactions, pool hit-rate);
     #: stamped when the engine runs with ``record_kernel=True``.
@@ -52,10 +50,6 @@ class RunReport:
             "overhead_vs_ideal": self.overhead_vs_ideal,
             "ideal_time": self.ideal_time,
         }
-        if self.wrong_suspicions is not None:
-            out["wrong_suspicions"] = self.wrong_suspicions
-        if self.suspicion_transitions is not None:
-            out["suspicion_transitions"] = self.suspicion_transitions
         if self.fault_streams is not None:
             out["fault_streams"] = self.fault_streams
         if self.kernel is not None:

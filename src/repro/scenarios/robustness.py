@@ -3,9 +3,11 @@
 Three sweeps interrogate the protocol's fault tolerance directly instead of
 measuring throughput around incidental faults:
 
-* ``detector-ablation-v2`` — the ``policy.detect.*`` family crossed with the
-  replication policy under trace-driven churn, scoring wrong suspicions and
-  suspicion transitions per detector;
+* ``detector-ablation`` — the ``policy.detect.*`` family crossed with the
+  heart-beat period and the timeout multiplier on a small Internet testbed
+  whose servers churn, each suspicion scored by what happened to its subject
+  and summed up as detection time, mistake rate, mistake duration and query
+  accuracy;
 * ``quorum-survival`` — passive-periodic vs quorum replication as the
   coordinator tier grows more volatile (survival-vs-volatility curves);
 * ``fault-search`` — an adversarial sweep of scripted fault timing against
@@ -13,28 +15,35 @@ measuring throughput around incidental faults:
   source, the detector-blind window right after a heartbeat), reduced to the
   worst-case survival row per phase.
 
-All three declare ``paired_axes``: cells that differ only in the policy under
-test must report identical fault-stream fingerprints (common random numbers),
-so any survival difference is attributable to the policy, not to schedule
-noise.  The runner enforces this after every sweep.
+The last two declare ``paired_axes``: cells that differ only in the policy
+under test must report identical fault-stream fingerprints (common random
+numbers), so any survival difference is attributable to the policy, not to
+schedule noise.  The runner enforces this after every sweep.  The detector
+sweep needs no pairing: its churn is a fixed trace that draws nothing.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
 from repro.errors import ConfigurationError
-from repro.scenarios.engine import benchmark_cell
+from repro.scenarios.engine import (
+    GridTopology,
+    WorkloadSpec,
+    benchmark_cell,
+    execute_benchmark,
+)
 from repro.scenarios.reducers import grouped, mean
 from repro.scenarios.registry import scenario
 from repro.scenarios.spec import Axis, CellResult, ScenarioSpec
 
 __all__ = [
     "DETECTION_POLICIES",
-    "DETECTOR_ABLATION_V2",
+    "DETECTOR_ABLATION",
     "FAULT_SEARCH",
     "QUORUM_SURVIVAL",
     "REPLICATION_POLICIES",
+    "detector_ablation_cell",
     "fault_search_cell",
 ]
 
@@ -56,92 +65,184 @@ def _completion(cell: CellResult) -> float:
     return cell.outputs["completed"] / max(cell.outputs["submitted"], 1)
 
 
-# --------------------------------------------------------- detector-ablation-v2
-def _detector_rows(results: list[CellResult]) -> list[dict[str, Any]]:
-    """One row per (detector, replication) arm: suspicion quality + survival."""
-    rows: list[dict[str, Any]] = []
-    keys = ("detection_policy", "replication_policy")
-    for (detector, replication), cells in grouped(results, keys).items():
-        rows.append(
+# ------------------------------------------------------------ detector-ablation
+#: the sites of the Internet testbed, each given the same server count.
+_TESTBED_SITES = ("lille", "wisconsin", "orsay")
+
+#: every server's ``[up, down]`` cycle: outages below, near and above the
+#: paper's 30 s timeout, and one beyond the longest (15 s x 12) so that
+#: every arm detects crashes.
+_CHURN_PAIRS = ((120.0, 10.0), (120.0, 25.0), (120.0, 90.0), (120.0, 240.0))
+
+#: the backlog outlasts any horizon swept, so between crashes only their
+#: heart-beats speak for the busy servers.
+_BACKLOG = WorkloadSpec(n_calls=400, exec_time=60.0)
+
+
+def _up_seconds(pairs: Sequence[Sequence[float]], horizon: float) -> float:
+    """Seconds a host replaying ``pairs`` (wrapping) is up before ``horizon``."""
+    up = now = 0.0
+    while now < horizon:
+        for up_for, down_for in pairs:
+            up += min(up_for, max(horizon - now, 0.0))
+            now += up_for + down_for
+    return up
+
+
+def detector_ablation_cell(
+    seed: int = 0,
+    detection_policy: Any = "policy.detect.fixed-timeout",
+    heartbeat_period: float = 5.0,
+    timeout_multiplier: float = 6.0,
+    servers_per_site: int = 2,
+    horizon: float = 3600.0,
+) -> dict[str, Any]:
+    """One detector arm on the Internet testbed while its servers churn.
+
+    Every tier beats every ``heartbeat_period`` seconds and suspects after
+    ``timeout_multiplier`` periods of silence under ``detection_policy``;
+    every server replays ``_CHURN_PAIRS`` (``[up, down]`` seconds,
+    wrapping) up to the ``horizon`` under the never-ending ``_BACKLOG``.
+    Each suspicion of a server is scored by what happened to it (see
+    :mod:`repro.detect.detector`), and the QoS metrics of Chen, Toueg &
+    Aguilera follow from those counters: the mean detection time T_D,
+    mistakes per observed (up) server-hour (1/T_MR), the mean mistake
+    duration T_M and the query accuracy P_A.  The coordinators' opinions
+    of each other (``detect.coordinators.*``) are not scored here.
+
+    T_M and P_A see only the mistakes a rehabilitation ended;
+    ``open_mistakes`` counts the others, whose time P_A leaves out, so a
+    non-zero count means P_A is optimistic.
+    """
+    timeout = heartbeat_period * timeout_multiplier
+    overrides: dict[str, Any] = {"policy.detection": detection_policy}
+    for tier in ("coordinator", "server", "client"):
+        overrides[f"{tier}.detection.heartbeat_period"] = heartbeat_period
+        overrides[f"{tier}.detection.suspicion_timeout"] = timeout
+    report = execute_benchmark(
+        topology=GridTopology(
+            kind="internet",
+            servers_per_site=dict.fromkeys(_TESTBED_SITES, servers_per_site),
+        ),
+        workload=_BACKLOG,
+        protocol_overrides=overrides,
+        seed=seed,
+        horizon=horizon,
+        components=[
             {
-                "detection_policy": detector,
-                "replication_policy": replication,
-                "mean_wrong_suspicions": mean(
-                    c.outputs["wrong_suspicions"] for c in cells
-                ),
-                "mean_suspicion_transitions": mean(
-                    c.outputs["suspicion_transitions"] for c in cells
-                ),
-                "mean_makespan_seconds": mean(c.outputs["makespan"] for c in cells),
-                "min_completion_ratio": min(_completion(c) for c in cells),
-                "departures": sum(c.outputs["faults_injected"] for c in cells),
+                "name": "inject.churn",
+                "params": {"target": "servers", "trace_pairs": _CHURN_PAIRS},
             }
+        ],
+        run_full_horizon=True,
+    )
+    count = {
+        name: report.counters.get(f"detect.{name}", 0)
+        for name in (
+            "suspicions", "suspected_crashed", "suspected_restarted",
+            "suspected_left", "wrong_suspicions", "mistakes_ended",
+            "detection_s", "mistake_s",
         )
+    }
+    mistakes, ended = count["wrong_suspicions"], count["mistakes_ended"]
+    n_servers = len(_TESTBED_SITES) * servers_per_site
+    observed_s = n_servers * _up_seconds(_CHURN_PAIRS, horizon)
+    return {
+        "suspicion_timeout": timeout,
+        "suspicions": count["suspicions"],
+        "crashed": count["suspected_crashed"],
+        "restarted": count["suspected_restarted"],
+        "left": count["suspected_left"],
+        "mistakes": mistakes,
+        "open_mistakes": mistakes - ended,
+        "detection_s": (
+            count["detection_s"] / count["suspected_crashed"]
+            if count["suspected_crashed"] else float("nan")
+        ),
+        "mistakes_per_server_hour": 3600.0 * mistakes / observed_s,
+        "mistake_s": count["mistake_s"] / ended if ended else 0.0,
+        "query_accuracy": 1.0 - count["mistake_s"] / observed_s,
+    }
+
+
+def _detector_rows(results: list[CellResult]) -> list[dict[str, Any]]:
+    """One row per (detector, period, multiplier) arm, over the seeds.
+
+    Counts and rates are means over the seeds; T_D and T_M are means per
+    crash and per ended mistake, so they pool the seeds weighted by those
+    counts (a seed without ended mistakes has no T_M).
+    """
+
+    def pooled(cells: list[CellResult], name: str, weight: Any) -> float:
+        weights = [weight(c.outputs) for c in cells]
+        if not sum(weights):
+            return cells[0].outputs[name]
+        total = sum(c.outputs[name] * w for c, w in zip(cells, weights) if w)
+        return total / sum(weights)
+
+    rows: list[dict[str, Any]] = []
+    keys = ("detection_policy", "heartbeat_period", "timeout_multiplier")
+    for (detector, period, multiplier), cells in grouped(results, keys).items():
+        row = {
+            "detection_policy": detector,
+            "heartbeat_period": period,
+            "timeout_multiplier": multiplier,
+            "suspicion_timeout": cells[0].outputs["suspicion_timeout"],
+        }
+        for name in (
+            "suspicions", "crashed", "restarted", "left", "mistakes", "open_mistakes",
+        ):
+            row[name] = mean(c.outputs[name] for c in cells)
+        row["detection_s"] = pooled(cells, "detection_s", lambda o: o["crashed"])
+        row["mistakes_per_server_hour"] = mean(
+            c.outputs["mistakes_per_server_hour"] for c in cells
+        )
+        row["mistake_s"] = pooled(
+            cells, "mistake_s", lambda o: o["mistakes"] - o["open_mistakes"]
+        )
+        row["query_accuracy"] = mean(c.outputs["query_accuracy"] for c in cells)
+        rows.append(row)
     return rows
 
 
-@scenario("detector-ablation-v2")
-def _detector_ablation_v2() -> ScenarioSpec:
+@scenario("detector-ablation")
+def _detector_ablation() -> ScenarioSpec:
     return ScenarioSpec(
-        name="detector-ablation-v2",
-        title="Failure-detection policies under trace-driven churn",
+        name="detector-ablation",
+        title="Failure detectors: detection time against mistakes on a WAN",
         figure=None,
         description=(
-            "Sweep the policy.detect.* family (fixed timeout, Jacobson "
-            "adaptive timeout, phi-accrual) against both replication "
-            "policies while the servers replay a deterministic availability "
-            "trace whose outages exceed the suspicion timeout: every "
-            "detector must transition, and none may suspect a live node.  "
-            "Both axes are paired, so each arm sees the identical fault "
-            "schedule."
+            "Sweep the policy.detect.* family against the heart-beat period "
+            "and the suspicion timeout (a multiple of the period, applied to "
+            "every tier) on a small Internet testbed whose WAN loses, "
+            "jitters and stalls messages, while every server replays outages "
+            "below, near and above the paper's 30 s timeout.  Each "
+            "suspicion is scored by what happened to its subject (crashed, "
+            "restarted, left for another coordinator, or a mistake): a "
+            "longer timeout must detect crashes later, and the paper's "
+            "fixed 30 s rule (5 s x 6) must make no mistake."
         ),
-        cell=benchmark_cell,
-        base=dict(
-            n_calls=48,
-            exec_time=5.0,
-            n_servers=4,
-            n_coordinators=2,
-            # Up 45 s / down 90 s: outages far beyond the 30 s suspicion
-            # timeout, so suspicions are of genuinely-down nodes.  The
-            # workload (48 x 5 s over 4 servers, ~60 s ideal) outlives the
-            # first outage, so every detector gets exercised mid-run.
-            churn_pairs=[[45.0, 90.0], [60.0, 75.0]],
-            horizon=2500.0,
-            crn_seed=101,
-            record_detection=True,
-            record_fault_streams=True,
-        ),
+        cell=detector_ablation_cell,
+        base=dict(servers_per_site=2, horizon=3600.0),
         axes=(
             Axis("detection_policy", DETECTION_POLICIES),
-            Axis("replication_policy", REPLICATION_POLICIES),
+            Axis("heartbeat_period", (1.0, 5.0, 15.0)),
+            Axis("timeout_multiplier", (2.0, 6.0, 12.0)),
         ),
         seeds=(3, 5),
         outputs=(
-            "makespan",
-            "completed",
-            "faults_injected",
-            "wrong_suspicions",
-            "suspicion_transitions",
+            "suspicion_timeout", "suspicions", "crashed", "restarted", "left",
+            "mistakes", "open_mistakes", "detection_s", "mistakes_per_server_hour",
+            "mistake_s", "query_accuracy",
         ),
-        components=(
-            {
-                "name": "inject.churn",
-                "params": {"target": "servers", "trace_pairs": "$churn_pairs"},
-            },
-        ),
-        paired_axes=("detection_policy", "replication_policy"),
         scales={
-            "tiny": dict(
-                n_calls=16, exec_time=5.0, n_servers=2, n_coordinators=2,
-                churn_pairs=[[15.0, 60.0], [25.0, 50.0]],
-                seeds=(3,), horizon=1500.0,
-            ),
+            "tiny": dict(servers_per_site=1, horizon=1200.0, seeds=(3,)),
         },
         reduce=_detector_rows,
     )
 
 
-DETECTOR_ABLATION_V2 = _detector_ablation_v2
+DETECTOR_ABLATION = _detector_ablation
 
 
 # ------------------------------------------------------------- quorum-survival

@@ -2,25 +2,32 @@
 
 from __future__ import annotations
 
+from itertools import permutations
+from types import SimpleNamespace
+
 import pytest
 
 from repro.config import FaultDetectionConfig, LoggingConfig
 from repro.detect.detector import FailureDetector
 from repro.detect.heartbeat import HeartbeatEmitter
 from repro.errors import LogCorruption
+from repro.grid.builder import build_confined_cluster
 from repro.msglog.garbage import GarbageCollector
 from repro.msglog.log import MessageLog
 from repro.msglog.strategies import LoggingEngine
 from repro.net.message import MessageType
 from repro.net.transport import Network
 from repro.nodes.node import Host
+from repro.policies.detection import FixedTimeoutDetection
 from repro.policies.logging import (
     OptimisticLogging,
     PessimisticBlockingLogging,
     PessimisticNonBlockingLogging,
 )
+from repro.sim.monitor import Monitor
 from repro.sim.rng import RandomStreams
 from repro.types import Address, LoggingStrategy
+from repro.workloads.synthetic import SyntheticWorkload
 
 S = Address("server", "s0")
 K = Address("coordinator", "k0")
@@ -34,7 +41,8 @@ def make_host(env, name="h0", kind="client"):
 class TestFailureDetector:
     def _detector(self, timeout=30.0):
         return FailureDetector(
-            FaultDetectionConfig(heartbeat_period=5.0, suspicion_timeout=timeout)
+            FaultDetectionConfig(heartbeat_period=5.0, suspicion_timeout=timeout),
+            FixedTimeoutDetection(),
         )
 
     def test_unknown_subject_not_suspected(self):
@@ -74,21 +82,152 @@ class TestFailureDetector:
         detector.heard_from(S, 41.0)
         assert detector.suspicion_transitions() == 2
 
-    def test_wrong_suspicion_accounting_with_ground_truth(self):
-        detector = FailureDetector(
-            FaultDetectionConfig(heartbeat_period=5.0, suspicion_timeout=30.0),
-            ground_truth=lambda _subject: True,  # actually up
-        )
-        detector.heard_from(S, 0.0)
-        detector.is_suspected(S, 40.0)
-        assert detector.wrong_suspicions == 1
-
     def test_watch_and_unwatch(self):
         detector = self._detector()
         detector.watch(S, 0.0)
         assert S in detector.monitored()
         detector.unwatch(S)
         assert S not in detector.monitored()
+
+
+class TestSuspicionScoring:
+    """Each suspicion is scored by what happened to its subject.
+
+    One server on a two-coordinator cluster (5 s beats, 30 s timeout, the
+    watch loop ticking every 5 s).  Busy with one long call, the server is
+    heard only through its heart-beats: at 47.83 s, then 52.58 s.
+    """
+
+    def _run(self, events=(), n_calls=1, exec_time=500.0, until=150.0, cut=None):
+        grid = build_confined_cluster(n_servers=1, n_coordinators=2, seed=1)
+        grid.start()
+        workload = SyntheticWorkload(n_calls=n_calls, exec_time=exec_time)
+        grid.run_process(workload.run(grid.client))
+        if events:
+            grid.add_component({"name": "inject.script", "params": {"events": events}})
+        if cut is not None:
+            start, end = cut
+            grid.run(until=start)
+            server, primary = grid.servers[0].address, grid.coordinators[0].address
+            grid.partitions.partition("cut", [server], [primary])
+            grid.run(until=end)
+            grid.partitions.heal("cut")
+        grid.run(until=until)
+        counters = {
+            name: value
+            for name, value in grid.monitor.counters.items()
+            if name.startswith("detect.")
+        }
+        return grid, counters
+
+    def test_crashed_subject_adds_its_detection_time(self):
+        _, counters = self._run([{"time": 50.0, "action": "kill", "target": "s000"}])
+        assert counters == {
+            "detect.suspicions": 1.0,
+            "detect.suspected_crashed": 1.0,
+            # Killed at 50 s, suspected at the 80 s tick.
+            "detect.detection_s": 30.0,
+        }
+
+    def test_restarted_subject_is_not_a_mistake(self):
+        # Down 27.45 s, under the timeout; last heard at 47.83 s, so the
+        # silence first passes 30 s at the 80 s tick, 0.05 s after the
+        # restart and before the fresh incarnation is heard.
+        grid, counters = self._run(
+            [
+                {"time": 52.5, "action": "kill", "target": "s000"},
+                {"time": 79.95, "action": "restart", "target": "s000"},
+            ]
+        )
+        assert counters.get("detect.suspected_restarted") == 1.0
+        assert counters.get("detect.wrong_suspicions", 0) == 0
+        history = grid.coordinators[0].server_detector.history
+        assert [(e.time, e.suspected) for e in history][0] == (80.0, True)
+
+    def test_server_that_left_for_another_coordinator_is_not_a_mistake(self):
+        # The primary is down from 58 s to 63 s, as the server's first 60 s
+        # call ends: its result times out after 70 s without word from the
+        # primary, so it moves to the backup, and the restarted primary —
+        # which heard its beats meanwhile — suspects it at 103 s.
+        grid, counters = self._run(
+            [
+                {"time": 58.0, "action": "kill", "target": "cluster-k0"},
+                {"time": 63.0, "action": "restart", "target": "cluster-k0"},
+            ],
+            n_calls=2,
+            exec_time=60.0,
+            until=400.0,
+        )
+        assert grid.servers[0].preferred_coordinator() == grid.coordinators[1].address
+        assert counters.get("detect.suspected_left") == 1.0
+        assert counters.get("detect.wrong_suspicions", 0) == 0
+
+    def test_a_live_subject_cut_off_is_a_mistake_until_heard_again(self):
+        # No kill or restart silences a live server on this lossless LAN; a
+        # partition between it and the primary from 50 s to 90 s does.  It
+        # is suspected at the 80 s tick while up and still attached.
+        grid, counters = self._run(cut=(50.0, 90.0))
+        assert counters["detect.wrong_suspicions"] == 1.0
+        history = grid.coordinators[0].server_detector.history
+        (suspected, rehabilitated) = history
+        assert (suspected.time, suspected.suspected) == (80.0, True)
+        assert not rehabilitated.suspected and rehabilitated.time > 90.0
+        assert counters["detect.mistakes_ended"] == 1.0
+        assert counters["detect.mistake_s"] == pytest.approx(
+            rehabilitated.time - suspected.time
+        )
+
+    def test_a_mistake_open_at_the_end_is_not_measured(self):
+        # The cut lasts past the end of the run: no rehabilitation ends the
+        # mistake, so it has no length and counts as open.
+        grid, counters = self._run(cut=(50.0, 150.0), until=150.0)
+        assert counters["detect.wrong_suspicions"] == 1.0
+        assert "detect.mistakes_ended" not in counters
+        assert "detect.mistake_s" not in counters
+        history = grid.coordinators[0].server_detector.history
+        assert [(e.time, e.suspected) for e in history] == [(80.0, True)]
+
+    def test_a_mistake_its_subject_crashed_out_of_is_not_measured(self):
+        # Mistaken at the 80 s tick, the server is down from 84 s to 86 s;
+        # its fresh incarnation's beats after the 90 s heal rehabilitate it,
+        # but the mistake ended at the unrecorded crash instant.
+        grid, counters = self._run(
+            [
+                {"time": 84.0, "action": "kill", "target": "s000"},
+                {"time": 86.0, "action": "restart", "target": "s000"},
+            ],
+            cut=(50.0, 90.0),
+        )
+        assert counters["detect.wrong_suspicions"] == 1.0
+        history = grid.coordinators[0].server_detector.history
+        assert [e.suspected for e in history][:2] == [True, False]
+        assert "detect.mistakes_ended" not in counters
+        assert "detect.mistake_s" not in counters
+
+    def test_duration_totals_do_not_depend_on_scoring_order(self):
+        # A watch tick scores its subjects in hash order; summed naively,
+        # these three detection times give 50.177 or 50.17700000000001.
+        crashed_at = {
+            Address("server", f"s{i}"): t for i, t in enumerate((5.375, 33.897, 30.551))
+        }
+        peers = {
+            subject: SimpleNamespace(host=SimpleNamespace(up=False, last_transition=t))
+            for subject, t in crashed_at.items()
+        }
+        totals = set()
+        for order in permutations(crashed_at):
+            monitor = Monitor()
+            detector = FailureDetector(
+                FaultDetectionConfig(), FixedTimeoutDetection(),
+                monitor=monitor, peers=peers,
+            )
+            for subject in order:
+                detector.watch(subject, 0.0)
+            for subject in order:
+                assert detector.is_suspected(subject, 40.0)
+            totals.add(monitor.count("detect.detection_s"))
+        (total,) = totals
+        assert total == pytest.approx(50.177)
 
 
 class TestHeartbeatEmitter:
@@ -199,7 +338,7 @@ class TestMessageLog:
         with pytest.raises(LogCorruption):
             log.mark_durable(99)
 
-    def test_buffered_records_lost_on_crash_durable_survive(self, env):
+    def test_crash_loses_buffered_records_and_keeps_durable_ones(self, env):
         host = make_host(env)
         log = MessageLog(host, "out")
         log.append(1, {"payload": "durable"}, 10)

@@ -189,7 +189,7 @@ class TestHost:
         assert host.incarnation == 1
         assert calls == [1]
 
-    def test_spawn_on_crashed_host_rejected(self, env):
+    def test_spawn_rejected_while_host_is_down(self, env):
         host = self._host(env)
         host.crash()
         with pytest.raises(ConfigurationError):

@@ -44,7 +44,7 @@ from repro.types import CallIdentity, TaskState
 EXPECTED_SCENARIOS = {
     "fig4-size", "fig4-calls", "fig5-size", "fig5-count", "fig6-size",
     "fig6-calls", "fig7", "fig8", "fig9", "fig10", "fig11",
-    "ablation-baselines", "ablation-detector", "churn-survival",
+    "ablation-baselines", "detector-ablation", "churn-survival",
     "sched-ablation",
 }
 
