@@ -10,18 +10,12 @@ the paper's evaluation, and one experiment driver per figure.
 
 Quickstart::
 
-    from repro.grid import build_confined_cluster
-    from repro.sim import SimulationError
-    from repro.workloads import SyntheticWorkload
+    from repro.scenarios import GridTopology, WorkloadSpec, execute_benchmark
 
-    grid = build_confined_cluster()
-    grid.start()
-    workload = SyntheticWorkload(n_calls=16, exec_time=2.0)
-    process = grid.run_process(workload.run(grid.client))
-    horizon = 600.0
-    if not grid.run_until(process, timeout=horizon):
-        raise SimulationError(f"quickstart: unfinished at {horizon:g} s")
-    print(workload.makespan, workload.completed_count())
+    report = execute_benchmark(
+        GridTopology(), WorkloadSpec(n_calls=16, exec_time=2.0), horizon=600.0
+    )
+    print(report.makespan, report.completed)
 """
 
 from repro.config import (

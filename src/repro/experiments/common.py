@@ -4,7 +4,21 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-__all__ = ["format_rows", "print_rows", "mean"]
+from repro.grid.builder import Grid
+from repro.sim.core import Process, SimulationError
+
+__all__ = ["finish", "format_rows", "print_rows", "mean"]
+
+
+def finish(grid: Grid, process: Process, horizon: float, what: str) -> None:
+    """Run ``process`` to its end; reaching ``horizon`` first is an error.
+
+    The Fig. 4–6 drivers time one exchange each, not a workload run to
+    completion, so they spawn their own process instead of going through
+    :func:`~repro.scenarios.engine.execute_benchmark`.
+    """
+    if not grid.run_until(process, timeout=horizon):
+        raise SimulationError(f"{what} did not finish within its {horizon:g} s horizon")
 
 
 def mean(values: Iterable[float]) -> float:

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.experiments.fig9_reference import completion_curve_rows, run_alcatel_campaign
+from repro.experiments.fig9_reference import campaign, completion_curve_rows
 from repro.platform.registry import create_component
+from repro.scenarios.engine import GridTopology
 from repro.scenarios.registry import scenario
 from repro.scenarios.spec import ScenarioSpec
 
@@ -99,18 +100,15 @@ def coordinator_faults_cell(
     kill_orsay_fraction: float = 0.75,
     lille_restart_delay: float = 180.0,
     seed: int = 0,
-    **kwargs: Any,
 ) -> dict[str, Any]:
     """Run the two-consecutive-coordinator-faults scenario.
 
     The scripted faults are an ``inject.script`` component entry (its
-    condition-triggered ``steps`` form), armed in the driver slot — no
-    callback touches the grid.
+    condition-triggered ``steps`` form) — no callback touches the grid.  Its
+    post-catch-up wait is the testbed's own replication period, so the
+    timetable cannot drift from the actual replication cadence.
     """
-    # One value feeds both the campaign's protocol and the post-catch-up
-    # wait of the script, so the timetable cannot drift from the actual
-    # replication cadence.
-    replication_period = kwargs.pop("replication_period", 60.0)
+    protocol = GridTopology(kind="internet").default_protocol()
     script = create_component(
         "inject.script",
         {
@@ -119,18 +117,11 @@ def coordinator_faults_cell(
                 kill_lille_fraction=kill_lille_fraction,
                 kill_orsay_fraction=kill_orsay_fraction,
                 lille_restart_delay=lille_restart_delay,
-                replication_period=replication_period,
+                replication_period=protocol.coordinator.replication.period,
             )
         },
     )
-    result = run_alcatel_campaign(
-        n_tasks=n_tasks,
-        servers_per_site=servers_per_site,
-        seed=seed,
-        replication_period=replication_period,
-        driver_components=[script],
-        **kwargs,
-    )
+    result = campaign(n_tasks, servers_per_site, seed, components=[script])
     result["events"] = script.recorded
     result["tolerated_two_coordinator_faults"] = (
         result["finished_in_time"] and result["completed"] >= result["submitted"]

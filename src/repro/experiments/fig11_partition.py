@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.experiments.fig9_reference import completion_curve_rows, run_alcatel_campaign
+from repro.experiments.fig9_reference import campaign, completion_curve_rows
 from repro.platform.component import BaseComponent
 from repro.platform.registry import create_component
 from repro.scenarios.registry import scenario
@@ -72,7 +72,7 @@ class PartitionedViews(BaseComponent):
     def start(self) -> None:
         # Start order is registration order, so the partition schedule ahead
         # of this component has installed its hide rules by now; nothing has
-        # run yet (the environment only advances after the grid is started).
+        # run yet (the engine adds its components before time advances).
         self.progress_condition_held = self._grid.progress_condition_holds()
 
 
@@ -80,7 +80,6 @@ def partition_cell(
     n_tasks: int = 300,
     servers_per_site: dict[str, int] | None = None,
     seed: int = 0,
-    **kwargs: Any,
 ) -> dict[str, Any]:
     """Run the partitioned-views scenario and compare against the reference.
 
@@ -105,14 +104,7 @@ def partition_cell(
         "repro.experiments.fig11_partition:PartitionedViews",
         {"client_coordinator": "lille", "server_coordinator": "orsay"},
     )
-    result = run_alcatel_campaign(
-        n_tasks=n_tasks,
-        servers_per_site=servers_per_site,
-        seed=seed,
-        client_preferred="lille",
-        components=[isolation, views],
-        **kwargs,
-    )
+    result = campaign(n_tasks, servers_per_site, seed, components=[isolation, views])
     result["progress_condition_held"] = bool(views.progress_condition_held)
     result["completed_under_partition"] = (
         result["finished_in_time"] and result["completed"] >= result["submitted"]

@@ -22,11 +22,11 @@ from typing import Any
 
 from repro.config import ProtocolConfig
 from repro.core.protocol import CallDescription
+from repro.experiments.common import finish
 from repro.grid.builder import Grid, build_confined_cluster, build_internet_testbed
 from repro.scenarios.reducers import grouped
 from repro.scenarios.registry import scenario
 from repro.scenarios.spec import Axis, CellResult, ScenarioSpec
-from repro.sim.core import SimulationError
 from repro.types import CallIdentity
 from repro.workloads.sweep import geometric_counts, geometric_sizes
 
@@ -102,13 +102,8 @@ def measure_replication_time(
         timings["ok"] = float(bool(ok))
         timings["end"] = grid.env.now
 
-    horizon = 10_000.0
     process = host.spawn(driver(), name="fig5-driver")
-    if not grid.run_until(process, timeout=horizon):
-        raise SimulationError(
-            f"fig5: the {environment} replication driver did not finish "
-            f"within its {horizon:g} s horizon"
-        )
+    finish(grid, process, 10_000.0, f"fig5: the {environment} replication driver")
     if not timings.get("ok"):
         return float("nan")
     return timings["end"] - timings["start"]

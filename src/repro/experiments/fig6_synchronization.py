@@ -24,12 +24,12 @@ from typing import Any
 
 from repro.config import ProtocolConfig
 from repro.core.protocol import CallDescription
+from repro.experiments.common import finish
 from repro.grid.builder import Grid, build_confined_cluster
 from repro.net.message import Message, MessageType
 from repro.scenarios.reducers import grouped
 from repro.scenarios.registry import scenario
 from repro.scenarios.spec import Axis, CellResult, ScenarioSpec
-from repro.sim.core import SimulationError
 from repro.workloads.sweep import geometric_counts, geometric_sizes
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -91,6 +91,7 @@ def measure_sync_time(
     client = grid.client
     coordinator = grid.coordinators[0]
     timings: dict[str, float] = {}
+    size = f"({n_calls} calls of {params_bytes} B)"
 
     if direction == "client-logs":
         _populate_client_logs(grid, n_calls, params_bytes)
@@ -125,7 +126,7 @@ def measure_sync_time(
             result_bytes=params_bytes,
         )
         warmup = grid.run_process(workload.run(client), name="fig6-warmup")
-        _finish(grid, warmup, f"{direction} warm-up ({n_calls} calls of {params_bytes} B)")
+        finish(grid, warmup, SYNC_HORIZON, f"fig6: the {direction} warm-up {size}")
         # Simulate losing the client-side logs and handles.
         client.log.wipe()
         client.forget_handles()
@@ -176,16 +177,8 @@ def measure_sync_time(
         raise ValueError(f"unknown direction {direction!r}")
 
     process = grid.host_of(client).spawn(driver(), name="fig6-driver")
-    _finish(grid, process, f"{direction} driver ({n_calls} calls of {params_bytes} B)")
+    finish(grid, process, SYNC_HORIZON, f"fig6: the {direction} driver {size}")
     return timings["end"] - timings["start"]
-
-
-def _finish(grid: Grid, process, what: str) -> None:
-    """Run ``process`` to its end; reaching the horizon first is an error."""
-    if not grid.run_until(process, timeout=SYNC_HORIZON):
-        raise SimulationError(
-            f"fig6: the {what} did not finish within its {SYNC_HORIZON:g} s horizon"
-        )
 
 
 def sync_cell(

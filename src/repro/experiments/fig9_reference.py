@@ -8,8 +8,13 @@ time: the Lille curve grows continuously while the LRI curve follows it in
 60-second plateaux (the discrete replication rounds).
 
 The default task count and server population are scaled down from the paper's
-1000 tasks / ~280 servers so the run stays fast; pass ``n_tasks=1000`` and a
-larger ``servers_per_site`` for the full-size campaign.
+1000 tasks / ~280 servers.  The paper's size does not run yet: past ~110
+servers the coordinator falls into a retry storm, the campaign loses calls
+and, with no fault injected, :func:`~repro.scenarios.engine.execute_benchmark`
+raises instead of returning a row (ROADMAP item 1).
+
+Figures 9–11 all run the campaign through :func:`campaign`, one
+``execute_benchmark`` call on the Internet testbed.
 """
 
 from __future__ import annotations
@@ -18,111 +23,60 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.config import ProtocolConfig
-from repro.grid.builder import build_internet_testbed
+from repro.scenarios.engine import GridTopology, execute_benchmark
 from repro.scenarios.registry import scenario
 from repro.scenarios.spec import CellResult, ScenarioSpec
-from repro.workloads.alcatel import AlcatelWorkload
+from repro.workloads.alcatel import AlcatelSpec
 
-__all__ = ["run_alcatel_campaign", "reference_cell", "completion_curve_rows"]
+__all__ = ["campaign", "reference_cell", "completion_curve_rows"]
+
+#: safety deadline of one campaign, virtual seconds.
+HORIZON = 30_000.0
+#: spacing of the sampled completion curves (one replication period).
+SAMPLE_PERIOD = 60.0
+#: server placement when a cell names none (60 servers).
+SERVERS_PER_SITE = {"lille": 20, "wisconsin": 20, "orsay": 20}
 
 
-def run_alcatel_campaign(
-    n_tasks: int = 300,
-    servers_per_site: dict[str, int] | None = None,
+def campaign(
+    n_tasks: int,
+    servers_per_site: dict[str, int] | None,
+    seed: int,
     median_duration: float = 110.0,
-    replication_period: float = 60.0,
-    seed: int = 0,
-    horizon: float = 30_000.0,
-    client_preferred: str = "lille",
     components: Sequence[Any] = (),
-    driver_components: Sequence[Any] = (),
-    sample_period: float = 60.0,
 ) -> dict[str, Any]:
-    """Run one Alcatel campaign on the Internet testbed and collect its curves.
-
-    ``components`` are extra platform components built into the grid before
-    it starts (instances, registered names, or ``{"name", "params"}``
-    entries — the partition scenario wires its inconsistent views this way);
-    ``driver_components`` join *after* the workload process is spawned — the
-    lifecycle slot scenario drivers have always used, so a script migrated
-    from a ``driver`` callback onto an ``inject.script`` entry replays the
-    exact same event sequence.
-    """
-    servers_per_site = servers_per_site or {"lille": 20, "wisconsin": 20, "orsay": 20}
-    protocol = ProtocolConfig()
-    protocol.coordinator.replication.period = replication_period
-    grid = build_internet_testbed(
-        servers_per_site=servers_per_site,
-        coordinator_sites=("lille", "orsay"),
-        protocol=protocol,
+    """Run one Alcatel campaign and sample both coordinators' curves."""
+    topology = GridTopology(
+        kind="internet", servers_per_site=servers_per_site or SERVERS_PER_SITE
+    )
+    report = execute_benchmark(
+        topology,
+        AlcatelSpec(n_tasks=n_tasks, median_duration=median_duration, seed=seed + 1),
         seed=seed,
-        client_preferred=client_preferred,
+        horizon=HORIZON,
         components=components,
     )
-    grid.start()
-
-    workload = AlcatelWorkload(n_tasks=n_tasks, median_duration=median_duration, seed=seed + 1)
-    process = grid.run_process(workload.run(grid.client), name="alcatel-campaign")
-    for entry in driver_components:
-        grid.add_component(entry)
-
-    finished = grid.run_until(process, timeout=horizon)
-    makespan = workload.makespan if finished else grid.env.now
-
-    lille_times, lille_counts = grid.completed_series("lille").as_arrays()
-    orsay_times, orsay_counts = grid.completed_series("orsay").as_arrays()
-    sample_grid = np.arange(0.0, grid.env.now + sample_period, sample_period)
-    return {
-        "makespan": float(makespan),
-        "completed": workload.completed_count(),
-        "submitted": len(workload.handles),
-        "finished_in_time": finished,
-        "sample_times": [float(t) for t in sample_grid],
-        "lille_completed": [
-            float(v) for v in grid.completed_series("lille").resample(sample_grid)
-        ],
-        "orsay_completed": [
-            float(v) for v in grid.completed_series("orsay").resample(sample_grid)
-        ],
-        "lille_raw": (list(map(float, lille_times)), list(map(float, lille_counts))),
-        "orsay_raw": (list(map(float, orsay_times)), list(map(float, orsay_counts))),
-        "counters": dict(grid.monitor.counters),
-        "traces": {
-            "crashes": [
-                (t.time, t.payload.get("address")) for t in grid.monitor.traces_of("crash")
-            ],
-            "restarts": [
-                (t.time, t.payload.get("address"))
-                for t in grid.monitor.traces_of("restart")
-            ],
-        },
-    }
+    # The campaign starts at t = 0, so its makespan is where the run stopped.
+    times = np.arange(0.0, report.makespan + SAMPLE_PERIOD, SAMPLE_PERIOD)
+    result = report.outputs()
+    result["counters"] = report.counters
+    result["sample_times"] = [float(t) for t in times]
+    for site in ("lille", "orsay"):
+        curve = report.series[f"coordinator.completed.{site}"].resample(times)
+        result[f"{site}_completed"] = [float(v) for v in curve]
+    return result
 
 
 def reference_cell(
     n_tasks: int = 300,
     servers_per_site: dict[str, int] | None = None,
     median_duration: float = 110.0,
-    replication_period: float = 60.0,
     seed: int = 0,
-    horizon: float = 30_000.0,
-    sample_period: float = 60.0,
 ) -> dict[str, Any]:
     """Scenario cell: one fault-free campaign plus the replica-lag metrics."""
-    result = run_alcatel_campaign(
-        n_tasks=n_tasks,
-        servers_per_site=servers_per_site,
-        median_duration=median_duration,
-        replication_period=replication_period,
-        seed=seed,
-        horizon=horizon,
-        sample_period=sample_period,
-    )
+    result = campaign(n_tasks, servers_per_site, seed, median_duration=median_duration)
     # Plateaux metric: how far the replica's curve lags behind the primary's.
-    lille = np.asarray(result["lille_completed"])
-    orsay = np.asarray(result["orsay_completed"])
-    lag = lille - orsay
+    lag = np.asarray(result["lille_completed"]) - np.asarray(result["orsay_completed"])
     result["replica_mean_lag_tasks"] = float(lag.mean()) if len(lag) else 0.0
     result["replica_max_lag_tasks"] = float(lag.max()) if len(lag) else 0.0
     return result
@@ -154,14 +108,7 @@ def _fig9() -> ScenarioSpec:
         title="Reference Alcatel campaign (no fault): completion curves",
         figure="9",
         cell=reference_cell,
-        base=dict(
-            n_tasks=300,
-            servers_per_site=None,
-            median_duration=110.0,
-            replication_period=60.0,
-            horizon=30_000.0,
-            sample_period=60.0,
-        ),
+        base=dict(n_tasks=300, servers_per_site=None, median_duration=110.0),
         seeds=(0,),
         outputs=("makespan", "completed", "lille_completed", "orsay_completed"),
         scales={

@@ -157,10 +157,6 @@ class Grid:
         return not process.is_alive and self.env.now <= deadline
 
     # ------------------------------------------------------------- observations
-    def completed_series(self, coordinator_name: str):
-        """Completed-task time series as seen by one coordinator (Figs 9-11)."""
-        return self.monitor.timeseries(f"coordinator.completed.{coordinator_name}")
-
     def total_finished(self) -> int:
         """Number of distinct calls finished somewhere in the system."""
         identities = set()
@@ -500,7 +496,6 @@ def build_internet_testbed(
     seed: int = 0,
     services: ServiceRegistry | None = None,
     client_preferred: str = "lille",
-    components: Sequence["Component | str | tuple | Mapping[str, Any]"] = (),
 ) -> Grid:
     """Build the Internet testbed of §5.2 (client submits to Lille by default)."""
     spec = internet_testbed_spec(
@@ -509,9 +504,4 @@ def build_internet_testbed(
         protocol=protocol,
         seed=seed,
     )
-    return build_grid(
-        spec,
-        services=services,
-        client_preferred=client_preferred,
-        components=components,
-    )
+    return build_grid(spec, services=services, client_preferred=client_preferred)

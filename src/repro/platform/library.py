@@ -77,7 +77,9 @@ class PartitionSchedule(BaseComponent):
                     f"partition event {dict(event)!r} has no 'time'"
                 )
         self.events = sorted((dict(e) for e in events), key=lambda e: e["time"])
-        self.applied = 0
+        #: events applied so far (the ``faults_injected`` output): a run
+        #: under a partition schedule is a faulted run.
+        self.injected = 0
         self._builder: "Builder | None" = None
 
     def setup(self, builder: "Builder") -> None:
@@ -118,7 +120,7 @@ class PartitionSchedule(BaseComponent):
                         rule(source, from_source=dest)
         else:  # heal-all
             partitions.heal_all()
-        self.applied += 1
+        self.injected += 1
 
     def start(self) -> None:
         builder = self._builder

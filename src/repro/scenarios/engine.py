@@ -2,12 +2,13 @@
 
 This is where the declarative pieces of a :class:`~repro.scenarios.spec.ScenarioSpec`
 meet the simulator: a :class:`GridTopology` names one of the paper's two
-platforms, a :class:`WorkloadSpec` names the client workload, a
-:class:`FaultPlan` or a ``components`` entry arms the fault injection, and
-protocol settings come from a named baseline preset plus dotted-path
-overrides.  :func:`execute_benchmark` runs the §5.1 synthetic benchmark over
-those pieces — it is the engine behind the Figure 7 sweep, the baseline
-ablation and the churn scenarios.
+platforms, a :class:`WorkloadSpec` (the §5.1 synthetic benchmark) or an
+:class:`~repro.workloads.alcatel.AlcatelSpec` (the §5.2 campaign) names the
+client workload, a :class:`FaultPlan` or a ``components`` entry arms the
+fault injection, and protocol settings come from a named baseline preset
+plus dotted-path overrides.  :func:`execute_benchmark` runs the workload over
+those pieces — it is the engine behind the Figure 7 sweep, the Alcatel
+campaign of Figures 9–11, the baseline ablation and the churn scenarios.
 
 Protocol resolution has one path: start from the topology's own defaults or
 a named preset, apply the overrides, validate.  Which behaviour runs is
@@ -33,6 +34,7 @@ from repro.grid.deployment import confined_cluster_spec, internet_testbed_spec
 from repro.nodes.faultgen import ChurnInjector, FaultGenerator
 from repro.scenarios.report import RunReport
 from repro.sim.core import SimulationError
+from repro.workloads.alcatel import AlcatelSpec
 from repro.workloads.synthetic import SyntheticWorkload
 
 __all__ = [
@@ -133,11 +135,6 @@ class WorkloadSpec:
             result_bytes=self.result_bytes,
             exec_time_spread=self.exec_time_spread,
         )
-
-    @property
-    def ideal_time(self) -> float:
-        """Total serial work; callers divide by the worker count."""
-        return self.build().total_work
 
 
 @dataclass(frozen=True)
@@ -329,7 +326,7 @@ def interpolate_params(
 
 def execute_benchmark(
     topology: GridTopology,
-    workload: WorkloadSpec,
+    workload: WorkloadSpec | AlcatelSpec,
     faults: FaultPlan = FaultPlan(),
     protocol: ProtocolConfig | str | None = None,
     protocol_overrides: Mapping[str, Any] | None = None,
@@ -341,7 +338,7 @@ def execute_benchmark(
     record_fault_streams: bool = False,
     record_kernel: bool = False,
 ) -> RunReport:
-    """Run the §5.1 synthetic benchmark once over the declared pieces.
+    """Run the workload once over the declared pieces.
 
     Build the platform, start it, launch the workload on the client, arm the
     fault plan and the extra ``components`` (instances, registered names, or
@@ -393,7 +390,7 @@ def execute_benchmark(
     grid.start()
 
     bench = workload.build()
-    process = grid.run_process(bench.run(grid.client), name="synthetic-benchmark")
+    process = grid.run_process(bench.run(grid.client))
     planned = faults.arm(grid)
     extras = [grid.add_component(entry) for entry in components]
 
@@ -404,7 +401,7 @@ def execute_benchmark(
         grid.stop()
         raise SimulationError(
             f"the benchmark process died with its client host at {grid.env.now:g} s: "
-            f"{bench.completed_count()}/{workload.n_calls} calls completed"
+            f"{bench.completed_count()}/{len(bench.handles)} calls completed"
         )
     if run_full_horizon and grid.env.now < horizon:
         # Keep the fault/churn loops running out to the horizon so paired
@@ -415,7 +412,7 @@ def execute_benchmark(
 
     injected = sum(int(getattr(c, "injected", 0)) for c in (planned, *extras))
     makespan = bench.makespan if finished else grid.env.now
-    ideal = workload.ideal_time / max(len(grid.servers), 1)
+    ideal = bench.total_work / max(len(grid.servers), 1)
     overhead = (makespan - ideal) / ideal if ideal > 0 else 0.0
     report = RunReport(
         makespan=makespan,
@@ -426,6 +423,7 @@ def execute_benchmark(
         overhead_vs_ideal=overhead,
         ideal_time=ideal,
         counters=dict(grid.monitor.counters),
+        series=grid.monitor.series,
     )
     if record_fault_streams:
         report.fault_streams = grid.rng.fingerprint(FAULT_STREAM_PREFIXES)

@@ -24,6 +24,9 @@ class RunReport:
     overhead_vs_ideal: float = 0.0
     ideal_time: float = 0.0
     counters: dict[str, float] = field(default_factory=dict)
+    #: the monitor's ``TimeSeries`` by name (shared, not copied, and not
+    #: part of :meth:`outputs`): Figures 9–11 sample their curves from it.
+    series: dict[str, Any] = field(default_factory=dict)
     #: optional extras (stamped only when the engine was asked to record
     #: them, so historical cells keep their exact output shape).
     fault_streams: dict[str, str] | None = None

@@ -10,11 +10,12 @@
   the figures.
 """
 
-from repro.workloads.alcatel import AlcatelWorkload
+from repro.workloads.alcatel import AlcatelSpec, AlcatelWorkload
 from repro.workloads.sweep import geometric_sizes, geometric_counts
 from repro.workloads.synthetic import SyntheticWorkload, SubmissionRecord
 
 __all__ = [
+    "AlcatelSpec",
     "AlcatelWorkload",
     "SubmissionRecord",
     "SyntheticWorkload",

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.core.client import ClientComponent, RPCHandle
 
-__all__ = ["AlcatelWorkload"]
+__all__ = ["AlcatelSpec", "AlcatelWorkload"]
 
 
 @dataclass
@@ -106,3 +106,22 @@ class AlcatelWorkload:
     def completed_count(self) -> int:
         """How many tasks the client has collected."""
         return sum(1 for handle in self.handles if handle.done)
+
+    @property
+    def total_work(self) -> float:
+        """Serial execution time of the whole campaign (ideal-time numerator)."""
+        return float(self.durations().sum())
+
+
+@dataclass(frozen=True)
+class AlcatelSpec:
+    """The Alcatel campaign as an engine workload (``execute_benchmark``)."""
+
+    n_tasks: int = 1000
+    median_duration: float = 110.0
+    seed: int = 42
+
+    def build(self) -> AlcatelWorkload:
+        return AlcatelWorkload(
+            n_tasks=self.n_tasks, median_duration=self.median_duration, seed=self.seed
+        )

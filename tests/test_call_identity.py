@@ -195,5 +195,7 @@ class TestUnfinishedDriversAreErrors:
         _makespan, completed = capsys.readouterr().out.split()
         assert completed == "16"
         self._tiny_horizon(monkeypatch)
-        with pytest.raises(SimulationError, match="quickstart: unfinished at 600 s"):
+        with pytest.raises(
+            SimulationError, match=r"fault-free run lost calls: .*\(horizon 600 s\)"
+        ):
             exec(quickstart, {})

@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 from repro.config import PolicyConfig, ProtocolConfig
 from repro.core.protocol import CallDescription
 from repro.grid.builder import build_confined_cluster
-from repro.scenarios import GridTopology, WorkloadSpec, execute_benchmark
+from repro.scenarios import GridTopology, WorkloadSpec, execute_benchmark, run_scenario
 from repro.scenarios.engine import apply_protocol_overrides
 from repro.sim.core import SimulationError
 from repro.types import CallIdentity, TaskState
+from repro.workloads.alcatel import AlcatelSpec
 from repro.workloads.synthetic import SyntheticWorkload
 
 REPLICATION_POLICIES = (
@@ -230,6 +231,36 @@ class TestFaultFreeRunMustFinish:
         )
         assert not report.finished_in_time
         assert report.completed < report.submitted
+
+
+class TestAlcatelCampaignGates:
+    """Figs. 9–11 run the campaign through the engine, gates included."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=SimulationError,
+        reason="ROADMAP item 1: past ~110 servers the coordinator falls into "
+        "a retry storm (4 of 7 submitted calls completed at 600 s)",
+    )
+    def test_sixty_tasks_on_150_servers_complete(self):
+        report = execute_benchmark(
+            GridTopology(
+                kind="internet",
+                servers_per_site={"lille": 50, "wisconsin": 50, "orsay": 50},
+            ),
+            AlcatelSpec(n_tasks=60, seed=1),
+            horizon=600.0,
+        )
+        assert report.completed == 60
+
+    def test_a_partition_schedule_counts_as_injected_faults(self):
+        injected = {
+            name: run_scenario(name, scale="tiny", jobs=1).cells[0]["outputs"][
+                "faults_injected"
+            ]
+            for name in ("fig9", "fig11")
+        }
+        assert injected == {"fig9": 0, "fig11": 2}
 
 
 def _fault_cell(entry: dict):
