@@ -1,6 +1,7 @@
 """Benchmark for Figure 9 — reference Alcatel execution without fault."""
 
 from repro.analysis import plateaux_count
+from repro.experiments.fig9_reference import campaign
 from repro.scenarios import run_scenario
 
 
@@ -24,3 +25,10 @@ def test_fig9_reference_execution(benchmark):
     # The replica trails the primary by discrete replication rounds (plateaux).
     assert result["replica_mean_lag_tasks"] >= 0
     assert plateaux_count(result["orsay_completed"]) >= 1
+
+
+def test_the_paper_size_campaign_completes():
+    """The paper's campaign: 1000 tasks on ~280 servers, with no fault."""
+    result = campaign(1000, {"lille": 93, "wisconsin": 93, "orsay": 93}, seed=0)
+    print("makespan:", result["makespan"])
+    assert result["completed"] == result["submitted"] == 1000

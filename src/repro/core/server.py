@@ -29,6 +29,12 @@ from repro.types import Address
 
 __all__ = ["ServerComponent"]
 
+#: a ``NO_WORK`` slower than this share of ``work_poll_period`` doubles the
+#: idle wait: the coordinator is busy, so asking again sooner only queues.
+LATE_NO_WORK_SHARE = 0.25
+#: the idle wait never grows past this multiple of ``work_poll_period``.
+IDLE_BACKOFF_CAP = 16
+
 
 class ServerComponent:
     """One worker of the desktop grid."""
@@ -177,11 +183,14 @@ class ServerComponent:
             # peer-wise log comparison tells it which results we still hold
             # and lets it re-queue tasks it believed we were running.
             yield from self._sync_with(self.preferred_coordinator())
+            period = self.config.work_poll_period
+            idle_wait = period
             while True:
                 coordinator = self.preferred_coordinator()
                 if coordinator is None:
-                    yield self.host.sleep(self.config.work_poll_period)
+                    yield self.host.sleep(period)
                     continue
+                asked_at = self.env.now
                 reply = yield from self._request(
                     Message(
                         mtype=MessageType.WORK_REQUEST,
@@ -197,8 +206,16 @@ class ServerComponent:
                     self._after_timeout(coordinator)
                     continue
                 if reply.mtype is MessageType.NO_WORK:
-                    yield self.host.sleep(self.config.work_poll_period)
+                    # A late answer means a busy coordinator: double the
+                    # wait, up to the cap.  A prompt one resets it.
+                    if self.env.now - asked_at > period * LATE_NO_WORK_SHARE:
+                        self.monitor.incr("server.idle_backoffs")
+                        idle_wait = min(2 * idle_wait, IDLE_BACKOFF_CAP * period)
+                    else:
+                        idle_wait = period
+                    yield self.host.sleep(idle_wait)
                     continue
+                idle_wait = period
                 yield from self._execute(reply.payload["call"])
         except ProcessKilled:  # pragma: no cover - host crash
             return

@@ -8,10 +8,12 @@ time: the Lille curve grows continuously while the LRI curve follows it in
 60-second plateaux (the discrete replication rounds).
 
 The default task count and server population are scaled down from the paper's
-1000 tasks / ~280 servers.  The paper's size does not run yet: past ~110
-servers the coordinator falls into a retry storm, the campaign loses calls
-and, with no fault injected, :func:`~repro.scenarios.engine.execute_benchmark`
-raises instead of returning a row (ROADMAP item 1).
+1000 tasks / ~280 servers.  The paper's size runs too:
+``campaign(1000, {"lille": 93, "wisconsin": 93, "orsay": 93}, seed=0)``
+completes 1000 / 1000 with a 1,868 s makespan, in about 4 s of wall time on
+one core of a Xeon server.  It still logs 2,482 server request timeouts: the
+coordinator is overloaded, but idle servers back off while its answers come
+late (``repro.core.server``), so the overload does not feed itself.
 
 Figures 9–11 all run the campaign through :func:`campaign`, one
 ``execute_benchmark`` call on the Internet testbed.

@@ -10,6 +10,7 @@ from repro.core.api import GridRpc
 from repro.errors import ConfigurationError
 from repro.grid.builder import build_confined_cluster, build_internet_testbed
 from repro.grid.deployment import confined_cluster_spec, internet_testbed_spec
+from repro.net.message import MessageType
 from repro.policies import (
     OptimisticLogging,
     PessimisticBlockingLogging,
@@ -154,6 +155,89 @@ class TestBasicExecution:
         process = grid.run_process(workload.run(grid.client))
         assert grid.run_until(process, timeout=2000.0)
         assert workload.completed_count() == 4
+
+
+def idle_waits(grid, server):
+    """Seconds ``server`` sleeps after each NO_WORK before asking again."""
+    waits = []
+    no_work_at = None
+
+    def hook(message):
+        nonlocal no_work_at
+        if message.mtype is MessageType.NO_WORK and message.dest == server.address:
+            no_work_at = grid.env.now
+        elif (
+            message.mtype is MessageType.WORK_REQUEST
+            and message.source == server.address
+            and no_work_at is not None
+        ):
+            waits.append(round(message.sent_at - no_work_at, 9))
+            no_work_at = None
+
+    grid.network.add_delivery_hook(hook)
+    return waits
+
+
+def slow_coordinator_grid():
+    """One server pulling from one coordinator whose every answer is late.
+
+    0.6 s per request is above ``work_poll_period / 4``, yet leaves the
+    coordinator room for the client's 1 Hz result pulls, so the delay stays
+    put instead of growing into a backlog.
+    """
+    protocol = ProtocolConfig()
+    protocol.coordinator.request_processing_overhead = 0.6
+    return small_grid(protocol=protocol, n_servers=1, n_coordinators=1)
+
+
+class TestIdlePolling:
+    """An idle server doubles its poll wait while NO_WORK answers come late."""
+
+    def test_late_no_work_doubles_the_wait_up_to_the_cap(self):
+        grid = slow_coordinator_grid()
+        waits = idle_waits(grid, grid.servers[0])
+        grid.run(until=200.0)
+        assert waits[:6] == [4.0, 8.0, 16.0, 32.0, 32.0, 32.0]
+        # One count per late NO_WORK, the last one's wait still under way.
+        assert grid.monitor.count("server.idle_backoffs") == len(waits) + 1
+
+    def test_a_prompt_no_work_resets_the_wait(self):
+        grid = slow_coordinator_grid()
+        waits = idle_waits(grid, grid.servers[0])
+        grid.run(until=20.0)
+        assert waits == [4.0, 8.0]
+        grid.coordinators[0].config.request_processing_overhead = 0.0
+        grid.run(until=40.0)
+        # The 16 s wait under way is served out; the prompt answer after
+        # it brings the next one back to the poll period.
+        assert waits[:6] == [4.0, 8.0, 16.0, 2.0, 2.0, 2.0]
+
+    def test_an_assignment_resets_the_wait(self):
+        grid = slow_coordinator_grid()
+        waits = idle_waits(grid, grid.servers[0])
+        grid.run(until=110.0)
+        assert waits == [4.0, 8.0, 16.0, 32.0, 32.0]
+        workload = SyntheticWorkload(n_calls=1, exec_time=1.0)
+        process = grid.run_process(workload.run(grid.client))
+        assert grid.run_until(process, timeout=500.0)
+        grid.run(until=grid.env.now + 20.0)
+        assert waits == [4.0, 8.0, 16.0, 32.0, 32.0, 32.0, 4.0, 8.0]
+
+    def test_the_drivers_quiet_poll_period_keeps_servers_silent(self):
+        protocol = ProtocolConfig()
+        protocol.coordinator.request_processing_overhead = 0.01
+        protocol.server.work_poll_period = 10_000.0
+        grid = small_grid(protocol=protocol, n_servers=2, n_coordinators=1)
+        requests = []
+
+        def hook(message):
+            if message.mtype is MessageType.WORK_REQUEST:
+                requests.append(message.source)
+
+        grid.network.add_delivery_hook(hook)
+        grid.run(until=9_000.0)
+        assert sorted(requests) == sorted(s.address for s in grid.servers)
+        assert "server.idle_backoffs" not in grid.monitor.counters
 
 
 class TestGridRpcApi:

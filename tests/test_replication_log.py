@@ -236,12 +236,6 @@ class TestFaultFreeRunMustFinish:
 class TestAlcatelCampaignGates:
     """Figs. 9–11 run the campaign through the engine, gates included."""
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=SimulationError,
-        reason="ROADMAP item 1: past ~110 servers the coordinator falls into "
-        "a retry storm (4 of 7 submitted calls completed at 600 s)",
-    )
     def test_sixty_tasks_on_150_servers_complete(self):
         report = execute_benchmark(
             GridTopology(
