@@ -26,6 +26,12 @@ from repro.types import Address
 from test_perf_scaling import calls, pending_table
 
 
+def _join(processes):
+    """Process that ends once every one of ``processes`` has ended."""
+    for process in processes:
+        yield process
+
+
 # ------------------------------------------------------------------ kernel
 def test_heart_beat_watchdogs_are_compacted_and_reuse_one_envelope():
     """1 s heart-beats, each re-arming a 30 s watchdog, on ``Environment()``.
@@ -84,7 +90,7 @@ def test_a_lost_timer_ladder_leaves_no_residue():
 
     workers = [env.process(node()) for _ in range(nodes)]
     env.process(sampler())
-    env.run(until=env.all_of(workers))
+    env.run(until=env.process(_join(workers)))
 
     stats = env.queue_stats()
     assert stats["peak_heap_size"] < 16 * nodes, stats
@@ -113,7 +119,7 @@ def test_every_message_is_delivered_and_the_heap_holds_only_flight():
 
     def receiver(endpoint):
         while True:
-            yield endpoint.recv()
+            yield endpoint.recv_many()
 
     def sender(index: int):
         offset = 0 if index < half else half
@@ -138,7 +144,7 @@ def test_every_message_is_delivered_and_the_heap_holds_only_flight():
         env.process(receiver(network.register(address)))
     senders = [env.process(sender(index)) for index in range(nodes)]
     watcher = env.process(sampler())
-    env.run(until=env.all_of(senders))
+    env.run(until=env.process(_join(senders)))
     watcher.kill()
     env.run()
 

@@ -4,6 +4,7 @@
 The exact same components that run in virtual time for the experiments are
 paced against the wall clock here (speedup 20x so the demo takes ~2 s), with
 a live progress line — the "engine-agnostic" property described in DESIGN.md.
+Exits non-zero unless every call completed.
 """
 
 import sys
@@ -30,8 +31,10 @@ def main() -> None:
             sys.stdout.flush()
 
     driver.run(until=60.0, tick=tick)
-    print(f"\nfinal: {workload.completed_count()}/12 completed, "
-          f"{driver.events_processed} events processed")
+    done = workload.completed_count()
+    print(f"\nfinal: {done}/12 completed, {driver.events_processed} events processed")
+    if done != 12:
+        sys.exit(f"only {done}/12 calls completed")
 
 
 if __name__ == "__main__":

@@ -215,7 +215,7 @@ class Grid:
         from repro.net.message import default_pool
 
         stats = dict(self.env.queue_stats())
-        # Read by bench/rep.py; drop with ROADMAP item 10 (the kernel has no wheel).
+        # Read by bench/rep.py; drop with ROADMAP item 12 (the kernel has no wheel).
         stats["wheel_flushes"] = stats["wheel_overflows"] = 0
         pool = default_pool().stats()
         stats["pool_hit_rate"] = pool.get("hit_rate", 0.0)

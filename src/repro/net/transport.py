@@ -52,10 +52,6 @@ class Endpoint:
         #: number of messages dropped because they crossed a restart.
         self.dropped_stale = 0
 
-    def recv(self):
-        """Event triggering with the next delivered :class:`Message`."""
-        return self.mailbox.get()
-
     def recv_many(self):
         """Event triggering with the same-tick *batch* of delivered messages.
 
@@ -66,10 +62,6 @@ class Endpoint:
         already queued trigger immediately (with the whole backlog).
         """
         return self.mailbox.get_all()
-
-    def try_recv(self) -> Message | None:
-        """Non-blocking receive."""
-        return self.mailbox.try_get()
 
     def mark_down(self) -> int:
         """Crash semantics: drop queued messages and refuse new deliveries.
@@ -322,9 +314,7 @@ class Network:
         self._c_bytes_delivered.value += message.wire_bytes
         handler = endpoint.handler
         if handler is None:
-            # put_nowait: the transport never observes the put outcome, so
-            # the per-delivery Event allocation of Store.put would be waste.
-            endpoint.mailbox.put_nowait(message)
+            endpoint.mailbox.put(message)
         for hook in self._delivery_hooks:
             hook(message)
         if handler is not None:

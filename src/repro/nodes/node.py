@@ -195,10 +195,6 @@ class Host:
             return
         self.network.send(message)
 
-    def recv(self):
-        """Event for the next message delivered to this host."""
-        return self.endpoint.recv()
-
     def recv_many(self):
         """Event for the same-tick batch of delivered messages (FIFO list).
 

@@ -1,7 +1,8 @@
 """Wall-clock pacing of a simulation environment.
 
-The driver processes the environment's event queue but sleeps (real time)
-until each event's virtual due time, optionally scaled: ``speedup=10`` runs a
+The driver sleeps (real time) until the environment's next virtual instant
+is due, then lets the kernel's one drain loop (:meth:`Environment.run`)
+process that instant.  The pacing can be scaled: ``speedup=10`` runs a
 60-second scenario in six wall-clock seconds, ``speedup=1`` runs it live.
 Because the protocol components never touch the wall clock themselves, the
 exact same client/coordinator/server code runs under both the batch simulator
@@ -10,6 +11,7 @@ and this driver — the property DESIGN.md calls the "engine-agnostic" design.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Callable
 
@@ -40,25 +42,29 @@ class RealTimeDriver:
     def run(self, until: float, tick: Callable[[float], None] | None = None) -> int:
         """Run until virtual time ``until``, pacing against the wall clock.
 
-        ``tick`` (if given) is called after every processed event with the
-        current virtual time — handy for printing live progress.  Returns the
-        number of events processed.
+        ``until`` must be finite.  ``tick`` (if given) is called after every
+        processed virtual instant with the current virtual time — handy for
+        printing live progress.  Returns the number of events processed.
         """
+        if not math.isfinite(until):
+            raise ConfigurationError(f"until must be a finite virtual time, got {until!r}")
+        env = self.env
         start_wall = self._clock()
-        start_virtual = self.env.now
+        start_virtual = env.now
         while True:
-            next_at = self.env.peek()
-            if next_at == float("inf") or next_at > until:
+            next_at = env.peek()
+            if next_at > until:
                 # Nothing left before the deadline: wait out the remainder.
                 self._pace(start_wall, start_virtual, until)
-                if until > self.env.now:
-                    self.env.run(until=until)
+                if until > env.now:
+                    env.run(until=until)
                 return self.events_processed
             self._pace(start_wall, start_virtual, next_at)
-            self.env.step()
-            self.events_processed += 1
+            processed = env.events_processed
+            env.run(until=next_at)
+            self.events_processed += env.events_processed - processed
             if tick is not None:
-                tick(self.env.now)
+                tick(env.now)
 
     def _pace(self, start_wall: float, start_virtual: float, target_virtual: float) -> None:
         """Sleep until the wall clock catches up with ``target_virtual``."""

@@ -3,9 +3,11 @@
 The kernel is deliberately small and self-contained (no third-party
 dependency): an event queue driven by :class:`~repro.sim.core.Environment`,
 generator-based :class:`~repro.sim.core.Process` objects that ``yield``
-waitable :class:`~repro.sim.core.Event` instances, plus a handful of
-conveniences (timeouts, stores, composite conditions, interrupts) modelled
-after the classical process-interaction style of SimPy.
+waitable :class:`~repro.sim.core.Event` instances, plus the few primitives
+the protocol runs on (timeouts, the :class:`~repro.sim.core.AnyOf` race and
+the :func:`~repro.sim.core.wait_any` fragment, the batched
+:class:`~repro.sim.store.Store` mailbox, interrupts) in the
+process-interaction style of SimPy.
 
 Every experiment of the paper runs on this kernel in *virtual* time, which is
 what makes high-frequency correlated fault injection both possible and
@@ -14,7 +16,6 @@ confined cluster for the same reason).
 """
 
 from repro.sim.core import (
-    AllOf,
     AnyOf,
     Environment,
     Event,
@@ -29,18 +30,15 @@ from repro.sim.core import (
 )
 from repro.sim.monitor import Counter, Monitor, TimeSeries
 from repro.sim.rng import RandomStreams
-from repro.sim.store import FilterStore, PriorityStore, Store
+from repro.sim.store import Store
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Counter",
     "Environment",
     "Event",
-    "FilterStore",
     "Interrupt",
     "Monitor",
-    "PriorityStore",
     "Process",
     "ProcessKilled",
     "RandomStreams",

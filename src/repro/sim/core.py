@@ -7,7 +7,7 @@ The kernel follows the process-interaction world view:
 * a :class:`Process` wraps a Python generator; each value the generator yields
   must be an :class:`Event`; the process is resumed when that event fires;
 * :class:`Timeout` is the elementary "wait for some virtual time" event;
-* :class:`AnyOf` / :class:`AllOf` compose events;
+* :class:`AnyOf` races events;
 * processes can be interrupted (:class:`Interrupt`) or killed
   (:class:`ProcessKilled`), which is how node crashes are modelled;
 * waits are *cancellable*: :meth:`Timeout.cancel` tombstones a pending
@@ -23,9 +23,9 @@ cheapest wait there is: the process blocks on the event itself and the
 time-out is one cancellable callback entry, no :class:`Timeout`, no
 :class:`AnyOf`.  Abandoned waits cascade: when the last waiter of an
 event is detached the event's *abandon hook* runs, which cancels orphaned
-timeouts, withdraws conditions from their constituent events, and purges
-store getter queues — so a killed process reclaims everything it was blocked
-on, and the heap does not fill with dead timers at scale.
+timeouts, withdraws an :class:`AnyOf` from its constituent events, and
+purges the mailbox's getter queue — so a killed process reclaims everything
+it was blocked on, and the heap does not fill with dead timers at scale.
 
 Scheduling is split over **three lanes** (see :class:`Environment`): an
 urgent same-tick deque, a normal same-tick deque, and the time-ordered heap;
@@ -58,7 +58,6 @@ __all__ = [
     "Timeout",
     "Process",
     "AnyOf",
-    "AllOf",
     "TimerHandle",
     "Environment",
     "WaitOutcome",
@@ -140,7 +139,7 @@ class Event:
         self._defused = False
         self._cancelled = False
         #: called with the event when its last waiter detaches; lets owners
-        #: (stores, timeouts, conditions) reclaim resources nobody waits for.
+        #: (the mailbox, timeouts, AnyOf) reclaim resources nobody waits for.
         self._abandon_hook: Callable[[Event], None] | None = None
 
     # -- state ------------------------------------------------------------
@@ -220,8 +219,8 @@ class Event:
         The caller is responsible for the detached process: it will not be
         resumed by this event anymore.  Returns True when something was
         removed.  If the event ends up with no waiters its abandon hook runs,
-        cascading the cleanup (orphaned timers are cancelled, store getter
-        queues purged, conditions withdrawn from their constituents).
+        cascading the cleanup (orphaned timers are cancelled, mailbox getter
+        queues purged, an AnyOf withdrawn from its constituents).
         """
         callback = waiter._resume if isinstance(waiter, Process) else waiter
         callbacks = self.callbacks
@@ -290,8 +289,10 @@ class Timeout(Event):
             _heappush(env._queue, (when, next(env._counter), self))
         elif delay == 0.0:
             env._tick.append(self)
-        else:
+        elif delay < 0.0:
             raise SimulationError(f"negative delay {delay!r}")
+        else:
+            raise SimulationError(f"non-finite delay {delay!r}")
 
     def cancel(self) -> bool:
         """Cancel the timeout before it fires.
@@ -482,15 +483,6 @@ class Process(Event):
         env = self.env
         env._urgent.append(_InterruptEvent(env, self, Interrupt(cause)))
 
-    def wait_any(self, events: Iterable[Event], timeout: float | None = None):
-        """Process fragment racing ``events`` against an optional ``timeout``.
-
-        Convenience for :func:`wait_any` — use inside this process's generator
-        as ``outcome = yield from process.wait_any([...], timeout=...)``; the
-        cleanup guarantees of :func:`wait_any` apply.
-        """
-        return wait_any(self.env, events, timeout)
-
     def kill(self, cause: Any = None) -> None:
         """Throw :class:`ProcessKilled` into the process at the current time.
 
@@ -608,7 +600,7 @@ class _InterruptEvent(Event):
             return
         # Detach the process from whatever it is currently waiting on; the
         # abandon cascade then reclaims anything only that wait kept alive
-        # (a sleep timer is cancelled, a store getter is purged, a condition
+        # (a sleep timer is cancelled, a mailbox getter is purged, an AnyOf
         # withdraws from its constituent events).
         target = process._target
         if target is not None and target.callbacks is not None:
@@ -627,25 +619,25 @@ class _InterruptEvent(Event):
 
 
 # ---------------------------------------------------------------------------
-# Composite conditions
+# Racing events
 # ---------------------------------------------------------------------------
 
 
-class Condition(Event):
-    """Base class for :class:`AnyOf` / :class:`AllOf`.
+class AnyOf(Event):
+    """Triggers as soon as any of the given events triggers.
 
-    On trigger the condition *detaches* itself from every constituent event
-    that has not fired, so losing events are not left holding a stale
-    ``_check`` callback (and, through the abandon cascade, losing timeouts
-    are cancelled and losing store getters purged).  The same cleanup runs
-    through :meth:`cancel` when the condition itself is abandoned — e.g. the
+    On trigger it *detaches* itself from every constituent event that has
+    not fired, so losing events are not left holding a stale ``_check``
+    callback (and, through the abandon cascade, losing timeouts are
+    cancelled and losing mailbox getters purged).  The same cleanup runs
+    through :meth:`cancel` when the race itself is abandoned — e.g. the
     waiting process was killed.
     """
 
-    __slots__ = ("events", "_count")
+    __slots__ = ("events",)
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        # Conditions guard every racing wait of the protocol layers, so
+        # Races guard the protocol layers' multi-event waits, so
         # Event.__init__ is inlined (one call fewer per race).
         self.env = env
         self.callbacks = []
@@ -654,18 +646,17 @@ class Condition(Event):
         self._processed = False
         self._defused = False
         self._cancelled = False
-        self._abandon_hook = Condition.cancel
+        self._abandon_hook = AnyOf.cancel
         self.events = tuple(events)
-        self._count = 0
         if not self.events:
             self.succeed(self._collect())
             return
         for event in self.events:
             # Validate before any subscription: failing halfway through the
-            # subscribe loop would leak this half-built condition's _check
-            # onto the earlier events.
+            # subscribe loop would leak this half-built race's _check onto
+            # the earlier events.
             if event.env is not env:
-                raise SimulationError("condition mixes environments")
+                raise SimulationError("AnyOf mixes environments")
         check = self._check  # bind once: this loop runs on the hot path
         for event in self.events:
             callbacks = event.callbacks
@@ -680,7 +671,7 @@ class Condition(Event):
     def cancel(self) -> None:
         """Withdraw from every constituent event that has not fired yet.
 
-        Safe to call at any time (idempotent); the condition itself is left
+        Safe to call at any time (idempotent); the race itself is left
         untriggered when still pending — nobody is waiting for it anymore.
         """
         check = self._check
@@ -703,44 +694,11 @@ class Condition(Event):
     def _collect(self) -> dict[Event, Any]:
         return {e: e._value for e in self.events if e._value is not _PENDING and e._ok}
 
-    def _satisfied(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
     def _check(self, event: Event) -> None:
-        if self._value is not _PENDING:
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-        else:
-            self._count += 1
-            if self._satisfied():
-                # Inlined succeed(): the condition trigger is the single
-                # hottest succeed call site in the protocol layers.
-                self._ok = True
-                self._value = self._collect()
-                self.env._tick.append(self)
-        if self._value is not _PENDING:
-            # Detach from the losers so they do not keep a stale callback.
-            self.cancel()
-
-
-class AnyOf(Condition):
-    """Triggers as soon as any of the given events triggers."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._count >= 1
-
-    def _check(self, event: Event) -> None:
-        # Specialised Condition._check: the first success always satisfies,
-        # so the _satisfied() dispatch is skipped — this is the protocol
-        # layers' hottest trigger path (every reply-vs-timeout race).
         if self._value is not _PENDING:
             return
         if event._ok:
-            self._count += 1
+            # Inlined succeed(): the first success always wins the race.
             self._ok = True
             self._value = self._collect()
             self.env._tick.append(self)
@@ -749,15 +707,6 @@ class AnyOf(Condition):
             self.fail(event._value)
         # Detach from the losers so they do not keep a stale callback.
         self.cancel()
-
-
-class AllOf(Condition):
-    """Triggers once all of the given events have triggered."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._count >= len(self.events)
 
 
 # ---------------------------------------------------------------------------
@@ -811,7 +760,7 @@ def wait_any(env: "Environment", events: Iterable[Event], timeout: float | None 
     """Race ``events`` (optionally against a ``timeout``), with guaranteed cleanup.
 
     Process fragment: use as ``outcome = yield from wait_any(env, [...], ...)``
-    (or the :meth:`Environment.wait_any` / :meth:`Process.wait_any` shorthands).
+    (or the :meth:`Environment.wait_any` shorthand).
     Returns a :class:`WaitOutcome`.  Whatever way the wait ends — a payload
     event fires, the timeout expires, the process is interrupted or killed —
     every losing event is detached from and a losing (or pending) expiry is
@@ -847,11 +796,11 @@ def wait_any(env: "Environment", events: Iterable[Event], timeout: float | None 
             return WaitOutcome({}, expired=True)
         return WaitOutcome({event: event._value}, expired=False)
     timer = Timeout(env, timeout) if timeout is not None else None
-    condition = AnyOf(env, events if timer is None else [*events, timer])
+    race = AnyOf(env, events if timer is None else [*events, timer])
     try:
-        yield condition
+        yield race
     finally:
-        condition.cancel()
+        race.cancel()
         if timer is not None and not timer._processed:
             timer.cancel()
     # "Fired" means processed by the time the race resolved: a Timeout holds
@@ -875,7 +824,7 @@ class Environment:
       initialisation, interrupt/kill delivery).  Always drained first, so an
       interrupt scheduled mid-tick preempts every normal event of that tick.
     * **same-tick lane** — a FIFO deque for everything triggered at the
-      current time: ``succeed``/``fail`` chains, condition triggers,
+      current time: ``succeed``/``fail`` chains, :class:`AnyOf` triggers,
       zero-delay timeouts, and zero-delay :meth:`call_at` callbacks.  Drained
       after the urgent lane, before the clock may advance.
     * **event heap** — the time-ordered heap for all future work.  It holds
@@ -951,10 +900,6 @@ class Environment:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Shorthand for :class:`AnyOf`."""
         return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Shorthand for :class:`AllOf`."""
-        return AllOf(self, events)
 
     def wait_any(self, events: Iterable[Event], timeout: float | None = None):
         """Shorthand for :func:`wait_any` (a ``yield from``-able fragment)."""
@@ -1070,9 +1015,9 @@ class Environment:
     def _skim(self) -> list[tuple]:
         """Pop dead entries off the heap top; returns the heap (shared helper).
 
-        The single tombstone-pop loop used by :meth:`peek`, :meth:`step` and
-        the :meth:`run` drain loop, so the top-of-heap scan is written (and
-        paid) once.
+        The single tombstone-pop loop used by :meth:`peek` and the
+        :meth:`run` drain loop, so the top-of-heap scan is written (and paid)
+        once.
         """
         queue = self._queue
         while queue:
@@ -1126,60 +1071,14 @@ class Environment:
         queue = self._skim()
         return queue[0][0] if queue else _INF
 
-    def step(self) -> None:
-        """Process the next live scheduled work item (one lane entry).
-
-        Mirrors one iteration of the :meth:`run` drain loop (which inlines
-        this logic for speed); keep the two in sync.
-        """
-        event: Event | None = None
-        if self._urgent:
-            event = self._urgent.popleft()
-        else:
-            tick = self._tick
-            while tick:
-                entry = tick.popleft()
-                if type(entry) is tuple:
-                    self.events_processed += 1
-                    entry[0](entry[1])
-                    return
-                if not entry._cancelled:
-                    event = entry
-                    break
-        if event is None:
-            queue = self._skim()
-            if not queue:
-                raise SimulationError("step() on an empty schedule")
-            entry = _heappop(queue)
-            self._now = entry[0]
-            marker = entry[2]
-            if marker is None:
-                self.events_processed += 1
-                entry[3](entry[4])
-                return
-            if marker.__class__ is TimerHandle:
-                self.events_processed += 1
-                marker._fire()
-                return
-            event = marker
-        self.events_processed += 1
-        callbacks, event.callbacks = event.callbacks, None
-        # Processed before the callbacks run: from their perspective (and
-        # that of anything they resume) the event has fired.
-        event._processed = True
-        for callback in callbacks or ():
-            callback(event)
-        if not event._ok and not event._defused:
-            # An unhandled failure: surface it to the caller of run().
-            raise event._value
-
     def run(self, until: float | Event | None = None) -> Any:
         """Run the simulation.
 
         ``until`` may be:
 
         * ``None`` — run until the schedule drains;
-        * a number — run until that virtual time (the clock is advanced to it);
+        * a finite number — run until that virtual time (the clock is
+          advanced to it);
         * an :class:`Event` — run until that event has been processed and
           return its value.
 
@@ -1204,6 +1103,8 @@ class Environment:
             stop_event = until
         else:
             stop_time = float(until)
+            if not stop_time < _INF:  # inf, and nan (which compares false)
+                raise SimulationError(f"until={stop_time!r} is not a finite time")
             if stop_time < self._now:
                 raise SimulationError(
                     f"until={stop_time!r} is in the past (now={self._now!r})"
@@ -1222,8 +1123,8 @@ class Environment:
                 gc.set_threshold(*restore_gc_threshold)
 
     def _drain(self, stop_event: Event | None, stop_time: float | None) -> Any:
-        # Hot drain loop: the body of step() is inlined (locals bound once,
-        # no per-event method dispatch); keep it in sync with step().
+        # The one drain loop (locals bound once, no per-event method
+        # dispatch): run() and, an instant at a time, the realtime driver.
         urgent = self._urgent
         tick = self._tick
         heappop = _heappop
@@ -1271,28 +1172,13 @@ class Environment:
                 event = marker
             self.events_processed += 1
             callbacks, event.callbacks = event.callbacks, None
+            # Processed before the callbacks run: from their perspective (and
+            # that of anything they resume) the event has fired.
             event._processed = True
             for callback in callbacks or ():
                 callback(event)
             if not event._ok and not event._defused:
                 raise event._value
-
-    def run_until_idle(self, max_events: int | None = None) -> int:
-        """Drain the schedule (optionally at most ``max_events`` steps).
-
-        Returns the number of events processed.  Useful in tests.  The
-        unbounded form delegates to :meth:`run`, so it pays the top-of-heap
-        scan once per event instead of peek-then-step's twice.
-        """
-        before = self.events_processed
-        if max_events is None:
-            self.run()
-            return self.events_processed - before
-        while self.events_processed - before < max_events and self.peek() != _INF:
-            # peek() already skimmed dead entries, so step() finds a live
-            # head without re-scanning.
-            self.step()
-        return self.events_processed - before
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         live = (

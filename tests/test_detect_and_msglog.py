@@ -308,8 +308,7 @@ class TestHeartbeatEmitter:
         # rewrite the payload already on the wire.
         live_state["coordinators"].append("k1")
         env.run()
-        message = target.endpoint.try_recv()
-        assert message is not None
+        [message] = target.endpoint.mailbox.items
         assert message.payload["coordinators"] == ["k0"]
 
 

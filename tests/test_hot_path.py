@@ -23,7 +23,7 @@ from repro.net.partition import PartitionManager
 from repro.net.transport import Network
 from repro.nodes.node import Host
 from repro.scenarios import GridTopology, WorkloadSpec, execute_benchmark
-from repro.sim.core import Condition, Environment, Interrupt
+from repro.sim.core import AnyOf, Environment, Interrupt
 from repro.sim.rng import RandomStreams, jitter_factor
 from repro.sim.store import Store
 from repro.types import Address
@@ -234,7 +234,7 @@ class TestHeartbeatSnapshot:
         assert emitter.beat_now() == 1
         mutate(payload)
         env.run()
-        assert target.endpoint.try_recv().payload == expected
+        assert target.endpoint.mailbox.items[0].payload == expected
         assert "incarnation" not in payload  # the stamp went on the copy
 
 
@@ -299,14 +299,14 @@ class TestEventBudget:
         fault-free path builds no ``AnyOf`` (every race is one event against
         a time-out) and a batch wake has no finalize callback left to queue.
         """
-        conditions = []
-        real_init = Condition.__init__
+        races = []
+        real_init = AnyOf.__init__
 
         def counting_init(self, env, events):
-            conditions.append(type(self))
+            races.append(type(self))
             real_init(self, env, events)
 
-        monkeypatch.setattr(Condition, "__init__", counting_init)
+        monkeypatch.setattr(AnyOf, "__init__", counting_init)
         report = execute_benchmark(
             GridTopology(n_servers=64, spread_servers=True),
             WorkloadSpec(n_calls=200, exec_time=1.0),
@@ -317,7 +317,7 @@ class TestEventBudget:
         assert report.completed == report.submitted == 200
         delivered = report.counters["net.delivered"]
         assert report.kernel["events_processed"] / delivered <= 3.5
-        assert conditions == []
+        assert races == []
         assert not hasattr(Store, "_finalize_batch")
 
 

@@ -304,17 +304,9 @@ class ReferenceStore(Store):
     """``Store`` with the batch wake it had before: arm, finalize, succeed."""
 
     def put(self, item):
-        event = Event(self.env)
-        self.items.append(item)
-        event.succeed(item)
-        self._dispatch()
-        return event
-
-    def put_nowait(self, item):
         self.items.append(item)
         if self._getters:
             self._dispatch()
-        return True
 
     def get_all(self):
         event = _ReferenceBatchGet(self.env)
@@ -344,20 +336,16 @@ class ReferenceStore(Store):
             if getter.triggered:
                 getters.popleft()
                 continue
-            if type(getter) is _ReferenceBatchGet:
-                if not getter._wake_armed:
-                    getter._wake_armed = True
-                    self.env.call_at(self.env.now, self._finalize_batch, getter)
-                return
-            getters.popleft()
-            getter.succeed(self.items.popleft())
+            if not getter._wake_armed:
+                getter._wake_armed = True
+                self.env.call_at(self.env.now, self._finalize_batch, getter)
+            return
 
 
 put_plans = st.lists(
     st.tuples(
         _HALVES,  # when
         st.integers(min_value=0, max_value=3),  # same-tick hops before the put
-        st.booleans(),  # put() or put_nowait()
     ),
     max_size=12,
 )
@@ -365,7 +353,6 @@ put_plans = st.lists(
 consumer_plans = st.lists(
     st.fixed_dictionaries(
         {
-            "kind": st.sampled_from(["batch", "batch", "plain"]),
             "start": _HALVES,
             # Between ticks (puts land on halves): a consumer disturbed while
             # parked.  Disturbed *inside* a wake is where old and new differ
@@ -389,13 +376,11 @@ def _run_store(store_cls, puts, consumers):
     log: list[tuple] = []
 
     def deposit(plan):
-        item, hops, with_event = plan
+        item, hops = plan
         if hops:
-            env.call_at(env.now, deposit, (item, hops - 1, with_event))
-        elif with_event:
-            store.put(item)
+            env.call_at(env.now, deposit, (item, hops - 1))
         else:
-            store.put_nowait(item)
+            store.put(item)
 
     def consumer(index, plan):
         if plan["start"]:
@@ -405,17 +390,14 @@ def _run_store(store_cls, puts, consumers):
                 log.append((index, env.now, "interrupted"))
         while True:
             try:
-                if plan["kind"] == "batch":
-                    got = list((yield store.get_all()))
-                else:
-                    got = [(yield store.get())]
+                got = list((yield store.get_all()))
             except Interrupt:
                 log.append((index, env.now, "interrupted"))
                 continue
             log.append((index, env.now, got))
 
-    for item, (when, hops, with_event) in enumerate(puts):
-        env.call_at(when, deposit, (item, hops, with_event))
+    for item, (when, hops) in enumerate(puts):
+        env.call_at(when, deposit, (item, hops))
     for index, plan in enumerate(consumers):
         process = env.process(consumer(index, plan))
         if plan["disturb"] is not None:
@@ -453,10 +435,10 @@ class TestOneHopBatchWakeAgainstFinalizeCallback:
                 batches.append((env.now, list(batch)))
 
         def burst(_):
-            env.call_at(env.now, store.put_nowait, "queued-before-the-wake")
+            env.call_at(env.now, store.put, "queued-before-the-wake")
             store.put("first")  # wakes the getter; the call above still runs first
-            store.put_nowait("same-callback")
-            env.call_at(env.now, store.put_nowait, "queued-after-the-wake")
+            store.put("same-callback")
+            env.call_at(env.now, store.put, "queued-after-the-wake")
 
         env.process(receiver())
         env.call_at(1.0, burst)
@@ -465,24 +447,6 @@ class TestOneHopBatchWakeAgainstFinalizeCallback:
             (1.0, ["first", "same-callback", "queued-before-the-wake"]),
             (1.0, ["queued-after-the-wake"]),
         ]
-
-    @pytest.mark.parametrize("store_cls", [ReferenceStore, Store])
-    def test_plain_get_queued_ahead_is_served_first(self, store_cls):
-        env = Environment()
-        store = store_cls(env)
-        seen = []
-
-        def plain():
-            seen.append(("plain", (yield store.get())))
-
-        def batch():
-            seen.append(("batch", list((yield store.get_all()))))
-
-        env.process(plain())
-        env.process(batch())
-        env.call_at(1.0, lambda _: [store.put_nowait(n) for n in range(3)])
-        env.run()
-        assert seen == [("plain", 0), ("batch", [1, 2])]
 
     def test_a_batch_abandoned_between_wake_and_resume_goes_back_to_the_store(self):
         """Where the new wake is deliberately *better* than the reference.
@@ -505,9 +469,9 @@ class TestOneHopBatchWakeAgainstFinalizeCallback:
         process = env.process(receiver())
 
         def wake_then_interrupt(_):
-            store.put_nowait("a")
+            store.put("a")
             process.interrupt()
-            store.put_nowait("b")  # joins the live batch, still unprocessed
+            store.put("b")  # joins the live batch, still unprocessed
 
         env.call_at(1.0, wake_then_interrupt)
         env.run()
@@ -535,7 +499,7 @@ class TestOneHopBatchWakeAgainstFinalizeCallback:
 
             head = env.process(receiver("head"))
             env.process(receiver("next"))
-            env.call_at(1.0, lambda _, s=store, h=head: (s.put_nowait("x"), h.kill()))
+            env.call_at(1.0, lambda _, s=store, h=head: (s.put("x"), h.kill()))
             env.run(until=5.0)
             outcomes[store_cls.__name__] = (got, list(store.items))
         assert outcomes == {

@@ -318,7 +318,7 @@ class TestNetwork:
         network.send(Message(MessageType.PING, A, B, size_bytes=10_000_000))
         network.send(Message(MessageType.PONG, A, B, size_bytes=10))
         env.run()
-        first = endpoint_b.mailbox.try_get()
+        first = endpoint_b.mailbox.items[0]
         assert first.mtype is MessageType.PONG
 
 
@@ -379,20 +379,6 @@ class TestBatchedDelivery:
         process = env.process(receiver())
         env.run()
         assert process.value == [0, 1, 2, 3]
-
-    def test_recv_and_recv_many_interleave_fifo(self, env):
-        network, endpoint = self._zero_delay(env)
-
-        def receiver():
-            first = yield endpoint.recv()
-            rest = yield endpoint.recv_many()
-            return [first.payload["n"]] + [m.payload["n"] for m in rest]
-
-        process = env.process(receiver())
-        for n in range(3):
-            network.send(Message(MessageType.PING, A, B, payload={"n": n}))
-        env.run()
-        assert process.value == [0, 1, 2]
 
 
 class TestCrashedMailboxAndHandlers:

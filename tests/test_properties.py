@@ -15,6 +15,7 @@ from repro.msglog.garbage import GarbageCollector
 from repro.msglog.log import MessageLog
 from repro.net.transport import Network
 from repro.nodes.node import Host
+from repro.runtime import RealTimeDriver
 from repro.sim.core import Environment
 from repro.sim.rng import RandomStreams
 from repro.types import Address, CallIdentity, TaskState
@@ -268,7 +269,7 @@ def _reference_order(nodes, children):
     return fired
 
 
-def _kernel_order(nodes, children, stepped=False):
+def _kernel_order(nodes, children, paced=False):
     env = Environment()
     fired = []
     handles: dict[int, object] = {}
@@ -306,9 +307,17 @@ def _kernel_order(nodes, children, stepped=False):
 
     for index in children[-1]:
         schedule(index)
-    if stepped:
-        while env.peek() != float("inf"):
-            env.step()
+    if paced:
+        # Every node is scheduled at most once, so nothing fires after the
+        # sum of all delays.
+        clock = [0.0]
+        driver = RealTimeDriver(
+            env,
+            sleep=lambda duration: clock.__setitem__(0, clock[0] + duration),
+            clock=lambda: clock[0],
+        )
+        driver.run(until=sum(delay for _parent, _kind, delay, _cancels in nodes))
+        assert driver.events_processed == env.events_processed
     else:
         env.run()
     assert env.queue_stats()["live_entries"] == 0
@@ -334,9 +343,8 @@ class TestTimeModel:
             children[parent].append(index)
         expected = _reference_order(nodes, children)
         assert _kernel_order(nodes, children) == expected
-        # step() re-implements the drain loop of run(), and peek() / step()
-        # are what the realtime driver runs on: they must agree with it.
-        assert _kernel_order(nodes, children, stepped=True) == expected
+        # The realtime driver paces run() one virtual instant at a time.
+        assert _kernel_order(nodes, children, paced=True) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.core import (
-    AllOf,
     AnyOf,
     Environment,
     Event,
@@ -15,7 +14,7 @@ from repro.sim.core import (
     Timeout,
     wait_any,
 )
-from repro.sim.store import FilterStore, PriorityStore, Store, StoreClosed
+from repro.sim.store import Store
 
 
 class TestEvents:
@@ -48,8 +47,12 @@ class TestEvents:
             _ = event.value
 
     def test_negative_timeout_rejected(self, env):
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="negative delay"):
             Timeout(env, -1.0)
+
+    def test_nan_timeout_is_rejected_as_non_finite(self, env):
+        with pytest.raises(SimulationError, match="non-finite delay nan"):
+            Timeout(env, float("nan"))
 
     def test_timeout_fires_at_delay(self, env):
         timeout = env.timeout(5.0, value="done")
@@ -194,19 +197,11 @@ class TestConditions:
         env.run()
         assert process.value == 1.0
 
-    def test_all_of_waits_for_every_event(self, env):
-        def proc():
-            events = [env.timeout(t) for t in (1.0, 2.0, 3.0)]
-            yield env.all_of(events)
-            return env.now
-
-        process = env.process(proc())
+    def test_empty_any_of_triggers_immediately(self, env):
+        race = AnyOf(env, [])
+        assert race.triggered
         env.run()
-        assert process.value == 3.0
-
-    def test_empty_condition_triggers_immediately(self, env):
-        condition = AllOf(env, [])
-        assert condition.triggered
+        assert race.value == {}
 
     def test_anyof_with_already_processed_event(self, env):
         timeout = env.timeout(1.0)
@@ -232,9 +227,13 @@ class TestEnvironment:
         with pytest.raises(SimulationError):
             env.run(until=1.0)
 
-    def test_step_on_empty_schedule_raises(self, env):
-        with pytest.raises(SimulationError):
-            env.step()
+    @pytest.mark.parametrize("until", [float("nan"), float("inf")])
+    def test_run_until_non_finite_raises_before_draining(self, env, until):
+        timeout = env.timeout(1.0)
+        with pytest.raises(SimulationError, match="not a finite time"):
+            env.run(until=until)
+        assert env.now == 0.0
+        assert not timeout.processed
 
     def test_peek_on_empty_is_inf(self, env):
         assert env.peek() == float("inf")
@@ -262,10 +261,11 @@ class TestEnvironment:
         env.run()
         assert order == ["a", "b", "c"]
 
-    def test_run_until_idle_counts_events(self, env):
+    def test_run_counts_events(self, env):
         env.timeout(1.0)
         env.timeout(2.0)
-        assert env.run_until_idle() == 2
+        env.run()
+        assert env.events_processed == 2
 
 
 class TestCancellation:
@@ -432,7 +432,7 @@ class TestWaiterCleanup:
         store = Store(env)
 
         def consumer():
-            yield store.get()
+            yield store.get_all()
 
         process = env.process(consumer())
         env.run(until=1.0)
@@ -445,24 +445,11 @@ class TestWaiterCleanup:
         store.put("item")
         assert len(store) == 1
 
-    def test_kill_while_blocked_on_filter_store_purges_predicate(self, env):
-        store = FilterStore(env)
-
-        def consumer():
-            yield store.get(lambda item: item == "wanted")
-
-        process = env.process(consumer())
-        env.run(until=1.0)
-        process.kill("crash")
-        env.run()
-        assert len(store._getters) == 0
-        assert store._predicates == {}
-
     def test_kill_during_wait_any_race_cleans_everything(self, env):
         store = Store(env)
 
         def racer():
-            outcome = yield from env.wait_any([store.get()], timeout=50.0)
+            outcome = yield from env.wait_any([store.get_all()], timeout=50.0)
             return outcome
 
         process = env.process(racer())
@@ -479,7 +466,7 @@ class TestWaiterCleanup:
         getter_box = {}
 
         def racer():
-            getter_box["getter"] = store.get()
+            getter_box["getter"] = store.get_all()
             yield env.any_of([getter_box["getter"], env.timeout(50.0)])
 
         process = env.process(racer())
@@ -494,7 +481,7 @@ class TestWaiterCleanup:
         store = Store(env)
 
         def racer():
-            outcome = yield from env.wait_any([store.get()], timeout=2.0)
+            outcome = yield from env.wait_any([store.get_all()], timeout=2.0)
             return outcome.timed_out
 
         process = env.process(racer())
@@ -546,8 +533,8 @@ class TestSchedulerLanes:
         timeout = env.timeout(0.0)
         keep = env.timeout(0.0, value="keep")
         assert timeout.cancel()
-        processed = env.run_until_idle()
-        assert processed == 1  # only the live one
+        env.run()
+        assert env.events_processed == 1  # only the live one
         assert keep.processed
         assert not timeout.processed
         assert timeout.cancelled
@@ -578,7 +565,7 @@ class TestSchedulerLanes:
         env.run()
         assert order == ["interrupt", "normal"]
 
-    def test_step_drains_urgent_lane_first(self, env):
+    def test_urgent_lane_drains_first(self, env):
         order = []
         event = env.event().succeed()
         event.callbacks.append(lambda _e: order.append("succeed"))
@@ -588,9 +575,7 @@ class TestSchedulerLanes:
             yield env.timeout(1.0)
 
         env.process(proc())  # Initialize rides the urgent lane
-        env.step()
-        assert order == ["init"]
-        env.step()
+        env.run(until=0.0)
         assert order == ["init", "succeed"]
 
     def test_call_at_fires_in_time_then_fifo_order(self, env):
@@ -667,24 +652,24 @@ class TestSchedulerLanes:
 
 
 class TestStore:
-    def test_put_then_get(self, env):
+    def test_put_then_get_all(self, env):
         store = Store(env)
         store.put("x")
 
         def proc():
-            item = yield store.get()
-            return item
+            items = yield store.get_all()
+            return items
 
         process = env.process(proc())
         env.run()
-        assert process.value == "x"
+        assert process.value == ["x"]
 
-    def test_get_blocks_until_put(self, env):
+    def test_get_all_blocks_until_put(self, env):
         store = Store(env)
 
         def getter():
-            item = yield store.get()
-            return (env.now, item)
+            items = yield store.get_all()
+            return (env.now, items)
 
         def putter():
             yield env.timeout(3.0)
@@ -693,93 +678,27 @@ class TestStore:
         get_process = env.process(getter())
         env.process(putter())
         env.run()
-        assert get_process.value == (3.0, "late")
+        assert get_process.value == (3.0, ["late"])
 
     def test_fifo_order(self, env):
         store = Store(env)
         for item in (1, 2, 3):
             store.put(item)
-        got = []
 
         def proc():
-            for _ in range(3):
-                item = yield store.get()
-                got.append(item)
+            items = yield store.get_all()
+            return items
 
-        env.process(proc())
+        process = env.process(proc())
         env.run()
-        assert got == [1, 2, 3]
+        assert process.value == [1, 2, 3]
 
-    def test_try_get_nonblocking(self, env):
-        store = Store(env)
-        assert store.try_get() is None
-        store.put("a")
-        assert store.try_get() == "a"
-
-    def test_capacity_rejects_extra_items(self, env):
-        store = Store(env, capacity=1)
-        ok = store.put("one")
-        full = store.put("two")
-        assert ok.ok
-        assert not full.ok
-        assert len(store) == 1
-
-    def test_clear_drops_items(self, env):
+    def test_drain_drops_items(self, env):
         store = Store(env)
         store.put(1)
         store.put(2)
-        assert store.clear() == 2
+        assert store.drain() == [1, 2]
         assert len(store) == 0
-
-    def test_close_fails_pending_getters(self, env):
-        store = Store(env)
-
-        def proc():
-            try:
-                yield store.get()
-            except StoreClosed:
-                return "closed"
-
-        process = env.process(proc())
-        env.run(until=1.0)
-        store.close()
-        env.run()
-        assert process.value == "closed"
-
-    def test_reopen_accepts_puts_again(self, env):
-        store = Store(env)
-        store.close()
-        assert not store.put("x").ok
-        store.reopen()
-        assert store.put("x").ok
-
-    def test_filter_store_selects_matching_item(self, env):
-        store = FilterStore(env)
-        store.put({"kind": "a"})
-        store.put({"kind": "b"})
-
-        def proc():
-            item = yield store.get(lambda i: i["kind"] == "b")
-            return item
-
-        process = env.process(proc())
-        env.run()
-        assert process.value == {"kind": "b"}
-
-    def test_priority_store_orders_by_priority(self, env):
-        store = PriorityStore(env)
-        store.put("low", priority=10)
-        store.put("high", priority=1)
-        got = []
-
-        def proc():
-            for _ in range(2):
-                item = yield store.get()
-                got.append(item)
-
-        env.process(proc())
-        env.run()
-        assert got == ["high", "low"]
 
 
 class TestTimers:
@@ -1029,7 +948,7 @@ class TestTimers:
         assert env.events_processed == 0
         assert env.queue_stats()["tick_queued"] == 0
 
-    def test_peek_and_step_skim_tombstones_off_the_heap_top(self, env):
+    def test_peek_and_run_skim_tombstones_off_the_heap_top(self, env):
         fired = []
         env.call_at_cancellable(1.0, fired.append, "a").cancel()
         env.call_at_cancellable(2.0, fired.append, "b").cancel()
@@ -1039,7 +958,7 @@ class TestTimers:
         stats = env.queue_stats()
         assert stats["heap_size"] == stats["live_entries"] == 1
         assert stats["dead_entries"] == 0
-        env.step()
+        env.run(until=3.0)
         assert fired == ["c"]
         assert env.now == 3.0
         assert env.peek() == float("inf")

@@ -23,6 +23,7 @@ from repro.config import (
 )
 from repro.errors import ConfigurationError
 from repro.experiments.common import format_rows, mean
+from repro.grid import build_confined_cluster
 from repro.runtime import RealTimeDriver
 from repro.scenarios import run_scenario
 from repro.sim.core import Environment
@@ -157,26 +158,65 @@ class TestAnalysis:
         assert "a" in table and "t" in table
 
 
+def _fake_wall_driver(env: Environment, speedup: float) -> tuple[RealTimeDriver, list[float]]:
+    """A driver whose sleeps only advance a fake clock; returns it and the sleeps."""
+    sleeps: list[float] = []
+    clock = {"now": 0.0}
+
+    def fake_sleep(duration: float) -> None:
+        sleeps.append(duration)
+        clock["now"] += duration
+
+    driver = RealTimeDriver(env, speedup=speedup, sleep=fake_sleep, clock=lambda: clock["now"])
+    return driver, sleeps
+
+
 class TestRealTimeDriver:
     def test_paces_events_against_wall_clock(self):
         env = Environment()
-        sleeps: list[float] = []
-        clock = {"now": 0.0}
-
-        def fake_sleep(duration: float) -> None:
-            sleeps.append(duration)
-            clock["now"] += duration
-
-        def fake_clock() -> float:
-            return clock["now"]
-
         env.timeout(1.0)
         env.timeout(2.0)
-        driver = RealTimeDriver(env, speedup=2.0, sleep=fake_sleep, clock=fake_clock)
+        driver, sleeps = _fake_wall_driver(env, speedup=2.0)
         processed = driver.run(until=2.0)
         assert processed == 2
         assert env.now == 2.0
         assert sum(sleeps) == pytest.approx(1.0)  # 2 virtual seconds at 2x speed
+
+    @pytest.mark.parametrize("until", [float("inf"), float("nan")])
+    def test_non_finite_until_is_rejected_before_anything_runs(self, until):
+        env = Environment()
+        env.timeout(1.0)
+        driver, sleeps = _fake_wall_driver(env, speedup=1.0)
+        with pytest.raises(ConfigurationError):
+            driver.run(until=until)
+        assert (env.now, env.events_processed, driver.events_processed, sleeps) == (0.0, 0, 0, [])
+
+    def test_paced_grid_matches_a_plain_run(self):
+        """The live example's grid, once paced and once run straight through."""
+
+        def build():
+            grid = build_confined_cluster(n_servers=4, n_coordinators=2)
+            grid.start()
+            workload = SyntheticWorkload(n_calls=12, exec_time=5.0, params_bytes=2048)
+            grid.run_process(workload.run(grid.client), name="workload")
+            return grid, workload
+
+        paced_grid, paced = build()
+        driver, _sleeps = _fake_wall_driver(paced_grid.env, speedup=20.0)
+        ticks: list[float] = []
+        driver.run(until=60.0, tick=ticks.append)
+        plain_grid, plain = build()
+        plain_grid.env.run(until=60.0)
+
+        assert driver.events_processed == plain_grid.env.events_processed
+        assert paced_grid.env.now == plain_grid.env.now == 60.0
+        assert paced.completed_count() == 12
+
+        def completions(workload):
+            return [(h.identity, h.completed_at) for h in workload.handles if h.done]
+
+        assert completions(paced) == completions(plain)
+        assert ticks == sorted(set(ticks))  # one tick per virtual instant
 
     def test_invalid_speedup_rejected(self):
         with pytest.raises(ConfigurationError):
