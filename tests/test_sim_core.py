@@ -215,6 +215,22 @@ class TestConditions:
         env.run()
         assert process.value == 1.0
 
+    def test_any_of_fails_with_the_first_failed_event(self, env):
+        doomed = env.event()
+        slow = env.timeout(5.0)
+
+        def proc():
+            try:
+                yield env.any_of([doomed, slow])
+            except ValueError as error:
+                return (env.now, str(error))
+
+        process = env.process(proc())
+        env.call_at(1.0, lambda _: doomed.fail(ValueError("boom")))
+        env.run()
+        assert process.value == (1.0, "boom")
+        assert slow.cancelled  # the losing timer left the schedule
+
 
 class TestEnvironment:
     def test_run_until_time_advances_clock(self, env):
@@ -266,6 +282,23 @@ class TestEnvironment:
         env.timeout(2.0)
         env.run()
         assert env.events_processed == 2
+
+    def test_run_until_an_event_the_schedule_never_reaches_raises(self, env):
+        env.timeout(1.0)
+        with pytest.raises(SimulationError, match="schedule drained first"):
+            env.run(until=env.event())
+        assert env.now == 1.0
+
+    def test_run_until_now_processes_only_the_current_instant(self, env):
+        """What the realtime driver runs: one virtual instant per call."""
+        fired = []
+        env.call_at(1.0, fired.append, "a")
+        env.call_at(1.0, lambda _: env.call_at(env.now, fired.append, "b"), None)
+        env.call_at(2.0, fired.append, "c")
+        env.run(until=1.0)
+        assert (fired, env.now, env.peek()) == (["a", "b"], 1.0, 2.0)
+        env.run(until=env.now)
+        assert fired == ["a", "b"]
 
 
 class TestCancellation:
@@ -698,6 +731,48 @@ class TestStore:
         store.put(1)
         store.put(2)
         assert store.drain() == [1, 2]
+        assert len(store) == 0
+
+    def test_put_without_a_getter_schedules_nothing(self, env):
+        store = Store(env)
+        assert store.put("a") is None
+        store.put("b")
+        assert len(store) == 2
+        assert env.peek() == float("inf")
+        assert env.queue_stats()["tick_queued"] == 0
+
+    def test_a_second_getter_waits_behind_the_first(self, env):
+        store = Store(env)
+        batches = []
+
+        def getter(tag):
+            items = yield store.get_all()
+            batches.append((tag, env.now, items))
+
+        env.process(getter("first"))
+        env.process(getter("second"))
+        env.call_at(1.0, lambda _: (store.put(1), store.put(2)))
+        env.call_at(2.0, store.put, 3)
+        env.run()
+        assert batches == [("first", 1.0, [1, 2]), ("second", 2.0, [3])]
+
+    def test_drain_takes_a_woken_batch_and_its_getter_resumes_empty(self, env):
+        store = Store(env)
+
+        def getter():
+            items = yield store.get_all()
+            return items
+
+        process = env.process(getter())
+
+        def put_then_drain(_):
+            store.put("a")  # wakes the getter; the kernel has not resumed it
+            store.put("b")
+            assert store.drain() == ["a", "b"]
+
+        env.call_at(1.0, put_then_drain)
+        env.run()
+        assert process.value == []
         assert len(store) == 0
 
 

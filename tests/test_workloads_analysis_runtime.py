@@ -218,6 +218,24 @@ class TestRealTimeDriver:
         assert completions(paced) == completions(plain)
         assert ticks == sorted(set(ticks))  # one tick per virtual instant
 
+    def test_tick_fires_once_per_instant_however_many_events_share_it(self):
+        env = Environment()
+        for delay in (1.0, 1.0, 1.0, 2.0, 2.0):
+            env.timeout(delay)
+        driver, _sleeps = _fake_wall_driver(env, speedup=1.0)
+        ticks: list[float] = []
+        assert driver.run(until=3.0, tick=ticks.append) == 5
+        assert ticks == [1.0, 2.0]
+        assert env.now == 3.0
+
+    def test_an_idle_schedule_waits_out_the_deadline(self):
+        env = Environment()
+        env.run(until=4.0)
+        driver, sleeps = _fake_wall_driver(env, speedup=2.0)
+        assert driver.run(until=10.0) == 0
+        assert env.now == 10.0
+        assert sum(sleeps) == pytest.approx(3.0)  # 6 virtual seconds from now, at 2x
+
     def test_invalid_speedup_rejected(self):
         with pytest.raises(ConfigurationError):
             RealTimeDriver(Environment(), speedup=0.0)
