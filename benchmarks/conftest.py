@@ -6,7 +6,7 @@ run the experiment drivers in ``repro.experiments`` directly with their
 default parameters for the full-size campaigns recorded in EXPERIMENTS.md.
 
 ``test_perf_counts.py`` checks the hot paths' structural counts (schedule
-size, pool reuse, delivered == sent, records touched) and
+size, delivered == sent, resumes per tick, records touched) and
 ``test_perf_scaling.py`` the within-run scaling ratios, timed through the
 one definition of a rep that file holds.  None of them compares against a number
 measured on another host and none writes a file.  Absolute speed is the

@@ -3,7 +3,7 @@
 Each test drives one hot path at the smallest scale where its assertion
 binds and checks counts, never time, so it gives the same answer on any
 host: the schedule holds no more than a small multiple of its live entries,
-pooled envelopes are reused, lossless links deliver everything, live
+lossless links deliver everything, a same-tick fan-in is one resume, live
 coordinators schedule a preloaded backlog, and a suspicion storm requeues
 exactly what the suspected servers held.  A delta round's entries and their
 order are checked in ``tests/test_taskindex.py::TestDeltaBuild``.
@@ -16,7 +16,7 @@ from repro.core.taskindex import TaskIndex
 from repro.grid.builder import build_grid
 from repro.grid.deployment import confined_cluster_spec
 from repro.net.latency import CompositeLinkModel, LanLinkModel, PerfectLinkModel
-from repro.net.message import Message, MessagePool, MessageType
+from repro.net.message import Message, MessageType
 from repro.net.transport import Network
 from repro.policies.scheduling import FifoReschedulePolicy
 from repro.sim.core import AnyOf, Environment, Timeout
@@ -33,7 +33,7 @@ def _join(processes):
 
 
 # ------------------------------------------------------------------ kernel
-def test_heart_beat_watchdogs_are_compacted_and_reuse_one_envelope():
+def test_heart_beat_watchdogs_are_compacted():
     """1 s heart-beats, each re-arming a 30 s watchdog, on ``Environment()``.
 
     Every beat tombstones the previous watchdog, so the heap holds 200 live
@@ -42,21 +42,15 @@ def test_heart_beat_watchdogs_are_compacted_and_reuse_one_envelope():
     """
     nodes, beats_per_node = 100, 20
     env = Environment()
-    pool = MessagePool()
-    address = Address("bench", 0)
     watchdogs: list = [None] * nodes
 
     def suspect(_arg) -> None:  # pragma: no cover - never fires
         raise AssertionError("watchdog fired while beats kept arriving")
 
     def beat(index: int) -> None:
-        message = pool.acquire(
-            MessageType.SERVER_HEARTBEAT, address, address, {"working_on": None}
-        )
         if watchdogs[index] is not None:
             watchdogs[index].cancel()
         watchdogs[index] = env.call_at_cancellable(env.now + 30.0, suspect, None)
-        message.release()
 
     for index in range(nodes):
         env.call_periodic(1.0, beat, index, first_delay=(index + 1) / nodes)
@@ -67,7 +61,6 @@ def test_heart_beat_watchdogs_are_compacted_and_reuse_one_envelope():
     assert stats["dead_entries"] <= stats["live_entries"], stats
     limit = 2 * stats["live_entries"] + Environment._COMPACTION_MIN_DEAD
     assert stats["peak_heap_size"] <= limit, stats
-    assert pool.stats()["misses"] == 1, pool.stats()
 
 
 def test_a_lost_timer_ladder_leaves_no_residue():
@@ -155,12 +148,11 @@ def test_every_message_is_delivered_and_the_heap_holds_only_flight():
     assert max(samples) < 4 * nodes, (max(samples), nodes)
 
 
-def test_heart_beat_fan_in_is_one_resume_per_tick_from_pooled_envelopes():
+def test_heart_beat_fan_in_is_one_resume_per_tick():
     """100 servers per coordinator beat in phase over a zero-delay link."""
     senders, beats, per_coordinator = 200, 5, 100
     env = Environment()
     network = Network(env, link_model=PerfectLinkModel(latency=0.0))
-    pool = MessagePool(max_per_bucket=senders)
     n_coordinators = senders // per_coordinator
     coordinators = [
         network.register(Address("coordinator", f"c{i:04d}"))
@@ -177,12 +169,10 @@ def test_heart_beat_fan_in_is_one_resume_per_tick_from_pooled_envelopes():
             batch = yield endpoint.recv_many()
             resumes[0] += 1
             drained[0] += len(batch)
-            for message in batch:
-                message.release()
 
     def beat_all(_arg) -> None:
         for index, source in enumerate(servers):
-            network.send(pool.acquire(
+            network.send(Message(
                 MessageType.SERVER_HEARTBEAT,
                 source,
                 coordinators[index % n_coordinators].address,
@@ -199,9 +189,6 @@ def test_heart_beat_fan_in_is_one_resume_per_tick_from_pooled_envelopes():
     assert stats["net.sent"] == senders * beats, stats
     assert stats["net.delivered"] == drained[0] == stats["net.sent"], (drained, stats)
     assert resumes[0] == n_coordinators * beats, resumes
-    # Only the first beat allocates; every later one is served from the pool.
-    assert pool.stats()["misses"] == senders, pool.stats()
-    assert pool.stats()["dropped"] == 0, pool.stats()
 
 
 # ------------------------------------------------------------- coordinator

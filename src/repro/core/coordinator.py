@@ -365,11 +365,10 @@ class CoordinatorComponent:
                 incarnation=message.payload.get("incarnation"),
             )
             self.registry.rehabilitate(message.source)
-            message.release()
         elif mtype is MessageType.CLIENT_HEARTBEAT or mtype is MessageType.CROWD_HEARTBEAT:
             # Client and aggregate crowd liveness summaries need nothing
             # beyond being received.
-            message.release()
+            pass
         elif mtype is MessageType.ARCHIVE_FETCH:
             return self._on_archive_fetch(message)
         elif mtype is MessageType.ARCHIVE_REPLY:
@@ -402,9 +401,6 @@ class CoordinatorComponent:
             # own result must not put back the entry the commit dropped.
             if task is not None and task.state is TaskState.ONGOING:
                 self._task_activity[task.identity] = self.env.now
-        # Handled entirely in place (values copied out above), so the pooled
-        # envelope goes back to the free list.
-        message.release()
 
     # ------------------------------------------------------------ client requests
     def _on_submit(self, message: Message):

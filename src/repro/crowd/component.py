@@ -29,7 +29,7 @@ from typing import Any
 from repro.core.registry import CoordinatorRegistry
 from repro.crowd.sharding import ShardMap
 from repro.errors import ConfigurationError
-from repro.net.message import Message, MessageType, default_pool
+from repro.net.message import Message, MessageType
 from repro.nodes.node import Host
 from repro.platform.component import BaseComponent
 from repro.platform.registry import component
@@ -315,12 +315,11 @@ class CrowdComponent(BaseComponent):
             self.monitor.incr("crowd.suspicions")
 
     def _send_heartbeats(self) -> None:
-        """Aggregate heart-beat summaries (pooled envelopes, receiver releases)."""
-        pool = default_pool()
+        """Aggregate heart-beat summaries, one per unsuspected coordinator."""
         table = self.table
         for dest in self.registry.unsuspected():
             self.host.send(
-                pool.acquire(
+                Message(
                     MessageType.CROWD_HEARTBEAT,
                     self.host.address,
                     dest,
@@ -356,7 +355,6 @@ class CrowdComponent(BaseComponent):
                 new = self.table.mark_done(record["ids"])
                 self.monitor.incr("crowd.completions", new)
                 self._complete_handoff(record["shard"])
-        message.release()
 
     def _complete_handoff(self, shard: int) -> None:
         started = self._handoff_pending.pop(shard, None)

@@ -33,7 +33,7 @@ from typing import Any, Callable, Iterable
 
 from repro.config import FaultDetectionConfig
 from repro.errors import ConfigurationError
-from repro.net.message import MessagePool, MessageType, default_pool, snapshot_payload
+from repro.net.message import Message, MessageType, snapshot_payload
 from repro.nodes.node import Host
 from repro.sim.core import TimerHandle
 from repro.sim.rng import jitter_factor
@@ -52,7 +52,6 @@ class HeartbeatEmitter:
         targets: Callable[[], Iterable],
         payload: Callable[[], Any] | None = None,
         jitter_fraction: float = 0.1,
-        pool: MessagePool | None = None,
     ) -> None:
         self.host = host
         self.config = config
@@ -60,9 +59,6 @@ class HeartbeatEmitter:
         self.targets = targets
         self.payload = payload or (lambda: {})
         self.jitter_fraction = jitter_fraction
-        #: heart-beat traffic is protocol-internal (receivers handle it in
-        #: place and never retain it), so its envelopes are pooled by default.
-        self.pool = default_pool() if pool is None else pool
         self.sent = 0
         self.stopped = False
         self._handle: TimerHandle | None = None
@@ -151,12 +147,11 @@ class HeartbeatEmitter:
             # restart from a continuation of the silent incarnation (the
             # detector resets last-heard state on an incarnation bump).
             payload["incarnation"] = self.host.incarnation
-        acquire = self.pool.acquire
         for target in self.targets():
             if target is None or target == self.host.address:
                 continue
             self.host.send(
-                acquire(
+                Message(
                     mtype=self.mtype,
                     source=self.host.address,
                     dest=target,

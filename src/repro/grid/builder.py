@@ -204,23 +204,16 @@ class Grid:
         return False
 
     def kernel_stats(self) -> dict:
-        """Kernel load snapshot: event-queue occupancy plus envelope pooling.
+        """Kernel load snapshot: the environment's :meth:`queue_stats`.
 
-        Combines the environment's :meth:`queue_stats` (heap occupancy,
-        tombstones, compactions, events processed) with the process-global
-        message-pool hit rate, so benchmark rows can record kernel load
-        alongside protocol counters.  Pool numbers are cumulative per *process* — comparable
-        within a run, not across parallel workers.
+        Heap occupancy, tombstones, compactions and events processed, so
+        benchmark rows can record kernel load alongside protocol counters.
         """
-        from repro.net.message import default_pool
-
         stats = dict(self.env.queue_stats())
-        # Read by bench/rep.py; drop with ROADMAP item 12 (the kernel has no wheel).
+        # Zeroed placeholders for keys bench/rep.py reads: the kernel has no
+        # timer wheel and messages no free list.  Drop with ROADMAP item 12.
         stats["wheel_flushes"] = stats["wheel_overflows"] = 0
-        pool = default_pool().stats()
-        stats["pool_hit_rate"] = pool.get("hit_rate", 0.0)
-        stats["pool_hits"] = pool.get("hits", 0)
-        stats["pool_releases"] = pool.get("releases", 0)
+        stats["pool_hit_rate"] = 0.0
         return stats
 
     def stats(self) -> dict:

@@ -130,10 +130,9 @@ def internet_testbed_spec(
     )
     site_map.add_site(Site(name="lille", location="Polytech Lille, France"))
     site_map.add_site(Site(name="orsay", location="LRI, Paris Sud, France"))
-    site_map.add_site(
-        Site(name="wisconsin", location="University of Wisconsin, USA",
-             extra_wan_latency=0.05)
-    )
+    # One inter-site model for every pair: Wisconsin gets no extra
+    # transatlantic latency (ROADMAP: "model the transatlantic hop").
+    site_map.add_site(Site(name="wisconsin", location="University of Wisconsin, USA"))
     if protocol is None:
         protocol = ProtocolConfig()
         # "For all the following tests, the coordinator replication period is

@@ -38,11 +38,9 @@ class LinkModel(Protocol):
     Caching contract: the transport resolves each (source, dest) pair once —
     through ``resolve_link(source, dest)`` when the model defines it (see
     :class:`CompositeLinkModel`), identity otherwise — and caches the
-    resulting ``transfer_time`` / ``loss_probability``.  Models are therefore
-    treated as static per pair; a model whose per-pair answers can change
-    mid-run must expose ``on_topology_change(hook)`` and invoke the hooks on
-    every change (or the owner must call ``Network.flush_routes()`` /
-    reassign ``Network.link_model``, which also flushes).
+    resulting ``transfer_time`` / ``loss_probability`` for the network's
+    lifetime.  A model's per-pair answers must therefore not change once the
+    network is built.
     """
 
     def transfer_time(
@@ -115,8 +113,9 @@ class InternetLinkModel:
     wrong suspicions unavoidable; bandwidth is far below the LAN's.
     """
 
-    #: median one-way latency in seconds (Orsay<->Lille ~ 15 ms; add more for
-    #: transatlantic links via the site map's distance factor).
+    #: median one-way latency in seconds (Orsay<->Lille ~ 15 ms).  Every
+    #: inter-site pair draws around the same median: the transatlantic hop
+    #: to Wisconsin is not modelled.
     latency: float = 0.015
     #: usable bandwidth in bytes per second (the paper observes Internet
     #: transfers an order of magnitude slower than the confined cluster).
@@ -156,10 +155,9 @@ class InternetLinkModel:
 class CompositeLinkModel:
     """Chooses between an intra-site and an inter-site model per message.
 
-    Consumers that cache per-pair routes (the transport does) can resolve the
-    concrete leaf model once via :meth:`resolve_link` and subscribe to
-    :meth:`on_topology_change` so a later :meth:`assign` invalidates their
-    cache.
+    The site assignment is fixed at construction, so consumers that cache
+    per-pair routes (the transport does) resolve the concrete leaf model once
+    via :meth:`resolve_link`.
     """
 
     def __init__(
@@ -173,18 +171,6 @@ class CompositeLinkModel:
         self._intra = intra_site
         self._inter = inter_site
         self._default_site = default_site
-        self._topology_hooks: list = []
-
-    def assign(self, address: Address, site: str) -> None:
-        """Register (or update) the site of an endpoint."""
-        self._site_of[address] = site
-        for hook in self._topology_hooks:
-            hook()
-
-    def on_topology_change(self, hook) -> None:
-        """Register a callable invoked whenever a site assignment changes."""
-        if hook not in self._topology_hooks:
-            self._topology_hooks.append(hook)
 
     def resolve_link(self, source: Address, dest: Address) -> LinkModel:
         """The concrete leaf model governing the ``source`` → ``dest`` pair."""

@@ -1,4 +1,4 @@
-"""Protocol message envelope (and the envelope free-list).
+"""Protocol message envelope.
 
 Every exchange between components is a :class:`Message`: a typed, sized
 envelope whose payload is a plain dictionary of identifiers and values, with
@@ -6,21 +6,15 @@ the application bytes it stands for declared in ``size_bytes``.  The *size* is
 what the network, disk and database cost models act upon; the content is what
 the protocol state machines act upon.
 
-High-rate protocol-internal traffic (heartbeats, pings) can recycle its
-envelopes through a :class:`MessagePool` instead of allocating a fresh slotted
-dataclass per send.  Pooling is **opt-in per message**: only envelopes
-acquired from a pool ever return to it, and only code that provably does not
-retain the message past its handling may release it (see the pooling contract
-in the README).  User-constructed messages are never pooled — ``release()``
-on them is a no-op — so correctness never depends on callers knowing about
-the pool.
+Every send builds a fresh envelope and nothing recycles it, so whoever holds
+a delivered message (a delivery hook, a trace, a test) can read it at any
+later point and see what was delivered.
 """
 
 from __future__ import annotations
 
 import copy
 import enum
-import itertools
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any
@@ -30,12 +24,8 @@ from repro.types import Address, CallIdentity
 __all__ = [
     "MessageType",
     "Message",
-    "MessagePool",
-    "default_pool",
     "snapshot_payload",
 ]
-
-_MESSAGE_SEQ = itertools.count(1)
 
 
 #: payload leaves that are immutable all the way down (a call identity is a
@@ -129,29 +119,12 @@ class Message:
     payload: dict[str, Any] = field(default_factory=dict)
     #: application bytes carried (arguments, results, archives, state deltas).
     size_bytes: int = 0
-    #: unique, monotonically increasing message identifier (debugging, logs).
-    msg_id: int = field(default_factory=lambda: next(_MESSAGE_SEQ))
     #: virtual time at which the message was handed to the network.
     sent_at: float | None = None
-    #: owning pool for recycled envelopes; None (the default) marks an
-    #: ordinary user-held message that is never pooled.
-    _pool: "MessagePool | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.size_bytes < 0:
             raise ValueError("message size must be non-negative")
-
-    def release(self) -> bool:
-        """Return a pooled envelope to its pool; no-op for ordinary messages.
-
-        Only the owner of the handling context may call this (transport drop
-        paths, receivers of protocol-internal traffic that do not retain the
-        message).  Returns True when the envelope actually went back.
-        """
-        pool = self._pool
-        if pool is None:
-            return False
-        return pool.release(self)
 
     @property
     def wire_bytes(self) -> int:
@@ -172,104 +145,3 @@ class Message:
             payload=payload or {},
             size_bytes=size_bytes,
         )
-
-    def describe(self) -> str:
-        """Compact one-line description used in traces."""
-        return (
-            f"{self.mtype.value} {self.source}->{self.dest} "
-            f"({self.size_bytes} B, id={self.msg_id})"
-        )
-
-
-class MessagePool:
-    """A size-bucketed free list of :class:`Message` envelopes.
-
-    Buckets are keyed by *payload shape* — the tuple of payload keys — so an
-    acquire for a given protocol message kind (heartbeats all carry the same
-    fields) almost always finds an envelope whose last life had the same
-    shape.  Re-acquired envelopes get a **fresh** ``msg_id`` from the global
-    sequence: id monotonicity (and uniqueness within a run) survives pooling.
-
-    The contract (see the README's pooling section): only pool-acquired
-    envelopes return to the pool; only the handling context that provably
-    does not retain the message may :meth:`release` it; after release the
-    envelope contents must not be read — the next acquire rewrites them.
-    """
-
-    __slots__ = ("max_per_bucket", "hits", "misses", "releases", "dropped", "_buckets")
-
-    def __init__(self, max_per_bucket: int = 1024) -> None:
-        self.max_per_bucket = max_per_bucket
-        self.hits = 0
-        self.misses = 0
-        self.releases = 0
-        self.dropped = 0
-        self._buckets: dict[tuple, list[Message]] = {}
-
-    def acquire(
-        self,
-        mtype: MessageType,
-        source: Address,
-        dest: Address,
-        payload: dict[str, Any] | None = None,
-        size_bytes: int = 0,
-    ) -> Message:
-        """Build (or recycle) an envelope; fields are fully rewritten."""
-        if payload is None:
-            payload = {}
-        bucket = self._buckets.get(tuple(payload))
-        if bucket:
-            self.hits += 1
-            message = bucket.pop()
-            message.mtype = mtype
-            message.source = source
-            message.dest = dest
-            message.payload = payload
-            message.size_bytes = size_bytes
-            message.msg_id = next(_MESSAGE_SEQ)
-            message.sent_at = None
-            return message
-        self.misses += 1
-        return Message(
-            mtype=mtype,
-            source=source,
-            dest=dest,
-            payload=payload,
-            size_bytes=size_bytes,
-            _pool=self,
-        )
-
-    def release(self, message: Message) -> bool:
-        """Return ``message`` to its shape bucket (full buckets drop it)."""
-        if message._pool is not self:
-            return False
-        bucket = self._buckets.setdefault(tuple(message.payload), [])
-        if len(bucket) >= self.max_per_bucket:
-            self.dropped += 1
-            return False
-        self.releases += 1
-        bucket.append(message)
-        return True
-
-    def stats(self) -> dict[str, float]:
-        """Hit-rate and churn counters (benchmarks / diagnostics)."""
-        acquires = self.hits + self.misses
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "releases": self.releases,
-            "dropped": self.dropped,
-            "pooled": sum(len(b) for b in self._buckets.values()),
-            "hit_rate": self.hits / acquires if acquires else 0.0,
-        }
-
-
-_DEFAULT_POOL: MessagePool | None = None
-
-
-def default_pool() -> MessagePool:
-    """The process-wide pool used by protocol-internal traffic."""
-    global _DEFAULT_POOL
-    if _DEFAULT_POOL is None:
-        _DEFAULT_POOL = MessagePool()
-    return _DEFAULT_POOL

@@ -29,9 +29,6 @@ class Site:
     name: str
     #: human-readable location, purely documentary.
     location: str = ""
-    #: additional one-way latency to reach this site from a remote site, in
-    #: seconds (e.g. the transatlantic hop to Wisconsin).
-    extra_wan_latency: float = 0.0
 
 
 @dataclass

@@ -66,19 +66,12 @@ class Endpoint:
     def mark_down(self) -> int:
         """Crash semantics: drop queued messages and refuse new deliveries.
 
-        Pooled protocol-internal envelopes among the dropped messages — a
-        batch already woken but not yet handed to its receiver included — go
-        back to their free list: a crashed mailbox is a guaranteed
-        nobody-retains-it drop point.
+        The dropped messages include a batch already woken but not yet handed
+        to its receiver.  Returns how many were dropped.
         """
         self.up = False
         self.handler = None
-        dropped = self.mailbox.drain()
-        for message in dropped:
-            release = getattr(message, "release", None)
-            if release is not None:
-                release()
-        return len(dropped)
+        return len(self.mailbox.drain())
 
     def mark_up(self) -> None:
         """Restart semantics: accept deliveries again (mailbox starts empty).
@@ -111,69 +104,28 @@ class Network:
         partitions: PartitionManager | None = None,
     ) -> None:
         self.env = env
-        self._link_model: LinkModel = link_model or PerfectLinkModel()
-        self._rng = rng or RandomStreams(0)
-        self._monitor = monitor or Monitor()
+        #: the link cost model, bound for the network's lifetime: the route
+        #: cache below is never invalidated.
+        self.link_model: LinkModel = link_model or PerfectLinkModel()
+        self.rng = rng or RandomStreams(0)
+        self.monitor = monitor or Monitor()
         self.partitions = partitions or PartitionManager()
         self._endpoints: dict[Address, Endpoint] = {}
-        #: optional hooks called on every successful delivery (testing aid).
+        #: hooks called with every delivered message: the observation point
+        #: for delivered traffic (fig6 counts log records through it).
         self._delivery_hooks: list[Callable[[Message], None]] = []
         #: per-(source, dest) cache of (transfer_time, loss_probability):
         #: the link-model resolution (e.g. the composite's site lookups) is
         #: paid once per pair, not once per message.
         self._routes: dict[tuple[Address, Address], tuple] = {}
-        self._routes_hooked = False
         # Hot-path handles, resolved once per network instead of once per
-        # message; the rng/monitor setters re-resolve them so reassignment
-        # cannot desync the handles from the by-name paths.
-        self._rebind_rng_handles()
-        self._rebind_counter_handles()
-
-    def _rebind_rng_handles(self) -> None:
-        self._loss_random = self._rng.bound("net.loss", "random")
-        self._delay_stream = self._rng.stream("net.delay")
-
-    def _rebind_counter_handles(self) -> None:
-        monitor = self._monitor
-        self._c_sent = monitor.counter("net.sent")
-        self._c_bytes_sent = monitor.counter("net.bytes_sent")
-        self._c_delivered = monitor.counter("net.delivered")
-        self._c_bytes_delivered = monitor.counter("net.bytes_delivered")
-
-    @property
-    def rng(self) -> RandomStreams:
-        """The network's random streams; reassigning re-binds the handles."""
-        return self._rng
-
-    @rng.setter
-    def rng(self, rng: RandomStreams) -> None:
-        self._rng = rng
-        self._rebind_rng_handles()
-
-    @property
-    def monitor(self) -> Monitor:
-        """The network's monitor; reassigning re-binds the counter handles."""
-        return self._monitor
-
-    @monitor.setter
-    def monitor(self, monitor: Monitor) -> None:
-        self._monitor = monitor
-        self._rebind_counter_handles()
-
-    @property
-    def link_model(self) -> LinkModel:
-        """The link cost model; assigning a new one flushes the route cache."""
-        return self._link_model
-
-    @link_model.setter
-    def link_model(self, model: LinkModel) -> None:
-        self._link_model = model
-        self.flush_routes()
-
-    def flush_routes(self) -> None:
-        """Drop the per-pair route cache (after link-model reconfiguration)."""
-        self._routes.clear()
-        self._routes_hooked = False
+        # message.
+        self._loss_random = self.rng.bound("net.loss", "random")
+        self._delay_stream = self.rng.stream("net.delay")
+        self._c_sent = self.monitor.counter("net.sent")
+        self._c_bytes_sent = self.monitor.counter("net.bytes_sent")
+        self._c_delivered = self.monitor.counter("net.delivered")
+        self._c_bytes_delivered = self.monitor.counter("net.bytes_delivered")
 
     # -- endpoint management ---------------------------------------------------
     def register(self, address: Address) -> Endpoint:
@@ -204,7 +156,12 @@ class Network:
             endpoint.mark_down()
 
     def add_delivery_hook(self, hook: Callable[[Message], None]) -> None:
-        """Register a callable invoked with every delivered message."""
+        """Register a callable invoked with every delivered message.
+
+        Hooks run before the endpoint's handler.  Every send builds a fresh
+        :class:`Message` and nothing recycles it, so a hook may keep the
+        messages it sees and read them after the run.
+        """
         self._delivery_hooks.append(hook)
 
     # -- sending -----------------------------------------------------------------
@@ -231,13 +188,11 @@ class Network:
         dest_endpoint = self._endpoints.get(message.dest)
         if dest_endpoint is None:
             self.monitor.incr("net.dropped.unknown_dest")
-            message.release()
             return
         # Read live: a rule installed mid-run must block the very next send.
         partitions = self.partitions
         if partitions.active and not partitions.allows(message.source, message.dest):
             self.monitor.incr("net.dropped.partition")
-            message.release()
             return
 
         # Determinism: consume exactly one draw from the dedicated loss
@@ -251,7 +206,6 @@ class Network:
         loss_probability = route[1]
         if loss_probability > 0.0 and loss_roll < loss_probability:
             self.monitor.incr("net.dropped.loss")
-            message.release()
             return
 
         delay = route[0](message.source, message.dest, wire, self._delay_stream)
@@ -268,20 +222,13 @@ class Network:
         """Resolve and cache the (transfer_time, loss_probability) for a pair.
 
         Composite models resolve to the concrete per-pair leaf model once, so
-        the per-message path skips the site lookups entirely.  The first
-        resolution subscribes the cache to the model's topology-change hook
-        (when it offers one) so site reassignment invalidates stale routes.
+        the per-message path skips the site lookups entirely.
         """
-        model = self._link_model
+        model = self.link_model
         resolve = getattr(model, "resolve_link", None)
         leaf = model if resolve is None else resolve(source, dest)
         route = (leaf.transfer_time, float(leaf.loss_probability(source, dest)))
         self._routes[(source, dest)] = route
-        if not self._routes_hooked:
-            subscribe = getattr(model, "on_topology_change", None)
-            if subscribe is not None:
-                subscribe(self._routes.clear)
-            self._routes_hooked = True
         return route
 
     def _deliver(self, in_flight: "tuple[Message, int | None]") -> None:
@@ -289,17 +236,14 @@ class Network:
         endpoint = self._endpoints.get(message.dest)
         if endpoint is None:  # pragma: no cover - endpoint removed mid-flight
             self.monitor.incr("net.dropped.unknown_dest")
-            message.release()
             return
         partitions = self.partitions
         if partitions.active and not partitions.allows(message.source, message.dest):
             self.monitor.incr("net.dropped.partition")
-            message.release()
             return
         if not endpoint.up:
             endpoint.dropped_down += 1
             self.monitor.incr("net.dropped.endpoint_down")
-            message.release()
             return
         if send_incarnation is not None and endpoint.incarnation != send_incarnation:
             # Sent to a previous life of this endpoint (it was down, or it
@@ -307,7 +251,6 @@ class Network:
             # was addressed to no longer exists.
             endpoint.dropped_stale += 1
             self.monitor.incr("net.dropped.stale_incarnation")
-            message.release()
             return
         endpoint.delivered += 1
         self._c_delivered.value += 1.0

@@ -32,9 +32,8 @@ def _flash_rows(results: list[CellResult]) -> list[dict[str, Any]]:
     """One row per surge factor.
 
     Only protocol- and crowd-level fields (deterministic for a given seed)
-    are reduced; the ``kernel`` snapshot stays in the per-cell outputs — its
-    pool counters are cumulative per worker process, so rows built from them
-    would differ between ``--jobs 1`` and ``--jobs 4``.
+    are reduced; the ``kernel`` snapshot (scheduler bookkeeping, not a
+    protocol outcome) stays in the per-cell outputs.
     """
     rows: list[dict[str, Any]] = []
     for (factor,), cells in grouped(results, ("surge_factor",)).items():

@@ -30,7 +30,7 @@ class RunReport:
     #: optional extras (stamped only when the engine was asked to record
     #: them, so historical cells keep their exact output shape).
     fault_streams: dict[str, str] | None = None
-    #: kernel load snapshot (heap occupancy, compactions, pool hit-rate);
+    #: kernel load snapshot (heap occupancy, compactions, events processed);
     #: stamped when the engine runs with ``record_kernel=True``.
     kernel: dict[str, Any] | None = None
     #: aggregated crowd-tier counters, flattened into the outputs as

@@ -27,7 +27,6 @@ from repro.experiments import fig6_synchronization
 from repro.experiments.fig4_message_logging import logging_cell
 from repro.experiments.fig5_replication import replication_cell
 from repro.grid.builder import Grid, build_confined_cluster
-from repro.net.message import MessagePool
 from repro.policies.scheduling import fcfs_key
 from repro.sim.core import SimulationError
 from repro.types import CallIdentity
@@ -51,8 +50,8 @@ def _reachable_from(root: object, cls: type) -> list:
     """Every distinct instance of ``cls`` reachable from ``root``.
 
     The walk follows ``gc.get_referents`` but stays inside the run: module
-    namespaces, classes and the process-wide envelope free-list are shared
-    by every grid in the process, so they are not entered.
+    namespaces and classes are shared by every grid in the process, so they
+    are not entered.
     """
     shared = {id(module.__dict__) for module in list(sys.modules.values())}
     found: dict[int, object] = {}
@@ -66,7 +65,7 @@ def _reachable_from(root: object, cls: type) -> list:
         if type(obj) is cls:
             found[id(obj)] = obj
             continue
-        if id(obj) in shared or isinstance(obj, (type, types.ModuleType, MessagePool)):
+        if id(obj) in shared or isinstance(obj, (type, types.ModuleType)):
             continue
         stack.extend(gc.get_referents(obj))
     return list(found.values())

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from repro.crowd.sharding import ShardMap
 from repro.crowd.table import DONE, IDLE, INFLIGHT, PENDING, CrowdTable
 from repro.errors import ConfigurationError
+from repro.net.message import MessageType
 from repro.scenarios.engine import GridTopology
 from repro.scenarios.runner import run_scenario
 from repro.types import Address, TaskState
@@ -518,12 +519,15 @@ def _run_crowd_grid(
     kill: tuple[float, str] | None = None,
     think_window: float = 60.0,
     horizon: float = 400.0,
+    delivery_hook=None,
 ):
     """A live grid serving a crowd; returns (grid, crowd) after the run."""
     pytest.importorskip("numpy")
     grid = GridTopology(
         n_servers=4, n_coordinators=n_coordinators, spread_servers=True
     ).build(None, seed=2)
+    if delivery_hook is not None:
+        grid.network.add_delivery_hook(delivery_hook)
     grid.start()
     crowd = grid.add_component(
         {
@@ -565,6 +569,23 @@ class TestCrowdIntegration:
         kernel = grid.stats()["kernel"]
         assert kernel["events_processed"] > 0
         assert "pool_hit_rate" in kernel and "compactions" in kernel
+
+    def test_kept_crowd_messages_stay_as_delivered(self):
+        kept = []
+
+        def keep(message):
+            if message.mtype.value.startswith("crowd-"):
+                kept.append((message, (message.mtype, message.dest, dict(message.payload))))
+
+        _run_crowd_grid(200, kill=(100.0, "coordinator:cluster-k1"), horizon=200.0,
+                        delivery_hook=keep)
+        assert any(m.mtype is MessageType.CROWD_HEARTBEAT for m, _ in kept)
+        changed = [
+            fields
+            for message, fields in kept
+            if (message.mtype, message.dest, message.payload) != fields
+        ]
+        assert changed == []
 
     def test_shard_handoff_on_coordinator_kill_mid_surge(self):
         # A wide think window keeps most of the population idle until the
@@ -619,8 +640,8 @@ class TestCrowdIntegration:
         sequential = run_scenario("flash-crowd", scale="tiny", jobs=1)
         parallel = run_scenario("flash-crowd", scale="tiny", jobs=4)
         # The reduce selects only protocol/crowd fields, so rows are exactly
-        # reproducible whatever the worker layout (the per-cell kernel pool
-        # counters are process-cumulative and deliberately stay out of rows).
+        # reproducible whatever the worker layout (the per-cell kernel
+        # snapshot is scheduler bookkeeping and deliberately stays out of rows).
         assert sequential.rows == parallel.rows
         assert sequential.rows[0]["crowd_completion_ratio"] == 1.0
         assert all(row["double_committed"] == 0 for row in sequential.rows)

@@ -311,6 +311,25 @@ class TestHeartbeatEmitter:
         [message] = target.endpoint.mailbox.items
         assert message.payload["coordinators"] == ["k0"]
 
+    def test_each_beat_sends_a_fresh_message_to_each_target(self, env):
+        host = make_host(env, kind="server")
+        targets = [K, Address("coordinator", "k1")]
+        for address in targets:
+            Host(env, host.network, address, rng=RandomStreams(1))
+        kept = []
+        host.network.add_delivery_hook(kept.append)
+        emitter = HeartbeatEmitter(
+            host=host,
+            config=FaultDetectionConfig(),
+            mtype=MessageType.SERVER_HEARTBEAT,
+            targets=lambda: targets,
+        )
+        for _ in range(2):
+            assert emitter.beat_now() == 2
+            env.run()
+        assert len({id(message) for message in kept}) == 4
+        assert [message.dest for message in kept] == targets + targets
+
 
 class TestMessageLog:
     def test_append_then_durable_then_acked(self, env):

@@ -13,12 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.net.message as message_module
 from repro.config import FaultDetectionConfig
 from repro.core.registry import CoordinatorRegistry
 from repro.detect.heartbeat import HeartbeatEmitter
 from repro.grid.builder import build_confined_cluster
-from repro.net.message import Message, MessagePool, MessageType
+from repro.net.message import Message, MessageType
 from repro.net.partition import PartitionManager
 from repro.net.transport import Network
 from repro.nodes.node import Host
@@ -236,26 +235,6 @@ class TestHeartbeatSnapshot:
         env.run()
         assert target.endpoint.mailbox.items[0].payload == expected
         assert "incarnation" not in payload  # the stamp went on the copy
-
-
-class TestInPlaceHandlers:
-    def test_pooled_envelopes_are_released_exactly_as_before(self, monkeypatch):
-        """Heart-beats skip the handler generator, not the release.
-
-        207 is the parent commit's count for this run (12 calls of 30 s on 4
-        servers / 3 coordinators, seed 3, a fresh pool), measured before the
-        in-place dispatch existed.
-        """
-        pool = MessagePool()
-        monkeypatch.setattr(message_module, "_DEFAULT_POOL", pool)
-        report = execute_benchmark(
-            GridTopology(n_servers=4, n_coordinators=3),
-            WorkloadSpec(n_calls=12, exec_time=30.0),
-            seed=3,
-            horizon=5000.0,
-        )
-        assert report.outputs()["completed"] == 12
-        assert pool.releases == 207 and pool.dropped == 0
 
 
 class TestDirectWaitLeavesNothingBehind:

@@ -14,13 +14,14 @@ from repro.net.latency import (
 from repro.net.message import (
     ENVELOPE_OVERHEAD_BYTES,
     Message,
-    MessagePool,
     MessageType,
 )
 from repro.net.partition import PartitionManager
 from repro.net.topology import Site, SiteMap
 from repro.net.transport import Network
+from repro.grid.deployment import internet_testbed_spec
 from repro.nodes.node import Host
+from repro.sim.monitor import Monitor
 from repro.sim.rng import RandomStreams
 from repro.types import Address
 
@@ -43,11 +44,6 @@ class TestMessage:
         reply = message.reply(MessageType.PONG, size_bytes=5)
         assert reply.source == B and reply.dest == A
         assert reply.mtype is MessageType.PONG
-
-    def test_message_ids_are_unique(self):
-        first = Message(MessageType.PING, A, B)
-        second = Message(MessageType.PING, A, B)
-        assert first.msg_id != second.msg_id
 
 
 class TestLatencyModels:
@@ -82,15 +78,16 @@ class TestLatencyModels:
         assert model.loss_probability(A, B) == 0.0
 
     def test_composite_picks_intra_or_inter(self):
-        composite = CompositeLinkModel(
-            site_of={A: "x", B: "y"},
-            intra_site=PerfectLinkModel(latency=0.001),
-            inter_site=PerfectLinkModel(latency=0.5),
-        )
+        def composite(site_of_b):
+            return CompositeLinkModel(
+                site_of={A: "x", B: site_of_b},
+                intra_site=PerfectLinkModel(latency=0.001),
+                inter_site=PerfectLinkModel(latency=0.5),
+            )
+
         rng = RandomStreams(0).stream("x")
-        assert composite.transfer_time(A, B, 0, rng) == 0.5
-        composite.assign(B, "x")
-        assert composite.transfer_time(A, B, 0, rng) == 0.001
+        assert composite("y").transfer_time(A, B, 0, rng) == 0.5
+        assert composite("x").transfer_time(A, B, 0, rng) == 0.001
 
 
 class TestSiteMap:
@@ -116,6 +113,17 @@ class TestSiteMap:
         site_map.place(A, "cluster")
         site_map.place(B, "cluster")
         assert site_map.same_site(A, B)
+
+    def test_every_inter_site_pair_shares_one_wan_model(self):
+        # The transatlantic hop to Wisconsin is not modelled: Lille reaches
+        # Wisconsin through the same WAN model, at the same median, as Orsay.
+        site_map = internet_testbed_spec().site_map
+        lille, orsay, wisconsin = (Address("server", name) for name in ("l", "o", "w"))
+        for address, site in ((lille, "lille"), (orsay, "orsay"), (wisconsin, "wisconsin")):
+            site_map.place(address, site)
+        composite = site_map.link_model()
+        assert composite.resolve_link(lille, wisconsin) is composite.resolve_link(lille, orsay)
+        assert composite.resolve_link(lille, wisconsin) is site_map.inter_site_model
 
     def test_addresses_at_site(self):
         site_map = SiteMap()
@@ -301,6 +309,66 @@ class TestNetwork:
         _ = [reference.random() for _ in range(5)]
         assert rng_a.stream("net.loss").random() == reference.random()
 
+    def test_counts_on_the_monitor_it_was_built_with(self, env):
+        monitor = Monitor()
+        network = Network(env, monitor=monitor)
+        network.register(A)
+        network.register(B)
+        network.send(Message(MessageType.PING, A, B, size_bytes=10))
+        env.run()
+        assert network.monitor is monitor
+        assert monitor.count("net.sent") == monitor.count("net.delivered") == 1
+        assert monitor.count("net.bytes_sent") == 10 + ENVELOPE_OVERHEAD_BYTES
+
+    def test_each_pair_resolves_its_route_once(self, env):
+        resolved = []
+
+        class CountingComposite(CompositeLinkModel):
+            def resolve_link(self, source, dest):
+                resolved.append((source, dest))
+                return super().resolve_link(source, dest)
+
+        network = Network(
+            env,
+            link_model=CountingComposite(
+                site_of={A: "x", B: "y"},
+                intra_site=PerfectLinkModel(),
+                inter_site=PerfectLinkModel(latency=0.5),
+            ),
+        )
+        network.register(A)
+        network.register(B)
+        for _ in range(3):
+            network.send(Message(MessageType.PING, A, B))
+            network.send(Message(MessageType.PONG, B, A))
+        env.run()
+        assert resolved == [(A, B), (B, A)]
+        assert network.stats()["net.delivered"] == 6
+
+    def test_a_dropped_message_is_left_as_sent(self, env):
+        network = Network(env)
+        network.register(A)
+        network.register(B)
+        network.partitions.hide(B, from_source=A)
+        blocked = Message(MessageType.PING, A, B, payload={"n": 1})
+        network.send(blocked)
+        network.partitions.heal_all()
+        network.set_endpoint_up(B, False)
+        refused = Message(MessageType.PING, A, B, payload={"n": 2})
+        network.send(refused)
+        network.set_endpoint_up(B, True)
+        network.send(Message(MessageType.PING, A, B, payload={"n": 3}))
+        env.run()
+        stats = network.stats()
+        assert stats["net.dropped.partition"] == 1 and stats["net.delivered"] == 1
+        assert stats["net.dropped.stale_incarnation"] == 1
+        assert (blocked.mtype, blocked.source, blocked.dest, blocked.payload) == (
+            MessageType.PING, A, B, {"n": 1}
+        )
+        assert (refused.mtype, refused.source, refused.dest, refused.payload) == (
+            MessageType.PING, A, B, {"n": 2}
+        )
+
     def test_delivery_hook_invoked(self, env):
         network = Network(env)
         network.register(A)
@@ -384,8 +452,7 @@ class TestBatchedDelivery:
 class TestCrashedMailboxAndHandlers:
     """Crash / restart against the one-hop batch wake and handler endpoints."""
 
-    def test_mark_down_releases_a_batch_woken_but_not_yet_handed_over(self, env):
-        pool = MessagePool()
+    def test_mark_down_drops_a_batch_woken_but_not_yet_handed_over(self, env):
         network = Network(env, link_model=PerfectLinkModel(latency=0.0))
         network.register(A)
         endpoint = network.register(B)
@@ -400,16 +467,16 @@ class TestCrashedMailboxAndHandlers:
 
         def burst_then_crash(_):
             for n in range(3):
-                network._deliver((pool.acquire(MessageType.PING, A, B, {"n": n}), 0))
-            # The getter is woken (its batch holds all three envelopes) but
+                network._deliver((Message(MessageType.PING, A, B, {"n": n}), 0))
+            # The getter is woken (its batch holds all three messages) but
             # the kernel has not processed it when the host goes down.
-            assert not endpoint.mailbox.items and pool.releases == 0
+            assert not endpoint.mailbox.items
             process.kill("crash")
             assert endpoint.mark_down() == 3
 
         env.call_at(1.0, burst_then_crash)
         env.run()
-        assert batches == [] and pool.releases == 3 and len(endpoint.mailbox) == 0
+        assert batches == [] and len(endpoint.mailbox) == 0
         # The restarted incarnation starts from an empty mailbox.
         endpoint.mark_up()
         env.process(receiver())
@@ -465,63 +532,3 @@ class TestCrashedMailboxAndHandlers:
         network.send(Message(MessageType.PING, A, B))
         env.run()
         assert order == ["hook", "handler"]
-
-
-class TestMessagePool:
-    """Envelope pooling: recycling, the release contract, id monotonicity."""
-
-    def test_acquire_release_reacquire_recycles_the_envelope(self):
-        pool = MessagePool()
-        first = pool.acquire(MessageType.PING, A, B, {"n": 1})
-        assert pool.release(first)
-        second = pool.acquire(MessageType.PONG, B, A, {"n": 2})
-        assert second is first  # same envelope object, fully rewritten
-        assert second.mtype is MessageType.PONG
-        assert second.payload == {"n": 2}
-        assert pool.stats()["hit_rate"] == 0.5  # one miss, one hit
-
-    def test_msg_ids_stay_monotonic_across_recycling(self):
-        pool = MessagePool()
-        seen = []
-        for n in range(5):
-            message = pool.acquire(MessageType.PING, A, B, {"n": n})
-            seen.append(message.msg_id)
-            message.release()
-        assert seen == sorted(seen)
-        assert len(set(seen)) == len(seen)
-        # A plain user-held message keeps drawing from the same sequence.
-        assert Message(MessageType.PING, A, B).msg_id > seen[-1]
-
-    def test_ordinary_message_is_never_pooled(self):
-        pool = MessagePool()
-        message = Message(MessageType.PING, A, B)
-        assert not message.release()
-        assert not pool.release(message)
-        assert pool.stats()["pooled"] == 0
-
-    def test_buckets_keyed_by_payload_shape(self):
-        pool = MessagePool()
-        heartbeat = pool.acquire(MessageType.PING, A, B, {"working_on": None})
-        heartbeat.release()
-        # A different payload shape must not steal the heartbeat envelope.
-        other = pool.acquire(MessageType.PING, A, B, {"job": 1, "rank": 2})
-        assert other is not heartbeat
-        again = pool.acquire(MessageType.PING, A, B, {"working_on": "job-7"})
-        assert again is heartbeat
-
-    def test_full_bucket_drops_release(self):
-        pool = MessagePool(max_per_bucket=1)
-        first = pool.acquire(MessageType.PING, A, B)
-        second = pool.acquire(MessageType.PING, A, B)
-        assert first.release()
-        assert not second.release()
-        stats = pool.stats()
-        assert stats["dropped"] == 1
-        assert stats["pooled"] == 1
-
-    def test_double_release_is_rejected_by_capacity(self, env):
-        # Releasing twice must not create two pooled aliases of one envelope.
-        pool = MessagePool(max_per_bucket=1)
-        message = pool.acquire(MessageType.PING, A, B)
-        assert message.release()
-        assert not message.release()
