@@ -61,9 +61,6 @@ class LoggingConfig:
     capacity_bytes: int = 4 * 1024 * 1024 * 1024
     #: fraction of the capacity to free when garbage collection runs.
     gc_target_fraction: float = 0.5
-    #: whether garbage collection may stall computation instead of flushing
-    #: logs still potentially useful (the paper's alternative trade-off).
-    prefer_stall_over_flush: bool = False
 
     def validate(self) -> None:
         if self.capacity_bytes <= 0:
@@ -93,13 +90,10 @@ class ClientConfig:
     detection: FaultDetectionConfig = field(default_factory=FaultDetectionConfig)
     #: period at which the client pulls the coordinator for results (seconds).
     result_poll_period: float = 1.0
-    #: per-RPC computation the client performs between two submissions
-    #: (seconds); the "inter-RPC application computation time" of Fig. 4's
-    #: discussion.
-    inter_rpc_compute: float = 0.0
     #: how long the client waits for a coordinator reply before re-sending the
     #: request (the coordinator is only *switched* once the suspicion timeout
-    #: elapses without hearing anything from it).
+    #: elapses without hearing anything from it).  README "Requests and
+    #: retries" says what a time-out does for each kind of request.
     request_retry: float = 10.0
 
     def validate(self) -> None:
@@ -107,8 +101,6 @@ class ClientConfig:
         self.detection.validate()
         if self.result_poll_period <= 0:
             raise ConfigurationError("result_poll_period must be positive")
-        if self.inter_rpc_compute < 0:
-            raise ConfigurationError("inter_rpc_compute must be non-negative")
         if self.request_retry <= 0:
             raise ConfigurationError("request_retry must be positive")
 
@@ -144,7 +136,8 @@ class ServerConfig:
     #: previous wait, up to 16 periods; a prompt NO_WORK or a task assignment
     #: brings it back to this period.
     work_poll_period: float = 2.0
-    #: how long the server waits for a coordinator reply before re-sending.
+    #: how long the server waits for a coordinator reply before re-sending
+    #: (README "Requests and retries").
     request_retry: float = 10.0
 
     def validate(self) -> None:

@@ -25,10 +25,11 @@ from typing import Any
 
 from repro.config import ClientConfig, PolicyConfig
 from repro.core.protocol import CallDescription, ResultRecord
+from repro.core.link import CoordinatorLink
 from repro.core.registry import CoordinatorRegistry
 from repro.core.session import Session
 from repro.core.synchronization import ClientSyncPlan
-from repro.detect import FailureDetector, HeartbeatEmitter
+from repro.detect import FailureDetector
 from repro.errors import RPCTimeout, SessionError
 from repro.msglog import GarbageCollector, LoggingEngine, MessageLog
 from repro.net.message import Message, MessageType
@@ -71,8 +72,12 @@ class RPCHandle:
         return self.status is RPCStatus.COMPLETED
 
 
-class ClientComponent:
+class ClientComponent(CoordinatorLink):
     """One RPC-V client running on a volatile host."""
+
+    role = "client"
+    heartbeat_type = MessageType.CLIENT_HEARTBEAT
+    config: ClientConfig
 
     def __init__(
         self,
@@ -83,36 +88,22 @@ class ClientComponent:
         monitor: Monitor | None = None,
         policies: PolicyConfig | None = None,
     ) -> None:
-        self.host = host
-        self.env = host.env
         self.session = session
         #: ``(user, session)``: how coordinators file this session's calls,
         #: and the prefix of every identity it allocates.
         self._session_key = (session.user, session.session_id)
-        self.registry = registry
-        self.config = config or ClientConfig()
-        self.config.validate()
-        self.monitor = monitor or host.monitor
-        #: the ``policy.*`` selection this client's logging policy comes from.
-        self.policies = policies or PolicyConfig()
+        super().__init__(host, registry, config or ClientConfig(), monitor, policies)
 
         # Volatile protocol state (rebuilt by start()).
         self.log: MessageLog
         self.logging: LoggingEngine
         self.gc: GarbageCollector
-        self.detector: FailureDetector
         self.handles: dict[CallIdentity, RPCHandle] = {}
         #: the handles not yet completed, in submission order, by timestamp
         #: (what a result pull names) — maintained by _submit / _complete so
         #: a poll never walks the completed ones.
         self._pending: dict[int, RPCHandle] = {}
-        self._ack_waiters: dict[int, Event] = {}
-        self._sync_waiters: list[Event] = []
         self.completed_count = 0
-        self.started = False
-        self._heartbeat: HeartbeatEmitter | None = None
-
-        host.on_restart(lambda _host: self.start())
         self._init_volatile()
 
     # ------------------------------------------------------------------ setup
@@ -129,65 +120,16 @@ class ClientComponent:
         self.detector = FailureDetector(self.config.detection, FixedTimeoutDetection())
         self.handles = {}
         self._pending = {}
-        self._ack_waiters = {}
-        self._sync_waiters = []
         # Never reuse a timestamp: continue strictly after the durable log.
         last = self.log.max_durable_key()
         self.session.restore_counter(last.rpc if last is not None else 0)
 
-    def setup(self, builder) -> None:
-        """Component lifecycle hook: the grid tier wiring already bound
-        everything this client needs, so there is nothing left to pull off
-        the :class:`~repro.platform.builder.Builder`."""
+    def _spawn_loops(self) -> None:
+        self.host.spawn(self._poll_loop(), name=f"{self.name}:poll")
+        self.host.spawn(self._coordinator_watch_loop(), name=f"{self.name}:watch")
 
-    def start(self) -> None:
-        """(Re)start the client's background processes on its host.
-
-        Called once by the component manager, and again by the host on every
-        restart.
-        """
-        self._init_volatile()
-        self.started = True
-        if self._heartbeat is not None:
-            self._heartbeat.stop()
-        for coordinator in self.registry.known():
-            self.detector.watch(coordinator, self.env.now)
-        self.host.on_message(self._dispatch)
-        self.host.spawn(self._poll_loop(), name=f"{self.address}:poll")
-        self.host.spawn(self._coordinator_watch_loop(), name=f"{self.address}:watch")
-        self._heartbeat = HeartbeatEmitter(
-            host=self.host,
-            config=self.config.detection,
-            mtype=MessageType.CLIENT_HEARTBEAT,
-            targets=lambda: [self.preferred_coordinator()],
-            payload=lambda: {"session": self._session_key},
-        )
-        self._heartbeat.start()
-
-    def stop(self) -> None:
-        """Retire the client: cancel the heart-beat timer (idempotent).
-
-        The host's simulation processes are not killed — that would be a
-        crash, not a shutdown — they simply stop mattering once the
-        environment stops advancing.
-        """
-        self.started = False
-        if self._heartbeat is not None:
-            self._heartbeat.stop()
-
-    @property
-    def name(self) -> str:
-        """Component name (the client's address string)."""
-        return str(self.host.address)
-
-    @property
-    def address(self) -> Address:
-        """Network address of this client."""
-        return self.host.address
-
-    def preferred_coordinator(self) -> Address | None:
-        """The coordinator this client currently talks to."""
-        return self.registry.preferred()
+    def _heartbeat_payload(self) -> dict[str, Any]:
+        return {"session": self._session_key}
 
     # ------------------------------------------------------------- public API
     def call_async(
@@ -297,70 +239,32 @@ class ClientComponent:
 
         # Retry until some coordinator acknowledges the submission.
         while True:
-            coordinator = self.preferred_coordinator()
+            coordinator = self.registry.preferred()
             if coordinator is None:
                 yield self.host.sleep(self.config.request_retry)
                 continue
-            ack_event = self.env.event()
-            self._ack_waiters[timestamp] = ack_event
-            self.host.send(
+            self.monitor.incr("client.submissions_sent")
+            ack = yield from self._request(
                 Message(
                     mtype=MessageType.RPC_SUBMIT,
                     source=self.address,
                     dest=coordinator,
                     payload={"call": description, "timestamp": timestamp},
                     size_bytes=description.wire_bytes,
-                )
+                ),
+                MessageType.SUBMIT_ACK,
+                key=timestamp,
             )
-            self.monitor.incr("client.submissions_sent")
-            yield from self.env.wait_any(
-                [ack_event], timeout=self.config.request_retry
-            )
-            if ack_event.triggered:
+            if ack is not None:
                 break
-            # Timed out: withdraw the stale waiter before the retry installs
-            # a fresh one (a late ack must not resume an abandoned round).
-            if self._ack_waiters.get(timestamp) is ack_event:
-                self._ack_waiters.pop(timestamp)
-            self.monitor.incr("client.submission_retries")
-            self._after_request_timeout(coordinator)
+            self._timed_out(coordinator, "client.submission_retries")
 
-        self._ack_waiters.pop(timestamp, None)
         yield from self.logging.after_send(token)
         self.logging.ack(identity)
         self.gc.maybe_collect()
         if not handle.submitted_event.triggered:
             handle.submitted_event.succeed(handle)
-        if self.config.inter_rpc_compute:
-            yield self.host.sleep(self.config.inter_rpc_compute)
         return handle
-
-    def _after_request_timeout(self, coordinator: Address) -> None:
-        """Decide whether a request timeout warrants switching coordinator."""
-        if self.detector.is_suspected(coordinator, self.env.now):
-            self.switch_coordinator(away_from=coordinator)
-
-    def switch_coordinator(self, away_from: Address | None = None) -> Address | None:
-        """Suspect the current coordinator and move to another one."""
-        previous = self.preferred_coordinator()
-        new = self.registry.switch_preferred(away_from=away_from or previous)
-        if new is not None and new != previous:
-            self.monitor.incr("client.coordinator_switches")
-            self.monitor.trace(
-                self.env.now,
-                "client-switch",
-                client=str(self.address),
-                from_coordinator=str(previous) if previous else None,
-                to_coordinator=str(new),
-            )
-            self.host.spawn(self._sync_after_switch(new), name=f"{self.address}:sync")
-        return new
-
-    def _sync_after_switch(self, coordinator: Address):
-        try:
-            yield from self.synchronize(coordinator)
-        except ProcessKilled:  # pragma: no cover - host crash
-            raise
 
     # ----------------------------------------------------------- synchronization
     def synchronize(self, coordinator: Address | None = None):
@@ -371,7 +275,7 @@ class ClientComponent:
         results already known by the coordinator are collected immediately at
         the next poll.
         """
-        coordinator = coordinator or self.preferred_coordinator()
+        coordinator = coordinator or self.registry.preferred()
         if coordinator is None:
             return None
         durable_keys = sorted(key.rpc for key in self.log.durable_keys())
@@ -379,9 +283,7 @@ class ClientComponent:
         yield from self.host.disk_read(
             max(64 * len(durable_keys), 64) if durable_keys else 64
         )
-        reply_event = self.env.event()
-        self._sync_waiters.append(reply_event)
-        self.host.send(
+        reply = yield from self._request(
             Message(
                 mtype=MessageType.CLIENT_SYNC,
                 source=self.address,
@@ -392,15 +294,13 @@ class ClientComponent:
                     "max_timestamp": max(durable_keys, default=0),
                 },
                 size_bytes=64 + 8 * len(durable_keys),
-            )
+            ),
+            MessageType.COORD_SYNC_REPLY,
         )
-        yield from self.env.wait_any([reply_event], timeout=self.config.request_retry)
-        if reply_event in self._sync_waiters:
-            self._sync_waiters.remove(reply_event)
-        if not reply_event.triggered:
+        if reply is None:
             self.monitor.incr("client.sync_timeouts")
             return None
-        payload = reply_event.value
+        payload = reply.payload
         plan = ClientSyncPlan(
             client_must_resend=list(payload.get("client_must_resend", [])),
             client_lost=list(payload.get("client_lost", [])),
@@ -446,29 +346,18 @@ class ClientComponent:
         return plan
 
     # ----------------------------------------------------------------- loops
-    def _dispatch(self, message: Message) -> None:
-        self.detector.heard_from(message.source, self.env.now)
-        self.registry.rehabilitate(message.source)
+    def _on_message(self, message: Message) -> None:
         mtype = message.mtype
         if mtype is MessageType.SUBMIT_ACK:
             timestamp = int(message.payload.get("timestamp", 0))
             identity = CallIdentity(*self._session_key, timestamp)
             self.logging.ack(identity)
-            waiter = self._ack_waiters.pop(timestamp, None)
-            if waiter is not None and not waiter.triggered:
-                waiter.succeed(message.payload)
             handle = self.handles.get(identity)
             if handle and not handle.submitted_event.triggered:
                 handle.submitted_event.succeed(handle)
         elif mtype is MessageType.RESULT_REPLY:
             for result_payload in message.payload.get("results", []):
                 self._complete(ResultRecord.from_payload(result_payload))
-        elif mtype is MessageType.COORD_SYNC_REPLY:
-            if self._sync_waiters:
-                waiter = self._sync_waiters.pop(0)
-                if not waiter.triggered:
-                    waiter.succeed(message.payload)
-        # Heart-beat style messages carry no action for the client.
 
     def _complete(self, result: ResultRecord) -> None:
         handle = self.handles.get(result.identity)
@@ -488,7 +377,7 @@ class ClientComponent:
         try:
             while True:
                 yield self.host.sleep(self.config.result_poll_period)
-                coordinator = self.preferred_coordinator()
+                coordinator = self.registry.preferred()
                 if coordinator is None:
                     continue
                 pending = list(self._pending)
@@ -511,7 +400,7 @@ class ClientComponent:
         try:
             while True:
                 yield self.host.sleep(self.config.detection.heartbeat_period)
-                coordinator = self.preferred_coordinator()
+                coordinator = self.registry.preferred()
                 if coordinator is None:
                     self.registry.switch_preferred()
                     continue

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 from repro.core.protocol import ReplicaEntry, TaskRecord
+from repro.core.synchronization import merge_max_timestamps
 from repro.types import TaskState
 
 __all__ = ["ReplicaState", "MergeOutcome", "build_state", "merge_state", "state_precedence"]
@@ -206,8 +207,7 @@ def merge_state(
         outcome.changed.append(existing.identity)
         if entry.state is TaskState.FINISHED:
             outcome.newly_finished.append(existing.identity)
-    for key, timestamp in state.client_timestamps.items():
-        if timestamp > client_timestamps.get(key, 0):
-            client_timestamps[key] = timestamp
-            outcome.timestamps_advanced += 1
+    outcome.timestamps_advanced = merge_max_timestamps(
+        client_timestamps, state.client_timestamps
+    )
     return outcome

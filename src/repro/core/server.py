@@ -15,15 +15,16 @@ from __future__ import annotations
 from typing import Any
 
 from repro.config import PolicyConfig, ServerConfig
+from repro.core.link import CoordinatorLink
 from repro.core.protocol import CallDescription, ResultRecord
 from repro.core.registry import CoordinatorRegistry
 from repro.core.services import ServiceRegistry, default_registry
-from repro.detect import FailureDetector, HeartbeatEmitter
+from repro.detect import FailureDetector
 from repro.policies.resolve import make_policy
 from repro.msglog import MessageLog
 from repro.net.message import Message, MessageType
 from repro.nodes.node import Host
-from repro.sim.core import Event, ProcessKilled
+from repro.sim.core import ProcessKilled
 from repro.sim.monitor import Monitor
 from repro.types import Address
 
@@ -36,8 +37,12 @@ LATE_NO_WORK_SHARE = 0.25
 IDLE_BACKOFF_CAP = 16
 
 
-class ServerComponent:
+class ServerComponent(CoordinatorLink):
     """One worker of the desktop grid."""
+
+    role = "server"
+    heartbeat_type = MessageType.SERVER_HEARTBEAT
+    config: ServerConfig
 
     def __init__(
         self,
@@ -48,133 +53,41 @@ class ServerComponent:
         monitor: Monitor | None = None,
         policies: PolicyConfig | None = None,
     ) -> None:
-        self.host = host
-        self.env = host.env
-        self.registry = registry
-        self.config = config or ServerConfig()
-        self.config.validate()
         self.services = services or default_registry()
-        self.monitor = monitor or host.monitor
-        self.name = str(host.address)
-        #: the ``policy.*`` selection; only the detection entry matters
-        #: for a server (scheduling and replication are coordinator-side).
-        self.policies = policies or PolicyConfig()
+        super().__init__(host, registry, config or ServerConfig(), monitor, policies)
 
         # Volatile state (rebuilt by start()).
         self.result_log: MessageLog
-        self.detector: FailureDetector
         self.executed_count = 0
         self.current_task: CallDescription | None = None
-        self._reply_waiters: list[tuple[set[MessageType], Event]] = []
-        self.started = False
-        self._heartbeat: HeartbeatEmitter | None = None
-
-        host.on_restart(lambda _host: self.start())
 
     # ------------------------------------------------------------------ setup
-    def setup(self, builder) -> None:
-        """Component lifecycle hook: the grid tier wiring already bound
-        everything this server needs."""
-
-    def _make_detector(self) -> FailureDetector:
-        """Fresh coordinator detector for one incarnation (policy bound)."""
+    def _init_volatile(self) -> None:
+        self.result_log = MessageLog(self.host, f"server:{self.host.address.name}")
+        # A fresh coordinator detector per incarnation, its policy bound;
+        # only the detection entry of ``policies`` matters for a server.
         policy = make_policy("detection", self.policies.detection)
         policy.bind(owner=self.name, rng=self.host.rng, monitor=self.monitor)
-        return FailureDetector(self.config.detection, policy=policy)
-
-    def start(self) -> None:
-        """(Re)start the server loops; unacknowledged results are resynced."""
-        self.result_log = MessageLog(self.host, f"server:{self.host.address.name}")
-        self.detector = self._make_detector()
+        self.detector = FailureDetector(self.config.detection, policy=policy)
         self.current_task = None
-        self._reply_waiters = []
-        self.started = True
-        if self._heartbeat is not None:
-            self._heartbeat.stop()
-        for coordinator in self.registry.known():
-            self.detector.watch(coordinator, self.env.now)
-        self.host.on_message(self._dispatch)
+
+    def _spawn_loops(self) -> None:
+        # Unacknowledged results are resynced first thing (see _work_loop).
         self.host.spawn(self._work_loop(), name=f"{self.name}:work")
-        self._heartbeat = HeartbeatEmitter(
-            host=self.host,
-            config=self.config.detection,
-            mtype=MessageType.SERVER_HEARTBEAT,
-            targets=lambda: [self.preferred_coordinator()],
-            # The heart-beat reports which task (if any) the server is working
-            # on: the coordinator uses it to re-queue tasks whose execution was
-            # lost in a crash/restart it never got to observe directly.
-            payload=lambda: {
-                "working_on": (
-                    self.current_task.identity if self.current_task is not None else None
-                )
-            },
-        )
-        self._heartbeat.start()
 
-    def stop(self) -> None:
-        """Retire the server: cancel the heart-beat timer (idempotent)."""
-        self.started = False
-        if self._heartbeat is not None:
-            self._heartbeat.stop()
+    def _heartbeat_payload(self) -> dict[str, Any]:
+        # The heart-beat reports which task (if any) the server is working
+        # on: the coordinator uses it to re-queue tasks whose execution was
+        # lost in a crash/restart it never got to observe directly.
+        return {
+            "working_on": (
+                self.current_task.identity if self.current_task is not None else None
+            )
+        }
 
-    @property
-    def address(self) -> Address:
-        """Network address of this server."""
-        return self.host.address
-
-    def preferred_coordinator(self) -> Address | None:
-        """The coordinator this server currently pulls work from."""
-        return self.registry.preferred()
-
-    # ------------------------------------------------------------------ messaging
-    def _dispatch(self, message: Message) -> None:
-        self.detector.heard_from(message.source, self.env.now)
-        self.registry.rehabilitate(message.source)
+    def _on_message(self, message: Message) -> None:
         if message.mtype is MessageType.TASK_RESULT_ACK:
             self.result_log.mark_acked(message.payload["identity"])
-        # Wake up whichever request is waiting for this kind of reply.
-        for index, (expected, waiter) in enumerate(list(self._reply_waiters)):
-            if message.mtype in expected and not waiter.triggered:
-                self._reply_waiters.pop(index)
-                waiter.succeed(message)
-                break
-
-    def _request(self, message: Message, expected: set[MessageType], timeout: float):
-        """Send ``message`` and wait for one of ``expected`` (or time out).
-
-        Generator returning the reply message or ``None`` on timeout.
-        """
-        waiter = self.env.event()
-        self._reply_waiters.append((expected, waiter))
-        self.host.send(message)
-        yield from self.env.wait_any([waiter], timeout=timeout)
-        if waiter.triggered:
-            return waiter.value
-        if (expected, waiter) in self._reply_waiters:
-            self._reply_waiters.remove((expected, waiter))
-        return None
-
-    def _after_timeout(self, coordinator: Address) -> None:
-        """Switch coordinator when the detection policy suspects it.
-
-        Under the default fixed-timeout policy this is exactly the
-        historical rule: silence beyond ``suspicion_timeout`` seconds.
-        """
-        if self.detector.is_suspected(coordinator, self.env.now):
-            previous = coordinator
-            new = self.registry.switch_preferred(away_from=coordinator)
-            if new is not None and new != previous:
-                self.monitor.incr("server.coordinator_switches")
-                self.monitor.trace(
-                    self.env.now,
-                    "server-switch",
-                    server=self.name,
-                    from_coordinator=str(previous),
-                    to_coordinator=str(new),
-                )
-                self.host.spawn(
-                    self._sync_with(new), name=f"{self.name}:sync"
-                )
 
     # ------------------------------------------------------------------ work loop
     def _work_loop(self):
@@ -182,11 +95,11 @@ class ServerComponent:
             # Resynchronise with the coordinator on every (re)connection: the
             # peer-wise log comparison tells it which results we still hold
             # and lets it re-queue tasks it believed we were running.
-            yield from self._sync_with(self.preferred_coordinator())
+            yield from self.synchronize()
             period = self.config.work_poll_period
             idle_wait = period
             while True:
-                coordinator = self.preferred_coordinator()
+                coordinator = self.registry.preferred()
                 if coordinator is None:
                     yield self.host.sleep(period)
                     continue
@@ -198,12 +111,10 @@ class ServerComponent:
                         dest=coordinator,
                         size_bytes=64,
                     ),
-                    expected={MessageType.TASK_ASSIGN, MessageType.NO_WORK},
-                    timeout=self.config.request_retry,
+                    MessageType.TASK_ASSIGN,  # or NO_WORK
                 )
                 if reply is None:
-                    self.monitor.incr("server.request_timeouts")
-                    self._after_timeout(coordinator)
+                    self._timed_out(coordinator, "server.request_timeouts")
                     continue
                 if reply.mtype is MessageType.NO_WORK:
                     # A late answer means a busy coordinator: double the
@@ -265,7 +176,7 @@ class ServerComponent:
             record = self.result_log.get(key)
             if record is not None and record.acked:
                 return
-            coordinator = self.preferred_coordinator()
+            coordinator = self.registry.preferred()
             if coordinator is None:
                 yield self.host.sleep(self.config.work_poll_period)
                 continue
@@ -277,19 +188,20 @@ class ServerComponent:
                     payload={"result": result.to_payload()},
                     size_bytes=result.size_bytes,
                 ),
-                expected={MessageType.TASK_RESULT_ACK},
-                timeout=self.config.request_retry,
+                MessageType.TASK_RESULT_ACK,
             )
             if reply is not None:
                 self.result_log.mark_acked(key)
                 self.monitor.incr("server.results_uploaded")
                 return
-            self.monitor.incr("server.result_upload_retries")
-            self._after_timeout(coordinator)
+            self._timed_out(coordinator, "server.result_upload_retries")
 
     # ------------------------------------------------------------------ sync
-    def _sync_with(self, coordinator: Address | None):
-        """Peer-wise log comparison with ``coordinator``; resend what it lacks."""
+    def synchronize(self, coordinator: Address | None = None):
+        """Peer-wise log comparison with ``coordinator`` (the preferred one by
+        default); resend what it lacks.  Generator returning the reply
+        payload, or ``None`` when no coordinator replied."""
+        coordinator = coordinator or self.registry.preferred()
         if coordinator is None:
             return None
         unacked = self.result_log.unacked_durable()
@@ -302,8 +214,7 @@ class ServerComponent:
                 payload={"result_keys": [r.key for r in unacked]},
                 size_bytes=64 + 16 * len(unacked),
             ),
-            expected={MessageType.COORD_SYNC_REPLY},
-            timeout=self.config.request_retry,
+            MessageType.COORD_SYNC_REPLY,
         )
         if reply is None:
             self.monitor.incr("server.sync_timeouts")

@@ -8,10 +8,7 @@ experiments:
 * only **acknowledged** records are ever flushed (never the only remaining
   copy of information the peer has not confirmed — protocol invariant 7);
 * collection is triggered locally when the configured capacity is exceeded,
-  or explicitly by the user;
-* when flushing acknowledged records is not enough and
-  ``prefer_stall_over_flush`` is set, the collector reports that the caller
-  should stall submissions instead of flushing unacknowledged records.
+  or explicitly by the user.
 """
 
 from __future__ import annotations
@@ -33,9 +30,6 @@ class GCReport:
     bytes_flushed: int = 0
     bytes_before: int = 0
     bytes_after: int = 0
-    #: True when the collector could not reach its target without touching
-    #: unacknowledged records and the policy says to stall submissions.
-    should_stall: bool = False
 
 
 class GarbageCollector:
@@ -78,15 +72,10 @@ class GarbageCollector:
 
         self.collections += 1
         self.total_flushed_bytes += flushed_bytes
-        after = self.log.total_bytes()
-        should_stall = (
-            after > self.config.capacity_bytes and self.config.prefer_stall_over_flush
-        )
         return GCReport(
             triggered=True,
             records_flushed=flushed,
             bytes_flushed=flushed_bytes,
             bytes_before=before,
-            bytes_after=after,
-            should_stall=should_stall,
+            bytes_after=self.log.total_bytes(),
         )

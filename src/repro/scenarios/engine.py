@@ -192,7 +192,7 @@ class FaultPlan:
 
 #: declared scalar type of a config field -> the Python types an override
 #: may carry (an int may stand for a float; a bool never stands for a number).
-_SCALAR_FIELD_TYPES = {"float": (int, float), "int": (int,), "bool": (bool,)}
+_SCALAR_FIELD_TYPES = {"float": (int, float), "int": (int,)}
 
 
 def _config_fields(target: Any) -> dict[str, Any]:
@@ -220,9 +220,7 @@ def _check_override_value(path: str, target: Any, field: Any, value: Any) -> Non
         if allowed is None:
             # ``Any``: a policy entry, shape-checked by PolicyConfig.validate().
             return
-        if isinstance(value, allowed) and (
-            declared == "bool" or not isinstance(value, bool)
-        ):
+        if isinstance(value, allowed) and not isinstance(value, bool):
             return
         expected = f"type {declared}"
     raise ConfigurationError(

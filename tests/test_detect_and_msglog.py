@@ -521,14 +521,3 @@ class TestGarbageCollection:
         report = collector.collect()
         assert report.records_flushed == 0
         assert len(log) == 10
-
-    def test_stall_preference_reported(self, env):
-        log = self._log_with_records(env, n=10, size=100, acked=False)
-        collector = GarbageCollector(
-            log,
-            LoggingConfig(
-                capacity_bytes=500, gc_target_fraction=0.5, prefer_stall_over_flush=True
-            ),
-        )
-        report = collector.collect()
-        assert report.should_stall

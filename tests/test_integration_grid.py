@@ -455,6 +455,125 @@ class TestFaultTolerance:
         assert noisy.faults_injected > 0
 
 
+def record_sends(grid, host, mtypes):
+    """``(time, mtype, dest)`` of each ``mtypes`` message ``host`` sends."""
+    sent = []
+    send = host.send
+
+    def recording(message):
+        if message.mtype in mtypes:
+            sent.append((round(grid.env.now, 3), message.mtype, message.dest))
+        return send(message)
+
+    host.send = recording
+    return sent
+
+
+class TestCoordinatorRequests:
+    """Every exchange with a coordinator: re-send, switch, resync."""
+
+    def test_a_client_re_sends_then_switches_once_its_coordinator_is_suspected(self):
+        # An 8 s retry times out at 32 s, past the 30 s suspicion timeout
+        # and before the client's 5 s watch loop looks again at 35 s: the
+        # time-out itself makes the switch.
+        protocol = ProtocolConfig()
+        protocol.client.request_retry = 8.0
+        grid = small_grid(protocol=protocol, n_servers=2, n_coordinators=2)
+        first, second = (host.address for host in grid.coordinator_hosts())
+        sent = record_sends(
+            grid, grid.client.host, {MessageType.RPC_SUBMIT, MessageType.CLIENT_SYNC}
+        )
+        grid.coordinator_hosts()[0].crash()
+        workload = SyntheticWorkload(n_calls=4, exec_time=5.0)
+        process = grid.run_process(workload.run(grid.client))
+        assert grid.run_until(process, timeout=3000.0)
+        assert workload.completed_count() == 4
+        # Re-sent every 8 s to the dead coordinator; the time-out at 32 s
+        # switches, the round goes to the other one and a sync follows.
+        assert sent[:4] == [
+            (at, MessageType.RPC_SUBMIT, first) for at in (0.0, 8.0, 16.0, 24.0)
+        ]
+        assert sent[4] == (32.0, MessageType.RPC_SUBMIT, second)
+        assert sent[5][1:] == (MessageType.CLIENT_SYNC, second)
+        assert all(dest == second for _at, _mtype, dest in sent[4:])
+        counters = grid.monitor.counters
+        assert counters["client.submission_retries"] == 4
+        assert counters["client.coordinator_switches"] == 1
+        assert counters["client.syncs"] == 1
+        assert "client.coordinator_suspicions" not in counters
+
+    def test_a_late_submit_ack_answers_the_live_round_not_the_abandoned_one(self):
+        grid = small_grid(n_servers=1, n_coordinators=1)
+        coordinator = grid.coordinator_hosts()[0]
+        held = []
+        send = coordinator.send
+
+        def hold_early_acks(message):
+            if message.mtype is MessageType.SUBMIT_ACK and grid.env.now < 25.0:
+                held.append(message)
+                return None
+            return send(message)
+
+        coordinator.send = hold_early_acks
+        # Rounds go out at 0, 10 and 20 s; the first round's ack turns up at
+        # 25 s, long after that round timed out.
+        grid.env.call_at(25.0, lambda _arg: grid.client._dispatch(held[0]))
+        submitted = []
+
+        def one_call():
+            handle = yield from grid.client.call_async("sleep", exec_time=1.0)
+            submitted.append(grid.env.now)
+            yield from grid.client.wait(handle)
+
+        process = grid.run_process(one_call())
+        assert grid.run_until(process, timeout=500.0)
+        assert len(held) == 3
+        # The live third round takes the ack at once: no fourth round at 30 s.
+        assert submitted == [25.0]
+        assert grid.monitor.count("client.submission_retries") == 2
+        assert grid.monitor.count("client.submissions_sent") == 3
+
+    def test_a_result_upload_to_a_killed_coordinator_is_acked_once_elsewhere(self):
+        grid = small_grid(n_servers=1, n_coordinators=2)
+        server = grid.servers[0]
+        second = grid.coordinator_hosts()[1].address
+        sent = record_sends(grid, server.host, {MessageType.TASK_RESULT})
+        workload = SyntheticWorkload(n_calls=1, exec_time=20.0)
+        process = grid.run_process(workload.run(grid.client))
+        # Killed while the server executes: its upload at ~20 s goes nowhere.
+        grid.env.call_at(8.0, lambda _arg: grid.coordinator_hosts()[0].crash())
+        assert grid.run_until(process, timeout=3000.0)
+        assert workload.completed_count() == 1
+        counters = grid.monitor.counters
+        assert counters["server.result_upload_retries"] == 1
+        assert counters["server.coordinator_switches"] == 1
+        assert counters["server.syncs"] == 2  # at start, then after the switch
+        assert counters["server.results_uploaded"] == 1
+        assert counters["coordinator.duplicate_results"] == 0
+        assert [dest for _at, _mtype, dest in sent][1:] == [second]
+        assert not server.result_log.unacked_durable()
+
+    def test_a_sync_with_a_dead_coordinator_times_out_with_none(self):
+        grid = small_grid(n_servers=1, n_coordinators=2)
+        dead = grid.coordinator_hosts()[1]
+        dead.crash()
+        outcome = []
+
+        def sync():
+            started = grid.env.now
+            plan = yield from grid.client.synchronize(dead.address)
+            outcome.append((plan, grid.env.now - started))
+
+        process = grid.run_process(sync())
+        assert grid.run_until(process, timeout=100.0)
+        [(plan, waited)] = outcome
+        assert plan is None
+        # One attempt: a log read, then one request_retry of silence.
+        assert waited == pytest.approx(grid.client.config.request_retry, abs=0.05)
+        assert grid.monitor.count("client.sync_timeouts") == 1
+        assert "client.syncs" not in grid.monitor.counters
+
+
 #: Fig. 4's strategies -> the ``policy.log.*`` entry implementing each.
 LOGGING_POLICIES = {
     policy.strategy: policy.key

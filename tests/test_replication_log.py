@@ -289,3 +289,32 @@ def test_a_scripted_coordinator_kill_is_a_counted_fault():
     ]
     report = _fault_cell({"name": "inject.script", "params": {"events": events}})
     assert (report.completed, report.faults_injected) == (8, 1)
+
+
+class TestNoCallLostWhileACoordinatorSurvives:
+    """No submitted call is lost while any coordinator survives (ROADMAP item 1).
+
+    ``benchmarks/coordinator_loss_sweep.py`` runs the whole probe: every pair
+    of the four coordinators killed for good at 5, 10, ..., 60 s.
+    """
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: killing cluster-k0 and cluster-k1 for good at "
+        "20 s completes 64 / 96 calls (client.sync_timeouts 1, "
+        "client.sync_resends 32, client.coordinator_switches 2); the same "
+        "kill at 15 s completes 24 / 96",
+    )
+    def test_two_of_four_coordinators_killed_for_good(self):
+        events = [
+            {"time": 20.0, "action": "kill", "target": f"cluster-{name}"}
+            for name in ("k0", "k1")
+        ]
+        report = execute_benchmark(
+            GridTopology(n_servers=16, n_coordinators=4),
+            WorkloadSpec(n_calls=96, exec_time=10.0),
+            seed=7,
+            horizon=2000.0,
+            components=[{"name": "inject.script", "params": {"events": events}}],
+        )
+        assert report.completed == 96

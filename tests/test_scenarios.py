@@ -182,7 +182,6 @@ class TestProtocolResolution:
             ("coordinator.replication.period", "abc", "type float"),
             ("coordinator.replication.period", True, "type float"),
             ("client.logging.capacity_bytes", 1.5, "type int"),
-            ("client.logging.prefer_stall_over_flush", 1, "type bool"),
         ],
     )
     def test_a_wrongly_typed_override_is_rejected_at_the_assignment(
