@@ -111,11 +111,7 @@ def _delta_round(n: int) -> Callable[[], int]:
     def step() -> int:
         for key in dirty:
             index.note(tasks[key], key)
-        build_state(
-            "k0", tasks, {}, [],
-            only_keys=index.table_ordered(dirty_set),
-            entry_for=index.replica_entry,
-        )
+        build_state("k0", tasks, {}, [], only_keys=index.table_ordered(dirty_set))
         return 1
 
     return step

@@ -234,7 +234,7 @@ class ClientComponent(CoordinatorLink):
         self._pending[timestamp] = handle
 
         token = yield from self.logging.before_send(
-            identity, {"call": description}, description.wire_bytes
+            identity, description, description.wire_bytes
         )
 
         # Retry until some coordinator acknowledges the submission.
@@ -327,7 +327,7 @@ class ClientComponent(CoordinatorLink):
                     mtype=MessageType.RPC_SUBMIT,
                     source=self.address,
                     dest=coordinator,
-                    payload={"call": record.payload["call"], "timestamp": timestamp},
+                    payload={"call": record.payload, "timestamp": timestamp},
                     size_bytes=record.size_bytes,
                 )
             )
@@ -356,8 +356,8 @@ class ClientComponent(CoordinatorLink):
             if handle and not handle.submitted_event.triggered:
                 handle.submitted_event.succeed(handle)
         elif mtype is MessageType.RESULT_REPLY:
-            for result_payload in message.payload.get("results", []):
-                self._complete(ResultRecord.from_payload(result_payload))
+            for result in message.payload.get("results", []):
+                self._complete(result)
 
     def _complete(self, result: ResultRecord) -> None:
         handle = self.handles.get(result.identity)

@@ -549,15 +549,13 @@ class CoordinatorComponent:
         user, session = message.payload.get("session", ("", ""))
         pending = message.payload.get("pending")
         wanted = {int(ts) for ts in pending} if pending is not None else None
-        ready: list[dict[str, Any]] = []
+        ready: list[ResultRecord] = []
         total_bytes = 0
         # A pull with an empty pending set can match nothing — skip the
         # lookup entirely (idle clients poll every second).
         if wanted is None or wanted:
-            held, missing = self.index.pull_view((user, session), wanted)
-            for result in held:
-                ready.append(result.to_payload())
-                total_bytes += result.size_bytes
+            ready, missing = self.index.pull_view((user, session), wanted)
+            total_bytes = sum(result.size_bytes for result in ready)
             # Completions we only know through replication: fetch their
             # archives from the coordinator that produced/holds them, so a
             # later pull can deliver them (archives are never replicated
@@ -652,7 +650,7 @@ class CoordinatorComponent:
     def _on_task_result(self, message: Message):
         server = message.source
         self._hear_server(server)
-        result = ResultRecord.from_payload(message.payload["result"])
+        result = message.payload["result"]
         key = result.identity
         task = self.tasks.get(key)
         newly_finished = False
@@ -785,7 +783,7 @@ class CoordinatorComponent:
         self.host.send(
             message.reply(
                 MessageType.ARCHIVE_REPLY,
-                payload={"identity": key, "result": result.to_payload()},
+                payload={"identity": key, "result": result},
                 size_bytes=result.size_bytes,
             )
         )
@@ -795,7 +793,7 @@ class CoordinatorComponent:
         self._archive_fetches_in_flight.pop(key, None)
         if message.payload.get("missing"):
             return
-        result = ResultRecord.from_payload(message.payload["result"])
+        result = message.payload["result"]
         if self._store_result(key, result):
             yield from self.host.disk_write(result.size_bytes)
             task = self.tasks.get(key)
@@ -815,7 +813,6 @@ class CoordinatorComponent:
             known_coordinators=[(c.kind, c.name) for c in self.registry.known()],
             only_keys=keys,
             now=self.env.now,
-            entry_for=self.index.replica_entry,
         )
 
     def replicate(self, targets: list[Address], quorum: int = 1):
@@ -839,7 +836,7 @@ class CoordinatorComponent:
             "needed": quorum,
         }
         self._rounds[round_id] = waiter
-        payload = {"state": state.to_payload(), "round": round_id}
+        payload = {"state": state, "round": round_id}
         for target in targets:
             self.host.send(
                 Message(
@@ -916,14 +913,14 @@ class CoordinatorComponent:
         self.host.send(
             message.reply(
                 MessageType.REPLICA_STATE,
-                payload={"state": state.to_payload(), "round": -1},
+                payload={"state": state, "round": -1},
                 size_bytes=state.size_bytes,
             )
         )
         self.monitor.incr("coordinator.replica_pulls_served")
 
     def _on_replica_state(self, message: Message):
-        state = ReplicaState.from_payload(message.payload["state"])
+        state: ReplicaState = message.payload["state"]
         if state.origin != self.name:
             self._replica_freshness[state.origin] = max(
                 self._replica_freshness.get(state.origin, float("-inf")),

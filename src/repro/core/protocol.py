@@ -6,8 +6,8 @@ databases, client logs and server logs.  Components exchange *descriptions*
 (a job is "very close to a remote execution call": command line plus an
 optional archive), not live objects.
 
-A call travels as immutable objects, carried in payloads by reference and
-never re-serialised:
+A call and its result travel as immutable objects, carried in payloads by
+reference and never re-serialised:
 
 * its :class:`~repro.types.CallIdentity`, the tuple every table keys on;
 * its :class:`CallDescription`, a frozen dataclass: the client builds one per
@@ -15,20 +15,21 @@ never re-serialised:
   task table share that object;
 * a :class:`ReplicaEntry` per task in a state abstract: a tuple snapshot of
   one :class:`TaskRecord` that holds the description, the state and the
-  server address themselves.
+  server address themselves;
+* its :class:`ResultRecord`, a frozen dataclass built once by the server that
+  ran the call: the server's result log, the upload, the coordinator's
+  result table, result and archive replies and the client's handle all hold
+  that object.
 
-So a grid holds one identity and one description object per call, however
-many replicas and logs file it.  Only :class:`ResultRecord` still converts
-to and from a dictionary: its ``value`` and ``meta`` are mutable, and a
-payload must not alias them.
+So a grid holds one identity, one description and one result object per
+call, however many replicas and logs file it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, NamedTuple
 
-from repro.net.message import snapshot_payload
 from repro.types import Address, CallIdentity, TaskState
 
 __all__ = [
@@ -91,16 +92,23 @@ class TaskRecord:
         return self.call.identity
 
     def to_replica_entry(self) -> ReplicaEntry:
-        """The snapshot of this record shipped inside REPLICA_STATE messages."""
-        return ReplicaEntry(
-            self.call,
-            self.state,
-            self.owner,
-            self.assigned_server,
-            self.attempts,
-            self.submitted_at,
-            self.finished_at,
-            self.archive_holder,
+        """The snapshot of this record shipped inside REPLICA_STATE messages.
+
+        Built as one tuple, skipping the named tuple's keyword ``__new__``:
+        every replication round snapshots each record it lists.
+        """
+        return tuple.__new__(
+            ReplicaEntry,
+            (
+                self.call,
+                self.state,
+                self.owner,
+                self.assigned_server,
+                self.attempts,
+                self.submitted_at,
+                self.finished_at,
+                self.archive_holder,
+            ),
         )
 
     @classmethod
@@ -139,45 +147,15 @@ class ReplicaEntry(NamedTuple):
         return TASK_DESCRIPTION_BYTES + self.call.params_bytes
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class ResultRecord:
-    """The result archive of one finished task."""
+    """The result archive of one finished task, shared by reference."""
 
     identity: CallIdentity
     size_bytes: int
     produced_by: Address | None = None
     produced_at: float = 0.0
     #: opaque result value (live runtime / examples); simulations carry None.
+    #: The producer snapshots it once, so no holder aliases the service's
+    #: own objects.
     value: Any = None
-    meta: dict[str, Any] = field(default_factory=dict)
-
-    def to_payload(self) -> dict[str, Any]:
-        """Dictionary form carried in RESULT_REPLY / TASK_RESULT messages.
-
-        Built field by field (``dataclasses.asdict`` deep-copies recursively,
-        identity and address included); ``value`` and ``meta`` are still
-        copied, so a payload never aliases the record.
-        """
-        producer = self.produced_by
-        return {
-            "identity": self.identity,
-            "size_bytes": self.size_bytes,
-            "produced_by": (producer.kind, producer.name) if producer else None,
-            "produced_at": self.produced_at,
-            "value": snapshot_payload(self.value),
-            "meta": snapshot_payload(self.meta),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "ResultRecord":
-        """Rebuild a result record from its dictionary form."""
-        produced_by = payload.get("produced_by")
-        return cls(
-            identity=payload["identity"],
-            size_bytes=int(payload["size_bytes"]),
-            produced_by=Address(*produced_by) if produced_by else None,
-            produced_at=float(payload.get("produced_at", 0.0)),
-            value=payload.get("value"),
-            meta=dict(payload.get("meta", {})),
-        )
-

@@ -9,8 +9,10 @@ result file archives, which are never replicated.
 
 An abstract lists one immutable :class:`~repro.core.protocol.ReplicaEntry`
 per task, and an entry holds the call's description by reference.  Building,
-sending and merging an abstract copy no task data: the receiver reads the
-sender's entry objects, and a task new to the receiver shares the sender's
+sending and merging an abstract copy no task data: a round's
+:class:`ReplicaState` is itself the message payload, built once and never
+changed after, so every receiver reads the sender's entry objects, and a task
+new to a receiver shares the sender's
 :class:`~repro.core.protocol.CallDescription`.
 
 This module is pure data manipulation (building and merging state abstracts);
@@ -21,7 +23,7 @@ timing behaviour is visible to the simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from repro.core.protocol import ReplicaEntry, TaskRecord
 from repro.core.synchronization import merge_max_timestamps
@@ -51,8 +53,8 @@ class ReplicaState:
     known_coordinators: list[tuple[str, str]] = field(default_factory=list)
     sent_at: float = 0.0
     #: wire bytes of ``entries``, accumulated while building (``None`` means
-    #: unknown — e.g. a hand-assembled or payload-reconstructed state — and
-    #: :attr:`size_bytes` falls back to walking the entries).
+    #: unknown — e.g. a hand-assembled state — and :attr:`size_bytes` falls
+    #: back to walking the entries).
     entries_bytes: int | None = None
 
     @property
@@ -71,31 +73,6 @@ class ReplicaState:
         total += 32 * len(self.known_coordinators)
         return total
 
-    def to_payload(self) -> dict[str, Any]:
-        """Dictionary form carried in REPLICA_STATE messages.
-
-        The entries are immutable, so the payload lists the builder's own
-        entry objects.
-        """
-        return {
-            "origin": self.origin,
-            "entries": list(self.entries),
-            "client_timestamps": dict(self.client_timestamps),
-            "known_coordinators": list(self.known_coordinators),
-            "sent_at": self.sent_at,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "ReplicaState":
-        """Rebuild a state abstract from its dictionary form."""
-        return cls(
-            origin=payload["origin"],
-            entries=list(payload.get("entries", [])),
-            client_timestamps=dict(payload.get("client_timestamps", {})),
-            known_coordinators=[tuple(c) for c in payload.get("known_coordinators", [])],
-            sent_at=float(payload.get("sent_at", 0.0)),
-        )
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -113,11 +90,6 @@ class MergeOutcome:
     timestamps_advanced: int = 0
 
 
-def _fresh_entry(_key: Any, record: TaskRecord) -> tuple[ReplicaEntry, int]:
-    entry = record.to_replica_entry()
-    return entry, entry.wire_bytes
-
-
 def build_state(
     origin: str,
     tasks: dict[Any, TaskRecord],
@@ -125,7 +97,6 @@ def build_state(
     known_coordinators: list[tuple[str, str]],
     only_keys: Iterable[Any] | None = None,
     now: float = 0.0,
-    entry_for: Callable[[Any, TaskRecord], tuple[ReplicaEntry, int]] = _fresh_entry,
 ) -> ReplicaState:
     """Build the state abstract for the given tasks.
 
@@ -137,11 +108,9 @@ def build_state(
     them in table order, so delta and full abstracts list entries
     identically).  Keys no longer in the table are skipped.
 
-    ``entry_for`` maps ``(key, record)`` to a ``(entry, wire bytes)`` pair —
-    the coordinator passes its :class:`~repro.core.taskindex.TaskIndex`
-    entry cache so an unchanged record's entry is built once per
-    transition, not once per round.  Wire size is accumulated during the
-    build, so :attr:`ReplicaState.size_bytes` never re-walks the entries.
+    Every round snapshots its records afresh (one tuple each, nothing kept
+    between rounds: most entries are listed once), and accumulates the wire
+    size as it goes, so :attr:`ReplicaState.size_bytes` never re-walks them.
     """
     if only_keys is None:
         records: Iterable[tuple[Any, TaskRecord]] = tasks.items()
@@ -149,10 +118,10 @@ def build_state(
         records = ((key, tasks[key]) for key in only_keys if key in tasks)
     entries = []
     entries_bytes = 0
-    for key, record in records:
-        entry, nbytes = entry_for(key, record)
+    for _key, record in records:
+        entry = record.to_replica_entry()
         entries.append(entry)
-        entries_bytes += nbytes
+        entries_bytes += entry.wire_bytes
     return ReplicaState(
         origin=origin,
         entries=entries,

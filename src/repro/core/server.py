@@ -22,7 +22,7 @@ from repro.core.services import ServiceRegistry, default_registry
 from repro.detect import FailureDetector
 from repro.policies.resolve import make_policy
 from repro.msglog import MessageLog
-from repro.net.message import Message, MessageType
+from repro.net.message import Message, MessageType, snapshot_payload
 from repro.nodes.node import Host
 from repro.sim.core import ProcessKilled
 from repro.sim.monitor import Monitor
@@ -141,25 +141,25 @@ class ServerComponent(CoordinatorLink):
         result_bytes = call.result_bytes or (spec.default_result_bytes if spec else 128)
 
         value: Any = None
-        started = self.env.now
         if exec_time > 0:
             yield self.host.sleep(exec_time)
         if spec is not None and spec.fn is not None:
-            value = spec.execute(call.args)
+            value = snapshot_payload(spec.execute(call.args))
 
+        # The one result object of this call: the log, the upload and every
+        # coordinator and client that files it share it.
         result = ResultRecord(
             identity=call.identity,
             size_bytes=result_bytes,
             produced_by=self.address,
             produced_at=self.env.now,
             value=value,
-            meta={"exec_time": self.env.now - started},
         )
         key = call.identity
         # The archive of new/modified files is the server's log: write it to
         # disk synchronously (pessimistic by construction) before uploading.
         if key not in self.result_log:
-            self.result_log.append(key, result.to_payload(), result_bytes)
+            self.result_log.append(key, result, result_bytes)
         yield from self.host.disk_write(result_bytes)
         if not self.result_log.get(key).durable:
             self.result_log.mark_durable(key)
@@ -185,7 +185,7 @@ class ServerComponent(CoordinatorLink):
                     mtype=MessageType.TASK_RESULT,
                     source=self.address,
                     dest=coordinator,
-                    payload={"result": result.to_payload()},
+                    payload={"result": result},
                     size_bytes=result.size_bytes,
                 ),
                 MessageType.TASK_RESULT_ACK,
@@ -226,8 +226,7 @@ class ServerComponent(CoordinatorLink):
             record = self.result_log.get(key)
             if record is None:
                 continue
-            result = ResultRecord.from_payload(record.payload)
-            yield from self._upload_result(result)
+            yield from self._upload_result(record.payload)
         return reply.payload
 
     # ------------------------------------------------------------------ reporting

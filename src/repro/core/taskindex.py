@@ -24,9 +24,6 @@ record against what it last saw and updates:
 * **per-owner ongoing buckets** so the replica de-duplication rule
   ("ongoing tasks are only eligible when their owner is suspected") is
   answered per distinct owner instead of per task;
-* a **replica-entry cache** so an unchanged record's immutable
-  :class:`~repro.core.protocol.ReplicaEntry` is built once per transition,
-  not once per replication round, with its wire bytes beside it;
 * **per-(user, session) task buckets** so a client synchronisation reads
   its own session, not the table;
 * a per-session **"finished, archive not held here" bucket** so a result
@@ -58,7 +55,7 @@ import heapq
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from repro.core.protocol import ReplicaEntry, TaskRecord
+from repro.core.protocol import TaskRecord
 from repro.policies.scheduling import _sjf_key, fcfs_key
 from repro.types import TaskState
 
@@ -101,8 +98,6 @@ class TaskIndex:
         self._fast_heap: list[tuple[tuple, CallIdentity]] | None = None
         self._ongoing_by_owner: dict[str, dict[CallIdentity, TaskRecord]] = {}
         self._ongoing_by_server: dict[Any, dict[CallIdentity, TaskRecord]] = {}
-        #: key -> (replica entry, wire bytes); dropped on every note.
-        self._entry_cache: dict[CallIdentity, tuple[ReplicaEntry, int]] = {}
         #: (user, session) -> {timestamp: task key}, in table order.
         self._by_session: dict[tuple, dict[Any, CallIdentity]] = {}
         #: (user, session) -> {timestamp: task key} of the finished tasks
@@ -130,9 +125,6 @@ class TaskIndex:
         """
         if key is None:
             key = record.identity
-        # Any mutation can change the replica entry (finished_at, attempts,
-        # adopted crowd args), so the cached one always drops.
-        self._entry_cache.pop(key, None)
         new_meta = (record.state, record.owner, record.assigned_server)
         prev = self._meta.get(key)
         if prev == new_meta:
@@ -326,22 +318,6 @@ class TaskIndex:
         """
         seq = self._seq
         return sorted(keys, key=seq.__getitem__)
-
-    def replica_entry(
-        self, key: CallIdentity, record: TaskRecord
-    ) -> tuple[ReplicaEntry, int]:
-        """The replica entry for ``record`` and its wire bytes.
-
-        Cached until the next :meth:`note` for the key, so steady-state
-        replication rounds build each record's entry once per transition
-        rather than once per round.  Entries are immutable, so one is shared
-        by every round, payload and receiver that lists it.
-        """
-        cached = self._entry_cache.get(key)
-        if cached is None:
-            entry = record.to_replica_entry()
-            cached = self._entry_cache[key] = (entry, entry.wire_bytes)
-        return cached
 
 
 def _select(view: dict | None, wanted: set | None) -> list:

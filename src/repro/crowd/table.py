@@ -11,14 +11,19 @@ Columns
 =======
 
 ``state``   int8   lifecycle: IDLE -> PENDING -> INFLIGHT -> DONE
-``_order``  int32  client ids argsorted by due time (stable: ties break by id)
+``_order``  int32  client ids sorted by due time (ties break by id)
 ``_times``  f64    the due times in that order
 
 13 bytes per client, plus ``_cursor`` (every slot before it has been
 promoted) and ``_pending`` (int32 ids in PENDING, ascending).  A due time is
 ``now + think_window * u``, ``u`` mixed by the splitmix64 finalizer out of one
 uint64 lane per client, drawn from the ``crn.crowd`` stream at build and then
-dropped, so think times are identical across paired-CRN sweep arms.  Batch
+dropped, so think times are identical across paired-CRN sweep arms.  The
+build draws the lanes twice, in 64 Ki chunks, from one saved stream state:
+once to sort one uint64 key per client in place (the top bits of its due
+time above its id), once for the due times, which are then sorted in place.
+Each run of clients whose keys tie on the kept bits is re-sorted by (time,
+id), so the schedule is the stable argsort of the due times.  Batch
 ids, deadlines and resend counts live once per batch in the
 :class:`~repro.crowd.component.CrowdComponent`.
 
@@ -37,7 +42,7 @@ The costs that follow (n clients, k newly due, p pending, t unpromoted):
 ``mark_done``    O(ids)                gather and scatter on ``state``
 ``surge``        O(t), once            rewrite the tail in place, count IDLE
 ``counts``       O(n), per report      ``count_nonzero`` of a 1 B/client mask
-build            O(n log n), once      the argsort; peaks at ~21 B/client
+build            O(n log n), once      in-place sorts; peaks at ~13 B/client
 ===============  ====================  ======================================
 
 The table is deliberately free of any messaging or scheduling logic: the
@@ -46,6 +51,9 @@ batches go.
 """
 
 from __future__ import annotations
+
+import bisect
+import copy
 
 import numpy as np
 
@@ -58,6 +66,8 @@ IDLE, PENDING, INFLIGHT, DONE = 0, 1, 2, 3
 _SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SM_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM_MIX2 = np.uint64(0x94D049BB133111EB)
+#: clients per lane draw while building: bounds the build's temporaries.
+_CHUNK = 1 << 16
 
 
 def id_ranges(ids: np.ndarray) -> int:
@@ -69,6 +79,92 @@ def id_ranges(ids: np.ndarray) -> int:
     if ids.size == 0:
         return 0
     return int(np.count_nonzero(np.diff(ids) > 1)) + 1
+
+
+def _due_chunks(source: np.random.Generator, n: int, window: float, now: float):
+    """Yield ``(first id, due times)`` for the next ``n`` lanes, 64 Ki at a time.
+
+    The same IEEE steps as ``now + window * u(lane, 1)``, so bit-identical
+    times: each lane is mixed in place by the splitmix64 finalizer and its
+    top 53 bits are ``u``.
+    """
+    for start in range(0, n, _CHUNK):
+        z = source.integers(
+            0, np.iinfo(np.uint64).max, size=min(_CHUNK, n - start),
+            dtype=np.uint64, endpoint=False,
+        )
+        scratch = np.empty_like(z)
+        z += _SM_GAMMA
+        z ^= np.right_shift(z, np.uint64(30), out=scratch)
+        z *= _SM_MIX1
+        z ^= np.right_shift(z, np.uint64(27), out=scratch)
+        z *= _SM_MIX2
+        z ^= np.right_shift(z, np.uint64(31), out=scratch)
+        del scratch
+        z >>= np.uint64(11)
+        due = z.astype(np.float64)
+        del z
+        due *= 2.0**-53
+        due *= window
+        due += now
+        yield start, due
+
+
+def _ordered_bits(due: np.ndarray) -> np.ndarray:
+    """``due``'s bits, remapped in place to sort as the times do (IEEE order)."""
+    bits = due.view(np.uint64)
+    bits ^= (bits >> np.uint64(63)) * np.uint64(2**63 - 1) | np.uint64(2**63)
+    return bits
+
+
+def _schedule(
+    source: np.random.Generator, n: int, window: float, now: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Client ids sorted by due time, ties by id, and the due times in order.
+
+    The build's only draw from ``source`` (so paired-CRN arms stay in
+    lockstep): the lanes are drawn a second time from a copy of its state,
+    so the stream ends where one draw of ``n`` lanes leaves it.
+    """
+    replay = copy.deepcopy(source)
+    # One key per client, sorted in place: the top bits of its due time
+    # above its id, so equal times break by id.
+    id_bits = (n - 1).bit_length()
+    shift = np.uint64(id_bits)
+    key = np.empty(n, dtype=np.uint64)
+    for start, due in _due_chunks(source, n, window, now):
+        bits = _ordered_bits(due)
+        bits >>= shift
+        bits <<= shift
+        bits |= np.arange(start, start + bits.size, dtype=np.uint64)
+        key[start : start + bits.size] = bits
+    key.sort()
+    key &= (np.uint64(1) << shift) - np.uint64(1)
+    order = key.astype(np.int32)
+    del key
+    times = np.empty(n, dtype=np.float64)
+    for start, due in _due_chunks(replay, n, window, now):
+        times[start : start + due.size] = due
+
+    def run_of(slot: int) -> int:
+        return int(_ordered_bits(times[order[slot : slot + 1]])[0]) >> id_bits
+
+    # Only clients whose keys tie on the kept bits can be out of time order,
+    # and their slots form one run (the kept bits only rise along the
+    # order): re-sort each run that holds an inversion by (time, id).
+    done = 0
+    for start in range(0, n - 1, _CHUNK):
+        due = times[order[start : start + _CHUNK + 1]]
+        for slot in (np.flatnonzero(due[:-1] > due[1:]) + start).tolist():
+            if slot < done:
+                continue
+            run = run_of(slot)
+            lo = bisect.bisect_left(range(n), run, 0, slot, key=run_of)
+            done = bisect.bisect_right(range(n), run, slot + 1, n, key=run_of)
+            ids = order[lo:done]
+            order[lo:done] = ids[np.lexsort((ids, times[ids]))]
+    times.sort()
+    return order, times
 
 
 class CrowdTable:
@@ -93,28 +189,7 @@ class CrowdTable:
         self.n_clients = n
         self.think_window = float(think_window)
         self.state = np.zeros(n, dtype=np.int8)
-        # The only draw the table takes from its stream (so paired-CRN arms
-        # stay in lockstep), mixed in place with one scratch buffer: the same
-        # IEEE steps as ``now + window * u(lane, 1)``, so bit-identical times.
-        z = lane_source.integers(
-            0, np.iinfo(np.uint64).max, size=n, dtype=np.uint64, endpoint=False
-        )
-        scratch = np.empty_like(z)
-        z += _SM_GAMMA
-        z ^= np.right_shift(z, np.uint64(30), out=scratch)
-        z *= _SM_MIX1
-        z ^= np.right_shift(z, np.uint64(27), out=scratch)
-        z *= _SM_MIX2
-        z ^= np.right_shift(z, np.uint64(31), out=scratch)
-        del scratch
-        z >>= np.uint64(11)
-        times = z.astype(np.float64)
-        del z
-        times *= 2.0**-53
-        times *= self.think_window
-        times += now
-        self._order = np.argsort(times, kind="stable").astype(np.int32)
-        self._times = times[self._order]
+        self._order, self._times = _schedule(lane_source, n, self.think_window, now)
         self._cursor = 0
         #: ids in PENDING, ascending: promoted by ``due``, not yet claimed.
         self._pending = np.empty(0, dtype=np.int32)

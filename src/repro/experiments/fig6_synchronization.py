@@ -76,7 +76,7 @@ def _populate_client_logs(grid: Grid, n_calls: int, params_bytes: int) -> None:
             result_bytes=32,
             exec_time=0.0,
         )
-        client.log.append(identity, {"call": description}, description.wire_bytes)
+        client.log.append(identity, description, description.wire_bytes)
         client.log.mark_durable(identity)
 
 

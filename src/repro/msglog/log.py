@@ -12,15 +12,18 @@ durability states:
 
 Client and server logs both key their records on the call's
 :class:`~repro.types.CallIdentity`; a client log holds one session, so its
-key order is the RPC counter (timestamp) order.  The synchronisation protocol
-only ever compares keys and replays payloads, so the log is otherwise
-schema-free.
+key order is the RPC counter (timestamp) order.  A record files the object
+it logs by reference — a client's :class:`~repro.core.protocol.CallDescription`,
+a server's :class:`~repro.core.protocol.ResultRecord`, both immutable — so a
+logged call or result exists once, however many holders share it.  The
+synchronisation protocol only ever compares keys and re-sends payloads, so
+the log is otherwise schema-free.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable
+from dataclasses import dataclass
+from typing import Any
 
 from repro.errors import LogCorruption
 from repro.nodes.node import Host
@@ -34,7 +37,8 @@ class LogRecord:
     """One logged message."""
 
     key: Any
-    payload: dict[str, Any]
+    #: the logged object itself, never a copy.
+    payload: Any
     size_bytes: int
     created_at: float
     durable: bool = False
@@ -63,13 +67,13 @@ class MessageLog:
         self._buffered_total = 0
 
     # -- writing -----------------------------------------------------------------
-    def append(self, key: Any, payload: dict[str, Any], size_bytes: int) -> LogRecord:
-        """Accept a record in the buffered (not yet durable) state."""
+    def append(self, key: Any, payload: Any, size_bytes: int) -> LogRecord:
+        """Accept ``payload`` in the buffered (not yet durable) state."""
         if key in self._buffered or key in self._durable:
             raise LogCorruption(f"duplicate log key {key!r} in log {self.name!r}")
         record = LogRecord(
             key=key,
-            payload=dict(payload),
+            payload=payload,
             size_bytes=int(size_bytes),
             created_at=self.host.env.now,
         )
@@ -173,15 +177,6 @@ class MessageLog:
                 raise LogCorruption(f"record {key!r} durable but still buffered")
             if key in self._durable:
                 raise LogCorruption(f"record {key!r} present in both stores")
-
-    def replay_payloads(self, keys: Iterable[Any]) -> list[dict[str, Any]]:
-        """Payloads of the durable records with the given keys, in key order."""
-        out = []
-        for key in sorted(keys, key=_sort_key):
-            record = self._durable.get(key)
-            if record is not None:
-                out.append(dict(record.payload))
-        return out
 
 
 def _sort_key(key: Any):

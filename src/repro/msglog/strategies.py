@@ -72,7 +72,7 @@ class LoggingEngine:
         return self.policy.strategy
 
     # -- process fragments ---------------------------------------------------------
-    def before_send(self, key: Any, payload: dict[str, Any], size_bytes: int):
+    def before_send(self, key: Any, payload: Any, size_bytes: int):
         """Log ``payload`` under ``key`` and pay any pre-send cost.
 
         Yields simulation events; returns a :class:`LogToken` (via the

@@ -52,7 +52,7 @@ class LoggingPolicy(PolicyBase):
     strategy: LoggingStrategy
 
     def before_send(
-        self, engine: "LoggingEngine", key: Any, payload: dict[str, Any], size_bytes: int
+        self, engine: "LoggingEngine", key: Any, payload: Any, size_bytes: int
     ):
         """Log ``payload`` under ``key`` and pay any pre-send cost.
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.core.protocol import (
@@ -52,26 +54,29 @@ class TestProtocolRecords:
         assert restored.assigned_server == Address("server", "s3")
         assert restored.archive_holder == "coordinator:k1"
 
-    def test_result_record_roundtrip(self):
+    def test_result_record_is_frozen_and_compares_by_value(self):
         result = ResultRecord(
             identity=make_identity(9), size_bytes=123,
             produced_by=Address("server", "s1"), produced_at=4.0, value=None,
         )
-        restored = ResultRecord.from_payload(result.to_payload())
-        assert restored.identity == result.identity
-        assert restored.size_bytes == 123
-        assert restored.produced_by == Address("server", "s1")
+        with pytest.raises(FrozenInstanceError):
+            result.value = {"late": True}
+        # Slotted, and nothing besides the archive's own fields rides on it.
+        assert not hasattr(result, "__dict__") and not hasattr(result, "meta")
+        assert result == ResultRecord(
+            identity=make_identity(9), size_bytes=123,
+            produced_by=Address("server", "s1"), produced_at=4.0,
+        )
 
     def test_identity_and_description_travel_by_reference(self):
-        # One object per call: payloads and replica entries carry the
-        # identity and the description themselves, so every record rebuilt
-        # from them files the call under the same objects.
+        # One object per call: replica entries carry the identity and the
+        # description themselves, so every record rebuilt from them files
+        # the call under the same objects.
         identity = make_identity(7, user="alice", session="alice-s1")
         call = CallDescription(identity=identity, service="sleep", params_bytes=1)
-        result = ResultRecord(identity=identity, size_bytes=1)
-        assert ResultRecord.from_payload(result.to_payload()).identity is identity
         task = TaskRecord(call=call)
-        assert TaskRecord.from_replica_entry(task.to_replica_entry()).call is call
+        restored = TaskRecord.from_replica_entry(task.to_replica_entry())
+        assert restored.call is call and restored.identity is identity
 
 
 class TestSession:
@@ -248,25 +253,28 @@ class TestReplication:
         partial = build_state("k0", tasks, {}, [], only_keys={some_key})
         assert len(partial) == 1
 
-    def test_state_payload_roundtrip(self):
+    def test_state_snapshots_the_tables_it_lists(self):
         tasks = {make_task(1).identity: make_task(1)}
-        state = build_state("k0", tasks, {("u", "s"): 3}, [("coordinator", "k1")])
-        restored = ReplicaState.from_payload(state.to_payload())
-        assert len(restored) == 1
-        assert restored.client_timestamps == {("u", "s"): 3}
-        assert restored.known_coordinators == [("coordinator", "k1")]
+        timestamps = {("u", "s"): 3}
+        coordinators = [("coordinator", "k1")]
+        state = build_state("k0", tasks, timestamps, coordinators)
+        assert len(state) == 1
+        assert state.client_timestamps == timestamps
+        assert state.known_coordinators == coordinators
+        # The abstract travels as is, so it must not alias the sender's
+        # live tables.
+        assert state.client_timestamps is not timestamps
+        assert state.known_coordinators is not coordinators
 
-    def test_state_payload_keeps_session_keys_whole(self):
+    def test_state_keeps_session_keys_whole(self):
         # A user id may contain any separator: the (user, session) keys
         # travel as the tuples they are, so a backup that takes over answers
         # the session's true maximum timestamp.
         timestamps = {("a//b", "a//b-s1"): 7, ("u", "s"): 3}
         state = build_state("k0", {}, timestamps, [])
-        restored = ReplicaState.from_payload(state.to_payload())
-        assert restored.client_timestamps == timestamps
-        assert restored.size_bytes == state.size_bytes == 64 * len(timestamps)
+        assert state.size_bytes == 64 * len(timestamps)
         backup: dict = {}
-        merge_state({}, backup, restored)
+        merge_state({}, backup, state)
         assert backup[("a//b", "a//b-s1")] == 7
 
     def test_size_excludes_params_of_finished_tasks(self):

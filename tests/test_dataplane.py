@@ -12,7 +12,6 @@ seeded random op sequence.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +22,7 @@ from repro.core.client import ClientComponent
 from repro.core.coordinator import CoordinatorComponent
 from repro.core.protocol import CallDescription, ReplicaEntry, ResultRecord, TaskRecord
 from repro.core.registry import CoordinatorRegistry
+from repro.core.services import default_registry
 from repro.core.replication import (
     MergeOutcome,
     ReplicaState,
@@ -233,7 +233,7 @@ def random_ops(rng: random.Random, coord: CoordinatorComponent, steps: int):
             if ongoing:
                 key, task = rng.choice(ongoing)
                 server = task.assigned_server
-                payload = {"result": make_result(key, server).to_payload()}
+                payload = {"result": make_result(key, server)}
                 yield "deliver", MessageType.TASK_RESULT, server, payload
         elif op == "merge":
             # A peer's abstract: tasks it finished (their archives stay on
@@ -255,7 +255,7 @@ def random_ops(rng: random.Random, coord: CoordinatorComponent, steps: int):
                     for key in keys
                 ],
             )
-            payload = {"state": state.to_payload(), "round": 0}
+            payload = {"state": state, "round": 0}
             yield "deliver", MessageType.REPLICA_STATE, peer, payload
         elif op == "archive":
             waiting = unarchived(coord)
@@ -265,7 +265,7 @@ def random_ops(rng: random.Random, coord: CoordinatorComponent, steps: int):
                 if rng.random() < 0.2:
                     payload["missing"] = True
                 else:
-                    payload["result"] = make_result(key).to_payload()
+                    payload["result"] = make_result(key)
                 yield "deliver", MessageType.ARCHIVE_REPLY, rng.choice(PEERS), payload
         elif op == "restart":
             yield ("restart",)
@@ -312,7 +312,10 @@ class TestCoordinatorRequestEquivalence:
         sent = harness.deliver(MessageType.RESULT_PULL, CLIENT, payload)
         fetches = [m for m in sent if m.mtype is MessageType.ARCHIVE_FETCH]
         (reply,) = [m for m in sent if m.mtype is MessageType.RESULT_REPLY]
-        assert [r["identity"] for r in reply.payload["results"]] == reply_keys
+        # The coordinator's own archive objects, not copies.
+        assert [id(r) for r in reply.payload["results"]] == [
+            id(harness.coord.results[key]) for key in reply_keys
+        ]
         assert [m.payload["identity"] for m in fetches] == fetch_keys
         assert reply.size_bytes == sum(
             harness.coord.results[key].size_bytes for key in reply_keys
@@ -389,7 +392,7 @@ class TestCoordinatorRequestEquivalence:
         assert coord.tasks.walks == 0 and coord.results.walks == 0
         assert coord.tasks.touches + coord.results.touches <= 2 * k
         (reply,) = [m for m in sent if m.mtype is MessageType.RESULT_REPLY]
-        assert [r["identity"][2] for r in reply.payload["results"]] == [11, 501, 1999]
+        assert [r.identity[2] for r in reply.payload["results"]] == [11, 501, 1999]
         fetched = [m.payload["identity"][2] for m in sent if m.mtype is MessageType.ARCHIVE_FETCH]
         assert fetched == [10, 500]
 
@@ -426,11 +429,11 @@ class TestSharedDescription:
         key = CallIdentity("crowd:c", "shard0", 4)
         first, second = Harness(), Harness()
         first.deliver(
-            MessageType.TASK_RESULT, SERVERS[0], {"result": make_result(key).to_payload()}
+            MessageType.TASK_RESULT, SERVERS[0], {"result": make_result(key)}
         )
         state = first.coord._build_state(None)
         second.deliver(
-            MessageType.REPLICA_STATE, PEERS[0], {"state": state.to_payload(), "round": 0}
+            MessageType.REPLICA_STATE, PEERS[0], {"state": state, "round": 0}
         )
         shared = first.coord.tasks[key].call
         assert second.coord.tasks[key].call is shared and shared.args is None
@@ -702,45 +705,47 @@ class TestClientPendingView:
         assert client.stats()["pending"] == 0
 
 
-# -------------------------------------------------------------- result payload
-class TestResultPayload:
-    def _record(self) -> ResultRecord:
-        return ResultRecord(
-            identity=make_call("u", "s", 3).identity,
-            size_bytes=77,
-            produced_by=SERVERS[1],
-            produced_at=12.5,
-            value={"rows": [1, 2, [3, 4]]},
-            meta={"attempt": 2, "trail": ["s0", "s1"]},
-        )
+# ------------------------------------------------------------- one result object
+class TestOneResultObject:
+    """A result exists once: every holder files the object its server built."""
 
-    def test_round_trip(self):
-        record = self._record()
-        payload = record.to_payload()
-        assert list(payload) == [
-            "identity", "size_bytes", "produced_by", "produced_at", "value", "meta",
-        ]
-        assert payload["identity"] == ("u", "s", 3)
-        assert payload["produced_by"] == ("server", "s1")
-        assert ResultRecord.from_payload(payload) == record
-        bare = ResultRecord(identity=record.identity, size_bytes=1)
-        assert bare.to_payload()["produced_by"] is None
-        assert ResultRecord.from_payload(bare.to_payload()) == bare
+    def _run(self, produced):
+        services = default_registry()
+        services.register_function("rows", lambda: produced)
+        grid = build_confined_cluster(n_servers=2, n_coordinators=1, seed=3, services=services)
+        grid.start()
+        client = grid.client
+        handles = []
 
-    def test_same_payload_as_dataclasses_asdict_built(self):
-        record = self._record()
-        expected = asdict(record)
-        expected["identity"] = ("u", "s", 3)
-        expected["produced_by"] = ("server", "s1")
-        assert record.to_payload() == expected
+        def application():
+            for _ in range(4):
+                handle = yield from client.call_async("rows", exec_time=1.0)
+                handles.append(handle)
+            yield from client.wait_all(handles)
 
-    def test_payload_never_aliases_the_record(self):
-        record = self._record()
-        payload = record.to_payload()
-        payload["meta"]["attempt"] = 99
-        payload["meta"]["trail"].append("s2")
-        payload["value"]["rows"][2].append(5)
-        assert record == self._record()
-        empty = ResultRecord(identity=record.identity, size_bytes=1)
-        empty.to_payload()["meta"]["leak"] = True
-        assert empty.meta == {}
+        assert grid.run_until(grid.run_process(application(), name="app"), timeout=600.0)
+        return grid, handles
+
+    def test_server_coordinator_and_client_hold_one_object(self):
+        produced = {"rows": [1, 2, [3, 4]]}
+        grid, handles = self._run(produced)
+        coordinator = grid.coordinators[0]
+        for handle in handles:
+            key = handle.identity
+            result = handle.result
+            assert coordinator.results[key] is result
+            logged = [
+                server.result_log.get(key).payload
+                for server in grid.servers
+                if key in server.result_log
+            ]
+            assert any(payload is result for payload in logged), key
+            # Snapshotted once, when produced: no holder aliases the service's
+            # own object.
+            assert result.value == produced and result.value is not produced
+            assert result.value["rows"][2] is not produced["rows"][2]
+
+    def test_client_log_files_the_description_itself(self):
+        grid, handles = self._run({"rows": []})
+        for handle in handles:
+            assert grid.client.log.get(handle.identity).payload is handle.description

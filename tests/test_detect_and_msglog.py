@@ -391,13 +391,16 @@ class TestMessageLog:
         assert log.durable_bytes() == 100
         assert log.total_bytes() == 150
 
-    def test_replay_payloads_in_key_order(self, env):
+    def test_records_file_the_logged_object_in_key_order(self, env):
         host = make_host(env)
         log = MessageLog(host, "out")
-        for key in (2, 1):
-            log.append(key, {"k": key}, 10)
+        logged = {key: object() for key in (2, 1)}
+        for key, payload in logged.items():
+            log.append(key, payload, 10)
             log.mark_durable(key)
-        assert log.replay_payloads([1, 2]) == [{"k": 1}, {"k": 2}]
+        records = log.durable_records()
+        assert [r.key for r in records] == [1, 2]
+        assert all(r.payload is logged[r.key] for r in records)
 
     def test_integrity_check_passes_on_normal_log(self, env):
         host = make_host(env)

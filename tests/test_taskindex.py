@@ -23,7 +23,12 @@ import textwrap
 
 import pytest
 
-from repro.core.protocol import TASK_DESCRIPTION_BYTES, CallDescription, TaskRecord
+from repro.core.protocol import (
+    TASK_DESCRIPTION_BYTES,
+    CallDescription,
+    ReplicaEntry,
+    TaskRecord,
+)
 from repro.core.replication import ReplicaState, build_state, merge_state
 from repro.core.taskindex import TaskIndex
 from repro.platform.component import BaseComponent
@@ -162,11 +167,8 @@ def assert_views_match(tasks, index, owner_suspected, my_name=MY_NAME, results=N
         ]
     assert set(index._results_by_session) == {key[:2] for key in results}
 
-    # Table order of any key set is the table's own iteration order, and
-    # every cached replica entry is what serializing the record gives now.
+    # Table order of any key set is the table's own iteration order.
     assert index.table_ordered(reversed(tasks)) == list(tasks)
-    for key, (entry, _nbytes) in index._entry_cache.items():
-        assert entry == tasks[key].to_replica_entry()
 
 
 class TestIndexEquivalence:
@@ -544,49 +546,46 @@ class TestDeltaBuild:
         # 29 replayable records carry parameters, the finished one does not.
         assert state.entries_bytes == 30 * TASK_DESCRIPTION_BYTES + 29 * 100
 
-    def test_entry_cache_reused_until_transition(self):
-        tasks: dict[tuple, TaskRecord] = {}
-        record = make_task(1)
-        key = record.identity
-        tasks[key] = record
-        index = TaskIndex(tasks)
-        entry_a, bytes_a = index.replica_entry(key, record)
-        entry_b, _ = index.replica_entry(key, record)
-        assert entry_a is entry_b  # served from the cache
-        assert bytes_a == TASK_DESCRIPTION_BYTES + record.call.params_bytes
-        record.state = TaskState.FINISHED
-        index.note(record, key)
-        entry_c, bytes_c = index.replica_entry(key, record)
-        assert entry_c is not entry_a
-        assert entry_c.state is TaskState.FINISHED
-        assert bytes_c == TASK_DESCRIPTION_BYTES  # finished: no parameters
-
-    def test_cached_entries_flow_through_build_state(self):
+    def test_each_round_snapshots_its_records_afresh(self):
         tasks: dict[tuple, TaskRecord] = {}
         for counter in range(4):
             record = make_task(counter)
             tasks[record.identity] = record
         index = TaskIndex(tasks)
         keys = list(tasks)
-        first = build_state("k0", tasks, {}, [], only_keys=keys,
-                            entry_for=index.replica_entry)
-        second = build_state("k0", tasks, {}, [], only_keys=keys,
-                             entry_for=index.replica_entry)
-        assert [id(e) for e in first.entries] == [id(e) for e in second.entries]
+        first = build_state("k0", tasks, {}, [], only_keys=keys)
+        second = build_state("k0", tasks, {}, [], only_keys=keys)
+        assert first.entries == second.entries
+        assert all(a is not b for a, b in zip(first.entries, second.entries))
         assert first.size_bytes == second.size_bytes
+        # A transition shows in the next round, with its wire bytes.
+        record = tasks[keys[0]]
+        record.state = TaskState.FINISHED
+        index.note(record, keys[0])
+        third = build_state("k0", tasks, {}, [], only_keys=keys[:1])
+        assert third.entries[0].state is TaskState.FINISHED
+        assert third.entries_bytes == TASK_DESCRIPTION_BYTES  # no parameters
+        assert type(third.entries[0]) is ReplicaEntry
+
+    def test_the_index_keeps_no_replica_entries(self):
+        tasks: dict[tuple, TaskRecord] = {}
+        for counter in range(3):
+            record = make_task(counter)
+            tasks[record.identity] = record
+        index = TaskIndex(tasks)
+        for _ in range(2):
+            build_state("k0", tasks, {}, [], only_keys=index.table_ordered(tasks))
+        # No memo: nothing on the index is named for or holds an entry.
+        assert not hasattr(index, "replica_entry")
+        assert not [name for name in vars(index) if "entr" in name]
 
     def test_payload_entries_are_the_builders_immutable_objects(self):
         tasks: dict[tuple, TaskRecord] = {}
         record = make_task(1)
         tasks[record.identity] = record
-        index = TaskIndex(tasks)
-        state = build_state("k0", tasks, {}, [], entry_for=index.replica_entry)
+        state = build_state("k0", tasks, {}, [])
         (entry,) = state.entries
-        assert entry is index.replica_entry(record.identity, record)[0]
         assert entry.call is record.call
-        payload = state.to_payload()
-        assert payload["entries"][0] is entry  # sending side
-        assert ReplicaState.from_payload(payload).entries[0] is entry  # receiving side
         for name in entry._fields:
             with pytest.raises(AttributeError):
                 setattr(entry, name, None)
