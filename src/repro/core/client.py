@@ -48,7 +48,6 @@ class RPCHandle:
     """Client-side handle on one submitted RPC."""
 
     description: CallDescription
-    submitted_event: Event
     completed_event: Event
     status: RPCStatus = RPCStatus.SUBMITTED
     result: ResultRecord | None = None
@@ -226,7 +225,6 @@ class ClientComponent(CoordinatorLink):
         timestamp = identity.rpc
         handle = RPCHandle(
             description=description,
-            submitted_event=self.env.event(),
             completed_event=self.env.event(),
             submitted_at=self.env.now,
         )
@@ -262,8 +260,6 @@ class ClientComponent(CoordinatorLink):
         yield from self.logging.after_send(token)
         self.logging.ack(identity)
         self.gc.maybe_collect()
-        if not handle.submitted_event.triggered:
-            handle.submitted_event.succeed(handle)
         return handle
 
     # ----------------------------------------------------------- synchronization
@@ -350,11 +346,7 @@ class ClientComponent(CoordinatorLink):
         mtype = message.mtype
         if mtype is MessageType.SUBMIT_ACK:
             timestamp = int(message.payload.get("timestamp", 0))
-            identity = CallIdentity(*self._session_key, timestamp)
-            self.logging.ack(identity)
-            handle = self.handles.get(identity)
-            if handle and not handle.submitted_event.triggered:
-                handle.submitted_event.succeed(handle)
+            self.logging.ack(CallIdentity(*self._session_key, timestamp))
         elif mtype is MessageType.RESULT_REPLY:
             for result in message.payload.get("results", []):
                 self._complete(result)

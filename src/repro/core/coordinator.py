@@ -548,7 +548,7 @@ class CoordinatorComponent:
     def _on_result_pull(self, message: Message):
         user, session = message.payload.get("session", ("", ""))
         pending = message.payload.get("pending")
-        wanted = {int(ts) for ts in pending} if pending is not None else None
+        wanted = set(pending) if pending is not None else None
         ready: list[ResultRecord] = []
         total_bytes = 0
         # A pull with an empty pending set can match nothing — skip the

@@ -11,8 +11,10 @@ maintained views instead.
 :class:`TaskIndex` is the **single choke point for task state
 transitions**.  Every coordinator path that mutates a record (submission,
 assignment, result commit, replica merge, crowd batch expansion,
-reschedule) calls :meth:`TaskIndex.note` afterwards; the index diffs the
-record against what it last saw and updates:
+reschedule) calls :meth:`TaskIndex.note` afterwards.  The index keeps no
+shadow copy of the table: a key's prior state is the view that holds it
+(the pending set, an ongoing bucket, else finished), so ``note`` compares
+the record with that view and moves the key between:
 
 * a FCFS-ordered **pending heap** (lazy deletion: entries are skimmed when
   their key is no longer pending) so the FIFO scheduling head is O(log n);
@@ -24,8 +26,9 @@ record against what it last saw and updates:
 * **per-owner ongoing buckets** so the replica de-duplication rule
   ("ongoing tasks are only eligible when their owner is suspected") is
   answered per distinct owner instead of per task;
-* **per-(user, session) task buckets** so a client synchronisation reads
-  its own session, not the table;
+* **per-(user, session) table positions** so a client synchronisation
+  reads its own session, not the table, and a replication round or a
+  result pull lists its keys in table order;
 * a per-session **"finished, archive not held here" bucket** so a result
   pull finds the archives it still has to fetch without a table walk.
 
@@ -57,10 +60,10 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.core.protocol import TaskRecord
 from repro.policies.scheduling import _sjf_key, fcfs_key
-from repro.types import TaskState
+from repro.types import CallIdentity, TaskState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.types import Address, CallIdentity
+    from repro.types import Address
 
 __all__ = ["TaskIndex"]
 
@@ -82,13 +85,6 @@ class TaskIndex:
     # ------------------------------------------------------------- lifecycle
     def rebuild(self) -> None:
         """Re-derive everything from the tables (restart / first start)."""
-        #: key -> (state, owner, assigned_server) as of the last note().
-        self._meta: dict[CallIdentity, tuple] = {}
-        #: key -> table-insertion sequence number; replication rounds order
-        #: their dirty keys by it so delta abstracts list entries exactly as
-        #: a full table scan would (table keys are never deleted).
-        self._seq: dict[CallIdentity, int] = {}
-        self._next_seq = 0
         self._counts: dict[TaskState, int] = {state: 0 for state in TaskState}
         #: live pending records (insertion-ordered; the heaps may hold stale
         #: duplicates, membership here is what makes a heap entry valid).
@@ -96,10 +92,17 @@ class TaskIndex:
         self._pending_heap: list[tuple[tuple, CallIdentity]] = []
         #: (exec_time, fcfs) heap for fastest-first; None until first used.
         self._fast_heap: list[tuple[tuple, CallIdentity]] | None = None
+        #: ongoing key -> (owner, assigned_server) it is filed under in the
+        #: two buckets below (the record itself may have moved on since).
+        self._ongoing: dict[CallIdentity, tuple] = {}
         self._ongoing_by_owner: dict[str, dict[CallIdentity, TaskRecord]] = {}
         self._ongoing_by_server: dict[Any, dict[CallIdentity, TaskRecord]] = {}
-        #: (user, session) -> {timestamp: task key}, in table order.
-        self._by_session: dict[tuple, dict[Any, CallIdentity]] = {}
+        #: (user, session) -> {timestamp: table position}, in table order,
+        #: for every key ever noted.  Replication rounds and result pulls
+        #: sort keys by the position, so delta abstracts list entries exactly
+        #: as a full table scan would (table keys are never deleted).
+        self._by_session: dict[tuple, dict[Any, int]] = {}
+        self._next_position = 0
         #: (user, session) -> {timestamp: task key} of the finished tasks
         #: whose archive is not in ``results`` (it lives on another
         #: coordinator and is fetched when the client pulls).
@@ -125,63 +128,62 @@ class TaskIndex:
         """
         if key is None:
             key = record.identity
-        new_meta = (record.state, record.owner, record.assigned_server)
-        prev = self._meta.get(key)
-        if prev == new_meta:
-            return key
-        if prev is None:
-            self._seq[key] = self._next_seq
-            self._next_seq += 1
-            self._by_session.setdefault(key[:2], {})[key[2]] = key
-        else:
-            self._counts[prev[0]] -= 1
-            self._detach(key, prev)
-        self._meta[key] = new_meta
-        self._counts[new_meta[0]] += 1
-        self._attach(key, record, new_meta)
-        return key
-
-    def _detach(self, key: CallIdentity, meta: tuple) -> None:
-        state, owner, server = meta
-        if state is TaskState.PENDING:
-            self._pending.pop(key, None)
-            # Heap entries are skimmed lazily once the key is gone.
-            return
-        if state is TaskState.ONGOING:
-            bucket = self._ongoing_by_owner.get(owner)
-            if bucket is not None:
-                bucket.pop(key, None)
-                if not bucket:
-                    del self._ongoing_by_owner[owner]
-            if server is not None:
-                bucket = self._ongoing_by_server.get(server)
+        state = record.state
+        # The key's prior state is the view that holds it: pending, an
+        # ongoing bucket, or else (once seen) finished.
+        if key in self._pending:
+            if state is TaskState.PENDING:
+                return key
+            self._counts[TaskState.PENDING] -= 1
+            del self._pending[key]  # heap entries are skimmed lazily
+        elif (filed := self._ongoing.get(key)) is not None:
+            if state is TaskState.ONGOING and filed == (
+                record.owner,
+                record.assigned_server,
+            ):
+                return key
+            self._counts[TaskState.ONGOING] -= 1
+            del self._ongoing[key]
+            owners_servers = (self._ongoing_by_owner, self._ongoing_by_server)
+            for buckets, name in zip(owners_servers, filed):
+                bucket = buckets.get(name)
                 if bucket is not None:
                     bucket.pop(key, None)
                     if not bucket:
-                        del self._ongoing_by_server[server]
-            return
-        self._drop_unarchived(key)
+                        del buckets[name]
+        else:
+            positions = self._by_session.setdefault(key[:2], {})
+            if key[2] not in positions:
+                positions[key[2]] = self._next_position
+                self._next_position += 1
+            elif state is TaskState.FINISHED:
+                return key
+            else:
+                self._counts[TaskState.FINISHED] -= 1
+                self._drop_unarchived(key)
+        self._counts[state] += 1
+        if state is TaskState.PENDING:
+            self._pending[key] = record
+            heapq.heappush(self._pending_heap, (fcfs_key(record), key))
+            if self._fast_heap is not None:
+                heapq.heappush(self._fast_heap, (_sjf_key(record), key))
+        elif state is TaskState.ONGOING:
+            owner, server = self._ongoing[key] = (record.owner, record.assigned_server)
+            self._ongoing_by_owner.setdefault(owner, {})[key] = record
+            if server is not None:
+                self._ongoing_by_server.setdefault(server, {})[key] = record
+        elif key not in self.results:
+            self._unarchived.setdefault(key[:2], {})[key[2]] = key
+        return key
 
     def _drop_unarchived(self, key: CallIdentity) -> None:
         bucket = self._unarchived.get(key[:2])
         if bucket is not None and bucket.pop(key[2], None) is not None and not bucket:
             del self._unarchived[key[:2]]
 
-    def _attach(self, key: CallIdentity, record: TaskRecord, meta: tuple) -> None:
-        state, owner, server = meta
-        if state is TaskState.PENDING:
-            self._pending[key] = record
-            heapq.heappush(self._pending_heap, (fcfs_key(record), key))
-            if self._fast_heap is not None:
-                heapq.heappush(self._fast_heap, (_sjf_key(record), key))
-            return
-        if state is TaskState.ONGOING:
-            self._ongoing_by_owner.setdefault(owner, {})[key] = record
-            if server is not None:
-                self._ongoing_by_server.setdefault(server, {})[key] = record
-            return
-        if key not in self.results:
-            self._unarchived.setdefault(key[:2], {})[key[2]] = key
+    def _position(self, key: CallIdentity) -> int:
+        """``key``'s position in the task table's insertion order."""
+        return self._by_session[key[:2]][key[2]]
 
     def note_result(self, key: CallIdentity, result: Any) -> None:
         """Record that ``result`` was just stored under ``key`` in ``results``.
@@ -286,9 +288,9 @@ class TaskIndex:
         return list(bucket.items()) if bucket else []
 
     # ------------------------------------------------------- client requests
-    def session_keys(self, session: tuple) -> Iterable[CallIdentity]:
-        """Task keys of one ``(user, session)``, in table order (a live view)."""
-        return self._by_session.get(session, {}).values()
+    def session_keys(self, session: tuple) -> list[CallIdentity]:
+        """Task keys of one ``(user, session)``, in table order."""
+        return [CallIdentity(*session, ts) for ts in self._by_session.get(session, ())]
 
     def pull_view(
         self, session: tuple, wanted: set | None
@@ -304,7 +306,7 @@ class TaskIndex:
         held = _select(self._results_by_session.get(session), wanted)
         held.sort(key=itemgetter(0))
         missing = _select(self._unarchived.get(session), wanted)
-        missing.sort(key=self._seq.__getitem__)
+        missing.sort(key=self._position)
         return [result for _seq, result in held], missing
 
     # ----------------------------------------------------------- replication
@@ -316,8 +318,7 @@ class TaskIndex:
         and full abstracts list entries in one order.
         O(d log d) in the dirty-set size, independent of the table.
         """
-        seq = self._seq
-        return sorted(keys, key=seq.__getitem__)
+        return sorted(keys, key=self._position)
 
 
 def _select(view: dict | None, wanted: set | None) -> list:

@@ -9,19 +9,18 @@ row-for-row identical to the sequential fallback (``jobs=1``) for the same
 seeds.  Workers receive the cell kernel (a module-level callable, pickled by
 reference) plus plain parameter dictionaries — nothing else crosses the
 process boundary, so ad-hoc specs work under both fork and spawn start
-methods.
+methods.  The pool machinery (``multiprocessing``, ``concurrent.futures``)
+loads only for ``jobs > 1`` or a ``cell_timeout``, where processes start.
 """
 
 from __future__ import annotations
 
 import gc
 import json
-import multiprocessing
 import os
 import pickle
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.errors import ConfigurationError
@@ -90,6 +89,7 @@ def _execute_cell_with_timeout(
     (``"<ExceptionType>: <message>"``) returned beside the outputs.
     Kernel errors re-raise in the caller, exactly like the un-budgeted path.
     """
+    import multiprocessing
     context = multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods() else None
     )
@@ -355,6 +355,8 @@ class SweepRunner:
         before any cell runs, so an exception raised later is a cell's own
         and propagates — once, with no sequential re-run.
         """
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor, as_completed
         context = None
         if "fork" in multiprocessing.get_all_start_methods():
             # Fork keeps worker start-up cheap (no re-import per worker).

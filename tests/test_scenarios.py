@@ -585,8 +585,10 @@ class TestCellBoundary:
         assert [row["completed"] for row in result.rows] == [4, 4]
         assert alive == [False, False]
 
-    def test_start_up_and_a_sweep_do_not_load_networkx(self):
-        """networkx serves partition reachability only and loads on use."""
+    @staticmethod
+    def _loaded_after_a_sequential_sweep(*packages: str) -> str:
+        """Start-up plus a ``jobs=1`` fig7 sweep in a fresh interpreter;
+        the modules of ``packages`` it left in ``sys.modules``."""
         script = "\n".join([
             "import sys",
             "import repro",
@@ -595,7 +597,9 @@ class TestCellBoundary:
             "load_all()",
             "_build_parser()",
             "run_scenario('fig7', scale='tiny', jobs=1)",
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'))",
+            f"packages = {packages!r}",
+            "print(sorted(m for m in sys.modules",
+            "             if any(m == p or m.startswith(p + '.') for p in packages)))",
         ])
         src = str(Path(repro.__file__).resolve().parents[1])
         completed = subprocess.run(
@@ -606,7 +610,19 @@ class TestCellBoundary:
             timeout=120,
         )
         assert completed.returncode == 0, completed.stderr
-        assert completed.stdout.strip() == "[]"
+        return completed.stdout.strip()
+
+    def test_start_up_and_a_sweep_do_not_load_networkx(self):
+        """networkx serves partition reachability only and loads on use."""
+        assert self._loaded_after_a_sequential_sweep("networkx") == "[]"
+
+    def test_a_sequential_sweep_does_not_load_the_process_pool(self):
+        """Only ``jobs > 1`` (or a cell budget) starts processes, so only
+        then does the runner import the pool machinery."""
+        loaded = self._loaded_after_a_sequential_sweep(
+            "multiprocessing", "concurrent.futures"
+        )
+        assert loaded == "[]"
 
 
 class TestCliProtocolSelection:
