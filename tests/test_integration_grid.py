@@ -574,6 +574,32 @@ class TestCoordinatorRequests:
         assert "client.syncs" not in grid.monitor.counters
 
 
+    def test_a_sync_reply_resumes_only_the_sync_sent_to_its_sender(self):
+        grid = small_grid(n_servers=1, n_coordinators=2)
+        live, dead = grid.coordinator_hosts()
+        dead.crash()
+        outcome = {}
+
+        def sync(coordinator):
+            started = grid.env.now
+            plan = yield from grid.client.synchronize(coordinator)
+            outcome[coordinator] = (plan, grid.env.now - started)
+
+        # The sync to the dead coordinator waits first; the live one's reply
+        # must not resume it.
+        to_dead = grid.run_process(sync(dead.address))
+        to_live = grid.run_process(sync(live.address))
+        assert grid.run_until(to_dead, timeout=100.0)
+        assert grid.run_until(to_live, timeout=100.0)
+        dead_plan, dead_waited = outcome[dead.address]
+        live_plan, live_waited = outcome[live.address]
+        assert dead_plan is None
+        assert dead_waited == pytest.approx(grid.client.config.request_retry, abs=0.05)
+        assert live_plan is not None
+        assert live_waited < 1.0
+        assert grid.monitor.count("client.sync_timeouts") == 1
+
+
 #: Fig. 4's strategies -> the ``policy.log.*`` entry implementing each.
 LOGGING_POLICIES = {
     policy.strategy: policy.key
