@@ -165,10 +165,14 @@ class CoordinatorLink:
 
         Under the default fixed-timeout detection that is silence beyond
         ``suspicion_timeout`` seconds; until then the caller re-sends to the
-        same coordinator.
+        same coordinator.  A time-out from a coordinator this component has
+        already left switches nothing: the caller re-sends to the preferred
+        one.
         """
         self.monitor.incr(counter)
-        if self.detector.is_suspected(coordinator, self.env.now):
+        if coordinator == self.registry.preferred() and self.detector.is_suspected(
+            coordinator, self.env.now
+        ):
             self.switch_coordinator(away_from=coordinator)
 
     def switch_coordinator(self, away_from: Address | None = None) -> Address | None:

@@ -574,6 +574,33 @@ class TestCoordinatorRequests:
         assert "client.syncs" not in grid.monitor.counters
 
 
+    def test_a_late_time_out_from_an_abandoned_coordinator_switches_nothing(self):
+        # A 12 s retry sends rounds to the dead coordinator at 0, 12 and
+        # 24 s.  The 5 s watch loop suspects it first and moves the client
+        # on; the round of 24 s times out afterwards, at 36 s.
+        protocol = ProtocolConfig()
+        protocol.client.request_retry = 12.0
+        grid = small_grid(protocol=protocol, n_servers=2, n_coordinators=3)
+        first, second, _third = (host.address for host in grid.coordinator_hosts())
+        sent = record_sends(
+            grid, grid.client.host, {MessageType.RPC_SUBMIT, MessageType.CLIENT_SYNC}
+        )
+        grid.coordinator_hosts()[0].crash()
+        workload = SyntheticWorkload(n_calls=1, exec_time=5.0)
+        process = grid.run_process(workload.run(grid.client))
+        assert grid.run_until(process, timeout=3000.0)
+        assert workload.completed_count() == 1
+        assert [at for at, _mtype, dest in sent if dest == first] == [0.0, 12.0, 24.0]
+        # The late time-out counts a retry, then the round goes to the
+        # coordinator the client already moved to: no second switch or sync.
+        assert all(dest == second for _at, _mtype, dest in sent[3:])
+        assert (36.0, MessageType.RPC_SUBMIT, second) in sent
+        counters = grid.monitor.counters
+        assert counters["client.submission_retries"] == 3
+        assert counters["client.coordinator_suspicions"] == 1
+        assert counters["client.coordinator_switches"] == 1
+        assert counters["client.syncs"] == 1
+
     def test_a_sync_reply_resumes_only_the_sync_sent_to_its_sender(self):
         grid = small_grid(n_servers=1, n_coordinators=2)
         live, dead = grid.coordinator_hosts()
