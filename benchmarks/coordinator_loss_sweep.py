@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Kill two of four coordinators for good and list the runs that lose calls.
+"""Kill two or three of four coordinators for good and list the runs that
+lose calls.
 
 Usage::
 
@@ -7,15 +8,15 @@ Usage::
 
 RPC-V promises that no submitted call is lost while any coordinator
 survives.  This sweep probes that promise on Fig. 7's grid (16 servers,
-4 coordinators, 96 calls of 10 s, horizon 2000 s): for seeds 7 and 11, for
-every pair of the four coordinators, and for kill times 5, 10, ..., 60 s, an
-``inject.script`` kills the pair permanently at the same instant.  That is
-144 runs, about 20 s on a 2-core host.
+4 coordinators, 96 calls of 10 s, horizon 2000 s): for seeds 7, 11 and 23,
+for every pair and every trio of the four coordinators, and for kill times
+5, 10, ..., 60 s, an ``inject.script`` kills them permanently at the same
+instant.  That is 360 runs, about 25 s on a 2-core host.
 
 Each run that completes fewer than 96 calls is printed as
-``SEED/PAIR/TIME=COMPLETED`` (``7/k0+k1/20=64``: seed 7, ``cluster-k0`` and
-``cluster-k1`` killed at 20 s, 64 calls completed).  The exit status is 0
-only when the set of lossy runs, completed counts included, equals
+``SEED/KILLED/TIME=COMPLETED`` (``7/k0+k1/20=64``: seed 7, ``cluster-k0``
+and ``cluster-k1`` killed at 20 s, 64 calls completed).  The exit status is
+0 only when the set of lossy runs, completed counts included, equals
 ``--expect`` (a comma-separated list of such labels; empty by default, which
 is the promise itself).  A lossy run that is not expected, or an expected one
 that no longer loses calls or now loses a different number, fails.
@@ -29,18 +30,20 @@ import sys
 
 from repro.scenarios.engine import GridTopology, WorkloadSpec, execute_benchmark
 
-SEEDS = (7, 11)
+SEEDS = (7, 11, 23)
 COORDINATORS = ("k0", "k1", "k2", "k3")
 KILL_TIMES = tuple(range(5, 61, 5))
+#: how many coordinators one run kills: every pair, then every trio.
+KILLED = (2, 3)
 N_CALLS = 96
 HORIZON = 2000.0
 
 
-def run_one(seed: int, pair: tuple[str, str], kill_at: float) -> int:
-    """Completed calls of one run that kills ``pair`` at ``kill_at``."""
+def run_one(seed: int, killed: tuple[str, ...], kill_at: float) -> int:
+    """Completed calls of one run that kills ``killed`` at ``kill_at``."""
     events = [
         {"time": kill_at, "action": "kill", "target": f"cluster-{name}"}
-        for name in pair
+        for name in killed
     ]
     report = execute_benchmark(
         GridTopology(n_servers=16, n_coordinators=4),
@@ -52,15 +55,24 @@ def run_one(seed: int, pair: tuple[str, str], kill_at: float) -> int:
     return report.completed
 
 
+def victims() -> list[tuple[str, ...]]:
+    """Every set of coordinators one run kills, pairs first."""
+    return [
+        killed
+        for size in KILLED
+        for killed in itertools.combinations(COORDINATORS, size)
+    ]
+
+
 def sweep() -> dict[str, int]:
     """``label -> completed`` for every run that lost calls."""
     lossy: dict[str, int] = {}
     for seed in SEEDS:
-        for pair in itertools.combinations(COORDINATORS, 2):
+        for killed in victims():
             for kill_at in KILL_TIMES:
-                completed = run_one(seed, pair, float(kill_at))
+                completed = run_one(seed, killed, float(kill_at))
                 if completed < N_CALLS:
-                    lossy[f"{seed}/{'+'.join(pair)}/{kill_at}"] = completed
+                    lossy[f"{seed}/{'+'.join(killed)}/{kill_at}"] = completed
     return lossy
 
 
@@ -73,24 +85,26 @@ def parse_expect(text: str) -> dict[str, int]:
             continue
         label, sep, completed = entry.partition("=")
         if not sep or not completed.strip().isdigit():
-            raise SystemExit(f"--expect entry {entry!r} is not SEED/PAIR/TIME=COMPLETED")
+            raise SystemExit(
+                f"--expect entry {entry!r} is not SEED/KILLED/TIME=COMPLETED"
+            )
         expected[label.strip()] = int(completed)
     return expected
 
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
-        description="List the two-coordinator kills that lose calls."
+        description="List the two- and three-coordinator kills that lose calls."
     )
     parser.add_argument(
         "--expect",
         default="",
-        help="comma-separated SEED/PAIR/TIME=COMPLETED labels of the lossy runs",
+        help="comma-separated SEED/KILLED/TIME=COMPLETED labels of the lossy runs",
     )
     args = parser.parse_args(argv)
     expected = parse_expect(args.expect)
     lossy = sweep()
-    runs = len(SEEDS) * len(KILL_TIMES) * len(COORDINATORS) * (len(COORDINATORS) - 1) // 2
+    runs = len(SEEDS) * len(victims()) * len(KILL_TIMES)
     for label, completed in lossy.items():
         print(f"lossy {label}={completed}  ({completed}/{N_CALLS} completed)")
     print(f"{len(lossy)} of {runs} runs lost calls")
