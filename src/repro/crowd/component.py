@@ -13,7 +13,7 @@ pushes that are marked off vectorized.
 Fault tolerance mirrors the full-protocol client: an unacknowledged or
 unresulted batch is re-sent **under the same batch id** (so the coordinator
 side de-duplicates on the task key and no client is ever committed twice);
-after ``suspect_after`` consecutive timeouts the silent coordinator is
+after :data:`SUSPECT_AFTER` consecutive timeouts the silent coordinator is
 suspected and the shard's traffic hands off deterministically to its ring
 successor, whose replicated state already carries the shard's tasks.
 
@@ -41,6 +41,10 @@ __all__ = ["CrowdComponent"]
 #: triple per contiguous id range — the honest cost of range encoding.
 _BATCH_HEADER_BYTES = 64
 _BATCH_RANGE_BYTES = 12
+#: consecutive unanswered batch deadlines before a coordinator is suspected.
+SUSPECT_AFTER = 2
+#: ticks between two aggregate heart-beats to every unsuspected coordinator.
+HEARTBEAT_EVERY = 5
 
 
 def _require_table():
@@ -76,8 +80,6 @@ class CrowdComponent(BaseComponent):
         service: str = "crowd",
         retry_timeout: float = 15.0,
         result_patience: float = 60.0,
-        suspect_after: int = 2,
-        heartbeat_every: int = 5,
         name: str | None = None,
     ) -> None:
         super().__init__(name or f"tier.crowd:{label}")
@@ -96,8 +98,6 @@ class CrowdComponent(BaseComponent):
         self.service = str(service)
         self.retry_timeout = float(retry_timeout)
         self.result_patience = float(result_patience)
-        self.suspect_after = max(1, int(suspect_after))
-        self.heartbeat_every = int(heartbeat_every)
 
         # Populated by setup().
         self.env = None
@@ -248,7 +248,7 @@ class CrowdComponent(BaseComponent):
             self._strike(record["dest"])
             self._resend(batch_id, record, now)
 
-        if self.heartbeat_every > 0 and self.ticks % self.heartbeat_every == 0:
+        if self.ticks % HEARTBEAT_EVERY == 0:
             self._send_heartbeats()
 
         depth = table.queue_depth()
@@ -309,7 +309,7 @@ class CrowdComponent(BaseComponent):
     def _strike(self, dest: Address) -> None:
         strikes = self._strikes.get(dest, 0) + 1
         self._strikes[dest] = strikes
-        if strikes >= self.suspect_after and dest not in self.registry.suspected:
+        if strikes >= SUSPECT_AFTER and dest not in self.registry.suspected:
             self.registry.suspect(dest)
             self.suspicions += 1
             self.monitor.incr("crowd.suspicions")

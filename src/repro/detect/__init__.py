@@ -9,6 +9,6 @@ suspicion timeout is (maybe wrongly) assumed to have failed.
 """
 
 from repro.detect.detector import FailureDetector, SuspicionEvent
-from repro.detect.heartbeat import HeartbeatEmitter
+from repro.detect.emitter import HeartbeatEmitter
 
 __all__ = ["FailureDetector", "HeartbeatEmitter", "SuspicionEvent"]

@@ -10,13 +10,7 @@ models describing volatility, and the controllable fault injectors (the
 Internet deployment would allow.
 """
 
-from repro.nodes.churn import (
-    ChurnModel,
-    ExponentialChurn,
-    NoChurn,
-    TraceChurn,
-    WeibullChurn,
-)
+from repro.nodes.churn import ChurnModel, ExponentialChurn, TraceChurn
 from repro.nodes.database import Database, DatabaseModel
 from repro.nodes.disk import DiskModel
 from repro.nodes.faultgen import FaultGenerator, FaultScript
@@ -31,7 +25,5 @@ __all__ = [
     "FaultGenerator",
     "FaultScript",
     "Host",
-    "NoChurn",
     "TraceChurn",
-    "WeibullChurn",
 ]

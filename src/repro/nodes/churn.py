@@ -4,7 +4,7 @@ The paper characterises Desktop Grid nodes as *volatile*: they leave without
 notice (shutdown, suspend-to-disk, idle-time policies, network stalls) and may
 come back minutes or days later, or never.  A churn model answers, for one
 node, "how long does it stay up, and once down, how long before it returns?"
-The fault generator (Fig. 7) and the grid builder consume these models.
+The ``inject.churn`` injector consumes these models.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Iterator, Protocol, Sequence
 from repro.errors import ConfigurationError
 from repro.sim.rng import RandomStreams
 
-__all__ = ["ChurnModel", "NoChurn", "ExponentialChurn", "WeibullChurn", "TraceChurn"]
+__all__ = ["ChurnModel", "ExponentialChurn", "TraceChurn"]
 
 
 class ChurnModel(Protocol):
@@ -31,17 +31,6 @@ class ChurnModel(Protocol):
         ``float('inf')`` means a permanent departure.
         """
         ...
-
-
-@dataclass
-class NoChurn:
-    """Nodes never fail on their own (faults only come from the fault script)."""
-
-    def uptime(self, rng: RandomStreams, node: str) -> float:
-        return float("inf")
-
-    def downtime(self, rng: RandomStreams, node: str) -> float:
-        return float("inf")
 
 
 @dataclass
@@ -70,33 +59,6 @@ class ExponentialChurn:
             if float(rng.stream(f"churn.perm.{node}").random()) < self.permanent_fraction:
                 return float("inf")
         return rng.exponential(f"churn.down.{node}", self.mttr)
-
-
-@dataclass
-class WeibullChurn:
-    """Weibull-distributed availability, the shape measured on real desktop grids.
-
-    ``shape < 1`` gives the bursty, heavy-tailed availability periods reported
-    by desktop-grid measurement studies (many short up-times, a few very long
-    ones).
-    """
-
-    scale_up: float = 600.0
-    shape_up: float = 0.7
-    scale_down: float = 60.0
-    shape_down: float = 0.8
-
-    def __post_init__(self) -> None:
-        if min(self.scale_up, self.shape_up, self.scale_down, self.shape_down) <= 0:
-            raise ConfigurationError("Weibull parameters must be positive")
-
-    def uptime(self, rng: RandomStreams, node: str) -> float:
-        stream = rng.stream(f"churn.up.{node}")
-        return float(self.scale_up * stream.weibull(self.shape_up))
-
-    def downtime(self, rng: RandomStreams, node: str) -> float:
-        stream = rng.stream(f"churn.down.{node}")
-        return float(self.scale_down * stream.weibull(self.shape_down))
 
 
 @dataclass

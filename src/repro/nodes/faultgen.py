@@ -3,7 +3,7 @@
 The paper built "a fault generator, running as a remotely controllable
 daemon [that], upon order, or from its own initiative with respect to its
 configuration, kills abruptly the RPC-V component of the hosting machine".
-This module reproduces its modes as four registered components, one class
+This module reproduces its modes as three registered components, one class
 each:
 
 * ``inject.rate`` (:class:`FaultGenerator`) — autonomous Poisson kills and
@@ -11,8 +11,6 @@ each:
   exactly as swept in Figure 7;
 * ``inject.churn`` (:class:`ChurnInjector`) — per-host volatility driven by
   a :class:`~repro.nodes.churn.ChurnModel` (desktop-grid churn);
-* ``inject.correlated`` (:class:`CorrelatedFaults`) — whole groups of hosts
-  failing and returning together;
 * ``inject.script`` (:class:`FaultScript`) — an explicit timetable of
   kill/restart events and condition-triggered steps, used for the labelled
   scenarios of Figures 10 and 11.
@@ -42,7 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "ChurnInjector",
-    "CorrelatedFaults",
     "FaultGenerator",
     "FaultScript",
 ]
@@ -142,8 +139,8 @@ class ChurnInjector:
     expires and returns after its down-time — or never, when the model draws a
     permanent departure.
 
-    The availability schedule comes from, in order of precedence: an explicit
-    ``model`` object, a ``trace`` CSV file of absolute ``node,up,down``
+    The availability schedule comes from, in order of precedence: a
+    ``trace`` CSV file of absolute ``node,up,down``
     availability intervals (see :meth:`repro.nodes.churn.TraceChurn.from_csv`;
     ``trace_mode`` decides whether an exhausted trace wraps or clamps the
     node down permanently), inline deterministic ``trace_pairs``
@@ -156,7 +153,6 @@ class ChurnInjector:
         mtbf: float = 600.0,
         mttr: float = 30.0,
         permanent_fraction: float = 0.0,
-        model: ChurnModel | None = None,
         trace: str | None = None,
         trace_mode: str = "wrap",
         trace_pairs: Sequence[Sequence[float]] | None = None,
@@ -164,9 +160,7 @@ class ChurnInjector:
     ) -> None:
         self.name = name or f"churn-{target}"
         self.target = target
-        if model is not None:
-            self.model = model
-        elif trace is not None:
+        if trace is not None:
             self.model = TraceChurn.from_csv(trace, mode=trace_mode)
         elif trace_pairs is not None:
             self.model = TraceChurn(
@@ -222,141 +216,6 @@ class ChurnInjector:
             if not host.up:
                 host.restart()
                 self.monitor.incr("churn.returns")
-
-
-@component("inject.correlated")
-class CorrelatedFaults:
-    """Correlated (group) failures: whole groups crash and return together.
-
-    Independent per-host churn underestimates the damage of power or network
-    events that take out a whole site at once.  This generator draws group
-    failures from a single Poisson process (aggregate ``rate_per_minute``):
-    each event picks one group, kills every up member simultaneously,
-    optionally ``partition``-s the group from the rest of the grid while it
-    is down, and restarts the whole group together after an
-    exponentially-distributed downtime (mean ``mttr``).
-
-    ``groups`` names the failure domains explicitly (a list of host-name
-    lists); without it the tier's hosts are chunked into consecutive groups
-    of ``group_size``.
-
-    All three draws (inter-event gap, group choice, downtime) come from
-    ``crn.``-prefixed streams and are made unconditionally per event, so two
-    policy arms sharing a ``crn_seed`` see the *identical* fault schedule
-    even when a chosen group happens to be already down in one arm.
-    """
-
-    def __init__(
-        self,
-        target: str = "servers",
-        groups: Sequence[Sequence[str]] | None = None,
-        group_size: int = 2,
-        rate_per_minute: float = 0.0,
-        mttr: float = 30.0,
-        partition: bool = False,
-        name: str | None = None,
-    ) -> None:
-        if rate_per_minute < 0:
-            raise ConfigurationError("rate_per_minute must be non-negative")
-        if mttr <= 0:
-            raise ConfigurationError("mttr must be positive")
-        if groups is None and group_size < 1:
-            raise ConfigurationError("group_size must be at least 1")
-        self.name = name or f"correlated-{target}"
-        if groups is not None:
-            cleaned = [list(group) for group in groups if group]
-            if groups and not cleaned:
-                raise ConfigurationError("correlated fault groups must be non-empty")
-            groups = cleaned
-        self.target = target
-        self.group_names = groups
-        self.group_size = group_size
-        self.rate_per_minute = rate_per_minute
-        self.mttr = mttr
-        self.partition = partition
-        #: hosts killed so far (the ``faults_injected`` output).
-        self.injected = 0
-        self.events = 0
-        self._running = False
-
-    def setup(self, builder: "Builder") -> None:
-        if self.group_names is not None:
-            self.groups = [
-                [builder.host(entry) for entry in group] for group in self.group_names
-            ]
-        else:
-            tier = builder.hosts(self.target)
-            self.groups = [
-                tier[index : index + self.group_size]
-                for index in range(0, len(tier), self.group_size)
-            ]
-        self.env = builder.env
-        self.rng = builder.rng
-        self.all_hosts = builder.hosts("all")
-        self.partitions = builder.partitions
-        self.monitor = builder.monitor
-
-    def start(self) -> None:
-        """Start injecting group failures (no-op at rate 0)."""
-        if self.rate_per_minute <= 0 or not self.groups or self._running:
-            return
-        self._running = True
-        self.env.process(self._run(), name=f"{self.name}:driver")
-
-    def stop(self) -> None:
-        """Stop injecting further events (in-flight recoveries still happen)."""
-        self._running = False
-
-    def _run(self):
-        mean_gap = 60.0 / self.rate_per_minute
-        while self._running:
-            # All draws happen before any state-dependent branching so the
-            # crn.* streams advance identically across paired policy arms.
-            gap = self.rng.exponential(f"crn.{self.name}.gap", mean_gap)
-            yield self.env.timeout(gap)
-            choice = int(
-                self.rng.stream(f"crn.{self.name}.group").integers(0, len(self.groups))
-            )
-            downtime = self.rng.exponential(f"crn.{self.name}.down", self.mttr)
-            if not self._running:
-                return
-            group = self.groups[choice]
-            victims = [host for host in group if host.up]
-            partition_name: str | None = None
-            if victims:
-                self.events += 1
-                self.monitor.incr("correlated.events")
-                for host in victims:
-                    self.injected += 1
-                    self.monitor.incr("correlated.kills")
-                    host.crash(cause=self.name)
-                if self.partition:
-                    inside = [host.address for host in group]
-                    outside = [
-                        host.address
-                        for host in self.all_hosts
-                        if host not in group
-                    ]
-                    if outside:
-                        partition_name = f"{self.name}:{self.events}"
-                        self.partitions.partition(partition_name, inside, outside)
-                        self.monitor.incr("correlated.partitions")
-            self.env.process(
-                self._recover(list(group), downtime, partition_name),
-                name=f"{self.name}:recover",
-            )
-
-    def _recover(self, group: list[Host], downtime: float, partition_name: str | None):
-        try:
-            yield self.env.timeout(downtime)
-        except ProcessKilled:  # pragma: no cover - defensive
-            return
-        if partition_name is not None:
-            self.partitions.heal(partition_name)
-        for host in group:
-            if not host.up:
-                host.restart()
-                self.monitor.incr("correlated.restarts")
 
 
 @component("inject.script")

@@ -66,9 +66,6 @@ class Host:
         #: crash hooks (e.g. heartbeat emitters reclaiming their pending
         #: kernel-lane timers); removable.
         self._crash_hooks: list[Callable[["Host"], None]] = []
-        #: extra restart hooks (e.g. beacons re-arming their emitters);
-        #: removable, unlike on_restart's component-owned slot.
-        self._restart_hooks: list[Callable[["Host"], None]] = []
 
         # availability bookkeeping
         #: instant of the last crash or restart (creation before either).
@@ -96,24 +93,6 @@ class Host:
         """Deregister a crash hook installed with add_crash_hook (idempotent)."""
         try:
             self._crash_hooks.remove(hook)
-        except ValueError:
-            pass
-
-    def add_restart_hook(self, hook: Callable[["Host"], None]) -> None:
-        """Register an additional restart hook (idempotent).
-
-        Unlike :meth:`on_restart` — a single slot owned by the host's
-        protocol component — any number of helpers (e.g. auxiliary heartbeat
-        beacons) may subscribe; hooks run after the component's restart
-        callback rebuilt its volatile state.
-        """
-        if hook not in self._restart_hooks:
-            self._restart_hooks.append(hook)
-
-    def remove_restart_hook(self, hook: Callable[["Host"], None]) -> None:
-        """Deregister a hook installed with add_restart_hook (idempotent)."""
-        try:
-            self._restart_hooks.remove(hook)
         except ValueError:
             pass
 
@@ -172,8 +151,6 @@ class Host:
         self.monitor.trace(now, "restart", address=str(self.address))
         if self._restart_callback is not None:
             self._restart_callback(self)
-        for hook in list(self._restart_hooks):  # hooks may deregister themselves
-            hook(self)
 
     # -- timed local operations ---------------------------------------------------
     def sleep(self, duration: float):

@@ -7,8 +7,8 @@ owns registration/start/stop ordering, and a string-keyed registry
 (:func:`~repro.platform.registry.component`, with a dotted-path fallback)
 lets scenario specs name extra components declaratively.  See
 :mod:`repro.nodes.faultgen` for the built-in fault injectors,
-:mod:`repro.platform.library` for the partition schedule and heart-beat
-beacon, and ``examples/custom_component.py`` for authoring a new one.
+:mod:`repro.platform.library` for the partition schedule, and
+``examples/custom_component.py`` for authoring a new one.
 """
 
 from repro.platform.builder import Builder, ComponentsInterface

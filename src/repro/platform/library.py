@@ -1,41 +1,33 @@
-"""Built-in registered components beyond fault injection.
+"""The built-in registered component beyond fault injection.
 
-These are declarative building blocks a :class:`~repro.scenarios.spec.
-ScenarioSpec` can name in its ``components:`` list (or code can pass to
-``build_grid(components=...)`` / ``grid.add_component(...)``) without touching
-any wiring code:
+``net.partition-schedule`` — timed partitions/heals over the partition
+manager (split-brain and one-way visibility rules) — is a declarative
+building block a :class:`~repro.scenarios.spec.ScenarioSpec` can name in its
+``components:`` list (or code can pass to ``build_grid(components=...)`` /
+``grid.add_component(...)``) without touching any wiring code.
 
-* ``net.partition-schedule`` — timed partitions/heals over the partition
-  manager (split-brain and one-way visibility rules);
-* ``detect.heartbeat``       — an auxiliary heart-beat beacon from one tier
-  of hosts to arbitrary targets.
+The fault injectors (``inject.rate``, ``inject.churn``, ``inject.script``)
+live with the hosts they kill, in :mod:`repro.nodes.faultgen`.
 
-The fault injectors (``inject.rate``, ``inject.churn``,
-``inject.correlated``, ``inject.script``) live with the hosts they kill, in
-:mod:`repro.nodes.faultgen`.
-
-Every class here follows the same shape: a constructor taking only plain
+Every component has the same shape: a constructor taking only plain
 (JSON-able) parameters, a ``setup(builder)`` pulling the substrate off the
 :class:`~repro.platform.builder.Builder`, and ``start``/``stop`` driving the
-underlying mechanism.  They double as reference implementations for custom
-components (see ``examples/custom_component.py``).
+underlying mechanism.  The schedule doubles as a reference implementation
+for custom components (see ``examples/custom_component.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from repro.detect.heartbeat import HeartbeatEmitter
 from repro.errors import ConfigurationError
-from repro.net.message import MessageType
 from repro.platform.component import BaseComponent
 from repro.platform.registry import component
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.platform.builder import Builder
 
-__all__ = ["HeartbeatBeacon", "PartitionSchedule"]
+__all__ = ["PartitionSchedule"]
 
 
 @component("net.partition-schedule")
@@ -144,83 +136,3 @@ class PartitionSchedule(BaseComponent):
                     self._apply(event)
 
             env.process(driver(), name=f"{self.name}:driver")
-
-
-@component("detect.heartbeat")
-class HeartbeatBeacon(BaseComponent):
-    """Auxiliary heart-beat emitters from one tier to arbitrary targets.
-
-    Attaches one :class:`~repro.detect.heartbeat.HeartbeatEmitter` per host
-    of ``tier``, beating to ``targets`` (a tier selector or explicit host
-    names) every ``period`` seconds — e.g. an out-of-band liveness signal a
-    custom detection policy consumes.  The protocol components' own emitters
-    are untouched; this is *extra* signal.  A host crash reclaims its
-    emitter's pending beat (the emitter's own crash hook) and a restart
-    re-arms it (the beacon's restart hook), so the beacon keeps beating
-    through churn exactly like the tier components' emitters do.
-    """
-
-    def __init__(
-        self,
-        tier: str = "servers",
-        targets: str | Sequence[str] = "coordinators",
-        period: float | None = None,
-        mtype: str = MessageType.PING.value,
-        name: str | None = None,
-    ) -> None:
-        super().__init__(name or f"heartbeat-{tier}")
-        self.tier = tier
-        self.targets = targets
-        self.period = period
-        self.mtype = MessageType(mtype)
-        self.emitters: list[HeartbeatEmitter] = []
-        self._running = False
-
-    def setup(self, builder: "Builder") -> None:
-        detection = builder.config.server.detection
-        if self.period is not None:
-            detection = replace(detection, heartbeat_period=self.period)
-        if isinstance(self.targets, str):
-            target_addresses = lambda: [
-                host.address for host in builder.hosts(self.targets)
-            ]
-        else:
-            fixed = [builder.host(entry).address for entry in self.targets]
-            target_addresses = lambda: fixed
-        self.emitters = [
-            HeartbeatEmitter(
-                host=host,
-                config=detection,
-                mtype=self.mtype,
-                targets=target_addresses,
-            )
-            for host in builder.hosts(self.tier)
-        ]
-
-    def start(self) -> None:
-        self._running = True
-        for emitter in self.emitters:
-            if emitter.host.up:
-                emitter.start()
-            # Crashed hosts stop beating through the emitter's own crash
-            # hook; the restart hook re-arms the beat when they return (and
-            # arms hosts that were already down at start time).
-            emitter.host.add_restart_hook(self._on_host_restart)
-
-    def stop(self) -> None:
-        self._running = False
-        for emitter in self.emitters:
-            emitter.host.remove_restart_hook(self._on_host_restart)
-            emitter.stop()
-
-    def _on_host_restart(self, host) -> None:
-        if not self._running:
-            return
-        for emitter in self.emitters:
-            if emitter.host is host:
-                emitter.start()
-
-    @property
-    def sent(self) -> int:
-        """Total beats sent across every emitter."""
-        return sum(emitter.sent for emitter in self.emitters)

@@ -7,8 +7,8 @@ component instance.  Two resolution paths:
 * **registered names** — a factory (usually a component class) registered
   with the :func:`component` decorator::
 
-      @component("detect.heartbeat")
-      class HeartbeatBeacon(BaseComponent): ...
+      @component("net.partition-schedule")
+      class PartitionSchedule(BaseComponent): ...
 
   Built-in names live in :mod:`repro.platform.library`,
   :mod:`repro.nodes.faultgen` (the ``inject.*`` fault injectors) and the

@@ -42,6 +42,9 @@ __all__ = [
     "QuorumReplication",
 ]
 
+#: the longest a quorum round backs off a silent successor, in rounds.
+MAX_BACKOFF_ROUNDS = 4
+
 
 class ReplicationPolicy(PolicyBase):
     """When (and whether) a coordinator propagates state to its successor."""
@@ -182,10 +185,10 @@ class QuorumReplication(ReplicationPolicy):
 
     Each round pushes the state abstract to up to ``successors`` ring
     successors in parallel and counts the epoch *committed* — only then are
-    its changes retired — once ⌈(successors+1)/2⌉ acks arrive (``quorum``
-    overrides the majority count explicitly).  A successor with an
-    outstanding un-acked push is backed off exponentially (per successor, in
-    units of the round period) and suspected after two consecutive misses,
+    its changes retired — once ⌈(successors+1)/2⌉ acks arrive.  A successor
+    with an outstanding un-acked push is backed off exponentially (per
+    successor, in units of the round period, up to
+    :data:`MAX_BACKOFF_ROUNDS`) and suspected after two consecutive misses,
     so one silent replica neither stalls the round nor keeps absorbing
     state pushes it never acknowledges.
 
@@ -199,9 +202,7 @@ class QuorumReplication(ReplicationPolicy):
     def __init__(
         self,
         successors: int = 2,
-        quorum: int | None = None,
         period: float | None = None,
-        max_backoff_rounds: int = 4,
         name: str | None = None,
     ) -> None:
         super().__init__(name)
@@ -209,22 +210,15 @@ class QuorumReplication(ReplicationPolicy):
 
         if successors < 1:
             raise ConfigurationError("successors must be >= 1")
-        if quorum is not None and not 1 <= quorum <= successors:
-            raise ConfigurationError("quorum must be in [1, successors]")
-        if max_backoff_rounds < 1:
-            raise ConfigurationError("max_backoff_rounds must be >= 1")
         self.successors = int(successors)
-        self.quorum = quorum
         self.period = period
-        self.max_backoff_rounds = int(max_backoff_rounds)
         # per-successor outstanding-push backoff state.
         self._next_allowed: dict = {}
         self._misses: dict = {}
 
     def quorum_for(self, n_targets: int) -> int:
         """Acks needed to commit a round pushed to ``n_targets`` successors."""
-        needed = self.quorum if self.quorum is not None else (self.successors + 2) // 2
-        return max(1, min(needed, n_targets))
+        return max(1, min((self.successors + 2) // 2, n_targets))
 
     def install(self, coordinator: "CoordinatorComponent") -> None:
         self._next_allowed = {}
@@ -271,7 +265,7 @@ class QuorumReplication(ReplicationPolicy):
                         continue
                     misses = self._misses.get(target, 0) + 1
                     self._misses[target] = misses
-                    rounds = min(2 ** (misses - 1), self.max_backoff_rounds)
+                    rounds = min(2 ** (misses - 1), MAX_BACKOFF_ROUNDS)
                     self._next_allowed[target] = env.now + rounds * period
                     self.incr("push_backoffs")
                     if misses >= 2:

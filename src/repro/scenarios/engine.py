@@ -52,7 +52,7 @@ __all__ = [
 #: RNG stream-name prefixes that drive fault/churn draws; fingerprinting
 #: these (and only these) is how paired-CRN sweeps assert that two policy
 #: arms consumed identical fault schedules.
-FAULT_STREAM_PREFIXES = ("churn.", "faultgen", "correlated", "crn.")
+FAULT_STREAM_PREFIXES = ("churn.", "faultgen", "crn.")
 
 #: named protocol presets a spec can reference instead of a ProtocolConfig.
 #: ``"default"`` is a bare ProtocolConfig here; :func:`execute_benchmark`,

@@ -9,7 +9,7 @@ import pytest
 
 from repro.config import FaultDetectionConfig, LoggingConfig
 from repro.detect.detector import FailureDetector
-from repro.detect.heartbeat import HeartbeatEmitter
+from repro.detect.emitter import HeartbeatEmitter
 from repro.errors import LogCorruption
 from repro.grid.builder import build_confined_cluster
 from repro.msglog.garbage import GarbageCollector

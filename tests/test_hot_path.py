@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.config import FaultDetectionConfig
 from repro.core.registry import CoordinatorRegistry
-from repro.detect.heartbeat import HeartbeatEmitter
+from repro.detect.emitter import HeartbeatEmitter
 from repro.grid.builder import build_confined_cluster
 from repro.net.message import Message, MessageType
 from repro.net.partition import PartitionManager

@@ -8,7 +8,7 @@ from repro.errors import ConfigurationError
 from repro.grid.builder import build_confined_cluster
 from repro.net.message import Message, MessageType
 from repro.net.transport import Network
-from repro.nodes.churn import ExponentialChurn, NoChurn, TraceChurn, WeibullChurn
+from repro.nodes.churn import ExponentialChurn, TraceChurn
 from repro.nodes.database import Database, DatabaseModel
 from repro.nodes.disk import DiskModel
 from repro.nodes.faultgen import FaultGenerator, FaultScript
@@ -92,11 +92,6 @@ class TestDatabase:
 
 
 class TestChurn:
-    def test_no_churn_is_eternal(self):
-        model = NoChurn()
-        rng = RandomStreams(0)
-        assert model.uptime(rng, "n") == float("inf")
-
     def test_exponential_validation(self):
         with pytest.raises(ConfigurationError):
             ExponentialChurn(mtbf=0)
@@ -110,12 +105,6 @@ class TestChurn:
     def test_exponential_permanent_fraction_one_never_returns(self):
         model = ExponentialChurn(mtbf=100.0, mttr=10.0, permanent_fraction=1.0)
         assert model.downtime(RandomStreams(1), "n") == float("inf")
-
-    def test_weibull_draws_positive(self):
-        model = WeibullChurn()
-        rng = RandomStreams(2)
-        assert model.uptime(rng, "n") > 0
-        assert model.downtime(rng, "n") > 0
 
     def test_trace_churn_replays_and_cycles(self):
         model = TraceChurn(pairs=[(10.0, 1.0), (20.0, 2.0)])

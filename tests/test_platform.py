@@ -16,7 +16,7 @@ from repro.platform import (
     resolve_component,
 )
 from repro.nodes.faultgen import ChurnInjector, FaultGenerator, FaultScript
-from repro.platform.library import HeartbeatBeacon, PartitionSchedule
+from repro.platform.library import PartitionSchedule
 from repro.scenarios.engine import interpolate_params
 from repro.scenarios.runner import SweepRunner
 from repro.scenarios.spec import Axis, ScenarioSpec
@@ -115,7 +115,7 @@ class TestComponentRegistry:
         names = component_names()
         for name in (
             "inject.rate", "inject.churn", "inject.script",
-            "net.partition-schedule", "detect.heartbeat",
+            "net.partition-schedule",
         ):
             assert name in names
 
@@ -212,7 +212,10 @@ class TestGridOnThePlatform:
             spec,
             components=[
                 ("inject.churn", {"target": "servers", "mtbf": 30.0, "mttr": 5.0}),
-                {"name": "detect.heartbeat", "params": {"period": 2.0}},
+                {
+                    "name": "net.partition-schedule",
+                    "params": {"events": [{"time": 60.0, "action": "heal-all"}]},
+                },
             ],
         )
         churn = grid.component("churn-servers")
@@ -220,7 +223,7 @@ class TestGridOnThePlatform:
         grid.start()
         grid.run(until=120.0)
         assert churn.injected > 0
-        assert grid.component("heartbeat-servers").sent > 0
+        assert grid.component("partition-schedule").injected == 1
 
     def test_instance_entries_with_params_raise(self):
         grid = build_confined_cluster(n_servers=1, n_coordinators=1)
@@ -272,40 +275,6 @@ class TestLibraryComponents:
     def test_partition_schedule_rejects_missing_time(self):
         with pytest.raises(ConfigurationError, match="no 'time'"):
             PartitionSchedule(events=[{"action": "heal-all"}])
-
-    def test_heartbeat_beacon_sends_extra_signal(self):
-        grid = build_confined_cluster(n_servers=2, n_coordinators=1)
-        beacon = grid.add_component(HeartbeatBeacon(
-            tier="servers", targets="coordinators", period=1.0,
-        ))
-        grid.start()
-        grid.run(until=10.0)
-        assert beacon.sent >= 10
-        grid.stop()
-        assert all(e.pending_timer is None for e in beacon.emitters)
-
-    def test_heartbeat_beacon_survives_crash_and_restart(self):
-        grid = build_confined_cluster(n_servers=1, n_coordinators=1)
-        beacon = grid.add_component(HeartbeatBeacon(
-            tier="servers", targets="coordinators", period=1.0,
-        ))
-        grid.start()
-        host = grid.builder.host("server:s000")
-        grid.run(until=5.0)
-        host.crash()
-        grid.run(until=10.0)
-        quiet = beacon.sent  # no beats while down (pending tick reclaimed)
-        grid.run(until=12.0)
-        assert beacon.sent == quiet
-        host.restart()  # the beacon's restart hook re-arms the emitter
-        grid.run(until=20.0)
-        assert beacon.sent > quiet
-        grid.stop()
-        host.crash()
-        host.restart()  # after stop() the hook is gone: stays silent
-        stopped = beacon.sent
-        grid.run(until=30.0)
-        assert beacon.sent == stopped
 
 
 class TestInterpolation:

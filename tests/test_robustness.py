@@ -1,5 +1,5 @@
 """Tests for the robustness layer: detection policies, quorum replication,
-the trace/correlated fault space, and common-random-numbers pairing."""
+the trace fault space, and common-random-numbers pairing."""
 
 from __future__ import annotations
 
@@ -301,35 +301,6 @@ class TestCommonRandomNumbers:
         two = RandomStreams(2, crn_seed=7)
         one.exponential("crn.faults", 10.0)
         assert one.fingerprint(("crn.",)) != two.fingerprint(("crn.",))
-
-
-# ------------------------------------------------------------ correlated faults
-class TestCorrelatedFaults:
-    def test_groups_fail_and_recover_together(self):
-        grid = build_confined_cluster(
-            n_servers=4,
-            n_coordinators=2,
-            seed=3,
-            components=[
-                {
-                    "name": "inject.correlated",
-                    "params": {
-                        "target": "servers",
-                        "group_size": 2,
-                        "rate_per_minute": 20.0,
-                        "mttr": 5.0,
-                    },
-                }
-            ],
-        )
-        grid.start()
-        grid.run(until=120.0)
-        kills = grid.monitor.count("correlated.kills")
-        events = grid.monitor.count("correlated.events")
-        assert events >= 1
-        # Whole groups of 2 go down per event (already-down members excepted).
-        assert kills >= events
-        assert grid.monitor.count("correlated.restarts") >= 1
 
 
 # ---------------------------------------------------------------- paired axes
