@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from repro.crowd.sharding import ShardMap
 from repro.crowd.table import DONE, IDLE, INFLIGHT, PENDING, CrowdTable
 from repro.errors import ConfigurationError
-from repro.net.message import MessageType
+from repro.net.message import Message, MessageType
 from repro.scenarios.engine import GridTopology
 from repro.scenarios.runner import run_scenario
 from repro.types import Address, TaskState
@@ -586,6 +586,31 @@ class TestCrowdIntegration:
         kernel = grid.stats()["kernel"]
         assert kernel["events_processed"] > 0
         assert "pool_hit_rate" in kernel and "compactions" in kernel
+
+    def test_a_coordinator_is_suspected_on_its_second_consecutive_miss(self):
+        _, crowd = _run_crowd_grid(50, horizon=60.0)
+        target = Address("coordinator", "cluster-k2")
+        before = crowd.suspicions
+        assert target not in crowd.registry.suspected
+        crowd._strike(target)
+        assert target not in crowd.registry.suspected
+        # Any message from the coordinator clears its strikes, so two misses
+        # separated by a reply are not consecutive.
+        crowd._dispatch(
+            Message(MessageType.CROWD_SUBMIT_ACK, target, crowd.host.address,
+                    payload={"batch": -1})
+        )
+        crowd._strike(target)
+        assert target not in crowd.registry.suspected
+        crowd._strike(target)
+        assert target in crowd.registry.suspected
+        crowd._strike(target)
+        assert crowd.suspicions == before + 1
+
+    def test_heart_beats_go_to_every_coordinator_every_fifth_tick(self):
+        grid, crowd = _run_crowd_grid(50, horizon=60.0)
+        assert crowd.ticks >= 50
+        assert grid.monitor.count("crowd.heartbeats") == 3 * (crowd.ticks // 5)
 
     def test_kept_crowd_messages_stay_as_delivered(self):
         kept = []

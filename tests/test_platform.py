@@ -119,6 +119,20 @@ class TestComponentRegistry:
         ):
             assert name in names
 
+    def test_retired_knobs_are_refused_by_name(self):
+        # The quorum, back-off cap, crowd suspicion and heart-beat cadence
+        # are fixed rules now, and churn draws only from ExponentialChurn or
+        # a trace; a scenario still naming an old knob fails loudly.
+        for name, params in (
+            ("policy.repl.quorum", {"quorum": 1}),
+            ("policy.repl.quorum", {"max_backoff_rounds": 8}),
+            ("tier.crowd", {"suspect_after": 3}),
+            ("tier.crowd", {"heartbeat_every": 0}),
+            ("inject.churn", {"model": "weibull"}),
+        ):
+            with pytest.raises(ConfigurationError, match="rejected its parameters"):
+                create_component(name, params)
+
     def test_create_with_params(self):
         built = create_component(
             "inject.rate", {"target": "coordinators", "faults_per_minute": 3.0}

@@ -223,6 +223,14 @@ class TestQuorumReplication:
         assert policy.quorum_for(2) == 2
         assert policy.quorum_for(1) == 1  # a lone survivor still commits
 
+    def test_quorum_is_a_majority_of_the_successors(self):
+        for successors in range(1, 7):
+            policy = QuorumReplication(successors=successors)
+            assert policy.quorum_for(successors) == successors // 2 + 1
+            # Fewer reachable successors than a majority: all of them.
+            for reachable in range(1, successors // 2 + 1):
+                assert policy.quorum_for(reachable) == reachable
+
     def test_rounds_commit_and_reach_the_backups(self):
         grid = build_confined_cluster(
             n_servers=2,
