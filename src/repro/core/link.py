@@ -61,7 +61,7 @@ class CoordinatorLink:
         self.monitor = monitor or host.monitor
         #: the ``policy.*`` selection this component's policies come from.
         self.policies = policies or PolicyConfig()
-        #: (coordinator, reply type or submission timestamp) -> waiting
+        #: (coordinator, reply type), or submission timestamp -> waiting
         #: requests, oldest first (see _request).
         self._waiters: dict[Any, list[Event]] = {}
         self.started = False
@@ -112,16 +112,16 @@ class CoordinatorLink:
     # ------------------------------------------------------------- requests
     def _dispatch(self, message: Message) -> None:
         # Any message proves its sender alive; a reply wakes the oldest
-        # request sent to its sender and waiting in its slot.  Identity
-        # tests pick the slot, since a table lookup would hash the enum
-        # member in Python.
+        # request waiting in its slot, which names the reply's sender
+        # except for a submission's ack.  Identity tests pick the slot,
+        # since a table lookup would hash the enum member in Python.
         source = message.source
         self.detector.heard_from(source, self.env.now)
         self.registry.rehabilitate(source)
         if self._waiters:
             mtype = message.mtype
             if mtype is MessageType.SUBMIT_ACK:
-                slot = (source, int(message.payload.get("timestamp", 0)))
+                slot = int(message.payload.get("timestamp", 0))
             elif mtype is MessageType.NO_WORK:
                 slot = (source, MessageType.TASK_ASSIGN)
             else:
@@ -140,12 +140,13 @@ class CoordinatorLink:
         The reply is the first ``expect`` message (``TASK_ASSIGN`` also
         stands for ``NO_WORK``) from ``message.dest`` to arrive while this
         request is the oldest one waiting for it.  A ``SUBMIT_ACK`` is
-        matched by its ``key`` instead, the submission's timestamp.  A
-        request that times out leaves the table, so a late reply cannot
-        resume it.  Generator returning the reply message, or ``None`` on
-        time-out.
+        matched by its ``key`` instead, the submission's timestamp, from
+        whichever coordinator sends it: any ack means the call is
+        registered.  A request that times out leaves the table, so a late
+        reply cannot resume it.  Generator returning the reply message, or
+        ``None`` on time-out.
         """
-        slot = (message.dest, expect if key is None else key)
+        slot = (message.dest, expect) if key is None else key
         waiter = self.env.event()
         self._waiters.setdefault(slot, []).append(waiter)
         self.host.send(message)
