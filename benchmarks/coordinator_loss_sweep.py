@@ -4,7 +4,7 @@ lose calls.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/coordinator_loss_sweep.py [--expect RUNS]
+    PYTHONPATH=src python benchmarks/coordinator_loss_sweep.py
 
 RPC-V promises that no submitted call is lost while any coordinator
 survives.  This sweep probes that promise on Fig. 7's grid (16 servers,
@@ -16,10 +16,7 @@ instant.  That is 360 runs, about 25 s on a 2-core host.
 Each run that completes fewer than 96 calls is printed as
 ``SEED/KILLED/TIME=COMPLETED`` (``7/k0+k1/20=64``: seed 7, ``cluster-k0``
 and ``cluster-k1`` killed at 20 s, 64 calls completed).  The exit status is
-0 only when the set of lossy runs, completed counts included, equals
-``--expect`` (a comma-separated list of such labels; empty by default, which
-is the promise itself).  A lossy run that is not expected, or an expected one
-that no longer loses calls or now loses a different number, fails.
+0 only when no run lost a call.
 """
 
 from __future__ import annotations
@@ -76,48 +73,16 @@ def sweep() -> dict[str, int]:
     return lossy
 
 
-def parse_expect(text: str) -> dict[str, int]:
-    """``"7/k0+k1/20=64,..."`` -> ``{"7/k0+k1/20": 64, ...}``."""
-    expected: dict[str, int] = {}
-    for entry in text.split(","):
-        entry = entry.strip()
-        if not entry:
-            continue
-        label, sep, completed = entry.partition("=")
-        if not sep or not completed.strip().isdigit():
-            raise SystemExit(
-                f"--expect entry {entry!r} is not SEED/KILLED/TIME=COMPLETED"
-            )
-        expected[label.strip()] = int(completed)
-    return expected
-
-
 def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
+    argparse.ArgumentParser(
         description="List the two- and three-coordinator kills that lose calls."
-    )
-    parser.add_argument(
-        "--expect",
-        default="",
-        help="comma-separated SEED/KILLED/TIME=COMPLETED labels of the lossy runs",
-    )
-    args = parser.parse_args(argv)
-    expected = parse_expect(args.expect)
+    ).parse_args(argv)
     lossy = sweep()
     runs = len(SEEDS) * len(victims()) * len(KILL_TIMES)
     for label, completed in lossy.items():
         print(f"lossy {label}={completed}  ({completed}/{N_CALLS} completed)")
     print(f"{len(lossy)} of {runs} runs lost calls")
-    if lossy == expected:
-        return 0
-    for label in sorted(lossy.keys() - expected.keys()):
-        print(f"unexpected loss: {label}={lossy[label]}")
-    for label in sorted(expected.keys() - lossy.keys()):
-        print(f"expected loss did not happen: {label}={expected[label]}")
-    for label in sorted(lossy.keys() & expected.keys()):
-        if lossy[label] != expected[label]:
-            print(f"loss changed: {label} completed {lossy[label]}, expected {expected[label]}")
-    return 1
+    return 1 if lossy else 0
 
 
 if __name__ == "__main__":
