@@ -241,11 +241,15 @@ class CrowdComponent(BaseComponent):
 
         # Re-send every overdue batch (same batch id: the coordinator side
         # de-duplicates on the task key, so duplicates are counted, not
-        # double-committed) and strike the silent coordinator.
+        # double-committed).  Only an unacked batch strikes its coordinator:
+        # an acked one waited past ``result_patience`` on a coordinator that
+        # answered, and its re-send makes that coordinator push the result
+        # again.
         for batch_id, record in list(self._batches.items()):
             if now < record["retry_at"]:
                 continue
-            self._strike(record["dest"])
+            if not record["acked"]:
+                self._strike(record["dest"])
             self._resend(batch_id, record, now)
 
         if self.ticks % HEARTBEAT_EVERY == 0:

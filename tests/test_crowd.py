@@ -535,6 +535,7 @@ def _run_crowd_grid(
     surge_factor: float = 1.0,
     kill: tuple[float, str] | None = None,
     think_window: float = 60.0,
+    exec_time_per_call: float = 0.002,
     horizon: float = 400.0,
     delivery_hook=None,
 ):
@@ -552,7 +553,7 @@ def _run_crowd_grid(
             "params": {
                 "n_clients": n_clients,
                 "think_window": think_window,
-                "exec_time_per_call": 0.002,
+                "exec_time_per_call": exec_time_per_call,
                 "retry_timeout": 8.0,
                 "result_patience": 30.0,
                 "surge_at": surge_at,
@@ -606,6 +607,27 @@ class TestCrowdIntegration:
         assert target in crowd.registry.suspected
         crowd._strike(target)
         assert crowd.suspicions == before + 1
+
+    @pytest.mark.parametrize("kill", [None, (100.0, "coordinator:cluster-k1")])
+    def test_a_slow_result_is_not_a_dead_coordinator(self, kill):
+        # 5 s of work per client against 4 servers: the backlog grows, so
+        # acked batches wait well past result_patience (30 s) for results.
+        _, crowd = _run_crowd_grid(
+            300, think_window=200.0, exec_time_per_call=5.0, horizon=900.0, kill=kill
+        )
+        stats = crowd.stats()
+        assert stats["completed"] == 300
+        assert stats["duplicate_completions"] == 0
+        assert stats["batch_resends"] > 0
+        if kill is None:
+            # Every coordinator acks: none is ever suspected.
+            assert stats["suspicions"] == 0
+            assert crowd.registry.suspected == set()
+        else:
+            # The killed one stops acking its shard's new batches, and those
+            # unacked batches still suspect it (SUSPECT_AFTER strikes).
+            assert stats["suspicions"] == 1
+            assert crowd.registry.suspected == {Address("coordinator", "cluster-k1")}
 
     def test_heart_beats_go_to_every_coordinator_every_fifth_tick(self):
         grid, crowd = _run_crowd_grid(50, horizon=60.0)
