@@ -25,6 +25,7 @@ database-dominated replication times come from.
 from __future__ import annotations
 
 from dataclasses import replace
+from math import ceil, exp, log
 from typing import Any
 
 from repro.config import CoordinatorConfig, PolicyConfig
@@ -48,6 +49,12 @@ from repro.sim.monitor import Monitor
 from repro.types import Address, CallIdentity, TaskState
 
 __all__ = ["CoordinatorComponent"]
+
+#: a queue wait up to this many seconds counts as none.
+WAIT_FLOOR = 1e-6
+#: queue-wait histogram buckets per factor of e: each is 1 % wide, so the
+#: histogram stays small and a quantile read from it is at most 1 % high.
+WAIT_BUCKETS_PER_E = 100
 
 
 class CoordinatorComponent:
@@ -137,6 +144,17 @@ class CoordinatorComponent:
         self._ctr_duplicate_crowd_batches = monitor.counter(
             "coordinator.duplicate_crowd_batches"
         )
+
+        # Service-queue load, kept across restarts (metrics, not protocol
+        # state): simulated seconds spent inside handlers, handled messages
+        # by type, and a histogram of every message's wait from delivery to
+        # its handler's start.  See load().
+        self.busy_s = 0.0
+        self.handled: dict[MessageType, int] = {}
+        #: wait bucket -> messages.  Bucket 0 holds the waits up to
+        #: WAIT_FLOOR, bucket b > 0 those up to
+        #: WAIT_FLOOR * e ** (b / WAIT_BUCKETS_PER_E).
+        self.queue_waits: dict[int, int] = {}
 
         host.on_restart(lambda _host: self.start())
 
@@ -318,14 +336,33 @@ class CoordinatorComponent:
     # ------------------------------------------------------------------ loops
     def _recv_loop(self):
         # Batched drain: one resume per tick however many messages landed
-        # (recv_many), instead of one resume per message.
+        # (recv_many), instead of one resume per message.  The coordinator
+        # serves one message at a time, so handler start and end times are
+        # its whole service-queue load.  A handler that returns None takes
+        # no simulated time, so the clock is read once per batch and once
+        # after each handler that ran.
+        env = self.env
+        handled = self.handled
+        waits = self.queue_waits
         try:
             while True:
                 batch: list[Message] = yield self.host.recv_many()
+                now = start = env.now
                 for message in batch:
+                    wait = now - message.delivered_at
+                    bucket = (
+                        ceil(log(wait / WAIT_FLOOR) * WAIT_BUCKETS_PER_E)
+                        if wait > WAIT_FLOOR
+                        else 0
+                    )
+                    waits[bucket] = waits.get(bucket, 0) + 1
+                    mtype = message.mtype
+                    handled[mtype] = handled.get(mtype, 0) + 1
                     handling = self._handle(message)
                     if handling is not None:
                         yield from handling
+                        now = env.now
+                self.busy_s += now - start
         except ProcessKilled:  # pragma: no cover - host crash
             return
 
@@ -1009,6 +1046,23 @@ class CoordinatorComponent:
             return
 
     # ------------------------------------------------------------------ reporting
+    def load(self, span: float) -> dict[str, Any]:
+        """Service-queue load over the first ``span`` simulated seconds.
+
+        ``busy_share`` is the time spent inside handlers over ``span``;
+        ``requests`` counts the handled messages by type; the queue wait of
+        a message runs from its delivery to its handler's start, and its
+        p50 / p99 are taken over every handled message (nearest rank, read
+        from the histogram: at most 1 % high).
+        """
+        return {
+            "busy_s": self.busy_s,
+            "busy_share": self.busy_s / span if span > 0 else 0.0,
+            "requests": {mtype.value: n for mtype, n in self.handled.items()},
+            "wait_p50_s": _wait_quantile(self.queue_waits, 0.50),
+            "wait_p99_s": _wait_quantile(self.queue_waits, 0.99),
+        }
+
     def stats(self) -> dict[str, Any]:
         """Snapshot of coordinator counters (experiments / tests)."""
         states = self.index.state_counts()
@@ -1028,3 +1082,15 @@ class CoordinatorComponent:
             "replication_policy": self.replication_policy.key,
             "detection_policy": getattr(self.server_detector.policy, "key", None),
         }
+
+
+def _wait_quantile(histogram: dict[int, int], q: float) -> float:
+    """The nearest-rank ``q`` quantile of a queue-wait histogram (0 if empty),
+    as the upper edge of the bucket that holds it."""
+    rank = ceil(q * sum(histogram.values()))
+    seen = 0
+    for bucket in sorted(histogram):
+        seen += histogram[bucket]
+        if seen >= rank:
+            return WAIT_FLOOR * exp(bucket / WAIT_BUCKETS_PER_E) if bucket else 0.0
+    return 0.0

@@ -121,6 +121,8 @@ class Message:
     size_bytes: int = 0
     #: virtual time at which the message was handed to the network.
     sent_at: float | None = None
+    #: virtual time at which the network delivered it to its destination.
+    delivered_at: float | None = None
 
     def __post_init__(self) -> None:
         if self.size_bytes < 0:

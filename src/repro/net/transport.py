@@ -180,7 +180,7 @@ class Network:
         per-pair route cache, and the counters are pre-resolved handles.
         """
         env = self.env
-        message.sent_at = env.now
+        now = message.sent_at = env.now
         self._c_sent.value += 1.0
         wire = message.wire_bytes
         self._c_bytes_sent.value += wire
@@ -211,12 +211,10 @@ class Network:
         delay = route[0](message.source, message.dest, wire, self._delay_stream)
         # Capture the destination's incarnation at send time (per delivery,
         # not on the message — a caller may legally re-send the same Message
-        # object): a restart while in flight invalidates the delivery.
-        env.call_at(
-            env.now + delay if delay > 0.0 else env.now,
-            self._deliver,
-            (message, dest_endpoint.incarnation),
-        )
+        # object): a restart while in flight invalidates the delivery.  The
+        # delivery time rides along, so stamping it costs no clock read.
+        when = now + delay if delay > 0.0 else now
+        env.call_at(when, self._deliver, (message, dest_endpoint.incarnation, when))
 
     def _resolve_route(self, source: Address, dest: Address) -> tuple:
         """Resolve and cache the (transfer_time, loss_probability) for a pair.
@@ -231,8 +229,8 @@ class Network:
         self._routes[(source, dest)] = route
         return route
 
-    def _deliver(self, in_flight: "tuple[Message, int | None]") -> None:
-        message, send_incarnation = in_flight
+    def _deliver(self, in_flight: "tuple[Message, int | None, float]") -> None:
+        message, send_incarnation, when = in_flight
         endpoint = self._endpoints.get(message.dest)
         if endpoint is None:  # pragma: no cover - endpoint removed mid-flight
             self.monitor.incr("net.dropped.unknown_dest")
@@ -252,6 +250,7 @@ class Network:
             endpoint.dropped_stale += 1
             self.monitor.incr("net.dropped.stale_incarnation")
             return
+        message.delivered_at = when
         endpoint.delivered += 1
         self._c_delivered.value += 1.0
         self._c_bytes_delivered.value += message.wire_bytes

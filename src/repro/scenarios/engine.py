@@ -422,6 +422,7 @@ def execute_benchmark(
         ideal_time=ideal,
         counters=dict(grid.monitor.counters),
         series=grid.monitor.series,
+        coordinators={c.name: c.load(grid.env.now) for c in grid.coordinators},
     )
     if record_fault_streams:
         report.fault_streams = grid.rng.fingerprint(FAULT_STREAM_PREFIXES)

@@ -36,6 +36,10 @@ class RunReport:
     #: aggregated crowd-tier counters, flattened into the outputs as
     #: ``crowd_*`` when a ``tier="crowd"`` component took part in the run.
     crowd: dict[str, Any] | None = None
+    #: each coordinator's service-queue load, by coordinator name
+    #: (:meth:`~repro.core.coordinator.CoordinatorComponent.load` over the
+    #: run's simulated span).
+    coordinators: dict[str, dict[str, Any]] = field(default_factory=dict)
 
     @property
     def all_completed(self) -> bool:
@@ -52,6 +56,7 @@ class RunReport:
             "finished_in_time": self.finished_in_time,
             "overhead_vs_ideal": self.overhead_vs_ideal,
             "ideal_time": self.ideal_time,
+            "coordinators": self.coordinators,
         }
         if self.fault_streams is not None:
             out["fault_streams"] = self.fault_streams

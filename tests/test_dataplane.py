@@ -40,6 +40,7 @@ from repro.nodes.node import Host
 from repro.sim.core import Environment
 from repro.sim.rng import RandomStreams
 from repro.types import Address, CallIdentity, TaskState
+from repro.scenarios.engine import GridTopology, WorkloadSpec, execute_benchmark
 from repro.workloads.synthetic import SyntheticWorkload
 
 K0 = Address("coordinator", "k0")
@@ -703,6 +704,55 @@ class TestClientPendingView:
         client.forget_handles()
         assert client.handles == {} and client.pending_handles() == []
         assert client.stats()["pending"] == 0
+
+
+# ------------------------------------------------------------ coordinator load
+class TestCoordinatorLoad:
+    """Two timestamps per handled message give the coordinator's load."""
+
+    def test_busy_time_queue_wait_and_requests_by_type(self):
+        harness = Harness()
+        coord, env = harness.coord, harness.env
+        coord.start()
+
+        def land(mtype: MessageType, source: Address, payload: dict) -> None:
+            message = Message(mtype=mtype, source=source, dest=K0, payload=payload)
+            message.delivered_at = env.now
+            harness.host.endpoint.mailbox.put(message)
+
+        # Two pulls and a heart-beat land at one instant: the second pull
+        # waits for the first one's handler, the heart-beat for both.
+        pull = {"session": SESSIONS[0], "pending": None}
+        land(MessageType.RESULT_PULL, CLIENT, pull)
+        land(MessageType.RESULT_PULL, CLIENT, pull)
+        land(MessageType.SERVER_HEARTBEAT, SERVERS[0], {})
+        env.run(until=10.0)
+        handler_s = coord.config.request_processing_overhead + coord.database.model.scan_time(0)
+        load = coord.load(10.0)
+        assert load["busy_s"] == pytest.approx(2 * handler_s)
+        assert load["busy_share"] == pytest.approx(2 * handler_s / 10.0)
+        assert load["requests"] == {"result-pull": 2, "server-heartbeat": 1}
+        # Waits 0, one handler and two: read from 1 %-wide buckets.
+        assert sum(coord.queue_waits.values()) == 3 and coord.queue_waits[0] == 1
+        assert load["wait_p50_s"] == pytest.approx(handler_s, rel=0.01)
+        assert load["wait_p99_s"] == pytest.approx(2 * handler_s, rel=0.01)
+
+    def test_every_run_reports_each_coordinators_load(self):
+        report = execute_benchmark(
+            GridTopology(n_servers=4, n_coordinators=2),
+            WorkloadSpec(n_calls=8, exec_time=1.0),
+            seed=1,
+        )
+        loads = report.outputs()["coordinators"]
+        assert list(loads) == ["coordinator:cluster-k0", "coordinator:cluster-k1"]
+        for load in loads.values():
+            assert 0.0 < load["busy_share"] < 1.0
+            assert 0.0 <= load["wait_p50_s"] <= load["wait_p99_s"]
+            assert load["requests"]["replica-state"] > 0
+        # The client and the unspread servers talk to cluster-k0 only.
+        primary = loads["coordinator:cluster-k0"]["requests"]
+        assert primary["rpc-submit"] == primary["task-result"] == 8
+        assert "work-request" not in loads["coordinator:cluster-k1"]["requests"]
 
 
 # ------------------------------------------------------------- one result object

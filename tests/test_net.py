@@ -467,7 +467,7 @@ class TestCrashedMailboxAndHandlers:
 
         def burst_then_crash(_):
             for n in range(3):
-                network._deliver((Message(MessageType.PING, A, B, {"n": n}), 0))
+                network._deliver((Message(MessageType.PING, A, B, {"n": n}), 0, 1.0))
             # The getter is woken (its batch holds all three messages) but
             # the kernel has not processed it when the host goes down.
             assert not endpoint.mailbox.items
