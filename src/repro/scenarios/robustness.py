@@ -162,6 +162,7 @@ def detector_ablation_cell(
         "mistakes_per_server_hour": 3600.0 * mistakes / observed_s,
         "mistake_s": count["mistake_s"] / ended if ended else 0.0,
         "query_accuracy": 1.0 - count["mistake_s"] / observed_s,
+        "coordinators": report.coordinators,
     }
 
 
