@@ -32,3 +32,18 @@ def test_the_paper_size_campaign_completes():
     result = campaign(1000, {"lille": 93, "wisconsin": 93, "orsay": 93}, seed=0)
     print("makespan:", result["makespan"])
     assert result["completed"] == result["submitted"] == 1000
+
+
+def test_paper_size_grid_of_432_servers_completes():
+    """Four times the paper's server count: the campaign still completes,
+    and the extra servers do not slow it below what 108 servers achieve."""
+
+    def run(per_site: int) -> dict:
+        sites = dict.fromkeys(("lille", "wisconsin", "orsay"), per_site)
+        return campaign(300, sites, seed=7, horizon=3000.0)
+
+    large, small = run(144), run(36)
+    print("makespan:", large["makespan"], "on 108 servers:", small["makespan"])
+    assert large["completed"] == large["submitted"] == 300
+    assert small["completed"] == small["submitted"] == 300
+    assert large["makespan"] <= small["makespan"]

@@ -111,10 +111,12 @@ class CoordinatorConfig:
 
     replication: ReplicationConfig = field(default_factory=ReplicationConfig)
     detection: FaultDetectionConfig = field(default_factory=FaultDetectionConfig)
-    #: fixed middleware processing time charged per handled request (job
-    #: translation, HTTP/serialisation layers of XtremWeb), on top of the
-    #: database costs.  This is what produces the paper's ~17 % infrastructure
-    #: overhead on the 96x10 s benchmark.
+    #: fixed middleware processing time charged per request that does work
+    #: (job translation, HTTP/serialisation layers of XtremWeb), on top of
+    #: the database costs.  This is what produces the paper's ~17 %
+    #: infrastructure overhead on the 96x10 s benchmark.  A work request
+    #: that nothing is eligible for translates no job and reads only the
+    #: in-memory task index, so its NO_WORK is not charged it.
     request_processing_overhead: float = 0.08
 
     def validate(self) -> None:

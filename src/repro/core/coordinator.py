@@ -370,10 +370,22 @@ class CoordinatorComponent:
         """Dispatch one message; returns the handler generator left to drive.
 
         Heart-beats, acks and pings never yield: they are handled right here
-        (``None`` is returned), so they cost no generator per message.
+        (``None`` is returned), so they cost no generator per message.  So is
+        a work request that the scheduler's eligibility rule finds nothing
+        for: an empty answer translates no job and reads nothing the task
+        index does not already hold, so it is charged neither the overhead
+        nor a scan.  It still waits its turn in this one queue.
         """
         mtype = message.mtype
         if mtype is MessageType.WORK_REQUEST:
+            if self.scheduler.nothing_eligible(
+                self.index, self.name, self._owner_suspected
+            ):
+                self._hear_server(message.source)
+                self.host.send(
+                    message.reply(MessageType.NO_WORK, payload={}, size_bytes=16)
+                )
+                return None
             return self._after_overhead(self._on_work_request(message))
         elif mtype is MessageType.SERVER_HEARTBEAT:
             self._on_server_heartbeat(message)

@@ -10,10 +10,12 @@ time: the Lille curve grows continuously while the LRI curve follows it in
 The default task count and server population are scaled down from the paper's
 1000 tasks / ~280 servers.  The paper's size runs too:
 ``campaign(1000, {"lille": 93, "wisconsin": 93, "orsay": 93}, seed=0)``
-completes 1000 / 1000 with a 1,868 s makespan, in about 4 s of wall time on
-one core of a Xeon server.  It still logs 2,482 server request timeouts: the
-coordinator is overloaded, but idle servers back off while its answers come
-late (``repro.core.server``), so the overload does not feed itself.
+completes 1000 / 1000 with a 1,256 s makespan, in about 7 s of wall time on
+one core of a 2-core x86 host.  It logs 586 server request timeouts, most
+of them in the start-up storm of 279 server synchronisations queued at
+Lille.  An idle server's poll costs the coordinator nothing when it has no
+eligible task, and idle servers back off while answers wait behind queued
+work (``repro.core.server``), so idle polling does not feed an overload.
 
 Figures 9–11 all run the campaign through :func:`campaign`, one
 ``execute_benchmark`` call on the Internet testbed.
@@ -46,6 +48,7 @@ def campaign(
     seed: int,
     median_duration: float = 110.0,
     components: Sequence[Any] = (),
+    horizon: float = HORIZON,
 ) -> dict[str, Any]:
     """Run one Alcatel campaign and sample both coordinators' curves."""
     topology = GridTopology(
@@ -55,7 +58,7 @@ def campaign(
         topology,
         AlcatelSpec(n_tasks=n_tasks, median_duration=median_duration, seed=seed + 1),
         seed=seed,
-        horizon=HORIZON,
+        horizon=horizon,
         components=components,
     )
     # The campaign starts at t = 0, so its makespan is where the run stopped.

@@ -211,7 +211,8 @@ class Grid:
         """
         stats = dict(self.env.queue_stats())
         # Zeroed placeholders for keys bench/rep.py reads: the kernel has no
-        # timer wheel and messages no free list.  Drop with ROADMAP item 12.
+        # timer wheel and messages no free list.  Drop with the ROADMAP's
+        # "[benchmark] PR to fix what the frozen harness is blocking".
         stats["wheel_flushes"] = stats["wheel_overflows"] = 0
         stats["pool_hit_rate"] = 0.0
         return stats

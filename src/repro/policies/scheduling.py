@@ -112,11 +112,11 @@ class SchedulerPolicy(PolicyBase):
         mutation back through the index (the coordinator does so via
         ``_mark_dirty``).
         """
+        if self.nothing_eligible(index, my_name, owner_suspected):
+            return SchedulingDecision(task=None, reason="no eligible task")
         extras, held = index.eligible_extras(my_name, owner_suspected)
         self.dedup_holds += held
         task = self.choose_indexed(index, extras, server=server, now=now)
-        if task is None:
-            return SchedulingDecision(task=None, reason="no eligible task")
         task.state = TaskState.ONGOING
         task.owner = my_name
         task.assigned_server = server
@@ -125,6 +125,29 @@ class SchedulerPolicy(PolicyBase):
         self.assignments += 1
         self.incr("assignments")
         return SchedulingDecision(task=task, reason=self.key)
+
+    def nothing_eligible(
+        self,
+        index: "TaskIndex",
+        my_name: str,
+        owner_suspected: Callable[[str], bool],
+    ) -> bool:
+        """Whether no task at all is eligible: none pending, none released.
+
+        The one eligibility test: :meth:`pick` asks it first, and the
+        coordinator asks it before charging a work request anything, so an
+        answer given without the charges is the answer a pick would give.
+        A ``True`` settles the request, so the ongoing tasks the
+        de-duplication rule withheld are counted in :attr:`dedup_holds`
+        here, once, as a pick counts them.
+        """
+        if index.pending:
+            return False
+        extras, held = index.eligible_extras(my_name, owner_suspected)
+        if extras:
+            return False
+        self.dedup_holds += held
+        return True
 
     def choose(
         self, eligible: list[TaskRecord], server: Address, now: float

@@ -20,7 +20,13 @@ from hypothesis import strategies as st
 from repro.config import LoggingConfig
 from repro.core.client import ClientComponent
 from repro.core.coordinator import CoordinatorComponent
-from repro.core.protocol import CallDescription, ReplicaEntry, ResultRecord, TaskRecord
+from repro.core.protocol import (
+    TASK_DESCRIPTION_BYTES,
+    CallDescription,
+    ReplicaEntry,
+    ResultRecord,
+    TaskRecord,
+)
 from repro.core.registry import CoordinatorRegistry
 from repro.core.services import default_registry
 from repro.core.replication import (
@@ -132,11 +138,14 @@ class Harness:
         self.host.restart()
 
     def deliver(self, mtype: MessageType, source: Address, payload: dict) -> list[Message]:
-        """Handle one request to completion; returns what it sent."""
+        """Handle one request to completion; returns what it sent.
+
+        ``cost`` is left holding the simulated seconds the handler charged:
+        0 for a message handled in place (``_handle`` returned ``None``).
+        """
         before = len(self.sent)
         message = Message(mtype=mtype, source=source, dest=K0, payload=payload)
-        for _delay in self.coord._handle(message):
-            pass
+        self.cost = sum(delay.delay for delay in self.coord._handle(message) or ())
         return self.sent[before:]
 
     # -- naive references: walk the tables -----------------------------------
@@ -704,6 +713,76 @@ class TestClientPendingView:
         client.forget_handles()
         assert client.handles == {} and client.pending_handles() == []
         assert client.stats()["pending"] == 0
+
+
+# ------------------------------------------------------------- free empty answer
+class TestFreeEmptyAnswer:
+    """A work request that nothing is eligible for is answered at no cost;
+    one that gets work pays the overhead, the scan and the write as ever."""
+
+    def ask_for_work(self, harness: Harness) -> MessageType:
+        (reply,) = harness.deliver(MessageType.WORK_REQUEST, SERVERS[0], {})
+        return reply.mtype
+
+    def add_ongoing(self, harness: Harness, owner: Address, *stamps: int) -> None:
+        coord = harness.coord
+        for ts in stamps:
+            key = CallIdentity("u0", "s", ts)
+            record = TaskRecord(
+                call=make_call(*key),
+                state=TaskState.ONGOING,
+                owner=str(owner),
+                submitted_at=float(ts),
+                assigned_server=SERVERS[1],
+            )
+            coord.tasks[key] = record
+            coord.index.note(record, key)
+
+    def test_an_empty_request_costs_nothing_and_charges_no_database(self):
+        harness = Harness()
+        database = harness.coord.database
+        assert self.ask_for_work(harness) is MessageType.NO_WORK
+        assert harness.cost == 0.0
+        assert (database.scans, database.writes, database.time_charged) == (0, 0, 0.0)
+        # The server is still heard: it is watched from its first poll on.
+        assert SERVERS[0] in harness.coord.known_servers
+
+    def test_a_request_with_a_pending_task_pays_as_before(self):
+        harness = Harness()
+        coord = harness.coord
+        coord.preload_tasks([make_call("u0", "s", 1)])
+        keys = len(coord.database.keys)
+        scans, writes = coord.database.scans, coord.database.writes
+        assert self.ask_for_work(harness) is MessageType.TASK_ASSIGN
+        model = coord.database.model
+        assert harness.cost == pytest.approx(
+            coord.config.request_processing_overhead
+            + model.scan_time(keys)
+            + model.write_time(TASK_DESCRIPTION_BYTES)
+        )
+        assert (coord.database.scans, coord.database.writes) == (scans + 1, writes + 1)
+
+    def test_ongoing_tasks_of_a_live_owner_leave_the_answer_free(self):
+        harness = Harness()
+        self.add_ongoing(harness, PEERS[0], 1, 2)
+        assert self.ask_for_work(harness) is MessageType.NO_WORK
+        assert harness.cost == 0.0
+        assert harness.coord.database.scans == 0
+        assert harness.coord.scheduler.dedup_holds == 2
+
+    def test_ongoing_tasks_of_a_suspected_owner_take_the_paid_path(self):
+        harness = Harness()
+        coord = harness.coord
+        self.add_ongoing(harness, PEERS[0], 1, 2)
+        coord.suspect_coordinator(PEERS[0])
+        assert self.ask_for_work(harness) is MessageType.TASK_ASSIGN
+        assert harness.cost == pytest.approx(
+            coord.config.request_processing_overhead
+            + coord.database.model.scan_time(0)
+            + coord.database.model.write_time(TASK_DESCRIPTION_BYTES)
+        )
+        assert coord.scheduler.dedup_holds == 0
+        assert coord.tasks[CallIdentity("u0", "s", 1)].owner == coord.name
 
 
 # ------------------------------------------------------------ coordinator load

@@ -274,7 +274,8 @@ class TestEventBudget:
         """A count, not a timing: the smoke-scale ``steady-backlog`` cell.
 
         4.9 kernel events per delivered message before waits and mailboxes
-        stopped paying for intermediate events, about 3.3 since.  The
+        stopped paying for intermediate events, about 3.4 since, and 2.9
+        since an empty work answer sleeps through no charge.  The
         fault-free path builds no ``AnyOf`` (every race is one event against
         a time-out) and a batch wake has no finalize callback left to queue.
         """
@@ -295,7 +296,7 @@ class TestEventBudget:
         )
         assert report.completed == report.submitted == 200
         delivered = report.counters["net.delivered"]
-        assert report.kernel["events_processed"] / delivered <= 3.5
+        assert report.kernel["events_processed"] / delivered <= 3.0
         assert races == []
         assert not hasattr(Store, "_finalize_batch")
 

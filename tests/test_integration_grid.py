@@ -12,7 +12,8 @@ from repro.core.api import GridRpc
 from repro.errors import ConfigurationError
 from repro.grid.builder import build_confined_cluster, build_internet_testbed
 from repro.grid.deployment import confined_cluster_spec, internet_testbed_spec
-from repro.net.message import MessageType
+from repro.net.message import Message, MessageType
+from repro.nodes.node import Host
 from repro.policies import (
     OptimisticLogging,
     PessimisticBlockingLogging,
@@ -23,7 +24,7 @@ from repro.scenarios.engine import (
     WorkloadSpec,
     execute_benchmark,
 )
-from repro.types import LoggingStrategy, RPCStatus, TaskState
+from repro.types import Address, LoggingStrategy, RPCStatus, TaskState
 from repro.workloads.synthetic import SyntheticWorkload
 
 
@@ -183,23 +184,46 @@ def idle_waits(grid, server):
     return waits
 
 
-def slow_coordinator_grid():
-    """One server pulling from one coordinator whose every answer is late.
+def busy_coordinator_grid():
+    """One server pulling from one coordinator whose queue never empties.
 
-    0.6 s per request is above ``work_poll_period / 4``, yet leaves the
-    coordinator room for the client's 1 Hz result pulls, so the delay stays
-    put instead of growing into a backlog.
+    A second client keeps twelve result pulls queued at the coordinator
+    (each answer sends the next), and a pull does work: the overhead plus a
+    scan, ~0.08 s.  An empty answer is free, but it waits its turn behind
+    ~0.9 s of pulls, above ``work_poll_period / 4``.  Crash the loader's
+    host to let the queue drain.
     """
-    protocol = ProtocolConfig()
-    protocol.coordinator.request_processing_overhead = 0.6
-    return small_grid(protocol=protocol, n_servers=1, n_coordinators=1)
+    grid = small_grid(n_servers=1, n_coordinators=1)
+    (coordinator,) = grid.coordinators
+    loader = Host(
+        grid.env,
+        grid.network,
+        Address("client", "loader"),
+        rng=grid.rng.spawn("loader"),
+        monitor=grid.monitor,
+    )
+
+    def pull(_reply=None):
+        loader.send(
+            Message(
+                MessageType.RESULT_PULL,
+                loader.address,
+                coordinator.address,
+                payload={"session": ("loader", "s"), "pending": None},
+            )
+        )
+
+    loader.on_message(pull)
+    for _ in range(12):
+        pull()
+    return grid, loader
 
 
 class TestIdlePolling:
     """An idle server doubles its poll wait while NO_WORK answers come late."""
 
     def test_late_no_work_doubles_the_wait_up_to_the_cap(self):
-        grid = slow_coordinator_grid()
+        grid, _loader = busy_coordinator_grid()
         waits = idle_waits(grid, grid.servers[0])
         grid.run(until=200.0)
         assert waits[:6] == [4.0, 8.0, 16.0, 32.0, 32.0, 32.0]
@@ -207,18 +231,18 @@ class TestIdlePolling:
         assert grid.monitor.count("server.idle_backoffs") == len(waits) + 1
 
     def test_a_prompt_no_work_resets_the_wait(self):
-        grid = slow_coordinator_grid()
+        grid, loader = busy_coordinator_grid()
         waits = idle_waits(grid, grid.servers[0])
         grid.run(until=20.0)
         assert waits == [4.0, 8.0]
-        grid.coordinators[0].config.request_processing_overhead = 0.0
+        loader.crash()
         grid.run(until=40.0)
         # The 16 s wait under way is served out; the prompt answer after
         # it brings the next one back to the poll period.
         assert waits[:6] == [4.0, 8.0, 16.0, 2.0, 2.0, 2.0]
 
     def test_an_assignment_resets_the_wait(self):
-        grid = slow_coordinator_grid()
+        grid, _loader = busy_coordinator_grid()
         waits = idle_waits(grid, grid.servers[0])
         grid.run(until=110.0)
         assert waits == [4.0, 8.0, 16.0, 32.0, 32.0]
@@ -227,6 +251,22 @@ class TestIdlePolling:
         assert grid.run_until(process, timeout=500.0)
         grid.run(until=grid.env.now + 20.0)
         assert waits == [4.0, 8.0, 16.0, 32.0, 32.0, 32.0, 4.0, 8.0]
+
+    def test_idle_polls_cost_an_idle_coordinator_nothing(self):
+        grid = small_grid(n_servers=1, n_coordinators=1)
+        grid.run(until=30.0)
+        (coordinator,) = grid.coordinators
+        load = coordinator.load(30.0)
+        requests = load["requests"]
+        assert requests["work-request"] == 15
+        # Only the client's pulls and the server's start-up sync do work.
+        per_request = (
+            coordinator.config.request_processing_overhead
+            + coordinator.database.model.scan_time(0)
+        )
+        paid = requests["result-pull"] + requests["server-sync"]
+        assert load["busy_s"] == pytest.approx(paid * per_request)
+        assert "server.idle_backoffs" not in grid.monitor.counters
 
     def test_the_drivers_quiet_poll_period_keeps_servers_silent(self):
         protocol = ProtocolConfig()

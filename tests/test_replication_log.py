@@ -109,7 +109,8 @@ class TestNoCallLostFaultFree:
 
 
 class TestExecutionsPerCall:
-    """Fault-free, each call should run about once (ROADMAP item 3).
+    """Fault-free, each call should run about once (ROADMAP: "Whenever a
+    queue builds on a spread grid, calls run more than once").
 
     ``server.tasks_executed`` counts every execution a server started; seed 3,
     1 s calls, the platform's defaults otherwise.
@@ -130,8 +131,9 @@ class TestExecutionsPerCall:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP item 3: a queue on a spread grid runs each call ~3 "
-        "times (448 executions for 150 calls)",
+        reason="a queue on a spread grid runs each call ~3 times (456 "
+        "executions for 150 calls; ROADMAP: \"Whenever a queue builds on a "
+        "spread grid, calls run more than once\")",
     )
     def test_a_spread_grid_runs_each_call_once(self):
         assert self._executions_per_call(150, spread=True) <= 1.05
