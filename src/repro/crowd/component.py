@@ -243,8 +243,9 @@ class CrowdComponent(BaseComponent):
         # de-duplicates on the task key, so duplicates are counted, not
         # double-committed).  Only an unacked batch strikes its coordinator:
         # an acked one waited past ``result_patience`` on a coordinator that
-        # answered, and its re-send makes that coordinator push the result
-        # again.
+        # answered.  Its re-send must draw a fresh ack: a live coordinator
+        # re-acks the duplicate (and pushes a finished result again), a dead
+        # one leaves it unacked, and the next deadline strikes it.
         for batch_id, record in list(self._batches.items()):
             if now < record["retry_at"]:
                 continue
@@ -302,12 +303,11 @@ class CrowdComponent(BaseComponent):
             # Deterministic handoff: the shard's traffic moves to the ring
             # successor of the suspected owner.
             record["dest"] = dest
-            record["acked"] = False
             self.reroutes += 1
             self.monitor.incr("crowd.reroutes")
             self._handoff_pending.setdefault(record["shard"], now)
-        deadline = self.result_patience if record["acked"] else self.retry_timeout
-        record["retry_at"] = now + deadline * (1 + record["resends"])
+        record["acked"] = False
+        record["retry_at"] = now + self.retry_timeout * (1 + record["resends"])
         self._send_batch(batch_id, record)
 
     def _strike(self, dest: Address) -> None:
@@ -348,7 +348,9 @@ class CrowdComponent(BaseComponent):
             if record is not None and source == record["dest"]:
                 if not record["acked"]:
                     record["acked"] = True
-                    record["retry_at"] = self.env.now + self.result_patience
+                    record["retry_at"] = self.env.now + self.result_patience * (
+                        1 + record["resends"]
+                    )
                 self._complete_handoff(record["shard"])
         elif mtype is MessageType.CROWD_RESULT_BATCH:
             record = self._batches.pop(int(message.payload.get("batch", -1)), None)

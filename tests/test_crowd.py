@@ -608,7 +608,10 @@ class TestCrowdIntegration:
         crowd._strike(target)
         assert crowd.suspicions == before + 1
 
-    @pytest.mark.parametrize("kill", [None, (100.0, "coordinator:cluster-k1")])
+    @pytest.mark.parametrize(
+        "kill",
+        [None, (100.0, "coordinator:cluster-k1"), (201.0, "coordinator:cluster-k1")],
+    )
     def test_a_slow_result_is_not_a_dead_coordinator(self, kill):
         # 5 s of work per client against 4 servers: the backlog grows, so
         # acked batches wait well past result_patience (30 s) for results.
@@ -624,9 +627,13 @@ class TestCrowdIntegration:
             assert stats["suspicions"] == 0
             assert crowd.registry.suspected == set()
         else:
-            # The killed one stops acking its shard's new batches, and those
-            # unacked batches still suspect it (SUSPECT_AFTER strikes).
+            # At 100 s the killed one stops acking its shard's new batches;
+            # at 201 s, after the think window, no new batch goes to it, and
+            # the re-sends of batches it acked before dying (held by no
+            # replica yet) go unacked.  Either way unacked batches suspect it
+            # (SUSPECT_AFTER strikes) and its shard is handed off.
             assert stats["suspicions"] == 1
+            assert stats["handoffs"] >= 1
             assert crowd.registry.suspected == {Address("coordinator", "cluster-k1")}
 
     def test_heart_beats_go_to_every_coordinator_every_fifth_tick(self):
