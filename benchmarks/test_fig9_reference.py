@@ -3,6 +3,8 @@
 from repro.analysis import plateaux_count
 from repro.experiments.fig9_reference import campaign
 from repro.scenarios import run_scenario
+from repro.scenarios.engine import GridTopology, execute_benchmark
+from repro.workloads.alcatel import AlcatelSpec
 
 
 def test_fig9_reference_execution(benchmark):
@@ -40,7 +42,14 @@ def test_paper_size_grid_of_432_servers_completes():
 
     def run(per_site: int) -> dict:
         sites = dict.fromkeys(("lille", "wisconsin", "orsay"), per_site)
-        return campaign(300, sites, seed=7, horizon=3000.0)
+        # campaign()'s run, with a horizon that bounds how long a
+        # regressed run takes to fail.
+        return execute_benchmark(
+            GridTopology(kind="internet", servers_per_site=sites),
+            AlcatelSpec(n_tasks=300, seed=8),
+            seed=7,
+            horizon=3000.0,
+        ).outputs()
 
     large, small = run(144), run(36)
     print("makespan:", large["makespan"], "on 108 servers:", small["makespan"])

@@ -382,9 +382,7 @@ class CoordinatorComponent:
                 self.index, self.name, self._owner_suspected
             ):
                 self._hear_server(message.source)
-                self.host.send(
-                    message.reply(MessageType.NO_WORK, payload={}, size_bytes=16)
-                )
+                self._answer_no_work(message)
                 return None
             return self._after_overhead(self._on_work_request(message))
         elif mtype is MessageType.SERVER_HEARTBEAT:
@@ -678,7 +676,7 @@ class CoordinatorComponent:
             now=self.env.now,
         )
         if decision.task is None:
-            self.host.send(message.reply(MessageType.NO_WORK, payload={}, size_bytes=16))
+            self._answer_no_work(message)
             return
         task = decision.task
         key = task.identity
@@ -695,6 +693,9 @@ class CoordinatorComponent:
                 size_bytes=task.call.wire_bytes,
             )
         )
+
+    def _answer_no_work(self, message: Message) -> None:
+        self.host.send(message.reply(MessageType.NO_WORK, payload={}, size_bytes=16))
 
     def _on_task_result(self, message: Message):
         server = message.source

@@ -48,7 +48,6 @@ def campaign(
     seed: int,
     median_duration: float = 110.0,
     components: Sequence[Any] = (),
-    horizon: float = HORIZON,
 ) -> dict[str, Any]:
     """Run one Alcatel campaign and sample both coordinators' curves."""
     topology = GridTopology(
@@ -58,7 +57,7 @@ def campaign(
         topology,
         AlcatelSpec(n_tasks=n_tasks, median_duration=median_duration, seed=seed + 1),
         seed=seed,
-        horizon=horizon,
+        horizon=HORIZON,
         components=components,
     )
     # The campaign starts at t = 0, so its makespan is where the run stopped.

@@ -112,10 +112,10 @@ class SchedulerPolicy(PolicyBase):
         mutation back through the index (the coordinator does so via
         ``_mark_dirty``).
         """
-        if self.nothing_eligible(index, my_name, owner_suspected):
-            return SchedulingDecision(task=None, reason="no eligible task")
-        extras, held = index.eligible_extras(my_name, owner_suspected)
+        extras, held = self.eligible(index, my_name, owner_suspected)
         self.dedup_holds += held
+        if extras is None:
+            return SchedulingDecision(task=None, reason="no eligible task")
         task = self.choose_indexed(index, extras, server=server, now=now)
         task.state = TaskState.ONGOING
         task.owner = my_name
@@ -126,25 +126,44 @@ class SchedulerPolicy(PolicyBase):
         self.incr("assignments")
         return SchedulingDecision(task=task, reason=self.key)
 
+    def eligible(
+        self,
+        index: "TaskIndex",
+        my_name: str,
+        owner_suspected: Callable[[str], bool],
+    ) -> tuple[list[TaskRecord] | None, int]:
+        """The one eligibility test: ``(extras, held)``.
+
+        ``extras`` are the ongoing tasks released besides the pending ones,
+        or ``None`` when nothing at all is eligible (none pending, none
+        released); ``held`` counts the ongoing tasks the de-duplication
+        rule withheld.  :meth:`pick` and :meth:`nothing_eligible` both ask
+        it, so an answer given without the charges is the answer a pick
+        would give.
+        """
+        extras, held = index.eligible_extras(my_name, owner_suspected)
+        if not index.pending and not extras:
+            return None, held
+        return extras, held
+
     def nothing_eligible(
         self,
         index: "TaskIndex",
         my_name: str,
         owner_suspected: Callable[[str], bool],
     ) -> bool:
-        """Whether no task at all is eligible: none pending, none released.
+        """Whether :meth:`eligible` finds nothing, so a request is settled.
 
-        The one eligibility test: :meth:`pick` asks it first, and the
-        coordinator asks it before charging a work request anything, so an
-        answer given without the charges is the answer a pick would give.
-        A ``True`` settles the request, so the ongoing tasks the
-        de-duplication rule withheld are counted in :attr:`dedup_holds`
-        here, once, as a pick counts them.
+        The coordinator asks it before charging a work request anything.
+        A pending task is always eligible, so it answers ``False`` without
+        asking the detector about any owner.  A ``True`` settles the
+        request, so its holds are counted in :attr:`dedup_holds` here,
+        once, as a pick counts them.
         """
         if index.pending:
             return False
-        extras, held = index.eligible_extras(my_name, owner_suspected)
-        if extras:
+        extras, held = self.eligible(index, my_name, owner_suspected)
+        if extras is not None:
             return False
         self.dedup_holds += held
         return True

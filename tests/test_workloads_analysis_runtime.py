@@ -297,10 +297,9 @@ class TestExperimentSmoke:
         ).rows
         tight, loose = rows
         # A tighter timeout detects crashes sooner and makes no fewer
-        # mistakes.  This tiny cell's WAN makes none at either timeout:
-        # its one former mistake was a heart-beat the link model stalled
-        # for 5.8 s, and that stall moved to another message when the
-        # message count changed.
+        # mistakes.  This tiny cell makes no mistake at either timeout;
+        # whether it makes one depends on a single draw of the network's
+        # shared WAN delay stream, so the mistake axis is not pinned here.
         assert tight["detection_s"] < loose["detection_s"]
         assert tight["mistakes"] >= loose["mistakes"]
 
