@@ -1,10 +1,32 @@
 """Benchmark for Figure 9 — reference Alcatel execution without fault."""
 
-from repro.analysis import plateaux_count
 from repro.experiments.fig9_reference import campaign
 from repro.scenarios import run_scenario
 from repro.scenarios.engine import GridTopology, execute_benchmark
 from repro.workloads.alcatel import AlcatelSpec
+
+
+def plateaux_count(values, min_length: int = 2) -> int:
+    """Number of flat stretches (>= ``min_length`` samples) in a curve.
+
+    The replica curve of Figure 9 shows plateaux between replication rounds.
+    """
+    values = list(values)
+    count = 0
+    run_length = 1
+    for previous, current in zip(values, values[1:]):
+        if current == previous:
+            run_length += 1
+        else:
+            count += run_length >= min_length
+            run_length = 1
+    return count + (bool(values) and run_length >= min_length)
+
+
+def test_plateaux_count():
+    assert plateaux_count([0, 0, 1, 1, 1, 2, 3, 3]) == 3
+    assert plateaux_count([1, 2, 3, 4]) == 0
+    assert plateaux_count([]) == 0
 
 
 def test_fig9_reference_execution(benchmark):

@@ -15,13 +15,14 @@ from repro.config import ProtocolConfig
 from repro.core.taskindex import TaskIndex
 from repro.grid.builder import build_grid
 from repro.grid.deployment import confined_cluster_spec
-from repro.net.latency import CompositeLinkModel, LanLinkModel, PerfectLinkModel
+from repro.net.latency import CompositeLinkModel, LanLinkModel
 from repro.net.message import Message, MessageType
 from repro.net.transport import Network
 from repro.policies.scheduling import FifoReschedulePolicy
 from repro.sim.core import AnyOf, Environment, Timeout
 from repro.sim.rng import RandomStreams
-from repro.types import Address
+from repro.types import Address, TaskState
+from tests.support import PerfectLinkModel
 
 from test_perf_scaling import calls, pending_table
 
@@ -218,10 +219,10 @@ def test_a_suspicion_storm_requeues_exactly_what_the_servers_held():
     index = TaskIndex(pending_table(2_000))
     for server in servers:
         index.note(policy.pick(index, server, "k0", lambda _owner: False, now=0.0).task)
-    assert index.ongoing == len(servers) and index.pending == 1_000
+    assert index._counts[TaskState.ONGOING] == len(servers) and index.pending == 1_000
     for server in servers:
         requeued = policy.reschedule_for_suspected_server(index, server, "k0")
         assert len(requeued) == 1
         for record in requeued:
             index.note(record)
-    assert index.pending == 2_000 and index.ongoing == 0
+    assert index.pending == 2_000 and index._counts[TaskState.ONGOING] == 0

@@ -178,10 +178,6 @@ class PolicyConfig:
     #: detector.
     detection: Any = "policy.detect.fixed-timeout"
 
-    def entries(self) -> dict[str, Any]:
-        """The four entries, by axis."""
-        return {axis: getattr(self, axis) for axis in POLICY_AXES}
-
     def validate(self) -> None:
         """Every entry is well-formed and names a resolvable component.
 
@@ -210,17 +206,3 @@ class ProtocolConfig:
         self.server.validate()
         self.policy.validate()
         return self
-
-    def describe(self) -> dict[str, Any]:
-        """A flat, printable description used by experiment reports."""
-        description = {
-            "heartbeat_period": self.coordinator.detection.heartbeat_period,
-            "suspicion_timeout": self.coordinator.detection.suspicion_timeout,
-            "replication_period": self.coordinator.replication.period,
-            "result_poll_period": self.client.result_poll_period,
-        }
-        for axis, entry in self.policy.entries().items():
-            description[f"policy.{axis}"] = (
-                entry if isinstance(entry, str) else dict(entry)
-            )
-        return description

@@ -56,11 +56,6 @@ class RPCHandle:
     meta: dict[str, Any] = field(default_factory=dict)
 
     @property
-    def identity(self) -> CallIdentity:
-        """Identity of the underlying call."""
-        return self.description.identity
-
-    @property
     def timestamp(self) -> int:
         """The client timestamp (RPC counter) of this call."""
         return self.description.identity.rpc
@@ -190,7 +185,9 @@ class ClientComponent(CoordinatorLink):
             return handle.result
         yield from self.env.wait_any([handle.completed_event], timeout=timeout)
         if not handle.done:
-            raise RPCTimeout(f"RPC {handle.identity} not completed within {timeout}s")
+            raise RPCTimeout(
+                f"RPC {handle.description.identity} not completed within {timeout}s"
+            )
         return handle.result
 
     def wait_all(self, handles, timeout: float | None = None):
@@ -204,10 +201,6 @@ class ClientComponent(CoordinatorLink):
     def probe(self, handle: RPCHandle) -> RPCStatus:
         """Non-blocking status query."""
         return handle.status
-
-    def pending_handles(self) -> list[RPCHandle]:
-        """Handles submitted in this incarnation and not yet completed."""
-        return list(self._pending.values())
 
     def forget_handles(self) -> None:
         """Drop every handle of this incarnation, pending ones included.

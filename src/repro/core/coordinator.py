@@ -245,7 +245,7 @@ class CoordinatorComponent:
 
     # ------------------------------------------------------------------ helpers
     def _mark_dirty(self, key: CallIdentity) -> None:
-        """Stamp the change to ``key`` for replication (policy notified).
+        """Stamp the change to ``key`` for replication.
 
         This doubles as the task index's transition choke point: every
         mutation path already marks the record dirty, so routing the
@@ -256,7 +256,6 @@ class CoordinatorComponent:
             self.index.note(record, key)
         self._change_seq += 1
         self._changes[key] = self._change_seq
-        self.replication_policy.on_dirty(self, key)
 
     def _store_result(self, key: CallIdentity, result: ResultRecord) -> bool:
         """File a result archive under ``key`` — the only way into ``coord:results``.
@@ -1074,26 +1073,6 @@ class CoordinatorComponent:
             "requests": {mtype.value: n for mtype, n in self.handled.items()},
             "wait_p50_s": _wait_quantile(self.queue_waits, 0.50),
             "wait_p99_s": _wait_quantile(self.queue_waits, 0.99),
-        }
-
-    def stats(self) -> dict[str, Any]:
-        """Snapshot of coordinator counters (experiments / tests)."""
-        states = self.index.state_counts()
-        return {
-            "tasks": len(self.tasks),
-            "pending": states[TaskState.PENDING],
-            "ongoing": states[TaskState.ONGOING],
-            "finished": states[TaskState.FINISHED],
-            "results_held": len(self.results),
-            "known_servers": len(self.known_servers),
-            "db_writes": self.database.writes,
-            "db_time": self.database.time_charged,
-            "dirty": len(self._changes),
-            "scheduler_policy": self.scheduler.key,
-            "scheduler_assignments": self.scheduler.assignments,
-            "scheduler_dedup_holds": self.scheduler.dedup_holds,
-            "replication_policy": self.replication_policy.key,
-            "detection_policy": getattr(self.server_detector.policy, "key", None),
         }
 
 

@@ -50,24 +50,9 @@ class CoordinatorRegistry:
                 added += 1
         return added
 
-    def remove(self, address: Address) -> None:
-        """Drop a coordinator from the list entirely (user update)."""
-        if address in self.coordinators:
-            index = self.coordinators.index(address)
-            self.coordinators.remove(address)
-            self.suspected.discard(address)
-            if index <= self._preferred_index and self._preferred_index > 0:
-                self._preferred_index -= 1
-
     def known(self) -> list[Address]:
         """The current list (copy)."""
         return list(self.coordinators)
-
-    def __len__(self) -> int:
-        return len(self.coordinators)
-
-    def __contains__(self, address: Address) -> bool:
-        return address in self.coordinators
 
     def by_name(self, name: str) -> Address | None:
         """The known coordinator whose ``str()`` is ``name`` (None if unknown).

@@ -29,15 +29,10 @@ from repro.core.protocol import ReplicaEntry, TaskRecord
 from repro.core.synchronization import merge_max_timestamps
 from repro.types import TaskState
 
-__all__ = ["ReplicaState", "MergeOutcome", "build_state", "merge_state", "state_precedence"]
+__all__ = ["ReplicaState", "MergeOutcome", "build_state", "merge_state"]
 
 #: ordering used when merging conflicting task states.
 _PRECEDENCE = {TaskState.PENDING: 0, TaskState.ONGOING: 1, TaskState.FINISHED: 2}
-
-
-def state_precedence(state: TaskState) -> int:
-    """Merge precedence of a task state (finished beats ongoing beats pending)."""
-    return _PRECEDENCE[state]
 
 
 @dataclass
@@ -72,9 +67,6 @@ class ReplicaState:
         total += 64 * len(self.client_timestamps)
         total += 32 * len(self.known_coordinators)
         return total
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 @dataclass

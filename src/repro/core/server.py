@@ -228,14 +228,3 @@ class ServerComponent(CoordinatorLink):
                 continue
             yield from self._upload_result(record.payload)
         return reply.payload
-
-    # ------------------------------------------------------------------ reporting
-    def stats(self) -> dict[str, Any]:
-        """Snapshot of server counters (experiments / tests)."""
-        return {
-            "executed": self.executed_count,
-            "unacked_results": len(self.result_log.unacked_durable()),
-            "log_records": len(self.result_log),
-            "busy": self.current_task is not None,
-            "preferred_coordinator": str(self.preferred_coordinator()),
-        }

@@ -63,25 +63,6 @@ class ServiceRegistry:
         self._services[spec.name] = spec
         return spec
 
-    def register_function(
-        self,
-        name: str,
-        fn: Callable[..., Any],
-        default_exec_time: float = 1.0,
-        default_result_bytes: int = 128,
-        description: str = "",
-    ) -> ServiceSpec:
-        """Convenience wrapper building the :class:`ServiceSpec` for ``fn``."""
-        return self.register(
-            ServiceSpec(
-                name=name,
-                fn=fn,
-                default_exec_time=default_exec_time,
-                default_result_bytes=default_result_bytes,
-                description=description,
-            )
-        )
-
     def get(self, name: str) -> ServiceSpec:
         """Look a service up; raises :class:`ServiceNotRegistered` if unknown."""
         try:
@@ -92,10 +73,6 @@ class ServiceRegistry:
     def has(self, name: str) -> bool:
         """Whether ``name`` is registered."""
         return name in self._services
-
-    def names(self) -> list[str]:
-        """All registered service names (sorted)."""
-        return sorted(self._services)
 
     def __len__(self) -> int:
         return len(self._services)

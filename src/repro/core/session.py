@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from repro.errors import SessionError
 from repro.types import CallIdentity, SessionId, UserId
 
 __all__ = ["Session"]
@@ -28,7 +27,6 @@ class Session:
     session_id: SessionId
     #: next RPC counter value; restored from the durable log on client restart.
     next_counter: int = 1
-    closed: bool = False
     _issued: list[int] = field(default_factory=list, repr=False)
 
     @classmethod
@@ -37,15 +35,9 @@ class Session:
         suffix = label or f"s{next(_SESSION_SEQ)}"
         return cls(user=str(user), session_id=f"{user}-{suffix}")
 
-    def close(self) -> None:
-        """End the session (logout); further allocations are errors."""
-        self.closed = True
-
     # -- identity allocation --------------------------------------------------------
     def allocate(self) -> CallIdentity:
         """Allocate the identity (and timestamp) of the next RPC call."""
-        if self.closed:
-            raise SessionError(f"session {self.session_id} is closed")
         counter = self.next_counter
         self.next_counter += 1
         self._issued.append(counter)

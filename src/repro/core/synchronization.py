@@ -52,11 +52,6 @@ class ClientSyncPlan:
     #: max timestamp registered on the coordinator side.
     coordinator_max_timestamp: int = 0
 
-    @property
-    def in_sync(self) -> bool:
-        """True when neither side is missing anything."""
-        return not self.client_must_resend and not self.client_lost
-
 
 def plan_client_sync(
     client_durable_keys: Iterable[int],

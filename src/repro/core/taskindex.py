@@ -20,7 +20,7 @@ the record with that view and moves the key between:
   their key is no longer pending) so the FIFO scheduling head is O(log n);
 * a second (exec_time, fcfs) heap, built lazily the first time the
   fastest-first policy asks, so SJF scheduling is O(log n) too;
-* **per-state counters** so ``finished_count()`` and ``stats()`` are O(1);
+* **per-state counters** so the finished and pending counts are O(1);
 * **per-server ongoing buckets** so rescheduling a suspected server
   touches only that server's tasks;
 * **per-owner ongoing buckets** so the replica de-duplication rule
@@ -209,14 +209,6 @@ class TaskIndex:
     @property
     def pending(self) -> int:
         return self._counts[TaskState.PENDING]
-
-    @property
-    def ongoing(self) -> int:
-        return self._counts[TaskState.ONGOING]
-
-    def state_counts(self) -> dict[TaskState, int]:
-        """Per-state record counts (a copy; O(1) in the table size)."""
-        return dict(self._counts)
 
     # ------------------------------------------------------------ scheduling
     def eligible_extras(

@@ -227,7 +227,7 @@ class CrowdComponent(BaseComponent):
                 # Everyone suspected: forgive and retry the primary (the same
                 # all-suspected reset rule the full client uses).
                 suspected.clear()
-                dest = self.shards.primary(shard)
+                dest = self.shards.coordinators[shard]
             record = {
                 "ids": ids,
                 "shard": shard,
@@ -298,7 +298,7 @@ class CrowdComponent(BaseComponent):
         dest = self.shards.owner(record["shard"], self.registry.suspected)
         if dest is None:
             self.registry.suspected.clear()
-            dest = self.shards.primary(record["shard"])
+            dest = self.shards.coordinators[record["shard"]]
         if dest != record["dest"]:
             # Deterministic handoff: the shard's traffic moves to the ring
             # successor of the suspected owner.

@@ -65,23 +65,6 @@ class ShardMap:
         hi = lo + size + (1 if shard < extra else 0)
         return lo, hi
 
-    def shard_of(self, client_id: int) -> int:
-        """The shard owning ``client_id``."""
-        if not 0 <= client_id < self.n_clients:
-            raise ConfigurationError(f"client id {client_id} out of range")
-        k = self.shard_count
-        size, extra = divmod(self.n_clients, k)
-        boundary = (size + 1) * extra
-        if client_id < boundary:
-            return client_id // (size + 1)
-        return extra + (client_id - boundary) // size
-
-    def primary(self, shard: int) -> Address:
-        """The shard's primary coordinator (ignoring suspicions)."""
-        lo, hi = self.shard_bounds(shard)  # validates the index
-        del lo, hi
-        return self.coordinators[shard]
-
     def owner(
         self, shard: int, suspected: Collection[Address] = ()
     ) -> Address | None:

@@ -298,8 +298,3 @@ class CrowdTable:
     def queue_depth(self) -> int:
         """Clients submitted (or due) but not yet completed."""
         return self._queued
-
-    @property
-    def all_done(self) -> bool:
-        """Whether every client completed."""
-        return self.completed >= self.n_clients

@@ -29,7 +29,7 @@ counts them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from repro.config import FaultDetectionConfig
 from repro.types import Address
@@ -88,14 +88,6 @@ class FailureDetector:
         """Start monitoring ``subject`` (counts as hearing from it now)."""
         self.last_heard.setdefault(subject, now)
 
-    def unwatch(self, subject: Address) -> None:
-        """Stop monitoring ``subject`` entirely."""
-        self.last_heard.pop(subject, None)
-        self.incarnations.pop(subject, None)
-        self._suspected.discard(subject)
-        self._mistaken.pop(subject, None)
-        self.policy.forget(subject)
-
     def heard_from(
         self, subject: Address, now: float, incarnation: int | None = None
     ) -> None:
@@ -146,18 +138,6 @@ class FailureDetector:
             self._record(now, subject, suspected=False)
         return suspected
 
-    def suspected_set(self, now: float) -> set[Address]:
-        """All currently suspected addresses (re-evaluated at ``now``)."""
-        return {a for a in list(self.last_heard) if self.is_suspected(a, now)}
-
-    def unsuspected(self, candidates: Iterable[Address], now: float) -> list[Address]:
-        """Filter ``candidates`` down to those not currently suspected."""
-        return [a for a in candidates if not self.is_suspected(a, now)]
-
-    def monitored(self) -> list[Address]:
-        """All addresses currently being monitored."""
-        return list(self.last_heard)
-
     # -- accounting -------------------------------------------------------------------
     def _record(self, now: float, subject: Address, suspected: bool) -> None:
         self.history.append(SuspicionEvent(now, subject, suspected))
@@ -189,7 +169,3 @@ class FailureDetector:
         else:
             monitor.incr(f"{scope}.wrong_suspicions")
             self._mistaken[subject] = now
-
-    def suspicion_transitions(self) -> int:
-        """Number of opinion changes so far."""
-        return len(self.history)

@@ -64,15 +64,7 @@ class HeartbeatEmitter:
         self._handle: TimerHandle | None = None
         self._rng = host.rng.stream(f"heartbeat.{host.address}")
 
-    # -- component protocol -------------------------------------------------
-    @property
-    def name(self) -> str:
-        """Component name: message type at host (e.g. ``ping@server:s003``)."""
-        return f"{self.mtype.value}@{self.host.address}"
-
-    def setup(self, builder) -> None:
-        """Component lifecycle hook: the emitter binds at construction."""
-
+    # -- lifecycle ----------------------------------------------------------
     def start(self) -> None:
         """Arm the periodic beat handle (host must be up)."""
         if not self.host.up:
@@ -107,11 +99,6 @@ class HeartbeatEmitter:
 
     def _on_host_crash(self, _host: Host) -> None:
         self.stop()
-
-    @property
-    def pending_timer(self) -> TimerHandle | None:
-        """The periodic beat handle currently armed, if any (tests)."""
-        return self._handle
 
     def _next_interval(self) -> float:
         """Next-beat delay: the configured period with multiplicative jitter.

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any
 
 from repro.grid.builder import Grid
 from repro.sim.core import Process, SimulationError
 
-__all__ = ["finish", "format_rows", "print_rows", "mean"]
+__all__ = ["finish", "format_rows", "print_rows"]
 
 
 def finish(grid: Grid, process: Process, horizon: float, what: str) -> None:
@@ -19,12 +19,6 @@ def finish(grid: Grid, process: Process, horizon: float, what: str) -> None:
     """
     if not grid.run_until(process, timeout=horizon):
         raise SimulationError(f"{what} did not finish within its {horizon:g} s horizon")
-
-
-def mean(values: Iterable[float]) -> float:
-    """Arithmetic mean (0.0 for an empty iterable)."""
-    values = list(values)
-    return sum(values) / len(values) if values else 0.0
 
 
 def format_rows(rows: list[dict[str, Any]], title: str | None = None) -> str:

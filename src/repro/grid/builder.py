@@ -64,18 +64,9 @@ class Grid:
 
     # ------------------------------------------------------------------ access
     @property
-    def started(self) -> bool:
-        """Whether the scenario's components are running."""
-        return self.manager.started
-
-    @property
     def client(self) -> ClientComponent:
         """The first (usually only) client."""
         return self.clients[0]
-
-    def component(self, name: str) -> Component:
-        """One registered component by name (protocol tiers included)."""
-        return self.manager.get(name)
 
     def coordinator_by_name(self, name: str) -> CoordinatorComponent:
         """Coordinator whose address name (e.g. ``'lille'``) matches ``name``."""
@@ -157,15 +148,6 @@ class Grid:
         return not process.is_alive and self.env.now <= deadline
 
     # ------------------------------------------------------------- observations
-    def total_finished(self) -> int:
-        """Number of distinct calls finished somewhere in the system."""
-        identities = set()
-        for coordinator in self.coordinators:
-            for key, task in coordinator.tasks.items():
-                if task.state.value == "finished":
-                    identities.add(key)
-        return len(identities)
-
     def progress_condition_holds(self) -> bool:
         """Check the paper's progress condition on the current system state.
 
@@ -216,29 +198,6 @@ class Grid:
         stats["wheel_flushes"] = stats["wheel_overflows"] = 0
         stats["pool_hit_rate"] = 0.0
         return stats
-
-    def stats(self) -> dict:
-        """Aggregated scenario statistics."""
-        return {
-            "now": self.env.now,
-            "finished": self.total_finished(),
-            "kernel": self.kernel_stats(),
-            "client": self.clients[0].stats() if self.clients else {},
-            "coordinators": {c.address.name: c.stats() for c in self.coordinators},
-            "network": self.network.stats(),
-            "faults": {
-                kind.value: self.monitor.count(f"faults.{kind.value}")
-                for kind in ComponentKind
-            },
-            # Component-level observability: what is registered, and what the
-            # policy layer has been doing (every policy.* monitor counter).
-            "components": self.manager.names(),
-            "policies": {
-                name: value
-                for name, value in self.monitor.counters.items()
-                if name.startswith("policy.")
-            },
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +302,6 @@ def build_grid(
         config=spec.protocol,
         partitions=partitions,
         spec=spec,
-        manager=manager,
     )
     grid = Grid(
         spec=spec,

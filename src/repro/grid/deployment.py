@@ -63,21 +63,6 @@ class DeploymentSpec:
             if site not in known_sites:
                 raise ConfigurationError(f"site {site!r} missing from the site map")
 
-    @property
-    def n_servers(self) -> int:
-        """Total number of servers."""
-        return sum(self.servers_per_site.values())
-
-    @property
-    def n_coordinators(self) -> int:
-        """Total number of coordinators."""
-        return len(self.coordinator_sites)
-
-    @property
-    def n_clients(self) -> int:
-        """Total number of clients."""
-        return len(self.client_sites)
-
 
 def confined_cluster_spec(
     n_servers: int = 16,

@@ -127,19 +127,9 @@ class MessageLog:
         """All durable records, ordered by key."""
         return [self._durable[k] for k in sorted(self._durable, key=_sort_key)]
 
-    def all_records(self) -> list[LogRecord]:
-        """Durable and buffered records, ordered by key."""
-        merged = dict(self._durable)
-        merged.update(self._buffered)
-        return [merged[k] for k in sorted(merged, key=_sort_key)]
-
     def durable_keys(self) -> set[Any]:
         """Keys of durable records."""
         return set(self._durable)
-
-    def keys(self) -> set[Any]:
-        """Keys of every record (durable or buffered)."""
-        return set(self._durable) | set(self._buffered)
 
     def unacked_durable(self) -> list[LogRecord]:
         """Durable records not yet acknowledged (what a sync must replay)."""
@@ -152,10 +142,6 @@ class MessageLog:
         return max(self._durable, key=_sort_key)
 
     # -- sizes --------------------------------------------------------------------
-    def durable_bytes(self) -> int:
-        """Bytes of payload held durably (O(1): a running total)."""
-        return self._durable_total
-
     def total_bytes(self) -> int:
         """Bytes of payload held in any state (O(1): running totals)."""
         return self._durable_total + self._buffered_total
@@ -165,18 +151,6 @@ class MessageLog:
 
     def __contains__(self, key: Any) -> bool:
         return key in self._durable or key in self._buffered
-
-    # -- integrity ----------------------------------------------------------------
-    def check_integrity(self) -> None:
-        """Raise :class:`LogCorruption` on impossible record states."""
-        for key, record in self._durable.items():
-            if not record.durable:
-                raise LogCorruption(f"record {key!r} in durable store but not durable")
-        for key, record in self._buffered.items():
-            if record.durable:
-                raise LogCorruption(f"record {key!r} durable but still buffered")
-            if key in self._durable:
-                raise LogCorruption(f"record {key!r} present in both stores")
 
 
 def _sort_key(key: Any):

@@ -27,7 +27,6 @@ from repro.config import LoggingConfig
 from repro.msglog.log import MessageLog
 from repro.nodes.node import Host
 from repro.sim.core import Event
-from repro.types import LoggingStrategy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.policies.logging import LoggingPolicy
@@ -65,11 +64,6 @@ class LoggingEngine:
         #: cumulative simulated time the strategy added in front of / behind
         #: communications (reported by the Fig. 4 experiment).
         self.blocking_overhead = 0.0
-
-    @property
-    def strategy(self) -> LoggingStrategy:
-        """The strategy the active policy implements."""
-        return self.policy.strategy
 
     # -- process fragments ---------------------------------------------------------
     def before_send(self, key: Any, payload: Any, size_bytes: int):

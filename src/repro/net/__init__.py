@@ -19,7 +19,6 @@ from repro.net.latency import (
     InternetLinkModel,
     LanLinkModel,
     LinkModel,
-    PerfectLinkModel,
 )
 from repro.net.message import Message, MessageType
 from repro.net.partition import PartitionManager
@@ -36,7 +35,6 @@ __all__ = [
     "MessageType",
     "Network",
     "PartitionManager",
-    "PerfectLinkModel",
     "Site",
     "SiteMap",
 ]

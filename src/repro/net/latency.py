@@ -25,7 +25,6 @@ from repro.types import Address
 
 __all__ = [
     "LinkModel",
-    "PerfectLinkModel",
     "LanLinkModel",
     "InternetLinkModel",
     "CompositeLinkModel",
@@ -52,21 +51,6 @@ class LinkModel(Protocol):
     def loss_probability(self, source: Address, dest: Address) -> float:
         """Probability that the message is silently lost."""
         ...
-
-
-@dataclass
-class PerfectLinkModel:
-    """Zero-latency, infinite-bandwidth, lossless link (unit tests)."""
-
-    latency: float = 0.0
-
-    def transfer_time(
-        self, source: Address, dest: Address, size_bytes: int, rng: np.random.Generator
-    ) -> float:
-        return self.latency
-
-    def loss_probability(self, source: Address, dest: Address) -> float:
-        return 0.0
 
 
 @dataclass
@@ -182,13 +166,3 @@ class CompositeLinkModel:
 
     def _same_site(self, source: Address, dest: Address) -> bool:
         return self.site_of(source) == self.site_of(dest)
-
-    def transfer_time(
-        self, source: Address, dest: Address, size_bytes: int, rng: np.random.Generator
-    ) -> float:
-        model = self._intra if self._same_site(source, dest) else self._inter
-        return model.transfer_time(source, dest, size_bytes, rng)
-
-    def loss_probability(self, source: Address, dest: Address) -> float:
-        model = self._intra if self._same_site(source, dest) else self._inter
-        return model.loss_probability(source, dest)

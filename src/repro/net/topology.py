@@ -51,17 +51,6 @@ class SiteMap:
             raise ConfigurationError(f"unknown site {site_name!r}")
         self.membership[address] = site_name
 
-    def site_of(self, address: Address) -> str:
-        """Site of an endpoint (raises if never placed)."""
-        try:
-            return self.membership[address]
-        except KeyError:
-            raise ConfigurationError(f"{address} was never placed on a site") from None
-
-    def same_site(self, a: Address, b: Address) -> bool:
-        """True when both endpoints are placed at the same site."""
-        return self.site_of(a) == self.site_of(b)
-
     def link_model(self) -> CompositeLinkModel:
         """Composite link model choosing intra- or inter-site costs per message."""
         return CompositeLinkModel(
@@ -69,10 +58,6 @@ class SiteMap:
             intra_site=self.intra_site_model,
             inter_site=self.inter_site_model,
         )
-
-    def addresses_at(self, site_name: str) -> list[Address]:
-        """All endpoints placed at ``site_name``."""
-        return [a for a, s in self.membership.items() if s == site_name]
 
     @classmethod
     def single_site(cls, name: str = "cluster", model: LinkModel | None = None) -> "SiteMap":

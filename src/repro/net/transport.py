@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.errors import ConfigurationError
-from repro.net.latency import LinkModel, PerfectLinkModel
+from repro.net.latency import LinkModel
 from repro.net.message import Message
 from repro.net.partition import PartitionManager
 from repro.sim.core import Environment
@@ -89,7 +89,7 @@ class Endpoint:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.up else "down"
-        return f"<Endpoint {self.address} {state} queued={len(self.mailbox)}>"
+        return f"<Endpoint {self.address} {state} queued={len(self.mailbox.items)}>"
 
 
 class Network:
@@ -98,7 +98,7 @@ class Network:
     def __init__(
         self,
         env: Environment,
-        link_model: LinkModel | None = None,
+        link_model: LinkModel,
         rng: RandomStreams | None = None,
         monitor: Monitor | None = None,
         partitions: PartitionManager | None = None,
@@ -106,7 +106,7 @@ class Network:
         self.env = env
         #: the link cost model, bound for the network's lifetime: the route
         #: cache below is never invalidated.
-        self.link_model: LinkModel = link_model or PerfectLinkModel()
+        self.link_model = link_model
         self.rng = rng or RandomStreams(0)
         self.monitor = monitor or Monitor()
         self.partitions = partitions or PartitionManager()
@@ -142,10 +142,6 @@ class Network:
             return self._endpoints[address]
         except KeyError:
             raise ConfigurationError(f"{address} is not registered") from None
-
-    def addresses(self) -> list[Address]:
-        """All registered addresses."""
-        return list(self._endpoints)
 
     def set_endpoint_up(self, address: Address, up: bool) -> None:
         """Mark an endpoint up/down (called by the node substrate)."""

@@ -67,11 +67,8 @@ class Host:
         #: kernel-lane timers); removable.
         self._crash_hooks: list[Callable[["Host"], None]] = []
 
-        # availability bookkeeping
         #: instant of the last crash or restart (creation before either).
         self.last_transition = env.now
-        self.total_uptime = 0.0
-        self.total_downtime = 0.0
         self.crash_count = 0
 
     # -- component wiring --------------------------------------------------------
@@ -123,9 +120,7 @@ class Host:
             return
         self.up = False
         self.crash_count += 1
-        now = self.env.now
-        self.total_uptime += now - self.last_transition
-        self.last_transition = now
+        now = self.last_transition = self.env.now
 
         for process in self.alive_processes():
             process.kill(cause)
@@ -141,9 +136,7 @@ class Host:
         """Restart after a crash; the component rebuilds from persistent state."""
         if self.up:
             return
-        now = self.env.now
-        self.total_downtime += now - self.last_transition
-        self.last_transition = now
+        now = self.last_transition = self.env.now
         self.up = True
         self.incarnation += 1
         self.network.set_endpoint_up(self.address, True)
@@ -189,19 +182,6 @@ class Host:
         if not self.up:
             raise ConfigurationError(f"cannot receive on crashed host {self.address}")
         self.endpoint.handler = handler
-
-    # -- reporting ---------------------------------------------------------------
-    def availability(self) -> float:
-        """Fraction of elapsed time this host has been up so far."""
-        now = self.env.now
-        up = self.total_uptime
-        down = self.total_downtime
-        if self.up:
-            up += now - self.last_transition
-        else:
-            down += now - self.last_transition
-        total = up + down
-        return 1.0 if total == 0 else up / total
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.up else "down"

@@ -11,12 +11,11 @@ lets scenario specs name extra components declaratively.  See
 ``examples/custom_component.py`` for authoring a new one.
 """
 
-from repro.platform.builder import Builder, ComponentsInterface
+from repro.platform.builder import Builder
 from repro.platform.component import BaseComponent, Component
 from repro.platform.manager import ComponentManager
 from repro.platform.registry import (
     component,
-    component_names,
     create_component,
     register_component,
     resolve_component,
@@ -27,9 +26,7 @@ __all__ = [
     "Builder",
     "Component",
     "ComponentManager",
-    "ComponentsInterface",
     "component",
-    "component_names",
     "create_component",
     "register_component",
     "resolve_component",

@@ -16,8 +16,9 @@ so components never reach into the grid's wiring code:
 ``builder.spec``            the :class:`~repro.grid.deployment.DeploymentSpec`
 ``builder.hosts(tier)``     live :class:`~repro.nodes.node.Host` lists by tier
 ``builder.host(address)``   one host by address (or its string form)
-``builder.components``      registration interface (``add`` / ``get``) for
-                            sub-components
+``builder.grid``            the grid under construction
+                            (``builder.grid.add_component(...)`` registers a
+                            sub-component)
 ==========================  ====================================================
 
 The facade is deliberately read-mostly: components *pull* capabilities during
@@ -29,8 +30,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
-from repro.platform.component import Component
-from repro.platform.manager import ComponentManager
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config import ProtocolConfig
@@ -45,29 +44,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.rng import RandomStreams
     from repro.types import Address
 
-__all__ = ["Builder", "ComponentsInterface"]
+__all__ = ["Builder"]
 
 #: tier selectors accepted by :meth:`Builder.hosts`.
 _TIERS = ("servers", "coordinators", "clients", "all")
-
-
-class ComponentsInterface:
-    """The slice of the :class:`ComponentManager` components may use."""
-
-    def __init__(self, manager: ComponentManager) -> None:
-        self._manager = manager
-
-    def add(self, component: Component) -> Component:
-        """Register a sub-component (set up / started as the phase requires)."""
-        return self._manager.add(component)
-
-    def get(self, name: str) -> Component:
-        """Look a registered component up by name."""
-        return self._manager.get(name)
-
-    def names(self) -> list[str]:
-        """All registered component names, in registration order."""
-        return self._manager.names()
 
 
 class Builder:
@@ -83,7 +63,6 @@ class Builder:
         config: "ProtocolConfig",
         partitions: "PartitionManager",
         spec: "DeploymentSpec",
-        manager: ComponentManager,
     ) -> None:
         self.env = env
         self.network = network
@@ -93,7 +72,6 @@ class Builder:
         self.config = config
         self.partitions = partitions
         self.spec = spec
-        self.components = ComponentsInterface(manager)
         #: the grid under construction; set by build_grid before setup runs.
         self._grid: "Grid | None" = None
 
@@ -137,4 +115,4 @@ class Builder:
         raise ConfigurationError(f"no host {wanted!r} (known: {known})")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Builder spec={self.spec.name!r} components={self.components.names()}>"
+        return f"<Builder spec={self.spec.name!r}>"

@@ -10,7 +10,7 @@ driven by the :class:`~repro.platform.manager.ComponentManager`:
    (``builder.env``, ``builder.network``, ``builder.rng.stream(...)``,
    ``builder.monitor``, ``builder.hosts(...)``, ...).  No simulation
    activity happens here; the component may also register sub-components
-   through ``builder.components``.
+   through ``builder.grid.add_component``.
 2. **start()** — arm timers, spawn processes, begin injecting.  Start order
    is registration order (coordinators before servers before clients, so
    the grid's tiers come up the way :class:`~repro.grid.builder.Grid` always

@@ -10,7 +10,7 @@ Components may be added at any lifecycle phase:
 
 * before :meth:`setup_all` — the normal case; the component is set up and
   started with everybody else;
-* during another component's ``setup`` (via ``builder.components.add``) —
+* during another component's ``setup`` (via ``builder.grid.add_component``) —
   the new component is appended and set up in the same pass;
 * after :meth:`start_all` — the component is set up and started immediately.
   This is how workload-relative injectors join a running scenario without
@@ -21,7 +21,7 @@ Components may be added at any lifecycle phase:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 from repro.platform.component import Component, missing_component_attrs
@@ -45,27 +45,6 @@ class ComponentManager:
         self._setup_done: set[int] = set()
         self.phase: str = "registration"
         self._builder: "Builder | None" = None
-
-    # -------------------------------------------------------------- inspection
-    def __len__(self) -> int:
-        return len(self._components)
-
-    def __iter__(self) -> Iterator[Component]:
-        return iter(self._components)
-
-    def names(self) -> list[str]:
-        """Registered component names, in registration order."""
-        return [component.name for component in self._components]
-
-    def get(self, name: str) -> Component:
-        """Look a component up by name."""
-        try:
-            return self._by_name[name]
-        except KeyError:
-            known = ", ".join(self.names()) or "<none>"
-            raise ConfigurationError(
-                f"no component named {name!r} (registered: {known})"
-            ) from None
 
     # ------------------------------------------------------------ registration
     def add(self, component: Component) -> Component:
@@ -110,7 +89,7 @@ class ComponentManager:
         """Run ``setup(builder)`` over every component, in registration order.
 
         Components registered *during* the pass (by other components, through
-        ``builder.components.add``) are picked up by the same pass.
+        ``builder.grid.add_component``) are picked up by the same pass.
         """
         if self.phase != "registration":
             raise ConfigurationError(f"setup_all called in phase {self.phase!r}")
@@ -150,8 +129,3 @@ class ComponentManager:
         while self._started:
             self._started.pop().stop()
         self.phase = "stopped"
-
-    @property
-    def started(self) -> bool:
-        """Whether the manager is in its running phase."""
-        return self.phase == "running"

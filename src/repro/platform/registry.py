@@ -32,7 +32,6 @@ from repro.platform.component import Component, missing_component_attrs
 
 __all__ = [
     "component",
-    "component_names",
     "create_component",
     "register_component",
     "resolve_component",
@@ -163,9 +162,3 @@ def create_component(
             f"(missing: {', '.join(missing)})"
         )
     return instance
-
-
-def component_names() -> tuple[str, ...]:
-    """Every registered component name, sorted (built-ins loaded first)."""
-    _load_builtins()
-    return tuple(sorted(_REGISTRY))

@@ -38,7 +38,6 @@ from repro.policies.logging import (
 )
 from repro.policies.replication import (
     NoReplication,
-    OnCommitReplication,
     PassivePeriodicReplication,
     QuorumReplication,
     ReplicationPolicy,
@@ -61,7 +60,6 @@ __all__ = [
     "FixedTimeoutDetection",
     "LoggingPolicy",
     "NoReplication",
-    "OnCommitReplication",
     "OptimisticLogging",
     "PassivePeriodicReplication",
     "PessimisticBlockingLogging",

@@ -32,7 +32,7 @@ class PolicyBase(BaseComponent):
     """Common trunk of every ``policy.*`` strategy object.
 
     ``key`` is the registry name the policy is published under; it doubles
-    as the prefix of the policy's monitor counters, so ``grid.stats()`` can
+    as the prefix of the policy's monitor counters, so a run's counters
     report per-policy activity without knowing any policy by name.
     """
 

@@ -47,8 +47,8 @@ class LoggingPolicy(PolicyBase):
     """When the durability of a log record may delay the communication."""
 
     key = "policy.log.base"
-    #: which of Fig. 4's three strategies this policy implements (reported
-    #: by :attr:`LoggingEngine.strategy`; Fig. 4's rows are keyed by it).
+    #: which of Fig. 4's three strategies this policy implements (Fig. 4's
+    #: rows are keyed by it).
     strategy: LoggingStrategy
 
     def before_send(

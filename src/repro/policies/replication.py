@@ -13,10 +13,6 @@ the *cadence*: when rounds happen, to whom, and what triggers them.
   the confined cluster);
 * ``policy.repl.none``             — never replicate (the Ninf/RCS-style and
   NetSolve-style baselines);
-* ``policy.repl.on-commit``        — eager: a round fires as soon as state
-  becomes dirty (new submission, assignment, completion, requeue), with an
-  optional ``min_interval`` damping successive rounds.  Trades bandwidth and
-  database writes for a near-zero replica lag.
 
 A policy is installed from the coordinator's ``start()`` — once per
 incarnation, so a crashed-and-restarted coordinator re-arms its cadence the
@@ -38,7 +34,6 @@ __all__ = [
     "ReplicationPolicy",
     "PassivePeriodicReplication",
     "NoReplication",
-    "OnCommitReplication",
     "QuorumReplication",
 ]
 
@@ -53,9 +48,6 @@ class ReplicationPolicy(PolicyBase):
 
     def install(self, coordinator: "CoordinatorComponent") -> None:
         """Arm the cadence on ``coordinator`` (called from its ``start()``)."""
-
-    def on_dirty(self, coordinator: "CoordinatorComponent", key: object) -> None:
-        """Notification: a change to ``key`` entered the coordinator's change log."""
 
 
 @component("policy.repl.passive-periodic")
@@ -95,88 +87,6 @@ class NoReplication(ReplicationPolicy):
     """Never replicate: the coordinator is a single point of failure."""
 
     key = "policy.repl.none"
-
-
-@component("policy.repl.on-commit")
-class OnCommitReplication(ReplicationPolicy):
-    """Replicate eagerly: a round fires as soon as state becomes dirty.
-
-    The driver sleeps on an event while every logged change has been
-    acknowledged; :meth:`on_dirty` wakes it.  ``min_interval`` (seconds)
-    spaces successive rounds so a submission burst coalesces into one
-    abstract per interval instead of one per task.
-    """
-
-    key = "policy.repl.on-commit"
-
-    def __init__(
-        self,
-        min_interval: float = 0.0,
-        backoff: float | None = None,
-        name: str | None = None,
-    ) -> None:
-        super().__init__(name)
-        if min_interval < 0:
-            from repro.errors import ConfigurationError
-
-            raise ConfigurationError("min_interval must be non-negative")
-        if backoff is not None and backoff <= 0:
-            from repro.errors import ConfigurationError
-
-            raise ConfigurationError("backoff must be positive")
-        self.min_interval = float(min_interval)
-        #: seconds to wait after a round that went nowhere (no ring
-        #: successor); ``None`` falls back to the coordinator's configured
-        #: replication period.
-        self.backoff = backoff
-        self._wake = None
-        #: whether the coordinator holds changes no round has retired yet.
-        self._owed = False
-
-    def install(self, coordinator: "CoordinatorComponent") -> None:
-        self._wake = None
-        # start() has just logged every task for the post-restart resync.
-        self._owed = bool(coordinator.tasks)
-        coordinator.host.spawn(
-            self._loop(coordinator), name=f"{coordinator.name}:replication"
-        )
-
-    def on_dirty(self, coordinator: "CoordinatorComponent", key: object) -> None:
-        self._owed = True
-        wake = self._wake
-        if wake is not None and not wake.triggered:
-            wake.succeed(None)
-
-    def _loop(self, coordinator: "CoordinatorComponent"):
-        env = coordinator.env
-        try:
-            while True:
-                if not self._owed:
-                    self._wake = env.event()
-                    yield self._wake
-                    self._wake = None
-                # An acknowledged round retires everything it carried; a
-                # change made meanwhile sets the flag again via on_dirty.
-                self._owed = False
-                before = env.now
-                if not (yield from coordinator.replicate_once()):
-                    self._owed = True
-                self.incr("rounds")
-                if self.min_interval > 0:
-                    yield coordinator.host.sleep(self.min_interval)
-                elif env.now == before:
-                    # The round went nowhere without consuming time (no ring
-                    # successor): back off by this policy's own interval —
-                    # only falling back to the passive period when none was
-                    # configured — instead of spinning on the same simulated
-                    # instant.
-                    yield coordinator.host.sleep(
-                        self.backoff
-                        if self.backoff is not None
-                        else coordinator.config.replication.period
-                    )
-        except ProcessKilled:  # pragma: no cover - host crash
-            return
 
 
 @component("policy.repl.quorum")

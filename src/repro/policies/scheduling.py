@@ -223,11 +223,6 @@ class FifoReschedulePolicy(SchedulerPolicy):
 
     key = "policy.sched.fifo-reschedule"
 
-    def choose(
-        self, eligible: list[TaskRecord], server: Address, now: float
-    ) -> TaskRecord:
-        return eligible[0]
-
     def choose_indexed(
         self,
         index: "TaskIndex",
@@ -284,11 +279,6 @@ class FastestFirstSchedulerPolicy(SchedulerPolicy):
     """
 
     key = "policy.sched.fastest-first"
-
-    def choose(
-        self, eligible: list[TaskRecord], server: Address, now: float
-    ) -> TaskRecord:
-        return min(eligible, key=_sjf_key)
 
     def choose_indexed(
         self,

@@ -41,11 +41,6 @@ class RunReport:
     #: run's simulated span).
     coordinators: dict[str, dict[str, Any]] = field(default_factory=dict)
 
-    @property
-    def all_completed(self) -> bool:
-        """Whether every submitted call got its result back."""
-        return self.completed >= self.submitted
-
     def outputs(self) -> dict[str, Any]:
         """The JSON-able measured outputs stored per sweep cell."""
         out = {

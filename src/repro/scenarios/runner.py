@@ -10,7 +10,7 @@ seeds.  Workers receive the cell kernel (a module-level callable, pickled by
 reference) plus plain parameter dictionaries — nothing else crosses the
 process boundary, so ad-hoc specs work under both fork and spawn start
 methods.  The pool machinery (``multiprocessing``, ``concurrent.futures``)
-loads only for ``jobs > 1`` or a ``cell_timeout``, where processes start.
+loads only for ``jobs > 1``, where processes start.
 """
 
 from __future__ import annotations
@@ -32,17 +32,12 @@ __all__ = ["SweepRunner", "run_scenario"]
 
 
 def _execute_cell(
-    cell: Callable[..., dict[str, Any]],
-    call_params: dict[str, Any],
-    timeout: float | None = None,
-) -> tuple[dict[str, Any], float, str | None]:
+    cell: Callable[..., dict[str, Any]], call_params: dict[str, Any]
+) -> tuple[dict[str, Any], float]:
     """Worker entry point: run one cell kernel, timing it.
 
     Runs in the parent for sequential sweeps and in pool workers for parallel
-    ones.  With a ``timeout`` the kernel runs in a disposable child process
-    that is killed at the deadline (see :func:`_execute_cell_with_timeout`).
-    Returns the outputs, the cell's wall seconds and why the budget could not
-    be enforced (``None`` when it was, or when there was none).
+    ones.  Returns the outputs and the cell's wall seconds.
 
     A finished grid is cyclic garbage (host ↔ component ↔ process ↔
     environment) and the drain leaves its collection to whoever owns the run
@@ -52,86 +47,9 @@ def _execute_cell(
     the timed window because the cell owes it.
     """
     started = time.perf_counter()
-    fallback = None
-    if timeout is not None:
-        outputs, fallback = _execute_cell_with_timeout(cell, call_params, timeout)
-    else:
-        outputs = cell(**call_params)
+    outputs = cell(**call_params)
     gc.collect(1)
-    return outputs, time.perf_counter() - started, fallback
-
-
-def _timeout_cell_worker(
-    cell: Callable[..., dict[str, Any]], call_params: dict[str, Any], pipe
-) -> None:
-    """Child-process entry point for budgeted cells: outcome down the pipe."""
-    try:
-        pipe.send(("ok", cell(**call_params)))
-    except BaseException as error:  # noqa: BLE001 - relayed to the parent
-        try:
-            pipe.send(("error", error))
-        except Exception:
-            pipe.send(("error", RuntimeError(repr(error))))
-    finally:
-        pipe.close()
-
-
-def _execute_cell_with_timeout(
-    cell: Callable[..., dict[str, Any]], call_params: dict[str, Any], timeout: float
-) -> tuple[dict[str, Any], str | None]:
-    """Run one kernel under a wall-clock budget; kill and record on overrun.
-
-    A cell that exceeds the budget is terminated and reported as
-    ``{"timed_out": True, "cell_timeout": <budget>}`` instead of hanging the
-    sweep.  Environments where a child process cannot start (restricted
-    sandboxes) degrade to inline execution with no time limit: one
-    ``RuntimeWarning`` naming the exception, and the reason
-    (``"<ExceptionType>: <message>"``) returned beside the outputs.
-    Kernel errors re-raise in the caller, exactly like the un-budgeted path.
-    """
-    import multiprocessing
-    context = multiprocessing.get_context(
-        "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-    )
-    receiver = sender = None
-    try:
-        receiver, sender = context.Pipe(duplex=False)
-        child = context.Process(
-            target=_timeout_cell_worker, args=(cell, call_params, sender)
-        )
-        child.start()
-    except (OSError, pickle.PicklingError, AttributeError) as error:
-        if receiver is not None:
-            receiver.close()
-            sender.close()
-        fallback = f"{type(error).__name__}: {error}"
-        warnings.warn(
-            f"cell timeout of {timeout:g} s not enforced ({fallback}); "
-            "running the cell inline with no time limit",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return cell(**call_params), fallback
-    sender.close()
-    try:
-        if receiver.poll(timeout):
-            try:
-                status, payload = receiver.recv()
-            except EOFError:
-                child.join()
-                raise RuntimeError(
-                    f"cell worker died without reporting (exit code "
-                    f"{child.exitcode})"
-                ) from None
-            child.join()
-            if status == "error":
-                raise payload
-            return payload, None
-        child.terminate()
-        child.join()
-        return {"timed_out": True, "cell_timeout": timeout}, None
-    finally:
-        receiver.close()
+    return outputs, time.perf_counter() - started
 
 
 class SweepRunner:
@@ -175,9 +93,6 @@ class SweepRunner:
         #: why the last :meth:`run` fell back from the pool to sequential
         #: execution ("<ExceptionType>: <message>"); ``None`` when it did not.
         self.parallel_fallback: str | None = None
-        #: why the last :meth:`run` ran a budgeted cell inline with no time
-        #: limit ("<ExceptionType>: <message>"); ``None`` when it did not.
-        self.cell_timeout_fallback: str | None = None
 
     # ------------------------------------------------------------------- run
     def run(self, save: bool = False) -> RunResult:
@@ -205,22 +120,18 @@ class SweepRunner:
         todo = [cell for cell in cells if (cell.index, cell.seed) not in done]
         parallel = self.jobs > 1 and len(todo) > 1
         self.parallel_fallback = None
-        self.cell_timeout_fallback = None
         if parallel:
             fresh = self._run_parallel(todo, spec_hash if checkpointing else None)
             parallel = fresh is not None
         if not parallel:
             fresh = []
             for cell in todo:
-                outcome = _execute_cell(
-                    self.spec.cell, cell.call_params, self.spec.cell_timeout
-                )
+                outcome = _execute_cell(self.spec.cell, cell.call_params)
                 if checkpointing:
                     self._checkpoint(spec_hash, cell, outcome)
                 fresh.append(outcome)
-        for cell, (outputs, cell_wall, fallback) in zip(todo, fresh):
-            done[(cell.index, cell.seed)] = (outputs, cell_wall)
-            self.cell_timeout_fallback = self.cell_timeout_fallback or fallback
+        for cell, outcome in zip(todo, fresh):
+            done[(cell.index, cell.seed)] = outcome
         raw = [done[(cell.index, cell.seed)] for cell in cells]
         wall = time.perf_counter() - started
 
@@ -268,8 +179,6 @@ class SweepRunner:
             result.manifest["resumed_cells"] = self.resumed_cells
         if self.parallel_fallback:
             result.manifest["parallel_fallback"] = self.parallel_fallback
-        if self.cell_timeout_fallback:
-            result.manifest["cell_timeout_fallback"] = self.cell_timeout_fallback
         if save:
             store = self.store or ResultsStore()
             result.manifest["artifact"] = str(store.save(result))
@@ -288,8 +197,6 @@ class SweepRunner:
         paired = set(self.paired_axes)
         groups: dict[str, list[CellResult]] = {}
         for result in results:
-            if isinstance(result.outputs, Mapping) and result.outputs.get("timed_out"):
-                continue
             rest = {k: v for k, v in result.params.items() if k not in paired}
             key = json.dumps(
                 {"params": rest, "seed": result.seed}, sort_keys=True, default=str
@@ -329,21 +236,16 @@ class SweepRunner:
         self,
         spec_hash: str,
         cell: SweepCell,
-        outcome: tuple[dict[str, Any], float, str | None],
+        outcome: tuple[dict[str, Any], float],
     ) -> None:
-        outputs, cell_wall, _fallback = outcome
-        # A timed-out placeholder is not a finished measurement: leaving it
-        # un-checkpointed lets a later --resume retry the cell (e.g. after
-        # transient machine load) instead of keeping the poisoned row forever.
-        if isinstance(outputs, dict) and outputs.get("timed_out"):
-            return
+        outputs, cell_wall = outcome
         self.store.save_cell(
             self.spec.name, spec_hash, cell.index, cell.seed, outputs, cell_wall
         )
 
     def _run_parallel(
         self, cells: list[SweepCell], checkpoint_hash: str | None = None
-    ) -> list[tuple[dict[str, Any], float, str | None]] | None:
+    ) -> list[tuple[dict[str, Any], float]] | None:
         """Fan the cells out over a process pool; ``None`` → fall back.
 
         Results come back in cell order regardless of completion order (each
@@ -368,12 +270,7 @@ class SweepRunner:
                 max_workers=min(self.jobs, len(cells)), mp_context=context
             )
             futures = {
-                pool.submit(
-                    _execute_cell,
-                    self.spec.cell,
-                    cell.call_params,
-                    self.spec.cell_timeout,
-                ): cell
+                pool.submit(_execute_cell, self.spec.cell, cell.call_params): cell
                 for cell in cells
             }
         except (OSError, pickle.PicklingError, AttributeError, TypeError) as error:

@@ -110,13 +110,6 @@ class ScenarioSpec:
     #: accept that keyword — :func:`~repro.scenarios.engine.benchmark_cell`
     #: does); a scale preset may override the list under the same key.
     components: tuple[Mapping[str, Any], ...] = ()
-    #: wall-clock budget per cell, in seconds.  ``None`` (default) never
-    #: interrupts a cell; with a budget the runner executes each cell in a
-    #: disposable child process, kills it at the deadline and records
-    #: ``{"timed_out": True, "cell_timeout": <budget>}`` as the cell's
-    #: outputs instead of hanging the sweep (a ``reduce`` must tolerate such
-    #: cells when a spec opts in).
-    cell_timeout: float | None = None
     #: axes whose arms must see *identical* fault schedules (common random
     #: numbers).  Cells differing only in these axes (same seed, same other
     #: parameters) are required to report byte-identical ``fault_streams``
@@ -132,10 +125,6 @@ class ScenarioSpec:
             raise ConfigurationError("scenario name must be non-empty")
         if not callable(self.cell):
             raise ConfigurationError(f"scenario {self.name!r} cell must be callable")
-        if self.cell_timeout is not None and self.cell_timeout <= 0:
-            raise ConfigurationError(
-                f"scenario {self.name!r} cell_timeout must be positive"
-            )
         axis_names = [axis.name for axis in self.axes]
         if len(set(axis_names)) != len(axis_names):
             raise ConfigurationError(f"scenario {self.name!r} has duplicate axes")
@@ -258,10 +247,8 @@ class ScenarioSpec:
             "seeds": list(plan.seeds),
             "outputs": list(self.outputs),
         }
-        # Only stamped when set, so specs without a budget keep their
+        # Only stamped when set, so specs without paired axes keep their
         # historical spec hashes (and their resume checkpoints).
-        if self.cell_timeout is not None:
-            manifest["cell_timeout"] = self.cell_timeout
         if self.paired_axes:
             manifest["paired_axes"] = list(self.paired_axes)
         return manifest

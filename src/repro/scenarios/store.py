@@ -4,8 +4,7 @@ Every :class:`~repro.scenarios.runner.SweepRunner` run produces a
 :class:`RunResult` — schema-versioned rows plus the metadata needed to trust
 and reproduce them (scenario name, resolved spec hash, seeds, cell count,
 wall time, worker count).  The store writes each result as one JSON file under
-``results/<scenario>/`` and loads them back for reporting and for
-paper-vs-measured comparison in :mod:`repro.analysis.metrics`.
+``results/<scenario>/`` and loads them back for reporting and resuming.
 """
 
 from __future__ import annotations

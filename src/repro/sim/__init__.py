@@ -6,7 +6,7 @@ generator-based :class:`~repro.sim.core.Process` objects that ``yield``
 waitable :class:`~repro.sim.core.Event` instances, plus the few primitives
 the protocol runs on (timeouts, the :class:`~repro.sim.core.AnyOf` race and
 the :func:`~repro.sim.core.wait_any` fragment, the batched
-:class:`~repro.sim.store.Store` mailbox, interrupts) in the
+:class:`~repro.sim.store.Store` mailbox, kills) in the
 process-interaction style of SimPy.
 
 Every experiment of the paper runs on this kernel in *virtual* time, which is
@@ -19,7 +19,6 @@ from repro.sim.core import (
     AnyOf,
     Environment,
     Event,
-    Interrupt,
     Process,
     ProcessKilled,
     SimulationError,
@@ -37,7 +36,6 @@ __all__ = [
     "Counter",
     "Environment",
     "Event",
-    "Interrupt",
     "Monitor",
     "Process",
     "ProcessKilled",

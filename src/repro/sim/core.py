@@ -8,8 +8,8 @@ The kernel follows the process-interaction world view:
   must be an :class:`Event`; the process is resumed when that event fires;
 * :class:`Timeout` is the elementary "wait for some virtual time" event;
 * :class:`AnyOf` races events;
-* processes can be interrupted (:class:`Interrupt`) or killed
-  (:class:`ProcessKilled`), which is how node crashes are modelled;
+* processes can be killed (:class:`ProcessKilled`), which is how node
+  crashes are modelled;
 * waits are *cancellable*: :meth:`Timeout.cancel` tombstones a pending
   timer (lazily removed from the heap, compacted in bulk when dead entries
   pile up), :meth:`Event.cancel_wait` detaches a waiter, and
@@ -51,9 +51,7 @@ from typing import Any
 
 __all__ = [
     "SimulationError",
-    "Interrupt",
     "ProcessKilled",
-    "StopProcess",
     "Event",
     "Timeout",
     "Process",
@@ -71,36 +69,16 @@ class SimulationError(RuntimeError):
     """Raised for misuse of the simulation kernel (not for modelled faults)."""
 
 
-class Interrupt(Exception):
-    """Thrown *into* a process when another process interrupts it.
-
-    The ``cause`` attribute carries an arbitrary payload describing why the
-    interruption happened (e.g. ``"node-crash"``).
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
 class ProcessKilled(Exception):
     """Thrown into a process that is being killed (crash semantics).
 
-    Unlike :class:`Interrupt`, a killed process is not expected to recover:
-    the kernel silences any ``ProcessKilled`` escaping the generator.
+    A killed process is not expected to recover: the kernel silences any
+    ``ProcessKilled`` escaping the generator.
     """
 
     def __init__(self, cause: Any = None) -> None:
         super().__init__(cause)
         self.cause = cause
-
-
-class StopProcess(Exception):
-    """Internal: raised to return a value from a process (like StopIteration)."""
-
-    def __init__(self, value: Any = None) -> None:
-        super().__init__(value)
-        self.value = value
 
 
 # ---------------------------------------------------------------------------
@@ -154,18 +132,6 @@ class Event:
         return self._processed
 
     @property
-    def cancelled(self) -> bool:
-        """True once the event has been cancelled (it will never fire)."""
-        return self._cancelled
-
-    @property
-    def ok(self) -> bool:
-        """Whether the event succeeded (only meaningful once triggered)."""
-        if not self.triggered:
-            raise SimulationError("event value not yet available")
-        return self._ok
-
-    @property
     def value(self) -> Any:
         """The event's value (or the exception, for failed events)."""
         if self._value is _PENDING:
@@ -185,32 +151,6 @@ class Event:
         self._value = value
         self.env._tick.append(self)
         return self
-
-    def fail(self, exception: BaseException) -> "Event":
-        """Trigger the event with an exception.
-
-        The exception is re-raised inside every process waiting on the event.
-        """
-        if self.triggered:
-            raise SimulationError(f"{self!r} already triggered")
-        if not isinstance(exception, BaseException):
-            raise SimulationError("fail() requires an exception instance")
-        self._ok = False
-        self._value = exception
-        self.env._tick.append(self)
-        return self
-
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another (callback helper)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self._defused = True
-            self.fail(event._value)
-
-    def defuse(self) -> None:
-        """Mark a failed event as handled so the kernel does not re-raise it."""
-        self._defused = True
 
     # -- waiter management ---------------------------------------------------
     def cancel_wait(self, waiter: "Process | Callable[[Event], None]") -> bool:
@@ -385,16 +325,6 @@ class TimerHandle:
         self._armed = True
         env._place(when, (when, next(env._counter), self))
 
-    @property
-    def cancelled(self) -> bool:
-        """True once the handle has been cancelled."""
-        return self._cancelled
-
-    @property
-    def pending(self) -> bool:
-        """True while a next firing is scheduled."""
-        return self._armed and not self._cancelled
-
     def cancel(self) -> bool:
         """Cancel the next firing (and, for a periodic, every later one).
 
@@ -471,18 +401,6 @@ class Process(Event):
         """True while the wrapped generator has not terminated."""
         return self._value is _PENDING
 
-    @property
-    def target(self) -> Event | None:
-        """The event the process is currently waiting on."""
-        return self._target
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if not self.is_alive:
-            return
-        env = self.env
-        env._urgent.append(_InterruptEvent(env, self, Interrupt(cause)))
-
     def kill(self, cause: Any = None) -> None:
         """Throw :class:`ProcessKilled` into the process at the current time.
 
@@ -493,7 +411,7 @@ class Process(Event):
         if not self.is_alive:
             return
         env = self.env
-        env._urgent.append(_InterruptEvent(env, self, ProcessKilled(cause)))
+        env._urgent.append(_KillEvent(env, self, ProcessKilled(cause)))
 
     # -- kernel callbacks ---------------------------------------------------
     def _resume(self, event: Event) -> None:
@@ -579,8 +497,8 @@ class Process(Event):
         return f"<Process {self.name!r} {status}>"
 
 
-class _InterruptEvent(Event):
-    """Internal event delivering an interrupt/kill to a process."""
+class _KillEvent(Event):
+    """Internal event delivering a kill to a process."""
 
     __slots__ = ("process", "exception")
 
@@ -698,13 +616,14 @@ class AnyOf(Event):
         if self._value is not _PENDING:
             return
         if event._ok:
-            # Inlined succeed(): the first success always wins the race.
-            self._ok = True
+            # The first success always wins the race.
             self._value = self._collect()
-            self.env._tick.append(self)
         else:
+            # A failed constituent fails the race with its exception.
             event._defused = True
-            self.fail(event._value)
+            self._ok = False
+            self._value = event._value
+        self.env._tick.append(self)
         # Detach from the losers so they do not keep a stale callback.
         self.cancel()
 
@@ -728,18 +647,6 @@ class WaitOutcome:
         self.events = events
         self.expired = expired
 
-    @property
-    def timed_out(self) -> bool:
-        """True when the timeout fired and no payload event did."""
-        return self.expired and not self.events
-
-    def __contains__(self, event: Event) -> bool:
-        return event in self.events
-
-    def get(self, event: Event, default: Any = None) -> Any:
-        """Value of ``event`` if it triggered, else ``default``."""
-        return self.events.get(event, default)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<WaitOutcome fired={len(self.events)} expired={self.expired}>"
 
@@ -762,7 +669,7 @@ def wait_any(env: "Environment", events: Iterable[Event], timeout: float | None 
     Process fragment: use as ``outcome = yield from wait_any(env, [...], ...)``
     (or the :meth:`Environment.wait_any` shorthand).
     Returns a :class:`WaitOutcome`.  Whatever way the wait ends — a payload
-    event fires, the timeout expires, the process is interrupted or killed —
+    event fires, the timeout expires, the process is killed —
     every losing event is detached from and a losing (or pending) expiry is
     cancelled, so racing waits leave neither stale callbacks on long-lived
     events nor dead timers in the heap.
@@ -821,10 +728,10 @@ class Environment:
     Work pending at the current tick is kept out of the heap entirely:
 
     * **urgent lane** — a FIFO deque for kernel-priority events (process
-      initialisation, interrupt/kill delivery).  Always drained first, so an
-      interrupt scheduled mid-tick preempts every normal event of that tick.
+      initialisation, kill delivery).  Always drained first, so a kill
+      scheduled mid-tick preempts every normal event of that tick.
     * **same-tick lane** — a FIFO deque for everything triggered at the
-      current time: ``succeed``/``fail`` chains, :class:`AnyOf` triggers,
+      current time: ``succeed`` chains, :class:`AnyOf` triggers,
       zero-delay timeouts, and zero-delay :meth:`call_at` callbacks.  Drained
       after the urgent lane, before the clock may advance.
     * **event heap** — the time-ordered heap for all future work.  It holds
@@ -877,11 +784,6 @@ class Environment:
         """Current virtual time."""
         return self._now
 
-    @property
-    def active_process(self) -> Process | None:
-        """The process currently being resumed, if any."""
-        return self._active_process
-
     # -- event factories -----------------------------------------------------
     def event(self) -> Event:
         """Create a new pending :class:`Event`."""
@@ -896,10 +798,6 @@ class Environment:
     ) -> Process:
         """Start a new :class:`Process` wrapping ``generator``."""
         return Process(self, generator, name=name)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Shorthand for :class:`AnyOf`."""
-        return AnyOf(self, events)
 
     def wait_any(self, events: Iterable[Event], timeout: float | None = None):
         """Shorthand for :func:`wait_any` (a ``yield from``-able fragment)."""

@@ -2,7 +2,7 @@
 
 Experiments need two kinds of observations:
 
-* scalar counters / gauges (number of faults injected, messages sent, tasks
+* scalar counters (number of faults injected, messages sent, tasks
   re-executed, ...);
 * time series of ``(time, value)`` samples — the completed-task curves of
   Figures 9-11 are exactly this.
@@ -52,20 +52,6 @@ class TimeSeries:
         self.times.append(float(time))
         self.values.append(float(value))
 
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return the series as a pair of numpy arrays."""
-        return np.asarray(self.times, dtype=float), np.asarray(self.values, dtype=float)
-
-    def value_at(self, time: float, default: float = 0.0) -> float:
-        """Last sampled value at or before ``time`` (step interpolation)."""
-        index = int(np.searchsorted(np.asarray(self.times), time, side="right")) - 1
-        if index < 0:
-            return default
-        return self.values[index]
-
     def resample(self, times: "np.ndarray | list[float]", default: float = 0.0) -> np.ndarray:
         """Step-interpolate the series on the given time grid."""
         grid = np.asarray(times, dtype=float)
@@ -77,19 +63,15 @@ class TimeSeries:
         out = np.where(idx >= 0, own_values[np.clip(idx, 0, None)], default)
         return out.astype(float)
 
-    def final_value(self, default: float = 0.0) -> float:
-        """The last recorded value (or ``default`` if empty)."""
-        return self.values[-1] if self.values else default
-
 
 class Counter:
     """A pre-resolved counter handle: one name lookup at creation, never after.
 
     Hot paths obtain the handle once (``sent = monitor.counter("net.sent")``)
-    and then increment through it — ``sent.add()``, or ``sent.value += n``
-    where the call overhead matters — with zero per-increment dict-by-string
-    work.  The handle and the monitor share state: :meth:`Monitor.count` and
-    :meth:`Monitor.counters` read the same value.
+    and then increment through it — ``sent.value += n`` — with zero
+    per-increment dict-by-string work.  The handle and the monitor share
+    state: :meth:`Monitor.count` and :meth:`Monitor.counters` read the same
+    value.
     """
 
     __slots__ = ("name", "value")
@@ -98,20 +80,15 @@ class Counter:
         self.name = name
         self.value = 0.0
 
-    def add(self, amount: float = 1.0) -> None:
-        """Increment the counter by ``amount``."""
-        self.value += amount
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Counter {self.name}={self.value}>"
 
 
 class Monitor:
-    """Collects counters, gauges, time series and trace records for one run."""
+    """Collects counters, time series and trace records for one run."""
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
-        self.gauges: dict[str, float] = {}
         self.series: dict[str, TimeSeries] = {}
         self.traces: list[TraceRecord] = []
         self.trace_enabled = True
@@ -119,7 +96,7 @@ class Monitor:
         #: trace records discarded because ``trace_limit`` was reached.
         self.traces_dropped = 0
 
-    # -- counters / gauges ----------------------------------------------------
+    # -- counters -------------------------------------------------------------
     def counter(self, name: str) -> Counter:
         """Return (creating if needed) the :class:`Counter` handle for ``name``."""
         handle = self._counters.get(name)
@@ -130,10 +107,6 @@ class Monitor:
     def incr(self, name: str, amount: float = 1.0) -> None:
         """Increment counter ``name`` by ``amount`` (by-name convenience)."""
         self.counter(name).value += amount
-
-    def gauge(self, name: str, value: float) -> None:
-        """Set gauge ``name`` to ``value`` (last write wins)."""
-        self.gauges[name] = float(value)
 
     def count(self, name: str) -> float:
         """Current value of counter ``name`` (0 if never incremented)."""
@@ -185,18 +158,3 @@ class Monitor:
             self.traces_dropped += 1
             return
         self.traces.append(TraceRecord(time=time, category=category, payload=payload))
-
-    def traces_of(self, category: str) -> list[TraceRecord]:
-        """All trace records with the given category."""
-        return [t for t in self.traces if t.category == category]
-
-    # -- reporting --------------------------------------------------------------
-    def summary(self) -> dict[str, Any]:
-        """A plain-dict snapshot of counters, gauges and series lengths."""
-        return {
-            "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
-            "series": {name: len(ts) for name, ts in self.series.items()},
-            "traces": len(self.traces),
-            "traces_dropped": self.traces_dropped,
-        }

@@ -84,9 +84,6 @@ class RandomStreams:
             out[name] = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
         return out
 
-    def __call__(self, name: str) -> np.random.Generator:
-        return self.stream(name)
-
     def bound(self, name: str, method: str = "random"):
         """Pre-resolved draw handle: the bound ``method`` of stream ``name``.
 
@@ -111,12 +108,6 @@ class RandomStreams:
             raise ValueError("cannot choose from an empty sequence")
         index = int(self.stream(name).integers(0, len(options)))
         return options[index]
-
-    def shuffled(self, name: str, items: list) -> list:
-        """Return a shuffled copy of ``items`` using stream ``name``."""
-        out = list(items)
-        self.stream(name).shuffle(out)
-        return out
 
     def spawn(self, name: str) -> "RandomStreams":
         """Derive a child factory (e.g. one per node) from this one.

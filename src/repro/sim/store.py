@@ -27,9 +27,6 @@ class Store:
         #: (live) value instead of the store.
         self._waking: Event | None = None
 
-    def __len__(self) -> int:
-        return len(self.items)
-
     def put(self, item: Any) -> None:
         """Deposit ``item``: join a waking batch, else queue and dispatch."""
         waking = self._waking

@@ -25,11 +25,6 @@ class SubmissionRecord:
     started_at: float
     acknowledged_at: float
 
-    @property
-    def duration(self) -> float:
-        """Submission time as measured by the client."""
-        return self.acknowledged_at - self.started_at
-
 
 @dataclass
 class SyntheticWorkload:

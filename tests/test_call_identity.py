@@ -31,6 +31,7 @@ from repro.policies.scheduling import fcfs_key
 from repro.sim.core import SimulationError
 from repro.types import CallIdentity
 from repro.workloads.synthetic import SyntheticWorkload
+from tests.support import log_keys
 
 
 def _spread_run(n_calls: int = 30) -> Grid:
@@ -78,9 +79,9 @@ class TestOneObjectPerCall:
         for coordinator in grid.coordinators:
             keys += [*coordinator.tasks, *coordinator.results, *coordinator._changes]
         for client in grid.clients:
-            keys += [*client.handles, *client.log.keys()]
+            keys += [*client.handles, *log_keys(client.log)]
         for server in grid.servers:
-            keys += list(server.result_log.keys())
+            keys += list(log_keys(server.result_log))
         assert len(keys) > 30
         assert {type(key) for key in keys} == {CallIdentity}
 

@@ -134,7 +134,7 @@ class TestHandleBookkeeping:
                 api.probe(handle_id)
             api.cancel(handle_id)  # cancelling twice is a no-op
             # At-least-once semantics: the underlying client still completes.
-            pending = api._client.pending_handles()
+            pending = list(api._client._pending.values())
             if pending:
                 yield from api._client.wait_all(pending)
             observed["completed"] = api._client.completed_count

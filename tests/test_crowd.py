@@ -58,10 +58,6 @@ class TestShardMap:
             # Blocks differ in size by at most one.
             assert hi - lo in (n // k, n // k + 1)
         assert covered == list(range(n))
-        for client_id in range(n):
-            shard = shards.shard_of(client_id)
-            lo, hi = shards.shard_bounds(shard)
-            assert lo <= client_id < hi
 
     def test_owner_walks_ring_past_suspected(self):
         shards = ShardMap.over(_coordinators(3), 9)
@@ -76,8 +72,6 @@ class TestShardMap:
         shards = ShardMap.over(_coordinators(2), 4)
         with pytest.raises(ConfigurationError):
             shards.shard_bounds(2)
-        with pytest.raises(ConfigurationError):
-            shards.shard_of(4)
 
 
 class TestCrowdTable:
@@ -332,7 +326,7 @@ class TestScheduleMatchesMaskScan:
         assert pair.fast._pending.size == 0
         for index in range(len(pair.batches)):
             pair.apply(("done_batch", index))
-        assert pair.fast.all_done and pair.fast.queue_depth() == 0
+        assert pair.fast.completed == pair.fast.n_clients and pair.fast.queue_depth() == 0
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -583,8 +577,7 @@ class TestCrowdIntegration:
         assert stats["completed"] == 500
         assert stats["duplicate_completions"] == 0
         assert stats["batches_sent"] > 0
-        # Kernel observability rides along in grid.stats().
-        kernel = grid.stats()["kernel"]
+        kernel = grid.kernel_stats()
         assert kernel["events_processed"] > 0
         assert "pool_hit_rate" in kernel and "compactions" in kernel
 

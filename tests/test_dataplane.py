@@ -28,13 +28,12 @@ from repro.core.protocol import (
     TaskRecord,
 )
 from repro.core.registry import CoordinatorRegistry
-from repro.core.services import default_registry
+from repro.core.services import ServiceSpec, default_registry
 from repro.core.replication import (
     MergeOutcome,
     ReplicaState,
     build_state,
     merge_state,
-    state_precedence,
 )
 from repro.core.synchronization import plan_client_sync, plan_server_sync
 from repro.grid.builder import build_confined_cluster
@@ -48,6 +47,12 @@ from repro.sim.rng import RandomStreams
 from repro.types import Address, CallIdentity, TaskState
 from repro.scenarios.engine import GridTopology, WorkloadSpec, execute_benchmark
 from repro.workloads.synthetic import SyntheticWorkload
+from tests.support import (
+    STATE_PRECEDENCE,
+    PerfectLinkModel,
+    check_log_integrity,
+    log_keys,
+)
 
 K0 = Address("coordinator", "k0")
 PEERS = (Address("coordinator", "k1"), Address("coordinator", "k2"))
@@ -123,7 +128,7 @@ class Harness:
 
     def __init__(self, counting: bool = False) -> None:
         self.env = Environment()
-        network = Network(self.env)
+        network = Network(self.env, PerfectLinkModel())
         self.host = Host(self.env, network, K0, rng=RandomStreams(0))
         if counting:
             self.host.persistent["coord:tasks"] = _CountingTable()
@@ -473,7 +478,7 @@ def eager_merge_state(tasks, client_timestamps, state) -> MergeOutcome:
             if incoming.state is TaskState.FINISHED:
                 outcome.newly_finished.append(incoming.identity)
             continue
-        if state_precedence(incoming.state) > state_precedence(existing.state):
+        if STATE_PRECEDENCE[incoming.state] > STATE_PRECEDENCE[existing.state]:
             became_finished = (
                 incoming.state is TaskState.FINISHED
                 and existing.state is not TaskState.FINISHED
@@ -592,7 +597,8 @@ class TestSkippingMerge:
 # ------------------------------------------------------------------ message log
 def _recount(log: MessageLog) -> tuple[int, int]:
     durable = sum(r.size_bytes for r in log.durable_records())
-    return durable, sum(r.size_bytes for r in log.all_records())
+    buffered = sum(r.size_bytes for r in log._buffered.values())
+    return durable, durable + buffered
 
 
 class TestMessageLogTotals:
@@ -600,7 +606,7 @@ class TestMessageLogTotals:
     def test_totals_equal_a_recount_after_every_operation(self, seed):
         rng = random.Random(seed)
         env = Environment()
-        host = Host(env, Network(env), CLIENT, rng=RandomStreams(0))
+        host = Host(env, Network(env, PerfectLinkModel()), CLIENT, rng=RandomStreams(0))
         log = MessageLog(host, "out")
         next_key = 0
         restarts = wipes = 0
@@ -609,14 +615,14 @@ class TestMessageLogTotals:
                 ["append", "append", "append", "durable", "durable", "forget",
                  "forget", "restart", "wipe"]
             )
-            buffered = sorted(log.keys() - log.durable_keys())
+            buffered = sorted(log_keys(log) - log.durable_keys())
             if op == "append":
                 log.append(next_key, {"k": next_key}, rng.randint(0, 5000))
                 next_key += 1
             elif op == "durable" and buffered:
                 log.mark_durable(rng.choice(buffered))
             elif op == "forget" and len(log):
-                log.forget(rng.choice(sorted(log.keys())))
+                log.forget(rng.choice(sorted(log_keys(log))))
                 log.forget(-1)  # unknown keys are a no-op
             elif op == "restart" and rng.random() < 0.2:
                 host.crash()
@@ -626,20 +632,20 @@ class TestMessageLogTotals:
             elif op == "wipe" and rng.random() < 0.1:
                 log.wipe()
                 wipes += 1
-            assert (log.durable_bytes(), log.total_bytes()) == _recount(log)
-            log.check_integrity()
+            assert (log._durable_total, log.total_bytes()) == _recount(log)
+            check_log_integrity(log)
         assert restarts and wipes
 
     def test_wipe_loses_durable_records_for_the_next_incarnation_too(self):
         env = Environment()
-        host = Host(env, Network(env), CLIENT, rng=RandomStreams(0))
+        host = Host(env, Network(env, PerfectLinkModel()), CLIENT, rng=RandomStreams(0))
         log = MessageLog(host, "out")
         log.append(1, {}, 100)
         log.mark_durable(1)
         log.append(2, {}, 50)
         log.wipe()
         assert len(log) == 0 and log.total_bytes() == 0
-        assert MessageLog(host, "out").durable_bytes() == 0
+        assert MessageLog(host, "out").total_bytes() == 0
 
     def test_idle_capacity_check_reads_the_log_size_once(self):
         class CountingLog(MessageLog):
@@ -650,7 +656,7 @@ class TestMessageLogTotals:
                 return super().total_bytes()
 
         env = Environment()
-        host = Host(env, Network(env), CLIENT, rng=RandomStreams(0))
+        host = Host(env, Network(env, PerfectLinkModel()), CLIENT, rng=RandomStreams(0))
         log = CountingLog(host, "out")
         log.append(1, {}, 100)
         report = GarbageCollector(log, LoggingConfig(capacity_bytes=1000)).maybe_collect()
@@ -675,7 +681,7 @@ class TestClientPendingView:
         def checked_complete(result):
             complete(result)
             checks["completions"] += 1
-            assert client.pending_handles() == _naive_pending(client)
+            assert list(client._pending.values()) == _naive_pending(client)
             assert client.stats()["pending"] == len(_naive_pending(client))
 
         client._complete = checked_complete
@@ -683,22 +689,22 @@ class TestClientPendingView:
         def submit(n):
             for _ in range(n):
                 yield from client.call_async("sleep", exec_time=2.0)
-                assert client.pending_handles() == _naive_pending(client)
+                assert list(client._pending.values()) == _naive_pending(client)
 
         grid.run_until(grid.run_process(submit(12), name="submit"), timeout=1000.0)
         grid.run(until=grid.env.now + 8.0)  # some done, some still pending
         assert 0 < checks["completions"] < 12
-        assert client.pending_handles() == _naive_pending(client) != []
+        assert list(client._pending.values()) == _naive_pending(client) != []
 
         # A crash loses the volatile call table; the view restarts empty.
         host = grid.host_of(client)
         host.crash()
         host.restart()
-        assert client.pending_handles() == _naive_pending(client) == []
+        assert list(client._pending.values()) == _naive_pending(client) == []
         grid.run_until(grid.run_process(submit(5), name="resubmit"), timeout=1000.0)
-        assert len(client.pending_handles()) == len(_naive_pending(client)) == 5
+        assert len(client._pending) == len(_naive_pending(client)) == 5
         grid.run(until=grid.env.now + 200.0)
-        assert client.pending_handles() == _naive_pending(client) == []
+        assert list(client._pending.values()) == _naive_pending(client) == []
         assert checks["completions"] >= 5
 
     def test_forget_handles_drops_the_view_with_the_handles(self):
@@ -709,9 +715,9 @@ class TestClientPendingView:
         grid.run_until(
             grid.run_process(workload.submit_only(client), name="submit"), timeout=1000.0
         )
-        assert len(client.pending_handles()) == 4
+        assert len(client._pending) == 4
         client.forget_handles()
-        assert client.handles == {} and client.pending_handles() == []
+        assert client.handles == {} and list(client._pending.values()) == []
         assert client.stats()["pending"] == 0
 
 
@@ -840,7 +846,7 @@ class TestOneResultObject:
 
     def _run(self, produced):
         services = default_registry()
-        services.register_function("rows", lambda: produced)
+        services.register(ServiceSpec("rows", fn=lambda: produced))
         grid = build_confined_cluster(n_servers=2, n_coordinators=1, seed=3, services=services)
         grid.start()
         client = grid.client
@@ -860,7 +866,7 @@ class TestOneResultObject:
         grid, handles = self._run(produced)
         coordinator = grid.coordinators[0]
         for handle in handles:
-            key = handle.identity
+            key = handle.description.identity
             result = handle.result
             assert coordinator.results[key] is result
             logged = [
@@ -877,4 +883,4 @@ class TestOneResultObject:
     def test_client_log_files_the_description_itself(self):
         grid, handles = self._run({"rows": []})
         for handle in handles:
-            assert grid.client.log.get(handle.identity).payload is handle.description
+            assert grid.client.log.get(handle.description.identity).payload is handle.description

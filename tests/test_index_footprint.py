@@ -55,7 +55,7 @@ def test_index_bytes_per_task():
         per_task = (tracemalloc.get_traced_memory()[0] - floor) / n
     finally:
         tracemalloc.stop()
-    assert index.state_counts() == {
+    assert dict(index._counts) == {
         TaskState.PENDING: n // 4,
         TaskState.ONGOING: n // 4,
         TaskState.FINISHED: n // 2,

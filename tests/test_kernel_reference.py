@@ -21,12 +21,12 @@ from repro.sim.core import (
     AnyOf,
     Environment,
     Event,
-    Interrupt,
     Timeout,
     WaitOutcome,
     wait_any,
 )
 from repro.sim.store import Store
+from tests.support import fail_event
 
 # ---------------------------------------------------------------------------
 # wait_any: Timeout + AnyOf reference
@@ -68,7 +68,7 @@ wait_specs = st.fixed_dictionaries(
         "pre": st.sampled_from(["pending", "pending", "triggered", "processed"]),
         "disturb": st.one_of(
             st.none(),
-            st.tuples(st.sampled_from(["kill", "interrupt"]), _QUARTERS),
+            st.tuples(st.just("kill"), _QUARTERS),
         ),
     }
 )
@@ -84,8 +84,8 @@ def _run_waits(impl, specs):
         if event.triggered:
             return
         if spec["fails"]:
-            event.fail(RuntimeError("boom"))
-            event.defuse()
+            fail_event(event, RuntimeError("boom"))
+            event._defused = True  # nobody may wait on it: run() must not raise
         else:
             event.succeed("reply")
 
@@ -95,10 +95,7 @@ def _run_waits(impl, specs):
 
     def waiter(index, spec, early):
         if spec["start"]:
-            try:
-                yield env.timeout(spec["start"])
-            except Interrupt:  # disturbed at the very instant the wait begins
-                log.append((index, env.now, "interrupted-early"))
+            yield env.timeout(spec["start"])
         fires_after = spec["fires_after"]
         if spec["kind"] == "timeout":
             event = env.timeout(fires_after if fires_after is not None else 50.0, "rang")
@@ -119,29 +116,21 @@ def _run_waits(impl, specs):
                         env.now,
                         lambda _: env.call_at_cancellable(when, fire, (spec, event)),
                     )
-        attempts = 0
-        while attempts < 2:
-            attempts += 1
-            try:
-                outcome = yield from impl(env, [event], spec["timeout"])
-            except Interrupt as interrupt:
-                log.append((index, env.now, "interrupted", interrupt.cause))
-                continue
-            except RuntimeError as error:
-                log.append((index, env.now, "failed", str(error)))
-                return
-            log.append(
-                (
-                    index,
-                    env.now,
-                    "resumed",
-                    outcome.expired,
-                    outcome.timed_out,
-                    list(outcome.events.values()),
-                    event in outcome,
-                )
-            )
+        try:
+            outcome = yield from impl(env, [event], spec["timeout"])
+        except RuntimeError as error:
+            log.append((index, env.now, "failed", str(error)))
             return
+        log.append(
+            (
+                index,
+                env.now,
+                "resumed",
+                outcome.expired,
+                list(outcome.events.values()),
+                event in outcome.events,
+            )
+        )
 
     probe_times = set()
     for index, spec in enumerate(specs):
@@ -235,7 +224,7 @@ class TestDirectWaitAgainstTimeoutAnyOf:
                     env.now, lambda _: env.call_at(env.now + 2.0, reply.succeed, "reply")
                 )
             outcome = yield from impl(env, [reply], 2.0)
-            outcomes[name] = (env.now, outcome.expired, outcome.get(reply))
+            outcomes[name] = (env.now, outcome.expired, outcome.events.get(reply))
 
         env.process(requester("sent-after", False))
         env.process(requester("sent-before", True))
@@ -266,7 +255,7 @@ class TestDirectWaitAgainstTimeoutAnyOf:
             reply = env.event()
             env.call_at(env.now + 0.5, reply.succeed, "ok")
             second = yield from wait_any(env, [reply], 1.0)
-            return first.timed_out, second.get(reply)
+            return first.expired and not first.events, second.events.get(reply)
 
         process = env.process(races())
         env.run()
@@ -283,7 +272,8 @@ class TestDirectWaitAgainstTimeoutAnyOf:
         env.run(until=2.0)
         with pytest.raises(StopIteration) as finished:
             fragment.send(None)
-        assert finished.value.value.timed_out
+        outcome = finished.value.value
+        assert outcome.expired and not outcome.events
         assert env.queue_stats()["live_entries"] == 0
 
 
@@ -359,9 +349,7 @@ consumer_plans = st.lists(
             # on purpose; the directed tests below pin that.
             "disturb": st.one_of(
                 st.none(),
-                st.tuples(
-                    st.sampled_from(["kill", "interrupt"]), _HALVES.map(lambda t: t + 0.25)
-                ),
+                st.tuples(st.just("kill"), _HALVES.map(lambda t: t + 0.25)),
             ),
         }
     ),
@@ -384,16 +372,9 @@ def _run_store(store_cls, puts, consumers):
 
     def consumer(index, plan):
         if plan["start"]:
-            try:
-                yield env.timeout(plan["start"])
-            except Interrupt:
-                log.append((index, env.now, "interrupted"))
+            yield env.timeout(plan["start"])
         while True:
-            try:
-                got = list((yield store.get_all()))
-            except Interrupt:
-                log.append((index, env.now, "interrupted"))
-                continue
+            got = list((yield store.get_all()))
             log.append((index, env.now, got))
 
     for item, (when, hops) in enumerate(puts):
@@ -452,8 +433,8 @@ class TestOneHopBatchWakeAgainstFinalizeCallback:
         """Where the new wake is deliberately *better* than the reference.
 
         The old getter, once finalized, took its batch with it if its waiter
-        was interrupted before resuming; the one-hop wake hands the items
-        back, so an interrupted receiver finds them on its next ``get_all``.
+        was killed before resuming; the one-hop wake hands the items back,
+        so the next receiver finds them on the store.
         """
         env = Environment()
         store = Store(env)
@@ -461,22 +442,19 @@ class TestOneHopBatchWakeAgainstFinalizeCallback:
 
         def receiver():
             while True:
-                try:
-                    got.append(list((yield store.get_all())))
-                except Interrupt:
-                    got.append("interrupted")
+                got.append(list((yield store.get_all())))
 
         process = env.process(receiver())
 
-        def wake_then_interrupt(_):
+        def wake_then_kill(_):
             store.put("a")
-            process.interrupt()
+            process.kill()
             store.put("b")  # joins the live batch, still unprocessed
 
-        env.call_at(1.0, wake_then_interrupt)
+        env.call_at(1.0, wake_then_kill)
         env.run()
-        assert got == ["interrupted", ["a", "b"]]
-        assert not store.items
+        assert got == []
+        assert list(store.items) == ["a", "b"]
 
     def test_a_head_getter_killed_in_its_wake_tick_no_longer_strands_the_item(self):
         """The lost wake-up the finalize callback had, pinned on both sides.

@@ -9,7 +9,6 @@ from repro.net.latency import (
     CompositeLinkModel,
     InternetLinkModel,
     LanLinkModel,
-    PerfectLinkModel,
 )
 from repro.net.message import (
     ENVELOPE_OVERHEAD_BYTES,
@@ -24,6 +23,7 @@ from repro.nodes.node import Host
 from repro.sim.monitor import Monitor
 from repro.sim.rng import RandomStreams
 from repro.types import Address
+from tests.support import PerfectLinkModel
 
 
 A = Address("client", "a")
@@ -72,11 +72,6 @@ class TestLatencyModels:
         wan = InternetLinkModel(loss=0.01)
         assert wan.loss_probability(A, B) == 0.01
 
-    def test_perfect_model_is_free(self):
-        model = PerfectLinkModel()
-        assert model.transfer_time(A, B, 10**9, RandomStreams(0).stream("x")) == 0.0
-        assert model.loss_probability(A, B) == 0.0
-
     def test_composite_picks_intra_or_inter(self):
         def composite(site_of_b):
             return CompositeLinkModel(
@@ -86,8 +81,8 @@ class TestLatencyModels:
             )
 
         rng = RandomStreams(0).stream("x")
-        assert composite("y").transfer_time(A, B, 0, rng) == 0.5
-        assert composite("x").transfer_time(A, B, 0, rng) == 0.001
+        assert composite("y").resolve_link(A, B).transfer_time(A, B, 0, rng) == 0.5
+        assert composite("x").resolve_link(A, B).transfer_time(A, B, 0, rng) == 0.001
 
 
 class TestSiteMap:
@@ -95,24 +90,19 @@ class TestSiteMap:
         site_map = SiteMap()
         site_map.add_site(Site("lille"))
         site_map.place(A, "lille")
-        assert site_map.site_of(A) == "lille"
+        assert site_map.membership[A] == "lille"
 
     def test_place_on_unknown_site_rejected(self):
         site_map = SiteMap()
         with pytest.raises(ConfigurationError):
             site_map.place(A, "nowhere")
 
-    def test_unplaced_lookup_rejected(self):
-        site_map = SiteMap()
-        site_map.add_site(Site("lille"))
-        with pytest.raises(ConfigurationError):
-            site_map.site_of(A)
-
     def test_single_site_helper(self):
         site_map = SiteMap.single_site("cluster")
         site_map.place(A, "cluster")
         site_map.place(B, "cluster")
-        assert site_map.same_site(A, B)
+        link = site_map.link_model().resolve_link(A, B)
+        assert link is site_map.intra_site_model is site_map.inter_site_model
 
     def test_every_inter_site_pair_shares_one_wan_model(self):
         # The transatlantic hop to Wisconsin is not modelled: Lille reaches
@@ -125,15 +115,6 @@ class TestSiteMap:
         assert composite.resolve_link(lille, wisconsin) is composite.resolve_link(lille, orsay)
         assert composite.resolve_link(lille, wisconsin) is site_map.inter_site_model
 
-    def test_addresses_at_site(self):
-        site_map = SiteMap()
-        site_map.add_site(Site("lille"))
-        site_map.add_site(Site("orsay"))
-        site_map.place(A, "lille")
-        site_map.place(B, "orsay")
-        assert site_map.addresses_at("lille") == [A]
-
-
 class TestPartitionManager:
     def test_allows_by_default(self):
         partitions = PartitionManager()
@@ -145,28 +126,6 @@ class TestPartitionManager:
         assert not partitions.allows(A, B)
         assert partitions.allows(B, A)
 
-    def test_bidirectional_hide_and_unhide(self):
-        partitions = PartitionManager()
-        partitions.hide_bidirectional(A, B)
-        assert not partitions.allows(A, B)
-        assert not partitions.allows(B, A)
-        partitions.unhide_bidirectional(A, B)
-        assert partitions.allows(A, B)
-
-    def test_named_partition_and_heal(self):
-        partitions = PartitionManager()
-        partitions.partition("split", [A], [B])
-        assert not partitions.allows(A, B)
-        partitions.heal("split")
-        assert partitions.allows(A, B)
-
-    def test_heal_all(self):
-        partitions = PartitionManager()
-        partitions.hide(B, from_source=A)
-        partitions.partition("split", [A], [B])
-        partitions.heal_all()
-        assert partitions.allows(A, B)
-
     def test_reachability_graph_excludes_blocked_edges(self):
         partitions = PartitionManager()
         partitions.hide(B, from_source=A)
@@ -177,39 +136,40 @@ class TestPartitionManager:
 
 class TestNetwork:
     def test_register_and_duplicate_rejected(self, env):
-        network = Network(env)
+        network = Network(env, PerfectLinkModel())
         network.register(A)
         with pytest.raises(ConfigurationError):
             network.register(A)
 
     def test_message_delivery(self, env):
-        network = Network(env)
+        network = Network(env, PerfectLinkModel())
         network.register(A)
         endpoint_b = network.register(B)
         network.send(Message(MessageType.PING, A, B, size_bytes=10))
         env.run()
         assert endpoint_b.delivered == 1
-        assert len(endpoint_b.mailbox) == 1
+        assert len(endpoint_b.mailbox.items) == 1
 
     def test_unknown_destination_is_counted_dropped(self, env):
-        network = Network(env)
+        network = Network(env, PerfectLinkModel())
         network.register(A)
         network.send(Message(MessageType.PING, A, B))
         env.run()
         assert network.stats()["net.dropped.unknown_dest"] == 1
 
     def test_partition_blocks_delivery(self, env):
-        network = Network(env)
+        network = Network(env, PerfectLinkModel())
         network.register(A)
         endpoint_b = network.register(B)
-        network.partitions.hide_bidirectional(A, B)
+        network.partitions.hide(A, from_source=B)
+        network.partitions.hide(B, from_source=A)
         network.send(Message(MessageType.PING, A, B))
         env.run()
         assert endpoint_b.delivered == 0
         assert network.stats()["net.dropped.partition"] >= 1
 
     def test_down_endpoint_drops_message(self, env):
-        network = Network(env)
+        network = Network(env, PerfectLinkModel())
         network.register(A)
         endpoint_b = network.register(B)
         network.set_endpoint_up(B, False)
@@ -219,14 +179,14 @@ class TestNetwork:
         assert network.stats()["net.dropped.endpoint_down"] == 1
 
     def test_endpoint_down_clears_mailbox(self, env):
-        network = Network(env)
+        network = Network(env, PerfectLinkModel())
         network.register(A)
         endpoint_b = network.register(B)
         network.send(Message(MessageType.PING, A, B))
         env.run()
-        assert len(endpoint_b.mailbox) == 1
+        assert len(endpoint_b.mailbox.items) == 1
         endpoint_b.mark_down()
-        assert len(endpoint_b.mailbox) == 0
+        assert len(endpoint_b.mailbox.items) == 0
 
     def test_lossy_link_eventually_drops(self, env):
         class AlwaysLossy(PerfectLinkModel):
@@ -243,7 +203,7 @@ class TestNetwork:
         assert network.stats()["net.dropped.loss"] == 5
 
     def test_message_sent_while_down_not_delivered_after_restart(self, env):
-        network = Network(env)
+        network = Network(env, PerfectLinkModel())
         network.register(A)
         endpoint_b = network.register(B)
         network.set_endpoint_up(B, False)
@@ -254,7 +214,7 @@ class TestNetwork:
         network.set_endpoint_up(B, True)
         env.run()
         assert endpoint_b.delivered == 0
-        assert len(endpoint_b.mailbox) == 0
+        assert len(endpoint_b.mailbox.items) == 0
         assert endpoint_b.dropped_stale == 1
         assert network.stats()["net.dropped.stale_incarnation"] == 1
 
@@ -282,7 +242,7 @@ class TestNetwork:
         assert endpoint_b.delivered == 1
 
     def test_same_incarnation_delivery_unaffected(self, env):
-        network = Network(env)
+        network = Network(env, PerfectLinkModel())
         network.register(A)
         endpoint_b = network.register(B)
         network.send(Message(MessageType.PING, A, B))
@@ -299,7 +259,7 @@ class TestNetwork:
         """
         rng_a = RandomStreams(7)
         rng_b = RandomStreams(7)
-        network = Network(env, rng=rng_a)
+        network = Network(env, PerfectLinkModel(), rng=rng_a)
         network.register(A)
         network.register(B)
         for _ in range(5):
@@ -311,7 +271,7 @@ class TestNetwork:
 
     def test_counts_on_the_monitor_it_was_built_with(self, env):
         monitor = Monitor()
-        network = Network(env, monitor=monitor)
+        network = Network(env, PerfectLinkModel(), monitor=monitor)
         network.register(A)
         network.register(B)
         network.send(Message(MessageType.PING, A, B, size_bytes=10))
@@ -346,13 +306,13 @@ class TestNetwork:
         assert network.stats()["net.delivered"] == 6
 
     def test_a_dropped_message_is_left_as_sent(self, env):
-        network = Network(env)
+        network = Network(env, PerfectLinkModel())
         network.register(A)
         network.register(B)
-        network.partitions.hide(B, from_source=A)
-        blocked = Message(MessageType.PING, A, B, payload={"n": 1})
+        hidden = network.register(Address("server", "c")).address
+        network.partitions.hide(B, from_source=hidden)
+        blocked = Message(MessageType.PING, hidden, B, payload={"n": 1})
         network.send(blocked)
-        network.partitions.heal_all()
         network.set_endpoint_up(B, False)
         refused = Message(MessageType.PING, A, B, payload={"n": 2})
         network.send(refused)
@@ -363,14 +323,14 @@ class TestNetwork:
         assert stats["net.dropped.partition"] == 1 and stats["net.delivered"] == 1
         assert stats["net.dropped.stale_incarnation"] == 1
         assert (blocked.mtype, blocked.source, blocked.dest, blocked.payload) == (
-            MessageType.PING, A, B, {"n": 1}
+            MessageType.PING, hidden, B, {"n": 1}
         )
         assert (refused.mtype, refused.source, refused.dest, refused.payload) == (
             MessageType.PING, A, B, {"n": 2}
         )
 
     def test_delivery_hook_invoked(self, env):
-        network = Network(env)
+        network = Network(env, PerfectLinkModel())
         network.register(A)
         network.register(B)
         seen = []
@@ -476,7 +436,7 @@ class TestCrashedMailboxAndHandlers:
 
         env.call_at(1.0, burst_then_crash)
         env.run()
-        assert batches == [] and len(endpoint.mailbox) == 0
+        assert batches == [] and len(endpoint.mailbox.items) == 0
         # The restarted incarnation starts from an empty mailbox.
         endpoint.mark_up()
         env.process(receiver())
@@ -501,14 +461,14 @@ class TestCrashedMailboxAndHandlers:
         network, host, handled = self._handled_host(env)
         network.send(Message(MessageType.PING, A, B, payload={"n": 0}))
         env.run()
-        assert [n for _, n in handled] == [0] and len(host.endpoint.mailbox) == 0
+        assert [n for _, n in handled] == [0] and len(host.endpoint.mailbox.items) == 0
         network.send(Message(MessageType.PING, A, B, payload={"n": 1}))  # in flight
         host.crash()
         assert host.endpoint.handler is None  # volatile, like a receive process
         network.send(Message(MessageType.PING, A, B, payload={"n": 2}))
         env.run()
         assert [n for _, n in handled] == [0]
-        assert host.endpoint.dropped_down == 2 and len(host.endpoint.mailbox) == 0
+        assert host.endpoint.dropped_down == 2 and len(host.endpoint.mailbox.items) == 0
         with pytest.raises(ConfigurationError):
             host.on_message(print)
 

@@ -17,6 +17,7 @@ from repro.sim.core import ProcessKilled
 from repro.sim.rng import RandomStreams
 from repro.types import Address
 from repro.workloads.synthetic import SyntheticWorkload
+from tests.support import PerfectLinkModel
 
 
 class TestDiskModel:
@@ -125,7 +126,7 @@ class TestChurn:
 
 class TestHost:
     def _host(self, env, name="h0"):
-        network = Network(env)
+        network = Network(env, PerfectLinkModel())
         return Host(env, network, Address("server", name), rng=RandomStreams(0))
 
     def test_spawn_and_run_process(self, env):
@@ -157,7 +158,7 @@ class TestHost:
         env.run()
         assert not process.is_alive
         assert not host.up
-        assert len(host.endpoint.mailbox) == 0
+        assert len(host.endpoint.mailbox.items) == 0
         assert host.crash_count == 1
 
     def test_crash_preserves_persistent_state(self, env):
@@ -191,14 +192,6 @@ class TestHost:
         host.send(Message(MessageType.PING, host.address, other.address))
         env.run()
         assert other.endpoint.delivered == 0
-
-    def test_availability_tracks_downtime(self, env):
-        host = self._host(env)
-        env.run(until=10.0)
-        host.crash()
-        env.timeout(10.0)
-        env.run(until=20.0)
-        assert host.availability() == pytest.approx(0.5)
 
     def test_disk_write_takes_time(self, env):
         host = self._host(env)

@@ -11,7 +11,6 @@ from repro.platform import (
     BaseComponent,
     ComponentManager,
     component,
-    component_names,
     create_component,
     resolve_component,
 )
@@ -91,12 +90,10 @@ class TestComponentManager:
         with pytest.raises(ConfigurationError, match="stopped"):
             manager.add(Recorder("b", log))
 
-    def test_contract_and_lookup_errors(self):
+    def test_contract_errors(self):
         manager = ComponentManager()
         with pytest.raises(ConfigurationError, match="Component"):
             manager.add(object())
-        with pytest.raises(ConfigurationError, match="no component named"):
-            manager.get("ghost")
 
     def test_idempotent_start_and_stop(self):
         log: list[str] = []
@@ -112,12 +109,11 @@ class TestComponentManager:
 
 class TestComponentRegistry:
     def test_builtins_are_registered(self):
-        names = component_names()
         for name in (
             "inject.rate", "inject.churn", "inject.script",
             "net.partition-schedule",
         ):
-            assert name in names
+            assert resolve_component(name).__module__.startswith("repro.")
 
     def test_retired_knobs_are_refused_by_name(self):
         # The quorum, back-off cap, crowd suspicion and heart-beat cadence
@@ -205,19 +201,19 @@ class TestBuilderFacade:
 class TestGridOnThePlatform:
     def test_tiers_are_registered_components(self):
         grid = build_confined_cluster(n_servers=2, n_coordinators=2)
-        names = grid.manager.names()
+        names = list(grid.manager._by_name)
         assert names[:2] == ["coordinator:cluster-k0", "coordinator:cluster-k1"]
         assert names[2:4] == ["server:s000", "server:s001"]
         assert names[4] == "client:c0"
-        assert grid.component("client:c0") is grid.client
+        assert grid.manager._by_name["client:c0"] is grid.client
 
     def test_start_stop_drive_the_manager(self):
         grid = build_confined_cluster(n_servers=1, n_coordinators=1)
-        assert not grid.started
+        assert grid.manager.phase == "setup"  # built: set up, not started
         grid.start()
-        assert grid.started and grid.client.started
+        assert grid.manager.phase == "running" and grid.client.started
         grid.stop()
-        assert not grid.started
+        assert grid.manager.phase == "stopped"
         assert grid.client._heartbeat.stopped
 
     def test_build_grid_accepts_component_entries(self):
@@ -228,16 +224,18 @@ class TestGridOnThePlatform:
                 ("inject.churn", {"target": "servers", "mtbf": 30.0, "mttr": 5.0}),
                 {
                     "name": "net.partition-schedule",
-                    "params": {"events": [{"time": 60.0, "action": "heal-all"}]},
+                    "params": {"events": [{"time": 0, "action": "hide",
+                                           "dest": "clients", "source": "servers"}]},
                 },
             ],
         )
-        churn = grid.component("churn-servers")
+        components = grid.manager._by_name
+        churn, schedule = components["churn-servers"], components["partition-schedule"]
         assert len(churn.hosts) == 2  # setup ran
         grid.start()
         grid.run(until=120.0)
         assert churn.injected > 0
-        assert grid.component("partition-schedule").injected == 1
+        assert schedule.injected == 1
 
     def test_instance_entries_with_params_raise(self):
         grid = build_confined_cluster(n_servers=1, n_coordinators=1)
@@ -267,28 +265,27 @@ class TestLibraryComponents:
                  {"events": [{"time": 1.0, "action": "kill", "target": "ghost"}]}),
             ])
 
-    def test_partition_schedule_partitions_and_heals(self):
+    def test_partition_schedule_hides_one_way_at_start(self):
         grid = build_confined_cluster(n_servers=2, n_coordinators=1)
         grid.add_component(PartitionSchedule(events=[
-            {"time": 0.0, "action": "partition", "partition": "split",
-             "group_a": "servers", "group_b": "coordinators"},
-            {"time": 10.0, "action": "heal", "partition": "split"},
+            {"time": 0, "action": "hide", "dest": "coordinators",
+             "source": "servers"},
         ]))
         grid.start()
         server = grid.servers[0].address
         coordinator = grid.coordinators[0].address
-        # Zero-time events are applied synchronously at start.
+        # The rules are in force synchronously at start, one way only.
         assert not grid.partitions.allows(server, coordinator)
-        grid.run(until=12.0)
-        assert grid.partitions.allows(server, coordinator)
+        assert grid.partitions.allows(coordinator, server)
 
     def test_partition_schedule_rejects_unknown_actions(self):
         with pytest.raises(ConfigurationError, match="unknown partition action"):
             PartitionSchedule(events=[{"time": 0.0, "action": "explode"}])
 
-    def test_partition_schedule_rejects_missing_time(self):
-        with pytest.raises(ConfigurationError, match="no 'time'"):
-            PartitionSchedule(events=[{"action": "heal-all"}])
+    def test_partition_schedule_rejects_a_timed_rule(self):
+        for event in ({"action": "hide"}, {"time": 10.0, "action": "hide"}):
+            with pytest.raises(ConfigurationError, match="'time': 0"):
+                PartitionSchedule(events=[event])
 
 
 class TestInterpolation:

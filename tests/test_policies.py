@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import multiprocessing
-import time
 from dataclasses import replace
 
 import pytest
@@ -14,17 +12,16 @@ from repro.baselines import (
     protocol_from_bundle,
     rpcv_protocol,
 )
-from repro.config import PolicyConfig, ProtocolConfig
+from repro.config import POLICY_AXES, PolicyConfig, ProtocolConfig
 from repro.core.taskindex import TaskIndex
 from repro.errors import ConfigurationError
 from repro.grid.builder import build_confined_cluster
-from repro.platform.registry import component_names, create_component
+from repro.platform.registry import create_component, resolve_component
 from repro.policies import (
     FastestFirstSchedulerPolicy,
     FifoReschedulePolicy,
     FixedTimeoutDetection,
     NoReplication,
-    OnCommitReplication,
     OptimisticLogging,
     PassivePeriodicReplication,
     PessimisticNonBlockingLogging,
@@ -33,7 +30,7 @@ from repro.policies import (
     SchedulerPolicy,
     make_policy,
 )
-from repro.scenarios import Axis, ScenarioSpec, run_scenario
+from repro.scenarios import ScenarioSpec, run_scenario
 from repro.scenarios.engine import (
     GridTopology,
     WorkloadSpec,
@@ -58,13 +55,13 @@ MICRO = dict(
 
 class TestRegistryRoundTrip:
     def test_all_policies_are_registered(self):
-        names = set(component_names())
-        assert set(SCHEDULER_POLICIES) <= names
-        assert {
+        for name in (
+            *SCHEDULER_POLICIES,
             "policy.repl.passive-periodic", "policy.repl.none",
-            "policy.repl.on-commit", "policy.log.pessimistic-blocking",
+            "policy.repl.quorum", "policy.log.pessimistic-blocking",
             "policy.log.pessimistic-nonblocking", "policy.log.optimistic",
-        } <= names
+        ):
+            assert resolve_component(name).key == name
 
     def test_create_component_round_trip(self):
         policy = create_component("policy.sched.round-robin", {"reschedule": False})
@@ -137,7 +134,8 @@ class TestDefaultDerivation:
         assert optimistic.strategy is LoggingStrategy.OPTIMISTIC
 
     def test_no_entry_is_unset(self):
-        assert None not in PolicyConfig().entries().values()
+        policy = PolicyConfig()
+        assert None not in [getattr(policy, axis) for axis in POLICY_AXES]
         assert ProtocolConfig().validate().policy == PolicyConfig()
 
 
@@ -301,7 +299,7 @@ class TestResolvedPolicies:
             timeout = coordinator.config.detection.suspicion_timeout
         assert (
             type(scheduler), scheduler.reschedule, type(replication), period,
-            type(logging.policy), logging.strategy, type(detection), timeout,
+            type(logging.policy), logging.policy.strategy, type(detection), timeout,
         ) == RESOLVED_POLICIES[preset, kind]
 
     @pytest.mark.parametrize("kind", ["confined", "internet"])
@@ -367,7 +365,6 @@ class TestPresetBundleEquivalence:
         )
         grid.start()
         assert grid.coordinators[0].scheduler.key == "policy.sched.round-robin"
-        assert "policies" in grid.stats()
 
     def test_bad_policy_override_fails_fast(self):
         with pytest.raises(ConfigurationError, match="unknown component"):
@@ -415,55 +412,15 @@ class TestPresetBundleEquivalence:
         with pytest.raises(ConfigurationError, match="unknown protocol path"):
             resolve_protocol("rpc-v", {path: False})
 
-    def test_describe_reports_the_effective_scheduler(self):
-        assert (
-            ProtocolConfig().describe()["policy.scheduler"]
-            == "policy.sched.fifo-reschedule"
-        )
+    def test_overrides_select_the_effective_policies(self):
+        assert ProtocolConfig().policy.scheduler == "policy.sched.fifo-reschedule"
         protocol = resolve_protocol(
             None,
             {"policy.scheduler": "policy.sched.round-robin",
              "policy.replication": "policy.repl.none"},
         )
-        description = protocol.describe()
-        assert description["policy.scheduler"] == "policy.sched.round-robin"
-        assert description["policy.replication"] == "policy.repl.none"
-        # Each fact once: no derived key can disagree with the entries.
-        assert not {
-            "scheduler_policy", "replication_enabled", "logging_strategy",
-        } & set(description)
-
-
-class TestOnCommitReplication:
-    def test_on_commit_replicates_without_waiting_for_the_period(self):
-        protocol = ProtocolConfig()
-        protocol.coordinator.replication.period = 1000.0  # periodic would idle
-        protocol.policy = PolicyConfig(
-            replication={"name": "policy.repl.on-commit", "params": {"min_interval": 1.0}}
-        )
-        grid = build_confined_cluster(
-            n_servers=2, n_coordinators=2, protocol=protocol, seed=3
-        )
-        grid.start()
-        assert isinstance(grid.coordinators[0].replication_policy, OnCommitReplication)
-        from repro.core.protocol import CallDescription
-        from repro.types import CallIdentity
-
-        grid.coordinators[0].preload_tasks(
-            [
-                CallDescription(
-                    identity=CallIdentity("u", "s", 1),
-                    service="sleep",
-                    params_bytes=64,
-                    exec_time=1.0,
-                )
-            ]
-        )
-        grid.run(until=50.0)
-        assert grid.monitor.count("coordinator.replications") >= 1
-        assert grid.monitor.count("policy.repl.on-commit.rounds") >= 1
-        # The backup learned the task long before the 1000 s period.
-        assert len(grid.coordinators[1].tasks) == 1
+        assert protocol.policy.scheduler == "policy.sched.round-robin"
+        assert protocol.policy.replication == "policy.repl.none"
 
 
 class TestSchedAblationScenario:
@@ -484,94 +441,11 @@ class TestSchedAblationScenario:
         assert outputs["completed"] == MICRO["n_calls"]
 
 
-def _sleepy_cell(seed: int = 0, nap: float = 0.0, **_: object) -> dict:
-    """Module-level kernel for the timeout tests (crosses process boundaries)."""
-    if nap:
-        time.sleep(nap)
-    return {"napped": nap, "seed": seed}
-
-
-def _timeout_spec(nap_values, cell_timeout=0.5) -> ScenarioSpec:
-    return ScenarioSpec(
-        name="timeout-sweep",
-        title="cell timeout test sweep",
-        cell=_sleepy_cell,
-        axes=(Axis("nap", tuple(nap_values)),),
-        seeds=(0,),
-        cell_timeout=cell_timeout,
-    )
-
-
-class TestCellTimeout:
-    def test_overrunning_cell_is_killed_and_recorded(self):
-        result = SweepRunner(_timeout_spec((0.0, 5.0), cell_timeout=0.4), jobs=1).run()
-        ok, slow = result.rows
-        assert ok["napped"] == 0.0
-        assert slow.get("timed_out") is True
-        assert slow.get("cell_timeout") == 0.4
-
-    def test_parallel_sweep_survives_a_timeout(self):
-        result = SweepRunner(_timeout_spec((0.0, 5.0, 0.0), cell_timeout=0.4), jobs=3).run()
-        assert [row.get("timed_out", False) for row in result.rows] == [
-            False, True, False,
-        ]
-
-    def test_fast_cells_are_untouched(self):
-        result = SweepRunner(_timeout_spec((0.0, 0.0), cell_timeout=5.0), jobs=1).run()
-        assert all("timed_out" not in row for row in result.rows)
-        assert "cell_timeout_fallback" not in result.manifest
-
-    @pytest.mark.parametrize("refused", ["Pipe", "Process"])
-    def test_a_budget_that_cannot_be_enforced_warns_and_is_recorded(
-        self, monkeypatch, refused
-    ):
-        context = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-        )
-
-        def refuse(*args, **kwargs):
-            raise OSError("no child processes here")
-
-        monkeypatch.setattr(context, refused, refuse)
-        runner = SweepRunner(_timeout_spec((0.0, 0.0), cell_timeout=0.4), jobs=1)
-        with pytest.warns(RuntimeWarning, match="OSError: no child processes here"):
-            result = runner.run()
-        assert [row["napped"] for row in result.rows] == [0.0, 0.0]
-        assert runner.cell_timeout_fallback == "OSError: no child processes here"
-        assert result.manifest["cell_timeout_fallback"] == runner.cell_timeout_fallback
-
-    def test_cell_errors_still_propagate(self):
-        spec = ScenarioSpec(
-            name="error-sweep", title="t", cell=_error_cell, seeds=(0,),
-            cell_timeout=5.0,
-        )
+class TestCellErrors:
+    def test_cell_errors_propagate(self):
+        spec = ScenarioSpec(name="error-sweep", title="t", cell=_error_cell, seeds=(0,))
         with pytest.raises(ValueError, match="boom"):
             SweepRunner(spec, jobs=1).run()
-
-    def test_invalid_timeout_rejected(self):
-        with pytest.raises(ConfigurationError, match="cell_timeout"):
-            _timeout_spec((0.0,), cell_timeout=-1.0)
-
-    def test_timed_out_cells_are_not_checkpointed(self, tmp_path):
-        from repro.scenarios import ResultsStore
-
-        store = ResultsStore(tmp_path)
-        spec = _timeout_spec((0.0, 5.0), cell_timeout=0.4)
-        result = SweepRunner(spec, jobs=1, store=store).run(save=True)
-        assert result.rows[1].get("timed_out") is True
-        # Only the finished cell is checkpointed; a --resume retries the
-        # timed-out one rather than keeping the placeholder forever.
-        checkpointed = store.load_cells("timeout-sweep", spec.spec_hash())
-        assert set(checkpointed) == {(0, 0)}
-        runner = SweepRunner(spec, jobs=1, store=store, resume=True)
-        runner.run()
-        assert runner.resumed_cells == 1
-
-    def test_timeout_stamps_the_manifest_only_when_set(self):
-        spec = _timeout_spec((0.0,), cell_timeout=1.0)
-        assert spec.manifest()["cell_timeout"] == 1.0
-        bare = ScenarioSpec(name="bare", title="t", cell=_sleepy_cell, seeds=(0,))
-        assert "cell_timeout" not in bare.manifest()
 
 
 def _error_cell(seed: int = 0, **_: object) -> dict:

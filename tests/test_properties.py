@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.config import LoggingConfig
 from repro.core.protocol import CallDescription, TaskRecord
 from repro.core.registry import CoordinatorRegistry
-from repro.core.replication import build_state, merge_state, state_precedence
+from repro.core.replication import build_state, merge_state
 from repro.core.session import Session
 from repro.core.synchronization import merge_max_timestamps, plan_client_sync, plan_server_sync
 from repro.msglog.garbage import GarbageCollector
@@ -19,6 +19,7 @@ from repro.runtime import RealTimeDriver
 from repro.sim.core import Environment
 from repro.sim.rng import RandomStreams
 from repro.types import Address, CallIdentity, TaskState
+from tests.support import STATE_PRECEDENCE, PerfectLinkModel, check_log_integrity, log_keys
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -107,7 +108,7 @@ class TestReplicationProperties:
 
         merge_state(local, {}, state_abstract)
         for key, old_state in before.items():
-            assert state_precedence(local[key].state) >= state_precedence(old_state)
+            assert STATE_PRECEDENCE[local[key].state] >= STATE_PRECEDENCE[old_state]
 
     @given(incoming_states=st.lists(task_states, min_size=1, max_size=15))
     @settings(max_examples=40, deadline=None)
@@ -194,7 +195,7 @@ class TestGarbageCollectionProperties:
     @settings(max_examples=50, deadline=None)
     def test_gc_never_flushes_unacked_records(self, sizes, acked_mask, capacity):
         env = Environment()
-        host = Host(env, Network(env), Address("client", "c"), rng=RandomStreams(0))
+        host = Host(env, Network(env, PerfectLinkModel()), Address("client", "c"), rng=RandomStreams(0))
         log = MessageLog(host, "out")
         unacked = set()
         for index, size in enumerate(sizes):
@@ -207,8 +208,8 @@ class TestGarbageCollectionProperties:
         collector = GarbageCollector(log, LoggingConfig(capacity_bytes=capacity))
         collector.maybe_collect()
         # Every unacknowledged record must still be there.
-        assert unacked <= log.keys()
-        log.check_integrity()
+        assert unacked <= log_keys(log)
+        check_log_integrity(log)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from repro.workloads.synthetic import SyntheticWorkload
 
 REPLICATION_POLICIES = (
     "policy.repl.passive-periodic",
-    "policy.repl.on-commit",
     "policy.repl.quorum",
 )
 

@@ -262,25 +262,6 @@ class TestQuorumReplication:
         ]
 
 
-# ------------------------------------------------------- on-commit backoff fix
-class TestOnCommitBackoff:
-    def test_no_successor_backoff_uses_the_policy_interval(self):
-        protocol = ProtocolConfig()
-        protocol.coordinator.replication.period = 500.0  # passive period is huge
-        protocol.policy = PolicyConfig(
-            replication={"name": "policy.repl.on-commit", "params": {"backoff": 2.0}}
-        )
-        grid = build_confined_cluster(
-            n_servers=1, n_coordinators=1, protocol=protocol, seed=3
-        )
-        grid.start()
-        grid.coordinators[0].preload_tasks([_call()])
-        grid.run(until=21.0)
-        # With the fix the solitary coordinator retries every 2 s; reading
-        # the passive period instead would allow at most one round in 21 s.
-        assert grid.monitor.count("policy.repl.on-commit.rounds") >= 5
-
-
 # ------------------------------------------------------------------ CRN seeds
 class TestCommonRandomNumbers:
     def test_crn_streams_pair_across_master_seeds(self):

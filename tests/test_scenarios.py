@@ -229,12 +229,18 @@ class TestSweepRunner:
         assert result.rows[0]["seed"] == 0
         assert result.rows[0]["completed"] == 2
 
-    def test_every_registered_scenario_smokes_at_tiny_scale(self):
-        for name, spec in all_scenarios().items():
-            result = run_scenario(name, scale="tiny", jobs=1)
-            assert result.rows, f"{name} produced no rows"
-            assert len(result.cells) == spec.resolve(scale="tiny").n_cells
-            assert result.scenario == name
+    @pytest.mark.parametrize("name", sorted(all_scenarios()))
+    def test_every_registered_scenario_smokes_at_tiny_scale(self, name):
+        spec = get_scenario(name)
+        plan = spec.resolve(scale="tiny")
+        result = run_scenario(name, scale="tiny", jobs=1)
+        assert result.rows, f"{name} produced no rows"
+        assert len(result.cells) == plan.n_cells
+        assert result.scenario == name
+        assert result.spec_hash == spec.spec_hash(plan)
+        # ``outputs`` is the spec's contract: every cell measures all of them.
+        for cell in result.cells:
+            assert set(spec.outputs) <= set(cell["outputs"]), cell["params"]
 
 
 class TestResultsStore:
@@ -357,8 +363,8 @@ class TestFaultArming:
         rate = FaultPlan(kind="rate", faults_per_minute=1.0).arm(grid)
         churn = FaultPlan(kind="churn", target="coordinators").arm(grid)
         assert isinstance(rate, FaultGenerator) and isinstance(churn, ChurnInjector)
-        assert grid.component("faultgen-servers") is rate
-        assert grid.component("churn-coordinators") is churn
+        assert grid.manager._by_name["faultgen-servers"] is rate
+        assert grid.manager._by_name["churn-coordinators"] is churn
         assert FaultPlan().arm(grid) is None
         assert FaultPlan(kind="rate").arm(grid) is None
 

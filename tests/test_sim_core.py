@@ -8,13 +8,13 @@ from repro.sim.core import (
     AnyOf,
     Environment,
     Event,
-    Interrupt,
     ProcessKilled,
     SimulationError,
     Timeout,
     wait_any,
 )
 from repro.sim.store import Store
+from tests.support import fail_event
 
 
 class TestEvents:
@@ -28,18 +28,13 @@ class TestEvents:
         event.succeed(42)
         assert event.triggered
         assert event.value == 42
-        assert event.ok
+        assert event._ok
 
     def test_double_trigger_rejected(self, env):
         event = env.event()
         event.succeed(1)
         with pytest.raises(SimulationError):
             event.succeed(2)
-
-    def test_fail_requires_exception(self, env):
-        event = env.event()
-        with pytest.raises(SimulationError):
-            event.fail("not an exception")  # type: ignore[arg-type]
 
     def test_value_before_trigger_raises(self, env):
         event = env.event()
@@ -103,26 +98,6 @@ class TestProcesses:
         with pytest.raises(SimulationError):
             env.run()
         assert not process.is_alive
-
-    def test_interrupt_delivers_cause(self, env):
-        observed = {}
-
-        def victim():
-            try:
-                yield env.timeout(100.0)
-            except Interrupt as interrupt:
-                observed["cause"] = interrupt.cause
-                return "interrupted"
-
-        def attacker(target):
-            yield env.timeout(1.0)
-            target.interrupt(cause="boom")
-
-        victim_process = env.process(victim())
-        env.process(attacker(victim_process))
-        env.run()
-        assert observed["cause"] == "boom"
-        assert victim_process.value == "interrupted"
 
     def test_kill_silences_process(self, env):
         def victim():
@@ -190,7 +165,7 @@ class TestConditions:
         def proc():
             first = env.timeout(1.0, value="fast")
             second = env.timeout(5.0, value="slow")
-            yield env.any_of([first, second])
+            yield AnyOf(env, [first, second])
             return env.now
 
         process = env.process(proc())
@@ -221,15 +196,15 @@ class TestConditions:
 
         def proc():
             try:
-                yield env.any_of([doomed, slow])
+                yield AnyOf(env, [doomed, slow])
             except ValueError as error:
                 return (env.now, str(error))
 
         process = env.process(proc())
-        env.call_at(1.0, lambda _: doomed.fail(ValueError("boom")))
+        env.call_at(1.0, lambda _: fail_event(doomed, ValueError("boom")))
         env.run()
         assert process.value == (1.0, "boom")
-        assert slow.cancelled  # the losing timer left the schedule
+        assert slow._cancelled  # the losing timer left the schedule
 
 
 class TestEnvironment:
@@ -315,7 +290,7 @@ class TestCancellation:
         assert timeout.cancel()
         env.run()
         assert resumed == []
-        assert timeout.cancelled
+        assert timeout._cancelled
         assert not timeout.processed
         # The tombstone does not drive the clock to t=5 either.
         assert env.now == 1.0
@@ -386,7 +361,7 @@ class TestCancellation:
         process = env.process(waiter())
         env.run(until=1.0)
         assert event.cancel_wait(process)
-        assert process.target is None
+        assert process._target is None
         event.succeed("late")
         env.run()
         assert process.is_alive  # detached: the late trigger did not resume it
@@ -415,7 +390,7 @@ class TestCancellation:
         env.run()
         # A Timeout holds its value from construction; the raced-and-lost
         # slow timer must still not be reported as a winner.
-        assert process.value.timed_out
+        assert process.value.expired
         assert process.value.events == {}
         assert env.now == 1.0
 
@@ -424,7 +399,7 @@ class TestCancellation:
 
         def proc():
             outcome = yield from env.wait_any([waiter], timeout=2.0)
-            return outcome.timed_out
+            return outcome.expired and not outcome.events
 
         process = env.process(proc())
         env.run()
@@ -435,27 +410,24 @@ class TestCancellation:
     def test_anyof_detaches_from_losing_events(self, env):
         winner = env.event()
         loser = env.event()
-        condition = env.any_of([winner, loser])
+        condition = AnyOf(env, [winner, loser])
         winner.succeed("w")
         env.run()
         assert condition.processed
         assert loser.callbacks == []
 
-    def test_interrupt_while_sleeping_reclaims_timer(self, env):
+    def test_kill_while_sleeping_reclaims_timer(self, env):
         def sleeper():
-            try:
-                yield env.timeout(100.0)
-            except Interrupt:
-                return "woken"
+            yield env.timeout(100.0)
 
-        def waker(target):
+        def killer(target):
             yield env.timeout(1.0)
-            target.interrupt()
+            target.kill()
 
         process = env.process(sleeper())
-        env.process(waker(process))
+        env.process(killer(process))
         env.run()
-        assert process.value == "woken"
+        assert not process.is_alive
         # The abandoned 100 s timer was cancelled along with the wait.
         assert env.now == 1.0
 
@@ -476,7 +448,7 @@ class TestWaiterCleanup:
         assert len(store._getters) == 0
         # A later put is not swallowed by the dead waiter.
         store.put("item")
-        assert len(store) == 1
+        assert len(store.items) == 1
 
     def test_kill_during_wait_any_race_cleans_everything(self, env):
         store = Store(env)
@@ -500,7 +472,7 @@ class TestWaiterCleanup:
 
         def racer():
             getter_box["getter"] = store.get_all()
-            yield env.any_of([getter_box["getter"], env.timeout(50.0)])
+            yield AnyOf(env, [getter_box["getter"], env.timeout(50.0)])
 
         process = env.process(racer())
         env.run(until=1.0)
@@ -515,20 +487,20 @@ class TestWaiterCleanup:
 
         def racer():
             outcome = yield from env.wait_any([store.get_all()], timeout=2.0)
-            return outcome.timed_out
+            return outcome.expired and not outcome.events
 
         process = env.process(racer())
         env.run()
         assert process.value is True
         assert len(store._getters) == 0
         store.put("late")
-        assert len(store) == 1  # kept for a live consumer, not the dead race
+        assert len(store.items) == 1  # kept for a live consumer, not the dead race
 
 
 class TestSchedulerLanes:
     """Ordering guarantees of the three scheduling lanes.
 
-    Urgent (init/interrupt) before normal, FIFO within a tick, and the
+    Urgent (init/kill) before normal, FIFO within a tick, and the
     call_at callback lane's cancel tokens honoured by queue_stats() and
     _compact().
     """
@@ -570,7 +542,7 @@ class TestSchedulerLanes:
         assert env.events_processed == 1  # only the live one
         assert keep.processed
         assert not timeout.processed
-        assert timeout.cancelled
+        assert timeout._cancelled
 
     def test_urgent_preempts_same_tick_normal(self, env):
         order = []
@@ -579,8 +551,8 @@ class TestSchedulerLanes:
         def victim():
             try:
                 yield env.timeout(10.0)
-            except Interrupt:
-                order.append("interrupt")
+            except ProcessKilled:
+                order.append("kill")
 
         def normal_waiter():
             yield event
@@ -592,11 +564,11 @@ class TestSchedulerLanes:
         def trigger():
             yield env.timeout(1.0)
             event.succeed()  # same-tick lane, scheduled first...
-            victim_process.interrupt()  # ...but urgent still preempts it
+            victim_process.kill()  # ...but urgent still preempts it
 
         env.process(trigger())
         env.run()
-        assert order == ["interrupt", "normal"]
+        assert order == ["kill", "normal"]
 
     def test_urgent_lane_drains_first(self, env):
         order = []
@@ -639,10 +611,10 @@ class TestSchedulerLanes:
 
     def test_call_at_cancel_token_is_one_shot(self, env):
         handle = env.call_at_cancellable(5.0, lambda _arg: None)
-        assert handle.pending
+        assert handle._armed and not handle._cancelled
         assert handle.cancel()
         assert not handle.cancel()
-        assert handle.cancelled
+        assert handle._cancelled
         env.run()
         assert env.now == 0.0  # the tombstone does not drive the clock
 
@@ -663,7 +635,7 @@ class TestSchedulerLanes:
         handle = env.call_at_cancellable(1.0, calls.append, "x")
         env.run()
         assert calls == ["x"]
-        assert not handle.pending
+        assert not (handle._armed and not handle._cancelled)
         assert not handle.cancel()
         assert env.queue_stats()["dead_entries"] == 0
 
@@ -731,13 +703,13 @@ class TestStore:
         store.put(1)
         store.put(2)
         assert store.drain() == [1, 2]
-        assert len(store) == 0
+        assert len(store.items) == 0
 
     def test_put_without_a_getter_schedules_nothing(self, env):
         store = Store(env)
         assert store.put("a") is None
         store.put("b")
-        assert len(store) == 2
+        assert len(store.items) == 2
         assert env.peek() == float("inf")
         assert env.queue_stats()["tick_queued"] == 0
 
@@ -773,7 +745,7 @@ class TestStore:
         env.call_at(1.0, put_then_drain)
         env.run()
         assert process.value == []
-        assert len(store) == 0
+        assert len(store.items) == 0
 
 
 class TestTimers:
@@ -852,7 +824,7 @@ class TestTimers:
         env.process(stop_after(3))
         env.run()
         assert beats == [2.0, 4.0, 6.0]
-        assert handle.cancelled and not handle.pending
+        assert handle._cancelled
 
     def test_call_periodic_first_delay_offsets_the_cadence(self, env):
         beats = []
@@ -1043,7 +1015,7 @@ class TestTimers:
         handle = env.call_periodic(2.0, lambda _a: beats.append(env.now), None)
         env.run(until=3.0)
         assert beats == [2.0]
-        assert handle.pending and handle.when == 4.0
+        assert handle._armed and not handle._cancelled and handle.when == 4.0
         assert handle.cancel()
         stats = env.queue_stats()
         assert stats["dead_entries"] == 1

@@ -1,4 +1,4 @@
-"""Tests for workloads, config validation, analysis helpers, realtime driver,
+"""Tests for workloads, config validation, row formatting, realtime driver,
 and smoke tests of the experiment drivers."""
 
 from __future__ import annotations
@@ -6,12 +6,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    completion_curve_lag,
-    makespan_overhead,
-    plateaux_count,
-    summarize_series,
-)
 from repro.config import (
     ClientConfig,
     CoordinatorConfig,
@@ -22,12 +16,11 @@ from repro.config import (
     ReplicationConfig,
 )
 from repro.errors import ConfigurationError
-from repro.experiments.common import format_rows, mean
+from repro.experiments.common import format_rows
 from repro.grid import build_confined_cluster
 from repro.runtime import RealTimeDriver
 from repro.scenarios import run_scenario
 from repro.sim.core import Environment
-from repro.sim.monitor import TimeSeries
 from repro.types import LoggingStrategy
 from repro.workloads import AlcatelWorkload, SyntheticWorkload, geometric_counts, geometric_sizes
 from repro.workloads.sweep import fault_frequencies
@@ -64,11 +57,6 @@ class TestConfigValidation:
         config.request_processing_overhead = -1.0
         with pytest.raises(ConfigurationError):
             config.validate()
-
-    def test_describe_reports_key_settings(self):
-        description = ProtocolConfig().describe()
-        assert description["policy.logging"] == "policy.log.pessimistic-nonblocking"
-        assert "replication_period" in description
 
 
 class TestWorkloads:
@@ -120,40 +108,8 @@ class TestWorkloads:
             fault_frequencies(-1.0)
 
 
-class TestAnalysis:
-    def test_makespan_overhead(self):
-        assert makespan_overhead(69.0, 60.0) == pytest.approx(0.15)
-        with pytest.raises(ValueError):
-            makespan_overhead(1.0, 0.0)
-
-    def test_completion_curve_lag(self):
-        lag = completion_curve_lag([0, 10, 20, 30], [0, 0, 20, 30])
-        assert lag["max_lag_tasks"] == 10
-        assert lag["final_gap_tasks"] == 0
-
-    def test_completion_curve_lag_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            completion_curve_lag([1, 2], [1, 2, 3])
-
-    def test_plateaux_count(self):
-        assert plateaux_count([0, 0, 1, 1, 1, 2, 3, 3]) == 3
-        assert plateaux_count([1, 2, 3, 4]) == 0
-        assert plateaux_count([]) == 0
-
-    def test_summarize_series(self):
-        series = TimeSeries("s")
-        series.record(0.0, 0.0)
-        series.record(10.0, 5.0)
-        summary = summarize_series(series)
-        assert summary["samples"] == 2
-        assert summary["final_value"] == 5.0
-
-    def test_summarize_empty_series(self):
-        assert summarize_series(TimeSeries("empty"))["samples"] == 0
-
-    def test_mean_and_format_rows(self):
-        assert mean([1.0, 3.0]) == 2.0
-        assert mean([]) == 0.0
+class TestFormatRows:
+    def test_format_rows(self):
         table = format_rows([{"a": 1, "b": 2.5}], title="t")
         assert "a" in table and "t" in table
 
@@ -213,7 +169,7 @@ class TestRealTimeDriver:
         assert paced.completed_count() == 12
 
         def completions(workload):
-            return [(h.identity, h.completed_at) for h in workload.handles if h.done]
+            return [(h.description.identity, h.completed_at) for h in workload.handles if h.done]
 
         assert completions(paced) == completions(plain)
         assert ticks == sorted(set(ticks))  # one tick per virtual instant
