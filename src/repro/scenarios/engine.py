@@ -368,6 +368,8 @@ def execute_benchmark(
     raised instead of a report, unless ``run_full_horizon`` says the run
     is meant to measure up to the horizon.  A workload process that ended
     without its results (its client host crashed) raises too, faults or not.
+    So does any run, faults or not, that ends with a call lost while its
+    client and at least one coordinator are up (see :func:`_lost_calls`).
     """
     if protocol is None or protocol == "default":
         # The builders apply the platform's defaults themselves when handed
@@ -455,7 +457,46 @@ def execute_benchmark(
             f"completed, finished_in_time={report.finished_in_time} at "
             f"{grid.env.now:g} s (horizon {horizon:g} s)"
         )
+    lost = _lost_calls(grid, bench, extras, run_full_horizon)
+    if lost:
+        raise SimulationError(
+            f"{lost} call(s) lost while their client and "
+            f"{sum(h.up for h in grid.coordinator_hosts())} coordinator(s) are up: "
+            f"{report.completed}/{report.submitted} completed at "
+            f"{grid.env.now:g} s (horizon {horizon:g} s)"
+        )
     return report
+
+
+def _lost_calls(
+    grid: Grid, bench: Any, extras: Sequence[Any], run_full_horizon: bool
+) -> int:
+    """How many calls the run lost: incomplete at its end while their
+    client and at least one coordinator are up.
+
+    Faults or not, a surviving coordinator must carry every call of a live
+    client to its end.  A run measured up to its horizon
+    (``run_full_horizon``) may stop with calls still in progress: a call a
+    live coordinator still holds is not lost there.
+    """
+    survivors = [c for c in grid.coordinators if grid.host_of(c).up]
+    if not survivors:
+        return 0
+    lost = 0
+    if grid.host_of(grid.client).up:
+        missing = [handle for handle in bench.handles if not handle.done]
+        if run_full_horizon:
+            missing = [
+                handle
+                for handle in missing
+                if not any(handle.description.identity in c.tasks for c in survivors)
+            ]
+        lost += len(missing)
+    for extra in extras:
+        if getattr(extra, "tier", None) == "crowd" and extra.host.up:
+            stats = extra.stats()
+            lost += max(int(stats.get("clients", 0)) - int(stats.get("completed", 0)), 0)
+    return lost
 
 
 def benchmark_cell(

@@ -15,9 +15,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import PolicyConfig, ProtocolConfig
+from repro.core.coordinator import CoordinatorComponent
 from repro.core.protocol import CallDescription
 from repro.grid.builder import build_confined_cluster
 from repro.scenarios import GridTopology, WorkloadSpec, execute_benchmark, run_scenario
+from repro.net.message import MessageType
 from repro.scenarios.engine import apply_protocol_overrides
 from repro.sim.core import SimulationError
 from repro.types import CallIdentity, TaskState
@@ -316,3 +318,36 @@ class TestNoCallLostWhileACoordinatorSurvives:
             components=[{"name": "inject.script", "params": {"events": events}}],
         )
         assert report.completed == 96
+
+    @pytest.mark.parametrize("run_full_horizon", [False, True])
+    def test_a_call_dropped_by_a_live_coordinator_is_an_error(
+        self, monkeypatch, run_full_horizon
+    ):
+        """The gate itself: under a fault, with every coordinator up, a
+        call acked but never registered fails the run instead of leaving
+        a row, also when the run is measured to its horizon."""
+        real_on_submit = CoordinatorComponent._on_submit
+
+        def forgetful(self, message):
+            if message.payload["call"].identity.rpc != 3:
+                yield from real_on_submit(self, message)
+                return
+            self.host.send(
+                message.reply(
+                    MessageType.SUBMIT_ACK,
+                    payload={"timestamp": message.payload["timestamp"]},
+                    size_bytes=32,
+                )
+            )
+
+        monkeypatch.setattr(CoordinatorComponent, "_on_submit", forgetful)
+        kill = {"time": 1.0, "action": "kill", "target": "server:s000"}
+        with pytest.raises(SimulationError, match="1 call\\(s\\) lost while .* 2 coordinator"):
+            execute_benchmark(
+                GridTopology(n_servers=2, n_coordinators=2),
+                WorkloadSpec(n_calls=4, exec_time=1.0),
+                seed=3,
+                horizon=200.0,
+                components=[{"name": "inject.script", "params": {"events": [kill]}}],
+                run_full_horizon=run_full_horizon,
+            )
