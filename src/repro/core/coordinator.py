@@ -55,6 +55,9 @@ WAIT_FLOOR = 1e-6
 #: queue-wait histogram buckets per factor of e: each is 1 % wide, so the
 #: histogram stays small and a quantile read from it is at most 1 % high.
 WAIT_BUCKETS_PER_E = 100
+#: paid requests a task costs once registered, whichever coordinator serves
+#: them: the work request that assigns it and its result upload.
+PAID_REQUESTS_PER_TASK = 2
 
 
 class CoordinatorComponent:
@@ -155,6 +158,8 @@ class CoordinatorComponent:
         #: WAIT_FLOOR, bucket b > 0 those up to
         #: WAIT_FLOOR * e ** (b / WAIT_BUCKETS_PER_E).
         self.queue_waits: dict[int, int] = {}
+        #: tasks first registered here by a submission (client or crowd).
+        self.registered = 0
 
         host.on_restart(lambda _host: self.start())
 
@@ -469,6 +474,7 @@ class CoordinatorComponent:
             cost = self.database.charge_write(key, TASK_DESCRIPTION_BYTES + call.params_bytes)
             if cost > 0:
                 yield self.host.sleep(cost)
+            self.registered += 1
             self._ctr_submissions.value += 1
         else:
             self._ctr_duplicate_submissions.value += 1
@@ -528,6 +534,7 @@ class CoordinatorComponent:
             cost = self.database.charge_write(key, TASK_DESCRIPTION_BYTES + call.params_bytes)
             if cost > 0:
                 yield self.host.sleep(cost)
+            self.registered += 1
             self._ctr_crowd_batches.value += 1
             self._ctr_crowd_calls.value += count
         else:
@@ -1062,7 +1069,8 @@ class CoordinatorComponent:
         """Service-queue load over the first ``span`` simulated seconds.
 
         ``busy_share`` is the time spent inside handlers over ``span``;
-        ``requests`` counts the handled messages by type; the queue wait of
+        ``requests`` counts the handled messages by type, ``registered``
+        the tasks first registered here by a submission; the queue wait of
         a message runs from its delivery to its handler's start, and its
         p50 / p99 are taken over every handled message (nearest rank, read
         from the histogram: at most 1 % high).
@@ -1071,6 +1079,7 @@ class CoordinatorComponent:
             "busy_s": self.busy_s,
             "busy_share": self.busy_s / span if span > 0 else 0.0,
             "requests": {mtype.value: n for mtype, n in self.handled.items()},
+            "registered": self.registered,
             "wait_p50_s": _wait_quantile(self.queue_waits, 0.50),
             "wait_p99_s": _wait_quantile(self.queue_waits, 0.99),
         }

@@ -28,6 +28,7 @@ from repro.baselines import (
     rpcv_protocol,
 )
 from repro.config import ProtocolConfig
+from repro.core.coordinator import PAID_REQUESTS_PER_TASK
 from repro.errors import ConfigurationError
 from repro.grid.builder import Grid, build_confined_cluster, build_internet_testbed
 from repro.grid.deployment import confined_cluster_spec, internet_testbed_spec
@@ -422,6 +423,7 @@ def execute_benchmark(
         finished_in_time=finished,
         overhead_vs_ideal=overhead,
         ideal_time=ideal,
+        bound_s=max(ideal, service_bound(grid.coordinators)),
         counters=dict(grid.monitor.counters),
         series=grid.monitor.series,
         coordinators={c.name: c.load(grid.env.now) for c in grid.coordinators},
@@ -466,6 +468,24 @@ def execute_benchmark(
             f"{grid.env.now:g} s (horizon {horizon:g} s)"
         )
     return report
+
+
+def service_bound(coordinators: Sequence[Any]) -> float:
+    """The busiest coordinator's unavoidable service time, in seconds.
+
+    A coordinator serves one request at a time.  Each task costs one paid
+    request where its submission registered it, and
+    ``PAID_REQUESTS_PER_TASK`` more that any coordinator may serve, so the
+    bound spreads those evenly.  Only the fixed
+    ``request_processing_overhead`` is counted, not the database and disk
+    charges, so this is a lower bound on the busiest one's handler time.
+    """
+    registered = [c.registered for c in coordinators]
+    if not registered:
+        return 0.0
+    shared = PAID_REQUESTS_PER_TASK * sum(registered) / len(registered)
+    overhead = coordinators[0].config.request_processing_overhead
+    return overhead * (max(registered) + shared)
 
 
 def _lost_calls(

@@ -23,6 +23,10 @@ class RunReport:
     finished_in_time: bool = True
     overhead_vs_ideal: float = 0.0
     ideal_time: float = 0.0
+    #: a lower bound on the makespan: the larger of ``ideal_time`` and the
+    #: busiest coordinator's unavoidable service time (see
+    #: :func:`~repro.scenarios.engine.service_bound`).
+    bound_s: float = 0.0
     counters: dict[str, float] = field(default_factory=dict)
     #: the monitor's ``TimeSeries`` by name (shared, not copied, and not
     #: part of :meth:`outputs`): Figures 9–11 sample their curves from it.
@@ -51,6 +55,10 @@ class RunReport:
             "finished_in_time": self.finished_in_time,
             "overhead_vs_ideal": self.overhead_vs_ideal,
             "ideal_time": self.ideal_time,
+            "bound_s": self.bound_s,
+            # 1 is a makespan at its bound; above it, the excess is
+            # queueing and protocol that no coordinator had to spend.
+            "makespan_over_bound": self.makespan / self.bound_s if self.bound_s > 0 else 0.0,
             "coordinators": self.coordinators,
         }
         if self.fault_streams is not None:

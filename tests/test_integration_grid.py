@@ -9,6 +9,7 @@ import pytest
 from repro.baselines import netsolve_style_protocol, no_fault_tolerance_protocol
 from repro.config import ProtocolConfig
 from repro.core.api import GridRpc
+from repro.core.coordinator import PAID_REQUESTS_PER_TASK
 from repro.errors import ConfigurationError
 from repro.grid.builder import build_confined_cluster, build_internet_testbed
 from repro.grid.deployment import confined_cluster_spec, internet_testbed_spec
@@ -217,6 +218,40 @@ def busy_coordinator_grid():
     for _ in range(12):
         pull()
     return grid, loader
+
+
+class TestServiceBound:
+    """``bound_s``: no run can beat its work over its servers, nor its
+    busiest coordinator's unavoidable request overheads."""
+
+    def _outputs(self, n_servers, n_calls, exec_time):
+        return execute_benchmark(
+            GridTopology(n_servers=n_servers, spread_servers=True),
+            WorkloadSpec(n_calls=n_calls, exec_time=exec_time),
+            seed=7,
+            horizon=50_000.0,
+        ).outputs()
+
+    def test_a_backlog_is_bound_by_its_submitting_coordinator(self):
+        out = self._outputs(n_servers=64, n_calls=200, exec_time=1.0)
+        registered = [load["registered"] for load in out["coordinators"].values()]
+        assert sorted(registered) == [0, 0, 0, 200]
+        overhead = confined_cluster_spec(
+            n_servers=1, n_coordinators=1
+        ).protocol.coordinator.request_processing_overhead
+        # 200 submissions at one coordinator, the other paid requests of
+        # each task spread over all four.
+        expected = overhead * (200 + PAID_REQUESTS_PER_TASK * 200 / 4)
+        assert out["bound_s"] == pytest.approx(expected)
+        assert out["ideal_time"] < out["bound_s"] <= out["makespan"]
+        assert out["makespan_over_bound"] == pytest.approx(
+            out["makespan"] / out["bound_s"]
+        )
+
+    def test_long_tasks_are_bound_by_their_work(self):
+        out = self._outputs(n_servers=2, n_calls=8, exec_time=10.0)
+        assert out["bound_s"] == out["ideal_time"] == 40.0
+        assert out["makespan_over_bound"] >= 1.0
 
 
 class TestIdlePolling:
