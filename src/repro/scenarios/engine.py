@@ -495,9 +495,9 @@ def _lost_calls(
     client and at least one coordinator are up.
 
     Faults or not, a surviving coordinator must carry every call of a live
-    client to its end.  A run measured up to its horizon
-    (``run_full_horizon``) may stop with calls still in progress: a call a
-    live coordinator still holds is not lost there.
+    client to its end.  A call a live coordinator still holds is in
+    progress, not lost, in two cases: the run is measured up to its horizon
+    (``run_full_horizon``) and stopped there, or no server is up to run it.
     """
     survivors = [c for c in grid.coordinators if grid.host_of(c).up]
     if not survivors:
@@ -505,7 +505,7 @@ def _lost_calls(
     lost = 0
     if grid.host_of(grid.client).up:
         missing = [handle for handle in bench.handles if not handle.done]
-        if run_full_horizon:
+        if run_full_horizon or not any(h.up for h in grid.server_hosts()):
             missing = [
                 handle
                 for handle in missing

@@ -319,6 +319,20 @@ class TestNoCallLostWhileACoordinatorSurvives:
         )
         assert report.completed == 96
 
+    def test_calls_a_coordinator_holds_while_no_server_is_left_are_not_lost(self):
+        kills = [
+            {"time": 1.0, "action": "kill", "target": f"server:s00{i}"} for i in range(2)
+        ]
+        report = execute_benchmark(
+            GridTopology(n_servers=2, n_coordinators=2),
+            WorkloadSpec(n_calls=4, exec_time=10.0),
+            seed=3,
+            horizon=200.0,
+            components=[{"name": "inject.script", "params": {"events": kills}}],
+        )
+        assert (report.completed, report.submitted) == (0, 4)
+        assert not report.finished_in_time
+
     @pytest.mark.parametrize("run_full_horizon", [False, True])
     def test_a_call_dropped_by_a_live_coordinator_is_an_error(
         self, monkeypatch, run_full_horizon
