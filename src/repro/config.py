@@ -133,10 +133,10 @@ class ServerConfig:
     """Server (worker) component parameters."""
 
     detection: FaultDetectionConfig = field(default_factory=FaultDetectionConfig)
-    #: how long an idle server waits after a prompt NO_WORK before asking
-    #: again.  A NO_WORK slower than a quarter of this period doubles the
-    #: previous wait, up to 16 periods; a prompt NO_WORK or a task assignment
-    #: brings it back to this period.
+    #: how long an idle server waits after a prompt NO_WORK, or a result
+    #: ack that carries no task, before asking again.  A NO_WORK slower
+    #: than a quarter of this period doubles the previous wait, up to 16
+    #: periods; a prompt NO_WORK or a task brings it back to this period.
     work_poll_period: float = 2.0
     #: how long the server waits for a coordinator reply before re-sending
     #: (README "Requests and retries").

@@ -7,7 +7,8 @@ talk to servers directly.  Each coordinator component:
   keeps result archives in its file store — both persistent across crashes;
 * answers server *work requests* with the FCFS scheduler, applying the replica
   de-duplication policy (finished: never; ongoing: only if the owner is
-  suspected; pending: yes);
+  suspected; pending: yes); a result upload asks for work too, and its ack
+  carries the server's next task;
 * suspects servers through a heart-beat fault detector and reschedules their
   ongoing tasks ("on suspicion" replication);
 * propagates a state abstract to its **ring successor** at every replication
@@ -56,8 +57,8 @@ WAIT_FLOOR = 1e-6
 #: histogram stays small and a quantile read from it is at most 1 % high.
 WAIT_BUCKETS_PER_E = 100
 #: paid requests a task costs once registered, whichever coordinator serves
-#: them: the work request that assigns it and its result upload.
-PAID_REQUESTS_PER_TASK = 2
+#: them: its result upload, whose ack also carries the server's next task.
+PAID_REQUESTS_PER_TASK = 1
 
 
 class CoordinatorComponent:
@@ -671,27 +672,12 @@ class CoordinatorComponent:
     def _on_work_request(self, message: Message):
         server = message.source
         self._hear_server(server)
-        cost = self.database.charge_scan()
+        task, cost = self._assign(server)
         if cost > 0:
             yield self.host.sleep(cost)
-        decision = self.scheduler.pick(
-            self.index,
-            server=server,
-            my_name=self.name,
-            owner_suspected=self._owner_suspected,
-            now=self.env.now,
-        )
-        if decision.task is None:
+        if task is None:
             self._answer_no_work(message)
             return
-        task = decision.task
-        key = task.identity
-        self._mark_dirty(key)
-        self._task_activity[key] = self.env.now
-        cost = self.database.charge_write(key, TASK_DESCRIPTION_BYTES)
-        if cost > 0:
-            yield self.host.sleep(cost)
-        self._ctr_assignments.value += 1
         self.host.send(
             message.reply(
                 MessageType.TASK_ASSIGN,
@@ -699,6 +685,31 @@ class CoordinatorComponent:
                 size_bytes=task.call.wire_bytes,
             )
         )
+
+    def _assign(self, server: Address) -> tuple[TaskRecord | None, float]:
+        """Pick ``server``'s next task: the one path that makes assignments.
+
+        A work request and a result upload that asks for work both come
+        here.  Returns the task (``None`` when the scan found nothing) and
+        the database charges made, which the caller sleeps with its own.
+        """
+        cost = self.database.charge_scan()
+        decision = self.scheduler.pick(
+            self.index,
+            server=server,
+            my_name=self.name,
+            owner_suspected=self._owner_suspected,
+            now=self.env.now,
+        )
+        task = decision.task
+        if task is None:
+            return None, cost
+        key = task.identity
+        self._mark_dirty(key)
+        self._task_activity[key] = self.env.now
+        cost += self.database.charge_write(key, TASK_DESCRIPTION_BYTES)
+        self._ctr_assignments.value += 1
+        return task, cost
 
     def _answer_no_work(self, message: Message) -> None:
         self.host.send(message.reply(MessageType.NO_WORK, payload={}, size_bytes=16))
@@ -737,22 +748,34 @@ class CoordinatorComponent:
         self._task_activity.pop(key, None)
         self._store_result(key, result)
         self._mark_dirty(key)
-        cost = self.database.charge_write(key, TASK_DESCRIPTION_BYTES)
+        # Storing the archive costs a disk write proportional to its size.
+        cost = self.database.charge_write(
+            key, TASK_DESCRIPTION_BYTES
+        ) + self.host.disk.sync_write_time(result.size_bytes)
+        # A server's upload asks for its next task (a re-upload during a
+        # sync does not): the ack carries it, or no task.  The eligibility
+        # rule settles an empty answer before any scan is charged.
+        following = None
+        if message.payload.get("next_task") and not self.scheduler.nothing_eligible(
+            self.index, self.name, self._owner_suspected
+        ):
+            following, charges = self._assign(server)
+            cost += charges
+        # One sleep for every charge that follows the state changes.
         if cost > 0:
             yield self.host.sleep(cost)
-        # Storing the archive costs a disk write proportional to its size.
-        yield from self.host.disk_write(result.size_bytes)
         if newly_finished:
             self._ctr_results.value += 1
             self._sample_completed()
             self._notify_crowd(key, task)
         else:
             self._ctr_duplicate_results.value += 1
+        call = following.call if following is not None else None
         self.host.send(
             message.reply(
                 MessageType.TASK_RESULT_ACK,
-                payload={"identity": key},
-                size_bytes=32,
+                payload={"identity": key, "call": call},
+                size_bytes=32 + (call.wire_bytes if call is not None else 0),
             )
         )
 

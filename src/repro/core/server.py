@@ -3,7 +3,8 @@
 Servers pull work from their preferred coordinator, execute it, archive the
 result on local disk (the archive *is* the server log, so server-side logging
 is "necessarily pessimistic"), then upload the archive and wait for the
-acknowledgement.  The connection-less protocol means the same server "may
+acknowledgement, which also carries the server's next task (one round trip
+per task; an idle server asks with a work request).  The connection-less protocol means the same server "may
 disconnect the coordinator, continue the execution and re-connect the
 coordinator later for sending RPC results" — off-line computing — which the
 component implements by resynchronising its unacknowledged results whenever it
@@ -98,41 +99,54 @@ class ServerComponent(CoordinatorLink):
             yield from self.synchronize()
             period = self.config.work_poll_period
             idle_wait = period
+            call: CallDescription | None = None
             while True:
-                coordinator = self.registry.preferred()
-                if coordinator is None:
-                    yield self.host.sleep(period)
-                    continue
-                asked_at = self.env.now
-                reply = yield from self._request(
-                    Message(
-                        mtype=MessageType.WORK_REQUEST,
-                        source=self.address,
-                        dest=coordinator,
-                        size_bytes=64,
-                    ),
-                    MessageType.TASK_ASSIGN,  # or NO_WORK
-                )
-                if reply is None:
-                    self._timed_out(coordinator, "server.request_timeouts")
-                    continue
-                if reply.mtype is MessageType.NO_WORK:
-                    # A late answer means a busy coordinator: double the
-                    # wait, up to the cap.  A prompt one resets it.
-                    if self.env.now - asked_at > period * LATE_NO_WORK_SHARE:
-                        self.monitor.incr("server.idle_backoffs")
-                        idle_wait = min(2 * idle_wait, IDLE_BACKOFF_CAP * period)
-                    else:
-                        idle_wait = period
-                    yield self.host.sleep(idle_wait)
-                    continue
+                if call is None:
+                    coordinator = self.registry.preferred()
+                    if coordinator is None:
+                        yield self.host.sleep(period)
+                        continue
+                    asked_at = self.env.now
+                    reply = yield from self._request(
+                        Message(
+                            mtype=MessageType.WORK_REQUEST,
+                            source=self.address,
+                            dest=coordinator,
+                            size_bytes=64,
+                        ),
+                        MessageType.TASK_ASSIGN,  # or NO_WORK
+                    )
+                    if reply is None:
+                        self._timed_out(coordinator, "server.request_timeouts")
+                        continue
+                    if reply.mtype is MessageType.NO_WORK:
+                        # A late answer means a busy coordinator: double the
+                        # wait, up to the cap.  A prompt one resets it.
+                        if self.env.now - asked_at > period * LATE_NO_WORK_SHARE:
+                            self.monitor.incr("server.idle_backoffs")
+                            idle_wait = min(2 * idle_wait, IDLE_BACKOFF_CAP * period)
+                        else:
+                            idle_wait = period
+                        yield self.host.sleep(idle_wait)
+                        continue
+                    call = reply.payload["call"]
                 idle_wait = period
-                yield from self._execute(reply.payload["call"])
+                ack = yield from self._execute(call)
+                # The upload's ack carries the next task.  One without a
+                # task is a prompt NO_WORK: its time is the result's own
+                # write, not a busy coordinator, so it never backs off.  A
+                # result acked otherwise (a re-send, a sync) asks anew.
+                call = ack.payload.get("call") if ack is not None else None
+                if ack is not None and call is None:
+                    yield self.host.sleep(period)
         except ProcessKilled:  # pragma: no cover - host crash
             return
 
     def _execute(self, call: CallDescription):
-        """Run one task, archive its result, upload it until acknowledged."""
+        """Run one task, archive its result, upload it until acknowledged.
+
+        Generator returning the upload's ack (see :meth:`_upload_result`).
+        """
         self.current_task = call
         spec = self.services.get(call.service) if self.services.has(call.service) else None
         exec_time = call.exec_time
@@ -167,15 +181,23 @@ class ServerComponent(CoordinatorLink):
         self.executed_count += 1
         self.monitor.incr("server.tasks_executed")
         self.current_task = None
-        yield from self._upload_result(result)
+        return (yield from self._upload_result(result, next_task=True))
 
-    def _upload_result(self, result: ResultRecord):
-        """Send a result until some coordinator acknowledges it."""
+    def _upload_result(self, result: ResultRecord, next_task: bool = False):
+        """Send a result until some coordinator acknowledges it.
+
+        With ``next_task`` the first send also asks for the server's next
+        task, which the ack carries (or no task).  A re-send asks for none:
+        after a time-out the server may be switching coordinator, and the
+        resync a switch spawns would re-queue a task assigned meanwhile.
+        Generator returning the ack of a send that asked for work, else
+        ``None``.
+        """
         key = result.identity
         while True:
             record = self.result_log.get(key)
             if record is not None and record.acked:
-                return
+                return None
             coordinator = self.registry.preferred()
             if coordinator is None:
                 yield self.host.sleep(self.config.work_poll_period)
@@ -185,7 +207,7 @@ class ServerComponent(CoordinatorLink):
                     mtype=MessageType.TASK_RESULT,
                     source=self.address,
                     dest=coordinator,
-                    payload={"result": result},
+                    payload={"result": result, "next_task": next_task},
                     size_bytes=result.size_bytes,
                 ),
                 MessageType.TASK_RESULT_ACK,
@@ -193,8 +215,9 @@ class ServerComponent(CoordinatorLink):
             if reply is not None:
                 self.result_log.mark_acked(key)
                 self.monitor.incr("server.results_uploaded")
-                return
+                return reply if next_task else None
             self._timed_out(coordinator, "server.result_upload_retries")
+            next_task = False
 
     # ------------------------------------------------------------------ sync
     def synchronize(self, coordinator: Address | None = None):

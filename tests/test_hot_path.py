@@ -250,7 +250,9 @@ class TestEventBudget:
 
         4.9 kernel events per delivered message before waits and mailboxes
         stopped paying for intermediate events, about 3.4 since, and 2.9
-        since an empty work answer sleeps through no charge.  The
+        since an empty work answer sleeps through no charge.  A result ack
+        that carries the next task cut events 16,702 -> 13,755 and messages
+        5,791 -> 4,705 alike, so the ratio stays 2.9.  The
         fault-free path builds no ``AnyOf`` (every race is one event against
         a time-out) and a batch wake has no finalize callback left to queue.
         """

@@ -10,6 +10,7 @@ from repro.baselines import netsolve_style_protocol, no_fault_tolerance_protocol
 from repro.config import ProtocolConfig
 from repro.core.api import GridRpc
 from repro.core.coordinator import PAID_REQUESTS_PER_TASK
+from repro.core.protocol import TASK_DESCRIPTION_BYTES, CallDescription, ResultRecord
 from repro.errors import ConfigurationError
 from repro.grid.builder import build_confined_cluster, build_internet_testbed
 from repro.grid.deployment import confined_cluster_spec, internet_testbed_spec
@@ -25,7 +26,7 @@ from repro.scenarios.engine import (
     WorkloadSpec,
     execute_benchmark,
 )
-from repro.types import Address, LoggingStrategy, RPCStatus, TaskState
+from repro.types import Address, CallIdentity, LoggingStrategy, RPCStatus, TaskState
 from repro.workloads.synthetic import SyntheticWorkload
 
 
@@ -544,6 +545,144 @@ def record_sends(grid, host, mtypes):
 
     host.send = recording
     return sent
+
+
+def timed_results(grid, coordinator):
+    """``(seconds, scans)``: how long each ``TASK_RESULT`` handler of
+    ``coordinator`` runs, its request overhead included, and the scans it
+    charges."""
+    spans = []
+    handle = coordinator._handle
+    database = coordinator.database
+
+    def timed(message):
+        handling = handle(message)
+        if handling is None or message.mtype is not MessageType.TASK_RESULT:
+            return handling
+
+        def run():
+            start, scans = grid.env.now, database.scans
+            yield from handling
+            spans.append((grid.env.now - start, database.scans - scans))
+
+        return run()
+
+    coordinator._handle = timed
+    return spans
+
+
+def sent_payloads(host, mtype):
+    """The payload of each ``mtype`` message ``host`` sends."""
+    payloads = []
+    send = host.send
+
+    def recording(message):
+        if message.mtype is mtype:
+            payloads.append(message.payload)
+        return send(message)
+
+    host.send = recording
+    return payloads
+
+
+class TestResultAckCarriesNextTask:
+    """A server's result upload also asks for its next task: one paid
+    request per task instead of an upload and a work request."""
+
+    def test_an_ack_carries_the_next_pending_task_for_one_overhead(self):
+        grid = small_grid(n_servers=1, n_coordinators=1)
+        (coordinator,) = grid.coordinators
+        spans = timed_results(grid, coordinator)
+        acks = sent_payloads(coordinator.host, MessageType.TASK_RESULT_ACK)
+        assigns = sent_payloads(coordinator.host, MessageType.TASK_ASSIGN)
+        workload = SyntheticWorkload(n_calls=3, exec_time=1.0)
+        process = grid.run_process(workload.run(grid.client))
+        assert grid.run_until(process, timeout=500.0)
+        assert workload.completed_count() == 3
+        # The first task answers a work request, the next two ride on acks.
+        assert [a["call"].identity.rpc for a in assigns] == [1]
+        assert [(a["identity"].rpc, a["call"] and a["call"].identity.rpc) for a in acks] == [
+            (1, 2), (2, 3), (3, None)
+        ]
+        assert coordinator.handled[MessageType.TASK_RESULT] == 3
+        # One overhead, the result's write and disk write, then one scan
+        # and one write to assign: milliseconds, not a second overhead.
+        model = coordinator.database.model
+        overhead = coordinator.config.request_processing_overhead
+        commit = (
+            overhead
+            + model.write_time(TASK_DESCRIPTION_BYTES)
+            + coordinator.host.disk.sync_write_time(64)
+        )
+        assert len(spans) == 3
+        for span, scans in spans[:2]:
+            assert scans == 1
+            assert commit < span < commit + overhead / 4
+
+    def test_an_ack_with_nothing_eligible_charges_no_scan(self):
+        grid = small_grid(n_servers=1, n_coordinators=1)
+        (coordinator,) = grid.coordinators
+        spans = timed_results(grid, coordinator)
+        workload = SyntheticWorkload(n_calls=1, exec_time=1.0)
+        process = grid.run_process(workload.run(grid.client))
+        assert grid.run_until(process, timeout=500.0)
+        commit = (
+            coordinator.config.request_processing_overhead
+            + coordinator.database.model.write_time(TASK_DESCRIPTION_BYTES)
+            + coordinator.host.disk.sync_write_time(64)
+        )
+        assert spans == [(pytest.approx(commit), 0)]
+
+    def test_a_lost_ack_s_task_is_re_queued_and_run(self):
+        grid = small_grid(n_servers=1, n_coordinators=1)
+        (coordinator,) = grid.coordinators
+        uploads = sent_payloads(grid.servers[0].host, MessageType.TASK_RESULT)
+        lost = []
+        send = coordinator.host.send
+
+        def lose_first_task_ack(message):
+            if message.mtype is MessageType.TASK_RESULT_ACK and message.payload["call"] and not lost:
+                lost.append(message.payload["call"].identity)
+                return None
+            return send(message)
+
+        coordinator.host.send = lose_first_task_ack
+        workload = SyntheticWorkload(n_calls=2, exec_time=1.0)
+        process = grid.run_process(workload.run(grid.client))
+        assert grid.run_until(process, timeout=500.0)
+        assert workload.completed_count() == 2
+        assert [key.rpc for key in lost] == [2]
+        # The re-sent upload asks for no work; the lost ack's task waits
+        # out the activity time-out, then runs once.
+        assert [u["next_task"] for u in uploads] == [True, False, True]
+        counters = grid.monitor.counters
+        assert counters["coordinator.requeued_on_activity_timeout"] == 1
+        assert counters["server.tasks_executed"] == 2
+        assert counters["server.result_upload_retries"] == 1
+
+    def test_a_sync_re_upload_asks_for_no_work(self):
+        protocol = ProtocolConfig()
+        protocol.server.work_poll_period = 10_000.0
+        grid = small_grid(protocol=protocol, n_servers=1, n_coordinators=1)
+        (coordinator,) = grid.coordinators
+        server = grid.servers[0]
+        grid.run(until=1.0)
+        # Pending work the ack could carry, and a result the coordinator
+        # has never seen, archived but not acknowledged.
+        (pending,) = coordinator.preload_tasks(
+            [CallDescription(CallIdentity("u", "s", 1), "sleep", 64, exec_time=1.0)]
+        )
+        result = ResultRecord(CallIdentity("u", "s", 2), 64, server.address, 1.0)
+        server.result_log.append(result.identity, result, 64)
+        server.result_log.mark_durable(result.identity)
+        uploads = sent_payloads(server.host, MessageType.TASK_RESULT)
+        acks = sent_payloads(coordinator.host, MessageType.TASK_RESULT_ACK)
+        process = grid.run_process(server.synchronize())
+        assert grid.run_until(process, timeout=100.0)
+        assert [u["next_task"] for u in uploads] == [False]
+        assert [a["call"] for a in acks] == [None]
+        assert coordinator.tasks[pending].state is TaskState.PENDING
+        assert not server.result_log.unacked_durable()
 
 
 class TestCoordinatorRequests:

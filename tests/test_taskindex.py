@@ -404,7 +404,9 @@ class TestLiveRunAudit:
         audit = IndexAudit(preload=3)
         report = execute_benchmark(
             GridTopology(n_servers=8, n_coordinators=4, spread_servers=True),
-            WorkloadSpec(n_calls=40, exec_time=20.0),
+            # 50 calls: ~1,180 checks (40 gave 1,040 while each task cost a
+            # separate work request and its charges, 913 since).
+            WorkloadSpec(n_calls=50, exec_time=20.0),
             protocol_overrides={
                 "policy.replication": {
                     "name": "policy.repl.quorum",
@@ -430,7 +432,7 @@ class TestLiveRunAudit:
             audit.check(coordinator)
         counters = grid.monitor.counters
         # The run must have been what it claims: churn, kills, merges, resets.
-        assert report.outputs()["completed"] == 40
+        assert report.outputs()["completed"] == 50
         assert counters["coordinator.rescheduled_on_suspicion"] > 0
         assert counters["coordinator.replicated_completions"] > 0
         assert counters["coordinator.quorum_commits"] > 0
