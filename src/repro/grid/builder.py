@@ -448,6 +448,7 @@ def build_internet_testbed(
     seed: int = 0,
     services: ServiceRegistry | None = None,
     client_preferred: str = "lille",
+    wan_loss: float | None = None,
 ) -> Grid:
     """Build the Internet testbed of §5.2 (client submits to Lille by default)."""
     spec = internet_testbed_spec(
@@ -455,5 +456,6 @@ def build_internet_testbed(
         coordinator_sites=coordinator_sites,
         protocol=protocol,
         seed=seed,
+        wan_loss=wan_loss,
     )
     return build_grid(spec, services=services, client_preferred=client_preferred)

@@ -101,17 +101,22 @@ def internet_testbed_spec(
     client_site: str = "orsay",
     protocol: ProtocolConfig | None = None,
     seed: int = 0,
+    wan_loss: float | None = None,
 ) -> DeploymentSpec:
     """The paper's real-life Internet testbed (§5.2).
 
     Defaults scale the server count down to 120 (40 per site) so simulations
     stay fast; the full ~280-node population can be requested explicitly.
+    ``wan_loss`` sets the inter-site loss probability (``None`` keeps
+    :class:`InternetLinkModel`'s 0.2 %).
     """
     if servers_per_site is None:
         servers_per_site = {"lille": 40, "wisconsin": 40, "orsay": 40}
     site_map = SiteMap(
         intra_site_model=LanLinkModel(),
-        inter_site_model=InternetLinkModel(),
+        inter_site_model=InternetLinkModel()
+        if wan_loss is None
+        else InternetLinkModel(loss=wan_loss),
     )
     site_map.add_site(Site(name="lille", location="Polytech Lille, France"))
     site_map.add_site(Site(name="orsay", location="LRI, Paris Sud, France"))

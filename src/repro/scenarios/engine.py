@@ -79,6 +79,9 @@ class GridTopology:
     servers_per_site: Mapping[str, int] | None = None
     coordinator_sites: tuple[str, ...] = ("lille", "orsay")
     client_preferred: str = "lille"
+    #: Internet testbed inter-site loss probability; ``None`` keeps the
+    #: link model's default.
+    wan_loss: float | None = None
 
     def build(self, protocol: ProtocolConfig | None, seed: int) -> Grid:
         """Instantiate the described platform (not yet started)."""
@@ -100,6 +103,7 @@ class GridTopology:
                 protocol=protocol,
                 seed=seed,
                 client_preferred=self.client_preferred,
+                wan_loss=self.wan_loss,
             )
         raise ConfigurationError(f"unknown topology kind {self.kind!r}")
 

@@ -96,6 +96,7 @@ def detector_ablation_cell(
     timeout_multiplier: float = 6.0,
     servers_per_site: int = 2,
     horizon: float = 3600.0,
+    wan_loss: float = 0.002,
 ) -> dict[str, Any]:
     """One detector arm on the Internet testbed while its servers churn.
 
@@ -103,6 +104,8 @@ def detector_ablation_cell(
     ``timeout_multiplier`` periods of silence under ``detection_policy``;
     every server replays ``_CHURN_PAIRS`` (``[up, down]`` seconds,
     wrapping) up to the ``horizon`` under the never-ending ``_BACKLOG``.
+    The WAN between sites loses each message with probability
+    ``wan_loss`` (the testbed's 0.2 % by default).
     Each suspicion of a server is scored by what happened to it (see
     :mod:`repro.detect.detector`), and the QoS metrics of Chen, Toueg &
     Aguilera follow from those counters: the mean detection time T_D,
@@ -123,6 +126,7 @@ def detector_ablation_cell(
         topology=GridTopology(
             kind="internet",
             servers_per_site=dict.fromkeys(_TESTBED_SITES, servers_per_site),
+            wan_loss=wan_loss,
         ),
         workload=_BACKLOG,
         protocol_overrides=overrides,

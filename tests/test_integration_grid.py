@@ -50,6 +50,12 @@ class TestDeploymentSpecs:
         assert set(spec.servers_per_site) == {"lille", "wisconsin", "orsay"}
         assert spec.protocol.coordinator.replication.period == 60.0
 
+    def test_internet_wan_loss_defaults_to_the_link_model_s(self):
+        assert internet_testbed_spec().site_map.inter_site_model.loss == 0.002
+        lossy = GridTopology(kind="internet", wan_loss=0.05).build(None, seed=1)
+        lille, orsay = (c.address for c in lossy.coordinators)
+        assert lossy.network.link_model.resolve_link(lille, orsay).loss == 0.05
+
     def test_spec_validation_rejects_unknown_site(self):
         spec = internet_testbed_spec()
         with pytest.raises(ConfigurationError):
