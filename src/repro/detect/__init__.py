@@ -8,7 +8,7 @@ driven by periodic heart-beat signals; a component silent for longer than the
 suspicion timeout is (maybe wrongly) assumed to have failed.
 """
 
-from repro.detect.detector import FailureDetector, SuspicionEvent
+from repro.detect.detector import FailureDetector
 from repro.detect.emitter import HeartbeatEmitter
 
-__all__ = ["FailureDetector", "HeartbeatEmitter", "SuspicionEvent"]
+__all__ = ["FailureDetector", "HeartbeatEmitter"]

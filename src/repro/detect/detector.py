@@ -34,7 +34,7 @@ from typing import Any, Mapping
 from repro.config import FaultDetectionConfig
 from repro.types import Address
 
-__all__ = ["SuspicionEvent", "FailureDetector"]
+__all__ = ["FailureDetector"]
 
 
 def _exact(seconds: float) -> float:
@@ -44,15 +44,6 @@ def _exact(seconds: float) -> float:
     duration counter's total must not depend on the order it was added in.
     """
     return round(seconds * 1048576.0) / 1048576.0
-
-
-@dataclass(frozen=True)
-class SuspicionEvent:
-    """One transition of the detector's opinion about an address."""
-
-    time: float
-    subject: Address
-    suspected: bool
 
 
 @dataclass
@@ -81,7 +72,6 @@ class FailureDetector:
     _suspected: set[Address] = field(default_factory=set)
     #: subject -> instant a suspicion scored as a mistake was latched.
     _mistaken: dict[Address, float] = field(default_factory=dict)
-    history: list[SuspicionEvent] = field(default_factory=list)
 
     # -- observations -------------------------------------------------------------
     def watch(self, subject: Address, now: float) -> None:
@@ -140,7 +130,6 @@ class FailureDetector:
 
     # -- accounting -------------------------------------------------------------------
     def _record(self, now: float, subject: Address, suspected: bool) -> None:
-        self.history.append(SuspicionEvent(now, subject, suspected))
         monitor = self.monitor
         if monitor is None:
             return

@@ -1,8 +1,7 @@
 """Failure-detection policies (``policy.detect.*``).
 
 The mechanism — tracking last-heard timestamps, latching suspicion
-transitions, recording :class:`~repro.detect.detector.SuspicionEvent`
-history and scoring each suspicion — stays in
+transitions and scoring each suspicion — stays in
 :class:`~repro.detect.detector.FailureDetector`.  What a policy owns is the
 *rule*: given the current silence for a subject (and whatever gap statistics
 the policy accumulated from past heartbeats), is the subject suspected?

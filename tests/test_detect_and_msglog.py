@@ -69,12 +69,17 @@ class TestFailureDetector:
         assert detector.silence(S, 25.0) == 15.0
         assert detector.silence(K, 25.0) == float("inf")
 
-    def test_history_records_transitions(self):
+    def test_transitions_are_counted(self):
         detector = self._detector()
+        detector.monitor = Monitor()
         detector.heard_from(S, 0.0)
         detector.is_suspected(S, 40.0)
+        assert detector.is_suspected(S, 40.0)  # latched: counted once
         detector.heard_from(S, 41.0)
-        assert len(detector.history) == 2
+        assert detector.monitor.counters == {
+            "detect.suspicions": 1.0,
+            "detect.rehabilitations": 1.0,
+        }
 
 
 class TestSuspicionScoring:
@@ -88,6 +93,16 @@ class TestSuspicionScoring:
     def _run(self, events=(), n_calls=1, exec_time=500.0, until=150.0, cut=None):
         grid = build_confined_cluster(n_servers=1, n_coordinators=2, seed=1)
         grid.start()
+        # The primary's (time, suspected) transitions, spied test-side.
+        detector = grid.coordinators[0].server_detector
+        record = detector._record
+        self.transitions = []
+
+        def spy(now, subject, suspected):
+            self.transitions.append((now, suspected))
+            record(now, subject, suspected)
+
+        detector._record = spy
         workload = SyntheticWorkload(n_calls=n_calls, exec_time=exec_time)
         grid.run_process(workload.run(grid.client))
         if events:
@@ -131,8 +146,7 @@ class TestSuspicionScoring:
         )
         assert counters.get("detect.suspected_restarted") == 1.0
         assert counters.get("detect.wrong_suspicions", 0) == 0
-        history = grid.coordinators[0].server_detector.history
-        assert [(e.time, e.suspected) for e in history][0] == (80.0, True)
+        assert self.transitions[0] == (80.0, True)
 
     def test_server_that_left_for_another_coordinator_is_not_a_mistake(self):
         # The primary is down from 58 s to 63 s, as the server's first 60 s
@@ -158,13 +172,12 @@ class TestSuspicionScoring:
         # is suspected at the 80 s tick while up and still attached.
         grid, counters = self._run(cut=(50.0, 90.0))
         assert counters["detect.wrong_suspicions"] == 1.0
-        history = grid.coordinators[0].server_detector.history
-        (suspected, rehabilitated) = history
-        assert (suspected.time, suspected.suspected) == (80.0, True)
-        assert not rehabilitated.suspected and rehabilitated.time > 90.0
+        (suspected, rehabilitated) = self.transitions
+        assert suspected == (80.0, True)
+        assert not rehabilitated[1] and rehabilitated[0] > 90.0
         assert counters["detect.mistakes_ended"] == 1.0
         assert counters["detect.mistake_s"] == pytest.approx(
-            rehabilitated.time - suspected.time
+            rehabilitated[0] - suspected[0]
         )
 
     def test_a_mistake_open_at_the_end_is_not_measured(self):
@@ -174,8 +187,7 @@ class TestSuspicionScoring:
         assert counters["detect.wrong_suspicions"] == 1.0
         assert "detect.mistakes_ended" not in counters
         assert "detect.mistake_s" not in counters
-        history = grid.coordinators[0].server_detector.history
-        assert [(e.time, e.suspected) for e in history] == [(80.0, True)]
+        assert self.transitions == [(80.0, True)]
 
     def test_a_mistake_its_subject_crashed_out_of_is_not_measured(self):
         # Mistaken at the 80 s tick, the server is down from 84 s to 86 s;
@@ -189,8 +201,7 @@ class TestSuspicionScoring:
             cut=(50.0, 90.0),
         )
         assert counters["detect.wrong_suspicions"] == 1.0
-        history = grid.coordinators[0].server_detector.history
-        assert [e.suspected for e in history][:2] == [True, False]
+        assert [suspected for _, suspected in self.transitions][:2] == [True, False]
         assert "detect.mistakes_ended" not in counters
         assert "detect.mistake_s" not in counters
 
