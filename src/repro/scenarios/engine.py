@@ -463,7 +463,11 @@ def execute_benchmark(
             f"completed, finished_in_time={report.finished_in_time} at "
             f"{grid.env.now:g} s (horizon {horizon:g} s)"
         )
-    lost = _lost_calls(grid, bench, extras, run_full_horizon)
+    lost = (
+        _lost_calls(grid, bench, extras, run_full_horizon)
+        if report.completed < report.submitted
+        else 0
+    )
     if lost:
         raise SimulationError(
             f"{lost} call(s) lost while their client and "
