@@ -748,10 +748,9 @@ class CoordinatorComponent:
         self._task_activity.pop(key, None)
         self._store_result(key, result)
         self._mark_dirty(key)
+        cost = self.database.charge_write(key, TASK_DESCRIPTION_BYTES)
         # Storing the archive costs a disk write proportional to its size.
-        cost = self.database.charge_write(
-            key, TASK_DESCRIPTION_BYTES
-        ) + self.host.disk.sync_write_time(result.size_bytes)
+        cost += self.host.disk.sync_write_time(result.size_bytes)
         # A server's upload asks for its next task (a re-upload during a
         # sync does not): the ack carries it, or no task.  The eligibility
         # rule settles an empty answer before any scan is charged.

@@ -4,11 +4,11 @@ Servers pull work from their preferred coordinator, execute it, archive the
 result on local disk (the archive *is* the server log, so server-side logging
 is "necessarily pessimistic"), then upload the archive and wait for the
 acknowledgement, which also carries the server's next task (one round trip
-per task; an idle server asks with a work request).  The connection-less protocol means the same server "may
-disconnect the coordinator, continue the execution and re-connect the
-coordinator later for sending RPC results" — off-line computing — which the
-component implements by resynchronising its unacknowledged results whenever it
-(re)connects or switches coordinator.
+per task; an idle server asks with a work request).  The connection-less
+protocol means the same server "may disconnect the coordinator, continue the
+execution and re-connect the coordinator later for sending RPC results" —
+off-line computing — which the component implements by resynchronising its
+unacknowledged results whenever it (re)connects or switches coordinator.
 """
 
 from __future__ import annotations
