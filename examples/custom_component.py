@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """A new fault injector in ~30 lines, with zero edits to the grid wiring.
 
-The platform redesign makes injectors, detectors and policies *components*:
-a class with a ``setup(builder)/start()/stop()`` lifecycle, registered under
-a string key.  This example adds a **rolling blackout** — servers are taken
+An injector is a *component*: a class with a ``setup(grid)/start()/stop()``
+lifecycle, registered under a string key.  This example adds a **rolling blackout** — servers are taken
 down one at a time, round-robin, each for a fixed outage — and drives a
 scenario sweep that references it purely by name from the spec's
 ``components:`` list.  Neither ``repro/grid/builder.py`` nor the engine is
@@ -23,10 +22,10 @@ class RollingBlackout(BaseComponent):
         self.period, self.outage = period, outage
         self.injected = 0  # read back as the cell's faults_injected output
 
-    def setup(self, builder):
-        self.env = builder.env
-        self.hosts = builder.hosts("servers")
-        self.monitor = builder.monitor
+    def setup(self, grid):
+        self.env = grid.env
+        self.hosts = grid.hosts_of("servers")
+        self.monitor = grid.monitor
 
     def start(self):
         self._running = True

@@ -26,8 +26,8 @@ class MaxGapDetection(DetectionPolicy):
 
     key = "example.detect.max-gap"
 
-    def __init__(self, margin=2.0, window=64, name=None):
-        super().__init__(name)
+    def __init__(self, margin=2.0, window=64):
+        super().__init__()
         self.margin = float(margin)
         self.window = int(window)
         self._gaps = {}

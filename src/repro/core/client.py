@@ -107,7 +107,7 @@ class ClientComponent(CoordinatorLink):
         policy.bind(
             owner=str(self.host.address), rng=self.host.rng, monitor=self.monitor
         )
-        self.logging = LoggingEngine(self.host, self.log, self.config.logging, policy)
+        self.logging = LoggingEngine(self.host, self.log, policy)
         self.gc = GarbageCollector(self.log, self.config.logging)
         # PolicyConfig.detection selects the coordinators' and servers'
         # rule; a client keeps the paper's fixed timeout.

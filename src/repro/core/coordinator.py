@@ -119,9 +119,9 @@ class CoordinatorComponent:
         self.index = TaskIndex(self.tasks, self.results)
         #: round id -> {"event", "acks", "needed"} for in-flight rounds.
         self._rounds: dict[int, dict[str, Any]] = {}
-        #: replica origin name -> freshest ``sent_at`` seen from it (used by
-        #: quorum recovery to elect the freshest surviving replica).
-        self._replica_freshness: dict[str, float] = {}
+        #: whether a peer's state abstract has ever arrived here (quorum
+        #: recovery counts a recovery only then); kept across restarts.
+        self.heard_a_replica = False
         #: key -> time of the last archive fetch attempt (retried if too old).
         self._archive_fetches_in_flight: dict[CallIdentity, float] = {}
         self._archive_fetch_attempts: dict[CallIdentity, int] = {}
@@ -165,13 +165,12 @@ class CoordinatorComponent:
         host.on_restart(lambda _host: self.start())
 
     # ------------------------------------------------------------------ setup
-    def setup(self, builder) -> None:
+    def setup(self, grid) -> None:
         """Component lifecycle hook: show the detectors the grid's peers.
 
         A detector scores each suspicion by what its subject's host records
         (metrics only — the protocol itself never reads them).
         """
-        grid = builder.grid
         for peer in (*grid.coordinators, *grid.servers):
             self._peers[peer.host.address] = peer
 
@@ -282,7 +281,6 @@ class CoordinatorComponent:
     def preload_tasks(
         self,
         calls: "list[CallDescription]",
-        state: TaskState = TaskState.PENDING,
         mark_dirty: bool = True,
     ) -> list[CallIdentity]:
         """Register task records directly, bypassing the submission protocol.
@@ -301,7 +299,7 @@ class CoordinatorComponent:
             key = call.identity
             record = TaskRecord(
                 call=call,
-                state=state,
+                state=TaskState.PENDING,
                 owner=self.name,
                 submitted_at=self.env.now,
             )
@@ -425,8 +423,6 @@ class CoordinatorComponent:
             return self._on_archive_fetch(message)
         elif mtype is MessageType.ARCHIVE_REPLY:
             return self._on_archive_reply(message)
-        elif mtype is MessageType.PING:
-            self.host.send(message.reply(MessageType.PONG))
         # Unknown types are ignored (forward compatibility).
         return None
 
@@ -725,12 +721,8 @@ class CoordinatorComponent:
             # A result for a call we never saw (e.g. assigned by another
             # coordinator before a partition): register it anyway.
             task = TaskRecord(
-                call=message.payload["call"]
-                if "call" in message.payload
-                else CallDescription(
-                    identity=result.identity,
-                    service=message.payload.get("service", "unknown"),
-                    params_bytes=0,
+                call=CallDescription(
+                    identity=result.identity, service="unknown", params_bytes=0
                 ),
                 state=TaskState.FINISHED,
                 owner=self.name,
@@ -890,7 +882,6 @@ class CoordinatorComponent:
             client_timestamps=self.client_timestamps,
             known_coordinators=[(c.kind, c.name) for c in self.registry.known()],
             only_keys=keys,
-            now=self.env.now,
         )
 
     def replicate(self, targets: list[Address], quorum: int = 1):
@@ -976,12 +967,6 @@ class CoordinatorComponent:
             )
         self.monitor.incr("coordinator.replica_pulls", len(targets))
 
-    def elect_freshest_origin(self) -> str | None:
-        """The replica origin with the freshest abstract seen so far."""
-        if not self._replica_freshness:
-            return None
-        return max(self._replica_freshness, key=lambda o: self._replica_freshness[o])
-
     def _on_replica_pull(self, message: Message):
         """Serve a recovering peer the full current state abstract."""
         state = self._build_state(None)
@@ -1000,10 +985,7 @@ class CoordinatorComponent:
     def _on_replica_state(self, message: Message):
         state: ReplicaState = message.payload["state"]
         if state.origin != self.name:
-            self._replica_freshness[state.origin] = max(
-                self._replica_freshness.get(state.origin, float("-inf")),
-                state.sent_at,
-            )
+            self.heard_a_replica = True
         outcome = merge_state(self.tasks, self.client_timestamps, state)
         # Route the merged transitions through the index before the
         # database charges below yield control — sibling processes (the

@@ -69,12 +69,12 @@ class CoordinatorLink:
         host.on_restart(lambda _host: self.start())
 
     # ------------------------------------------------------------- lifecycle
-    def setup(self, builder) -> None:
+    def setup(self, grid) -> None:
         """Component lifecycle hook: the grid tier wiring already bound
         everything this component needs."""
 
     def start(self) -> None:
-        """(Re)start on the host: called once by the component manager and
+        """(Re)start on the host: called once by the grid and
         again by the host on every restart."""
         self._init_volatile()
         self._waiters = {}

@@ -46,7 +46,6 @@ class ReplicaState:
     client_timestamps: dict[tuple[str, str], int] = field(default_factory=dict)
     #: coordinator list piggy-backed for registry merging.
     known_coordinators: list[tuple[str, str]] = field(default_factory=list)
-    sent_at: float = 0.0
     #: wire bytes of ``entries``, accumulated while building (``None`` means
     #: unknown — e.g. a hand-assembled state — and :attr:`size_bytes` falls
     #: back to walking the entries).
@@ -88,7 +87,6 @@ def build_state(
     client_timestamps: dict[tuple[str, str], int],
     known_coordinators: list[tuple[str, str]],
     only_keys: Iterable[Any] | None = None,
-    now: float = 0.0,
 ) -> ReplicaState:
     """Build the state abstract for the given tasks.
 
@@ -119,7 +117,6 @@ def build_state(
         entries=entries,
         client_timestamps=dict(client_timestamps),
         known_coordinators=list(known_coordinators),
-        sent_at=now,
         entries_bytes=entries_bytes,
     )
 

@@ -59,7 +59,6 @@ class ServerComponent(CoordinatorLink):
 
         # Volatile state (rebuilt by start()).
         self.result_log: MessageLog
-        self.executed_count = 0
         self.current_task: CallDescription | None = None
 
     # ------------------------------------------------------------------ setup
@@ -178,7 +177,6 @@ class ServerComponent(CoordinatorLink):
         if not self.result_log.get(key).durable:
             self.result_log.mark_durable(key)
 
-        self.executed_count += 1
         self.monitor.incr("server.tasks_executed")
         self.current_task = None
         return (yield from self._upload_result(result, next_task=True))

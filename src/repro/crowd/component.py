@@ -141,22 +141,22 @@ class CrowdComponent(BaseComponent):
     def address(self) -> Address:
         return Address("crowd", self.label)
 
-    def setup(self, builder) -> None:
+    def setup(self, grid) -> None:
         table = _require_table()
-        self.env = builder.env
-        self.monitor = builder.monitor
-        coordinators = [c.address for c in builder.grid.coordinators]
+        self.env = grid.env
+        self.monitor = grid.monitor
+        coordinators = [c.address for c in grid.coordinators]
         if not coordinators:
             raise ConfigurationError("crowd tier needs at least one coordinator")
         address = self.address
         self.host = Host(
-            builder.env,
-            builder.network,
+            grid.env,
+            grid.network,
             address,
-            rng=builder.rng.spawn(str(address)),
-            monitor=builder.monitor,
+            rng=grid.rng.spawn(str(address)),
+            monitor=grid.monitor,
         )
-        builder.grid.hosts[address] = self.host
+        grid.hosts[address] = self.host
         self.shards = ShardMap.over(coordinators, self.n_clients)
         self.registry = CoordinatorRegistry(coordinators=list(self.shards.coordinators))
         # Per-client lanes come from a crn.-prefixed stream: paired-CRN sweep
@@ -164,9 +164,9 @@ class CrowdComponent(BaseComponent):
         # policy axis never perturbs the crowd's arrival schedule.
         self.table = table.CrowdTable(
             self.n_clients,
-            builder.rng.stream(f"crn.crowd.{self.label}"),
+            grid.rng.stream(f"crn.crowd.{self.label}"),
             think_window=self.think_window,
-            now=builder.env.now,
+            now=grid.env.now,
         )
         self._id_ranges = table.id_ranges
         self._ctr_batches_sent = self.monitor.counter("crowd.batches_sent")

@@ -55,8 +55,7 @@ class PartitionedViews(BaseComponent):
         #: partition rules registered before this component) are in force.
         self.progress_condition_held: bool | None = None
 
-    def setup(self, builder) -> None:
-        grid = builder.grid
+    def setup(self, grid) -> None:
         for_servers = Address(ComponentKind.COORDINATOR.value, self.server_coordinator)
         for_clients = Address(ComponentKind.COORDINATOR.value, self.client_coordinator)
         for server in grid.servers:
@@ -70,7 +69,7 @@ class PartitionedViews(BaseComponent):
         self._grid = grid
 
     def start(self) -> None:
-        # Start order is registration order, so the partition schedule ahead
+        # Components start in the order they join, so the partition schedule ahead
         # of this component has installed its hide rules by now; nothing has
         # run yet (the engine adds its components before time advances).
         self.progress_condition_held = self._grid.progress_condition_holds()

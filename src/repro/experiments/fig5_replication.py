@@ -92,7 +92,7 @@ def measure_replication_time(
     grid = _build(environment, seed=seed)
     _inject_tasks(grid, n_tasks, params_bytes)
     coordinator = grid.coordinators[0]
-    host = grid.host_of(coordinator)
+    host = coordinator.host
     timings: dict[str, float] = {}
 
     def driver():

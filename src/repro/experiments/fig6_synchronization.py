@@ -176,7 +176,7 @@ def measure_sync_time(
     else:
         raise ValueError(f"unknown direction {direction!r}")
 
-    process = grid.host_of(client).spawn(driver(), name="fig6-driver")
+    process = client.host.spawn(driver(), name="fig6-driver")
     finish(grid, process, SYNC_HORIZON, f"fig6: the {direction} driver {size}")
     return timings["end"] - timings["start"]
 

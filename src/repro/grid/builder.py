@@ -8,20 +8,20 @@ first coordinator — Lille in the real-life runs — and servers are spread ove
 the coordinators round-robin on the cluster, or attached to their site's
 coordinator on the Internet testbed).
 
-Since the platform redesign the grid is assembled on the component platform
-(:mod:`repro.platform`): every protocol component is registered with a
-:class:`~repro.platform.manager.ComponentManager` that owns setup, start and
-stop ordering (coordinators, then servers, then clients — teardown in
-reverse), and extra components — injectors, partition schedules, custom
-policies — join by instance, registered name or dotted path through
-``build_grid(components=...)`` or :meth:`Grid.add_component`, with **zero
-edits to this module** (see ``examples/custom_component.py``).
+The grid is also the component platform (:mod:`repro.platform`): it holds
+every component of the scenario by name, hands itself to each component's
+``setup``, and starts them in order (coordinators, then servers, then
+clients, then extra components; teardown in reverse).  Extra components —
+injectors, partition schedules, experiment-local pieces — join through
+:meth:`Grid.add_component`, as an instance or as a registered name or dotted
+path with parameters, with **zero edits to this module** (see
+``examples/custom_component.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Mapping, Sequence
+from typing import Any, Callable, Generator, Mapping
 
 from repro.config import ProtocolConfig
 from repro.core.client import ClientComponent
@@ -35,13 +35,17 @@ from repro.grid.deployment import DeploymentSpec, confined_cluster_spec, interne
 from repro.net.partition import PartitionManager
 from repro.net.transport import Network
 from repro.nodes.node import Host
-from repro.platform import Builder, Component, ComponentManager, create_component
+from repro.platform import Component, create_component
+from repro.platform.component import missing_component_attrs
 from repro.sim.core import Environment, Process
 from repro.sim.monitor import Monitor
 from repro.sim.rng import RandomStreams
 from repro.types import Address, ComponentKind
 
 __all__ = ["Grid", "build_confined_cluster", "build_internet_testbed", "build_grid"]
+
+#: tier selectors accepted by :meth:`Grid.hosts_of`.
+_TIERS = ("servers", "coordinators", "clients")
 
 
 @dataclass
@@ -55,12 +59,15 @@ class Grid:
     network: Network
     partitions: PartitionManager
     services: ServiceRegistry
-    manager: ComponentManager
-    builder: Builder
     clients: list[ClientComponent] = field(default_factory=list)
     coordinators: list[CoordinatorComponent] = field(default_factory=list)
     servers: list[ServerComponent] = field(default_factory=list)
     hosts: dict[Address, Host] = field(default_factory=dict)
+    #: every component by name, in start order: the protocol tiers, then
+    #: the extra components in the order they joined.
+    components: dict[str, Component] = field(default_factory=dict)
+    #: ``"built"`` (set up, not started), ``"running"`` or ``"stopped"``.
+    phase: str = "built"
 
     # ------------------------------------------------------------------ access
     @property
@@ -75,52 +82,76 @@ class Grid:
                 return coordinator
         raise ConfigurationError(f"no coordinator named {name!r}")
 
-    def host_of(self, component) -> Host:
-        """Host of a client/coordinator/server component."""
-        return self.hosts[component.address]
+    def hosts_of(self, tier: str) -> list[Host]:
+        """Hosts of one tier: ``servers``, ``coordinators`` or ``clients``."""
+        if tier not in _TIERS:
+            raise ConfigurationError(
+                f"unknown host tier {tier!r} (one of: {', '.join(_TIERS)})"
+            )
+        return [component.host for component in getattr(self, tier)]
 
-    def coordinator_hosts(self) -> list[Host]:
-        """Hosts of every coordinator."""
-        return [self.hosts[c.address] for c in self.coordinators]
-
-    def server_hosts(self) -> list[Host]:
-        """Hosts of every server."""
-        return [self.hosts[s.address] for s in self.servers]
-
-    def client_hosts(self) -> list[Host]:
-        """Hosts of every client."""
-        return [self.hosts[c.address] for c in self.clients]
+    def host(self, address: Address | str) -> Host:
+        """One host by :class:`~repro.types.Address`, its string form or bare name."""
+        wanted = str(address)
+        for addr, host in self.hosts.items():
+            if str(addr) == wanted or addr.name == wanted:
+                return host
+        known = ", ".join(str(a) for a in self.hosts)
+        raise ConfigurationError(f"no host {wanted!r} (known: {known})")
 
     # ------------------------------------------------------------------ control
     def start(self) -> None:
-        """Start every component in registration order (idempotent).
+        """Start every component in order (idempotent).
 
-        The manager preserves the historical tier order: coordinators come
-        up first, then servers, then clients, then any extra components.
+        Coordinators come up first, then servers, then clients, then the
+        extra components in the order they joined.
         """
-        self.manager.start_all()
+        if self.phase == "stopped":
+            raise ConfigurationError("a stopped grid cannot start again")
+        if self.phase == "running":
+            return
+        self.phase = "running"
+        for component in list(self.components.values()):
+            component.start()
 
     def stop(self) -> None:
-        """Stop every component, in reverse start order (idempotent)."""
-        self.manager.stop_all()
+        """Stop every started component, in reverse start order (idempotent)."""
+        if self.phase == "running":
+            for component in reversed(list(self.components.values())):
+                component.stop()
+        self.phase = "stopped"
 
-    def add_component(
-        self,
-        entry: "Component | str | tuple | Mapping[str, Any]",
-        params: Mapping[str, Any] | None = None,
-    ) -> Component:
-        """Register one more component (instance, name, or name + params).
+    def add_component(self, entry: "Component | Mapping[str, Any]") -> Component:
+        """Join one more component: a live instance or a ``{"name", "params"}`` entry.
 
-        Accepted shapes: a live :class:`~repro.platform.component.Component`,
-        a registered name / dotted path (optionally with ``params``), a
-        ``(name, params)`` pair, or a ``{"name": ..., "params": {...}}``
-        mapping — the declarative form scenario specs use.  A component added
-        to a running grid is set up and started immediately, so
-        workload-relative injectors can join without disturbing anything
-        already scheduled.
+        The entry form names a registered component or a dotted path, as a
+        scenario spec's ``components:`` list does.  The component is set up
+        at once; on a running grid it also starts at once, so
+        workload-relative injectors join without disturbing anything already
+        scheduled.  A component it adds from its own ``setup`` starts after
+        it.
         """
-        component = _resolve_entry(entry, params)
-        self.manager.add(component)
+        if isinstance(entry, Mapping):
+            component = create_component(entry["name"], entry.get("params"))
+        else:
+            component = entry
+            missing = missing_component_attrs(component)
+            if missing:
+                raise ConfigurationError(
+                    f"{type(component).__name__} does not satisfy the Component "
+                    f"protocol (missing: {', '.join(missing)})"
+                )
+        name = component.name
+        if name in self.components:
+            raise ConfigurationError(
+                f"a component named {name!r} is already registered"
+            )
+        if self.phase == "stopped":
+            raise ConfigurationError(f"cannot add component {name!r} to a stopped grid")
+        self.components[name] = component
+        component.setup(self)
+        if self.phase == "running":
+            component.start()
         return component
 
     def run(self, until: float | None = None) -> None:
@@ -205,34 +236,12 @@ class Grid:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_entry(
-    entry: "Component | str | tuple | Mapping[str, Any]",
-    params: Mapping[str, Any] | None = None,
-) -> Component:
-    """Normalise one ``components=`` entry into a live component instance."""
-    if isinstance(entry, str):
-        return create_component(entry, params)
-    if isinstance(entry, tuple):
-        name, entry_params = entry
-        return create_component(name, {**dict(entry_params or {}), **dict(params or {})})
-    if isinstance(entry, Mapping):
-        return create_component(
-            entry["name"], {**dict(entry.get("params") or {}), **dict(params or {})}
-        )
-    if params:
-        raise ConfigurationError(
-            "params only apply when the component is given by name"
-        )
-    return entry
-
-
 def build_grid(
     spec: DeploymentSpec,
     services: ServiceRegistry | None = None,
     user: str = "user0",
     client_preferred: str | None = None,
     server_preferred: Callable[[int, str], str] | None = None,
-    components: Sequence["Component | str | tuple | Mapping[str, Any]"] = (),
 ) -> Grid:
     """Instantiate every substrate and component described by ``spec``.
 
@@ -240,17 +249,13 @@ def build_grid(
     to (defaults to the first coordinator).  ``server_preferred`` maps
     ``(server_index, server_site)`` to a coordinator name for the initial
     attachment (defaults to the coordinator at the same site when one exists,
-    round-robin otherwise).  ``components`` are extra platform components
-    (instances, registered names, ``(name, params)`` pairs or ``{"name":
-    ..., "params": ...}`` mappings) registered after the protocol tiers and
-    set up alongside them.
+    round-robin otherwise).  The grid comes back set up, not started.
     """
     env = Environment()
     rng = RandomStreams(spec.seed)
     monitor = Monitor()
     partitions = PartitionManager()
     services = services or default_registry()
-    manager = ComponentManager()
 
     # -- coordinator addresses come first: everybody needs the list ------------
     coordinator_names: list[str] = []
@@ -293,16 +298,6 @@ def build_grid(
         partitions=partitions,
     )
 
-    builder = Builder(
-        env=env,
-        network=network,
-        rng=rng,
-        monitor=monitor,
-        services=services,
-        config=spec.protocol,
-        partitions=partitions,
-        spec=spec,
-    )
     grid = Grid(
         spec=spec,
         env=env,
@@ -311,10 +306,7 @@ def build_grid(
         network=network,
         partitions=partitions,
         services=services,
-        manager=manager,
-        builder=builder,
     )
-    builder.attach_grid(grid)
 
     # -- coordinators ----------------------------------------------------------
     for address in coordinator_addresses:
@@ -333,7 +325,6 @@ def build_grid(
         )
         grid.hosts[address] = host
         grid.coordinators.append(component)
-        manager.add(component)
 
     # -- servers ----------------------------------------------------------------
     for idx, (address, site) in enumerate(zip(server_addresses, server_sites)):
@@ -363,7 +354,6 @@ def build_grid(
         )
         grid.hosts[address] = host
         grid.servers.append(component)
-        manager.add(component)
 
     # -- clients ----------------------------------------------------------------
     preferred_client_name = client_preferred or coordinator_names[0]
@@ -392,13 +382,12 @@ def build_grid(
         )
         grid.hosts[address] = host
         grid.clients.append(component)
-        manager.add(component)
 
-    # -- extra components ------------------------------------------------------
-    for entry in components:
-        grid.add_component(entry)
-
-    manager.setup_all(builder)
+    # -- set up once every tier is in place: a coordinator meets its peers ----
+    for component in (*grid.coordinators, *grid.servers, *grid.clients):
+        grid.components[component.name] = component
+    for component in grid.components.values():
+        component.setup(grid)
     return grid
 
 
@@ -410,7 +399,6 @@ def build_confined_cluster(
     seed: int = 0,
     services: ServiceRegistry | None = None,
     spread_servers: bool = True,
-    components: Sequence["Component | str | tuple | Mapping[str, Any]"] = (),
 ) -> Grid:
     """Build the confined-cluster platform of §5.1 (started lazily).
 
@@ -433,12 +421,7 @@ def build_confined_cluster(
     server_preferred = None
     if spread_servers and len(coordinator_names) > 1:
         server_preferred = lambda idx, _site: coordinator_names[idx % len(coordinator_names)]
-    return build_grid(
-        spec,
-        services=services,
-        server_preferred=server_preferred,
-        components=components,
-    )
+    return build_grid(spec, services=services, server_preferred=server_preferred)
 
 
 def build_internet_testbed(

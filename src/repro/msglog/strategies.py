@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.config import LoggingConfig
 from repro.msglog.log import MessageLog
 from repro.nodes.node import Host
 from repro.sim.core import Event
@@ -54,12 +53,10 @@ class LoggingEngine:
         self,
         host: Host,
         log: MessageLog,
-        config: LoggingConfig,
         policy: "LoggingPolicy",
     ) -> None:
         self.host = host
         self.log = log
-        self.config = config
         self.policy = policy
         #: cumulative simulated time the strategy added in front of / behind
         #: communications (reported by the Fig. 4 experiment).

@@ -18,8 +18,8 @@ each:
 Every class is a component in the structural sense of
 :class:`repro.platform.component.Component`: a plain ``name`` attribute, a
 constructor taking only plain (JSON-able) parameters and validating them, a
-``setup(builder)`` binding the environment, hosts, RNG streams and monitor
-off the :class:`~repro.platform.builder.Builder`, and ``start``/``stop``
+``setup(grid)`` binding the environment, hosts, RNG streams and monitor
+off the :class:`~repro.grid.builder.Grid`, and ``start``/``stop``
 driving the injection loop.  Every injector counts the live hosts it kills
 in a plain ``injected`` attribute (the ``faults_injected`` output of a
 benchmark cell).
@@ -36,7 +36,7 @@ from repro.platform.registry import component
 from repro.sim.core import ProcessKilled
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.platform.builder import Builder
+    from repro.grid.builder import Grid
 
 __all__ = [
     "ChurnInjector",
@@ -74,11 +74,11 @@ class FaultGenerator:
         self.injected = 0
         self._running = False
 
-    def setup(self, builder: "Builder") -> None:
-        self.env = builder.env
-        self.hosts = builder.hosts(self.target)
-        self.rng = builder.rng
-        self.monitor = builder.monitor
+    def setup(self, grid: "Grid") -> None:
+        self.env = grid.env
+        self.hosts = grid.hosts_of(self.target)
+        self.rng = grid.rng
+        self.monitor = grid.monitor
 
     # -- autonomous operation -----------------------------------------------------
     def start(self) -> None:
@@ -175,11 +175,11 @@ class ChurnInjector:
         self.injected = 0
         self._running = False
 
-    def setup(self, builder: "Builder") -> None:
-        self.env = builder.env
-        self.hosts = builder.hosts(self.target)
-        self.rng = builder.rng
-        self.monitor = builder.monitor
+    def setup(self, grid: "Grid") -> None:
+        self.env = grid.env
+        self.hosts = grid.hosts_of(self.target)
+        self.rng = grid.rng
+        self.monitor = grid.monitor
 
     def start(self) -> None:
         """Start one volatility loop per host (idempotent)."""
@@ -245,8 +245,8 @@ class FaultScript:
     * ``"label"`` / ``"note"``: recorded with the firing time in
       :attr:`recorded` — the labelled event log the figures annotate.
 
-    Both forms name a host the way :meth:`Builder.host
-    <repro.platform.builder.Builder.host>` does: its full address
+    Both forms name a host the way :meth:`Grid.host
+    <repro.grid.builder.Grid.host>` does: its full address
     (``"server:s000"``) or its bare name (``"s000"``).  An unknown target
     fails at setup, before anything runs.
     """
@@ -342,19 +342,19 @@ class FaultScript:
         #: live hosts killed so far, by either form (``faults_injected``).
         self.injected = 0
 
-    def setup(self, builder: "Builder") -> None:
-        self.env = builder.env
-        self.grid = builder.grid
-        self.monitor = builder.monitor
+    def setup(self, grid: "Grid") -> None:
+        self.env = grid.env
+        self.grid = grid
+        self.monitor = grid.monitor
         # Fail fast on a target no host of this grid matches: events and
-        # steps resolve alike, through builder.host.
+        # steps resolve alike, through grid.host.
         targets = [target for _, _, target in self.events]
         targets += [str(step["target"]) for step in self.steps if step.get("target")]
         self._hosts: dict[str, Host] = {}
         unknown = set()
         for target in targets:
             try:
-                self._hosts[target] = builder.host(target)
+                self._hosts[target] = grid.host(target)
             except ConfigurationError:
                 unknown.add(target)
         if unknown:

@@ -1,9 +1,8 @@
 """The pluggable component platform.
 
-One lifecycle for everything that takes part in a scenario: components
-declare what they need through a :class:`~repro.platform.builder.Builder`
-facade during ``setup``, the :class:`~repro.platform.manager.ComponentManager`
-owns registration/start/stop ordering, and a string-keyed registry
+One lifecycle for everything that takes part in a scenario: a component's
+``setup`` receives the :class:`~repro.grid.builder.Grid` it joins, the grid
+starts and stops its components in order, and a string-keyed registry
 (:func:`~repro.platform.registry.component`, with a dotted-path fallback)
 lets scenario specs name extra components declaratively.  See
 :mod:`repro.nodes.faultgen` for the built-in fault injectors,
@@ -11,9 +10,7 @@ lets scenario specs name extra components declaratively.  See
 ``examples/custom_component.py`` for authoring a new one.
 """
 
-from repro.platform.builder import Builder
 from repro.platform.component import BaseComponent, Component
-from repro.platform.manager import ComponentManager
 from repro.platform.registry import (
     component,
     create_component,
@@ -23,9 +20,7 @@ from repro.platform.registry import (
 
 __all__ = [
     "BaseComponent",
-    "Builder",
     "Component",
-    "ComponentManager",
     "component",
     "create_component",
     "register_component",

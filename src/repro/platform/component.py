@@ -1,20 +1,19 @@
 """The component lifecycle contract.
 
-Everything that takes part in a scenario — protocol tiers, heartbeat
-emitters, fault injectors, partition schedules, ad-hoc policies — is a
-*component*: an object with a stable ``name`` and a three-phase lifecycle
-driven by the :class:`~repro.platform.manager.ComponentManager`:
+Everything that takes part in a scenario — protocol tiers, fault injectors,
+partition schedules, experiment-local pieces — is a *component*: an object
+with a stable ``name`` and a three-phase lifecycle driven by the
+:class:`~repro.grid.builder.Grid` it joins:
 
-1. **setup(builder)** — the component declares what it needs by pulling
-   capabilities off the :class:`~repro.platform.builder.Builder` facade
-   (``builder.env``, ``builder.network``, ``builder.rng.stream(...)``,
-   ``builder.monitor``, ``builder.hosts(...)``, ...).  No simulation
-   activity happens here; the component may also register sub-components
-   through ``builder.grid.add_component``.
-2. **start()** — arm timers, spawn processes, begin injecting.  Start order
-   is registration order (coordinators before servers before clients, so
-   the grid's tiers come up the way :class:`~repro.grid.builder.Grid` always
-   started them).
+1. **setup(grid)** — the component binds what it needs off the grid
+   (``grid.env``, ``grid.network``, ``grid.rng.stream(...)``,
+   ``grid.monitor``, ``grid.hosts_of(...)``, ``grid.host(...)``, ...).  No
+   simulation activity happens here; the component may also add
+   sub-components through ``grid.add_component``.
+2. **start()** — arm timers, spawn processes, begin injecting.  The grid
+   starts coordinators, then servers, then clients, then the extra
+   components in the order they joined; one that joins a running grid
+   starts at once.
 3. **stop()** — retire timers and stop injecting; called in reverse start
    order and must be idempotent.
 
@@ -31,7 +30,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.platform.builder import Builder
+    from repro.grid.builder import Grid
 
 __all__ = ["Component", "BaseComponent", "missing_component_attrs"]
 
@@ -50,11 +49,11 @@ class Component(Protocol):
 
     @property
     def name(self) -> str:
-        """Stable identifier the manager registers the component under."""
+        """Stable identifier the grid holds the component under."""
         ...
 
-    def setup(self, builder: "Builder") -> None:
-        """Bind to the platform's cross-cutting capabilities (no activity)."""
+    def setup(self, grid: "Grid") -> None:
+        """Bind to the grid's substrate (no activity)."""
         ...
 
     def start(self) -> None:
@@ -73,9 +72,9 @@ class BaseComponent:
 
         @component("example.noisy-neighbour")
         class NoisyNeighbour(BaseComponent):
-            def setup(self, builder):
-                self.env = builder.env
-                self.hosts = builder.hosts("servers")
+            def setup(self, grid):
+                self.env = grid.env
+                self.hosts = grid.hosts_of("servers")
             def start(self):
                 ...
     """
@@ -87,7 +86,7 @@ class BaseComponent:
     def name(self) -> str:
         return self._name
 
-    def setup(self, builder: "Builder") -> None:  # noqa: B027 - intentional no-op
+    def setup(self, grid: "Grid") -> None:  # noqa: B027 - intentional no-op
         """Default: nothing to bind."""
 
     def start(self) -> None:  # noqa: B027 - intentional no-op

@@ -3,15 +3,15 @@
 ``net.partition-schedule`` — one-way visibility rules over the partition
 manager, in force from the start — is a declarative
 building block a :class:`~repro.scenarios.spec.ScenarioSpec` can name in its
-``components:`` list (or code can pass to ``build_grid(components=...)`` /
-``grid.add_component(...)``) without touching any wiring code.
+``components:`` list (or code can pass to ``grid.add_component(...)``)
+without touching any wiring code.
 
 The fault injectors (``inject.rate``, ``inject.churn``, ``inject.script``)
 live with the hosts they kill, in :mod:`repro.nodes.faultgen`.
 
 Every component has the same shape: a constructor taking only plain
-(JSON-able) parameters, a ``setup(builder)`` pulling the substrate off the
-:class:`~repro.platform.builder.Builder`, and ``start``/``stop`` driving the
+(JSON-able) parameters, a ``setup(grid)`` binding the substrate off the
+:class:`~repro.grid.builder.Grid`, and ``start``/``stop`` driving the
 underlying mechanism.  The schedule doubles as a reference implementation
 for custom components (see ``examples/custom_component.py``).
 """
@@ -25,7 +25,7 @@ from repro.platform.component import BaseComponent
 from repro.platform.registry import component
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.platform.builder import Builder
+    from repro.grid.builder import Grid
 
 __all__ = ["PartitionSchedule"]
 
@@ -64,24 +64,24 @@ class PartitionSchedule(BaseComponent):
         #: rules applied so far (the ``faults_injected`` output): a run
         #: under a partition schedule is a faulted run.
         self.injected = 0
-        self._builder: "Builder | None" = None
+        self._grid: "Grid | None" = None
 
-    def setup(self, builder: "Builder") -> None:
-        self._builder = builder
+    def setup(self, grid: "Grid") -> None:
+        self._grid = grid
 
     def _addresses(self, group: str) -> list:
         """A group spec -> addresses: a tier selector or one host name."""
-        builder = self._builder
-        assert builder is not None
+        grid = self._grid
+        assert grid is not None
         try:
-            return [host.address for host in builder.hosts(group)]
+            return [host.address for host in grid.hosts_of(group)]
         except ConfigurationError:
-            return [builder.host(group).address]
+            return [grid.host(group).address]
 
     def start(self) -> None:
-        builder = self._builder
-        assert builder is not None, "setup() must run before start()"
-        hide = builder.partitions.hide
+        grid = self._grid
+        assert grid is not None, "setup() must run before start()"
+        hide = grid.partitions.hide
         for event in self.events:
             for dest in self._addresses(event["dest"]):
                 for source in self._addresses(event["source"]):

@@ -13,7 +13,9 @@ component instance.  Two resolution paths:
   Built-in names live in :mod:`repro.platform.library`,
   :mod:`repro.nodes.faultgen` (the ``inject.*`` fault injectors) and the
   policy / crowd modules, and are imported lazily by the lookup helpers,
-  mirroring the scenario registry.
+  mirroring the scenario registry.  The ``policy.*`` names resolve to policy
+  classes, which :func:`~repro.policies.resolve.make_policy` instantiates;
+  they are not components.
 
 * **dotted-path fallback** — any name containing a dot that is not
   registered is treated as an import path, ``pkg.module:Attr`` or
@@ -37,7 +39,7 @@ __all__ = [
     "resolve_component",
 ]
 
-#: name -> factory returning a Component when called with the entry's params.
+#: name -> factory called with an entry's params: a Component, or a policy.
 _REGISTRY: dict[str, Callable[..., Component]] = {}
 
 #: modules whose import registers the built-in components.
@@ -62,12 +64,12 @@ def _load_builtins() -> None:
 
 
 def register_component(
-    name: str, factory: Callable[..., Component], replace: bool = False
+    name: str, factory: Callable[..., Component]
 ) -> Callable[..., Component]:
     """Register ``factory`` under ``name``; duplicates are configuration errors."""
     if not name:
         raise ConfigurationError("component name must be non-empty")
-    if not replace and name in _REGISTRY and _REGISTRY[name] is not factory:
+    if name in _REGISTRY and _REGISTRY[name] is not factory:
         raise ConfigurationError(f"component {name!r} is already registered")
     _REGISTRY[name] = factory
     resolve_component.cache_clear()
@@ -75,12 +77,12 @@ def register_component(
 
 
 def component(
-    name: str, replace: bool = False
+    name: str,
 ) -> Callable[[Callable[..., Component]], Callable[..., Component]]:
     """Decorator registering a component class (or factory) under ``name``."""
 
     def decorator(factory: Callable[..., Component]) -> Callable[..., Component]:
-        return register_component(name, factory, replace=replace)
+        return register_component(name, factory)
 
     return decorator
 

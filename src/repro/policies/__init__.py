@@ -1,4 +1,4 @@
-"""Registry-resolved protocol strategies (the ``policy.*`` component family).
+"""Registry-resolved protocol strategies (the ``policy.*`` family).
 
 The protocol components own their *mechanisms* — work-request handling,
 state-abstract rounds, log records — and delegate the *decisions* to small
@@ -14,10 +14,12 @@ strategy objects carved out of them:
   suspicion (``policy.detect.*``).
 
 Every policy is registered in the platform registry under its ``policy.*``
-key, so scenarios select them exactly like injectors: by name with plain
-parameters — ``--set policy.scheduler=policy.sched.random`` on the CLI, a
+key, so scenarios select them by name with plain parameters, as they name
+injectors — ``--set policy.scheduler=policy.sched.random`` on the CLI, a
 ``protocol_overrides`` entry on a spec, or a custom class by dotted path
-(see ``examples/custom_policy.py``).  The selection lives in
+(see ``examples/custom_policy.py``).  A policy is not a platform component,
+though: it never joins a grid, and belongs to the one protocol component
+that made it.  The selection lives in
 :class:`~repro.config.PolicyConfig` and nowhere else;
 :func:`~repro.policies.resolve.make_policy` turns one of its entries into the
 instance a protocol component owns.

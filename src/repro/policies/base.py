@@ -2,24 +2,22 @@
 
 A *policy* is a small strategy object carved out of a protocol component:
 the coordinator's scheduling decisions, its replication cadence, the
-client's logging strategy.  Policies are ordinary plugin components — they
-satisfy the :class:`~repro.platform.component.Component` protocol and are
-registered under ``policy.*`` string keys in the platform registry — so a
-scenario selects one exactly like it selects an injector: by name, with
-plain JSON-able parameters (``"$param"`` interpolation included).
+client's logging strategy.  Policies are registered under ``policy.*``
+string keys in the platform registry, so a scenario selects one exactly like
+it selects an injector: by name, with plain JSON-able parameters
+(``"$param"`` interpolation included).
 
-Unlike injectors, a policy instance belongs to *one* protocol component
-(schedulers keep cursors, loggers keep overhead accounting), so the tier
-components instantiate their own instance from the configured entry (see
-:mod:`repro.policies.resolve`) and :meth:`PolicyBase.bind` it to their
-name, RNG streams and monitor at start time.
+A policy is not a platform component: it never joins a grid.  Each instance
+belongs to *one* protocol component (schedulers keep cursors, loggers keep
+overhead accounting), so the tier components instantiate their own instance
+from the configured entry (see :mod:`repro.policies.resolve`) and
+:meth:`PolicyBase.bind` it to their name, RNG streams and monitor at start
+time.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
-
-from repro.platform.component import BaseComponent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.monitor import Monitor
@@ -28,7 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["PolicyBase"]
 
 
-class PolicyBase(BaseComponent):
+class PolicyBase:
     """Common trunk of every ``policy.*`` strategy object.
 
     ``key`` is the registry name the policy is published under; it doubles
@@ -39,8 +37,7 @@ class PolicyBase(BaseComponent):
     #: registry key, e.g. ``"policy.sched.fifo-reschedule"``.
     key = "policy.base"
 
-    def __init__(self, name: str | None = None) -> None:
-        super().__init__(name or self.key)
+    def __init__(self) -> None:
         self.owner: str = ""
         self._rng: "RandomStreams | None" = None
         self._monitor: "Monitor | None" = None

@@ -69,8 +69,8 @@ class FixedTimeoutDetection(DetectionPolicy):
 
     key = "policy.detect.fixed-timeout"
 
-    def __init__(self, timeout: float | None = None, name: str | None = None) -> None:
-        super().__init__(name)
+    def __init__(self, timeout: float | None = None) -> None:
+        super().__init__()
         if timeout is not None and timeout <= 0:
             raise ConfigurationError("timeout must be positive")
         #: seconds of silence before suspicion; ``None`` defers to the
@@ -105,9 +105,8 @@ class AdaptiveTimeoutDetection(DetectionPolicy):
         beta: float = 0.25,
         min_samples: int = 3,
         floor: float | None = None,
-        name: str | None = None,
     ) -> None:
-        super().__init__(name)
+        super().__init__()
         if k <= 0 or not 0 < alpha < 1 or not 0 < beta < 1:
             raise ConfigurationError(
                 "adaptive-timeout needs k > 0 and alpha, beta in (0, 1)"
@@ -175,9 +174,8 @@ class PhiAccrualDetection(DetectionPolicy):
         window: int = 100,
         min_samples: int = 10,
         min_std: float = 0.1,
-        name: str | None = None,
     ) -> None:
-        super().__init__(name)
+        super().__init__()
         if threshold <= 0 or window < 2 or min_samples < 2 or min_std <= 0:
             raise ConfigurationError(
                 "phi-accrual needs threshold > 0, window >= 2, "

@@ -56,8 +56,8 @@ class PassivePeriodicReplication(ReplicationPolicy):
 
     key = "policy.repl.passive-periodic"
 
-    def __init__(self, period: float | None = None, name: str | None = None) -> None:
-        super().__init__(name)
+    def __init__(self, period: float | None = None) -> None:
+        super().__init__()
         #: seconds between rounds; ``None`` defers to the coordinator's
         #: :class:`~repro.config.ReplicationConfig` period.
         self.period = period
@@ -104,7 +104,8 @@ class QuorumReplication(ReplicationPolicy):
 
     On restart (a fresh incarnation of a crashed coordinator), the policy
     first pulls the replicated state back from the surviving successors and
-    elects the freshest replica before resuming the push cadence.
+    waits one heart-beat period for it to merge before resuming the push
+    cadence.
     """
 
     key = "policy.repl.quorum"
@@ -113,9 +114,8 @@ class QuorumReplication(ReplicationPolicy):
         self,
         successors: int = 2,
         period: float | None = None,
-        name: str | None = None,
     ) -> None:
-        super().__init__(name)
+        super().__init__()
         from repro.errors import ConfigurationError
 
         if successors < 1:
@@ -184,7 +184,11 @@ class QuorumReplication(ReplicationPolicy):
             return
 
     def _recover(self, coordinator: "CoordinatorComponent"):
-        """Pull state back from the surviving successors, elect the freshest."""
+        """Pull state back from the surviving successors and let it merge.
+
+        Counts a recovery when some peer's state abstract has reached this
+        coordinator (in this incarnation or an earlier one).
+        """
         targets = coordinator.registry.ring_successors(
             coordinator.address, self.successors
         )
@@ -196,6 +200,5 @@ class QuorumReplication(ReplicationPolicy):
         # a healthy network; stragglers still merge through the normal
         # REPLICA_STATE path afterwards.
         yield coordinator.host.sleep(coordinator.config.detection.heartbeat_period)
-        origin = coordinator.elect_freshest_origin()
-        if origin is not None:
+        if coordinator.heard_a_replica:
             self.incr("recoveries")

@@ -83,13 +83,11 @@ class SchedulerPolicy(PolicyBase):
 
     key = "policy.sched.base"
 
-    def __init__(self, reschedule: bool = True, name: str | None = None) -> None:
-        super().__init__(name)
+    def __init__(self, reschedule: bool = True) -> None:
+        super().__init__()
         #: re-schedule all tasks of a suspected server ("on suspicion"
         #: replication) — the switch the degraded baselines turn off.
         self.reschedule = bool(reschedule)
-        #: how many assignments this policy has made (reporting).
-        self.assignments = 0
         #: how many times the de-duplication policy withheld an ongoing task.
         self.dedup_holds = 0
 
@@ -122,7 +120,6 @@ class SchedulerPolicy(PolicyBase):
         task.assigned_server = server
         task.attempts += 1
         task.started_at = now
-        self.assignments += 1
         self.incr("assignments")
         return SchedulingDecision(task=task, reason=self.key)
 
@@ -258,8 +255,8 @@ class RoundRobinSchedulerPolicy(SchedulerPolicy):
 
     key = "policy.sched.round-robin"
 
-    def __init__(self, reschedule: bool = True, name: str | None = None) -> None:
-        super().__init__(reschedule=reschedule, name=name)
+    def __init__(self, reschedule: bool = True) -> None:
+        super().__init__(reschedule=reschedule)
         self._cursor = 0
 
     def choose(

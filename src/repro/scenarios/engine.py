@@ -32,7 +32,7 @@ from repro.core.coordinator import PAID_REQUESTS_PER_TASK
 from repro.errors import ConfigurationError
 from repro.grid.builder import Grid, build_confined_cluster, build_internet_testbed
 from repro.grid.deployment import confined_cluster_spec, internet_testbed_spec
-from repro.nodes.faultgen import ChurnInjector, FaultGenerator
+from repro.nodes.faultgen import ChurnInjector
 from repro.scenarios.report import RunReport
 from repro.sim.core import SimulationError
 from repro.workloads.alcatel import AlcatelSpec
@@ -144,47 +144,36 @@ class WorkloadSpec:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """Declarative fault injection over one component tier.
+    """Declarative per-host churn over one component tier.
 
-    ``kind`` selects the injector: ``"none"`` (fault-free), ``"rate"`` (the
-    Poisson fault generator of Figure 7, parameterised by the aggregate
-    ``faults_per_minute``) or ``"churn"`` (per-host volatility driven by an
-    exponential churn model — desktop-grid style departures and returns).
+    ``kind`` selects the injector: ``"none"`` (fault-free) or ``"churn"``
+    (per-host volatility driven by an exponential churn model — desktop-grid
+    style departures and returns).
 
-    A fault plan is the typed way to build one of the registered injector
-    components (``inject.rate`` / ``inject.churn``): :meth:`component`
-    produces it, and :meth:`arm` registers it on a grid.  Scenario specs
-    name the same components directly in their ``components:`` list.
+    A fault plan is the typed way to build the registered ``inject.churn``
+    component: :meth:`component` produces it, and :meth:`arm` registers it
+    on a grid.  Scenario specs and other injectors (``inject.rate`` for
+    Poisson faults at an aggregate rate) go through a ``components:`` list.
     """
 
-    kind: str = "none"  # "none" | "rate" | "churn"
+    kind: str = "none"  # "none" | "churn"
     target: str = "servers"  # "servers" | "coordinators"
-    faults_per_minute: float = 0.0
-    restart_delay: float = 5.0
-    #: exponential churn-model parameters (kind == "churn"); a trace replay
-    #: or a permanent-departure share is an ``inject.churn`` entry's job.
+    #: exponential churn-model parameters; a trace replay or a
+    #: permanent-departure share is an ``inject.churn`` entry's job.
     mtbf: float = 600.0
     mttr: float = 30.0
 
-    def component(self) -> FaultGenerator | ChurnInjector | None:
+    def component(self) -> ChurnInjector | None:
         """The injector component this plan describes (``None`` when inert)."""
         if self.kind == "none":
             return None
+        if self.kind != "churn":
+            raise ConfigurationError(f"unknown fault plan kind {self.kind!r}")
         if self.target not in ("servers", "coordinators"):
             raise ConfigurationError(f"unknown fault target {self.target!r}")
-        if self.kind == "rate":
-            if self.faults_per_minute <= 0:
-                return None
-            return FaultGenerator(
-                target=self.target,
-                faults_per_minute=self.faults_per_minute,
-                restart_delay=self.restart_delay,
-            )
-        if self.kind == "churn":
-            return ChurnInjector(target=self.target, mtbf=self.mtbf, mttr=self.mttr)
-        raise ConfigurationError(f"unknown fault plan kind {self.kind!r}")
+        return ChurnInjector(target=self.target, mtbf=self.mtbf, mttr=self.mttr)
 
-    def arm(self, grid: Grid) -> FaultGenerator | ChurnInjector | None:
+    def arm(self, grid: Grid) -> ChurnInjector | None:
         """Register the configured injector on ``grid`` and return it (or None)."""
         component = self.component()
         return None if component is None else grid.add_component(component)
@@ -344,9 +333,8 @@ def execute_benchmark(
     """Run the workload once over the declared pieces.
 
     Build the platform, start it, launch the workload on the client, arm the
-    fault plan and the extra ``components`` (instances, registered names, or
-    ``{"name": ..., "params": ...}`` entries from a spec's ``components:``
-    list), run to completion (with the ``horizon`` safety deadline) and
+    fault plan and the extra ``components`` (instances, or ``{"name": ...,
+    "params": ...}`` entries from a spec's ``components:`` list), run to completion (with the ``horizon`` safety deadline) and
     report the numbers the paper plots.
 
     Extra components join *after* the workload process is spawned and after
@@ -471,7 +459,7 @@ def execute_benchmark(
     if lost:
         raise SimulationError(
             f"{lost} call(s) lost while their client and "
-            f"{sum(h.up for h in grid.coordinator_hosts())} coordinator(s) are up: "
+            f"{sum(c.host.up for c in grid.coordinators)} coordinator(s) are up: "
             f"{report.completed}/{report.submitted} completed at "
             f"{grid.env.now:g} s (horizon {horizon:g} s)"
         )
@@ -507,13 +495,13 @@ def _lost_calls(
     progress, not lost, in two cases: the run is measured up to its horizon
     (``run_full_horizon``) and stopped there, or no server is up to run it.
     """
-    survivors = [c for c in grid.coordinators if grid.host_of(c).up]
+    survivors = [c for c in grid.coordinators if c.host.up]
     if not survivors:
         return 0
     lost = 0
-    if grid.host_of(grid.client).up:
+    if grid.client.host.up:
         missing = [handle for handle in bench.handles if not handle.done]
-        if run_full_horizon or not any(h.up for h in grid.server_hosts()):
+        if run_full_horizon or not any(s.host.up for s in grid.servers):
             missing = [
                 handle
                 for handle in missing

@@ -37,16 +37,16 @@ _BUILTIN_MODULES: tuple[str, ...] = (
 _loaded = False
 
 
-def register(spec: ScenarioSpec, replace: bool = False) -> ScenarioSpec:
+def register(spec: ScenarioSpec) -> ScenarioSpec:
     """Register ``spec`` under its name; duplicate names are configuration errors."""
-    if not replace and spec.name in _REGISTRY and _REGISTRY[spec.name] is not spec:
+    if spec.name in _REGISTRY and _REGISTRY[spec.name] is not spec:
         raise ConfigurationError(f"scenario {spec.name!r} is already registered")
     _REGISTRY[spec.name] = spec
     return spec
 
 
 def scenario(
-    name: str | None = None, replace: bool = False
+    name: str | None = None,
 ) -> Callable[[Callable[[], ScenarioSpec]], ScenarioSpec]:
     """Decorator: build the spec now, register it, and return the spec."""
 
@@ -54,7 +54,7 @@ def scenario(
         spec = builder()
         if name is not None and spec.name != name:
             spec = spec.with_overrides(name=name)
-        return register(spec, replace=replace)
+        return register(spec)
 
     return decorator
 

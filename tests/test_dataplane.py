@@ -697,7 +697,7 @@ class TestClientPendingView:
         assert list(client._pending.values()) == _naive_pending(client) != []
 
         # A crash loses the volatile call table; the view restarts empty.
-        host = grid.host_of(client)
+        host = client.host
         host.crash()
         host.restart()
         assert list(client._pending.values()) == _naive_pending(client) == []

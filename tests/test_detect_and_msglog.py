@@ -421,7 +421,7 @@ class TestLoggingStrategies:
             LoggingStrategy.PESSIMISTIC_NON_BLOCKING: PessimisticNonBlockingLogging,
             LoggingStrategy.OPTIMISTIC: OptimisticLogging,
         }[strategy]()
-        return host, log, LoggingEngine(host, log, LoggingConfig(), policy)
+        return host, log, LoggingEngine(host, log, policy)
 
     def _run(self, env, engine, size=1_000_000):
         def proc():

@@ -291,8 +291,8 @@ class TestHandlerEndpoints:
         def receivers(host):
             return [p.name for p in host.alive_processes() if p.name.endswith(":recv")]
 
-        server, client = grid.server_hosts()[0], grid.client_hosts()[0]
-        (coordinator,) = grid.coordinator_hosts()
+        server, client = grid.hosts_of("servers")[0], grid.hosts_of("clients")[0]
+        (coordinator,) = grid.hosts_of("coordinators")
         assert receivers(server) == receivers(client) == []
         assert server.endpoint.handler and client.endpoint.handler
         assert len(receivers(coordinator)) == 1 and coordinator.endpoint.handler is None

@@ -156,7 +156,7 @@ class TestBasicExecution:
 
     def test_progress_condition_fails_without_coordinators(self):
         grid = small_grid()
-        for host in grid.coordinator_hosts():
+        for host in grid.hosts_of("coordinators"):
             host.crash()
         assert not grid.progress_condition_holds()
 
@@ -363,8 +363,8 @@ class TestDeliveredMessages:
     def test_crashes_leave_kept_messages_unchanged(self):
         """Messages a crashed mailbox drops are not reused for later sends."""
         grid = GridTopology(n_servers=4, n_coordinators=2).build(None, 3)
-        coordinator = grid.host_of(grid.coordinators[1])
-        server = grid.host_of(grid.servers[0])
+        coordinator = grid.coordinators[1].host
+        server = grid.servers[0].host
         faults = [
             (30.0, coordinator.crash),
             (40.0, server.crash),
@@ -444,7 +444,7 @@ class TestFaultTolerance:
         grid = small_grid(n_servers=2, n_coordinators=1)
         workload = SyntheticWorkload(n_calls=4, exec_time=10.0)
         process = grid.run_process(workload.run(grid.client))
-        victim = grid.server_hosts()[0]
+        victim = grid.hosts_of("servers")[0]
 
         def killer():
             yield grid.env.timeout(15.0)
@@ -461,7 +461,7 @@ class TestFaultTolerance:
         grid = small_grid(n_servers=2, n_coordinators=1)
         workload = SyntheticWorkload(n_calls=4, exec_time=10.0)
         process = grid.run_process(workload.run(grid.client))
-        victim = grid.server_hosts()[0]
+        victim = grid.hosts_of("servers")[0]
 
         def killer():
             yield grid.env.timeout(12.0)
@@ -475,7 +475,7 @@ class TestFaultTolerance:
         grid = small_grid(n_servers=2, n_coordinators=2)
         workload = SyntheticWorkload(n_calls=6, exec_time=5.0)
         process = grid.run_process(workload.run(grid.client))
-        primary_host = grid.coordinator_hosts()[0]
+        primary_host = grid.hosts_of("coordinators")[0]
 
         def killer():
             yield grid.env.timeout(8.0)
@@ -492,7 +492,7 @@ class TestFaultTolerance:
         grid = small_grid(n_servers=2, n_coordinators=2)
         workload = SyntheticWorkload(n_calls=6, exec_time=5.0)
         process = grid.run_process(workload.run(grid.client))
-        primary_host = grid.coordinator_hosts()[0]
+        primary_host = grid.hosts_of("coordinators")[0]
 
         def killer():
             # Let some state replicate first (period is 5 s on the cluster).
@@ -701,11 +701,11 @@ class TestCoordinatorRequests:
         protocol = ProtocolConfig()
         protocol.client.request_retry = 8.0
         grid = small_grid(protocol=protocol, n_servers=2, n_coordinators=2)
-        first, second = (host.address for host in grid.coordinator_hosts())
+        first, second = (host.address for host in grid.hosts_of("coordinators"))
         sent = record_sends(
             grid, grid.client.host, {MessageType.RPC_SUBMIT, MessageType.CLIENT_SYNC}
         )
-        grid.coordinator_hosts()[0].crash()
+        grid.hosts_of("coordinators")[0].crash()
         workload = SyntheticWorkload(n_calls=4, exec_time=5.0)
         process = grid.run_process(workload.run(grid.client))
         assert grid.run_until(process, timeout=3000.0)
@@ -726,7 +726,7 @@ class TestCoordinatorRequests:
 
     def test_a_late_submit_ack_answers_the_live_round_not_the_abandoned_one(self):
         grid = small_grid(n_servers=1, n_coordinators=1)
-        coordinator = grid.coordinator_hosts()[0]
+        coordinator = grid.hosts_of("coordinators")[0]
         held = []
         send = coordinator.send
 
@@ -760,7 +760,7 @@ class TestCoordinatorRequests:
         # a round still waiting on the old one takes that ack, since any
         # ack means the call is registered.
         grid = small_grid(n_servers=1, n_coordinators=2)
-        first, second = grid.coordinator_hosts()
+        first, second = grid.hosts_of("coordinators")
         held = []
         send = first.send
 
@@ -792,12 +792,12 @@ class TestCoordinatorRequests:
     def test_a_result_upload_to_a_killed_coordinator_is_acked_once_elsewhere(self):
         grid = small_grid(n_servers=1, n_coordinators=2)
         server = grid.servers[0]
-        second = grid.coordinator_hosts()[1].address
+        second = grid.hosts_of("coordinators")[1].address
         sent = record_sends(grid, server.host, {MessageType.TASK_RESULT})
         workload = SyntheticWorkload(n_calls=1, exec_time=20.0)
         process = grid.run_process(workload.run(grid.client))
         # Killed while the server executes: its upload at ~20 s goes nowhere.
-        grid.env.call_at(8.0, lambda _arg: grid.coordinator_hosts()[0].crash())
+        grid.env.call_at(8.0, lambda _arg: grid.hosts_of("coordinators")[0].crash())
         assert grid.run_until(process, timeout=3000.0)
         assert workload.completed_count() == 1
         counters = grid.monitor.counters
@@ -811,7 +811,7 @@ class TestCoordinatorRequests:
 
     def test_a_sync_with_a_dead_coordinator_times_out_with_none(self):
         grid = small_grid(n_servers=1, n_coordinators=2)
-        dead = grid.coordinator_hosts()[1]
+        dead = grid.hosts_of("coordinators")[1]
         dead.crash()
         outcome = []
 
@@ -839,7 +839,7 @@ class TestCoordinatorRequests:
         protocol = ProtocolConfig()
         protocol.client.request_retry = 12.0
         grid = small_grid(protocol=protocol, n_servers=2, n_coordinators=3)
-        dead, new, _third = grid.coordinator_hosts()
+        dead, new, _third = grid.hosts_of("coordinators")
         first, second = dead.address, new.address
         sent = record_sends(
             grid, grid.client.host, {MessageType.RPC_SUBMIT, MessageType.CLIENT_SYNC}
@@ -867,7 +867,7 @@ class TestCoordinatorRequests:
 
     def test_a_sync_reply_resumes_only_the_sync_sent_to_its_sender(self):
         grid = small_grid(n_servers=1, n_coordinators=2)
-        live, dead = grid.coordinator_hosts()
+        live, dead = grid.hosts_of("coordinators")
         dead.crash()
         outcome = {}
 
@@ -895,7 +895,7 @@ class TestCoordinatorRequests:
         protocol = ProtocolConfig()
         protocol.coordinator.replication.period = 1e6
         grid = small_grid(protocol=protocol, n_servers=1, n_coordinators=2)
-        first, second = grid.coordinator_hosts()
+        first, second = grid.hosts_of("coordinators")
         client = grid.client
         plans = []
 

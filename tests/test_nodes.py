@@ -230,13 +230,13 @@ class TestFaultGenerator:
         grid.run(until=400.0)
         assert generator.injected > 0
         assert generator.injected == grid.monitor.count("faultgen.kills")
-        assert all(host.up for host in grid.server_hosts())
+        assert all(host.up for host in grid.hosts_of("servers"))
 
     def test_host_restarts_after_the_delay(self):
         grid = _small_grid()
         generator = grid.add_component(FaultGenerator(restart_delay=5.0))
         grid.start()
-        host = grid.server_hosts()[0]
+        host = grid.hosts_of("servers")[0]
         generator.kill(host)
         grid.run(until=4.0)
         assert not host.up
@@ -248,7 +248,7 @@ class TestFaultGenerator:
         grid = _small_grid()
         generator = grid.add_component(FaultGenerator(restart_delay=float("inf")))
         grid.start()
-        host = grid.server_hosts()[0]
+        host = grid.hosts_of("servers")[0]
         generator.kill(host)
         grid.run(until=100.0)
         assert not host.up
@@ -269,7 +269,7 @@ class TestFaultScript:
             {"time": 10.0, "action": "kill", "target": "coordinator:cluster"},
         ]))
         grid.start()
-        host = grid.coordinator_hosts()[0]
+        host = grid.hosts_of("coordinators")[0]
         grid.run(until=15.0)
         assert not host.up
         grid.run(until=25.0)
@@ -279,13 +279,13 @@ class TestFaultScript:
 
     def test_timetable_accepts_bare_names_like_steps(self):
         grid = _small_grid()
-        grid.add_component("inject.script", {
+        grid.add_component({"name": "inject.script", "params": {
             "events": [{"time": 5.0, "action": "kill", "target": "s000"}],
             "steps": [{"after": 5.0, "do": "kill", "target": "s001"}],
-        })
+        }})
         grid.start()
         grid.run(until=6.0)
-        assert [host.up for host in grid.server_hosts()] == [False, False]
+        assert [host.up for host in grid.hosts_of("servers")] == [False, False]
 
     def test_injected_counts_timetable_and_step_kills_of_live_hosts(self):
         grid = _small_grid()

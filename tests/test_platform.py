@@ -1,21 +1,20 @@
-"""Tests for the component platform (manager, builder, registry, library)."""
+"""Tests for the component platform (grid lifecycle, registry, library)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.grid.builder import build_confined_cluster, build_grid
-from repro.grid.deployment import confined_cluster_spec
+from repro.grid.builder import build_confined_cluster
 from repro.platform import (
     BaseComponent,
-    ComponentManager,
     component,
     create_component,
     resolve_component,
 )
 from repro.nodes.faultgen import ChurnInjector, FaultGenerator, FaultScript
 from repro.platform.library import PartitionSchedule
+from repro.policies import make_policy
 from repro.scenarios.engine import interpolate_params
 from repro.scenarios.runner import SweepRunner
 from repro.scenarios.spec import Axis, ScenarioSpec
@@ -28,7 +27,7 @@ class Recorder(BaseComponent):
         super().__init__(name)
         self.log = log
 
-    def setup(self, builder):
+    def setup(self, grid):
         self.log.append(f"setup:{self.name}")
 
     def start(self):
@@ -38,73 +37,148 @@ class Recorder(BaseComponent):
         self.log.append(f"stop:{self.name}")
 
 
-class TestComponentManager:
-    def test_lifecycle_ordering(self):
-        log: list[str] = []
-        manager = ComponentManager()
-        for name in ("a", "b", "c"):
-            manager.add(Recorder(name, log))
-        assert manager.phase == "registration"
-        manager.setup_all(object())
-        assert log == ["setup:a", "setup:b", "setup:c"]
-        manager.start_all()
-        assert log[3:] == ["start:a", "start:b", "start:c"]
-        manager.stop_all()
-        assert log[6:] == ["stop:c", "stop:b", "stop:a"]
-        assert manager.phase == "stopped"
+class TestGridLifecycle:
+    def _tiers_logged(self, grid, log):
+        """Make every tier component log its start and stop into ``log``."""
+        for tier in (*grid.coordinators, *grid.servers, *grid.clients):
+            for phase in ("start", "stop"):
+                method = getattr(tier, phase)
 
-    def test_late_add_catches_up(self):
+                def logged(method=method, phase=phase, name=tier.name):
+                    log.append(f"{phase}:{name}")
+                    method()
+
+                setattr(tier, phase, logged)
+
+    def test_tiers_start_in_order_then_extras_and_stop_in_reverse(self):
         log: list[str] = []
-        manager = ComponentManager()
-        manager.add(Recorder("a", log))
-        manager.setup_all(object())
-        manager.start_all()
-        manager.add(Recorder("late", log))
-        assert "setup:late" in log and "start:late" in log
-        manager.stop_all()
+        grid = build_confined_cluster(n_servers=2, n_coordinators=2)
+        assert grid.phase == "built"
+        assert list(grid.components) == [
+            "coordinator:cluster-k0", "coordinator:cluster-k1",
+            "server:s000", "server:s001", "client:c0",
+        ]
+        assert grid.components["client:c0"] is grid.client
+        self._tiers_logged(grid, log)
+        for name in ("a", "b"):
+            grid.add_component(Recorder(name, log))
+        assert log == ["setup:a", "setup:b"]
+        grid.start()
+        assert log[2:] == [
+            "start:coordinator:cluster-k0", "start:coordinator:cluster-k1",
+            "start:server:s000", "start:server:s001", "start:client:c0",
+            "start:a", "start:b",
+        ]
+        assert grid.phase == "running" and grid.client.started
+        del log[:]
+        grid.stop()
+        assert log == [
+            "stop:b", "stop:a", "stop:client:c0", "stop:server:s001",
+            "stop:server:s000", "stop:coordinator:cluster-k1",
+            "stop:coordinator:cluster-k0",
+        ]
+        assert grid.phase == "stopped"
+        assert grid.client._heartbeat.stopped
+
+    def test_a_late_join_is_set_up_and_started(self):
+        log: list[str] = []
+        grid = build_confined_cluster(n_servers=1, n_coordinators=1)
+        grid.add_component(Recorder("a", log))
+        grid.start()
+        grid.add_component(Recorder("late", log))
+        assert log == ["setup:a", "start:a", "setup:late", "start:late"]
+        grid.stop()
         # The late component started last, so it stops first.
         assert log[-2:] == ["stop:late", "stop:a"]
 
-    def test_add_during_setup_is_picked_up(self):
+    def test_a_child_added_in_setup_starts_after_its_parent(self):
         log: list[str] = []
-        manager = ComponentManager()
+        grid = build_confined_cluster(n_servers=1, n_coordinators=1)
 
         class Parent(Recorder):
-            def setup(self, builder):
-                super().setup(builder)
-                manager.add(Recorder("child", log))
+            def setup(self, grid):
+                super().setup(grid)
+                grid.add_component(Recorder("child", log))
 
-        manager.add(Parent("parent", log))
-        manager.setup_all(object())
+        grid.add_component(Parent("parent", log))
         assert log == ["setup:parent", "setup:child"]
+        grid.start()
+        assert log[2:] == ["start:parent", "start:child"]
 
     def test_duplicate_names_and_stopped_adds_raise(self):
         log: list[str] = []
-        manager = ComponentManager()
-        manager.add(Recorder("a", log))
+        grid = build_confined_cluster(n_servers=1, n_coordinators=1)
+        grid.add_component(Recorder("a", log))
         with pytest.raises(ConfigurationError, match="already registered"):
-            manager.add(Recorder("a", log))
-        manager.setup_all(object())
-        manager.start_all()
-        manager.stop_all()
+            grid.add_component(Recorder("a", log))
+        with pytest.raises(ConfigurationError, match="already registered"):
+            grid.add_component(Recorder("client:c0", log))
+        grid.start()
+        grid.stop()
         with pytest.raises(ConfigurationError, match="stopped"):
-            manager.add(Recorder("b", log))
+            grid.add_component(Recorder("b", log))
+        with pytest.raises(ConfigurationError, match="stopped"):
+            grid.start()
 
     def test_contract_errors(self):
-        manager = ComponentManager()
+        grid = build_confined_cluster(n_servers=1, n_coordinators=1)
         with pytest.raises(ConfigurationError, match="Component"):
-            manager.add(object())
+            grid.add_component(object())
+        # A bare name is not an entry: entries are {"name", "params"} mappings.
+        with pytest.raises(ConfigurationError, match="Component"):
+            grid.add_component("inject.churn")
+        with pytest.raises(ConfigurationError, match="unknown component"):
+            grid.add_component({"name": "no-such-component"})
+        assert len(grid.components) == 3
+
+    def test_setup_receives_the_grid_itself(self):
+        seen = []
+
+        class Probe(Recorder):
+            def setup(self, grid):
+                seen.append(grid)
+
+        grid = build_confined_cluster(n_servers=1, n_coordinators=1)
+        grid.add_component(Probe("probe", []))
+        assert seen == [grid]
+
+    def test_a_policy_does_not_join_a_grid(self):
+        # Policies belong to one protocol component each (make_policy); they
+        # are not platform components.
+        grid = build_confined_cluster(n_servers=1, n_coordinators=1)
+        with pytest.raises(ConfigurationError, match="Component"):
+            grid.add_component(make_policy("scheduler", "policy.sched.random"))
+        with pytest.raises(ConfigurationError, match="Component protocol"):
+            grid.add_component({"name": "policy.sched.random"})
 
     def test_idempotent_start_and_stop(self):
         log: list[str] = []
-        manager = ComponentManager()
-        manager.add(Recorder("a", log))
-        manager.setup_all(object())
-        manager.start_all()
-        manager.start_all()
-        manager.stop_all()
-        manager.stop_all()
+        grid = build_confined_cluster(n_servers=1, n_coordinators=1)
+        grid.add_component(Recorder("a", log))
+        grid.start()
+        grid.start()
+        grid.stop()
+        grid.stop()
         assert log == ["setup:a", "start:a", "stop:a"]
+
+    def test_entries_join_by_name_with_params(self):
+        grid = build_confined_cluster(n_servers=2, n_coordinators=1)
+        churn = grid.add_component(
+            {"name": "inject.churn",
+             "params": {"target": "servers", "mtbf": 30.0, "mttr": 5.0}}
+        )
+        schedule = grid.add_component({
+            "name": "net.partition-schedule",
+            "params": {"events": [{"time": 0, "action": "hide",
+                                   "dest": "clients", "source": "servers"}]},
+        })
+        assert grid.components["churn-servers"] is churn
+        assert grid.components["partition-schedule"] is schedule
+        assert len(churn.hosts) == 2  # setup ran
+        grid.start()
+        grid.run(until=120.0)
+        assert churn.injected > 0
+        assert schedule.injected == 1
 
 
 class TestComponentRegistry:
@@ -160,87 +234,39 @@ class TestComponentRegistry:
             component("test.dup-probe")(Recorder)
 
     def test_a_registration_forgets_remembered_lookups(self):
-        # resolve_component remembers its answers; neither a replacement nor
-        # a name registered after a failed lookup may be shadowed by one.
+        # resolve_component remembers its answers; a name registered after a
+        # failed lookup must not be shadowed by it, and every registration
+        # forgets what was remembered.
         with pytest.raises(ConfigurationError, match="unknown component"):
             resolve_component("test.late-probe")
         component("test.late-probe")(Recorder)
         assert resolve_component("test.late-probe") is Recorder
-        component("test.late-probe", replace=True)(BaseComponent)
-        assert resolve_component("test.late-probe") is BaseComponent
+        assert resolve_component.cache_info().currsize > 0
+        component("test.later-probe")(BaseComponent)
+        assert resolve_component.cache_info().currsize == 0
+        assert resolve_component("test.later-probe") is BaseComponent
+        assert resolve_component("test.late-probe") is Recorder
 
 
-class TestBuilderFacade:
-    def test_exposes_the_cross_cutting_capabilities(self):
-        grid = build_confined_cluster(n_servers=2, n_coordinators=2)
-        builder = grid.builder
-        assert builder.env is grid.env
-        assert builder.network is grid.network
-        assert builder.rng is grid.rng
-        assert builder.monitor is grid.monitor
-        assert builder.services is grid.services
-        assert builder.partitions is grid.partitions
-        assert builder.config is grid.spec.protocol
-        assert builder.rng.stream("x") is grid.rng.stream("x")
-
+class TestHostLookup:
     def test_host_selectors(self):
         grid = build_confined_cluster(n_servers=3, n_coordinators=2)
-        builder = grid.builder
-        assert len(builder.hosts("servers")) == 3
-        assert len(builder.hosts("coordinators")) == 2
-        assert len(builder.hosts("clients")) == 1
-        assert len(builder.hosts("all")) == 6
-        assert builder.host("server:s000").address.name == "s000"
-        assert builder.host("s001").address.name == "s001"
-        with pytest.raises(ConfigurationError, match="unknown host tier"):
-            builder.hosts("printers")
+        assert len(grid.hosts_of("servers")) == 3
+        assert len(grid.hosts_of("coordinators")) == 2
+        assert len(grid.hosts_of("clients")) == 1
+        assert grid.hosts_of("servers")[0] is grid.servers[0].host
+        for tier in ("printers", "all"):
+            with pytest.raises(ConfigurationError, match="unknown host tier"):
+                grid.hosts_of(tier)
+
+    def test_host_by_address_full_name_or_bare_name(self):
+        grid = build_confined_cluster(n_servers=3, n_coordinators=2)
+        server = grid.servers[0].host
+        assert grid.host(server.address) is server
+        assert grid.host("server:s000") is server
+        assert grid.host("s001").address.name == "s001"
         with pytest.raises(ConfigurationError, match="no host"):
-            builder.host("mainframe")
-
-
-class TestGridOnThePlatform:
-    def test_tiers_are_registered_components(self):
-        grid = build_confined_cluster(n_servers=2, n_coordinators=2)
-        names = list(grid.manager._by_name)
-        assert names[:2] == ["coordinator:cluster-k0", "coordinator:cluster-k1"]
-        assert names[2:4] == ["server:s000", "server:s001"]
-        assert names[4] == "client:c0"
-        assert grid.manager._by_name["client:c0"] is grid.client
-
-    def test_start_stop_drive_the_manager(self):
-        grid = build_confined_cluster(n_servers=1, n_coordinators=1)
-        assert grid.manager.phase == "setup"  # built: set up, not started
-        grid.start()
-        assert grid.manager.phase == "running" and grid.client.started
-        grid.stop()
-        assert grid.manager.phase == "stopped"
-        assert grid.client._heartbeat.stopped
-
-    def test_build_grid_accepts_component_entries(self):
-        spec = confined_cluster_spec(n_servers=2, n_coordinators=1)
-        grid = build_grid(
-            spec,
-            components=[
-                ("inject.churn", {"target": "servers", "mtbf": 30.0, "mttr": 5.0}),
-                {
-                    "name": "net.partition-schedule",
-                    "params": {"events": [{"time": 0, "action": "hide",
-                                           "dest": "clients", "source": "servers"}]},
-                },
-            ],
-        )
-        components = grid.manager._by_name
-        churn, schedule = components["churn-servers"], components["partition-schedule"]
-        assert len(churn.hosts) == 2  # setup ran
-        grid.start()
-        grid.run(until=120.0)
-        assert churn.injected > 0
-        assert schedule.injected == 1
-
-    def test_instance_entries_with_params_raise(self):
-        grid = build_confined_cluster(n_servers=1, n_coordinators=1)
-        with pytest.raises(ConfigurationError, match="by name"):
-            grid.add_component(ChurnInjector(), params={"mtbf": 1.0})
+            grid.host("mainframe")
 
 
 class TestLibraryComponents:
@@ -251,19 +277,20 @@ class TestLibraryComponents:
             {"time": 12.0, "action": "restart", "target": "server:s000"},
         ]))
         grid.start()
-        host = grid.builder.host("server:s000")
+        host = grid.host("server:s000")
         grid.run(until=8.0)
         assert not host.up
         grid.run(until=15.0)
         assert host.up
 
     def test_scripted_faults_reject_unknown_targets(self):
-        spec = confined_cluster_spec(n_servers=1, n_coordinators=1)
+        grid = build_confined_cluster(n_servers=1, n_coordinators=1)
         with pytest.raises(ConfigurationError, match="unknown hosts"):
-            build_grid(spec, components=[
-                ("inject.script",
-                 {"events": [{"time": 1.0, "action": "kill", "target": "ghost"}]}),
-            ])
+            grid.add_component({
+                "name": "inject.script",
+                "params": {"events": [{"time": 1.0, "action": "kill",
+                                       "target": "ghost"}]},
+            })
 
     def test_partition_schedule_hides_one_way_at_start(self):
         grid = build_confined_cluster(n_servers=2, n_coordinators=1)
@@ -317,9 +344,9 @@ class FirstServerKiller(BaseComponent):
         self.at = at
         self.injected = 0
 
-    def setup(self, builder):
-        self.env = builder.env
-        self.victim = builder.hosts("servers")[0]
+    def setup(self, grid):
+        self.env = grid.env
+        self.victim = grid.hosts_of("servers")[0]
 
     def start(self):
         _CUSTOM_STARTS.append(self.name)
@@ -335,7 +362,7 @@ class FirstServerKiller(BaseComponent):
 
 class TestCustomComponentFromSpec:
     def test_spec_components_drive_a_custom_injector(self):
-        """A new injector is a class + decorator + spec entry — no builder edits."""
+        """A new injector is a class + decorator + spec entry — no grid edits."""
         from repro.scenarios.engine import benchmark_cell
 
         spec = ScenarioSpec(

@@ -63,8 +63,11 @@ class TestRegistryRoundTrip:
         ):
             assert resolve_component(name).key == name
 
-    def test_create_component_round_trip(self):
-        policy = create_component("policy.sched.round-robin", {"reschedule": False})
+    def test_make_policy_round_trip(self):
+        policy = make_policy(
+            "scheduler",
+            {"name": "policy.sched.round-robin", "params": {"reschedule": False}},
+        )
         assert isinstance(policy, RoundRobinSchedulerPolicy)
         assert policy.reschedule is False
         assert policy.key == "policy.sched.round-robin"
@@ -455,9 +458,9 @@ def _error_cell(seed: int = 0, **_: object) -> dict:
 class TestScriptedStepsAndPartitionedViews:
     def test_scripted_steps_fire_on_conditions(self):
         grid = build_confined_cluster(n_servers=2, n_coordinators=2, seed=5)
-        script = grid.add_component(
-            "inject.script",
-            {
+        script = grid.add_component({
+            "name": "inject.script",
+            "params": {
                 "steps": [
                     {"do": "note", "label": 1, "note": "armed"},
                     {"after": 3.0, "do": "kill", "target": "server:s000",
@@ -466,7 +469,7 @@ class TestScriptedStepsAndPartitionedViews:
                      "label": 3, "note": "restarted"},
                 ]
             },
-        )
+        })
         grid.start()
         grid.run(until=10.0)
         assert [record["label"] for record in script.recorded] == [1, 2, 3]
@@ -491,27 +494,27 @@ class TestScriptedStepsAndPartitionedViews:
     def test_scripted_steps_fail_fast_on_unknown_condition_coordinators(self):
         grid = build_confined_cluster(n_servers=1, n_coordinators=2, seed=5)
         with pytest.raises(ConfigurationError, match="unknown coordinators"):
-            grid.add_component(
-                "inject.script",
-                {"steps": [{
+            grid.add_component({
+                "name": "inject.script",
+                "params": {"steps": [{
                     "until": {"kind": "finished-count", "coordinator": "lile",
                               "at_least": 1},
                     "do": "note",
                 }]},
-            )
+            })
 
     def test_partition_schedule_tier_hide_is_bidirectional(self):
         grid = build_confined_cluster(n_servers=2, n_coordinators=2, seed=5)
         hidden = grid.coordinators[0].address
-        grid.add_component(
-            "net.partition-schedule",
-            {
+        grid.add_component({
+            "name": "net.partition-schedule",
+            "params": {
                 "events": [
                     {"time": 0, "action": "hide", "dest": str(hidden),
                      "source": "servers", "bidirectional": True},
                 ]
             },
-        )
+        })
         grid.start()
         for server in grid.servers:
             assert not grid.partitions.allows(server.address, hidden)

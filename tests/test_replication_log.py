@@ -54,7 +54,7 @@ class TestRetireOnAck:
         grid.start()
         coordinator = grid.coordinators[0]
         keys = coordinator.preload_tasks(_calls(3))
-        host = grid.host_of(coordinator)
+        host = coordinator.host
         outcome = {}
 
         def round_():
@@ -80,9 +80,9 @@ class TestRetireOnAck:
         grid.start()
         coordinator = grid.coordinators[0]
         keys = coordinator.preload_tasks(_calls(3))
-        backup = grid.host_of(grid.coordinators[1])
+        backup = grid.coordinators[1].host
         backup.crash()
-        host = grid.host_of(coordinator)
+        host = coordinator.host
         outcome = {}
 
         def round_():
@@ -365,3 +365,36 @@ class TestNoCallLostWhileACoordinatorSurvives:
                 components=[{"name": "inject.script", "params": {"events": [kill]}}],
                 run_full_horizon=run_full_horizon,
             )
+
+
+class TestQuorumRecovery:
+    """A restarted coordinator counts a quorum recovery once some peer's
+    replica has reached it, in this incarnation or an earlier one."""
+
+    def _recoveries(self, peers_replicate_first: bool) -> float:
+        protocol = ProtocolConfig()
+        protocol.policy = PolicyConfig(
+            replication={"name": "policy.repl.quorum", "params": {"successors": 2}}
+        )
+        grid = build_confined_cluster(
+            n_servers=1, n_coordinators=3, protocol=protocol, seed=1
+        )
+        grid.start()
+        first, *peers = grid.coordinators
+        for peer in peers:
+            peer.preload_tasks(_calls(3))
+        grid.run(until=150.0 if peers_replicate_first else 0.5)
+        assert first.heard_a_replica is peers_replicate_first
+        # With every peer down, the restart's pulls go unanswered.
+        for peer in peers:
+            peer.host.crash()
+        first.host.crash()
+        first.host.restart()
+        grid.run(until=grid.env.now + 150.0)
+        return grid.monitor.counter("policy.repl.quorum.recoveries").value
+
+    def test_a_replica_heard_before_the_crash_counts(self):
+        assert self._recoveries(peers_replicate_first=True) == 1
+
+    def test_no_replica_ever_heard_counts_nothing(self):
+        assert self._recoveries(peers_replicate_first=False) == 0

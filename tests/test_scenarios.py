@@ -28,7 +28,7 @@ from repro.scenarios import (
     get_scenario,
     run_scenario,
 )
-from repro.nodes.faultgen import ChurnInjector, FaultGenerator
+from repro.nodes.faultgen import ChurnInjector
 from repro.scenarios.engine import (
     FaultPlan,
     GridTopology,
@@ -309,23 +309,6 @@ class TestFaultArming:
             record_fault_streams=True,
         ).outputs()
 
-    def test_rate_plan_equals_its_components_entry(self):
-        topology = GridTopology(n_servers=4, n_coordinators=2)
-        planned = self._outputs(
-            topology,
-            FaultPlan(kind="rate", target="servers", faults_per_minute=6.0,
-                      restart_delay=2.0),
-        )
-        entry = self._outputs(topology, components=[{
-            "name": "inject.rate",
-            "params": {"target": "servers", "faults_per_minute": 6.0,
-                       "restart_delay": 2.0},
-        }])
-        assert planned == entry
-        assert planned["faults_injected"] > 0
-        streams = planned["fault_streams"]
-        assert any(name.startswith("faultgen-servers.") for name in streams)
-
     def test_churn_plan_equals_its_components_entry(self):
         topology = GridTopology(n_servers=4, n_coordinators=3)
         planned = self._outputs(
@@ -360,13 +343,12 @@ class TestFaultArming:
 
     def test_arm_returns_the_registered_component(self):
         grid = build_confined_cluster(n_servers=2, n_coordinators=1)
-        rate = FaultPlan(kind="rate", faults_per_minute=1.0).arm(grid)
         churn = FaultPlan(kind="churn", target="coordinators").arm(grid)
-        assert isinstance(rate, FaultGenerator) and isinstance(churn, ChurnInjector)
-        assert grid.manager._by_name["faultgen-servers"] is rate
-        assert grid.manager._by_name["churn-coordinators"] is churn
+        assert isinstance(churn, ChurnInjector)
+        assert grid.components["churn-coordinators"] is churn
         assert FaultPlan().arm(grid) is None
-        assert FaultPlan(kind="rate").arm(grid) is None
+        with pytest.raises(ConfigurationError, match="unknown fault plan kind"):
+            FaultPlan(kind="rate").arm(grid)
 
 
 class TestUnreadCellParameters:
@@ -554,8 +536,8 @@ class _EnvironmentRef(BaseComponent):
         super().__init__("test.environment-ref")
         self.ref: weakref.ref | None = None
 
-    def setup(self, builder) -> None:
-        self.ref = weakref.ref(builder.env)
+    def setup(self, grid) -> None:
+        self.ref = weakref.ref(grid.env)
 
 
 def _environment_ref_cell(seed: int = 0, **_: object) -> dict:

@@ -39,6 +39,7 @@ from repro.policies.scheduling import (
     RoundRobinSchedulerPolicy,
     _sjf_key,
 )
+from repro.sim.monitor import Monitor
 from repro.sim.rng import RandomStreams
 from repro.types import Address, CallIdentity, TaskState
 
@@ -248,7 +249,7 @@ class TestIndexEquivalence:
                     upgrade.state = TaskState.FINISHED
                     upgrade.owner = peer
                     incoming[upgrade.identity] = upgrade
-                state = build_state(peer, incoming, {}, [], now=now)
+                state = build_state(peer, incoming, {}, [])
                 outcome = merge_state(tasks, {}, state)
                 for identity in outcome.changed:
                     key = identity
@@ -311,7 +312,10 @@ class TestIndexEquivalence:
         index = TaskIndex(indexed_tasks)
         # Same RNG stream (random) and same cursor (round-robin) on both sides.
         scan_policy = policy_cls().bind(MY_NAME, rng=RandomStreams(5))
-        indexed_policy = policy_cls().bind(MY_NAME, rng=RandomStreams(5))
+        monitor = Monitor()
+        indexed_policy = policy_cls().bind(
+            MY_NAME, rng=RandomStreams(5), monitor=monitor
+        )
         suspected = lambda owner: owner == "k1"  # noqa: E731
         scan_assignments = scan_holds = 0
 
@@ -332,7 +336,8 @@ class TestIndexEquivalence:
             assert b.task is not None
             assert a.identity == b.task.identity
             index.note(b.task)
-        assert scan_assignments == indexed_policy.assignments == 61
+        assignments = monitor.counter(f"{indexed_policy.key}.assignments").value
+        assert scan_assignments == assignments == 61
         assert scan_holds == indexed_policy.dedup_holds
 
 
@@ -353,8 +358,8 @@ class IndexAudit(BaseComponent):
         self.grids: list = []
         self.checks = 0
 
-    def setup(self, builder) -> None:
-        self.grids.append(builder.grid)
+    def setup(self, grid) -> None:
+        self.grids.append(grid)
 
     def start(self) -> None:
         for n, coordinator in enumerate(self.grids[-1].coordinators):
