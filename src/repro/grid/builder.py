@@ -65,9 +65,9 @@ class Grid:
     hosts: dict[Address, Host] = field(default_factory=dict)
     #: every component by name, in start order: the protocol tiers, then
     #: the extra components in the order they joined.
-    components: dict[str, Component] = field(default_factory=dict)
+    components: dict[str, Component] = field(default_factory=dict, init=False)
     #: ``"built"`` (set up, not started), ``"running"`` or ``"stopped"``.
-    phase: str = "built"
+    phase: str = field(default="built", init=False)
 
     # ------------------------------------------------------------------ access
     @property
@@ -386,7 +386,6 @@ def build_grid(
     # -- set up once every tier is in place: a coordinator meets its peers ----
     for component in (*grid.coordinators, *grid.servers, *grid.clients):
         grid.components[component.name] = component
-    for component in grid.components.values():
         component.setup(grid)
     return grid
 
