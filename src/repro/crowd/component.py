@@ -104,6 +104,8 @@ class CrowdComponent(BaseComponent):
         self.monitor = None
         self.host: Host | None = None
         self.table = None
+        #: the table's tallies, kept by stop() when it drops the table.
+        self._final_tallies: dict[str, int] = {}
         self.shards: ShardMap | None = None
         self.registry: CoordinatorRegistry | None = None
         # Resolved once by setup(): per-send / per-tick paths pay no
@@ -188,10 +190,16 @@ class CrowdComponent(BaseComponent):
             self.env.call_at(self.surge_at, self._apply_surge)
 
     def stop(self) -> None:
+        """Stop ticking, and drop the population table once its tallies are
+        kept: it is the tier's one large object, and stats() reads nothing
+        else of it."""
         self.started = False
         if self._tick_handle is not None:
             self._tick_handle.cancel()
             self._tick_handle = None
+        if self.table is not None:
+            self._final_tallies = self._tallies()
+            self.table = None
 
     def _apply_surge(self, _arg=None) -> None:
         if not self.started:
@@ -374,18 +382,27 @@ class CrowdComponent(BaseComponent):
         self.monitor.sample(f"crowd.handoff_latency.{self.label}", self.env.now, latency)
 
     # --------------------------------------------------------------- reporting
+    def _tallies(self) -> dict[str, int]:
+        """The population table's completion and per-state tallies."""
+        table = self.table
+        if table is None:
+            return self._final_tallies
+        return {
+            "completed": table.completed,
+            "duplicate_completions": table.duplicate_completions,
+            **table.counts(),
+        }
+
     def stats(self) -> dict[str, Any]:
         """Flat numeric snapshot (stamped into RunReport as ``crowd_*``)."""
-        counts = self.table.counts() if self.table is not None else {}
+        tallies = self._tallies()
         return {
             "clients": self.n_clients,
-            "completed": self.table.completed if self.table is not None else 0,
-            "duplicate_completions": (
-                self.table.duplicate_completions if self.table is not None else 0
-            ),
-            "idle": counts.get("idle", 0),
-            "pending": counts.get("pending", 0),
-            "inflight": counts.get("inflight", 0),
+            "completed": tallies.get("completed", 0),
+            "duplicate_completions": tallies.get("duplicate_completions", 0),
+            "idle": tallies.get("idle", 0),
+            "pending": tallies.get("pending", 0),
+            "inflight": tallies.get("inflight", 0),
             "ticks": self.ticks,
             "client_ticks": self.client_ticks,
             "batches_sent": self.batches_sent,

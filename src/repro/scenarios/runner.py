@@ -41,15 +41,25 @@ def _execute_cell(
 
     A finished grid is cyclic garbage (host ↔ component ↔ process ↔
     environment) and the drain leaves its collection to whoever owns the run
-    (see :meth:`~repro.sim.core.Environment.run`).  The young-generation
-    collection here frees each cell before the next one is built, so a
-    sweep holds one cell's memory, not every finished cell's; it is inside
-    the timed window because the cell owes it.
+    (see :meth:`~repro.sim.core.Environment.run`).  The collection here
+    frees each cell before the next one is built, so a sweep holds one
+    cell's memory, not every finished cell's; it is inside the timed window
+    because the cell owes it.  It is a young-generation collection, unless
+    the collector ran one of its own older generations during the cell:
+    that promoted the live grid into the oldest generation, which only a
+    full collection reaches.
     """
     started = time.perf_counter()
+    older = _older_collections()
     outputs = cell(**call_params)
-    gc.collect(1)
+    gc.collect(1 if _older_collections() == older else 2)
     return outputs, time.perf_counter() - started
+
+
+def _older_collections() -> int:
+    """Collections of the two older generations so far in this process."""
+    stats = gc.get_stats()
+    return stats[1]["collections"] + stats[2]["collections"]
 
 
 class SweepRunner:

@@ -902,7 +902,11 @@ class Environment:
         heap_size = len(self._queue)
         if heap_size > self.peak_heap_size:
             self.peak_heap_size = heap_size
-        self._queue = [
+        # In place: a cancel can run from a finished grid's garbage (a
+        # suspended process's ``finally`` when the collector finalizes it),
+        # and a new list there would reference that garbage from outside
+        # it, so the collector would revive the whole grid instead.
+        self._queue[:] = [
             entry for entry in self._queue
             if entry[2] is None or not entry[2]._cancelled
         ]

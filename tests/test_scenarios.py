@@ -38,7 +38,9 @@ from repro.scenarios.engine import (
     interpolate_params,
     resolve_protocol,
 )
+from repro.scenarios import runner as runner_module
 from repro.scenarios.runner import SweepRunner
+from repro.sim.core import Environment
 from repro.types import CallIdentity, TaskState
 
 EXPECTED_SCENARIOS = {
@@ -553,6 +555,10 @@ def _environment_ref_cell(seed: int = 0, **_: object) -> dict:
     return {"completed": report.completed, "environment": probe.ref}
 
 
+def _live_environments() -> int:
+    return sum(type(o) is Environment for o in gc.get_objects())
+
+
 class TestCellBoundary:
     def test_a_finished_cell_is_reclaimed_at_the_cell_boundary(self):
         """A finished grid is cyclic garbage; the runner frees it before the
@@ -572,6 +578,27 @@ class TestCellBoundary:
             gc.enable()
         assert [row["completed"] for row in result.rows] == [4, 4]
         assert alive == [False, False]
+
+    def test_no_finished_grid_outlives_its_cell(self, monkeypatch):
+        """After every cell of a tiny fig7 sweep, no environment is left.
+
+        Counted in the collector's own object list, not through weak
+        references: the collector clears those before it runs finalizers,
+        so a grid that a finalizer revived would read as freed.
+        """
+        execute = runner_module._execute_cell
+        left = []
+
+        def counted(cell, call_params):
+            outcome = execute(cell, call_params)
+            left.append(_live_environments())
+            return outcome
+
+        monkeypatch.setattr(runner_module, "_execute_cell", counted)
+        gc.collect()
+        before = _live_environments()
+        run_scenario("fig7", scale="tiny", jobs=1, seeds=[1])
+        assert len(left) > 1 and set(left) == {before}
 
     @staticmethod
     def _loaded_after_a_sequential_sweep(*packages: str) -> str:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.sim.core import (
@@ -966,6 +968,41 @@ class TestTimers:
         assert env.queue_stats()["compactions"] == 1
         env.run()
         assert fired == list(range(1, 2 * floor, 2))
+
+    def test_a_finished_run_is_freed_by_a_young_collection(self):
+        """A finished run is cyclic garbage whose suspended waits have
+        ``finally`` blocks: the collector finalizes them, their expiries
+        are cancelled, and the compaction that follows must not revive the
+        run through a heap entry that leads back to it.
+
+        Counted in the collector's object list: weak references are
+        cleared before finalizers run, so they cannot see a revival.
+        """
+        floor = Environment._COMPACTION_MIN_DEAD
+
+        class Component:
+            def __init__(self, env):
+                self.env = env
+
+            def tick(self, _arg):
+                pass
+
+        def wait(env):
+            yield from env.wait_any([env.event()], timeout=100.0)
+
+        def live():
+            return sum(type(o) is Environment for o in gc.get_objects())
+
+        gc.collect()
+        before = live()
+        env = Environment()
+        for _ in range(4 * floor):
+            env.process(wait(env))
+        env.call_at(50.0, Component(env).tick)
+        env.run(until=1.0)
+        del env
+        gc.collect(1)
+        assert live() == before
 
     def test_a_cancel_after_compaction_starts_a_fresh_tombstone_count(self, env):
         floor = Environment._COMPACTION_MIN_DEAD
