@@ -116,7 +116,7 @@ class CoordinatorConfig:
     #: the database costs.  This is what produces the paper's ~17 %
     #: infrastructure overhead on the 96x10 s benchmark.  A work request
     #: that nothing is eligible for translates no job and reads only the
-    #: in-memory task index, so its NO_WORK is not charged it.
+    #: in-memory task index, so holding it is not charged it.
     request_processing_overhead: float = 0.08
 
     def validate(self) -> None:
@@ -133,10 +133,9 @@ class ServerConfig:
     """Server (worker) component parameters."""
 
     detection: FaultDetectionConfig = field(default_factory=FaultDetectionConfig)
-    #: how long an idle server waits after a prompt NO_WORK, or a result
-    #: ack that carries no task, before asking again.  A NO_WORK slower
-    #: than a quarter of this period doubles the previous wait, up to 16
-    #: periods; a prompt NO_WORK or a task brings it back to this period.
+    #: how long a coordinator may hold an idle server's work request open
+    #: (sent in the request): a NO_WORK ends the hold and the server asks
+    #: again at once, so an idle server asks once per period.
     work_poll_period: float = 2.0
     #: how long the server waits for a coordinator reply before re-sending
     #: (README "Requests and retries").

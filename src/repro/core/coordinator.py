@@ -8,7 +8,9 @@ talk to servers directly.  Each coordinator component:
 * answers server *work requests* with the FCFS scheduler, applying the replica
   de-duplication policy (finished: never; ongoing: only if the owner is
   suspected; pending: yes); a result upload asks for work too, and its ack
-  carries the server's next task;
+  carries the server's next task.  A request that finds nothing eligible is
+  held for the window it carries: the next submission registered here
+  answers it with a task, else the window's end answers it ``NO_WORK``;
 * suspects servers through a heart-beat fault detector and reschedules their
   ongoing tasks ("on suspicion" replication);
 * propagates a state abstract to its **ring successor** at every replication
@@ -127,6 +129,8 @@ class CoordinatorComponent:
         self._archive_fetch_attempts: dict[CallIdentity, int] = {}
         #: key -> last time the assigned server reported working on the task.
         self._task_activity: dict[CallIdentity, float] = {}
+        #: server -> its held work request, oldest first (see _hold).
+        self._held: dict[Address, Message] = {}
         self._replication_rounds = 0
         self._coord_heartbeat: HeartbeatEmitter | None = None
         self.started = False
@@ -218,6 +222,7 @@ class CoordinatorComponent:
         self._archive_fetches_in_flight = {}
         self._archive_fetch_attempts = {}
         self._task_activity = {}
+        self._held = {}
         self.started = True
         if self._coord_heartbeat is not None:
             self._coord_heartbeat.stop()
@@ -375,9 +380,10 @@ class CoordinatorComponent:
         Heart-beats, acks and pings never yield: they are handled right here
         (``None`` is returned), so they cost no generator per message.  So is
         a work request that the scheduler's eligibility rule finds nothing
-        for: an empty answer translates no job and reads nothing the task
-        index does not already hold, so it is charged neither the overhead
-        nor a scan.  It still waits its turn in this one queue.
+        for: it is held (see :meth:`_hold`), which translates no job and
+        reads nothing the task index does not already hold, so it is charged
+        neither the overhead nor a scan.  It still waits its turn in this
+        one queue.
         """
         mtype = message.mtype
         if mtype is MessageType.WORK_REQUEST:
@@ -385,7 +391,7 @@ class CoordinatorComponent:
                 self.index, self.name, self._owner_suspected
             ):
                 self._hear_server(message.source)
-                self._answer_no_work(message)
+                self._hold(message)
                 return None
             return self._after_overhead(self._on_work_request(message))
         elif mtype is MessageType.SERVER_HEARTBEAT:
@@ -460,18 +466,7 @@ class CoordinatorComponent:
             self.client_timestamps[session_key] = timestamp
 
         if key not in self.tasks:
-            record = TaskRecord(
-                call=call,
-                state=TaskState.PENDING,
-                owner=self.name,
-                submitted_at=self.env.now,
-            )
-            self.tasks[key] = record
-            self._mark_dirty(key)
-            cost = self.database.charge_write(key, TASK_DESCRIPTION_BYTES + call.params_bytes)
-            if cost > 0:
-                yield self.host.sleep(cost)
-            self.registered += 1
+            yield from self._register(call)
             self._ctr_submissions.value += 1
         else:
             self._ctr_duplicate_submissions.value += 1
@@ -483,6 +478,34 @@ class CoordinatorComponent:
                 size_bytes=32,
             )
         )
+
+    def _register(self, call: CallDescription):
+        """Register a submitted ``call`` as a pending task owned here.
+
+        The one path of both kinds of submission.  The new task answers the
+        oldest held work request of a server not suspected: that request's
+        scan and write join the registration's write in the submission's
+        one sleep, so handing out the task costs no overhead of its own,
+        and the ``TASK_ASSIGN`` goes out once the sleep is over.
+        """
+        key = call.identity
+        self.tasks[key] = TaskRecord(
+            call=call,
+            state=TaskState.PENDING,
+            owner=self.name,
+            submitted_at=self.env.now,
+        )
+        self._mark_dirty(key)
+        cost = self.database.charge_write(key, TASK_DESCRIPTION_BYTES + call.params_bytes)
+        request = self._take_held()
+        if request is not None:
+            task, charges = self._assign(request.source)
+            cost += charges
+        if cost > 0:
+            yield self.host.sleep(cost)
+        self.registered += 1
+        if request is not None:
+            self._send_task(request, task)
 
     # -------------------------------------------------------------- crowd tier
     def _on_crowd_submit(self, message: Message):
@@ -520,18 +543,7 @@ class CoordinatorComponent:
                     "reply_to": [source.kind, source.name],
                 },
             )
-            record = TaskRecord(
-                call=call,
-                state=TaskState.PENDING,
-                owner=self.name,
-                submitted_at=self.env.now,
-            )
-            self.tasks[key] = record
-            self._mark_dirty(key)
-            cost = self.database.charge_write(key, TASK_DESCRIPTION_BYTES + call.params_bytes)
-            if cost > 0:
-                yield self.host.sleep(cost)
-            self.registered += 1
+            yield from self._register(call)
             self._ctr_crowd_batches.value += 1
             self._ctr_crowd_calls.value += count
         else:
@@ -672,10 +684,13 @@ class CoordinatorComponent:
         if cost > 0:
             yield self.host.sleep(cost)
         if task is None:
-            self._answer_no_work(message)
-            return
+            self._hold(message)
+        else:
+            self._send_task(message, task)
+
+    def _send_task(self, request: Message, task: TaskRecord) -> None:
         self.host.send(
-            message.reply(
+            request.reply(
                 MessageType.TASK_ASSIGN,
                 payload={"call": task.call},
                 size_bytes=task.call.wire_bytes,
@@ -707,8 +722,40 @@ class CoordinatorComponent:
         self._ctr_assignments.value += 1
         return task, cost
 
-    def _answer_no_work(self, message: Message) -> None:
-        self.host.send(message.reply(MessageType.NO_WORK, payload={}, size_bytes=16))
+    def _hold(self, request: Message) -> None:
+        """Hold a work request that finds nothing eligible (long polling).
+
+        It stays open for the ``window`` seconds it carries: the next
+        submission registered here answers it with a task (see
+        :meth:`_register`), else the window's end answers it ``NO_WORK``,
+        free, and the server asks again.  One request per server is held: a
+        newer one replaces the older, which is never answered.  Held
+        requests are volatile; a restart drops them and the server's
+        request times out.
+        """
+        server = request.source
+        self._held.pop(server, None)
+        self._held[server] = request
+        self.env.call_at(
+            self.env.now + request.payload["window"], self._end_hold, request
+        )
+
+    def _end_hold(self, request: Message) -> None:
+        """A hold's window is over: answer ``NO_WORK`` unless it was answered
+        or replaced (or dropped by a restart) meanwhile."""
+        server = request.source
+        if self._held.get(server) is request:
+            del self._held[server]
+            self.host.send(request.reply(MessageType.NO_WORK, size_bytes=16))
+
+    def _take_held(self) -> Message | None:
+        """Pop the oldest held request of a server not suspected, if any."""
+        now = self.env.now
+        for server, request in self._held.items():
+            if not self.server_detector.is_suspected(server, now):
+                del self._held[server]
+                return request
+        return None
 
     def _on_task_result(self, message: Message):
         server = message.source

@@ -134,8 +134,12 @@ class CoordinatorLink:
                 waiter.succeed(message)
         self._on_message(message)
 
-    def _request(self, message: Message, expect: MessageType, key: Any = None):
-        """Send ``message``; wait ``request_retry`` seconds for its reply.
+    def _request(
+        self, message: Message, expect: MessageType, key: Any = None, hold: float = 0.0
+    ):
+        """Send ``message``; wait ``request_retry`` seconds for its reply,
+        plus ``hold``, the time the coordinator may keep it open before
+        answering (a work request's window).
 
         The reply is the first ``expect`` message (``TASK_ASSIGN`` also
         stands for ``NO_WORK``) from ``message.dest`` to arrive while this
@@ -150,7 +154,9 @@ class CoordinatorLink:
         waiter = self.env.event()
         self._waiters.setdefault(slot, []).append(waiter)
         self.host.send(message)
-        yield from self.env.wait_any([waiter], timeout=self.config.request_retry)
+        yield from self.env.wait_any(
+            [waiter], timeout=self.config.request_retry + hold
+        )
         if waiter.triggered:
             return waiter.value
         waiters = self._waiters.get(slot)

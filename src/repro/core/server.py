@@ -4,7 +4,9 @@ Servers pull work from their preferred coordinator, execute it, archive the
 result on local disk (the archive *is* the server log, so server-side logging
 is "necessarily pessimistic"), then upload the archive and wait for the
 acknowledgement, which also carries the server's next task (one round trip
-per task; an idle server asks with a work request).  The connection-less
+per task; an idle server asks with a work request, which the coordinator
+holds open until it has a task or ``work_poll_period`` is over).  The
+connection-less
 protocol means the same server "may disconnect the coordinator, continue the
 execution and re-connect the coordinator later for sending RPC results" —
 off-line computing — which the component implements by resynchronising its
@@ -30,12 +32,6 @@ from repro.sim.monitor import Monitor
 from repro.types import Address
 
 __all__ = ["ServerComponent"]
-
-#: a ``NO_WORK`` slower than this share of ``work_poll_period`` doubles the
-#: idle wait: the coordinator is busy, so asking again sooner only queues.
-LATE_NO_WORK_SHARE = 0.25
-#: the idle wait never grows past this multiple of ``work_poll_period``.
-IDLE_BACKOFF_CAP = 16
 
 
 class ServerComponent(CoordinatorLink):
@@ -97,7 +93,6 @@ class ServerComponent(CoordinatorLink):
             # and lets it re-queue tasks it believed we were running.
             yield from self.synchronize()
             period = self.config.work_poll_period
-            idle_wait = period
             call: CallDescription | None = None
             while True:
                 if call is None:
@@ -105,39 +100,31 @@ class ServerComponent(CoordinatorLink):
                     if coordinator is None:
                         yield self.host.sleep(period)
                         continue
-                    asked_at = self.env.now
+                    # The coordinator holds the request open for up to one
+                    # poll period; a NO_WORK means the period is over, so
+                    # the server asks again at once.
                     reply = yield from self._request(
                         Message(
                             mtype=MessageType.WORK_REQUEST,
                             source=self.address,
                             dest=coordinator,
+                            payload={"window": period},
                             size_bytes=64,
                         ),
                         MessageType.TASK_ASSIGN,  # or NO_WORK
+                        hold=period,
                     )
                     if reply is None:
                         self._timed_out(coordinator, "server.request_timeouts")
                         continue
                     if reply.mtype is MessageType.NO_WORK:
-                        # A late answer means a busy coordinator: double the
-                        # wait, up to the cap.  A prompt one resets it.
-                        if self.env.now - asked_at > period * LATE_NO_WORK_SHARE:
-                            self.monitor.incr("server.idle_backoffs")
-                            idle_wait = min(2 * idle_wait, IDLE_BACKOFF_CAP * period)
-                        else:
-                            idle_wait = period
-                        yield self.host.sleep(idle_wait)
                         continue
                     call = reply.payload["call"]
-                idle_wait = period
+                # The upload's ack carries the next task, or none: then the
+                # server asks with a work request.  A result acked otherwise
+                # (a re-send, a sync) asks anew too.
                 ack = yield from self._execute(call)
-                # The upload's ack carries the next task.  One without a
-                # task is a prompt NO_WORK: its time is the result's own
-                # write, not a busy coordinator, so it never backs off.  A
-                # result acked otherwise (a re-send, a sync) asks anew.
                 call = ack.payload.get("call") if ack is not None else None
-                if ack is not None and call is None:
-                    yield self.host.sleep(period)
         except ProcessKilled:  # pragma: no cover - host crash
             return
 

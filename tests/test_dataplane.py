@@ -238,7 +238,7 @@ def random_ops(rng: random.Random, coord: CoordinatorComponent, steps: int):
             payload = {"call": make_call(*key), "timestamp": key[2]}
             yield "deliver", MessageType.RPC_SUBMIT, CLIENT, payload
         elif op == "assign":
-            yield "deliver", MessageType.WORK_REQUEST, rng.choice(SERVERS), {}
+            yield "deliver", MessageType.WORK_REQUEST, rng.choice(SERVERS), {"window": 2.0}
         elif op == "result":
             ongoing = [
                 (key, task)
@@ -692,7 +692,7 @@ class TestClientPendingView:
                 assert list(client._pending.values()) == _naive_pending(client)
 
         grid.run_until(grid.run_process(submit(12), name="submit"), timeout=1000.0)
-        grid.run(until=grid.env.now + 8.0)  # some done, some still pending
+        grid.run(until=grid.env.now + 4.0)  # some done, some still pending
         assert 0 < checks["completions"] < 12
         assert list(client._pending.values()) == _naive_pending(client) != []
 
@@ -721,14 +721,23 @@ class TestClientPendingView:
         assert client.stats()["pending"] == 0
 
 
-# ------------------------------------------------------------- free empty answer
-class TestFreeEmptyAnswer:
-    """A work request that nothing is eligible for is answered at no cost;
+# ------------------------------------------------------------ held requests
+WINDOW = 2.0
+
+
+class TestHeldWorkRequest:
+    """A work request that nothing is eligible for is held at no cost, and
+    answered by the next submission or, at its window's end, by NO_WORK;
     one that gets work pays the overhead, the scan and the write as ever."""
 
-    def ask_for_work(self, harness: Harness) -> MessageType:
-        (reply,) = harness.deliver(MessageType.WORK_REQUEST, SERVERS[0], {})
-        return reply.mtype
+    def ask_for_work(self, harness: Harness, server: Address = SERVERS[0]) -> list:
+        return harness.deliver(MessageType.WORK_REQUEST, server, {"window": WINDOW})
+
+    def submit(self, harness: Harness, ts: int) -> list:
+        call = make_call("u0", "s", ts)
+        return harness.deliver(
+            MessageType.RPC_SUBMIT, CLIENT, {"call": call, "timestamp": ts}
+        )
 
     def add_ongoing(self, harness: Harness, owner: Address, *stamps: int) -> None:
         coord = harness.coord
@@ -744,14 +753,124 @@ class TestFreeEmptyAnswer:
             coord.tasks[key] = record
             coord.index.note(record, key)
 
-    def test_an_empty_request_costs_nothing_and_charges_no_database(self):
+    def no_work_times(self, harness: Harness) -> list:
+        """Record when each NO_WORK is sent, and to whom."""
+        times = []
+        send = harness.host.send
+
+        def timed(message):
+            if message.mtype is MessageType.NO_WORK:
+                times.append((harness.env.now, message.dest))
+            send(message)
+
+        harness.host.send = timed
+        return times
+
+    def test_an_empty_request_is_held_at_no_cost(self):
         harness = Harness()
         database = harness.coord.database
-        assert self.ask_for_work(harness) is MessageType.NO_WORK
+        assert self.ask_for_work(harness) == []
         assert harness.cost == 0.0
         assert (database.scans, database.writes, database.time_charged) == (0, 0, 0.0)
         # The server is still heard: it is watched from its first poll on.
         assert SERVERS[0] in harness.coord.known_servers
+
+    def test_an_unanswered_hold_ends_with_a_free_no_work_at_its_window(self):
+        harness = Harness()
+        times = self.no_work_times(harness)
+        harness.env.run(until=1.0)
+        self.ask_for_work(harness)
+        harness.env.run(until=1.0 + WINDOW - 1e-6)
+        assert times == []
+        harness.env.run(until=1.0 + WINDOW)
+        assert times == [(1.0 + WINDOW, SERVERS[0])]
+        assert harness.coord.database.scans == 0
+
+    def test_a_submission_answers_a_held_request_in_its_own_handler(self):
+        harness = Harness()
+        coord = harness.coord
+        self.ask_for_work(harness)
+        model = coord.database.model
+        message = Message(
+            mtype=MessageType.RPC_SUBMIT,
+            source=CLIENT,
+            dest=K0,
+            payload={"call": make_call("u0", "s", 1), "timestamp": 1},
+        )
+        handling = coord._handle(message)
+        delays = [next(handling).delay]  # the overhead
+        delays.append(next(handling).delay)  # the one sleep of every charge
+        assert harness.sent == []  # nothing goes out before the sleep ends
+        delays.extend(delay.delay for delay in handling)
+        assert delays == pytest.approx([
+            coord.config.request_processing_overhead,
+            model.write_time(TASK_DESCRIPTION_BYTES + 100)
+            + model.scan_time(1)
+            + model.write_time(TASK_DESCRIPTION_BYTES),
+        ])
+        assign, ack = harness.sent
+        assert (assign.mtype, assign.dest) == (MessageType.TASK_ASSIGN, SERVERS[0])
+        assert assign.payload["call"].identity == CallIdentity("u0", "s", 1)
+        assert ack.mtype is MessageType.SUBMIT_ACK
+        assert coord.tasks[assign.payload["call"].identity].state is TaskState.ONGOING
+        # The answered hold is gone: its window's end sends nothing.
+        times = self.no_work_times(harness)
+        harness.env.run(until=2 * WINDOW)
+        assert times == []
+
+    def test_a_restart_drops_held_requests(self):
+        harness = Harness()
+        times = self.no_work_times(harness)
+        self.ask_for_work(harness)
+        harness.restart()
+        harness.env.run(until=2 * WINDOW)
+        assert times == []
+        assert [m.mtype for m in self.submit(harness, 1)] == [MessageType.SUBMIT_ACK]
+
+    def test_a_newer_request_replaces_the_older(self):
+        harness = Harness()
+        times = self.no_work_times(harness)
+        self.ask_for_work(harness)
+        harness.env.run(until=1.0)
+        self.ask_for_work(harness)
+        harness.env.run(until=3 * WINDOW)
+        # Only the newer request is answered, at its own window's end.
+        assert times == [(1.0 + WINDOW, SERVERS[0])]
+
+    def test_the_oldest_held_request_is_answered_first(self):
+        harness = Harness()
+        self.ask_for_work(harness, SERVERS[0])
+        self.ask_for_work(harness, SERVERS[1])
+        self.ask_for_work(harness, SERVERS[0])  # now newer than SERVERS[1]'s
+        sent = self.submit(harness, 1)
+        assert [(m.mtype, m.dest) for m in sent] == [
+            (MessageType.TASK_ASSIGN, SERVERS[1]),
+            (MessageType.SUBMIT_ACK, CLIENT),
+        ]
+
+    def test_a_suspected_servers_held_request_is_skipped(self):
+        harness = Harness()
+        coord = harness.coord
+        timeout = coord.config.detection.suspicion_timeout
+        long_window = {"window": 4 * timeout}
+        harness.deliver(MessageType.WORK_REQUEST, SERVERS[0], long_window)
+        harness.env.run(until=2 * timeout)
+        harness.deliver(MessageType.WORK_REQUEST, SERVERS[1], long_window)
+        assert coord.server_detector.is_suspected(SERVERS[0], harness.env.now)
+        sent = self.submit(harness, 1)
+        assert [(m.mtype, m.dest) for m in sent] == [
+            (MessageType.TASK_ASSIGN, SERVERS[1]),
+            (MessageType.SUBMIT_ACK, CLIENT),
+        ]
+        assert list(coord._held) == [SERVERS[0]]
+
+    def test_a_duplicate_submission_answers_no_held_request(self):
+        harness = Harness()
+        self.submit(harness, 1)
+        self.ask_for_work(harness, SERVERS[0])  # takes the pending task
+        self.ask_for_work(harness, SERVERS[1])  # held
+        assert [m.mtype for m in self.submit(harness, 1)] == [MessageType.SUBMIT_ACK]
+        assert list(harness.coord._held) == [SERVERS[1]]
 
     def test_a_request_with_a_pending_task_pays_as_before(self):
         harness = Harness()
@@ -759,7 +878,8 @@ class TestFreeEmptyAnswer:
         coord.preload_tasks([make_call("u0", "s", 1)])
         keys = len(coord.database.keys)
         scans, writes = coord.database.scans, coord.database.writes
-        assert self.ask_for_work(harness) is MessageType.TASK_ASSIGN
+        (reply,) = self.ask_for_work(harness)
+        assert reply.mtype is MessageType.TASK_ASSIGN
         model = coord.database.model
         assert harness.cost == pytest.approx(
             coord.config.request_processing_overhead
@@ -768,26 +888,26 @@ class TestFreeEmptyAnswer:
         )
         assert (coord.database.scans, coord.database.writes) == (scans + 1, writes + 1)
 
-    def test_ongoing_tasks_of_a_live_owner_leave_the_answer_free(self):
+    def test_ongoing_tasks_of_a_live_owner_leave_the_request_held(self):
         harness = Harness()
         self.add_ongoing(harness, PEERS[0], 1, 2)
-        assert self.ask_for_work(harness) is MessageType.NO_WORK
+        assert self.ask_for_work(harness) == []
         assert harness.cost == 0.0
         assert harness.coord.database.scans == 0
-        assert harness.coord.scheduler.dedup_holds == 2
+        assert list(harness.coord._held) == [SERVERS[0]]
 
     def test_ongoing_tasks_of_a_suspected_owner_take_the_paid_path(self):
         harness = Harness()
         coord = harness.coord
         self.add_ongoing(harness, PEERS[0], 1, 2)
         coord.suspect_coordinator(PEERS[0])
-        assert self.ask_for_work(harness) is MessageType.TASK_ASSIGN
+        (reply,) = self.ask_for_work(harness)
+        assert reply.mtype is MessageType.TASK_ASSIGN
         assert harness.cost == pytest.approx(
             coord.config.request_processing_overhead
             + coord.database.model.scan_time(0)
             + coord.database.model.write_time(TASK_DESCRIPTION_BYTES)
         )
-        assert coord.scheduler.dedup_holds == 0
         assert coord.tasks[CallIdentity("u0", "s", 1)].owner == coord.name
 
 
@@ -823,9 +943,10 @@ class TestCoordinatorLoad:
         assert load["wait_p99_s"] == pytest.approx(2 * handler_s, rel=0.01)
 
     def test_every_run_reports_each_coordinators_load(self):
+        # Long enough for a replication round (every 5 s) to reach k1.
         report = execute_benchmark(
             GridTopology(n_servers=4, n_coordinators=2),
-            WorkloadSpec(n_calls=8, exec_time=1.0),
+            WorkloadSpec(n_calls=32, exec_time=1.0),
             seed=1,
         )
         loads = report.outputs()["coordinators"]
@@ -836,7 +957,7 @@ class TestCoordinatorLoad:
             assert load["requests"]["replica-state"] > 0
         # The client and the unspread servers talk to cluster-k0 only.
         primary = loads["coordinator:cluster-k0"]["requests"]
-        assert primary["rpc-submit"] == primary["task-result"] == 8
+        assert primary["rpc-submit"] == primary["task-result"] == 32
         assert "work-request" not in loads["coordinator:cluster-k1"]["requests"]
 
 

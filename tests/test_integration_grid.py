@@ -172,7 +172,7 @@ class TestBasicExecution:
 
 
 def idle_waits(grid, server):
-    """Seconds ``server`` sleeps after each NO_WORK before asking again."""
+    """Seconds ``server`` waits after each NO_WORK before asking again."""
     waits = []
     no_work_at = None
 
@@ -192,14 +192,31 @@ def idle_waits(grid, server):
     return waits
 
 
+def work_exchanges(grid, server):
+    """``[delivered_at, answer type, answer sent_at]`` for each of
+    ``server``'s work requests, in order (the answer ``None`` until sent)."""
+    exchanges = []
+
+    def hook(message):
+        if message.mtype is MessageType.WORK_REQUEST and message.source == server.address:
+            exchanges.append([message.delivered_at, None, None])
+        elif (
+            message.mtype in (MessageType.NO_WORK, MessageType.TASK_ASSIGN)
+            and message.dest == server.address
+        ):
+            exchanges[-1][1:] = [message.mtype, message.sent_at]
+
+    grid.network.add_delivery_hook(hook)
+    return exchanges
+
+
 def busy_coordinator_grid():
     """One server pulling from one coordinator whose queue never empties.
 
     A second client keeps twelve result pulls queued at the coordinator
     (each answer sends the next), and a pull does work: the overhead plus a
-    scan, ~0.08 s.  An empty answer is free, but it waits its turn behind
-    ~0.9 s of pulls, above ``work_poll_period / 4``.  Crash the loader's
-    host to let the queue drain.
+    scan, ~0.08 s.  Holding a work request is free, but the request waits
+    its turn behind ~0.9 s of pulls.
     """
     grid = small_grid(n_servers=1, n_coordinators=1)
     (coordinator,) = grid.coordinators
@@ -262,37 +279,66 @@ class TestServiceBound:
 
 
 class TestIdlePolling:
-    """An idle server doubles its poll wait while NO_WORK answers come late."""
+    """An idle server's work request is held for one poll period: answered
+    by the next submission, else by NO_WORK at the window's end, after
+    which the server asks again at once."""
 
-    def test_late_no_work_doubles_the_wait_up_to_the_cap(self):
+    def test_an_idle_coordinator_answers_no_work_at_the_window(self):
+        grid = small_grid(n_servers=1, n_coordinators=1)
+        server = grid.servers[0]
+        exchanges = work_exchanges(grid, server)
+        waits = idle_waits(grid, server)
+        grid.run(until=30.0)
+        window = server.config.work_poll_period
+        answered = [e for e in exchanges if e[1] is not None]
+        assert len(answered) >= 13
+        for delivered_at, answer, sent_at in answered:
+            assert answer is MessageType.NO_WORK
+            # Held from its handler's start, behind at most a client pull.
+            assert window - 1e-9 <= sent_at - delivered_at < window + 0.1
+        assert set(waits) == {0.0}
+
+    def test_a_busy_coordinator_still_answers_once_per_window(self):
         grid, _loader = busy_coordinator_grid()
-        waits = idle_waits(grid, grid.servers[0])
+        server = grid.servers[0]
+        exchanges = work_exchanges(grid, server)
+        waits = idle_waits(grid, server)
         grid.run(until=200.0)
-        assert waits[:6] == [4.0, 8.0, 16.0, 32.0, 32.0, 32.0]
-        # One count per late NO_WORK, the last one's wait still under way.
-        assert grid.monitor.count("server.idle_backoffs") == len(waits) + 1
+        window = server.config.work_poll_period
+        answered = [e for e in exchanges if e[1] is not None]
+        assert len(answered) >= 60
+        # Each request waits its turn behind ~0.9 s of pulls, then is held.
+        assert all(window < sent_at - at < window + 1.2 for at, _a, sent_at in answered)
+        assert set(waits) == {0.0}
+        assert "server.request_timeouts" not in grid.monitor.counters
 
-    def test_a_prompt_no_work_resets_the_wait(self):
-        grid, loader = busy_coordinator_grid()
-        waits = idle_waits(grid, grid.servers[0])
-        grid.run(until=20.0)
-        assert waits == [4.0, 8.0]
-        loader.crash()
-        grid.run(until=40.0)
-        # The 16 s wait under way is served out; the prompt answer after
-        # it brings the next one back to the poll period.
-        assert waits[:6] == [4.0, 8.0, 16.0, 2.0, 2.0, 2.0]
+    def test_a_submission_answers_the_held_request(self):
+        grid = small_grid(n_servers=1, n_coordinators=1)
+        server = grid.servers[0]
+        exchanges = work_exchanges(grid, server)
+        acks = []
 
-    def test_an_assignment_resets_the_wait(self):
-        grid, _loader = busy_coordinator_grid()
-        waits = idle_waits(grid, grid.servers[0])
-        grid.run(until=110.0)
-        assert waits == [4.0, 8.0, 16.0, 32.0, 32.0]
+        def hook(message):
+            if message.mtype is MessageType.SUBMIT_ACK:
+                acks.append(message.sent_at)
+
+        grid.network.add_delivery_hook(hook)
+        window = server.config.work_poll_period
+        grid.run(until=10.0)
+        # Submit while a request is held, some way into its window.
+        grid.run(until=exchanges[-1][0] + 1.5 * window)
+        held_since, answer, _sent_at = exchanges[-1]
+        assert answer is None and grid.env.now < held_since + window
         workload = SyntheticWorkload(n_calls=1, exec_time=1.0)
         process = grid.run_process(workload.run(grid.client))
-        assert grid.run_until(process, timeout=500.0)
-        grid.run(until=grid.env.now + 20.0)
-        assert waits == [4.0, 8.0, 16.0, 32.0, 32.0, 32.0, 4.0, 8.0]
+        assert grid.run_until(process, timeout=100.0)
+        ((delivered_at, answer, sent_at),) = [
+            e for e in exchanges if e[1] is MessageType.TASK_ASSIGN
+        ]
+        # The submission's own handler answers the request it found held,
+        # before the request's window was over.
+        assert acks == [sent_at]
+        assert delivered_at == held_since
 
     def test_idle_polls_cost_an_idle_coordinator_nothing(self):
         grid = small_grid(n_servers=1, n_coordinators=1)
@@ -308,7 +354,6 @@ class TestIdlePolling:
         )
         paid = requests["result-pull"] + requests["server-sync"]
         assert load["busy_s"] == pytest.approx(paid * per_request)
-        assert "server.idle_backoffs" not in grid.monitor.counters
 
     def test_the_drivers_quiet_poll_period_keeps_servers_silent(self):
         protocol = ProtocolConfig()
@@ -323,8 +368,10 @@ class TestIdlePolling:
 
         grid.network.add_delivery_hook(hook)
         grid.run(until=9_000.0)
+        # One request each, held all along: a server waits out the hold
+        # before its request times out.
         assert sorted(requests) == sorted(s.address for s in grid.servers)
-        assert "server.idle_backoffs" not in grid.monitor.counters
+        assert "server.request_timeouts" not in grid.monitor.counters
 
 
 def changed_after_delivery(grid, faults=()):
