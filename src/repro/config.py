@@ -116,7 +116,8 @@ class CoordinatorConfig:
     #: the database costs.  This is what produces the paper's ~17 %
     #: infrastructure overhead on the 96x10 s benchmark.  A work request
     #: that nothing is eligible for translates no job and reads only the
-    #: in-memory task index, so holding it is not charged it.
+    #: in-memory task index, so holding it is not charged it; nor is an
+    #: empty server sync.
     request_processing_overhead: float = 0.08
 
     def validate(self) -> None:

@@ -40,7 +40,11 @@ from repro.core.protocol import (
 )
 from repro.core.registry import CoordinatorRegistry
 from repro.core.replication import ReplicaState, build_state, merge_state
-from repro.core.synchronization import plan_client_sync, plan_server_sync
+from repro.core.synchronization import (
+    ServerSyncPlan,
+    plan_client_sync,
+    plan_server_sync,
+)
 from repro.core.taskindex import TaskIndex
 from repro.policies.resolve import make_policy
 from repro.detect import FailureDetector, HeartbeatEmitter
@@ -405,7 +409,15 @@ class CoordinatorComponent:
         elif mtype is MessageType.CLIENT_SYNC:
             return self._after_overhead(self._on_client_sync(message))
         elif mtype is MessageType.SERVER_SYNC:
-            return self._after_overhead(self._on_server_sync(message))
+            # A sync with no results, from a server with nothing ongoing
+            # here, has nothing to compare: its empty plan is free.
+            server = message.source
+            if message.payload.get("result_keys") or self.index.ongoing_on_server(
+                server
+            ):
+                return self._after_overhead(self._on_server_sync(message))
+            self._hear_server(server)
+            self._reply_server_sync(message, ServerSyncPlan())
         elif mtype is MessageType.CROWD_SUBMIT_BATCH:
             return self._after_overhead(self._on_crowd_submit(message))
         elif mtype is MessageType.REPLICA_STATE:
@@ -840,6 +852,9 @@ class CoordinatorComponent:
                 task.state = TaskState.PENDING
                 task.assigned_server = None
                 self._mark_dirty(key)
+        self._reply_server_sync(message, plan)
+
+    def _reply_server_sync(self, message: Message, plan: ServerSyncPlan) -> None:
         self.host.send(
             message.reply(
                 MessageType.COORD_SYNC_REPLY,
@@ -848,7 +863,7 @@ class CoordinatorComponent:
                     "server_must_resend": plan.server_must_resend,
                     "already_finished": plan.already_finished,
                 },
-                size_bytes=64 + 16 * len(server_keys),
+                size_bytes=64 + 16 * len(message.payload.get("result_keys", [])),
             )
         )
         self.monitor.incr("coordinator.server_syncs")

@@ -10,12 +10,13 @@ time: the Lille curve grows continuously while the LRI curve follows it in
 The default task count and server population are scaled down from the paper's
 1000 tasks / ~280 servers.  The paper's size runs too:
 ``campaign(1000, {"lille": 93, "wisconsin": 93, "orsay": 93}, seed=0)``
-completes 1000 / 1000 with a 1,256 s makespan, in about 7 s of wall time on
-one core of a 2-core x86 host.  It logs 586 server request timeouts, most
-of them in the start-up storm of 279 server synchronisations queued at
-Lille.  An idle server's poll costs the coordinator nothing when it has no
-eligible task, and idle servers back off while answers wait behind queued
-work (``repro.core.server``), so idle polling does not feed an overload.
+completes 1000 / 1000 with a 1,212 s makespan, in about 6 s of wall time on
+one core of a 2-core x86 host.  It logs 258 server request timeouts, 13 of
+them in the first minute: the 279 start-up synchronisations find nothing to
+compare and cost Lille nothing.  Nor does an idle server's work request: the
+coordinator holds it, free, until a submission answers it or the server's
+poll period ends (``repro.core.coordinator``), so idle polling does not feed
+an overload.
 
 Figures 9–11 all run the campaign through :func:`campaign`, one
 ``execute_benchmark`` call on the Internet testbed.

@@ -911,6 +911,32 @@ class TestHeldWorkRequest:
         assert coord.tasks[CallIdentity("u0", "s", 1)].owner == coord.name
 
 
+class TestFreeEmptyServerSync:
+    """A sync with no results, from a server with nothing ongoing here, is
+    answered in its turn at no cost; any other sync pays as before."""
+
+    def test_an_empty_sync_is_free(self):
+        harness = Harness()
+        (reply,) = harness.deliver(MessageType.SERVER_SYNC, SERVERS[0], {"result_keys": []})
+        assert reply.mtype is MessageType.COORD_SYNC_REPLY
+        assert reply.payload["server_must_resend"] == reply.payload["already_finished"] == []
+        assert harness.cost == 0.0 and harness.coord.database.scans == 0
+        assert SERVERS[0] in harness.coord.known_servers
+
+    def test_a_sync_from_a_server_with_ongoing_work_here_pays(self):
+        harness = Harness()
+        coord = harness.coord
+        coord.preload_tasks([make_call("u0", "s", 1)])
+        harness.deliver(MessageType.WORK_REQUEST, SERVERS[0], {"window": WINDOW})
+        (reply,) = harness.deliver(MessageType.SERVER_SYNC, SERVERS[0], {"result_keys": []})
+        # The server lost the task it was assigned: the sync re-queues it.
+        assert coord.tasks[CallIdentity("u0", "s", 1)].state is TaskState.PENDING
+        assert harness.cost == pytest.approx(
+            coord.config.request_processing_overhead
+            + coord.database.model.scan_time(len(coord.database.keys))
+        )
+
+
 # ------------------------------------------------------------ coordinator load
 class TestCoordinatorLoad:
     """Two timestamps per handled message give the coordinator's load."""

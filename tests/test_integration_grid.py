@@ -347,13 +347,14 @@ class TestIdlePolling:
         load = coordinator.load(30.0)
         requests = load["requests"]
         assert requests["work-request"] == 15
-        # Only the client's pulls and the server's start-up sync do work.
+        # Only the client's pulls do work: the server's start-up sync
+        # carries no result and finds nothing ongoing, so it is free too.
         per_request = (
             coordinator.config.request_processing_overhead
             + coordinator.database.model.scan_time(0)
         )
-        paid = requests["result-pull"] + requests["server-sync"]
-        assert load["busy_s"] == pytest.approx(paid * per_request)
+        assert requests["server-sync"] == 1
+        assert load["busy_s"] == pytest.approx(requests["result-pull"] * per_request)
 
     def test_the_drivers_quiet_poll_period_keeps_servers_silent(self):
         protocol = ProtocolConfig()

@@ -52,6 +52,9 @@ class TestRetireOnAck:
             n_servers=1, n_coordinators=2, protocol=protocol, seed=1
         )
         grid.start()
+        # The lone server stays down: an assignment made during the round
+        # would be a change of its own.
+        grid.servers[0].host.crash()
         coordinator = grid.coordinators[0]
         keys = coordinator.preload_tasks(_calls(3))
         host = coordinator.host
