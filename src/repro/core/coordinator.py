@@ -333,13 +333,12 @@ class CoordinatorComponent:
         )
 
     def _owner_suspected(self, owner: str) -> bool:
-        if not owner or owner == self.name:
-            return False
-        coordinator = self.registry.by_name(owner)
-        if coordinator is None:
-            # An owner we do not even know is treated as unreachable, hence suspect.
-            return True
-        return self.coordinator_detector.is_suspected(coordinator, self.env.now)
+        # Asked only about another coordinator's name (the task index skips
+        # this one's), and every owner is a coordinator the registry knows:
+        # the registry starts with all of them and only grows.
+        return self.coordinator_detector.is_suspected(
+            self.registry.by_name(owner), self.env.now
+        )
 
     def other_coordinators(self) -> list[Address]:
         """Every known coordinator except this one."""

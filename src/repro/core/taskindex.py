@@ -213,15 +213,13 @@ class TaskIndex:
     # ------------------------------------------------------------ scheduling
     def eligible_extras(
         self, my_name: str, owner_suspected: Callable[[str], bool]
-    ) -> tuple[list[TaskRecord], int]:
-        """Ongoing tasks of suspected other owners, plus the held count.
+    ) -> list[TaskRecord]:
+        """Ongoing tasks of suspected other owners.
 
-        The de-duplication rule withholds every other ongoing task, one
-        hold per withheld record, so the held count is total-ongoing minus
-        the released extras.  ``owner_suspected`` is consulted once per
-        distinct owner with live ongoing tasks (the detector latches
-        suspicion state, so asking once is equivalent to asking once per
-        task).
+        The de-duplication rule withholds every other ongoing task.
+        ``owner_suspected`` is consulted once per distinct owner with live
+        ongoing tasks (the detector latches suspicion state, so asking once
+        is equivalent to asking once per task).
         """
         extras: list[TaskRecord] = []
         for owner, bucket in self._ongoing_by_owner.items():
@@ -229,7 +227,7 @@ class TaskIndex:
                 continue
             if owner_suspected(owner):
                 extras.extend(bucket.values())
-        return extras, self._counts[TaskState.ONGOING] - len(extras)
+        return extras
 
     def pending_head(self) -> TaskRecord | None:
         """The FCFS-first pending record, O(log n) amortized."""

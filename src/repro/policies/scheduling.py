@@ -88,8 +88,6 @@ class SchedulerPolicy(PolicyBase):
         #: re-schedule all tasks of a suspected server ("on suspicion"
         #: replication) — the switch the degraded baselines turn off.
         self.reschedule = bool(reschedule)
-        #: how many times the de-duplication policy withheld an ongoing task.
-        self.dedup_holds = 0
 
     # -------------------------------------------------------------- assignment
     def pick(
@@ -105,13 +103,11 @@ class SchedulerPolicy(PolicyBase):
         The eligible candidates come from the structures ``index`` (the
         coordinator's :class:`TaskIndex`) maintains: every pending task,
         plus the ongoing tasks of other coordinators this one suspects —
-        every other ongoing task is withheld and counted in
-        :attr:`dedup_holds`.  The caller is responsible for routing the
-        mutation back through the index (the coordinator does so via
-        ``_mark_dirty``).
+        every other ongoing task is withheld.  The caller is responsible
+        for routing the mutation back through the index (the coordinator
+        does so via ``_mark_dirty``).
         """
-        extras, held = self.eligible(index, my_name, owner_suspected)
-        self.dedup_holds += held
+        extras = self.eligible(index, my_name, owner_suspected)
         if extras is None:
             return SchedulingDecision(task=None, reason="no eligible task")
         task = self.choose_indexed(index, extras, server=server, now=now)
@@ -128,20 +124,19 @@ class SchedulerPolicy(PolicyBase):
         index: "TaskIndex",
         my_name: str,
         owner_suspected: Callable[[str], bool],
-    ) -> tuple[list[TaskRecord] | None, int]:
-        """The one eligibility test: ``(extras, held)``.
+    ) -> list[TaskRecord] | None:
+        """The one eligibility test: the released ongoing tasks.
 
-        ``extras`` are the ongoing tasks released besides the pending ones,
-        or ``None`` when nothing at all is eligible (none pending, none
-        released); ``held`` counts the ongoing tasks the de-duplication
-        rule withheld.  :meth:`pick` and :meth:`nothing_eligible` both ask
-        it, so an answer given without the charges is the answer a pick
-        would give.
+        Returns the ongoing tasks released besides the pending ones, or
+        ``None`` when nothing at all is eligible (none pending, none
+        released).  :meth:`pick` and :meth:`nothing_eligible` both ask it,
+        so a request held without the charges is one a pick would not
+        answer.
         """
-        extras, held = index.eligible_extras(my_name, owner_suspected)
+        extras = index.eligible_extras(my_name, owner_suspected)
         if not index.pending and not extras:
-            return None, held
-        return extras, held
+            return None
+        return extras
 
     def nothing_eligible(
         self,
@@ -149,21 +144,15 @@ class SchedulerPolicy(PolicyBase):
         my_name: str,
         owner_suspected: Callable[[str], bool],
     ) -> bool:
-        """Whether :meth:`eligible` finds nothing, so a request is settled.
+        """Whether :meth:`eligible` finds nothing for a request.
 
         The coordinator asks it before charging a work request anything.
         A pending task is always eligible, so it answers ``False`` without
-        asking the detector about any owner.  A ``True`` settles the
-        request, so its holds are counted in :attr:`dedup_holds` here,
-        once, as a pick counts them.
+        asking the detector about any owner.
         """
-        if index.pending:
-            return False
-        extras, held = self.eligible(index, my_name, owner_suspected)
-        if extras is not None:
-            return False
-        self.dedup_holds += held
-        return True
+        return not index.pending and self.eligible(
+            index, my_name, owner_suspected
+        ) is None
 
     def choose(
         self, eligible: list[TaskRecord], server: Address, now: float

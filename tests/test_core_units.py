@@ -194,10 +194,11 @@ class TestScheduler:
         index = indexed(make_task(1, state=TaskState.ONGOING, owner="coordinator:other"))
         held = scheduler.pick(index, self.SERVER, "k0", lambda _o: False, now=0.0)
         assert held.task is None
-        assert scheduler.dedup_holds == 1
+        assert scheduler.nothing_eligible(index, "k0", lambda _o: False)
+        assert not scheduler.nothing_eligible(index, "k0", lambda _o: True)
         released = scheduler.pick(index, self.SERVER, "k0", lambda _o: True, now=0.0)
         assert released.task is not None
-        assert scheduler.dedup_holds == 1
+        assert released.task.owner == "k0"
 
     def test_own_ongoing_task_not_rescheduled_by_pick(self):
         scheduler = FifoReschedulePolicy()

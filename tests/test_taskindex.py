@@ -94,19 +94,17 @@ def naive_eligible(tasks, my_name, owner_suspected):
 
     What a work request may be answered with — every PENDING task, plus the
     ONGOING tasks of *other* coordinators this one suspects; FINISHED tasks
-    never.  Also returns how many ONGOING tasks the rule withheld.
+    never.
     """
-    eligible, held = [], 0
+    eligible = []
     for record in tasks.values():
         if record.state is TaskState.PENDING:
             eligible.append(record)
         elif record.state is TaskState.ONGOING:
             if record.owner != my_name and owner_suspected(record.owner):
                 eligible.append(record)
-            else:
-                held += 1
     eligible.sort(key=_fcfs)
-    return eligible, held
+    return eligible
 
 
 def _ongoing_buckets(tasks, attribute):
@@ -120,11 +118,10 @@ def _ongoing_buckets(tasks, attribute):
 
 def assert_views_match(tasks, index, owner_suspected, my_name=MY_NAME, results=None):
     """Every view ``index`` serves equals a recount from the tables."""
-    reference, reference_held = naive_eligible(tasks, my_name, owner_suspected)
+    reference = naive_eligible(tasks, my_name, owner_suspected)
 
-    extras, held = index.eligible_extras(my_name, owner_suspected)
+    extras = index.eligible_extras(my_name, owner_suspected)
     assert [id(r) for r in index.eligible_list(extras)] == [id(r) for r in reference]
-    assert held == reference_held
 
     # Heads: FIFO and fastest-first must agree with the sorted scan.
     fifo_head = FifoReschedulePolicy().choose_indexed(
@@ -317,12 +314,11 @@ class TestIndexEquivalence:
             MY_NAME, rng=RandomStreams(5), monitor=monitor
         )
         suspected = lambda owner: owner == "k1"  # noqa: E731
-        scan_assignments = scan_holds = 0
+        scan_assignments = 0
 
         for step in range(61):
             server, now = SERVERS[step % 4], float(step)
-            eligible, held = naive_eligible(scan_tasks, MY_NAME, suspected)
-            scan_holds += held
+            eligible = naive_eligible(scan_tasks, MY_NAME, suspected)
             b = indexed_policy.pick(index, server, MY_NAME, suspected, now=now)
             if not eligible:
                 assert b.task is None
@@ -338,7 +334,6 @@ class TestIndexEquivalence:
             index.note(b.task)
         assignments = monitor.counter(f"{indexed_policy.key}.assignments").value
         assert scan_assignments == assignments == 61
-        assert scan_holds == indexed_policy.dedup_holds
 
 
 class IndexAudit(BaseComponent):
