@@ -6,11 +6,11 @@ is "necessarily pessimistic"), then upload the archive and wait for the
 acknowledgement, which also carries the server's next task (one round trip
 per task; an idle server asks with a work request, which the coordinator
 holds open until it has a task or ``work_poll_period`` is over).  The
-connection-less
-protocol means the same server "may disconnect the coordinator, continue the
-execution and re-connect the coordinator later for sending RPC results" —
-off-line computing — which the component implements by resynchronising its
-unacknowledged results whenever it (re)connects or switches coordinator.
+connection-less protocol means the same server "may disconnect the
+coordinator, continue the execution and re-connect the coordinator later for
+sending RPC results" — off-line computing — which the component implements
+by resynchronising its unacknowledged results whenever it (re)connects or
+switches coordinator.
 """
 
 from __future__ import annotations
