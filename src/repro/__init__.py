@@ -33,7 +33,6 @@ from repro.errors import (
     ProtocolError,
     ReproError,
     RPCError,
-    RPCTimeout,
     SchedulingError,
     ServiceNotRegistered,
     SessionError,
@@ -70,7 +69,6 @@ __all__ = [
     "RPCError",
     "RPCId",
     "RPCStatus",
-    "RPCTimeout",
     "SchedulingError",
     "ServerConfig",
     "ServiceNotRegistered",

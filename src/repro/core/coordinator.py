@@ -599,9 +599,8 @@ class CoordinatorComponent:
         args = task.call.args
         if not (isinstance(args, dict) and "crowd" in args):
             return
-        reply_to = args.get("reply_to")
-        if not reply_to:
-            return
+        # Both ways a crowd batch is filed set its reply address.
+        reply_to = args["reply_to"]
         self.host.send(
             Message(
                 mtype=MessageType.CROWD_RESULT_BATCH,
@@ -689,15 +688,17 @@ class CoordinatorComponent:
 
     # ------------------------------------------------------------- server requests
     def _on_work_request(self, message: Message):
+        # ``_handle`` found something eligible before the overhead sleep,
+        # and the sleep cannot take it away: every message, replica merges
+        # and heart-beats included, waits for this handler, and what runs
+        # meanwhile (the server watch, detector timers) only re-queues tasks
+        # or suspects more owners.
         server = message.source
         self._hear_server(server)
         task, cost = self._assign(server)
         if cost > 0:
             yield self.host.sleep(cost)
-        if task is None:
-            self._hold(message)
-        else:
-            self._send_task(message, task)
+        self._send_task(message, task)
 
     def _send_task(self, request: Message, task: TaskRecord) -> None:
         self.host.send(
@@ -708,12 +709,13 @@ class CoordinatorComponent:
             )
         )
 
-    def _assign(self, server: Address) -> tuple[TaskRecord | None, float]:
+    def _assign(self, server: Address) -> tuple[TaskRecord, float]:
         """Pick ``server``'s next task: the one path that makes assignments.
 
-        A work request and a result upload that asks for work both come
-        here.  Returns the task (``None`` when the scan found nothing) and
-        the database charges made, which the caller sleeps with its own.
+        A work request, a result upload that asks for work and a submission
+        that answers a held request all come here, each once something is
+        eligible.  Returns the task and the database charges made, which the
+        caller sleeps with its own.
         """
         cost = self.database.charge_scan()
         decision = self.scheduler.pick(
@@ -724,8 +726,6 @@ class CoordinatorComponent:
             now=self.env.now,
         )
         task = decision.task
-        if task is None:
-            return None, cost
         key = task.identity
         self._mark_dirty(key)
         self._task_activity[key] = self.env.now
@@ -880,9 +880,8 @@ class CoordinatorComponent:
         candidates = [
             c for name in preferred_names for c in self.other_coordinators() if str(c) == name
         ]
+        # Another coordinator holds the archive, so the list is never empty.
         candidates += [c for c in self.other_coordinators() if c not in candidates]
-        if not candidates:
-            return
         attempts = self._archive_fetch_attempts.get(key, 0)
         self._archive_fetch_attempts[key] = attempts + 1
         target = candidates[attempts % len(candidates)]

@@ -83,7 +83,12 @@ class CoordinatorRegistry:
 
     # -- preferred coordinator -----------------------------------------------------
     def preferred(self) -> Address | None:
-        """The current preferred coordinator (None when every one is suspected)."""
+        """The current preferred coordinator (None when every one is suspected).
+
+        Never None for a client or a server: a deployment has a coordinator,
+        and they suspect only through :meth:`switch_preferred`, which
+        forgives every suspicion before the last coordinator would fall.
+        """
         if not self.coordinators:
             return None
         current = self.coordinators[self._preferred_index % len(self.coordinators)]
@@ -113,14 +118,14 @@ class CoordinatorRegistry:
         current = self.coordinators[self._preferred_index % len(self.coordinators)]
         if away_from is None and current in candidates:
             return current
-        # Pick the first unsuspected coordinator after the current index.
+        # Pick the first unsuspected coordinator after the current index;
+        # the steps go round the whole list, so one is found.
         n = len(self.coordinators)
         for step in range(1, n + 1):
             candidate = self.coordinators[(self._preferred_index + step) % n]
             if candidate in candidates:
                 self._preferred_index = (self._preferred_index + step) % n
                 return candidate
-        return candidates[0]
 
     def set_preferred(self, address: Address) -> None:
         """Force the preferred coordinator (builder / scenario control)."""
@@ -155,8 +160,6 @@ class CoordinatorRegistry:
         successors: list[Address] = []
         for step in range(1, n):
             candidate = ordered[(start + step) % n]
-            if candidate == me:
-                continue
             if candidate not in self.suspected:
                 successors.append(candidate)
                 if len(successors) == k:

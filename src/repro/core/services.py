@@ -40,16 +40,17 @@ class ServiceSpec:
             raise ConfigurationError("default_exec_time must be non-negative")
 
     def execute(self, args: Any) -> Any:
-        """Run the real callable (live runtime); identity when none is bound."""
+        """Run the real callable (live runtime); identity when none is bound.
+
+        ``args`` is a dict of keywords, a sequence of positionals or ``None``.
+        """
         if self.fn is None:
             return args
         if isinstance(args, dict):
             return self.fn(**args)
-        if isinstance(args, (list, tuple)):
-            return self.fn(*args)
         if args is None:
             return self.fn()
-        return self.fn(args)
+        return self.fn(*args)
 
 
 class ServiceRegistry:

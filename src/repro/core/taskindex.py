@@ -59,6 +59,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.core.protocol import TaskRecord
+from repro.errors import SchedulingError
 from repro.policies.scheduling import _sjf_key, fcfs_key
 from repro.types import CallIdentity, TaskState
 
@@ -159,8 +160,9 @@ class TaskIndex:
             elif state is TaskState.FINISHED:
                 return key
             else:
-                self._counts[TaskState.FINISHED] -= 1
-                self._drop_unarchived(key)
+                # Merges rank FINISHED highest, and re-queues and reschedules
+                # take only ongoing tasks: a finished task never goes back.
+                raise SchedulingError(f"finished task {key} noted as {state.name}")
         self._counts[state] += 1
         if state is TaskState.PENDING:
             self._pending[key] = record

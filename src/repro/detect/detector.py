@@ -123,7 +123,9 @@ class FailureDetector:
         if suspected and subject not in self._suspected:
             self._suspected.add(subject)
             self._record(now, subject, suspected=True)
-        elif not suspected and subject in self._suspected:
+        # Built-in policies suspect more the longer the silence; a plug-in
+        # one may stop suspecting without news.
+        elif not suspected and subject in self._suspected:  # pragma: no cover - plug-in policy
             self._suspected.discard(subject)
             self._record(now, subject, suspected=False)
         return suspected

@@ -59,7 +59,6 @@ class HeartbeatEmitter:
         self.targets = targets
         self.payload = payload or (lambda: {})
         self.jitter_fraction = jitter_fraction
-        self.sent = 0
         self.stopped = False
         self._handle: TimerHandle | None = None
         self._rng = host.rng.stream(f"heartbeat.{host.address}")
@@ -111,13 +110,8 @@ class HeartbeatEmitter:
         )
 
     def _tick(self, _arg: Any = None) -> None:
-        if self.stopped or not self.host.up:
-            handle = self._handle
-            if handle is not None:
-                # Retire in place: cancelling mid-fire just stops the re-arm.
-                self._handle = None
-                handle.cancel()
-            return
+        # stop() cancels the handle, and a crash stops the emitter before it
+        # returns: a tick never finds the emitter stopped or its host down.
         self.beat_now()
 
     def beat_now(self) -> int:
@@ -147,5 +141,4 @@ class HeartbeatEmitter:
                 )
             )
             count += 1
-        self.sent += count
         return count

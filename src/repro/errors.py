@@ -16,7 +16,6 @@ __all__ = [
     "ProtocolError",
     "SchedulingError",
     "RPCError",
-    "RPCTimeout",
     "ServiceNotRegistered",
     "SessionError",
     "LogCorruption",
@@ -41,10 +40,6 @@ class SchedulingError(ReproError):
 
 class RPCError(ReproError):
     """Base class of errors surfaced through the GridRPC-like client API."""
-
-
-class RPCTimeout(RPCError):
-    """A blocking wait on an RPC exceeded the caller-provided deadline."""
 
 
 class ServiceNotRegistered(RPCError):

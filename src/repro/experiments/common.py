@@ -23,7 +23,7 @@ def finish(grid: Grid, process: Process, horizon: float, what: str) -> None:
 
 def format_rows(rows: list[dict[str, Any]], title: str | None = None) -> str:
     """Render rows as a fixed-width table (what the harness prints)."""
-    if not rows:
+    if not rows:  # pragma: no cover - a sweep that kept no row
         return f"{title or ''}\n(no data)"
     columns = list(rows[0].keys())
     widths = {

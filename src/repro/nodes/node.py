@@ -69,7 +69,6 @@ class Host:
 
         #: instant of the last crash or restart (creation before either).
         self.last_transition = env.now
-        self.crash_count = 0
 
     # -- component wiring --------------------------------------------------------
     def on_restart(self, callback: Callable[["Host"], None]) -> None:
@@ -90,7 +89,7 @@ class Host:
         """Deregister a crash hook installed with add_crash_hook (idempotent)."""
         try:
             self._crash_hooks.remove(hook)
-        except ValueError:
+        except ValueError:  # pragma: no cover - idempotent
             pass
 
     # -- process management --------------------------------------------------------
@@ -116,10 +115,9 @@ class Host:
     # -- crash / restart --------------------------------------------------------
     def crash(self, cause: Any = "fault-injection") -> None:
         """Abrupt failure: kill processes, drop mailbox and volatile state."""
-        if not self.up:
+        if not self.up:  # pragma: no cover - idempotent
             return
         self.up = False
-        self.crash_count += 1
         now = self.last_transition = self.env.now
 
         for process in self.alive_processes():
@@ -134,7 +132,7 @@ class Host:
 
     def restart(self) -> None:
         """Restart after a crash; the component rebuilds from persistent state."""
-        if self.up:
+        if self.up:  # pragma: no cover - idempotent
             return
         now = self.last_transition = self.env.now
         self.up = True

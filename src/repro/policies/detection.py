@@ -122,8 +122,6 @@ class AdaptiveTimeoutDetection(DetectionPolicy):
         self._estimates: Dict[object, tuple[float, float, int]] = {}
 
     def observe(self, subject: object, gap: float) -> None:
-        if gap <= 0:
-            return
         state = self._estimates.get(subject)
         if state is None:
             self._estimates[subject] = (gap, gap / 2.0, 1)
@@ -188,8 +186,6 @@ class PhiAccrualDetection(DetectionPolicy):
         self._gaps: Dict[object, Deque[float]] = {}
 
     def observe(self, subject: object, gap: float) -> None:
-        if gap <= 0:
-            return
         gaps = self._gaps.get(subject)
         if gaps is None:
             gaps = self._gaps[subject] = deque(maxlen=self.window)

@@ -155,7 +155,7 @@ class QuorumReplication(ReplicationPolicy):
                 targets = [
                     t for t in ring if self._next_allowed.get(t, 0.0) <= env.now
                 ]
-                if not targets:
+                if not targets:  # pragma: no cover - every successor backed off
                     self.incr("skipped_rounds")
                     continue
                 quorum = self.quorum_for(len(targets))
@@ -192,7 +192,7 @@ class QuorumReplication(ReplicationPolicy):
         targets = coordinator.registry.ring_successors(
             coordinator.address, self.successors
         )
-        if not targets:
+        if not targets:  # pragma: no cover - every successor suspected
             return
         coordinator.pull_replicas(targets)
         self.incr("recovery_pulls", len(targets))

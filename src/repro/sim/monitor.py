@@ -91,7 +91,6 @@ class Monitor:
         self._counters: dict[str, Counter] = {}
         self.series: dict[str, TimeSeries] = {}
         self.traces: list[TraceRecord] = []
-        self.trace_enabled = True
         self.trace_limit = 200_000
         #: trace records discarded because ``trace_limit`` was reached.
         self.traces_dropped = 0
@@ -145,9 +144,7 @@ class Monitor:
         Records past the limit are counted in ``traces_dropped``; the first
         one of a run warns.
         """
-        if not self.trace_enabled:
-            return
-        if len(self.traces) >= self.trace_limit:
+        if len(self.traces) >= self.trace_limit:  # pragma: no cover - a run past the limit
             if not self.traces_dropped:
                 warnings.warn(
                     f"Monitor.trace: trace_limit ({self.trace_limit}) reached, "

@@ -75,7 +75,7 @@ class Store:
             return
         try:
             self._getters.remove(event)
-        except ValueError:
+        except ValueError:  # pragma: no cover - idempotent
             pass
 
     def drain(self) -> list[Any]:

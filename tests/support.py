@@ -7,11 +7,14 @@
   from outside;
 * :data:`STATE_PRECEDENCE` — the replica merge order the merge must respect;
 * :func:`fail_event` — trigger an event with an exception, as a process
-  that raised does, for the kernel's failure-propagation tests.
+  that raised does, for the kernel's failure-propagation tests;
+* :func:`count_charges` — count a coordinator database's paid scans and
+  writes from outside.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.errors import LogCorruption
@@ -62,3 +65,18 @@ def fail_event(event, exception: BaseException):
 def log_keys(log) -> set:
     """Keys of every record of ``log``, durable or buffered."""
     return set(log._durable) | set(log._buffered)
+
+
+def count_charges(database) -> Counter:
+    """Count each ``charge_scan`` / ``charge_write`` of ``database`` from now
+    on, as ``counts["scan"]`` / ``counts["write"]``."""
+    counts: Counter = Counter()
+    for kind in ("scan", "write"):
+        charge = getattr(database, f"charge_{kind}")
+
+        def counted(*args, charge=charge, kind=kind):
+            counts[kind] += 1
+            return charge(*args)
+
+        setattr(database, f"charge_{kind}", counted)
+    return counts

@@ -22,7 +22,7 @@ from repro.core.synchronization import (
     plan_server_sync,
 )
 from repro.core.taskindex import TaskIndex
-from repro.errors import ConfigurationError, ServiceNotRegistered
+from repro.errors import ConfigurationError, SchedulingError, ServiceNotRegistered
 from repro.policies.resolve import make_policy
 from repro.policies.scheduling import FifoReschedulePolicy
 from repro.types import Address, CallIdentity, TaskState
@@ -186,15 +186,16 @@ class TestScheduler:
     def test_finished_tasks_never_scheduled(self):
         scheduler = FifoReschedulePolicy()
         index = indexed(make_task(1, state=TaskState.FINISHED))
-        decision = scheduler.pick(index, self.SERVER, "k0", lambda _o: False, now=0.0)
-        assert decision.task is None
+        assert scheduler.nothing_eligible(index, "k0", lambda _o: True)
+        with pytest.raises(SchedulingError):
+            scheduler.pick(index, self.SERVER, "k0", lambda _o: False, now=0.0)
 
     def test_ongoing_foreign_task_held_until_owner_suspected(self):
         scheduler = FifoReschedulePolicy()
         index = indexed(make_task(1, state=TaskState.ONGOING, owner="coordinator:other"))
-        held = scheduler.pick(index, self.SERVER, "k0", lambda _o: False, now=0.0)
-        assert held.task is None
         assert scheduler.nothing_eligible(index, "k0", lambda _o: False)
+        with pytest.raises(SchedulingError):
+            scheduler.pick(index, self.SERVER, "k0", lambda _o: False, now=0.0)
         assert not scheduler.nothing_eligible(index, "k0", lambda _o: True)
         released = scheduler.pick(index, self.SERVER, "k0", lambda _o: True, now=0.0)
         assert released.task is not None
@@ -203,8 +204,9 @@ class TestScheduler:
     def test_own_ongoing_task_not_rescheduled_by_pick(self):
         scheduler = FifoReschedulePolicy()
         index = indexed(make_task(1, state=TaskState.ONGOING, owner="k0"))
-        decision = scheduler.pick(index, self.SERVER, "k0", lambda _o: True, now=0.0)
-        assert decision.task is None
+        assert scheduler.nothing_eligible(index, "k0", lambda _o: True)
+        with pytest.raises(SchedulingError):
+            scheduler.pick(index, self.SERVER, "k0", lambda _o: True, now=0.0)
 
     def test_reschedule_for_suspected_server(self):
         scheduler = FifoReschedulePolicy()

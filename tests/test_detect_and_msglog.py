@@ -244,8 +244,8 @@ class TestHeartbeatEmitter:
         )
         emitter.start()
         env.run(until=30.0)
-        assert emitter.sent >= 4
-        assert target.endpoint.delivered >= 4
+        assert network.stats()["net.sent"] >= 4
+        assert network.stats()["net.delivered"] >= 4
 
     def test_skips_none_and_self_targets(self, env):
         host = make_host(env, kind="server")
@@ -268,10 +268,10 @@ class TestHeartbeatEmitter:
         )
         emitter.start()
         env.run(until=12.0)
-        sent_before = emitter.sent
+        sent_before = host.network.stats()["net.sent"]
         host.crash()
         env.run(until=60.0)
-        assert emitter.sent == sent_before
+        assert host.network.stats()["net.sent"] == sent_before
         # The crash also reclaimed the pending beat timer.
         assert emitter._handle is None
 
@@ -286,10 +286,10 @@ class TestHeartbeatEmitter:
         )
         emitter.start()
         env.run(until=12.0)
-        sent_before = emitter.sent
+        sent_before = host.network.stats()["net.sent"]
         emitter.stop()
         env.run(until=60.0)
-        assert emitter.sent == sent_before
+        assert host.network.stats()["net.sent"] == sent_before
         assert emitter._handle is None
         emitter.stop()  # idempotent
 

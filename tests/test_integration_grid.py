@@ -28,6 +28,7 @@ from repro.scenarios.engine import (
 )
 from repro.types import Address, CallIdentity, LoggingStrategy, RPCStatus, TaskState
 from repro.workloads.synthetic import SyntheticWorkload
+from tests.support import count_charges
 
 
 def small_grid(**kwargs):
@@ -607,7 +608,7 @@ def timed_results(grid, coordinator):
     charges."""
     spans = []
     handle = coordinator._handle
-    database = coordinator.database
+    charges = count_charges(coordinator.database)
 
     def timed(message):
         handling = handle(message)
@@ -615,9 +616,9 @@ def timed_results(grid, coordinator):
             return handling
 
         def run():
-            start, scans = grid.env.now, database.scans
+            start, scans = grid.env.now, charges["scan"]
             yield from handling
-            spans.append((grid.env.now - start, database.scans - scans))
+            spans.append((grid.env.now - start, charges["scan"] - scans))
 
         return run()
 

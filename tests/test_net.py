@@ -147,7 +147,7 @@ class TestNetwork:
         endpoint_b = network.register(B)
         network.send(Message(MessageType.PING, A, B, size_bytes=10))
         env.run()
-        assert endpoint_b.delivered == 1
+        assert network.stats()["net.delivered"] == 1
         assert len(endpoint_b.mailbox.items) == 1
 
     def test_unknown_destination_is_counted_dropped(self, env):
@@ -160,22 +160,22 @@ class TestNetwork:
     def test_partition_blocks_delivery(self, env):
         network = Network(env, PerfectLinkModel())
         network.register(A)
-        endpoint_b = network.register(B)
+        network.register(B)
         network.partitions.hide(A, from_source=B)
         network.partitions.hide(B, from_source=A)
         network.send(Message(MessageType.PING, A, B))
         env.run()
-        assert endpoint_b.delivered == 0
+        assert network.stats()["net.delivered"] == 0
         assert network.stats()["net.dropped.partition"] >= 1
 
     def test_down_endpoint_drops_message(self, env):
         network = Network(env, PerfectLinkModel())
         network.register(A)
-        endpoint_b = network.register(B)
+        network.register(B)
         network.set_endpoint_up(B, False)
         network.send(Message(MessageType.PING, A, B))
         env.run()
-        assert endpoint_b.delivered == 0
+        assert network.stats()["net.delivered"] == 0
         assert network.stats()["net.dropped.endpoint_down"] == 1
 
     def test_endpoint_down_clears_mailbox(self, env):
@@ -195,11 +195,11 @@ class TestNetwork:
 
         network = Network(env, link_model=AlwaysLossy())
         network.register(A)
-        endpoint_b = network.register(B)
+        network.register(B)
         for _ in range(5):
             network.send(Message(MessageType.PING, A, B))
         env.run()
-        assert endpoint_b.delivered == 0
+        assert network.stats()["net.delivered"] == 0
         assert network.stats()["net.dropped.loss"] == 5
 
     def test_message_sent_while_down_not_delivered_after_restart(self, env):
@@ -213,21 +213,20 @@ class TestNetwork:
         # fresh mailbox.
         network.set_endpoint_up(B, True)
         env.run()
-        assert endpoint_b.delivered == 0
+        assert network.stats()["net.delivered"] == 0
         assert len(endpoint_b.mailbox.items) == 0
-        assert endpoint_b.dropped_stale == 1
         assert network.stats()["net.dropped.stale_incarnation"] == 1
 
     def test_restart_mid_flight_drops_in_flight_traffic(self, env):
         network = Network(env, link_model=LanLinkModel(jitter=0.0))
         network.register(A)
-        endpoint_b = network.register(B)
+        network.register(B)
         network.send(Message(MessageType.PING, A, B, size_bytes=10_000))
         # Crash + restart while the message is still in flight.
         network.set_endpoint_up(B, False)
         network.set_endpoint_up(B, True)
         env.run()
-        assert endpoint_b.delivered == 0
+        assert network.stats()["net.delivered"] == 0
         assert network.stats()["net.dropped.stale_incarnation"] == 1
 
     def test_mark_up_on_live_endpoint_is_a_noop(self, env):
@@ -239,15 +238,15 @@ class TestNetwork:
         network.set_endpoint_up(B, True)
         env.run()
         assert endpoint_b.incarnation == 0
-        assert endpoint_b.delivered == 1
+        assert network.stats()["net.delivered"] == 1
 
     def test_same_incarnation_delivery_unaffected(self, env):
         network = Network(env, PerfectLinkModel())
         network.register(A)
-        endpoint_b = network.register(B)
+        network.register(B)
         network.send(Message(MessageType.PING, A, B))
         env.run()
-        assert endpoint_b.delivered == 1
+        assert network.stats()["net.delivered"] == 1
         assert network.stats()["net.dropped.stale_incarnation"] == 0
 
     def test_loss_stream_consumed_uniformly(self, env):
@@ -468,7 +467,8 @@ class TestCrashedMailboxAndHandlers:
         network.send(Message(MessageType.PING, A, B, payload={"n": 2}))
         env.run()
         assert [n for _, n in handled] == [0]
-        assert host.endpoint.dropped_down == 2 and len(host.endpoint.mailbox.items) == 0
+        assert network.stats()["net.dropped.endpoint_down"] == 2
+        assert len(host.endpoint.mailbox.items) == 0
         with pytest.raises(ConfigurationError):
             host.on_message(print)
 
@@ -481,7 +481,7 @@ class TestCrashedMailboxAndHandlers:
         network.send(Message(MessageType.PING, A, B, payload={"n": 2}))
         env.run()
         assert [n for _, n in handled] == [2]
-        assert host.endpoint.dropped_stale == 2 and host.endpoint.dropped_down == 0
+        assert network.stats()["net.dropped.endpoint_down"] == 0
         assert network.stats()["net.dropped.stale_incarnation"] == 2
 
     def test_handler_runs_after_the_delivery_hooks(self, env):

@@ -8,7 +8,6 @@ import inspect
 import os
 import subprocess
 import sys
-import weakref
 from pathlib import Path
 
 import pytest
@@ -18,7 +17,6 @@ from repro.cli import main
 from repro.core.protocol import CallDescription
 from repro.errors import ConfigurationError
 from repro.grid.builder import build_confined_cluster
-from repro.platform import BaseComponent
 from repro.scenarios import (
     Axis,
     ResultsStore,
@@ -531,70 +529,64 @@ class TestPoolFallback:
         assert "parallel_fallback" not in SweepRunner(spec, jobs=1).run().manifest
 
 
-class _EnvironmentRef(BaseComponent):
-    """Inert component keeping a weak reference to its grid's environment."""
-
-    def __init__(self) -> None:
-        super().__init__("test.environment-ref")
-        self.ref: weakref.ref | None = None
-
-    def setup(self, grid) -> None:
-        self.ref = weakref.ref(grid.env)
-
-
-def _environment_ref_cell(seed: int = 0, **_: object) -> dict:
-    """Module-level kernel: a tiny benchmark run that returns a weak
-    reference to the environment it ran in."""
-    probe = _EnvironmentRef()
+def _benchmark_cell(seed: int = 0, **_: object) -> dict:
+    """Module-level kernel: one tiny benchmark run."""
     report = execute_benchmark(
         GridTopology(n_servers=2, n_coordinators=2),
         WorkloadSpec(n_calls=4, exec_time=1.0),
         seed=seed,
-        components=[probe],
     )
-    return {"completed": report.completed, "environment": probe.ref}
+    return {"completed": report.completed}
 
 
 def _live_environments() -> int:
+    """Environments in the collector's own object list.
+
+    Not counted through weak references: the collector clears those before
+    it runs finalizers, so a grid that a finalizer revived would read as
+    freed.
+    """
     return sum(type(o) is Environment for o in gc.get_objects())
 
 
+def _environments_after_each_cell(monkeypatch) -> list[int]:
+    """From now on, append the live environment count after every cell."""
+    execute = runner_module._execute_cell
+    left: list[int] = []
+
+    def counted(cell, call_params):
+        outcome = execute(cell, call_params)
+        left.append(_live_environments())
+        return outcome
+
+    monkeypatch.setattr(runner_module, "_execute_cell", counted)
+    return left
+
+
 class TestCellBoundary:
-    def test_a_finished_cell_is_reclaimed_at_the_cell_boundary(self):
+    def test_a_finished_cell_is_reclaimed_at_the_cell_boundary(self, monkeypatch):
         """A finished grid is cyclic garbage; the runner frees it before the
         next cell, whatever the collector's thresholds would have done."""
         spec = ScenarioSpec(
             name="reclaim-sweep",
             title="finished cells are freed",
-            cell=_environment_ref_cell,
+            cell=_benchmark_cell,
             seeds=(1, 2),
         )
+        left = _environments_after_each_cell(monkeypatch)
+        gc.collect()
+        before = _live_environments()
         gc.disable()
         try:
             result = SweepRunner(spec, jobs=1).run()
-            refs = [cell["outputs"]["environment"] for cell in result.cells]
-            alive = [ref() is not None for ref in refs]
         finally:
             gc.enable()
         assert [row["completed"] for row in result.rows] == [4, 4]
-        assert alive == [False, False]
+        assert left == [before, before]
 
     def test_no_finished_grid_outlives_its_cell(self, monkeypatch):
-        """After every cell of a tiny fig7 sweep, no environment is left.
-
-        Counted in the collector's own object list, not through weak
-        references: the collector clears those before it runs finalizers,
-        so a grid that a finalizer revived would read as freed.
-        """
-        execute = runner_module._execute_cell
-        left = []
-
-        def counted(cell, call_params):
-            outcome = execute(cell, call_params)
-            left.append(_live_environments())
-            return outcome
-
-        monkeypatch.setattr(runner_module, "_execute_cell", counted)
+        """After every cell of a tiny fig7 sweep, no environment is left."""
+        left = _environments_after_each_cell(monkeypatch)
         gc.collect()
         before = _live_environments()
         run_scenario("fig7", scale="tiny", jobs=1, seeds=[1])

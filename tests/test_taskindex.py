@@ -31,6 +31,7 @@ from repro.core.protocol import (
 )
 from repro.core.replication import ReplicaState, build_state, merge_state
 from repro.core.taskindex import TaskIndex
+from repro.errors import SchedulingError
 from repro.platform.component import BaseComponent
 from repro.policies.scheduling import (
     FastestFirstSchedulerPolicy,
@@ -204,14 +205,15 @@ class TestIndexEquivalence:
                 index.note(record, key)
                 next_id += 1
             elif op == "assign":
-                decision = policy.pick(
-                    index,
-                    server=rng.choice(SERVERS),
-                    my_name=MY_NAME,
-                    owner_suspected=owner_suspected,
-                    now=now,
-                )
-                if decision.task is not None:
+                server = rng.choice(SERVERS)
+                if not policy.nothing_eligible(index, MY_NAME, owner_suspected):
+                    decision = policy.pick(
+                        index,
+                        server=server,
+                        my_name=MY_NAME,
+                        owner_suspected=owner_suspected,
+                        now=now,
+                    )
                     index.note(decision.task)
             elif op == "finish":
                 ongoing = [r for r in tasks.values() if r.state is TaskState.ONGOING]
@@ -319,10 +321,12 @@ class TestIndexEquivalence:
         for step in range(61):
             server, now = SERVERS[step % 4], float(step)
             eligible = naive_eligible(scan_tasks, MY_NAME, suspected)
-            b = indexed_policy.pick(index, server, MY_NAME, suspected, now=now)
             if not eligible:
-                assert b.task is None
+                assert indexed_policy.nothing_eligible(index, MY_NAME, suspected)
+                with pytest.raises(SchedulingError):
+                    indexed_policy.pick(index, server, MY_NAME, suspected, now=now)
                 continue
+            b = indexed_policy.pick(index, server, MY_NAME, suspected, now=now)
             if policy_cls in SCAN_CHOOSE:
                 a = SCAN_CHOOSE[policy_cls](eligible)
             else:
