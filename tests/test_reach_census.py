@@ -2,9 +2,11 @@
 
 The census itself runs the product and tier-1 side by side for minutes;
 these tests check, in milliseconds, what decides its verdict: which
-``def`` counts as a function and under what name, which is exempt by rule,
-how a recorded code object is matched to its ``def``, how reached sets
-become findings, and that the checked-in allowlist names live functions.
+``def`` counts as a function and under what name, which statements it holds
+and which of them are exempt, how recorded lines are matched to statements
+by span, how the ran lines become counts and findings (the unrun-statement
+bound included), which attributes are write-only, and that the checked-in
+allowlist names live functions.
 """
 
 from __future__ import annotations
@@ -22,9 +24,11 @@ from benchmarks.reach_census import (
     MAX_ALLOWED,
     REPO,
     Function,
+    Statement,
     functions,
     read_allowlist,
     verdict,
+    written_only,
 )
 
 
@@ -125,60 +129,179 @@ class TestFunctions:
     def test_every_source_function_has_one_key(self):
         everything = functions()
         assert everything, "no function found under src/repro"
-        keys = [found.key for found in everything]
+        keys = [(found.path, found.line, found.name) for found in everything]
         assert len(keys) == len(set(keys))
 
 
-def test_recorded_code_objects_match_the_functions_they_start():
-    """A started code object's key is the key of the ``def`` it came from.
+class TestStatements:
+    def test_a_compound_statement_spans_its_header_only(self, tmp_path):
+        found = _one(tmp_path, """
+            def work(flag, other):
+                \"\"\"Doc.\"\"\"
+                total = (
+                    1
+                )
+                if (
+                    flag
+                    and other
+                ):
+                    total += 1
+                return total
+        """)
+        # The docstring runs no code: it is no statement.
+        assert found.statements == (
+            Statement(4, 6, False), Statement(7, 10, False),
+            Statement(11, 11, False), Statement(12, 12, False))
 
-    Run in a fresh interpreter: the recorder installs a process-wide profile
-    hook (or ``sys.monitoring`` tool), which must not displace the one of a
-    census recording this very test run.
+    def test_any_line_of_a_span_runs_the_statement(self):
+        header = Statement(7, 10, False)
+        # 3.12 reports a multi-line ``if (`` header by its inner lines only.
+        assert header.ran({8}) and header.ran({10})
+        assert not header.ran({6, 11})
+
+    def test_a_nested_def_is_one_statement_of_its_parent(self, tmp_path):
+        outer, inner = functions(_tree(tmp_path, {"mod.py": """
+            def outer():
+                @staticmethod
+                def inner(
+                    a,
+                ):
+                    return a
+                return inner
+        """}))
+        assert outer.statements == (Statement(3, 6, False), Statement(8, 8, False))
+        assert inner.statements == (Statement(7, 7, False),)
+
+    def test_try_headers_and_global_run_no_code(self, tmp_path):
+        found = _one(tmp_path, """
+            def work():
+                global STATE
+                try:
+                    STATE = 1
+                finally:
+                    STATE = 2
+        """)
+        assert [s.first for s in found.statements] == [5, 7]
+
+    def test_a_block_that_ends_in_raise_is_exempt(self, tmp_path):
+        found = _one(tmp_path, """
+            def check(value):
+                if value < 0:
+                    message = f"negative: {value}"
+                    raise ValueError(message)
+                return value
+        """)
+        assert [(s.first, s.exempt) for s in found.statements] == [
+            (3, False), (4, True), (5, True), (6, False)]
+
+    def test_a_pragma_exempts_its_statement_and_everything_under_it(self, tmp_path):
+        found = _one(tmp_path, """
+            def load(path):
+                try:
+                    text = path.read_text()
+                except OSError:  # pragma: no cover - a torn write
+                    text = ""
+                    return text
+                if not text:  # pragma: no cover - empty
+                    return None
+                size = len(text)  # pragma: no cover - counted elsewhere
+                return text
+        """)
+        assert [(s.first, s.exempt) for s in found.statements] == [
+            (4, False), (6, True), (7, True), (8, True), (9, True),
+            (10, True), (11, False)]
+
+
+def test_recorded_code_objects_match_the_functions_they_start(tmp_path):
+    """Recorded lines reach the ``def`` they belong to, and only those.
+
+    A stdlib-only tree, so that any interpreter runs it: the recorder's
+    ``sys.monitoring`` branch on 3.12+, its ``sys.settrace`` one on 3.11.
+    Run in a fresh interpreter: the recorder installs a process-wide hook,
+    which must not displace the one of a census recording this very run.
     """
+    package = _tree(tmp_path, {"mod.py": """
+        import functools
+
+
+        def branchy(flag):
+            if (
+                flag
+                and True
+            ):
+                return "yes"
+            return "no"
+
+
+        @functools.lru_cache(maxsize=None)
+        def decorated():
+            def nested():
+                return 1
+            return nested()
+
+
+        def never():
+            return 0
+
+
+        class Thing:
+            @property
+            def size(self):
+                return 2
+    """})
     script = textwrap.dedent("""
         import json, sys
+        from pathlib import Path
         sys.path.insert(0, "benchmarks")
+        sys.path.insert(0, sys.argv[1])
         from reach_census import _record, functions
 
         def phase():
-            from repro.scenarios import registry
-            from repro.sim.core import Environment
+            from pkg import mod
 
-            registry.load_all()
-            env = Environment()
+            mod.branchy(True)
+            mod.decorated()
+            assert mod.Thing().size == 2
 
-            def ticker(env):
-                yield env.timeout(1.0)
-
-            env.process(ticker(env))
-            env.run()
-            assert env.now == 1.0
-
-        seen = _record(phase)
-        print(json.dumps(sorted(
-            found.label for found in functions() if found.key in seen)))
+        root = Path(sys.argv[1], "pkg")
+        ran = _record(phase, root)
+        everything = functions(root)
+        print(json.dumps({
+            "reached": sorted(f.label for f in everything if f.reached(ran)),
+            "header": [s.ran(ran.get(str(f.path), set()))
+                       for f in everything if f.name == "branchy"
+                       for s in f.statements],
+        }))
     """)
     done = subprocess.run(
-        [sys.executable, "-c", script], cwd=REPO, capture_output=True,
-        text=True, timeout=120,
+        [sys.executable, "-c", script, str(tmp_path)], cwd=REPO,
+        capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(REPO / "src")},
     )
     assert done.returncode == 0, done.stderr
-    labels = set(json.loads(done.stdout.strip().splitlines()[-1]))
-    assert {
-        "repro.sim.core:Environment.run",
-        "repro.sim.core:Environment.now",  # a property: decorated
-        "repro.scenarios.registry:scenario.<locals>.decorator",  # nested
-    } <= labels
-    assert "repro.core.client:ClientComponent.recover" not in labels
+    seen = json.loads(done.stdout.strip().splitlines()[-1])
+    assert seen["reached"] == [
+        "pkg.mod:Thing.size", "pkg.mod:branchy", "pkg.mod:decorated",
+        "pkg.mod:decorated.<locals>.nested"]
+    # The multi-line header and its body ran; the fall-through return did not.
+    assert seen["header"] == [True, True, False]
 
 
-def _function(label: str, line: int, exempt: bool = False) -> Function:
+def _function(
+    label: str, line: int, statements: tuple[Statement, ...] = (),
+    exempt: bool = False,
+) -> Function:
     module, _, qualname = label.partition(":")
     path = REPO / "src" / Path(*module.split(".")).with_suffix(".py")
     return Function(path, line, qualname.rsplit(".", 1)[-1], qualname,
-                     module, 3, exempt)
+                    module, 3, exempt,
+                    statements or (Statement(line + 1, line + 1, False),))
+
+
+def _ran(*functions_: Function, lines: tuple[int, ...] = ()) -> dict[str, set[int]]:
+    """The first statement line of each function, plus ``lines``, in one file."""
+    ran = {line for found in functions_ for line in (found.statements[0].first,)}
+    return {str(REPO / "src" / "repro" / "a.py"): ran | set(lines)}
 
 
 class TestVerdict:
@@ -188,61 +311,141 @@ class TestVerdict:
     stub = _function("repro.a:Base.stub", 30, exempt=True)
 
     def test_a_product_that_reaches_everything_has_no_finding(self):
-        counts, findings = verdict(
-            [self.used, self.stub], {}, {self.used.key}, {self.used.key})
-        assert findings == []
-        assert counts == {"exempt": 1, "product": 1, "allowed": 0,
-                          "test-only": 0, "unreached": 0}
+        result = verdict(
+            [self.used, self.stub], {}, _ran(self.used), _ran(self.used), bound=0)
+        assert result.findings == [] and result.unrun == []
+        assert result.functions == {"exempt": 1, "product": 1, "allowed": 0,
+                                    "test-only": 0, "unreached": 0}
+        assert result.statements == {"exempt": 1, "product": 1, "allowed": 0,
+                                     "test-only": 0, "unreached": 0}
 
     def test_test_only_and_unreached_functions_are_named_with_their_place(self):
-        counts, findings = verdict(
-            [self.used, self.tested, self.dead], {}, {self.used.key},
-            {self.used.key, self.tested.key})
-        assert (counts["test-only"], counts["unreached"]) == (1, 1)
-        assert findings == [
+        result = verdict(
+            [self.used, self.tested, self.dead], {}, _ran(self.used),
+            _ran(self.used, self.tested), bound=2)
+        assert (result.functions["test-only"], result.functions["unreached"]) == (1, 1)
+        assert result.findings == [
             "test-only  repro.a:tested (src/repro/a.py:10, 3 lines)",
             "unreached  repro.a:dead (src/repro/a.py:20, 3 lines)",
         ]
 
     def test_an_exempt_stub_is_never_a_finding(self):
-        counts, findings = verdict([self.stub], {}, set(), set())
-        assert (counts["exempt"], findings) == (1, [])
+        result = verdict([self.stub], {}, {}, {}, bound=0)
+        assert (result.functions["exempt"], result.findings) == (1, [])
 
     def test_an_allowlisted_function_is_counted_not_reported(self):
-        counts, findings = verdict(
+        result = verdict(
             [self.used, self.tested, self.dead],
             {"repro.a:tested": "a reason", "repro.a:dead": "another"},
-            {self.used.key}, {self.tested.key})
-        assert findings == []
-        assert (counts["allowed"], counts["test-only"], counts["unreached"]) \
-            == (2, 0, 0)
+            _ran(self.used), _ran(self.tested), bound=0)
+        assert result.findings == [] and result.unrun == []
+        assert (result.functions["allowed"], result.functions["test-only"],
+                result.functions["unreached"]) == (2, 0, 0)
+        assert result.statements["allowed"] == 2
 
     def test_an_entry_the_product_now_reaches_is_stale(self):
-        _, findings = verdict(
-            [self.used], {"repro.a:used": "was idle"}, {self.used.key}, set())
-        assert findings == ["stale      repro.a:used: the product reaches it"]
+        result = verdict(
+            [self.used], {"repro.a:used": "was idle"}, _ran(self.used), {}, bound=0)
+        assert result.findings == ["stale      repro.a:used: the product reaches it"]
 
     def test_an_entry_that_names_no_function_is_stale(self):
-        _, findings = verdict(
-            [self.used], {"repro.a:gone": "deleted since"}, {self.used.key},
-            set())
-        assert findings == ["stale      repro.a:gone: names no function"]
+        result = verdict(
+            [self.used], {"repro.a:gone": "deleted since"}, _ran(self.used), {},
+            bound=0)
+        assert result.findings == [
+            "stale      repro.a:gone: names no function or write-only attribute"]
 
     def test_an_entry_needs_a_reason(self):
-        _, findings = verdict(
-            [self.used, self.dead], {"repro.a:dead": ""}, {self.used.key},
-            set())
-        assert findings == ["allowlist: repro.a:dead gives no reason"]
+        result = verdict(
+            [self.used, self.dead], {"repro.a:dead": ""}, _ran(self.used), {},
+            bound=0)
+        assert result.findings == ["allowlist: repro.a:dead gives no reason"]
 
     def test_the_allowlist_is_bounded(self):
         everything = [_function(f"repro.a:f{n}", n) for n in range(MAX_ALLOWED + 1)]
         allowed = {found.label: "idle" for found in everything}
-        _, findings = verdict(everything, allowed, set(), set())
-        assert findings == [
+        result = verdict(everything, allowed, {}, {}, bound=0)
+        assert result.findings == [
             f"allowlist: {MAX_ALLOWED + 1} entries, more than {MAX_ALLOWED}"]
-        _, findings = verdict(everything[:-1], dict(list(allowed.items())[:-1]),
-                              set(), set())
-        assert findings == []
+        result = verdict(everything[:-1], dict(list(allowed.items())[:-1]),
+                         {}, {}, bound=0)
+        assert result.findings == []
+
+
+class TestUnrunStatements:
+    work = _function("repro.a:work", 40, (
+        Statement(41, 41, False),  # the product runs it
+        Statement(42, 44, False),  # a header only the tests run, by line 43
+        Statement(45, 45, False),  # nothing runs it
+        Statement(46, 46, True),   # exempt: in a raise block, or a pragma
+    ))
+
+    def _verdict(self, bound: int):
+        return verdict([self.work], {}, _ran(self.work),
+                       _ran(self.work, lines=(43,)), bound=bound)
+
+    def test_statements_are_counted_and_listed_by_kind(self):
+        result = self._verdict(bound=2)
+        assert result.statements == {"exempt": 1, "product": 1, "allowed": 0,
+                                     "test-only": 1, "unreached": 1}
+        assert result.unrun == [
+            "test-only  repro.a:work (src/repro/a.py:42-44)",
+            "unreached  repro.a:work (src/repro/a.py:45)",
+        ]
+        assert result.findings == []
+
+    @pytest.mark.parametrize("bound", [1, 3], ids=["below", "above"])
+    def test_a_count_off_the_bound_is_a_finding(self, bound):
+        assert self._verdict(bound).findings == [
+            f"bound      2 statements the product does not run, "
+            f"UNRUN_STATEMENTS is {bound}: set it to 2 in this change"]
+
+    def test_the_body_of_an_exempt_function_is_exempt(self):
+        stub = self.work._replace(exempt=True)
+        result = verdict([stub], {}, {}, {}, bound=0)
+        assert result.statements["exempt"] == 4 and result.findings == []
+
+
+class TestWriteOnly:
+    def test_an_attribute_only_assigned_or_incremented_is_write_only(self, tmp_path):
+        package = _tree(tmp_path, {"mod.py": """
+            class Counter:
+                def __init__(self):
+                    self.hits = 0
+                    self.seen = 0
+                    self.named = 0
+
+                def hit(self):
+                    self.hits += 1
+                    self.seen += 1
+                    return self.seen
+
+                def stats(self):
+                    return {"named": getattr(self, "named")}
+        """})
+        found = written_only(package)
+        assert list(found) == ["pkg.mod:Counter.hits"]
+        assert found["pkg.mod:Counter.hits"].endswith("mod.py:4")
+
+    def test_a_read_on_any_object_counts(self, tmp_path):
+        package = _tree(tmp_path, {
+            "a.py": "class A:\n    def __init__(self):\n        self.size = 1\n",
+            "b.py": "def size_of(thing):\n    return thing.size\n",
+        })
+        assert written_only(package) == {}
+
+    def test_a_write_only_attribute_is_a_finding_unless_allowlisted(self):
+        write_only = {"repro.a:Thing.count": "src/repro/a.py:3"}
+        used = _function("repro.a:used", 1)
+        result = verdict([used], {}, _ran(used), {}, write_only, bound=0)
+        assert result.findings == [
+            "write-only repro.a:Thing.count (src/repro/a.py:3): no code reads it"]
+        result = verdict([used], {"repro.a:Thing.count": "kept for a reason"},
+                         _ran(used), {}, write_only, bound=0)
+        assert result.findings == []
+
+    def test_no_src_attribute_is_write_only(self):
+        assert written_only() == {}
 
 
 class TestAllowlist:
