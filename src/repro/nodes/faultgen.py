@@ -355,7 +355,7 @@ class FaultScript:
         for target in targets:
             try:
                 self._hosts[target] = grid.host(target)
-            except ConfigurationError:
+            except ConfigurationError:  # pragma: no cover - a typo in the script
                 unknown.add(target)
         if unknown:
             raise ConfigurationError(

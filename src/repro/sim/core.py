@@ -226,7 +226,7 @@ class Timeout(Event):
             _heappush(env._queue, (when, next(env._counter), self))
         elif delay == 0.0:
             env._tick.append(self)
-        elif delay < 0.0:
+        elif delay < 0.0:  # pragma: no cover - a caller's mistake
             raise SimulationError(f"negative delay {delay!r}")
         else:
             raise SimulationError(f"non-finite delay {delay!r}")
@@ -447,7 +447,7 @@ class Process(Event):
                     self._value = None
                     self.env._tick.append(self)
                 return
-            except BaseException as err:  # escaped process failure
+            except BaseException as err:  # pragma: no cover - a process that failed
                 self._target = None
                 self.env._active_process = None
                 if not self.triggered:
@@ -456,7 +456,7 @@ class Process(Event):
                     self.env._tick.append(self)
                 return
 
-            if not isinstance(target, Event):
+            if not isinstance(target, Event):  # pragma: no cover - a caller's mistake
                 exc_to_throw = SimulationError(
                     f"process {self.name!r} yielded a non-event: {target!r}"
                 )
@@ -466,7 +466,7 @@ class Process(Event):
                     "yielded an event bound to a different environment"
                 )
                 continue
-            if target._cancelled:
+            if target._cancelled:  # pragma: no cover - a caller's mistake
                 exc_to_throw = SimulationError(
                     f"process {self.name!r} yielded a cancelled event: {target!r}"
                 )

@@ -65,7 +65,7 @@ class Store:
         store.  A getter abandoned between wake-up and resume hands its items
         back to the front of the store.
         """
-        if event.triggered:
+        if event.triggered:  # pragma: no cover - abandoned between wake-up and resume
             if event is self._waking:
                 self._waking = None
                 self.items.extendleft(reversed(event._value))
