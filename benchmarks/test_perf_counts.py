@@ -3,7 +3,7 @@
 Each test drives one hot path at the smallest scale where its assertion
 binds and checks counts, never time, so it gives the same answer on any
 host: the schedule holds no more than a small multiple of its live entries,
-lossless links deliver everything, a same-tick fan-in is one resume, live
+lossless links deliver everything, a same-tick fan-in resumes nothing, live
 coordinators schedule a preloaded backlog, and a suspicion storm requeues
 exactly what the suspected servers held.  A delta round's entries and their
 order are checked in ``tests/test_taskindex.py::TestDeltaBuild``.
@@ -111,10 +111,6 @@ def test_every_message_is_delivered_and_the_heap_holds_only_flight():
         rng=RandomStreams(7),
     )
 
-    def receiver(endpoint):
-        while True:
-            yield endpoint.recv_many()
-
     def sender(index: int):
         offset = 0 if index < half else half
         targets = (offset + (index - offset + 1) % half, (index + half) % nodes)
@@ -135,7 +131,7 @@ def test_every_message_is_delivered_and_the_heap_holds_only_flight():
             samples.append(env.queue_stats()["heap_size"])
 
     for address in addresses:
-        env.process(receiver(network.register(address)))
+        network.register(address).handler = lambda message: None
     senders = [env.process(sender(index)) for index in range(nodes)]
     watcher = env.process(sampler())
     env.run(until=env.process(_join(senders)))
@@ -150,7 +146,11 @@ def test_every_message_is_delivered_and_the_heap_holds_only_flight():
 
 
 def test_heart_beat_fan_in_is_one_resume_per_tick():
-    """100 servers per coordinator beat in phase over a zero-delay link."""
+    """100 servers per coordinator beat in phase over a zero-delay link.
+
+    Each coordinator handles its beats in the delivery callback: no process
+    is resumed, and a delivered beat costs its delivery's one kernel event.
+    """
     senders, beats, per_coordinator = 200, 5, 100
     env = Environment()
     network = Network(env, link_model=PerfectLinkModel(latency=0.0))
@@ -162,14 +162,10 @@ def test_heart_beat_fan_in_is_one_resume_per_tick():
     servers = [Address("server", f"s{i:05d}") for i in range(senders)]
     for address in servers:
         network.register(address)
-    drained = [0]
-    resumes = [0]
+    handled = [0]
 
-    def drain(endpoint):
-        while True:
-            batch = yield endpoint.recv_many()
-            resumes[0] += 1
-            drained[0] += len(batch)
+    def handle(message) -> None:
+        handled[0] += 1
 
     def beat_all(_arg) -> None:
         for index, source in enumerate(servers):
@@ -182,14 +178,15 @@ def test_heart_beat_fan_in_is_one_resume_per_tick():
             ))
 
     for endpoint in coordinators:
-        env.process(drain(endpoint))
+        endpoint.handler = handle
     env.call_periodic(1.0, beat_all, None)
     env.run(until=beats + 0.5)
 
     stats = network.stats()
     assert stats["net.sent"] == senders * beats, stats
-    assert stats["net.delivered"] == drained[0] == stats["net.sent"], (drained, stats)
-    assert resumes[0] == n_coordinators * beats, resumes
+    assert stats["net.delivered"] == handled[0] == stats["net.sent"], (handled, stats)
+    # One event per delivered beat plus the beat timer's firings: no resume.
+    assert env.queue_stats()["events_processed"] == handled[0] + beats
 
 
 # ------------------------------------------------------------- coordinator

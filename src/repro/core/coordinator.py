@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from math import ceil, exp, log
-from typing import Any
+from typing import Any, Iterator
 
 from repro.config import CoordinatorConfig, PolicyConfig
 from repro.core.protocol import (
@@ -51,7 +51,6 @@ from repro.detect import FailureDetector, HeartbeatEmitter
 from repro.net.message import Message, MessageType
 from repro.nodes.database import Database, DatabaseModel
 from repro.nodes.node import Host
-from repro.sim.core import ProcessKilled
 from repro.sim.monitor import Monitor
 from repro.types import Address, CallIdentity, TaskState
 
@@ -135,6 +134,12 @@ class CoordinatorComponent:
         self._task_activity: dict[CallIdentity, float] = {}
         #: server -> its held work request, oldest first (see _hold).
         self._held: dict[Address, Message] = {}
+        #: the service queue (see _receive): messages waiting for the next
+        #: batch, the running batch, and its handler waiting on a charge.
+        self._backlog: list[Message] = []
+        self._batch: Iterator[Message] | None = None
+        self._batch_start = 0.0
+        self._handler: Iterator[float] | None = None
         self._replication_rounds = 0
         self._coord_heartbeat: HeartbeatEmitter | None = None
         self.started = False
@@ -227,10 +232,12 @@ class CoordinatorComponent:
         self._archive_fetch_attempts = {}
         self._task_activity = {}
         self._held = {}
+        self._backlog = []
+        self._batch = self._handler = None
         self.started = True
         if self._coord_heartbeat is not None:
             self._coord_heartbeat.stop()
-        self.host.spawn(self._recv_loop(), name=f"{self.name}:recv")
+        self.host.on_message(self._receive)
         self.host.spawn(self._server_watch_loop(), name=f"{self.name}:server-watch")
         self.replication_policy.install(self)
         # Periodic heart-beats to every other coordinator: this is how stale
@@ -326,11 +333,8 @@ class CoordinatorComponent:
         return self.index.finished
 
     def _sample_completed(self) -> None:
-        self.monitor.sample(
-            f"coordinator.completed.{self.host.address.name}",
-            self.env.now,
-            self.finished_count(),
-        )
+        name = f"coordinator.completed.{self.host.address.name}"
+        self.monitor.sample(name, self.env.now, self.finished_count())
 
     def _owner_suspected(self, owner: str) -> bool:
         # Asked only about another coordinator's name (the task index skips
@@ -344,44 +348,73 @@ class CoordinatorComponent:
         """Every known coordinator except this one."""
         return [c for c in self.registry.known() if c != self.address]
 
-    # ------------------------------------------------------------------ loops
-    def _recv_loop(self):
-        # Batched drain: one resume per tick however many messages landed
-        # (recv_many), instead of one resume per message.  The coordinator
-        # serves one message at a time, so handler start and end times are
-        # its whole service-queue load.  A handler that returns None takes
-        # no simulated time, so the clock is read once per batch and once
-        # after each handler that ran.
-        env = self.env
-        handled = self.handled
-        waits = self.queue_waits
-        try:
-            while True:
-                batch: list[Message] = yield self.host.recv_many()
-                now = start = env.now
-                for message in batch:
-                    wait = now - message.delivered_at
-                    bucket = (
-                        ceil(log(wait / WAIT_FLOOR) * WAIT_BUCKETS_PER_E)
-                        if wait > WAIT_FLOOR
-                        else 0
-                    )
-                    waits[bucket] = waits.get(bucket, 0) + 1
-                    mtype = message.mtype
-                    handled[mtype] = handled.get(mtype, 0) + 1
-                    handling = self._handle(message)
-                    if handling is not None:
-                        yield from handling
-                        now = env.now
-                self.busy_s += now - start
-        except ProcessKilled:  # pragma: no cover - host crash
+    # ------------------------------------------------------------------ queue
+    def _receive(self, message: Message) -> None:
+        """Delivery callback: serve ``message`` in place when idle, else queue
+        it for the next batch (see :meth:`_drive`)."""
+        backlog = self._backlog
+        backlog.append(message)
+        # Idle: no batch running and no hop to the next one pending.
+        if self._batch is None and len(backlog) == 1:
+            self._drive(self.host.incarnation)
+
+    def _drive(self, incarnation: int) -> None:
+        """Serve the batch, one message at a time, until a handler charges
+        time or the batch ends; a batch that ends with messages queued starts
+        the next one, those messages whole, one same-tick hop later.
+
+        Each charge and each hop is one ``call_at`` entry back here carrying
+        the host's incarnation, so nothing scheduled before a crash runs on.
+        """
+        host = self.host
+        if incarnation != host.incarnation or not host.up:
             return
+        env = self.env
+        if self._batch is None:
+            self._batch = iter(self._backlog)
+            self._backlog = []
+            self._batch_start = env.now
+        waits, handled = self.queue_waits, self.handled
+        handler = self._handler
+        while True:
+            if handler is None:
+                message = next(self._batch, None)
+                if message is None:
+                    break
+                wait = env.now - message.delivered_at
+                bucket = (
+                    ceil(log(wait / WAIT_FLOOR) * WAIT_BUCKETS_PER_E)
+                    if wait > WAIT_FLOOR
+                    else 0
+                )
+                waits[bucket] = waits.get(bucket, 0) + 1
+                mtype = message.mtype
+                handled[mtype] = handled.get(mtype, 0) + 1
+                handling = self._handle(message)
+                if handling is None:
+                    continue
+                handler, charge = handling
+                if not charge > 0:
+                    charge = next(handler, None)
+            else:
+                charge = next(handler, None)
+            if charge is None:
+                handler = None
+                continue
+            self._handler = handler
+            env.call_at(env.now + charge, self._drive, incarnation)
+            return
+        self._handler = self._batch = None
+        self.busy_s += env.now - self._batch_start
+        if self._backlog:
+            env.call_at(env.now, self._drive, incarnation)
 
     def _handle(self, message: Message):
-        """Dispatch one message; returns the handler generator left to drive.
+        """Dispatch one message; returns ``(handler, overhead)`` left to drive.
 
-        Heart-beats, acks and pings never yield: they are handled right here
-        (``None`` is returned), so they cost no generator per message.  So is
+        A handler is a generator that yields each charge in seconds; a paid
+        request's overhead is waited before its first step.  Heart-beats,
+        acks and pings are handled right here (``None`` is returned).  So is
         a work request that the scheduler's eligibility rule finds nothing
         for: it is held (see :meth:`_hold`), which translates no job and
         reads nothing the task index does not already hold, so it is charged
@@ -389,6 +422,7 @@ class CoordinatorComponent:
         one queue.
         """
         mtype = message.mtype
+        overhead = self.config.request_processing_overhead
         if mtype is MessageType.WORK_REQUEST:
             if self.scheduler.nothing_eligible(
                 self.index, self.name, self._owner_suspected
@@ -396,17 +430,17 @@ class CoordinatorComponent:
                 self._hear_server(message.source)
                 self._hold(message)
                 return None
-            return self._after_overhead(self._on_work_request(message))
+            return self._on_work_request(message), overhead
         elif mtype is MessageType.SERVER_HEARTBEAT:
             self._on_server_heartbeat(message)
         elif mtype is MessageType.RPC_SUBMIT:
-            return self._after_overhead(self._on_submit(message))
+            return self._on_submit(message), overhead
         elif mtype is MessageType.TASK_RESULT:
-            return self._after_overhead(self._on_task_result(message))
+            return self._on_task_result(message), overhead
         elif mtype is MessageType.RESULT_PULL:
-            return self._after_overhead(self._on_result_pull(message))
+            return self._on_result_pull(message), overhead
         elif mtype is MessageType.CLIENT_SYNC:
-            return self._after_overhead(self._on_client_sync(message))
+            return self._on_client_sync(message), overhead
         elif mtype is MessageType.SERVER_SYNC:
             # A sync with no results, from a server with nothing ongoing
             # here, has nothing to compare: its empty plan is free.
@@ -414,17 +448,17 @@ class CoordinatorComponent:
             if message.payload.get("result_keys") or self.index.ongoing_on_server(
                 server
             ):
-                return self._after_overhead(self._on_server_sync(message))
+                return self._on_server_sync(message), overhead
             self._hear_server(server)
             self._reply_server_sync(message, ServerSyncPlan())
         elif mtype is MessageType.CROWD_SUBMIT_BATCH:
-            return self._after_overhead(self._on_crowd_submit(message))
+            return self._on_crowd_submit(message), overhead
         elif mtype is MessageType.REPLICA_STATE:
-            return self._on_replica_state(message)
+            return self._on_replica_state(message), 0.0
         elif mtype is MessageType.REPLICA_ACK:
             self._on_replica_ack(message)
         elif mtype is MessageType.REPLICA_PULL:
-            return self._on_replica_pull(message)
+            return self._on_replica_pull(message), 0.0
         elif mtype is MessageType.COORD_HEARTBEAT:
             self.coordinator_detector.heard_from(
                 message.source,
@@ -437,18 +471,11 @@ class CoordinatorComponent:
             # beyond being received.
             pass
         elif mtype is MessageType.ARCHIVE_FETCH:
-            return self._on_archive_fetch(message)
+            return self._on_archive_fetch(message), 0.0
         elif mtype is MessageType.ARCHIVE_REPLY:
-            return self._on_archive_reply(message)
+            return self._on_archive_reply(message), 0.0
         # Unknown types are ignored (forward compatibility).
         return None
-
-    def _after_overhead(self, handling):
-        """Pay the middleware processing overhead, then run ``handling``."""
-        overhead = self.config.request_processing_overhead
-        if overhead > 0:
-            yield self.host.sleep(overhead)
-        yield from handling
 
     def _hear_server(self, server: Address, incarnation: int | None = None) -> None:
         self.known_servers.add(server)
@@ -496,8 +523,8 @@ class CoordinatorComponent:
         The one path of both kinds of submission.  The new task answers the
         oldest held work request of a server not suspected: that request's
         scan and write join the registration's write in the submission's
-        one sleep, so handing out the task costs no overhead of its own,
-        and the ``TASK_ASSIGN`` goes out once the sleep is over.
+        one charge, so handing out the task costs no overhead of its own,
+        and the ``TASK_ASSIGN`` goes out once the charge is over.
         """
         key = call.identity
         self.tasks[key] = TaskRecord(
@@ -513,7 +540,7 @@ class CoordinatorComponent:
             task, charges = self._assign(request.source)
             cost += charges
         if cost > 0:
-            yield self.host.sleep(cost)
+            yield cost
         self.registered += 1
         if request is not None:
             self._send_task(request, task)
@@ -535,24 +562,25 @@ class CoordinatorComponent:
         batch = int(payload.get("batch", 0))
         count = int(payload.get("count", 0))
         key = CallIdentity(f"crowd:{crowd}", f"shard{shard}", batch)
+        source = message.source
+        # The args replicate with the task record, so whichever coordinator
+        # finishes the batch can push the result back.
+        args = {
+            "crowd": crowd,
+            "shard": shard,
+            "batch": batch,
+            "count": count,
+            "reply_to": [source.kind, source.name],
+        }
         task = self.tasks.get(key)
         if task is None:
-            source = message.source
             call = CallDescription(
                 identity=key,
                 service=str(payload.get("service", "crowd")),
                 params_bytes=message.size_bytes,
                 result_bytes=int(payload.get("result_bytes", 64)),
                 exec_time=payload.get("exec_time"),
-                # The args replicate with the task record, so whichever
-                # coordinator finishes the batch can push the result back.
-                args={
-                    "crowd": crowd,
-                    "shard": shard,
-                    "batch": batch,
-                    "count": count,
-                    "reply_to": [source.kind, source.name],
-                },
+                args=args,
             )
             yield from self._register(call)
             self._ctr_crowd_batches.value += 1
@@ -568,17 +596,7 @@ class CoordinatorComponent:
                 # Adopt the envelope's routing so the batch can complete.
                 # A new description: the old one may be shared with other
                 # coordinators' tables and with abstracts still in flight.
-                source = message.source
-                task.call = replace(
-                    task.call,
-                    args={
-                        "crowd": crowd,
-                        "shard": shard,
-                        "batch": batch,
-                        "count": count,
-                        "reply_to": [source.kind, source.name],
-                    },
-                )
+                task.call = replace(task.call, args=args)
                 # Content change without a state transition: refresh the
                 # cached replica entry, without re-dirtying the record.
                 self.index.note(task, key)
@@ -606,12 +624,7 @@ class CoordinatorComponent:
                 mtype=MessageType.CROWD_RESULT_BATCH,
                 source=self.address,
                 dest=Address(str(reply_to[0]), str(reply_to[1])),
-                payload={
-                    "crowd": args.get("crowd"),
-                    "shard": args.get("shard"),
-                    "batch": args.get("batch"),
-                    "count": args.get("count"),
-                },
+                payload={k: args.get(k) for k in ("crowd", "shard", "batch", "count")},
                 size_bytes=32,
             )
         )
@@ -636,11 +649,11 @@ class CoordinatorComponent:
                 self._request_archive(key, self.tasks[key])
         cost = self.database.charge_scan()
         if cost > 0:
-            yield self.host.sleep(cost)
+            yield cost
         if total_bytes:
             # Result archives live on the coordinator's file system: shipping
             # them back costs a read proportional to their size.
-            yield from self.host.disk_read(total_bytes)
+            yield self.host.disk.read_time(total_bytes)
         self.host.send(
             message.reply(
                 MessageType.RESULT_REPLY,
@@ -661,7 +674,7 @@ class CoordinatorComponent:
         ]
         cost = self.database.charge_scan()
         if cost > 0:
-            yield self.host.sleep(cost)
+            yield cost
         plan = plan_client_sync(durable_keys, known, finished)
         session_key = (user, session)
         max_ts = int(message.payload.get("max_timestamp", 0))
@@ -688,16 +701,15 @@ class CoordinatorComponent:
 
     # ------------------------------------------------------------- server requests
     def _on_work_request(self, message: Message):
-        # ``_handle`` found something eligible before the overhead sleep,
-        # and the sleep cannot take it away: every message, replica merges
-        # and heart-beats included, waits for this handler, and what runs
+        # ``_handle`` found something eligible, and the overhead cannot take
+        # it away: every other message waits for this handler, and what runs
         # meanwhile (the server watch, detector timers) only re-queues tasks
         # or suspects more owners.
         server = message.source
         self._hear_server(server)
         task, cost = self._assign(server)
         if cost > 0:
-            yield self.host.sleep(cost)
+            yield cost
         self._send_task(message, task)
 
     def _send_task(self, request: Message, task: TaskRecord) -> None:
@@ -715,7 +727,7 @@ class CoordinatorComponent:
         A work request, a result upload that asks for work and a submission
         that answers a held request all come here, each once something is
         eligible.  Returns the task and the database charges made, which the
-        caller sleeps with its own.
+        caller charges with its own.
         """
         cost = self.database.charge_scan()
         decision = self.scheduler.pick(
@@ -810,9 +822,9 @@ class CoordinatorComponent:
         ):
             following, charges = self._assign(server)
             cost += charges
-        # One sleep for every charge that follows the state changes.
+        # One charge for everything that follows the state changes.
         if cost > 0:
-            yield self.host.sleep(cost)
+            yield cost
         if newly_finished:
             self._ctr_results.value += 1
             self._sample_completed()
@@ -843,7 +855,7 @@ class CoordinatorComponent:
         assigned = [k for k, _task in self.index.ongoing_on_server(server)]
         cost = self.database.charge_scan()
         if cost > 0:
-            yield self.host.sleep(cost)
+            yield cost
         plan = plan_server_sync(server_keys, finished, assigned)
         for key in plan.coordinator_must_requeue:
             task = self.tasks.get(key)
@@ -901,21 +913,12 @@ class CoordinatorComponent:
         key = message.payload["identity"]
         result = self.results.get(key)
         if result is None:
-            self.host.send(
-                message.reply(
-                    MessageType.ARCHIVE_REPLY,
-                    payload={"identity": key, "missing": True},
-                    size_bytes=16,
-                )
-            )
-            return
-        yield from self.host.disk_read(result.size_bytes)
+            payload, size = {"identity": key, "missing": True}, 16
+        else:
+            yield self.host.disk.read_time(result.size_bytes)
+            payload, size = {"identity": key, "result": result}, result.size_bytes
         self.host.send(
-            message.reply(
-                MessageType.ARCHIVE_REPLY,
-                payload={"identity": key, "result": result},
-                size_bytes=result.size_bytes,
-            )
+            message.reply(MessageType.ARCHIVE_REPLY, payload=payload, size_bytes=size)
         )
 
     def _on_archive_reply(self, message: Message):
@@ -925,7 +928,7 @@ class CoordinatorComponent:
             return
         result = message.payload["result"]
         if self._store_result(key, result):
-            yield from self.host.disk_write(result.size_bytes)
+            yield self.host.disk.sync_write_time(result.size_bytes)
             task = self.tasks.get(key)
             if task is not None:
                 task.has_archive = True
@@ -1032,7 +1035,7 @@ class CoordinatorComponent:
         state = self._build_state(None)
         cost = self.database.charge_scan()
         if cost > 0:
-            yield self.host.sleep(cost)
+            yield cost
         self.host.send(
             message.reply(
                 MessageType.REPLICA_STATE,
@@ -1059,7 +1062,7 @@ class CoordinatorComponent:
                 ("replica", self._replication_rounds, _), TASK_DESCRIPTION_BYTES
             )
             if cost > 0:
-                yield self.host.sleep(cost)
+                yield cost
         self.registry.merge([Address(kind, name) for kind, name in state.known_coordinators])
         self.coordinator_detector.heard_from(message.source, self.env.now)
         self.registry.rehabilitate(message.source)
@@ -1094,39 +1097,36 @@ class CoordinatorComponent:
 
     # ----------------------------------------------------------- server suspicion
     def _server_watch_loop(self):
-        try:
-            while True:
-                yield self.host.sleep(self.config.detection.heartbeat_period)
-                now = self.env.now
-                # "On suspicion" replication: re-queue every ongoing task of a
-                # server that has gone silent.
-                for server in list(self.known_servers):
-                    if self.server_detector.is_suspected(server, now):
-                        reset = self.scheduler.reschedule_for_suspected_server(
-                            self.index, server, self.name
-                        )
-                        if reset:
-                            for record in reset:
-                                self._mark_dirty(record.identity)
-                            self.monitor.incr(
-                                "coordinator.rescheduled_on_suspicion", len(reset)
-                            )
-                # Per-task activity timeout: a server that crashed and came
-                # back keeps the heart-beat alive but stops reporting the lost
-                # task, so suspicion alone would never recover it.
-                timeout = self.config.detection.suspicion_timeout
-                # Only this coordinator's ongoing bucket, not the table.
-                for key, task in self.index.ongoing_owned_by(self.name):
-                    last_activity = self._task_activity.get(
-                        key, task.started_at if task.started_at is not None else now
+        while True:
+            yield self.host.sleep(self.config.detection.heartbeat_period)
+            now = self.env.now
+            # "On suspicion" replication: re-queue every ongoing task of a
+            # server that has gone silent.
+            for server in list(self.known_servers):
+                if self.server_detector.is_suspected(server, now):
+                    reset = self.scheduler.reschedule_for_suspected_server(
+                        self.index, server, self.name
                     )
-                    if now - last_activity > timeout:
-                        task.state = TaskState.PENDING
-                        task.assigned_server = None
-                        self._mark_dirty(key)
-                        self.monitor.incr("coordinator.requeued_on_activity_timeout")
-        except ProcessKilled:  # pragma: no cover - host crash
-            return
+                    if reset:
+                        for record in reset:
+                            self._mark_dirty(record.identity)
+                        self.monitor.incr(
+                            "coordinator.rescheduled_on_suspicion", len(reset)
+                        )
+            # Per-task activity timeout: a server that crashed and came
+            # back keeps the heart-beat alive but stops reporting the lost
+            # task, so suspicion alone would never recover it.
+            timeout = self.config.detection.suspicion_timeout
+            # Only this coordinator's ongoing bucket, not the table.
+            for key, task in self.index.ongoing_owned_by(self.name):
+                last_activity = self._task_activity.get(
+                    key, task.started_at if task.started_at is not None else now
+                )
+                if now - last_activity > timeout:
+                    task.state = TaskState.PENDING
+                    task.assigned_server = None
+                    self._mark_dirty(key)
+                    self.monitor.incr("coordinator.requeued_on_activity_timeout")
 
     # ------------------------------------------------------------------ reporting
     def load(self, span: float) -> dict[str, Any]:

@@ -82,11 +82,15 @@ def partition_cell(
 ) -> dict[str, Any]:
     """Run the partitioned-views scenario and compare against the reference.
 
-    The inconsistent views are two component entries: the network refuses
-    server↔Lille and client↔Orsay exchanges (``net.partition-schedule``
-    bidirectional hide rules, making the views airtight) and the registries
-    are rewritten by :class:`PartitionedViews`, resolved via its dotted path
-    exactly as a spec's ``components:`` entry would.
+    The inconsistent views are two component entries: the registries are
+    rewritten by :class:`PartitionedViews`, resolved via its dotted path
+    exactly as a spec's ``components:`` entry would, and a
+    ``net.partition-schedule`` hides server↔Lille and client↔Orsay
+    (bidirectional hide rules).  In this run the hide rules drop no
+    message: the rewritten views already send every client message to
+    Lille and every server message to Orsay, so nothing crosses a hidden
+    link.  They count in ``faults_injected`` and decide
+    ``progress_condition_held``, which reads the reachability they leave.
     """
     isolation = create_component(
         "net.partition-schedule",

@@ -7,8 +7,8 @@ reflect the paper's platform assumptions:
 * **asynchronous** — per-message delays are unbounded in distribution tail;
 * **connection-less** — a send is fire-and-forget; the sender learns nothing
   from the transport itself (no broken-connection fault detection);
-* **volatile endpoints** — a message arriving at a crashed endpoint is lost;
-  a crashed endpoint's mailbox is emptied (its volatile state is gone).
+* **volatile endpoints** — a message arriving at a crashed endpoint is lost,
+  and so is its handler: the restarted component installs a new one.
 """
 
 from __future__ import annotations
@@ -22,23 +22,20 @@ from repro.net.partition import PartitionManager
 from repro.sim.core import Environment
 from repro.sim.monitor import Monitor
 from repro.sim.rng import RandomStreams
-from repro.sim.store import Store
 from repro.types import Address
 
 __all__ = ["Endpoint", "Network"]
 
 
 class Endpoint:
-    """A component's attachment point to the network (its mailbox)."""
+    """A component's attachment point to the network."""
 
     def __init__(self, env: Environment, address: Address) -> None:
         self.env = env
         self.address = address
-        self.mailbox: Store = Store(env)
-        #: when set, ``handler(message)`` runs on delivery (after the delivery
-        #: hooks) and nothing is queued: for components whose receive loop
-        #: would only dispatch.  It must not block, and it dies with the
-        #: incarnation (mark_down), exactly as a receive process would.
+        #: ``handler(message)`` runs on delivery, after the delivery hooks; a
+        #: message delivered while it is unset is dropped.  It must not
+        #: block, and it dies with the incarnation (mark_down).
         self.handler: Callable[[Message], None] | None = None
         self.up = True
         #: bumped on every mark_up(): a message stamped with an older
@@ -46,33 +43,17 @@ class Endpoint:
         #: addressed to a dead incarnation cannot leak into the next one.
         self.incarnation = 0
 
-    def recv_many(self):
-        """Event triggering with the same-tick *batch* of delivered messages.
-
-        The value is a list in delivery (FIFO) order.  Same-tick deliveries
-        are coalesced: the first one wakes the receiver and those landing
-        before the kernel resumes it join the same list — the drain path of
-        a receiver that blocks while it handles (the coordinator).  Messages
-        already queued trigger immediately (with the whole backlog).
-        """
-        return self.mailbox.get_all()
-
-    def mark_down(self) -> int:
-        """Crash semantics: drop queued messages and refuse new deliveries.
-
-        The dropped messages include a batch already woken but not yet handed
-        to its receiver.  Returns how many were dropped.
-        """
+    def mark_down(self) -> None:
+        """Crash semantics: drop the handler and refuse new deliveries."""
         self.up = False
         self.handler = None
-        return len(self.mailbox.drain())
 
     def mark_up(self) -> None:
-        """Restart semantics: accept deliveries again (mailbox starts empty).
+        """Restart semantics: accept deliveries again.
 
         The restarted endpoint is a *new incarnation*: anything still in
         flight from before (sent while it was down, or to its previous life)
-        is dropped on arrival rather than delivered to the fresh mailbox.
+        is dropped on arrival rather than delivered to the new handler.
         Idempotent — re-asserting "up" on a live endpoint must not invalidate
         its in-flight traffic.
         """
@@ -83,7 +64,7 @@ class Endpoint:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.up else "down"
-        return f"<Endpoint {self.address} {state} queued={len(self.mailbox.items)}>"
+        return f"<Endpoint {self.address} {state}>"
 
 
 class Network:
@@ -241,11 +222,9 @@ class Network:
         message.delivered_at = when
         self._c_delivered.value += 1.0
         self._c_bytes_delivered.value += message.wire_bytes
-        handler = endpoint.handler
-        if handler is None:
-            endpoint.mailbox.put(message)
         for hook in self._delivery_hooks:
             hook(message)
+        handler = endpoint.handler
         if handler is not None:
             handler(message)
 

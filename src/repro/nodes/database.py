@@ -54,10 +54,9 @@ class Database:
 
     Only the keys are kept: a write's cost depends on the record's size and a
     scan's on how many distinct keys were ever written, and nothing reads a
-    stored value back.  Callers are expected to ``yield
-    env.timeout(db.charge_...)`` around their operations — the coordinator
-    component does exactly that — so that the time cost shows up in the
-    simulation.  Contents survive crashes: the database sits on the
+    stored value back.  Callers are expected to wait ``db.charge_...()``
+    seconds around their operations — the coordinator's handlers yield it
+    as their charge — so that the time cost shows up in the simulation.  Contents survive crashes: the database sits on the
     coordinator's persistent storage.
     """
 

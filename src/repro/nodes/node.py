@@ -2,17 +2,17 @@
 
 A :class:`Host` is one machine of the grid.  It owns:
 
-* a network :class:`~repro.net.transport.Endpoint` (its mailbox),
+* a network :class:`~repro.net.transport.Endpoint` (its delivery handler),
 * a :class:`~repro.nodes.disk.DiskModel` and a *persistent* key/value space
   that survives crashes (this is where message logs and databases live),
 * the set of simulation processes currently running on it.
 
-``crash()`` kills every process, empties the mailbox and bumps the
-*incarnation* counter; ``restart()`` brings the endpoint back up and invokes
-the restart callback installed by the component, which rebuilds its volatile
-state from the persistent space — exactly the paper's fault model ("every
-restarting component restarts from the beginning of its execution or from its
-last local state").
+``crash()`` kills every process and drops the delivery handler;
+``restart()`` bumps the *incarnation* counter, brings the endpoint back up
+and invokes the restart callback installed by the component, which rebuilds
+its volatile state from the persistent space — exactly the paper's fault
+model ("every restarting component restarts from the beginning of its
+execution or from its last local state").
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ class Host:
 
     # -- crash / restart --------------------------------------------------------
     def crash(self, cause: Any = "fault-injection") -> None:
-        """Abrupt failure: kill processes, drop mailbox and volatile state."""
+        """Abrupt failure: kill processes, drop the handler and volatile state."""
         if not self.up:  # pragma: no cover - idempotent
             return
         self.up = False
@@ -163,19 +163,11 @@ class Host:
             return
         self.network.send(message)
 
-    def recv_many(self):
-        """Event for the same-tick batch of delivered messages (FIFO list).
-
-        One receiver resume per tick however many messages land — the
-        batched-wakeup drain path (see :meth:`Endpoint.recv_many`).
-        """
-        return self.endpoint.recv_many()
-
     def on_message(self, handler: Callable[[Any], None]) -> None:
-        """Handle deliveries in place instead of receiving them in a process.
+        """Handle deliveries in place: the one way a component receives.
 
         ``handler(message)`` runs from the delivery callback; like a spawned
-        receive loop it is gone after a crash, so ``start()`` installs it.
+        process it is gone after a crash, so ``start()`` installs it.
         """
         if not self.up:
             raise ConfigurationError(f"cannot receive on crashed host {self.address}")

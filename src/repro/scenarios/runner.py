@@ -269,10 +269,8 @@ class SweepRunner:
         """
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor, as_completed
-        context = None
-        if "fork" in multiprocessing.get_all_start_methods():
-            # Fork keeps worker start-up cheap (no re-import per worker).
-            context = multiprocessing.get_context("fork")
+        # Fork keeps worker start-up cheap (no re-import per worker).
+        context = multiprocessing.get_context("fork") if hasattr(os, "fork") else None
         pool = None
         try:
             pickle.dumps((self.spec.cell, [cell.call_params for cell in cells]))

@@ -5,9 +5,9 @@ dependency): an event queue driven by :class:`~repro.sim.core.Environment`,
 generator-based :class:`~repro.sim.core.Process` objects that ``yield``
 waitable :class:`~repro.sim.core.Event` instances, plus the few primitives
 the protocol runs on (timeouts, the :class:`~repro.sim.core.AnyOf` race and
-the :func:`~repro.sim.core.wait_any` fragment, the batched
-:class:`~repro.sim.store.Store` mailbox, kills) in the
-process-interaction style of SimPy.
+the :func:`~repro.sim.core.wait_any` fragment, callback-lane timers, kills)
+in the process-interaction style of SimPy.  Components receive messages in
+delivery callbacks, not in processes (see :mod:`repro.net.transport`).
 
 Every experiment of the paper runs on this kernel in *virtual* time, which is
 what makes high-frequency correlated fault injection both possible and
@@ -29,7 +29,6 @@ from repro.sim.core import (
 )
 from repro.sim.monitor import Counter, Monitor, TimeSeries
 from repro.sim.rng import RandomStreams
-from repro.sim.store import Store
 
 __all__ = [
     "AnyOf",
@@ -41,7 +40,6 @@ __all__ = [
     "ProcessKilled",
     "RandomStreams",
     "SimulationError",
-    "Store",
     "TimeSeries",
     "Timeout",
     "TimerHandle",

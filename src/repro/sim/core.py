@@ -23,9 +23,9 @@ cheapest wait there is: the process blocks on the event itself and the
 time-out is one cancellable callback entry, no :class:`Timeout`, no
 :class:`AnyOf`.  Abandoned waits cascade: when the last waiter of an
 event is detached the event's *abandon hook* runs, which cancels orphaned
-timeouts, withdraws an :class:`AnyOf` from its constituent events, and
-purges the mailbox's getter queue — so a killed process reclaims everything
-it was blocked on, and the heap does not fill with dead timers at scale.
+timeouts and withdraws an :class:`AnyOf` from its constituent events — so a
+killed process reclaims everything it was blocked on, and the heap does not
+fill with dead timers at scale.
 
 Scheduling is split over **three lanes** (see :class:`Environment`): an
 urgent same-tick deque, a normal same-tick deque, and the time-ordered heap;
@@ -114,7 +114,7 @@ class Event:
         self._defused = False
         self._cancelled = False
         #: called with the event when its last waiter detaches; lets owners
-        #: (the mailbox, timeouts, AnyOf) reclaim resources nobody waits for.
+        #: (timeouts, AnyOf) reclaim resources nobody waits for.
         self._abandon_hook: Callable[[Event], None] | None = None
 
     # -- state ------------------------------------------------------------
@@ -156,8 +156,8 @@ class Event:
         The caller is responsible for the detached process: it will not be
         resumed by this event anymore.  Returns True when something was
         removed.  If the event ends up with no waiters its abandon hook runs,
-        cascading the cleanup (orphaned timers are cancelled, mailbox getter
-        queues purged, an AnyOf withdrawn from its constituents).
+        cascading the cleanup (orphaned timers are cancelled, an AnyOf
+        withdrawn from its constituents).
         """
         callback = waiter._resume if isinstance(waiter, Process) else waiter
         callbacks = self.callbacks
@@ -515,8 +515,8 @@ class _KillEvent(Event):
             return
         # Detach the process from whatever it is currently waiting on; the
         # abandon cascade then reclaims anything only that wait kept alive
-        # (a sleep timer is cancelled, a mailbox getter is purged, an AnyOf
-        # withdraws from its constituent events).
+        # (a sleep timer is cancelled, an AnyOf withdraws from its
+        # constituent events).
         target = process._target
         if target is not None and target.callbacks is not None:
             try:
@@ -544,7 +544,7 @@ class AnyOf(Event):
     On trigger it *detaches* itself from every constituent event that has
     not fired, so losing events are not left holding a stale ``_check``
     callback (and, through the abandon cascade, losing timeouts are
-    cancelled and losing mailbox getters purged).  The same cleanup runs
+    cancelled).  The same cleanup runs
     through :meth:`cancel` when the race itself is abandoned — e.g. the
     waiting process was killed.
     """
@@ -600,7 +600,7 @@ class AnyOf(Event):
                 if callbacks:  # pragma: no cover - another waiter still waits on it
                     continue
                 # Inlined Event._maybe_abandon (this is the race-loser path):
-                # a losing timeout is cancelled, a losing getter purged.
+                # a losing timeout is cancelled.
                 hook = event._abandon_hook
                 if hook is not None:
                     event._abandon_hook = None

@@ -121,8 +121,8 @@ class _CountingTable(dict):
 class Harness:
     """One coordinator whose handlers are driven synchronously.
 
-    Handlers are generators that only ever yield simulated delays, so
-    exhausting one runs it to completion at the current instant: the naive
+    Handlers are generators that only ever yield their charges in seconds,
+    so exhausting one runs it to completion at the current instant: the naive
     reference below is computed from the very tables the handler is about to
     read.  Outgoing messages are captured instead of sent.
     """
@@ -153,7 +153,12 @@ class Harness:
         """
         before = len(self.sent)
         message = Message(mtype=mtype, source=source, dest=K0, payload=payload)
-        self.cost = sum(delay.delay for delay in self.coord._handle(message) or ())
+        handling = self.coord._handle(message)
+        if handling is None:
+            self.cost = 0
+        else:
+            handler, overhead = handling
+            self.cost = overhead + sum(handler)
         return self.sent[before:]
 
     # -- naive references: walk the tables -----------------------------------
@@ -799,12 +804,12 @@ class TestHeldWorkRequest:
             dest=K0,
             payload={"call": make_call("u0", "s", 1), "timestamp": 1},
         )
-        handling = coord._handle(message)
-        delays = [next(handling).delay]  # the overhead
-        delays.append(next(handling).delay)  # the one sleep of every charge
-        assert harness.sent == []  # nothing goes out before the sleep ends
-        delays.extend(delay.delay for delay in handling)
-        assert delays == pytest.approx([
+        handler, overhead = coord._handle(message)
+        charges = [overhead]
+        charges.append(next(handler))  # the one charge for every cost
+        assert harness.sent == []  # nothing goes out before the charge ends
+        charges.extend(handler)
+        assert charges == pytest.approx([
             coord.config.request_processing_overhead,
             model.write_time(TASK_DESCRIPTION_BYTES + 100)
             + model.scan_time(1)
@@ -952,7 +957,7 @@ class TestCoordinatorLoad:
         def land(mtype: MessageType, source: Address, payload: dict) -> None:
             message = Message(mtype=mtype, source=source, dest=K0, payload=payload)
             message.delivered_at = env.now
-            harness.host.endpoint.mailbox.put(message)
+            harness.host.endpoint.handler(message)
 
         # Two pulls and a heart-beat land at one instant: the second pull
         # waits for the first one's handler, the heart-beat for both.
@@ -988,6 +993,108 @@ class TestCoordinatorLoad:
         primary = loads["coordinator:cluster-k0"]["requests"]
         assert primary["rpc-submit"] == primary["task-result"] == 32
         assert "work-request" not in loads["coordinator:cluster-k1"]["requests"]
+
+
+class TestServiceQueueDriver:
+    """The coordinator receives on delivery: an idle one serves a message in
+    place, a busy one queues it, and the next batch starts one same-tick
+    hop after the last one ends."""
+
+    PULL = {"session": SESSIONS[0], "pending": None}
+
+    def _started(self):
+        harness = Harness()
+        harness.coord.start()
+        return harness, harness.coord, harness.env
+
+    @staticmethod
+    def land(harness, mtype, source, payload, tag=None):
+        message = Message(mtype=mtype, source=source, dest=K0, payload=dict(payload))
+        message.payload["tag"] = tag
+        message.delivered_at = harness.env.now
+        harness.host.endpoint.handler(message)
+
+    def test_an_idle_coordinator_serves_a_delivery_in_place(self):
+        harness, coord, env = self._started()
+        env.run(until=1.0)
+        self.land(harness, MessageType.SERVER_HEARTBEAT, SERVERS[0], {})
+        # Handled inside the delivery callback, before the kernel runs on.
+        assert coord.handled == {MessageType.SERVER_HEARTBEAT: 1}
+        assert SERVERS[0] in coord.known_servers
+
+    def test_a_backlog_is_served_whole_in_delivery_order(self):
+        harness, coord, env = self._started()
+        env.run(until=1.0)
+        order = []
+        handle = coord._handle
+        coord._handle = lambda message: (order.append(message.payload["tag"]), handle(message))[1]
+        self.land(harness, MessageType.RESULT_PULL, CLIENT, self.PULL, "first")
+        for tag in ("second", "third", "fourth"):
+            self.land(harness, MessageType.SERVER_HEARTBEAT, SERVERS[0], {}, tag)
+        assert order == ["first"]  # the rest wait for its charge
+        env.run(until=2.0)
+        assert order == ["first", "second", "third", "fourth"]
+
+    def test_a_delivery_during_a_batch_waits_for_the_work_its_last_handler_queued(self):
+        """A replica ack ends a batch by succeeding its round's waiter; a
+        heart-beat delivered while that batch ran is handled only after the
+        round's process has resumed, not before."""
+        harness, coord, env = self._started()
+        env.run(until=1.0)
+        log = []
+        handle = coord._handle
+        overhead = coord.config.request_processing_overhead
+
+        def logged(message):
+            log.append(message.payload["tag"])
+            if message.payload["tag"] == "second pull":
+                env.call_at(env.now + overhead / 2, lambda _: self.land(
+                    harness, MessageType.SERVER_HEARTBEAT, SERVERS[0], {}, "beat"))
+            return handle(message)
+
+        coord._handle = logged
+        before = set(coord._rounds)
+
+        def round_trip():
+            yield from coord.replicate([PEERS[0]])
+            log.append("round retired")
+
+        env.process(round_trip())
+        env.run(until=1.5)
+        (round_id,) = set(coord._rounds) - before
+        self.land(harness, MessageType.RESULT_PULL, CLIENT, self.PULL, "first pull")
+        self.land(harness, MessageType.RESULT_PULL, CLIENT, self.PULL, "second pull")
+        self.land(harness, MessageType.REPLICA_ACK, PEERS[0], {"round": round_id}, "ack")
+        env.run(until=3.0)
+        assert log == ["first pull", "second pull", "ack", "round retired", "beat"]
+
+    @pytest.mark.parametrize("restart_after", [0.5, 2.0], ids=["mid-charge", "after-charge"])
+    def test_a_crash_during_a_charge_sends_nothing_and_serves_nothing_from_before(
+        self, restart_after
+    ):
+        """Crashed a quarter into the paying handler's overhead, restarted
+        before or after that overhead would have ended (in overheads); a
+        pull delivered at the restart is served on its own schedule."""
+        harness, coord, env = self._started()
+        replies = []
+        harness.host.send = lambda m: m.mtype is MessageType.RESULT_REPLY and replies.append(env.now)
+        env.run(until=1.0)
+        overhead = coord.config.request_processing_overhead
+        self.land(harness, MessageType.RESULT_PULL, CLIENT, self.PULL, "paying")
+        self.land(harness, MessageType.RESULT_PULL, CLIENT, self.PULL, "queued")
+        self.land(harness, MessageType.SERVER_HEARTBEAT, SERVERS[0], {}, "queued")
+        env.run(until=1.0 + overhead / 4)
+        harness.host.crash()
+        restart = 1.0 + overhead * restart_after
+        env.run(until=restart)
+        harness.host.restart()
+        self.land(harness, MessageType.RESULT_PULL, CLIENT, self.PULL, "after")
+        env.run(until=5.0)
+        # Only the paying handler started before the crash, and it sent
+        # nothing; the new incarnation answered its own pull, on time.
+        assert coord.handled == {MessageType.RESULT_PULL: 2}
+        handler_s = overhead + coord.database.model.scan_time(0)
+        assert replies == [pytest.approx(restart + handler_s)]
 
 
 # ------------------------------------------------------------- one result object

@@ -296,6 +296,8 @@ class TestHeartbeatEmitter:
     def test_payload_snapshotted_per_beat(self, env):
         host = make_host(env, kind="server")
         target = Host(env, host.network, K, rng=RandomStreams(1))
+        received = []
+        target.on_message(received.append)
         live_state = {"coordinators": ["k0"]}
         emitter = HeartbeatEmitter(
             host=host,
@@ -309,7 +311,7 @@ class TestHeartbeatEmitter:
         # rewrite the payload already on the wire.
         live_state["coordinators"].append("k1")
         env.run()
-        [message] = target.endpoint.mailbox.items
+        [message] = received
         assert message.payload["coordinators"] == ["k0"]
 
     def test_each_beat_sends_a_fresh_message_to_each_target(self, env):

@@ -614,13 +614,14 @@ def timed_results(grid, coordinator):
         handling = handle(message)
         if handling is None or message.mtype is not MessageType.TASK_RESULT:
             return handling
+        start, scans = grid.env.now, charges["scan"]
+        handler, overhead = handling
 
         def run():
-            start, scans = grid.env.now, charges["scan"]
-            yield from handling
+            yield from handler
             spans.append((grid.env.now - start, charges["scan"] - scans))
 
-        return run()
+        return run(), overhead
 
     coordinator._handle = timed
     return spans

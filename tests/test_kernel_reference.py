@@ -1,12 +1,11 @@
-"""Reference models for the two wait mechanisms the kernel replaced in place.
+"""Reference model for the wait mechanism the kernel replaced in place.
 
-``wait_any`` used to build a ``Timeout`` and an ``AnyOf`` for every race and
-``Store.get_all`` used to wake its getter through a same-tick finalize
-callback.  Both old definitions live on here, test-only, and generated
-schedules drive old and new side by side: same values, same ``WaitOutcome``,
-same simulated resume times, same live schedule size, and the same resume
-order wherever every wait lost the same hop.  The two places where new
-differs from old on purpose are pinned by directed tests that run both.
+``wait_any`` used to build a ``Timeout`` and an ``AnyOf`` for every race.
+The old definition lives on here, test-only, and generated schedules drive
+old and new side by side: same values, same ``WaitOutcome``, same simulated
+resume times, same live schedule size, and the same resume order wherever
+every wait lost the same hop.  Where new differs from old on purpose is
+pinned by directed tests that run both.
 """
 
 from __future__ import annotations
@@ -20,12 +19,10 @@ from hypothesis import strategies as st
 from repro.sim.core import (
     AnyOf,
     Environment,
-    Event,
     Timeout,
     WaitOutcome,
     wait_any,
 )
-from repro.sim.store import Store
 from tests.support import fail_event
 
 # ---------------------------------------------------------------------------
@@ -171,18 +168,6 @@ def _per_waiter(log):
     return dict(grouped)
 
 
-def _per_consumer_and_tick(log):
-    """Each consumer's records with same-timestamp batches joined into one."""
-    grouped = defaultdict(list)
-    for index, now, got in log:
-        mine = grouped[index]
-        if type(got) is list and mine and mine[-1][0] == now and type(mine[-1][1]) is list:
-            mine[-1][1].extend(got)
-        else:
-            mine.append((now, list(got) if type(got) is list else got))
-    return dict(grouped)
-
-
 class TestDirectWaitAgainstTimeoutAnyOf:
     @settings(max_examples=300, deadline=None)
     @given(specs=st.lists(wait_specs, min_size=1, max_size=4))
@@ -275,212 +260,3 @@ class TestDirectWaitAgainstTimeoutAnyOf:
         outcome = finished.value.value
         assert outcome.expired and not outcome.events
         assert env.queue_stats()["live_entries"] == 0
-
-
-# ---------------------------------------------------------------------------
-# Store.get_all: two-hop (finalize callback) reference
-# ---------------------------------------------------------------------------
-
-
-class _ReferenceBatchGet(Event):
-    __slots__ = ("_wake_armed",)
-
-    def __init__(self, env):
-        super().__init__(env)
-        self._wake_armed = False
-
-
-class ReferenceStore(Store):
-    """``Store`` with the batch wake it had before: arm, finalize, succeed."""
-
-    def put(self, item):
-        self.items.append(item)
-        if self._getters:
-            self._dispatch()
-
-    def get_all(self):
-        event = _ReferenceBatchGet(self.env)
-        event._abandon_hook = self._abandon_getter
-        self._getters.append(event)
-        if self.items:
-            self._dispatch()
-        return event
-
-    def _finalize_batch(self, getter):
-        getter._wake_armed = False
-        if getter.triggered or not self.items or getter not in self._getters:
-            return
-        if self._getters[0] is not getter:
-            self._dispatch()
-            if getter.triggered or not self.items or getter not in self._getters:
-                return
-        self._getters.remove(getter)
-        items = list(self.items)
-        self.items.clear()
-        getter.succeed(items)
-
-    def _dispatch(self):
-        getters = self._getters
-        while getters and self.items:
-            getter = getters[0]
-            if getter.triggered:
-                getters.popleft()
-                continue
-            if not getter._wake_armed:
-                getter._wake_armed = True
-                self.env.call_at(self.env.now, self._finalize_batch, getter)
-            return
-
-
-put_plans = st.lists(
-    st.tuples(
-        _HALVES,  # when
-        st.integers(min_value=0, max_value=3),  # same-tick hops before the put
-    ),
-    max_size=12,
-)
-
-consumer_plans = st.lists(
-    st.fixed_dictionaries(
-        {
-            "start": _HALVES,
-            # Between ticks (puts land on halves): a consumer disturbed while
-            # parked.  Disturbed *inside* a wake is where old and new differ
-            # on purpose; the directed tests below pin that.
-            "disturb": st.one_of(
-                st.none(),
-                st.tuples(st.just("kill"), _HALVES.map(lambda t: t + 0.25)),
-            ),
-        }
-    ),
-    min_size=1,
-    max_size=3,
-)
-
-
-def _run_store(store_cls, puts, consumers):
-    env = Environment()
-    store = store_cls(env)
-    log: list[tuple] = []
-
-    def deposit(plan):
-        item, hops = plan
-        if hops:
-            env.call_at(env.now, deposit, (item, hops - 1))
-        else:
-            store.put(item)
-
-    def consumer(index, plan):
-        if plan["start"]:
-            yield env.timeout(plan["start"])
-        while True:
-            got = list((yield store.get_all()))
-            log.append((index, env.now, got))
-
-    for item, (when, hops) in enumerate(puts):
-        env.call_at(when, deposit, (item, hops))
-    for index, plan in enumerate(consumers):
-        process = env.process(consumer(index, plan))
-        if plan["disturb"] is not None:
-            action, offset = plan["disturb"]
-            env.call_at_cancellable(offset, getattr(process, action), "schedule")
-    env.run()
-    return log, list(store.items), len(store._getters)
-
-
-class TestOneHopBatchWakeAgainstFinalizeCallback:
-    @settings(max_examples=300, deadline=None)
-    @given(puts=put_plans, consumers=consumer_plans)
-    def test_generated_schedules_deliver_identical_batches(self, puts, consumers):
-        old_log, old_left, old_getters = _run_store(ReferenceStore, puts, consumers)
-        new_log, new_left, new_getters = _run_store(Store, puts, consumers)
-        # The same items in the same order to the same consumers at the same
-        # simulated times, same leftovers, same parked getters.  Only where a
-        # tick's items are cut into batches may differ: the receiver is back
-        # on the store one hop sooner, so a put two hops behind the first
-        # starts the next batch instead of joining a late second one.
-        assert _per_consumer_and_tick(new_log) == _per_consumer_and_tick(old_log)
-        assert (new_left, new_getters) == (old_left, old_getters)
-        delivered = [item for record in new_log if type(record[2]) is list for item in record[2]]
-        assert sorted(delivered + new_left) == list(range(len(puts)))
-
-    @pytest.mark.parametrize("store_cls", [ReferenceStore, Store])
-    def test_puts_landing_before_the_wake_is_processed_join_the_batch(self, store_cls):
-        env = Environment()
-        store = store_cls(env)
-        batches = []
-
-        def receiver():
-            while True:
-                batch = yield store.get_all()
-                batches.append((env.now, list(batch)))
-
-        def burst(_):
-            env.call_at(env.now, store.put, "queued-before-the-wake")
-            store.put("first")  # wakes the getter; the call above still runs first
-            store.put("same-callback")
-            env.call_at(env.now, store.put, "queued-after-the-wake")
-
-        env.process(receiver())
-        env.call_at(1.0, burst)
-        env.run()
-        assert batches == [
-            (1.0, ["first", "same-callback", "queued-before-the-wake"]),
-            (1.0, ["queued-after-the-wake"]),
-        ]
-
-    def test_a_batch_abandoned_between_wake_and_resume_goes_back_to_the_store(self):
-        """Where the new wake is deliberately *better* than the reference.
-
-        The old getter, once finalized, took its batch with it if its waiter
-        was killed before resuming; the one-hop wake hands the items back,
-        so the next receiver finds them on the store.
-        """
-        env = Environment()
-        store = Store(env)
-        got = []
-
-        def receiver():
-            while True:
-                got.append(list((yield store.get_all())))
-
-        process = env.process(receiver())
-
-        def wake_then_kill(_):
-            store.put("a")
-            process.kill()
-            store.put("b")  # joins the live batch, still unprocessed
-
-        env.call_at(1.0, wake_then_kill)
-        env.run()
-        assert got == []
-        assert list(store.items) == ["a", "b"]
-
-    def test_a_head_getter_killed_in_its_wake_tick_no_longer_strands_the_item(self):
-        """The lost wake-up the finalize callback had, pinned on both sides.
-
-        Two batch getters queued; the head one is killed in the callback that
-        delivers the first item.  The reference finalize callback found its
-        getter gone and returned — the item stayed queued behind a second
-        getter nobody woke.  The one-hop wake re-dispatches what it takes back.
-        """
-        outcomes = {}
-        for store_cls in (ReferenceStore, Store):
-            env = Environment()
-            store = store_cls(env)
-            got = []
-
-            def receiver(name, store=store, got=got):
-                while True:
-                    batch = yield store.get_all()
-                    got.append((name, list(batch)))
-
-            head = env.process(receiver("head"))
-            env.process(receiver("next"))
-            env.call_at(1.0, lambda _, s=store, h=head: (s.put("x"), h.kill()))
-            env.run(until=5.0)
-            outcomes[store_cls.__name__] = (got, list(store.items))
-        assert outcomes == {
-            "ReferenceStore": ([], ["x"]),
-            "Store": ([("next", ["x"])], []),
-        }

@@ -145,10 +145,12 @@ class TestNetwork:
         network = Network(env, PerfectLinkModel())
         network.register(A)
         endpoint_b = network.register(B)
+        received = []
+        endpoint_b.handler = received.append
         network.send(Message(MessageType.PING, A, B, size_bytes=10))
         env.run()
         assert network.stats()["net.delivered"] == 1
-        assert len(endpoint_b.mailbox.items) == 1
+        assert len(received) == 1
 
     def test_unknown_destination_is_counted_dropped(self, env):
         network = Network(env, PerfectLinkModel())
@@ -178,15 +180,22 @@ class TestNetwork:
         assert network.stats()["net.delivered"] == 0
         assert network.stats()["net.dropped.endpoint_down"] == 1
 
-    def test_endpoint_down_clears_mailbox(self, env):
+    def test_endpoint_down_drops_its_handler(self, env):
         network = Network(env, PerfectLinkModel())
         network.register(A)
         endpoint_b = network.register(B)
+        received = []
+        endpoint_b.handler = received.append
         network.send(Message(MessageType.PING, A, B))
         env.run()
-        assert len(endpoint_b.mailbox.items) == 1
+        assert len(received) == 1
         endpoint_b.mark_down()
-        assert len(endpoint_b.mailbox.items) == 0
+        assert endpoint_b.handler is None
+        endpoint_b.mark_up()
+        network.send(Message(MessageType.PING, A, B))
+        env.run()
+        # Delivered to the new incarnation, which installed no handler: dropped.
+        assert network.stats()["net.delivered"] == 2 and len(received) == 1
 
     def test_lossy_link_eventually_drops(self, env):
         class AlwaysLossy(PerfectLinkModel):
@@ -210,11 +219,13 @@ class TestNetwork:
         network.send(Message(MessageType.PING, A, B))
         # The endpoint restarts before the message lands: the message was
         # addressed to the previous incarnation and must not leak into the
-        # fresh mailbox.
+        # new one's handler.
         network.set_endpoint_up(B, True)
+        received = []
+        endpoint_b.handler = received.append
         env.run()
         assert network.stats()["net.delivered"] == 0
-        assert len(endpoint_b.mailbox.items) == 0
+        assert received == []
         assert network.stats()["net.dropped.stale_incarnation"] == 1
 
     def test_restart_mid_flight_drops_in_flight_traffic(self, env):
@@ -342,106 +353,16 @@ class TestNetwork:
         network = Network(env, link_model=LanLinkModel(jitter=0.0), rng=RandomStreams(1))
         network.register(A)
         endpoint_b = network.register(B)
+        received = []
+        endpoint_b.handler = received.append
         network.send(Message(MessageType.PING, A, B, size_bytes=10_000_000))
         network.send(Message(MessageType.PONG, A, B, size_bytes=10))
         env.run()
-        first = endpoint_b.mailbox.items[0]
-        assert first.mtype is MessageType.PONG
-
-
-class TestBatchedDelivery:
-    """recv_many: same-tick deliveries coalesce into one receiver resume."""
-
-    def _zero_delay(self, env):
-        network = Network(env, link_model=PerfectLinkModel(latency=0.0))
-        network.register(A)
-        return network, network.register(B)
-
-    def test_same_tick_batch_resumes_receiver_once_in_fifo_order(self, env):
-        network, endpoint = self._zero_delay(env)
-        batches = []
-
-        def receiver():
-            while True:
-                batch = yield endpoint.recv_many()
-                batches.append([m.payload["n"] for m in batch])
-
-        env.process(receiver())
-        for n in range(3):
-            network.send(Message(MessageType.PING, A, B, payload={"n": n}))
-        env.run()
-        # One resume, the whole same-tick batch, in delivery order.
-        assert batches == [[0, 1, 2]]
-
-    def test_batches_split_across_ticks(self, env):
-        network, endpoint = self._zero_delay(env)
-        batches = []
-
-        def receiver():
-            while True:
-                batch = yield endpoint.recv_many()
-                batches.append((env.now, [m.payload["n"] for m in batch]))
-
-        def sender():
-            network.send(Message(MessageType.PING, A, B, payload={"n": 0}))
-            network.send(Message(MessageType.PING, A, B, payload={"n": 1}))
-            yield env.timeout(1.0)
-            network.send(Message(MessageType.PING, A, B, payload={"n": 2}))
-
-        env.process(receiver())
-        env.process(sender())
-        env.run()
-        assert batches == [(0.0, [0, 1]), (1.0, [2])]
-
-    def test_backlog_delivered_whole_on_late_recv_many(self, env):
-        network, endpoint = self._zero_delay(env)
-        for n in range(4):
-            network.send(Message(MessageType.PING, A, B, payload={"n": n}))
-        env.run()
-
-        def receiver():
-            batch = yield endpoint.recv_many()
-            return [m.payload["n"] for m in batch]
-
-        process = env.process(receiver())
-        env.run()
-        assert process.value == [0, 1, 2, 3]
+        assert [m.mtype for m in received] == [MessageType.PONG, MessageType.PING]
 
 
 class TestCrashedMailboxAndHandlers:
-    """Crash / restart against the one-hop batch wake and handler endpoints."""
-
-    def test_mark_down_drops_a_batch_woken_but_not_yet_handed_over(self, env):
-        network = Network(env, link_model=PerfectLinkModel(latency=0.0))
-        network.register(A)
-        endpoint = network.register(B)
-        batches = []
-
-        def receiver():
-            while True:
-                batches.append(list((yield endpoint.recv_many())))
-
-        process = env.process(receiver())
-        env.run()  # parked on recv_many
-
-        def burst_then_crash(_):
-            for n in range(3):
-                network._deliver((Message(MessageType.PING, A, B, {"n": n}), 0, 1.0))
-            # The getter is woken (its batch holds all three messages) but
-            # the kernel has not processed it when the host goes down.
-            assert not endpoint.mailbox.items
-            process.kill("crash")
-            assert endpoint.mark_down() == 3
-
-        env.call_at(1.0, burst_then_crash)
-        env.run()
-        assert batches == [] and len(endpoint.mailbox.items) == 0
-        # The restarted incarnation starts from an empty mailbox.
-        endpoint.mark_up()
-        env.process(receiver())
-        network.send(Message(MessageType.PING, A, B, payload={"n": 9}))
-        env.run()
-        assert [[m.payload["n"] for m in batch] for batch in batches] == [[9]]
+    """Crash / restart against handler endpoints."""
 
     def _handled_host(self, env):
         network = Network(env, link_model=LanLinkModel(jitter=0.0))
@@ -460,7 +381,7 @@ class TestCrashedMailboxAndHandlers:
         network, host, handled = self._handled_host(env)
         network.send(Message(MessageType.PING, A, B, payload={"n": 0}))
         env.run()
-        assert [n for _, n in handled] == [0] and len(host.endpoint.mailbox.items) == 0
+        assert [n for _, n in handled] == [0]
         network.send(Message(MessageType.PING, A, B, payload={"n": 1}))  # in flight
         host.crash()
         assert host.endpoint.handler is None  # volatile, like a receive process
@@ -468,7 +389,6 @@ class TestCrashedMailboxAndHandlers:
         env.run()
         assert [n for _, n in handled] == [0]
         assert network.stats()["net.dropped.endpoint_down"] == 2
-        assert len(host.endpoint.mailbox.items) == 0
         with pytest.raises(ConfigurationError):
             host.on_message(print)
 

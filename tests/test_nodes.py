@@ -149,9 +149,11 @@ class TestHost:
         env.run()
         assert process.value == 2.0
 
-    def test_crash_kills_processes_and_mailbox(self, env):
+    def test_crash_kills_processes_and_drops_the_handler(self, env):
         host = self._host(env)
         other = Host(env, host.network, Address("client", "c"), rng=RandomStreams(1))
+        received = []
+        host.on_message(received.append)
 
         def long_runner():
             try:
@@ -167,7 +169,11 @@ class TestHost:
         env.run()
         assert not process.is_alive
         assert not host.up
-        assert len(host.endpoint.mailbox.items) == 0
+        assert host.endpoint.handler is None
+        assert len(received) == 1  # delivered before the crash
+        other.send(Message(MessageType.PING, other.address, host.address))
+        env.run()
+        assert len(received) == 1
         assert host.monitor.count(f"faults.{host.address.kind}") == 1
 
     def test_crash_preserves_persistent_state(self, env):

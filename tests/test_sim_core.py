@@ -15,7 +15,6 @@ from repro.sim.core import (
     Timeout,
     wait_any,
 )
-from repro.sim.store import Store
 from tests.support import fail_event
 
 
@@ -435,28 +434,11 @@ class TestCancellation:
 
 
 class TestWaiterCleanup:
-    def test_kill_while_blocked_on_store_get_purges_waiter(self, env):
-        store = Store(env)
-
-        def consumer():
-            yield store.get_all()
-
-        process = env.process(consumer())
-        env.run(until=1.0)
-        assert len(store._getters) == 1
-        process.kill("crash")
-        env.run()
-        assert not process.is_alive
-        assert len(store._getters) == 0
-        # A later put is not swallowed by the dead waiter.
-        store.put("item")
-        assert len(store.items) == 1
-
     def test_kill_during_wait_any_race_cleans_everything(self, env):
-        store = Store(env)
+        reply = env.event()
 
         def racer():
-            outcome = yield from env.wait_any([store.get_all()], timeout=50.0)
+            outcome = yield from env.wait_any([reply], timeout=50.0)
             return outcome
 
         process = env.process(racer())
@@ -464,39 +446,22 @@ class TestWaiterCleanup:
         process.kill("crash")
         env.run()
         assert not process.is_alive
-        assert len(store._getters) == 0  # store waiter purged
+        assert reply.callbacks == []  # the waiter detached from the event
         assert env.queue_stats()["heap_size"] == 0  # expiry timer reclaimed
         assert env.now == 1.0
 
     def test_kill_during_raw_anyof_race_cascades_cleanup(self, env):
-        store = Store(env)
-        getter_box = {}
+        reply = env.event()
 
         def racer():
-            getter_box["getter"] = store.get_all()
-            yield AnyOf(env, [getter_box["getter"], env.timeout(50.0)])
+            yield AnyOf(env, [reply, env.timeout(50.0)])
 
         process = env.process(racer())
         env.run(until=1.0)
         process.kill("crash")
         env.run()
-        assert len(store._getters) == 0
-        assert getter_box["getter"].callbacks == []
+        assert reply.callbacks == []
         assert env.queue_stats()["heap_size"] == 0
-
-    def test_store_getter_losing_race_does_not_swallow_item(self, env):
-        store = Store(env)
-
-        def racer():
-            outcome = yield from env.wait_any([store.get_all()], timeout=2.0)
-            return outcome.expired and not outcome.events
-
-        process = env.process(racer())
-        env.run()
-        assert process.value is True
-        assert len(store._getters) == 0
-        store.put("late")
-        assert len(store.items) == 1  # kept for a live consumer, not the dead race
 
 
 class TestSchedulerLanes:
@@ -656,98 +621,6 @@ class TestSchedulerLanes:
         env.run()
         assert keep == ["kept"]
         assert env.queue_stats()["heap_size"] == 0
-
-
-class TestStore:
-    def test_put_then_get_all(self, env):
-        store = Store(env)
-        store.put("x")
-
-        def proc():
-            items = yield store.get_all()
-            return items
-
-        process = env.process(proc())
-        env.run()
-        assert process.value == ["x"]
-
-    def test_get_all_blocks_until_put(self, env):
-        store = Store(env)
-
-        def getter():
-            items = yield store.get_all()
-            return (env.now, items)
-
-        def putter():
-            yield env.timeout(3.0)
-            store.put("late")
-
-        get_process = env.process(getter())
-        env.process(putter())
-        env.run()
-        assert get_process.value == (3.0, ["late"])
-
-    def test_fifo_order(self, env):
-        store = Store(env)
-        for item in (1, 2, 3):
-            store.put(item)
-
-        def proc():
-            items = yield store.get_all()
-            return items
-
-        process = env.process(proc())
-        env.run()
-        assert process.value == [1, 2, 3]
-
-    def test_drain_drops_items(self, env):
-        store = Store(env)
-        store.put(1)
-        store.put(2)
-        assert store.drain() == [1, 2]
-        assert len(store.items) == 0
-
-    def test_put_without_a_getter_schedules_nothing(self, env):
-        store = Store(env)
-        assert store.put("a") is None
-        store.put("b")
-        assert len(store.items) == 2
-        assert env.peek() == float("inf")
-        assert env.queue_stats()["tick_queued"] == 0
-
-    def test_a_second_getter_waits_behind_the_first(self, env):
-        store = Store(env)
-        batches = []
-
-        def getter(tag):
-            items = yield store.get_all()
-            batches.append((tag, env.now, items))
-
-        env.process(getter("first"))
-        env.process(getter("second"))
-        env.call_at(1.0, lambda _: (store.put(1), store.put(2)))
-        env.call_at(2.0, store.put, 3)
-        env.run()
-        assert batches == [("first", 1.0, [1, 2]), ("second", 2.0, [3])]
-
-    def test_drain_takes_a_woken_batch_and_its_getter_resumes_empty(self, env):
-        store = Store(env)
-
-        def getter():
-            items = yield store.get_all()
-            return items
-
-        process = env.process(getter())
-
-        def put_then_drain(_):
-            store.put("a")  # wakes the getter; the kernel has not resumed it
-            store.put("b")
-            assert store.drain() == ["a", "b"]
-
-        env.call_at(1.0, put_then_drain)
-        env.run()
-        assert process.value == []
-        assert len(store.items) == 0
 
 
 class TestTimers:
